@@ -128,42 +128,30 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
+def series(ev: KloostermanEvaluator, n: int, D: int, local, workers: int = 1):
+    """Euler product over every closed point of degree <= D.
+
+    local(lf, R) expands the inverse local factor lf at its point to
+    T-degree R * degree, as a LocalSeries.
+    """
+    def one(pt):
+        return local(local_factor(ev, n, pt), D // pt.degree)
+
+    return euler_product(ev.base, _pmap(one, points_up_to(ev.base, D), workers), D)
+
+
 def series_symk(ev: KloostermanEvaluator, n: int, k: int, D: int,
                 workers: int = 1):
     """Exact finite symmetric power L-series truncated at degree D."""
-    pts = points_up_to(ev.base, D)
-
-    def one(pt):
-        lf = local_factor(ev, n, pt)
-        coeffs = inverse_factor_series(sym_k_factor(lf, k), D // pt.degree)
-        return LocalSeries(pt, coeffs, None, {})
-
-    return euler_product(ev.base, _pmap(one, pts, workers), D)
+    return series(ev, n, D, lambda lf, R: LocalSeries(
+        lf.point, inverse_factor_series(sym_k_factor(lf, k), R)), workers)
 
 
 def series_syminf(ev: KloostermanEvaluator, n: int, kappa: PadicExponent,
                   V: int, D: int, workers: int = 1):
     """Infinite symmetric power L-series to certified precision V."""
-    pts = points_up_to(ev.base, D)
-    a = ev.base.k
-
-    def one(pt):
-        lf = local_factor(ev, n, pt)
-        return sym_inf_local(lf, kappa, V, D // pt.degree, a)
-
-    return euler_product(ev.base, _pmap(one, pts, workers), D)
-
-
-def series_unitroot(ev: KloostermanEvaluator, n: int, kappa: PadicExponent,
-                    V: int, D: int, workers: int = 1):
-    """Slope-zero unit root L-series to certified precision V."""
-    pts = points_up_to(ev.base, D)
-
-    def one(pt):
-        lf = local_factor(ev, n, pt)
-        return unit_root_local(lf, kappa, V, D // pt.degree)
-
-    return euler_product(ev.base, _pmap(one, pts, workers), D)
+    return series(ev, n, D, lambda lf, R: sym_inf_local(
+        lf, kappa, V, R, ev.base.k), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +176,19 @@ def _polygon_json(poly):
     return [[_frac(x), _frac(y)] for x, y in poly.vertices]
 
 
+def _field_json(base):
+    return {"p": base.p, "a": base.k, "modulus": list(base.modulus)}
+
+
 def _exponent_json(config: RunConfig):
     if config.kappa_digits is not None:
         return {"kind": "digits", "digits": list(config.kappa_digits)}
     return {"kind": "integer", "value": config.k}
 
 
-def _coeff_rows(gs, a: int):
+def _series_json(name, gs, points, exponent):
     rows = []
-    for cp, c in zip(newton_points(gs.coeffs, a, cert=gs.cert), gs.coeffs):
+    for cp, c in zip(points, gs.coeffs):
         row = {
             "r": cp.r,
             "exact": cp.exact,
@@ -209,17 +201,8 @@ def _coeff_rows(gs, a: int):
             row["precision"] = c.N
             row["vcert"] = c.vcert
         rows.append(row)
-    return rows
-
-
-def _series_json(name, gs, a, exponent):
-    entry = {
-        "name": name,
-        "exponent": exponent,
-        "cert": gs.cert,
-        "coefficients": _coeff_rows(gs, a),
-    }
-    return entry
+    return {"name": name, "exponent": exponent, "cert": gs.cert,
+            "coefficients": rows}
 
 
 def _newton_hull_json(points):
@@ -244,18 +227,17 @@ def write_csv(report: dict, csv_path: str):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series", "r", "exact", "ordq_num", "ordq_den",
                          "precision", "vcert", "value"])
-        for series in report.get("series", []):
-            for row in series["coefficients"]:
+        for entry in report.get("series", []):
+            for row in entry["coefficients"]:
                 ordq = row["ordq"]
                 num, den = ("", "") if ordq is None else ordq
                 if "value" in row:
-                    writer.writerow([series["name"], row["r"], row["exact"],
-                                     num, den, "", "", row["value"]])
+                    tail = ["", "", row["value"]]
                 else:
-                    coords = ":".join(str(c) for c in row["coords"])
-                    writer.writerow([series["name"], row["r"], row["exact"],
-                                     num, den, row["precision"],
-                                     row["vcert"], coords])
+                    tail = [row["precision"], row["vcert"],
+                            ":".join(str(c) for c in row["coords"])]
+                writer.writerow([entry["name"], row["r"], row["exact"],
+                                 num, den] + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +279,25 @@ def _retry_precision(attempt, V0: int):
         V *= 2
 
 
+def _envelope(body: dict, t0: float, cache, **timing):
+    """A report: schema header, body, and the volatile timing block."""
+    return {
+        "schema": SCHEMA,
+        "tool": {"name": "klsym", "version": __version__},
+        **body,
+        "timing": {
+            "seconds": round(time.perf_counter() - t0, 6),
+            **timing,
+            "cache": {
+                "enabled": cache is not None,
+                "hits": cache.hits if cache else 0,
+                "misses": cache.misses if cache else 0,
+                "records": len(cache) if cache else 0,
+            },
+        },
+    }
+
+
 def run(config: RunConfig):
     """Execute one run and return (report, exit_code)."""
     t0 = time.perf_counter()
@@ -304,123 +305,81 @@ def run(config: RunConfig):
     base = make_field(config.p, config.a)
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
-    a, n, D = config.a, config.n, config.D
-
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "klsym", "version": __version__},
+    a, n, D, mode = config.a, config.n, config.D, config.mode
+    exponent = _exponent_json(config)
+    hodge = hodge_polygon(n, config.p, max(D, 1))
+    body = {
         "config": {
             "p": config.p,
             "a": a,
             "n": n,
-            "mode": config.mode,
-            "exponent": _exponent_json(config),
+            "mode": mode,
+            "exponent": exponent,
             "D": D,
             "V": config.V,
         },
-        "field": {"p": config.p, "a": a, "modulus": list(base.modulus)},
+        "field": _field_json(base),
         "series": [],
         "polygons": {},
         "verdict": None,
     }
+    if mode in ("symk", "syminf", "verify-newton-hodge"):
+        body["polygons"]["hodge"] = _polygon_json(hodge)
 
-    verdict = None
+    def add(name, gs, pts):
+        body["series"].append(_series_json(name, gs, pts, exponent))
+        body["polygons"]["newton_" + name] = _newton_hull_json(pts)
+
+    verdicts = []
     derived = {}
-
-    if config.mode == "symk":
-        gs = series_symk(ev, n, config.k, D, config.workers)
-        report["series"].append(
-            _series_json("symk", gs, a, _exponent_json(config)))
-        report["polygons"]["newton_symk"] = _newton_hull_json(
-            newton_points(gs.coeffs, a))
-        report["polygons"]["hodge"] = _polygon_json(
-            hodge_polygon(n, config.p, max(D, 1)))
-
-    elif config.mode in ("syminf", "unitroot"):
-        kappa = _kappa(config)
-        V = config.V if config.V is not None else default_precision(config)
-        build = series_syminf if config.mode == "syminf" else series_unitroot
-        gs = build(ev, n, kappa, V, D, config.workers)
-        report["series"].append(
-            _series_json(config.mode, gs, a, _exponent_json(config)))
-        report["polygons"]["newton_" + config.mode] = _newton_hull_json(
-            newton_points(gs.coeffs, a, cert=gs.cert))
-        if config.mode == "syminf":
-            report["polygons"]["hodge"] = _polygon_json(
-                hodge_polygon(n, config.p, max(D, 1)))
-        derived["V_used"] = V
-
-    elif config.mode == "verify-newton-hodge":
-        hodge = hodge_polygon(n, config.p, max(D, 1))
-        report["polygons"]["hodge"] = _polygon_json(hodge)
-        verdicts = []
-        if config.kappa_digits is None:
-            gs_fin = series_symk(ev, n, config.k, D, config.workers)
-            pts_fin = newton_points(gs_fin.coeffs, a)
-            report["series"].append(
-                _series_json("symk", gs_fin, a, _exponent_json(config)))
-            report["polygons"]["newton_symk"] = _newton_hull_json(pts_fin)
-            verdicts.append(("symk", verify_above(pts_fin, hodge)))
-
-        kappa = _kappa(config)
-        V0 = config.V if config.V is not None else default_precision(config)
-
-        def attempt(V):
-            gs = series_syminf(ev, n, kappa, V, D, config.workers)
-            pts = newton_points(gs.coeffs, a, cert=gs.cert)
-            return gs, pts, verify_above(pts, hodge)
-
-        (gs_inf, pts_inf, v_inf), V, attempts = _retry_precision(attempt, V0)
-        report["series"].append(
-            _series_json("syminf", gs_inf, a, _exponent_json(config)))
-        report["polygons"]["newton_syminf"] = _newton_hull_json(pts_inf)
-        verdicts.append(("syminf", v_inf))
-        derived.update({"V_initial": V0, "V_used": V, "attempts": attempts})
-
-        verdict = _combine_verdicts(verdicts)
-
-    elif config.mode == "compare-slopes":
+    padic_only = mode in ("syminf", "unitroot")
+    # verify reads the exact series only when the exponent is an integer
+    if not padic_only and config.k is not None:
         gs_fin = series_symk(ev, n, config.k, D, config.workers)
         pts_fin = newton_points(gs_fin.coeffs, a)
-        report["series"].append(
-            _series_json("symk", gs_fin, a, _exponent_json(config)))
-        report["polygons"]["newton_symk"] = _newton_hull_json(pts_fin)
+        add("symk", gs_fin, pts_fin)
+        if mode == "verify-newton-hodge":
+            verdicts.append(("symk", verify_above(pts_fin, hodge)))
 
+    if mode != "symk":
         kappa = _kappa(config)
         V0 = config.V if config.V is not None else default_precision(config)
 
         def attempt(V):
-            gs = series_syminf(ev, n, kappa, V, D, config.workers)
+            if mode == "unitroot":
+                gs = series(ev, n, D, lambda lf, R: unit_root_local(
+                    lf, kappa, V, R), config.workers)
+            else:
+                gs = series_syminf(ev, n, kappa, V, D, config.workers)
             pts = newton_points(gs.coeffs, a, cert=gs.cert)
-            return gs, pts, compare_slope_range(pts_fin, pts, Fraction(config.k))
+            if mode == "verify-newton-hodge":
+                return gs, pts, verify_above(pts, hodge)
+            if mode == "compare-slopes":
+                return gs, pts, compare_slope_range(pts_fin, pts, Fraction(config.k))
+            return gs, pts, None
 
-        (gs_inf, pts_inf, v), V, attempts = _retry_precision(attempt, V0)
-        report["series"].append(
-            _series_json("syminf", gs_inf, a, _exponent_json(config)))
-        report["polygons"]["newton_syminf"] = _newton_hull_json(pts_inf)
-        derived.update({"V_initial": V0, "V_used": V, "attempts": attempts})
-        verdict = {"status": v.status, "witness": _jsonable(v.witness)}
+        if padic_only:
+            (gs, pts, _), V = attempt(V0), V0
+        else:
+            (gs, pts, v), V, attempts = _retry_precision(attempt, V0)
+            verdicts.append(("syminf", v))
+            derived.update({"V_initial": V0, "attempts": attempts})
+        add("unitroot" if mode == "unitroot" else "syminf", gs, pts)
+        derived["V_used"] = V
 
-    if verdict is not None:
-        report["verdict"] = verdict
+    if mode == "verify-newton-hodge":
+        body["verdict"] = _combine_verdicts(verdicts)
+    elif mode == "compare-slopes":
+        body["verdict"] = {"status": v.status, "witness": _jsonable(v.witness)}
     if derived:
-        report["derived"] = derived
+        body["derived"] = derived
 
-    report["timing"] = {
-        "seconds": round(time.perf_counter() - t0, 6),
-        "execution": {
-            "workers": config.workers,
-            "budget": config.budget,
-            "cache_path": config.cache_path,
-        },
-        "cache": {
-            "enabled": cache is not None,
-            "hits": cache.hits if cache else 0,
-            "misses": cache.misses if cache else 0,
-            "records": len(cache) if cache else 0,
-        },
-    }
-
+    report = _envelope(body, t0, cache, execution={
+        "workers": config.workers,
+        "budget": config.budget,
+        "cache_path": config.cache_path,
+    })
+    verdict = body["verdict"]
     code = 0 if verdict is None else _EXIT_BY_STATUS[verdict["status"]]
     return report, code
 
@@ -441,44 +400,35 @@ def _combine_verdicts(named):
 
 
 def _point_report(args, body, t0, cache=None):
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "klsym", "version": __version__},
-        **body,
-        "timing": {
-            "seconds": round(time.perf_counter() - t0, 6),
-            "cache": {
-                "enabled": cache is not None,
-                "hits": cache.hits if cache else 0,
-                "misses": cache.misses if cache else 0,
-                "records": len(cache) if cache else 0,
-            },
-        },
-    }
-    write_report(report, args.out)
+    write_report(_envelope(body, t0, cache), args.out)
     return 0
 
 
-def _resolve_point(args, base):
+def _point_evaluator(args):
+    """(evaluator, cache, closed point) named by sum/local arguments."""
+    check_odd_prime(args.p)
+    base = make_field(args.p, args.a)
+    cache = SumCache(args.cache) if args.cache else None
     field = make_field(args.p, args.a * args.d)
     try:
-        x = field.from_int(args.rep_int)
-        return orbit_rep(base, field, x)
+        pt = orbit_rep(base, field, field.from_int(args.rep_int))
     except ValueError as exc:
         raise UsageError(f"bad point: {exc}") from None
+    return KloostermanEvaluator(base, cache, args.budget), cache, pt
 
 
 def cmd_points(args) -> int:
     t0 = time.perf_counter()
     check_odd_prime(args.p)
+    if args.D < 0:
+        raise UsageError("degree cap D must be nonnegative")
     base = make_field(args.p, args.a)
-    pts = points_up_to(base, args.D)
     body = {
-        "field": {"p": args.p, "a": args.a, "modulus": list(base.modulus)},
+        "field": _field_json(base),
         "D": args.D,
         "points": [
             {"degree": pt.degree, "rep": list(pt.rep), "rep_int": pt.rep_int}
-            for pt in pts
+            for pt in points_up_to(base, args.D)
         ],
     }
     return _point_report(args, body, t0)
@@ -486,11 +436,7 @@ def cmd_points(args) -> int:
 
 def cmd_sum(args) -> int:
     t0 = time.perf_counter()
-    check_odd_prime(args.p)
-    base = make_field(args.p, args.a)
-    cache = SumCache(args.cache) if args.cache else None
-    ev = KloostermanEvaluator(base, cache, args.budget)
-    pt = _resolve_point(args, base)
+    ev, cache, pt = _point_evaluator(args)
     value = ev.kloosterman(args.n, pt, args.m)
     try:
         as_int = value.as_integer()
@@ -508,11 +454,7 @@ def cmd_sum(args) -> int:
 
 def cmd_local(args) -> int:
     t0 = time.perf_counter()
-    check_odd_prime(args.p)
-    base = make_field(args.p, args.a)
-    cache = SumCache(args.cache) if args.cache else None
-    ev = KloostermanEvaluator(base, cache, args.budget)
-    pt = _resolve_point(args, base)
+    ev, cache, pt = _point_evaluator(args)
     lf = local_factor(ev, args.n, pt)
     slopes = lower_hull(newton_points(lf.coeffs, args.a * pt.degree)).slopes()
     body = {
@@ -712,7 +654,7 @@ def console_main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceError, CacheError) as exc:
+    except (ResourceError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PrecisionError as exc:

@@ -12,6 +12,7 @@ parameter that pins the tower, so distinct moduli never alias.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from functools import lru_cache
 
@@ -78,24 +79,13 @@ def _direct_sum(n: int, field: Field, t) -> CycInt:
     md = _mult_data(field)
     S, tr, trD = md.S, md.tr, md.trD
     it = md.dlog[t]
-    if n == 1:
-        phases = tr + trD[it + 1 : it + S + 1][::-1]
-        counts = np.bincount(phases, minlength=3 * p)
-    elif n == 2:
-        counts = np.zeros(3 * p, dtype=np.int64)
-        for j1 in range(S):
-            b = (it - j1) % S + S
-            phases = int(tr[j1]) + tr + trD[b - S + 1 : b + 1][::-1]
-            counts += np.bincount(phases, minlength=3 * p)
-    else:
-        import itertools
-
-        counts = np.zeros((n + 1) * p, dtype=np.int64)
-        for prefix in itertools.product(range(S), repeat=n - 1):
-            c = int(sum(int(tr[j]) for j in prefix))
-            b = (it - sum(prefix)) % S + S
-            phases = c + tr + trD[b - S + 1 : b + 1][::-1]
-            counts += np.bincount(phases, minlength=(n + 1) * p)
+    # per prefix x_1..x_(n-1), one vectorised pass over x_n and t/(x_1...x_n)
+    counts = np.zeros((n + 1) * p, dtype=np.int64)
+    for prefix in itertools.product(range(S), repeat=n - 1):
+        c = sum(int(tr[j]) for j in prefix)
+        b = (it - sum(prefix)) % S + S
+        phases = c + tr + trD[b - S + 1 : b + 1][::-1]
+        counts += np.bincount(phases, minlength=(n + 1) * p)
     return _fold_counts(p, counts)
 
 

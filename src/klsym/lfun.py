@@ -2,11 +2,12 @@
 
 The local factor at a closed point t of degree d over F_q is the degree
 n+1 polynomial P(T) = prod_j (1 - pi_j T) whose eigenvalue power sums are
-p_m = (-1)^n Kl_n(t, m).  Coefficients are recovered by the determinant
-form of the Newton identities (division-free, then one exact division by
-m!), so no p-adic inversions touch the exact layer.  Symmetric powers come
-from the characteristic polynomial of Sym^k of the companion matrix of the
-reciprocal-root polynomial, again division-free via Berkowitz.  The
+p_m = (-1)^n Kl_n(t, m).  Coefficients are recovered by the Newton
+identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
+each step, so no p-adic inversions touch the exact layer.  Symmetric
+powers go through power sums as well: the m-th power sum of Sym^k is
+h_k(pi^m), built from the base power sums p_(i m) by the h-p Newton
+relation, and the same recurrence turns those into coefficients.  The
 infinite symmetric power local series needs the eigenvalues themselves and
 is assembled p-adically from a slope split.  Euler products multiply
 inverse local factors over all closed points up to a degree cap and verify
@@ -28,64 +29,28 @@ from .errors import (
 )
 from .expsum import KloostermanEvaluator
 from .ff import ClosedPoint, points_up_to
-from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, ord_p, slope_split
+from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, slope_split
 
 
 # ---------------------------------------------------------------------------
-# Newton identities, determinant form
-
-
-def _det_expansion(rows):
-    """Division-free determinant by first-row expansion with column memo."""
-    m = len(rows)
-    memo = {}
-
-    def rec(i, cols):
-        if i == m:
-            return CycInt.from_int(rows[0][0].p, 1)
-        key = cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = None
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if not entry:
-                continue
-            sub = rec(i + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = CycInt.zero(rows[0][0].p)
-        memo[key] = acc
-        return acc
-
-    return rec(0, tuple(range(m)))
+# Newton identities
 
 
 def elementary_from_power_sums(power_sums, count):
-    """e_1..e_count from p_1..p_count: m! e_m is a Toeplitz determinant."""
+    """e_1..e_count from p_1..p_count: m e_m = sum_i (-1)^(i-1) e_(m-i) p_i.
+
+    Each division by m is checked exact; a power-sum sequence that no
+    polynomial over Z[zeta_p] has raises ValueError.
+    """
     p = power_sums[0].p
-    one = CycInt.from_int(p, 1)
-    zero = CycInt.zero(p)
-    out = []
+    es = [CycInt.from_int(p, 1)]
     for m in range(1, count + 1):
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if j <= i:
-                    row.append(power_sums[i - j])
-                elif j == i + 1:
-                    row.append(CycInt.from_int(p, i + 1))
-                else:
-                    row.append(zero)
-            rows.append(row)
-        det = _det_expansion(rows)
-        out.append(det.divide_exact_int(math.factorial(m)))
-    return out
+        acc = CycInt.zero(p)
+        for i in range(1, m + 1):
+            term = es[m - i] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        es.append(acc.divide_exact_int(m))
+    return es[1:]
 
 
 def eigen_power_sums(coeffs, count):
@@ -120,18 +85,20 @@ class LocalFactor:
     def degree(self):
         return len(self.coeffs) - 1
 
-    @property
-    def q_point(self):
-        return self.point.base.size ** self.point.degree
+
+def _factor_from_power_sums(power_sums):
+    """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
+    es = elementary_from_power_sums(power_sums, len(power_sums))
+    return [CycInt.from_int(power_sums[0].p, 1)] + [
+        -e if m % 2 else e for m, e in enumerate(es, start=1)]
 
 
-def _factor_from_power_sums(point, n, power_sums):
-    es = elementary_from_power_sums(power_sums, n + 1)
-    p = power_sums[0].p
-    coeffs = [CycInt.from_int(p, 1)]
-    for m, e in enumerate(es, start=1):
-        coeffs.append(-e if m % 2 else e)
-    return coeffs
+def _lead(coeffs):
+    """The leading coefficient as a rational integer, or None."""
+    try:
+        return coeffs[-1].as_integer()
+    except ValueError:
+        return None
 
 
 def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalFactor:
@@ -146,7 +113,7 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalF
     sgn = -1 if n % 2 else 1
     power_sums = [s * sgn for s in sums]
     try:
-        coeffs = _factor_from_power_sums(point, n, power_sums)
+        coeffs = _factor_from_power_sums(power_sums)
     except ValueError as exc:
         raise FunctionalEquationFindingError(
             f"power sums at {point.rep} give non-integral coefficients: {exc}",
@@ -154,17 +121,9 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalF
     q_t = point.base.size ** point.degree
     magnitude = q_t ** (n * (n + 1) // 2)
     expected = magnitude if (n + 1) % 2 == 0 else -magnitude
-    try:
-        lead = coeffs[-1].as_integer()
-    except ValueError:
-        lead = None
+    lead = _lead(coeffs)
     if lead not in (expected, -expected):
-        flipped = _factor_from_power_sums(point, n, sums)
-        try:
-            flipped_lead = flipped[-1].as_integer()
-        except ValueError:
-            flipped_lead = None
-        if sgn == -1 and flipped_lead in (expected, -expected):
+        if sgn == -1 and _lead(_factor_from_power_sums(sums)) in (expected, -expected):
             raise SignConventionFindingError(
                 f"leading coefficient {lead} at {point.rep} only matches "
                 f"+-{magnitude} after dropping the (-1)^n normalisation",
@@ -180,120 +139,25 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalF
 # finite symmetric powers
 
 
-def _companion(coeffs):
-    """Multiplication-by-X matrix on Z[zeta][X] / (X^deg P(1/X) X^deg...).
-
-    Columns are images of the basis 1, X, ..., X^(deg-1) of the quotient by
-    the monic reciprocal-root polynomial E(X) = X^deg P(1/X).
-    """
-    p = coeffs[0].p
-    deg = len(coeffs) - 1
-    zero = CycInt.zero(p)
-    one = CycInt.from_int(p, 1)
-    # E low-first: e[i] = a_{deg-i}
-    e = list(reversed(coeffs))
-    M = [[zero] * deg for _ in range(deg)]
-    for j in range(deg - 1):
-        M[j + 1][j] = one
-    for i in range(deg):
-        M[i][deg - 1] = -e[i]
-    return M
-
-
-def _sym_power_matrix(M, k):
-    """Sym^k of a matrix in the monomial basis, lex-ordered exponents."""
-    p = M[0][0].p
-    dim = len(M)
-    basis = sorted(_exponent_tuples(dim, k), reverse=True)
-    index = {b: i for i, b in enumerate(basis)}
-    zero = CycInt.zero(p)
-    cols = []
-    lin_forms = [[M[i][j] for i in range(dim)] for j in range(dim)]  # image of x_j
-    for alpha in basis:
-        poly = {(0,) * dim: CycInt.from_int(p, 1)}
-        for var, mult in enumerate(alpha):
-            for _ in range(mult):
-                poly = _poly_mul_linear(poly, lin_forms[var], dim)
-        col = [zero] * len(basis)
-        for mono, c in poly.items():
-            col[index[mono]] = c
-        cols.append(col)
-    D = len(basis)
-    return [[cols[j][i] for j in range(D)] for i in range(D)]
-
-
-def _exponent_tuples(dim, k):
-    for comb in itertools.combinations_with_replacement(range(dim), k):
-        t = [0] * dim
-        for c in comb:
-            t[c] += 1
-        yield tuple(t)
-
-
-def _poly_mul_linear(poly, form, dim):
-    out = {}
-    for mono, c in poly.items():
-        for var, fc in enumerate(form):
-            if not fc:
-                continue
-            key = list(mono)
-            key[var] += 1
-            key = tuple(key)
-            v = c * fc
-            if key in out:
-                out[key] = out[key] + v
-            else:
-                out[key] = v
-    return out
-
-
-def _berkowitz_charpoly(M):
-    """Division-free characteristic polynomial, highest degree first."""
-    p = M[0][0].p
-    one = CycInt.from_int(p, 1)
-    zero = CycInt.zero(p)
-    D = len(M)
-    V = [one, -M[0][0]]
-    for r in range(1, D):
-        A = [row[:r] for row in M[:r]]
-        R = M[r][:r]
-        Ccol = [M[i][r] for i in range(r)]
-        a_rr = M[r][r]
-        q = [one, -a_rr]
-        vec = Ccol
-        for i in range(2, r + 2):
-            dot = zero
-            for x, y in zip(R, vec):
-                dot = dot + x * y
-            q.append(-dot)
-            if i < r + 1:
-                vec = [sum((A[s][t] * vec[t] for t in range(r)), zero) for s in range(r)]
-        newV = [zero] * (r + 2)
-        for i in range(r + 2):
-            s = zero
-            for j in range(min(i, r) + 1):
-                if i - j < len(q):
-                    s = s + q[i - j] * V[j]
-            newV[i] = s
-        V = newV
-    return V
-
-
 def sym_k_factor(lf: LocalFactor, k: int):
     """Coefficients of prod over |alpha| = k of (1 - pi^alpha T).
 
-    Degree binom(n+k, k).  Division-free throughout; the result stays in
-    Z[zeta_p] exactly.
+    Degree dim = binom(n+k, k).  The eigenvalues pi^alpha of Sym^k have
+    power sums p_m = h_k(pi^m), and the pi_j^m have power sums p_(i m).
+    Since j h_j = sum_i p_i h_(j-i), h_k is e_k of the power sums
+    (-1)^(i-1) p_i, so one Newton recurrence gives each p_m and then the
+    coefficients.  Every division is exact; the result stays in Z[zeta_p].
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
-    p = lf.coeffs[0].p
     if k == 0:
-        return [CycInt.from_int(p, 1)]
-    M = _sym_power_matrix(_companion(list(lf.coeffs)), k)
-    V = _berkowitz_charpoly(M)
-    # char(X) = sum V[i] X^(D-i), so T^D char(1/T) = sum V[i] T^i
-    return V
+        return [CycInt.from_int(lf.coeffs[0].p, 1)]
+    dim = math.comb(lf.n + k, k)
+    base = eigen_power_sums(list(lf.coeffs), k * dim)
+    sym = [elementary_from_power_sums(
+        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        for m in range(1, dim + 1)]
+    return _factor_from_power_sums(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +174,6 @@ def inverse_factor_series(coeffs, R):
         for i in range(1, min(r, deg) + 1):
             acc = acc + coeffs[i] * out[r - i]
         out.append(-acc)
-    return out
-
-
-def convolve_truncated(A, B, D, zero):
-    out = []
-    for r in range(D + 1):
-        acc = zero
-        for i in range(max(0, r - len(B) + 1), min(r, len(A) - 1) + 1):
-            acc = acc + A[i] * B[r - i]
-        out.append(acc)
     return out
 
 
@@ -397,38 +251,6 @@ def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Lo
     return LocalSeries(lf.point, out, cert, {})
 
 
-def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
-                       a: int) -> LocalSeries:
-    """Independent route to the same series through eigenvalue power sums.
-
-    Uses p~_m = pi_0^(kappa m) prod_j (1 - (pi_j/pi_0)^m)^(-1) and the
-    log-derivative recurrence r c_r = sum p~_m c_(r-m); the division by r
-    costs ord_p(r) digits, which the certificate tracks.
-    """
-    p = lf.coeffs[0].p
-    d = lf.point.degree
-    N = -(-V // (p - 1)) + 1 + sum(ord_p(p, r) for r in range(1, R + 1))
-    pis, _ = slope_split(list(lf.coeffs), a, d, N)
-    pi0 = pis[0]
-    inv0 = pi0.unit_inverse()
-    ratios = [pi * inv0 for pi in pis[1:]]
-    ptil = []
-    for m in range(1, R + 1):
-        val = one_unit_power(pi0, kappa.times_int(m), V)
-        for rho in ratios:
-            one = PadicCyc.one(p, val.N)
-            val = val * (one - rho ** m).unit_inverse()
-        ptil.append(val)
-    out = [PadicCyc.one(p, pi0.N)]
-    for r in range(1, R + 1):
-        acc = ptil[r - 1] * out[0]
-        for m in range(1, r):
-            acc = acc + ptil[m - 1] * out[r - m]
-        out.append(acc.divide_exact_int(r))
-    cert = min([V] + [c.vcert for c in out])
-    return LocalSeries(lf.point, out, cert, {})
-
-
 # ---------------------------------------------------------------------------
 # Euler products
 
@@ -480,14 +302,12 @@ def euler_product(base, contributions, D: int) -> GlobalSeries:
         zero = PadicCyc.zero(p, N)
         acc = [PadicCyc.one(p, N)] + [zero] * D
     for ls in contributions:
+        # times the local series in T^d; its zero terms would only add
+        # products whose certificate is already the maximal N (p - 1)
         d = ls.point.degree
-        inflated = [zero] * (D + 1)
-        ok = [c if exact else c.with_precision(N) for c in ls.coeffs]
-        inflated[0] = ok[0]
-        for r in range(1, len(ok)):
-            if r * d <= D:
-                inflated[r * d] = ok[r]
-        acc = convolve_truncated(acc, inflated, D, zero)
+        local = [c if exact else c.with_precision(N) for c in ls.coeffs[: D // d + 1]]
+        acc = [sum((acc[r - j * d] * c for j, c in enumerate(local[: r // d + 1])), zero)
+               for r in range(D + 1)]
     if exact:
         integers = []
         for r, c in enumerate(acc):
@@ -509,66 +329,3 @@ def euler_product(base, contributions, D: int) -> GlobalSeries:
                     f"below the certificate {cert}",
                     witness={"r": r, "galois": g, "val": diff})
     return GlobalSeries(acc, cert, None)
-
-
-# ---------------------------------------------------------------------------
-# independent global route: trace sums over extension fields
-
-
-def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
-    """L(Sym^k) coefficients from point counts over extension fields.
-
-    Completely bypasses local factors: S_m sums the m-th Sym^k Frobenius
-    trace over all rational points of the torus over F_(q^m), and
-    r c_r = sum_m S_m c_(r-m).  Exact; divisions are certified exact.
-    Intended as a test oracle at tiny sizes.
-    """
-    base = ev.base
-    p = base.p
-    S = []
-    for m in range(1, D + 1):
-        big_k = base.k * m
-        from .ff import make_field
-
-        big = make_field(p, big_k)
-        table_cache = {}
-        total = CycInt.zero(p)
-        sgn = -1 if n % 2 else 1
-        for t_int in range(1, big.size):
-            t = big.from_int(t_int)
-            tab = table_cache.get(n)
-            if tab is None:
-                tab = ev.kloosterman_table(n, big)
-                table_cache[n] = tab
-            if k == 1:
-                total = total + tab[t] * sgn
-            else:
-                # power sums of Frobenius at t over F_(q^m): need Kl over
-                # extensions of big; use the table of the composite field
-                ps = []
-                for i in range(1, k + 1):
-                    comp = make_field(p, big_k * i)
-                    ctab = table_cache.get((n, i))
-                    if ctab is None:
-                        ctab = ev.kloosterman_table(n, comp)
-                        table_cache[(n, i)] = ctab
-                    from .ff import get_embedding
-
-                    emb = get_embedding(big, comp)
-                    ps.append(ctab[emb.apply(t)] * sgn)
-                # complete homogeneous h_k from power sums, exact divisions
-                hs = [CycInt.from_int(p, 1)]
-                for j in range(1, k + 1):
-                    acc = CycInt.zero(p)
-                    for i in range(1, j + 1):
-                        acc = acc + ps[i - 1] * hs[j - i]
-                    hs.append(acc.divide_exact_int(j))
-                total = total + hs[k]
-        S.append(total)
-    out = [CycInt.from_int(p, 1)]
-    for r in range(1, D + 1):
-        acc = CycInt.zero(p)
-        for m in range(1, r + 1):
-            acc = acc + S[m - 1] * out[r - m]
-        out.append(acc.divide_exact_int(r))
-    return out

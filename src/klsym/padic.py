@@ -144,9 +144,6 @@ class PadicCyc:
 
     # -- inspection
 
-    def to_cyc(self) -> CycInt:
-        return self.rep
-
     def residue_int(self) -> int:
         """Image in the residue field F_p (zeta maps to 1)."""
         return sum(self.rep.coords) % self.p

@@ -60,12 +60,6 @@ class Polygon:
 
     vertices: tuple
 
-    def slope_at(self, x: Fraction) -> Fraction:
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x0 <= x < x1:
-                return Fraction(y1 - y0, x1 - x0)
-        raise UsageError(f"abscissa {x} outside polygon range")
-
     def value_at(self, x: Fraction) -> Fraction:
         x = Fraction(x)
         if len(self.vertices) == 1 and x == self.vertices[0][0]:

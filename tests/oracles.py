@@ -1,0 +1,239 @@
+"""Independent reference routes that production never calls.
+
+Each oracle recomputes a value the package produces by a different
+algorithm, so a test can require the two to agree:
+
+* ``sym_k_factor_berkowitz``: the Sym^k local factor as the division-free
+  Berkowitz characteristic polynomial of the explicit Sym^k matrix of the
+  companion matrix, O(dim^4) with dim = binom(n+k, k);
+* ``sym_inf_local_hsum``: the infinite symmetric power local series
+  through eigenvalue power sums instead of the product over weights;
+* ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
+  extension fields, bypassing local factors altogether.
+
+The h-from-p loops here are written out on purpose rather than shared
+with ``klsym.lfun``, so that the oracles stay independent of the code
+they check.
+"""
+
+import itertools
+
+from klsym.cyclo import CycInt
+from klsym.errors import UsageError
+from klsym.expsum import KloostermanEvaluator
+from klsym.ff import get_embedding, make_field
+from klsym.lfun import LocalFactor, LocalSeries
+from klsym.padic import PadicCyc, PadicExponent, one_unit_power, ord_p, slope_split
+
+
+# ---------------------------------------------------------------------------
+# finite symmetric powers: explicit Sym^k matrix and Berkowitz
+
+
+def _companion(coeffs):
+    """Multiplication-by-X matrix on Z[zeta][X] / (X^deg P(1/X) X^deg...).
+
+    Columns are images of the basis 1, X, ..., X^(deg-1) of the quotient by
+    the monic reciprocal-root polynomial E(X) = X^deg P(1/X).
+    """
+    p = coeffs[0].p
+    deg = len(coeffs) - 1
+    zero = CycInt.zero(p)
+    one = CycInt.from_int(p, 1)
+    # E low-first: e[i] = a_{deg-i}
+    e = list(reversed(coeffs))
+    M = [[zero] * deg for _ in range(deg)]
+    for j in range(deg - 1):
+        M[j + 1][j] = one
+    for i in range(deg):
+        M[i][deg - 1] = -e[i]
+    return M
+
+
+def _sym_power_matrix(M, k):
+    """Sym^k of a matrix in the monomial basis, lex-ordered exponents."""
+    p = M[0][0].p
+    dim = len(M)
+    basis = sorted(_exponent_tuples(dim, k), reverse=True)
+    index = {b: i for i, b in enumerate(basis)}
+    zero = CycInt.zero(p)
+    cols = []
+    lin_forms = [[M[i][j] for i in range(dim)] for j in range(dim)]  # image of x_j
+    for alpha in basis:
+        poly = {(0,) * dim: CycInt.from_int(p, 1)}
+        for var, mult in enumerate(alpha):
+            for _ in range(mult):
+                poly = _poly_mul_linear(poly, lin_forms[var], dim)
+        col = [zero] * len(basis)
+        for mono, c in poly.items():
+            col[index[mono]] = c
+        cols.append(col)
+    D = len(basis)
+    return [[cols[j][i] for j in range(D)] for i in range(D)]
+
+
+def _exponent_tuples(dim, k):
+    for comb in itertools.combinations_with_replacement(range(dim), k):
+        t = [0] * dim
+        for c in comb:
+            t[c] += 1
+        yield tuple(t)
+
+
+def _poly_mul_linear(poly, form, dim):
+    out = {}
+    for mono, c in poly.items():
+        for var, fc in enumerate(form):
+            if not fc:
+                continue
+            key = list(mono)
+            key[var] += 1
+            key = tuple(key)
+            v = c * fc
+            if key in out:
+                out[key] = out[key] + v
+            else:
+                out[key] = v
+    return out
+
+
+def _berkowitz_charpoly(M):
+    """Division-free characteristic polynomial, highest degree first."""
+    p = M[0][0].p
+    one = CycInt.from_int(p, 1)
+    zero = CycInt.zero(p)
+    D = len(M)
+    V = [one, -M[0][0]]
+    for r in range(1, D):
+        A = [row[:r] for row in M[:r]]
+        R = M[r][:r]
+        Ccol = [M[i][r] for i in range(r)]
+        a_rr = M[r][r]
+        q = [one, -a_rr]
+        vec = Ccol
+        for i in range(2, r + 2):
+            dot = zero
+            for x, y in zip(R, vec):
+                dot = dot + x * y
+            q.append(-dot)
+            if i < r + 1:
+                vec = [sum((A[s][t] * vec[t] for t in range(r)), zero) for s in range(r)]
+        newV = [zero] * (r + 2)
+        for i in range(r + 2):
+            s = zero
+            for j in range(min(i, r) + 1):
+                if i - j < len(q):
+                    s = s + q[i - j] * V[j]
+            newV[i] = s
+        V = newV
+    return V
+
+
+def sym_k_factor_berkowitz(lf: LocalFactor, k: int):
+    """Coefficients of prod over |alpha| = k of (1 - pi^alpha T).
+
+    Division-free throughout: the charpoly of Sym^k of the companion
+    matrix, read as T^D char(1/T) = sum V[i] T^i.
+    """
+    if k < 0:
+        raise UsageError("symmetric power must be nonnegative")
+    p = lf.coeffs[0].p
+    if k == 0:
+        return [CycInt.from_int(p, 1)]
+    M = _sym_power_matrix(_companion(list(lf.coeffs)), k)
+    return _berkowitz_charpoly(M)
+
+
+# ---------------------------------------------------------------------------
+# infinite symmetric power through power sums
+
+
+def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
+                       a: int) -> LocalSeries:
+    """Independent route to the same series through eigenvalue power sums.
+
+    Uses p~_m = pi_0^(kappa m) prod_j (1 - (pi_j/pi_0)^m)^(-1) and the
+    log-derivative recurrence r c_r = sum p~_m c_(r-m); the division by r
+    costs ord_p(r) digits, which the certificate tracks.
+    """
+    p = lf.coeffs[0].p
+    d = lf.point.degree
+    N = -(-V // (p - 1)) + 1 + sum(ord_p(p, r) for r in range(1, R + 1))
+    pis, _ = slope_split(list(lf.coeffs), a, d, N)
+    pi0 = pis[0]
+    inv0 = pi0.unit_inverse()
+    ratios = [pi * inv0 for pi in pis[1:]]
+    ptil = []
+    for m in range(1, R + 1):
+        val = one_unit_power(pi0, kappa.times_int(m), V)
+        for rho in ratios:
+            one = PadicCyc.one(p, val.N)
+            val = val * (one - rho ** m).unit_inverse()
+        ptil.append(val)
+    out = [PadicCyc.one(p, pi0.N)]
+    for r in range(1, R + 1):
+        acc = ptil[r - 1] * out[0]
+        for m in range(1, r):
+            acc = acc + ptil[m - 1] * out[r - m]
+        out.append(acc.divide_exact_int(r))
+    cert = min([V] + [c.vcert for c in out])
+    return LocalSeries(lf.point, out, cert, {})
+
+
+# ---------------------------------------------------------------------------
+# independent global route: trace sums over extension fields
+
+
+def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
+    """L(Sym^k) coefficients from point counts over extension fields.
+
+    Completely bypasses local factors: S_m sums the m-th Sym^k Frobenius
+    trace over all rational points of the torus over F_(q^m), and
+    r c_r = sum_m S_m c_(r-m).  Exact; divisions are certified exact.
+    Intended as a test oracle at tiny sizes.
+    """
+    base = ev.base
+    p = base.p
+    S = []
+    for m in range(1, D + 1):
+        big_k = base.k * m
+        big = make_field(p, big_k)
+        table_cache = {}
+        total = CycInt.zero(p)
+        sgn = -1 if n % 2 else 1
+        for t_int in range(1, big.size):
+            t = big.from_int(t_int)
+            tab = table_cache.get(n)
+            if tab is None:
+                tab = ev.kloosterman_table(n, big)
+                table_cache[n] = tab
+            if k == 1:
+                total = total + tab[t] * sgn
+            else:
+                # power sums of Frobenius at t over F_(q^m): need Kl over
+                # extensions of big; use the table of the composite field
+                ps = []
+                for i in range(1, k + 1):
+                    comp = make_field(p, big_k * i)
+                    ctab = table_cache.get((n, i))
+                    if ctab is None:
+                        ctab = ev.kloosterman_table(n, comp)
+                        table_cache[(n, i)] = ctab
+                    emb = get_embedding(big, comp)
+                    ps.append(ctab[emb.apply(t)] * sgn)
+                # complete homogeneous h_k from power sums, exact divisions
+                hs = [CycInt.from_int(p, 1)]
+                for j in range(1, k + 1):
+                    acc = CycInt.zero(p)
+                    for i in range(1, j + 1):
+                        acc = acc + ps[i - 1] * hs[j - i]
+                    hs.append(acc.divide_exact_int(j))
+                total = total + hs[k]
+        S.append(total)
+    out = [CycInt.from_int(p, 1)]
+    for r in range(1, D + 1):
+        acc = CycInt.zero(p)
+        for m in range(1, r + 1):
+            acc = acc + S[m - 1] * out[r - m]
+        out.append(acc.divide_exact_int(r))
+    return out

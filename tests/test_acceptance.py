@@ -15,8 +15,7 @@ from fractions import Fraction
 from klsym.cli import RunConfig, run, series_syminf, series_symk
 from klsym.expsum import KloostermanEvaluator, _direct_sum, kloosterman_table
 from klsym.ff import make_field, points_up_to
-from klsym.lfun import local_factor, sym_inf_local, sym_inf_local_hsum, \
-    sym_k_factor
+from klsym.lfun import local_factor, sym_inf_local, sym_k_factor
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -32,6 +31,7 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
+from oracles import sym_inf_local_hsum
 
 F = Fraction
 

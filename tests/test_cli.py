@@ -60,7 +60,22 @@ def test_bad_arguments_exit_one():
     assert console_main(["nonsense"]) == 1
     assert console_main(["syminf", "-p", "3", "-k", "1", "--kappa", "1",
                          "-D", "1"]) == 1  # mutually exclusive
+    assert console_main(["points", "-p", "3", "-D", "-1"]) == 1
     assert console_main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "-p", "3", "-D", "1", "--out", "{missing}/x.json"],
+    ["symk", "-p", "3", "-k", "1", "-D", "1", "--csv", "{missing}/x.csv"],
+    ["cache", "stat", "--cache", "{missing}/x"],
+])
+def test_unwritable_path_exits_one_without_traceback(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such" / "dir"
+    code = console_main([arg.format(missing=missing) for arg in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_validation_direct():

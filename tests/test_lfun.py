@@ -21,12 +21,11 @@ from klsym.lfun import (
     inverse_factor_series,
     local_factor,
     sym_inf_local,
-    sym_inf_local_hsum,
     sym_k_factor,
-    trace_sums_route,
     unit_root_local,
 )
 from klsym.padic import PadicCyc, PadicExponent
+from oracles import sym_inf_local_hsum, sym_k_factor_berkowitz, trace_sums_route
 
 
 def _ev(p=3, k=1):
@@ -200,6 +199,15 @@ def test_sym_k_against_sympy_algebraic_roots():
             want = sympy.Poly(sympy.expand(expr), T).all_coeffs()[::-1]
             got = [c.as_integer() for c in sym_k_factor(lf, k)]
             assert [sympy.simplify(w) for w in want] == got
+
+
+@pytest.mark.parametrize("p,a,n,k,D", [
+    (3, 1, 2, 3, 2), (3, 1, 3, 3, 1), (5, 1, 1, 3, 2), (3, 2, 1, 3, 1)])
+def test_sym_k_matches_berkowitz_oracle(p, a, n, k, D):
+    ev = _ev(p, a)
+    for pt in points_up_to(ev.base, D):
+        lf = local_factor(ev, n, pt)
+        assert sym_k_factor(lf, k) == sym_k_factor_berkowitz(lf, k)
 
 
 def test_inverse_factor_series():
