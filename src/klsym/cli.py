@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, _parse_ints
-from .ff import make_field, orbit_rep, points_up_to
+from .ff import make_field, orbit_rep, point_field, points_up_to
 from .lfun import (
     LocalSeries,
     euler_product,
@@ -409,7 +409,7 @@ def _point_evaluator(args):
     check_odd_prime(args.p)
     base = make_field(args.p, args.a)
     cache = SumCache(args.cache) if args.cache else None
-    field = make_field(args.p, args.a * args.d)
+    field = point_field(base, args.d)
     try:
         pt = orbit_rep(base, field, field.from_int(args.rep_int))
     except ValueError as exc:
@@ -491,7 +491,7 @@ def cmd_cache(args) -> int:
     for lineno, key, value in cache.records()[: args.sample]:
         p, a, modulus, n, d, rep, m = _parse_key(key)
         base = make_field(p, a, modulus)
-        field = make_field(p, a * d)
+        field = point_field(base, d)
         pt = orbit_rep(base, field, field.element(rep))
         fresh = KloostermanEvaluator(base, None, args.budget)
         ok = pt.rep == rep and fresh.kloosterman(n, pt, m) == value

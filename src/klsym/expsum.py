@@ -14,54 +14,14 @@ from __future__ import annotations
 
 import itertools
 import threading
-from functools import lru_cache
 
 import numpy as np
 
 from .cyclo import CycInt
 from .errors import CacheError, ResourceError, UsageError
-from .ff import ClosedPoint, Field, get_embedding, make_field
+from .ff import ClosedPoint, Field, _mult_data, embed, make_field
 
 DEFAULT_BUDGET = 2_000_000
-
-_mult_lock = threading.Lock()
-_mult_cache: dict = {}
-
-
-class _MultData:
-    """Discrete-log tables for one field: generator powers and traces."""
-
-    __slots__ = ("field", "S", "pows", "dlog", "tr", "trD")
-
-    def __init__(self, field: Field):
-        g = field.generator()
-        S = field.size - 1
-        pows = []
-        dlog = {}
-        tr = np.zeros(S, dtype=np.int64)
-        x = field.one
-        for i in range(S):
-            pows.append(x)
-            dlog[x] = i
-            tr[i] = field.trace_abs(x)
-            x = field.mul(x, g)
-        if x != field.one:
-            raise AssertionError("generator order mismatch")
-        self.field = field
-        self.S = S
-        self.pows = pows
-        self.dlog = dlog
-        self.tr = tr
-        self.trD = np.concatenate([tr, tr])
-
-
-def _mult_data(field: Field) -> _MultData:
-    with _mult_lock:
-        data = _mult_cache.get(field)
-        if data is None:
-            data = _MultData(field)
-            _mult_cache[field] = data
-        return data
 
 
 def _fold_counts(p: int, counts) -> CycInt:
@@ -78,7 +38,7 @@ def _direct_sum(n: int, field: Field, t) -> CycInt:
     p = field.p
     md = _mult_data(field)
     S, tr, trD = md.S, md.tr, md.trD
-    it = md.dlog[t]
+    it = int(md.dlog[field.to_int(t)])
     # per prefix x_1..x_(n-1), one vectorised pass over x_n and t/(x_1...x_n)
     counts = np.zeros((n + 1) * p, dtype=np.int64)
     for prefix in itertools.product(range(S), repeat=n - 1):
@@ -113,7 +73,7 @@ def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
         G = H
     out = {}
     for i in range(S):
-        out[md.pows[i]] = _fold_counts(p, G[i])
+        out[md.power(i)] = _fold_counts(p, G[i])
     return out
 
 
@@ -281,8 +241,7 @@ class KloostermanEvaluator:
             raise ResourceError(
                 f"sum over (F_{big.size})^{n} needs {work} steps, budget {self.budget}"
             )
-        emb = get_embedding(point.field, big)
-        value = _direct_sum(n, big, emb.apply(point.rep))
+        value = _direct_sum(n, big, embed(point.field, big, point.rep))
         if self.cache is not None:
             self.cache.put(key, value)
         return value
@@ -290,33 +249,3 @@ class KloostermanEvaluator:
     def sums_for_factor(self, n: int, point: ClosedPoint):
         """Kl_n(t, m) for m = 1..n+1, the inputs of one local factor."""
         return [self.kloosterman(n, point, m) for m in range(1, n + 2)]
-
-    def kloosterman_table(self, n: int, field: Field):
-        return kloosterman_table(n, field, budget=self.budget)
-
-
-@lru_cache(maxsize=None)
-def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
-    """Tiny brute-force oracle over F_{p^k}, field arithmetic only.
-
-    Serialised so the cache of this reference stays hashable; intended for
-    tests and cache verification at small sizes.
-    """
-    field = make_field(p, k)
-    t = field.from_int(t_int)
-    if not any(t):
-        raise UsageError("t must be nonzero")
-    import itertools
-
-    acc = {}
-    units = [field.from_int(v) for v in range(1, field.size)]
-    for xs in itertools.product(units, repeat=n):
-        prod = field.one
-        s = field.zero
-        for x in xs:
-            prod = field.mul(prod, x)
-            s = field.add(s, x)
-        s = field.add(s, field.mul(t, field.inv(prod)))
-        e = field.trace_abs(s)
-        acc[e] = acc.get(e, 0) + 1
-    return _fold_counts(p, [acc.get(e, 0) for e in range(p)]).serialize()

@@ -7,13 +7,21 @@ coordinate tuples (c_0, ..., c_{k-1}) on the power basis of the class of
 X, enumerated and compared in the same lexicographic order.  Every choice
 is canonical so that independent runs build identical towers and cache
 keys never alias.
+
+This module also owns the one multiplicative model of each field: a
+discrete-log and trace table over its least generator (``_mult_data``).
+Closed points, orbit representatives and subfield embeddings all read
+it, because Frobenius acts on discrete logs as multiplication by q.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .cyclo import is_prime, check_odd_prime
 from .errors import ResourceError, UsageError
@@ -316,163 +324,95 @@ def make_field(p: int, a: int, modulus=None) -> Field:
     return Field(p, a, modulus)
 
 
-class Embedding:
-    """Ring embedding of F_{p^f} into F_{p^k}, f | k, fixing F_p.
+# ---------------------------------------------------------------------------
+# the multiplicative model: one discrete-log and trace table per field
 
-    The source generator is sent to the lexicographically first root of
-    the source modulus inside the target's unique subfield of size p^f.
+_mult_lock = threading.Lock()
+_mult_cache: dict = {}
+
+
+class _MultData:
+    """Tables over the generator g: ``code[i]`` = to_int(g^i), ``dlog[code]`` = i
+    (-1 at zero), ``tr[i]`` = AbsTr(g^i), and ``trD`` = ``tr`` twice over so
+    that cyclic windows are plain slices.
     """
 
-    __slots__ = ("src", "dst", "root", "_img_pows")
+    __slots__ = ("field", "S", "code", "dlog", "tr", "trD")
 
-    def __init__(self, src: Field, dst: Field):
-        if src.p != dst.p or dst.k % src.k != 0:
-            raise UsageError(f"{src!r} does not embed into {dst!r}")
-        self.src = src
-        self.dst = dst
-        self.root = self._find_root()
-        pows = [dst.one]
-        for _ in range(src.k - 1):
-            pows.append(dst.mul(pows[-1], self.root))
-        self._img_pows = pows
+    def __init__(self, field: Field):
+        g = field.generator()
+        S = field.size - 1
+        code = np.empty(S, dtype=np.int64)
+        tr = np.empty(S, dtype=np.int64)
+        x = field.one
+        for i in range(S):
+            code[i] = field.to_int(x)
+            tr[i] = field.trace_abs(x)
+            x = field.mul(x, g)
+        dlog = np.full(field.size, -1, dtype=np.int64)
+        dlog[code] = np.arange(S)
+        if x != field.one or (dlog[1:] < 0).any():
+            raise AssertionError("generator order mismatch")
+        self.field = field
+        self.S = S
+        self.code = code
+        self.dlog = dlog
+        self.tr = tr
+        self.trD = np.concatenate([tr, tr])
 
-    def _find_root(self):
-        src, dst = self.src, self.dst
-        if src.k == dst.k and src.modulus == dst.modulus:
-            red = _pmod((0, 1), dst.modulus, dst.p)
-            return red + (0,) * (dst.k - len(red))
-        for x in _subfield_elements(dst, src.k):
-            acc = dst.zero
-            for c in reversed(src.modulus):
-                acc = dst.mul(acc, x)
-                if c:
-                    acc = dst.add(acc, dst.scalar_mul(c, dst.one))
-            if acc == dst.zero:
-                return x
-        raise AssertionError("modulus has no root in the target subfield")
-
-    def apply(self, x):
-        out = self.dst.zero
-        for c, pw in zip(x, self._img_pows):
-            if c:
-                out = self.dst.add(out, self.dst.scalar_mul(c, pw))
-        return out
-
-    def project(self, y):
-        """Inverse image of y, or ValueError when y is outside the subfield."""
-        cols = [pw for pw in self._img_pows]
-        sol = _solve_mod_p(cols, y, self.dst.p)
-        if sol is None:
-            raise ValueError("element is not in the embedded subfield")
-        return tuple(sol)
+    def power(self, e: int):
+        """g^e as coordinates."""
+        return self.field.from_int(int(self.code[e % self.S]))
 
 
-def _subfield_elements(field: Field, f: int):
-    """Elements of the unique subfield of size p^f, in lex order."""
-    p, k = field.p, field.k
-    # matrix of Frobenius^f minus identity; kernel is the subfield
-    cols = []
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        img = field.frobenius(e, f)
-        cols.append(tuple((a - b) % p for a, b in zip(img, e)))
-    basis = _kernel_mod_p(cols, p)
-    if len(basis) != f:
-        raise AssertionError("subfield dimension mismatch")
-    members = set()
-    for combo in itertools.product(range(p), repeat=f):
-        acc = (0,) * k
-        for c, vec in zip(combo, basis):
-            if c:
-                acc = tuple((a + c * b) % p for a, b in zip(acc, vec))
-        members.add(acc)
-    return sorted(members)
+def _mult_data(field: Field) -> _MultData:
+    with _mult_lock:
+        data = _mult_cache.get(field)
+        if data is None:
+            data = _MultData(field)
+            _mult_cache[field] = data
+        return data
 
 
-def _kernel_mod_p(cols, p):
-    """Kernel basis of the matrix with the given columns, over F_p."""
-    k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] for i in range(len(cols[0]))]
-    pivots = {}
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(k):
-        if c in pivots:
-            continue
-        vec = [0] * k
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-rows[pr][c]) % p
-        basis.append(tuple(vec))
-    return basis
+# ---------------------------------------------------------------------------
+# subfield embeddings
 
 
-def _solve_mod_p(cols, target, p):
-    """One solution x of cols . x = target over F_p, or None."""
-    m = len(cols[0])
-    n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] % p:
-            return None
-    sol = [0] * n
-    for idx, c in enumerate(pivots):
-        sol[c] = rows[idx][n] % p
-    return sol
+def _combine(field: Field, coeffs, pows):
+    """sum_i coeffs[i] * pows[i] in field."""
+    out = field.zero
+    for c, pw in zip(coeffs, pows):
+        if c:
+            out = field.add(out, field.scalar_mul(c, pw))
+    return out
 
 
 @lru_cache(maxsize=None)
-def get_embedding(src: Field, dst: Field) -> Embedding:
-    return Embedding(src, dst)
+def _root_powers(src: Field, dst: Field):
+    """r^0..r^(f-1), r the lex-least root of src.modulus in dst (X when src == dst).
+
+    A degree-1 source needs only r^0 = 1; its X may be 0, which has no log.
+    """
+    if src.p != dst.p or dst.k % src.k != 0:
+        raise UsageError(f"{src!r} does not embed into {dst!r}")
+    f = src.k
+    if f == 1:
+        return (dst.one,)
+    if src == dst:
+        return tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
+    md = _mult_data(dst)
+    # the nonzero elements of the subfield of size p^f, in lex order
+    sub = np.arange(0, md.S, md.S // (src.size - 1))
+    for e in sub[np.argsort(md.code[sub])].tolist():
+        pows = [md.power(e * i) for i in range(f + 1)]
+        if not any(_combine(dst, src.modulus, pows)):
+            return tuple(pows[:f])
+    raise AssertionError("modulus has no root in the target subfield")
 
 
-def extend(base: Field, d: int) -> Embedding:
-    """F_{q^d} over base F_q, as an absolute field plus the embedding."""
-    if d < 1:
-        raise UsageError("extension degree must be >= 1")
-    dst = make_field(base.p, base.k * d) if d > 1 else base
-    return get_embedding(base, dst)
-
-
-def trace_to(emb: Embedding, x):
-    """Tr from emb.dst down to emb.src, returned in source coordinates."""
-    dst = emb.dst
-    r = dst.k // emb.src.k
-    q_sub = emb.src.size
-    acc = x
-    s = x
-    for _ in range(r - 1):
-        acc = dst.pow(acc, q_sub)
-        s = dst.add(s, acc)
-    return emb.project(s)
+def embed(src: Field, dst: Field, x):
+    """Image of x under the ring embedding src -> dst, f | k, fixing F_p."""
+    return _combine(dst, x, _root_powers(src, dst))
 
 
 # ---------------------------------------------------------------------------
@@ -504,36 +444,42 @@ def degree_count(q: int, d: int) -> int:
     return total // d
 
 
+def point_field(base: Field, d: int) -> Field:
+    """The field of degree-d points over base: base itself when d == 1."""
+    return base if d == 1 else make_field(base.p, base.k * d)
+
+
+def _least_codes(md: _MultData, q: int, d: int, e):
+    """Per discrete log in e: the least code on its orbit, and whether the orbit has d members.
+
+    x -> x^q multiplies discrete logs by q mod S, so orbits are the
+    q-cyclotomic cosets {e q^j mod S}; code order is lex order.
+    """
+    y, least, exact = e, md.code[e], np.ones(len(e), dtype=bool)
+    for _ in range(d - 1):
+        y = y * (q % md.S) % md.S
+        exact &= y != e
+        least = np.minimum(least, md.code[y])
+    return least, exact
+
+
 def closed_points(base: Field, d: int, max_degree: int = MAX_POINT_DEGREE):
     """All degree-d closed points, canonical reps in lex order.
 
-    The representative is the lex-least element of its orbit; ascending
-    enumeration meets each orbit at its representative first.
+    The representative is the lex-least element of its orbit.
     """
     if d < 1:
         raise UsageError("degree must be >= 1")
     if d > max_degree:
         raise ResourceError(f"point degree {d} exceeds the configured cap {max_degree}")
-    big = make_field(base.p, base.k * d) if d > 1 else base
-    q = base.size
-    seen = bytearray(big.size)
-    points = []
-    for v in range(1, big.size):
-        if seen[v]:
-            continue
-        x = big.from_int(v)
-        orbit = [v]
-        y = big.pow(x, q)
-        while y != x:
-            orbit.append(big.to_int(y))
-            y = big.pow(y, q)
-        for w in orbit:
-            seen[w] = 1
-        if len(orbit) == d:
-            points.append(ClosedPoint(base=base, field=big, rep=x, degree=d))
-    if len(points) != degree_count(q, d):
+    big = point_field(base, d)
+    md = _mult_data(big)
+    least, exact = _least_codes(md, base.size, d, np.arange(md.S))
+    reps = np.sort(md.code[exact & (least == md.code)]).tolist()
+    if len(reps) != degree_count(base.size, d):
         raise AssertionError("orbit enumeration disagrees with the Moebius count")
-    return points
+    return [ClosedPoint(base=base, field=big, rep=big.from_int(c), degree=d)
+            for c in reps]
 
 
 def points_up_to(base: Field, D: int, max_degree: int | None = None):
@@ -549,13 +495,9 @@ def orbit_rep(base: Field, field: Field, x) -> ClosedPoint:
     """Canonicalize a nonzero element whose orbit spans the whole field."""
     if not any(x):
         raise ValueError("zero has no closed point")
-    q = base.size
+    md = _mult_data(field)
     d = field.k // base.k
-    orbit = [x]
-    y = field.pow(x, q)
-    while y != x:
-        orbit.append(y)
-        y = field.pow(y, q)
-    if len(orbit) != d:
+    least, exact = _least_codes(md, base.size, d, md.dlog[[field.to_int(x)]])
+    if not exact[0]:
         raise ValueError("element generates a proper subfield")
-    return ClosedPoint(base=base, field=field, rep=min(orbit), degree=d)
+    return ClosedPoint(base=base, field=field, rep=field.from_int(int(least[0])), degree=d)

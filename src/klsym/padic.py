@@ -54,14 +54,6 @@ class PadicExponent:
         rep = sum(d * p ** i for i, d in enumerate(digits))
         return cls(p, rep, len(digits))
 
-    @classmethod
-    def from_rational(cls, p: int, num: int, den: int, ndigits: int) -> "PadicExponent":
-        if den % p == 0:
-            raise UsageError("denominator must be a p-adic unit")
-        mod = p ** ndigits
-        rep = num * pow(den, -1, mod) % mod
-        return cls(p, rep, ndigits)
-
     @property
     def is_exact(self) -> bool:
         return self.ndigits is None
@@ -74,14 +66,6 @@ class PadicExponent:
             out.append(r % self.p)
             r //= self.p
         return tuple(out)
-
-    def times_int(self, m: int) -> "PadicExponent":
-        if self.is_exact:
-            return PadicExponent(self.p, self.rep * m, None)
-        nd = self.ndigits + (ord_p(self.p, m) if m else self.ndigits)
-        if m == 0:
-            return PadicExponent.exact(self.p, 0)
-        return PadicExponent(self.p, (self.rep * m) % self.p ** nd, nd)
 
     def minus_int(self, j: int) -> "PadicExponent":
         if self.is_exact:

@@ -40,20 +40,6 @@ def hodge_coeffs(n: int, count: int):
     return h
 
 
-def _hodge_coeffs_bruteforce(n: int, count: int):
-    """Same numbers by direct enumeration; test oracle."""
-    from itertools import product
-
-    strides = list(range(2, n + 2))
-    h = [0] * count
-    caps = [(count - 1) // s for s in strides]
-    for mult in product(*[range(c + 1) for c in caps]):
-        w = sum(m * s for m, s in zip(mult, strides))
-        if w < count:
-            h[w] += 1
-    return h
-
-
 @dataclass(frozen=True)
 class Polygon:
     """Lower-convex polygon as a vertex list of exact rational points."""

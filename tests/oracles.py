@@ -9,7 +9,13 @@ algorithm, so a test can require the two to agree:
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
-  extension fields, bypassing local factors altogether.
+  extension fields, bypassing local factors altogether;
+* ``direct_reference``: one Kloosterman sum by brute force with field
+  arithmetic only, no discrete-log table;
+* ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration.
+
+``from_rational`` and ``times_int`` build p-adic exponents that only the
+tests need.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
@@ -17,13 +23,80 @@ they check.
 """
 
 import itertools
+from functools import lru_cache
 
 from klsym.cyclo import CycInt
 from klsym.errors import UsageError
-from klsym.expsum import KloostermanEvaluator
-from klsym.ff import get_embedding, make_field
+from klsym.expsum import KloostermanEvaluator, _fold_counts, kloosterman_table
+from klsym.ff import embed, make_field
 from klsym.lfun import LocalFactor, LocalSeries
 from klsym.padic import PadicCyc, PadicExponent, one_unit_power, ord_p, slope_split
+
+
+# ---------------------------------------------------------------------------
+# p-adic exponents
+
+
+def from_rational(p: int, num: int, den: int, ndigits: int) -> PadicExponent:
+    if den % p == 0:
+        raise UsageError("denominator must be a p-adic unit")
+    mod = p ** ndigits
+    rep = num * pow(den, -1, mod) % mod
+    return PadicExponent(p, rep, ndigits)
+
+
+def times_int(kappa: PadicExponent, m: int) -> PadicExponent:
+    if kappa.is_exact:
+        return PadicExponent(kappa.p, kappa.rep * m, None)
+    nd = kappa.ndigits + (ord_p(kappa.p, m) if m else kappa.ndigits)
+    if m == 0:
+        return PadicExponent.exact(kappa.p, 0)
+    return PadicExponent(kappa.p, (kappa.rep * m) % kappa.p ** nd, nd)
+
+
+# ---------------------------------------------------------------------------
+# Hodge numbers and single sums by brute force
+
+
+def _hodge_coeffs_bruteforce(n: int, count: int):
+    """Same numbers by direct enumeration; test oracle."""
+    from itertools import product
+
+    strides = list(range(2, n + 2))
+    h = [0] * count
+    caps = [(count - 1) // s for s in strides]
+    for mult in product(*[range(c + 1) for c in caps]):
+        w = sum(m * s for m, s in zip(mult, strides))
+        if w < count:
+            h[w] += 1
+    return h
+
+
+@lru_cache(maxsize=None)
+def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
+    """Tiny brute-force oracle over F_{p^k}, field arithmetic only.
+
+    Serialised so the cache of this reference stays hashable; intended for
+    tests and cache verification at small sizes.
+    """
+    field = make_field(p, k)
+    t = field.from_int(t_int)
+    if not any(t):
+        raise UsageError("t must be nonzero")
+    import itertools
+
+    acc = {}
+    units = [field.from_int(v) for v in range(1, field.size)]
+    for xs in itertools.product(units, repeat=n):
+        prod = field.one
+        s = field.zero
+        for x in xs:
+            prod = field.mul(prod, x)
+            s = field.add(s, x)
+        s = field.add(s, field.mul(t, field.inv(prod)))
+        e = field.trace_abs(s)
+        acc[e] = acc.get(e, 0) + 1
+    return _fold_counts(p, [acc.get(e, 0) for e in range(p)]).serialize()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +238,7 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     ratios = [pi * inv0 for pi in pis[1:]]
     ptil = []
     for m in range(1, R + 1):
-        val = one_unit_power(pi0, kappa.times_int(m), V)
+        val = one_unit_power(pi0, times_int(kappa, m), V)
         for rho in ratios:
             one = PadicCyc.one(p, val.N)
             val = val * (one - rho ** m).unit_inverse()
@@ -205,7 +278,7 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
             t = big.from_int(t_int)
             tab = table_cache.get(n)
             if tab is None:
-                tab = ev.kloosterman_table(n, big)
+                tab = kloosterman_table(n, big, budget=ev.budget)
                 table_cache[n] = tab
             if k == 1:
                 total = total + tab[t] * sgn
@@ -217,10 +290,9 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
                     comp = make_field(p, big_k * i)
                     ctab = table_cache.get((n, i))
                     if ctab is None:
-                        ctab = ev.kloosterman_table(n, comp)
+                        ctab = kloosterman_table(n, comp, budget=ev.budget)
                         table_cache[(n, i)] = ctab
-                    emb = get_embedding(big, comp)
-                    ps.append(ctab[emb.apply(t)] * sgn)
+                    ps.append(ctab[embed(big, comp, t)] * sgn)
                 # complete homogeneous h_k from power sums, exact divisions
                 hs = [CycInt.from_int(p, 1)]
                 for j in range(1, k + 1):

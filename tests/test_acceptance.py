@@ -23,7 +23,6 @@ from klsym.padic import (
     slope_split,
 )
 from klsym.polygon import (
-    _hodge_coeffs_bruteforce,
     compare_slope_range,
     hodge_coeffs,
     hodge_polygon,
@@ -31,7 +30,7 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
-from oracles import sym_inf_local_hsum
+from oracles import _hodge_coeffs_bruteforce, sym_inf_local_hsum
 
 F = Fraction
 

@@ -13,8 +13,8 @@ from klsym.cli import (
     run,
 )
 from klsym.errors import PrecisionError
-from klsym.expsum import KloostermanEvaluator
-from klsym.ff import make_field, orbit_rep
+from klsym.expsum import KloostermanEvaluator, SumCache
+from klsym.ff import closed_points, make_field, orbit_rep
 from klsym.polygon import Verdict
 
 
@@ -220,6 +220,21 @@ def test_cache_admin_cycle(tmp_path):
                          "--out", str(out)]) == 0
     assert _read(out)["cache_compact"]["kept"] == 1
     assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_verify_non_canonical_base_degree_one(tmp_path):
+    # degree-1 points live in the base field itself, not the canonical F_9
+    cache = tmp_path / "c.txt"
+    base = make_field(3, 2, (2, 2, 1))
+    ev = KloostermanEvaluator(base, SumCache(cache))
+    for pt in closed_points(base, 1):
+        ev.kloosterman(1, pt, 1)
+    out = tmp_path / "verify.json"
+    assert console_main(["cache", "verify", "--cache", str(cache),
+                         "--sample", "8", "--out", str(out)]) == 0
+    report = _read(out)["cache_verify"]
+    assert report["checked_lines"] == list(range(2, 10))
+    assert report["bad_lines"] == []
 
 
 def test_corrupt_cache_reports_line(tmp_path, capsys):

@@ -8,12 +8,12 @@ from klsym.expsum import (
     KloostermanEvaluator,
     SumCache,
     _direct_sum,
-    direct_reference,
     kloosterman_table,
     parse_record,
     record_key,
 )
-from klsym.ff import closed_points, get_embedding, make_field, orbit_rep
+from klsym.ff import closed_points, embed, make_field, orbit_rep
+from oracles import direct_reference
 
 
 def _point(base, rep_coords, d):
@@ -103,8 +103,7 @@ def test_higher_degree_point_uses_embedded_representative():
     pts = [pt for pt in closed_points(base, 2) if pt.degree == 2]
     big = make_field(3, 2)
     for pt in pts:
-        emb = get_embedding(pt.field, big)
-        assert ev.kloosterman(1, pt, 1) == _direct_sum(1, big, emb.apply(pt.rep))
+        assert ev.kloosterman(1, pt, 1) == _direct_sum(1, big, embed(pt.field, big, pt.rep))
 
 
 # ---------------------------------------------------------------------------

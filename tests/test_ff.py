@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -10,12 +11,11 @@ from klsym.ff import (
     canonical_modulus,
     closed_points,
     degree_count,
-    extend,
-    get_embedding,
+    embed,
     is_irreducible,
     make_field,
     orbit_rep,
-    trace_to,
+    point_field,
 )
 
 X = sympy.symbols("x")
@@ -126,57 +126,83 @@ def test_trace_additive():
         )
 
 
-def test_embedding_is_ring_hom_and_projects_back():
-    F9 = make_field(3, 2)
-    emb = extend(F9, 2)
-    F81 = emb.dst
-    assert F81.k == 4
+# (source, target) pairs: a degree-1 source with modulus X, two towers,
+# and a source with a non-canonical modulus, into a bigger and an equal field
+EMBED_PAIRS = [
+    ((3, 1, None), (3, 2)),
+    ((3, 2, None), (3, 4)),
+    ((5, 2, None), (5, 4)),
+    ((3, 2, (2, 2, 1)), (3, 4)),
+    ((3, 2, (2, 2, 1)), (3, 2)),
+]
+PAIR_IDS = ["F3-F9", "F9-F81", "F25-F625", "F9nc-F81", "F9nc-F9"]
+
+
+def _pair(src_spec, dst_spec):
+    return make_field(*src_spec), make_field(*dst_spec)
+
+
+def _x_class(field):
+    """The class of X in field, reduced."""
+    if field.k == 1:
+        return field.element((-field.modulus[0],))
+    return field.element((0, 1) + (0,) * (field.k - 2))
+
+
+def _eval(field, poly, r):
+    acc = field.zero
+    for i, c in enumerate(poly):
+        acc = field.add(acc, field.scalar_mul(c, field.pow(r, i)))
+    return acc
+
+
+@pytest.mark.parametrize("src_spec,dst_spec", EMBED_PAIRS, ids=PAIR_IDS)
+def test_embed_is_ring_hom(src_spec, dst_spec):
+    src, dst = _pair(src_spec, dst_spec)
+    assert embed(src, dst, src.one) == dst.one
     rng = random.Random(101)
     for _ in range(30):
-        x = F9.from_int(rng.randrange(9))
-        y = F9.from_int(rng.randrange(9))
-        assert emb.apply(F9.mul(x, y)) == F81.mul(emb.apply(x), emb.apply(y))
-        assert emb.apply(F9.add(x, y)) == F81.add(emb.apply(x), emb.apply(y))
-        assert emb.project(emb.apply(x)) == x
-    assert emb.apply(F9.one) == F81.one
-    projectable = 0
-    for v in range(81):
-        try:
-            emb.project(F81.from_int(v))
-            projectable += 1
-        except ValueError:
-            pass
-    assert projectable == 9  # exactly the embedded copy of F_9
+        x = src.from_int(rng.randrange(src.size))
+        y = src.from_int(rng.randrange(src.size))
+        ex, ey = embed(src, dst, x), embed(src, dst, y)
+        assert embed(src, dst, src.mul(x, y)) == dst.mul(ex, ey)
+        assert embed(src, dst, src.add(x, y)) == dst.add(ex, ey)
 
 
-def test_embedding_root_satisfies_source_modulus():
-    F9 = make_field(3, 2)
-    emb = extend(F9, 2)
-    F81 = emb.dst
-    r = emb.root
-    # r^2 + 1 = 0 in F_81
-    assert F81.add(F81.mul(r, r), F81.one) == F81.zero
+@pytest.mark.parametrize("src_spec,dst_spec", EMBED_PAIRS, ids=PAIR_IDS)
+def test_embed_image_is_the_fixed_subfield(src_spec, dst_spec):
+    src, dst = _pair(src_spec, dst_spec)
+    image = {embed(src, dst, x) for x in src.elements()}
+    fixed = {y for y in dst.elements() if dst.pow(y, src.size) == y}
+    assert len(image) == src.size
+    assert image == fixed
 
 
-def test_identity_extension():
-    F3 = make_field(3, 1)
-    emb = extend(F3, 1)
-    assert emb.dst is F3
-    assert emb.apply((2,)) == (2,)
+@pytest.mark.parametrize("src_spec,dst_spec", EMBED_PAIRS, ids=PAIR_IDS)
+def test_embed_sends_x_to_least_root_of_modulus(src_spec, dst_spec):
+    src, dst = _pair(src_spec, dst_spec)
+    r = embed(src, dst, _x_class(src))
+    assert _eval(dst, src.modulus, r) == dst.zero
+    roots = [y for y in dst.elements() if _eval(dst, src.modulus, y) == dst.zero]
+    assert len(roots) == src.k
+    if src.k > 1:
+        assert r == min(roots)
 
 
-def test_tower_trace_composes_to_absolute_trace():
-    F3 = make_field(3, 1)
-    F9 = make_field(3, 2)
-    up = extend(F9, 2)
-    F81 = up.dst
-    down = get_embedding(F3, F9)
-    rng = random.Random(55)
-    for _ in range(40):
-        x = F81.from_int(rng.randrange(81))
-        mid = trace_to(up, x)
-        low = trace_to(down, F9.element(mid))
-        assert low[0] == F81.trace_abs(x)
+def test_embed_identity():
+    for field in (make_field(3, 1), make_field(3, 2), make_field(3, 2, (2, 2, 1))):
+        for x in field.elements():
+            assert embed(field, field, x) == x
+    with pytest.raises(UsageError):
+        embed(make_field(3, 2), make_field(3, 3), (1, 0))
+
+
+@pytest.mark.parametrize("src_spec,dst_spec", EMBED_PAIRS, ids=PAIR_IDS)
+def test_embed_scales_trace_by_degree(src_spec, dst_spec):
+    src, dst = _pair(src_spec, dst_spec)
+    r = dst.k // src.k
+    for x in src.elements():
+        assert dst.trace_abs(embed(src, dst, x)) == r * src.trace_abs(x) % src.p
 
 
 def test_closed_point_counts_frozen():
@@ -226,6 +252,28 @@ def test_orbit_rep_canonicalizes():
     F9 = make_field(3, 2)
     with pytest.raises(ValueError):
         orbit_rep(F3, F9, (2, 0))  # lies in F_3, degree 1 < 2
+
+
+@pytest.mark.parametrize("p,a,modulus,d", [
+    (3, 1, None, 3), (3, 2, None, 2), (5, 1, None, 2),
+    (3, 2, (2, 2, 1), 1), (3, 2, (2, 2, 1), 2),
+], ids=["F3-d3", "F9-d2", "F5-d2", "F9nc-d1", "F9nc-d2"])
+def test_closed_points_are_the_orbit_reps(p, a, modulus, d):
+    base = make_field(p, a, modulus)
+    field = point_field(base, d)
+    pts = closed_points(base, d)
+    assert all(pt.field == field for pt in pts)
+    orbit_sizes = Counter()
+    for x in field.elements():
+        if not any(x):
+            continue
+        y, j = field.pow(x, base.size), 1
+        while y != x:
+            y, j = field.pow(y, base.size), j + 1
+        if j == d:
+            orbit_sizes[orbit_rep(base, field, x)] += 1
+    assert sorted(orbit_sizes, key=ClosedPoint.sort_key) == pts
+    assert set(orbit_sizes.values()) == {d}
 
 
 def test_generator_has_full_order():

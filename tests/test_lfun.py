@@ -25,7 +25,12 @@ from klsym.lfun import (
     unit_root_local,
 )
 from klsym.padic import PadicCyc, PadicExponent
-from oracles import sym_inf_local_hsum, sym_k_factor_berkowitz, trace_sums_route
+from oracles import (
+    from_rational,
+    sym_inf_local_hsum,
+    sym_k_factor_berkowitz,
+    trace_sums_route,
+)
 
 
 def _ev(p=3, k=1):
@@ -235,7 +240,7 @@ def test_sym_inf_agrees_with_hsum_route():
     for rep in [(1,), (2,)]:
         lf = local_factor(_ev(), 1, _pt(base, rep))
         for kappa in (PadicExponent.exact(3, 2),
-                      PadicExponent.from_rational(3, 1, 2, 6),
+                      from_rational(3, 1, 2, 6),
                       PadicExponent.exact(3, -1)):
             a_route = sym_inf_local(lf, kappa, V=10, R=4, a=1)
             b_route = sym_inf_local_hsum(lf, kappa, V=10, R=4, a=1)
@@ -265,8 +270,8 @@ def test_sym_inf_on_degree_two_point():
     base = make_field(3, 1)
     pt = [q for q in closed_points(base, 2) if q.degree == 2][0]
     lf = local_factor(_ev(), 1, pt)
-    a_route = sym_inf_local(lf, PadicExponent.from_rational(3, 1, 2, 5), V=9, R=2, a=1)
-    b_route = sym_inf_local_hsum(lf, PadicExponent.from_rational(3, 1, 2, 5), V=9, R=2, a=1)
+    a_route = sym_inf_local(lf, from_rational(3, 1, 2, 5), V=9, R=2, a=1)
+    b_route = sym_inf_local_hsum(lf, from_rational(3, 1, 2, 5), V=9, R=2, a=1)
     joint = min(a_route.cert, b_route.cert)
     for x, y in zip(a_route.coeffs, b_route.coeffs):
         d = (x.rep - y.rep).pi_val()
@@ -276,7 +281,7 @@ def test_sym_inf_on_degree_two_point():
 def test_unit_root_series_is_weight_zero_truncation():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
-    kappa = PadicExponent.from_rational(3, 1, 2, 4)
+    kappa = from_rational(3, 1, 2, 4)
     unit = unit_root_local(lf, kappa, V=8, R=3)
     # with V <= a d (p-1) the infinite power keeps only the weight-0 tuple
     small = sym_inf_local(lf, kappa, V=2, R=3, a=1)
@@ -343,7 +348,7 @@ def test_euler_product_integrality_finding():
 def test_euler_product_padic_mode_and_galois_check():
     ev = _ev()
     base = ev.base
-    kappa = PadicExponent.from_rational(3, 1, 2, 6)
+    kappa = from_rational(3, 1, 2, 6)
     contribs = []
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)

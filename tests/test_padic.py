@@ -19,6 +19,7 @@ from klsym.padic import (
     ord_p,
     slope_split,
 )
+from oracles import from_rational, times_int
 
 
 def C(p, *coords):
@@ -30,7 +31,7 @@ def C(p, *coords):
 
 
 def test_exponent_digits_of_one_half_at_p3():
-    k = PadicExponent.from_rational(3, 1, 2, 3)
+    k = from_rational(3, 1, 2, 3)
     assert k.rep == 14
     assert k.digits() == (2, 1, 1)
     assert (2 * k.rep) % 27 == 1
@@ -39,11 +40,11 @@ def test_exponent_digits_of_one_half_at_p3():
 def test_exponent_arithmetic():
     k = PadicExponent.truncated(3, (2, 1, 1))
     assert k.minus_int(2).rep == 12
-    k6 = k.times_int(6)
+    k6 = times_int(k, 6)
     assert k6.ndigits == 4  # one extra digit from ord_3(6) = 1
     assert k6.rep == (14 * 6) % 81
     e = PadicExponent.exact(3, -2)
-    assert e.times_int(5).rep == -10
+    assert times_int(e, 5).rep == -10
     assert e.minus_int(1).rep == -3
 
 
@@ -51,13 +52,13 @@ def test_exponent_binomials():
     e = PadicExponent.exact(5, -1)
     # binom(-1, l) = (-1)^l
     assert [e.binom_with_cert(l)[0] for l in range(5)] == [1, -1, 1, -1, 1]
-    h = PadicExponent.from_rational(3, 1, 2, 3)
+    h = from_rational(3, 1, 2, 3)
     b2, s = h.binom_with_cert(2)
     assert b2 == 14 * 13 // 2 and s == 3
     with pytest.raises(UsageError):
         PadicExponent.truncated(3, (3, 0))
     with pytest.raises(UsageError):
-        PadicExponent.from_rational(3, 1, 3, 2)
+        from_rational(3, 1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_one_unit_power_negative_exponent():
 def test_one_unit_power_square_root():
     p, N = 3, 9
     u = PadicCyc.embed(C(p, 7, 0), N)  # 1 + 6 = 1-unit
-    half = PadicExponent.from_rational(p, 1, 2, 5)
+    half = from_rational(p, 1, 2, 5)
     r = one_unit_power(u, half, V=10)
     assert (r * r).agrees_with(u, vmin=r.vcert)
     assert r.vcert >= 6  # five digits of exponent support this much
@@ -256,9 +257,9 @@ def test_one_unit_power_truncated_certificate_is_honest():
     # smaller claimed certificate
     p, N = 3, 10
     u = PadicCyc.embed(C(p, 4, 3), N)
-    full = one_unit_power(u, PadicExponent.from_rational(p, 1, 2, 6), V=12)
+    full = one_unit_power(u, from_rational(p, 1, 2, 6), V=12)
     for nd in (2, 3, 4):
-        coarse = one_unit_power(u, PadicExponent.from_rational(p, 1, 2, nd), V=12)
+        coarse = one_unit_power(u, from_rational(p, 1, 2, nd), V=12)
         d = (full.rep - coarse.rep).pi_val()
         assert d is None or d >= coarse.vcert
 

@@ -10,7 +10,6 @@ from klsym.padic import PadicCyc
 from klsym.polygon import (
     CoeffPoint,
     Polygon,
-    _hodge_coeffs_bruteforce,
     compare_slope_range,
     hodge_coeffs,
     hodge_polygon,
@@ -18,6 +17,7 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
+from oracles import _hodge_coeffs_bruteforce
 
 F = Fraction
 
