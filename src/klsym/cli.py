@@ -28,7 +28,7 @@ from .errors import (
     ResourceError,
     UsageError,
 )
-from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, _parse_ints
+from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, parse_key
 from .ff import make_field, orbit_rep, point_field, points_up_to
 from .lfun import (
     LocalSeries,
@@ -128,30 +128,33 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def series(ev: KloostermanEvaluator, n: int, D: int, local, workers: int = 1):
-    """Euler product over every closed point of degree <= D.
+def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1):
+    """The exact local factor at every closed point of degree <= D."""
+    return _pmap(lambda pt: local_factor(ev, n, pt),
+                 points_up_to(ev.base, D), workers)
+
+
+def series(base, factors, D: int, local, workers: int = 1):
+    """Euler product of the local factors of every point of degree <= D.
 
     local(lf, R) expands the inverse local factor lf at its point to
     T-degree R * degree, as a LocalSeries.
     """
-    def one(pt):
-        return local(local_factor(ev, n, pt), D // pt.degree)
-
-    return euler_product(ev.base, _pmap(one, points_up_to(ev.base, D), workers), D)
+    return euler_product(base, _pmap(
+        lambda lf: local(lf, D // lf.point.degree), factors, workers), D)
 
 
-def series_symk(ev: KloostermanEvaluator, n: int, k: int, D: int,
-                workers: int = 1):
+def series_symk(base, factors, k: int, D: int, workers: int = 1):
     """Exact finite symmetric power L-series truncated at degree D."""
-    return series(ev, n, D, lambda lf, R: LocalSeries(
+    return series(base, factors, D, lambda lf, R: LocalSeries(
         lf.point, inverse_factor_series(sym_k_factor(lf, k), R)), workers)
 
 
-def series_syminf(ev: KloostermanEvaluator, n: int, kappa: PadicExponent,
-                  V: int, D: int, workers: int = 1):
+def series_syminf(base, factors, kappa: PadicExponent, V: int, D: int,
+                  workers: int = 1):
     """Infinite symmetric power L-series to certified precision V."""
-    return series(ev, n, D, lambda lf, R: sym_inf_local(
-        lf, kappa, V, R, ev.base.k), workers)
+    return series(base, factors, D, lambda lf, R: sym_inf_local(
+        lf, kappa, V, R, base.k), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +293,10 @@ def _envelope(body: dict, t0: float, cache, **timing):
             **timing,
             "cache": {
                 "enabled": cache is not None,
-                "hits": cache.hits if cache else 0,
-                "misses": cache.misses if cache else 0,
-                "records": len(cache) if cache else 0,
+                "hits": cache.hits if cache is not None else 0,
+                "misses": cache.misses if cache is not None else 0,
+                "records": len(cache) if cache is not None else 0,
+                "torn": cache.torn if cache is not None else 0,
             },
         },
     }
@@ -333,24 +337,25 @@ def run(config: RunConfig):
     verdicts = []
     derived = {}
     padic_only = mode in ("syminf", "unitroot")
+    kappa = _kappa(config)  # bad digits fail before any sum is computed
+    factors = local_factors(ev, n, D, config.workers)
     # verify reads the exact series only when the exponent is an integer
     if not padic_only and config.k is not None:
-        gs_fin = series_symk(ev, n, config.k, D, config.workers)
+        gs_fin = series_symk(base, factors, config.k, D, config.workers)
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
         if mode == "verify-newton-hodge":
             verdicts.append(("symk", verify_above(pts_fin, hodge)))
 
     if mode != "symk":
-        kappa = _kappa(config)
         V0 = config.V if config.V is not None else default_precision(config)
 
         def attempt(V):
             if mode == "unitroot":
-                gs = series(ev, n, D, lambda lf, R: unit_root_local(
+                gs = series(base, factors, D, lambda lf, R: unit_root_local(
                     lf, kappa, V, R), config.workers)
             else:
-                gs = series_syminf(ev, n, kappa, V, D, config.workers)
+                gs = series_syminf(base, factors, kappa, V, D, config.workers)
             pts = newton_points(gs.coeffs, a, cert=gs.cert)
             if mode == "verify-newton-hodge":
                 return gs, pts, verify_above(pts, hodge)
@@ -467,13 +472,6 @@ def cmd_local(args) -> int:
     return _point_report(args, body, t0, cache)
 
 
-def _parse_key(key: str):
-    head, n, d, rep, m = key.split("|")
-    p_, a_, modulus = head.split(",", 2)
-    return (int(p_), int(a_), _parse_ints(modulus),
-            int(n), int(d), _parse_ints(rep), int(m))
-
-
 def cmd_cache(args) -> int:
     t0 = time.perf_counter()
     cache = SumCache(args.cache)
@@ -489,7 +487,7 @@ def cmd_cache(args) -> int:
     checked = []
     bad = []
     for lineno, key, value in cache.records()[: args.sample]:
-        p, a, modulus, n, d, rep, m = _parse_key(key)
+        p, a, modulus, n, d, rep, m = parse_key(key)
         base = make_field(p, a, modulus)
         field = point_field(base, d)
         pt = orbit_rep(base, field, field.element(rep))

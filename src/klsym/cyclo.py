@@ -4,14 +4,31 @@ Elements carry integer coordinates on the power basis {1, zeta, ...,
 zeta^(p-2)}; higher powers fold back through zeta^(p-1) = -(1 + zeta +
 ... + zeta^(p-2)).  The prime p is totally ramified: (p) = (pi)^(p-1)
 with pi = 1 - zeta, so valuations are tracked in pi-units and ord_p(x)
-equals pi_val(x)/(p-1).  Coordinates are unbounded Python integers;
+equals pi_val(x)/(p-1).  Substituting zeta = 1 - pi rewrites x = sum a_i
+zeta^i as sum_j (-1)^j b_j pi^j with b_j = sum_i C(i, j) a_i, j <= p-2;
+the terms have valuations (p-1) ord_p(b_j) + j, distinct mod p-1, so
+pi_val(x) is the least of them.  Coordinates are unbounded Python integers;
 coefficient growth in characteristic polynomials of symmetric powers is
 unbounded, so nothing here may overflow.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import UsageError
+
+
+def ord_p(p: int, m: int) -> int:
+    """Exponent of p in a nonzero integer."""
+    if m == 0:
+        raise ValueError("ord_p(0) is infinite")
+    m = abs(m)
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e
 
 
 def is_prime(n: int) -> bool:
@@ -60,15 +77,19 @@ class CycInt:
 
     @classmethod
     def zeta(cls, p: int, k: int = 1) -> "CycInt":
-        return cls.from_powers(p, {k: 1})
+        return cls.from_powers(p, [(k, 1)])
 
     @classmethod
-    def from_powers(cls, p: int, powers: dict) -> "CycInt":
-        """Build sum c_e * zeta^e from an exponent -> coefficient map."""
-        check_odd_prime(p)
+    def from_powers(cls, p: int, pairs) -> "CycInt":
+        """Build sum c * zeta^e from (exponent, coefficient) pairs."""
         bucket = [0] * p
-        for e, c in powers.items():
-            bucket[e % p] += c
+        for e, c in pairs:
+            bucket[e % p] += int(c)
+        return cls._fold(p, bucket)
+
+    @classmethod
+    def _fold(cls, p: int, bucket) -> "CycInt":
+        """Reduce sum bucket[e] * zeta^e, e < p, through the level relation."""
         top = bucket[p - 1]
         return cls(p, tuple(bucket[i] - top for i in range(p - 1)))
 
@@ -104,8 +125,7 @@ class CycInt:
                 for j, b in enumerate(other.coords):
                     if b:
                         bucket[(i + j) % p] += a * b
-        top = bucket[p - 1]
-        return CycInt(p, tuple(bucket[i] - top for i in range(p - 1)))
+        return CycInt._fold(p, bucket)
 
     __rmul__ = __mul__
 
@@ -142,41 +162,22 @@ class CycInt:
         if c % self.p == 0:
             raise ValueError("substitution exponent must be a unit mod p")
         return CycInt.from_powers(
-            self.p, {(i * c): a for i, a in enumerate(self.coords)}
+            self.p, ((i * c, a) for i, a in enumerate(self.coords))
         )
 
-    def div_one_minus_zeta(self):
-        """Exact quotient by 1 - zeta, or None when not divisible.
-
-        x is divisible by pi iff p divides the coordinate sum, because
-        reduction mod pi sends zeta to 1.  The quotient is recovered
-        coordinate by coordinate from the linear system of x = (1-zeta)y.
-        """
-        p = self.p
-        s = sum(self.coords)
-        if s % p:
-            return None
-        top = s // p
-        ys = [0] * (p - 1)
-        ys[p - 2] = top
-        for i in range(p - 2, 0, -1):
-            ys[i - 1] = ys[i] + top - self.coords[i]
-        if self.coords[0] != ys[0] + top:
-            raise AssertionError("inconsistent quotient by 1 - zeta")
-        return CycInt(p, ys)
-
     def pi_val(self):
-        """Exact (1-zeta)-adic valuation; None encodes infinity (x = 0)."""
+        """Least (p-1) ord_p(b_j) + j (module docstring); None for x = 0."""
         if not self:
             return None
-        v = 0
-        x = self
-        while True:
-            y = x.div_one_minus_zeta()
-            if y is None:
-                return v
-            v += 1
-            x = y
+        p, a = self.p, self.coords
+        best = math.inf
+        for j in range(p - 1):
+            if best <= j:  # the terms from j on are worth at least j
+                break
+            b = sum(math.comb(i, j) * a[i] for i in range(j, p - 1))
+            if b:
+                best = min(best, (p - 1) * ord_p(p, b) + j)
+        return best
 
     def divide_exact_int(self, m: int) -> "CycInt":
         """Divide by a nonzero rational integer, requiring exactness."""

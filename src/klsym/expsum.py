@@ -13,6 +13,7 @@ parameter that pins the tower, so distinct moduli never alias.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 
 import numpy as np
@@ -22,15 +23,6 @@ from .errors import CacheError, ResourceError, UsageError
 from .ff import ClosedPoint, Field, _mult_data, embed, make_field
 
 DEFAULT_BUDGET = 2_000_000
-
-
-def _fold_counts(p: int, counts) -> CycInt:
-    """Collapse exponent counts to a reduced element of Z[zeta_p]."""
-    bucket = [0] * p
-    for e, c in enumerate(counts):
-        bucket[e % p] += int(c)
-    top = bucket[p - 1]
-    return CycInt(p, tuple(bucket[i] - top for i in range(p - 1)))
 
 
 def _direct_sum(n: int, field: Field, t) -> CycInt:
@@ -46,7 +38,7 @@ def _direct_sum(n: int, field: Field, t) -> CycInt:
         b = (it - sum(prefix)) % S + S
         phases = c + tr + trD[b - S + 1 : b + 1][::-1]
         counts += np.bincount(phases, minlength=(n + 1) * p)
-    return _fold_counts(p, counts)
+    return CycInt.from_powers(p, enumerate(counts))
 
 
 def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
@@ -71,10 +63,7 @@ def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
         for u in range(S):
             H[:, perms[int(tr[u]) % p]] += np.roll(G, u, axis=0)
         G = H
-    out = {}
-    for i in range(S):
-        out[md.power(i)] = _fold_counts(p, G[i])
-    return out
+    return {md.power(i): CycInt.from_powers(p, enumerate(G[i])) for i in range(S)}
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +87,24 @@ def record_key(p: int, a: int, modulus, n: int, d: int, rep, m: int) -> str:
     return "%d,%d,%s|%d|%d|%s|%d" % (p, a, _fmt_ints(modulus), n, d, _fmt_ints(rep), m)
 
 
+def parse_key(key: str):
+    """(p, a, modulus, n, d, rep, m) from a record key; ValueError if malformed."""
+    head, n, d, rep, m = key.split("|")
+    fields = head.split(",", 2)
+    if len(fields) != 3:
+        raise ValueError("field descriptor needs p,a,[modulus]")
+    p, a, modulus = fields
+    return (int(p), int(a), _parse_ints(modulus),
+            int(n), int(d), _parse_ints(rep), int(m))
+
+
 def parse_record(line: str):
     """Split a cache line into (key, value); raise CacheError when invalid."""
     parts = line.split("|")
     if len(parts) != 7 or parts[0] != "v1":
         raise CacheError(f"unrecognised record shape: {line!r}")
     try:
-        head = parts[1].split(",", 2)
-        if len(head) != 3:
-            raise ValueError("field descriptor needs p,a,[modulus]")
-        p, a = int(head[0]), int(head[1])
-        modulus = _parse_ints(head[2])
-        n, d, m = int(parts[2]), int(parts[3]), int(parts[5])
-        rep = _parse_ints(parts[4])
+        p, a, modulus, n, d, rep, m = parse_key("|".join(parts[1:6]))
         value = CycInt.deserialize(parts[6])
     except (ValueError, UsageError) as exc:
         raise CacheError(f"corrupt record {line!r}: {exc}") from exc
@@ -133,19 +127,34 @@ class SumCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.torn = 0
+        self._torn_at = None
         self._load()
+
+    def _lines(self):
+        """(line number, line) for each newline-terminated record line.
+
+        Text after the last newline is a write cut short: it is skipped,
+        counted in torn, and cut off before the next append.
+        """
+        with open(self.path, "r", encoding="ascii", newline="") as fh:
+            text = fh.read()
+        end = text.rfind("\n") + 1
+        if end < len(text) and self._torn_at is None:
+            self.torn += 1
+            self._torn_at = end
+        return [(lineno, line)
+                for lineno, line in enumerate(text[:end].splitlines(), start=1)
+                if line and not line.startswith("#")]
 
     def _load(self):
         try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
+            lines = self._lines()
         except FileNotFoundError:
             with open(self.path, "w", encoding="ascii") as fh:
                 fh.write(CACHE_HEADER + "\n")
             return
-        for lineno, line in enumerate(lines, start=1):
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in lines:
             try:
                 key, value = parse_record(line)
             except CacheError as exc:
@@ -175,19 +184,15 @@ class SumCache:
                     raise CacheError(f"conflicting value for cached key {key}")
                 return
             self._mem[key] = value
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
             with open(self.path, "a", encoding="ascii") as fh:
                 fh.write(f"v1|{key}|{value.serialize()}\n")
 
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""
-        out = []
-        with open(self.path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh.read().splitlines(), start=1):
-                if not line or line.startswith("#"):
-                    continue
-                key, value = parse_record(line)
-                out.append((lineno, key, value))
-        return out
+        return [(lineno, *parse_record(line)) for lineno, line in self._lines()]
 
     def compact(self):
         """Rewrite the file keeping the first occurrence of each key."""
@@ -203,6 +208,7 @@ class SumCache:
                 fh.write(CACHE_HEADER + "\n")
                 for key, value in kept:
                     fh.write(f"v1|{key}|{value.serialize()}\n")
+            self._torn_at = None
         return len(kept)
 
 

@@ -238,10 +238,6 @@ class Field:
         p = self.p
         return tuple((a + b) % p for a, b in zip(x, y))
 
-    def sub(self, x, y):
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
-
     def scalar_mul(self, c, x):
         p = self.p
         return tuple((c * a) % p for a in x)

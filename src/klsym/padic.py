@@ -14,20 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclo import CycInt
+from .cyclo import CycInt, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
-
-
-def ord_p(p: int, m: int) -> int:
-    """Exponent of p in a nonzero integer."""
-    if m == 0:
-        raise ValueError("ord_p(0) is infinite")
-    m = abs(m)
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +177,7 @@ class PadicCyc:
         if isinstance(other, CycInt):
             other = PadicCyc.embed(other, self.N)
         N = self._join(other)
-        vc = min(self.vcert + other.val_lb(),
-                 other.vcert + self.val_lb(),
-                 self.vcert + other.vcert)
+        vc = min(self.vcert + other.val_lb(), other.vcert + self.val_lb())
         return PadicCyc(self.p, N, self.rep * other.rep, vc)
 
     __radd__ = __add__

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from klsym.cyclo import CycInt
 from klsym.errors import UsageError
-from klsym.expsum import KloostermanEvaluator, _fold_counts, kloosterman_table
+from klsym.expsum import KloostermanEvaluator, kloosterman_table
 from klsym.ff import embed, make_field
 from klsym.lfun import LocalFactor, LocalSeries
 from klsym.padic import PadicCyc, PadicExponent, one_unit_power, ord_p, slope_split
@@ -96,7 +96,7 @@ def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
         s = field.add(s, field.mul(t, field.inv(prod)))
         e = field.trace_abs(s)
         acc[e] = acc.get(e, 0) + 1
-    return _fold_counts(p, [acc.get(e, 0) for e in range(p)]).serialize()
+    return CycInt.from_powers(p, acc.items()).serialize()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from klsym.cli import RunConfig, run, series_syminf, series_symk
+from klsym.cli import RunConfig, local_factors, run, series_syminf, series_symk
 from klsym.expsum import KloostermanEvaluator, _direct_sum, kloosterman_table
 from klsym.ff import make_field, points_up_to
 from klsym.lfun import local_factor, sym_inf_local, sym_k_factor
@@ -109,14 +109,14 @@ def test_criterion_3_slope_coincidence():
         # multiplying by (1 - q^(k+1) T) adds only slope-(k+1) content,
         # so the comparison in slopes <= k must not move
         base = make_field(3, 1)
-        ev = KloostermanEvaluator(base)
-        fin = series_symk(ev, 1, 1, 3)
+        factors = local_factors(KloostermanEvaluator(base), 1, 3)
+        fin = series_symk(base, factors, 1, 3)
         nine = fin.coeffs[0].from_int(3, 9)
         twisted = list(fin.coeffs) + [fin.coeffs[0] * 0]
         for r in range(len(twisted) - 1, 0, -1):
             twisted[r] = twisted[r] - nine * twisted[r - 1]
         twisted = twisted[:4]
-        inf = series_syminf(ev, 1, PadicExponent.exact(3, 1), 14, 3)
+        inf = series_syminf(base, factors, PadicExponent.exact(3, 1), 14, 3)
         pts_inf = newton_points(inf.coeffs, 1, cert=inf.cert)
         v = compare_slope_range(newton_points(twisted, 1), pts_inf, F(1))
         assert v.status == "agree"
@@ -152,15 +152,17 @@ def test_criterion_5_hodge_coefficients():
 def test_criterion_6_integrality():
     with criterion("integrality", limit=120):
         for n, k, D in [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 1, 2)]:
-            ev = KloostermanEvaluator(make_field(3, 1))
-            gs = series_symk(ev, n, k, D)
+            base = make_field(3, 1)
+            factors = local_factors(KloostermanEvaluator(base), n, D)
+            gs = series_symk(base, factors, k, D)
             assert gs.integers is not None
             for c, value in zip(gs.coeffs, gs.integers):
                 assert c.as_integer() == value  # no zeta components at all
 
         for n, D, V in [(1, 3, 12), (2, 2, 10)]:
-            ev = KloostermanEvaluator(make_field(3, 1))
-            gs = series_syminf(ev, n, PadicExponent.exact(3, 2), V, D)
+            base = make_field(3, 1)
+            factors = local_factors(KloostermanEvaluator(base), n, D)
+            gs = series_syminf(base, factors, PadicExponent.exact(3, 2), V, D)
             assert gs.cert is not None and gs.cert > 0
             for c in gs.coeffs:
                 for g in range(2, 3):
@@ -249,12 +251,13 @@ def test_criterion_9_determinism_and_monotonicity():
         }
         observed = set()
         for n, k, D, V_lo, V_hi in [(1, 2, 4, 4, 20), (2, 1, 2, 6, 16)]:
-            ev = KloostermanEvaluator(make_field(3, 1))
+            base = make_field(3, 1)
+            factors = local_factors(KloostermanEvaluator(base), n, D)
             hodge = hodge_polygon(n, 3, D)
             kappa = PadicExponent.exact(3, k)
             verdicts = []
             for V in (V_lo, V_hi):
-                gs = series_syminf(ev, n, kappa, V, D)
+                gs = series_syminf(base, factors, kappa, V, D)
                 v = verify_above(newton_points(gs.coeffs, 1, cert=gs.cert),
                                  hodge)
                 verdicts.append(v)

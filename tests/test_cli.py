@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from klsym import cli
 from klsym.cli import (
     MAX_RETRIES,
     RunConfig,
@@ -14,7 +15,7 @@ from klsym.cli import (
 )
 from klsym.errors import PrecisionError
 from klsym.expsum import KloostermanEvaluator, SumCache
-from klsym.ff import closed_points, make_field, orbit_rep
+from klsym.ff import closed_points, make_field, orbit_rep, points_up_to
 from klsym.polygon import Verdict
 
 
@@ -243,6 +244,48 @@ def test_corrupt_cache_reports_line(tmp_path, capsys):
     code = console_main(["cache", "stat", "--cache", str(cache)])
     assert code == 1
     assert ":2:" in capsys.readouterr().err
+
+
+def test_torn_final_record_is_skipped_and_repaired(tmp_path):
+    cache = tmp_path / "t.txt"
+    out = tmp_path / "r.json"
+    argv = ["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "2",
+            "--cache", str(cache), "--out", str(out)]
+    assert console_main(argv) == 0
+    want = _strip_timing(_read(out))
+    full = cache.read_bytes()
+    start = full.rstrip(b"\n").rfind(b"\n") + 1  # first byte of the last record
+    for cut in range(start, len(full)):
+        cache.write_bytes(full[:cut])
+        assert console_main(argv) == 0, cut
+        report = _read(out)
+        assert report["timing"]["cache"]["torn"] == (1 if cut > start else 0)
+        assert _strip_timing(report) == want
+        # the torn tail is cut off and the lost record appended again
+        assert cache.read_bytes() == full
+
+        cache.write_bytes(full[:cut])
+        assert console_main(["cache", "compact", "--cache", str(cache),
+                             "--out", str(tmp_path / "c.json")]) == 0, cut
+        assert cache.read_bytes() == full[:start]
+
+
+def test_run_builds_each_local_factor_once(monkeypatch):
+    built = []
+    real = cli.local_factor
+
+    def counting(ev, n, pt):
+        built.append(pt.sort_key())
+        return real(ev, n, pt)
+
+    monkeypatch.setattr(cli, "local_factor", counting)
+    report, code = run(RunConfig(p=3, n=1, mode="verify-newton-hodge",
+                                 k=2, D=4, V=4))
+    assert code == 0
+    assert report["derived"]["attempts"] == 3
+    points = points_up_to(make_field(3, 1), 4)
+    assert len(points) == 31
+    assert sorted(built) == sorted(pt.sort_key() for pt in points)
 
 
 def test_retry_doubles_precision_then_reports():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klsym.cyclo import CycInt, is_prime
+from klsym.cyclo import CycInt, is_prime, ord_p
 from klsym.errors import UsageError
 
 
@@ -51,6 +51,26 @@ def test_pi_val_baseline_values():
         pi = CycInt.one(p) - CycInt.zeta(p)
         assert pi.pi_val() == 1
         assert CycInt.zeta(p).pi_val() == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pi_val_is_ord_p_of_norm(p):
+    # (p) = (pi)^(p-1) with residue degree 1, so v_pi(x) = ord_p(N(x))
+    rng = random.Random(4100 + p)
+    pi = CycInt.one(p) - CycInt.zeta(p)
+    high = 0
+    for _ in range(40):
+        x = rand_elem(rng, p)
+        if not x:
+            continue
+        y = x * pi ** rng.randint(0, 2 * p) * p ** rng.randint(0, 3)
+        for z in (x, y):
+            norm = CycInt.one(p)
+            for c in range(1, p):
+                norm = norm * z.galois(c)
+            assert z.pi_val() == ord_p(p, norm.as_integer()), z
+        high = max(high, y.pi_val())
+    assert high > 3 * (p - 1)
 
 
 def test_pi_val_additive_on_products():
