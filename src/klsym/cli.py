@@ -4,7 +4,9 @@ Reports are JSON documents with a stable schema.  Every number in a
 report is exact (integers, or rationals as [numerator, denominator])
 except the wall-clock entry under "timing", which also collects run
 metadata that must not participate in byte-for-byte comparisons:
-worker counts, budgets, cache paths and cache hit statistics.
+worker counts, budgets, cache paths and cache hit statistics.  Values
+stay exact (ints, Fractions, tuples) until ``_envelope`` renders the
+whole report through ``_jsonable``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
-from .cyclo import check_odd_prime
 from .errors import (
     CacheError,
     FindingError,
@@ -72,7 +73,6 @@ class RunConfig:
 
 
 def _validate(config: RunConfig):
-    check_odd_prime(config.p)
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
     if config.D < 0:
@@ -161,13 +161,10 @@ def series_syminf(base, factors, kappa: PadicExponent, V: int, D: int,
 # report rendering
 
 
-def _frac(x: Fraction):
-    return [x.numerator, x.denominator]
-
-
 def _jsonable(x):
+    """Report JSON from exact values: Fractions as [num, den], tuples as lists."""
     if isinstance(x, Fraction):
-        return _frac(x)
+        return [x.numerator, x.denominator]
     if isinstance(x, dict):
         return {key: _jsonable(val) for key, val in x.items()}
     if isinstance(x, (list, tuple)):
@@ -175,17 +172,13 @@ def _jsonable(x):
     return x
 
 
-def _polygon_json(poly):
-    return [[_frac(x), _frac(y)] for x, y in poly.vertices]
-
-
 def _field_json(base):
-    return {"p": base.p, "a": base.k, "modulus": list(base.modulus)}
+    return {"p": base.p, "a": base.k, "modulus": base.modulus}
 
 
 def _exponent_json(config: RunConfig):
     if config.kappa_digits is not None:
-        return {"kind": "digits", "digits": list(config.kappa_digits)}
+        return {"kind": "digits", "digits": config.kappa_digits}
     return {"kind": "integer", "value": config.k}
 
 
@@ -195,12 +188,12 @@ def _series_json(name, gs, points, exponent):
         row = {
             "r": cp.r,
             "exact": cp.exact,
-            "ordq": None if cp.ordq is None else _frac(cp.ordq),
+            "ordq": cp.ordq,
         }
         if gs.cert is None:
             row["value"] = gs.integers[cp.r]
         else:
-            row["coords"] = list(c.rep.coords)
+            row["coords"] = c.rep.coords
             row["precision"] = c.N
             row["vcert"] = c.vcert
         rows.append(row)
@@ -210,9 +203,7 @@ def _series_json(name, gs, points, exponent):
 
 def _newton_hull_json(points):
     finite = [pt for pt in points if pt.exact and pt.ordq is not None]
-    if not finite:
-        return []
-    return _polygon_json(lower_hull(finite))
+    return lower_hull(finite).vertices if finite else []
 
 
 def write_report(report: dict, out_path: str | None):
@@ -283,8 +274,8 @@ def _retry_precision(attempt, V0: int):
 
 
 def _envelope(body: dict, t0: float, cache, **timing):
-    """A report: schema header, body, and the volatile timing block."""
-    return {
+    """A report, JSON-ready: schema header, body, and the volatile timing block."""
+    return _jsonable({
         "schema": SCHEMA,
         "tool": {"name": "klsym", "version": __version__},
         **body,
@@ -299,7 +290,7 @@ def _envelope(body: dict, t0: float, cache, **timing):
                 "torn": cache.torn if cache is not None else 0,
             },
         },
-    }
+    })
 
 
 def run(config: RunConfig):
@@ -307,6 +298,9 @@ def run(config: RunConfig):
     t0 = time.perf_counter()
     _validate(config)
     base = make_field(config.p, config.a)
+    # the sums at the points of degree max(D, 1) live here; refuse an
+    # oversize run before any table is built
+    point_field(base, max(config.D, 1) * (config.n + 1))
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -328,7 +322,7 @@ def run(config: RunConfig):
         "verdict": None,
     }
     if mode in ("symk", "syminf", "verify-newton-hodge"):
-        body["polygons"]["hodge"] = _polygon_json(hodge)
+        body["polygons"]["hodge"] = hodge.vertices
 
     def add(name, gs, pts):
         body["series"].append(_series_json(name, gs, pts, exponent))
@@ -375,7 +369,7 @@ def run(config: RunConfig):
     if mode == "verify-newton-hodge":
         body["verdict"] = _combine_verdicts(verdicts)
     elif mode == "compare-slopes":
-        body["verdict"] = {"status": v.status, "witness": _jsonable(v.witness)}
+        body["verdict"] = {"status": v.status, "witness": v.witness}
     if derived:
         body["derived"] = derived
 
@@ -396,7 +390,7 @@ def _combine_verdicts(named):
             if v.status == status:
                 witness = dict(v.witness or {})
                 witness["series"] = name
-                return {"status": status, "witness": _jsonable(witness)}
+                return {"status": status, "witness": witness}
     return {"status": "pass", "witness": None}
 
 
@@ -411,9 +405,8 @@ def _point_report(args, body, t0, cache=None):
 
 def _point_evaluator(args):
     """(evaluator, cache, closed point) named by sum/local arguments."""
-    check_odd_prime(args.p)
     base = make_field(args.p, args.a)
-    cache = SumCache(args.cache) if args.cache else None
+    cache = SumCache(args.cache_path) if args.cache_path else None
     field = point_field(base, args.d)
     try:
         pt = orbit_rep(base, field, field.from_int(args.rep_int))
@@ -424,15 +417,14 @@ def _point_evaluator(args):
 
 def cmd_points(args) -> int:
     t0 = time.perf_counter()
-    check_odd_prime(args.p)
+    base = make_field(args.p, args.a)
     if args.D < 0:
         raise UsageError("degree cap D must be nonnegative")
-    base = make_field(args.p, args.a)
     body = {
         "field": _field_json(base),
         "D": args.D,
         "points": [
-            {"degree": pt.degree, "rep": list(pt.rep), "rep_int": pt.rep_int}
+            {"degree": pt.degree, "rep": pt.rep, "rep_int": pt.rep_int}
             for pt in points_up_to(base, args.D)
         ],
     }
@@ -448,7 +440,7 @@ def cmd_sum(args) -> int:
     except ValueError:
         as_int = None
     body = {
-        "point": {"degree": pt.degree, "rep": list(pt.rep)},
+        "point": {"degree": pt.degree, "rep": pt.rep},
         "n": args.n,
         "m": args.m,
         "value": value.serialize(),
@@ -463,24 +455,24 @@ def cmd_local(args) -> int:
     lf = local_factor(ev, args.n, pt)
     slopes = lower_hull(newton_points(lf.coeffs, args.a * pt.degree)).slopes()
     body = {
-        "point": {"degree": pt.degree, "rep": list(pt.rep)},
+        "point": {"degree": pt.degree, "rep": pt.rep},
         "n": args.n,
         "coefficients": [c.serialize() for c in lf.coeffs],
         "sign": lf.sign,
-        "newton_slopes": [[_frac(s), _frac(length)] for s, length in slopes],
+        "newton_slopes": slopes,
     }
     return _point_report(args, body, t0, cache)
 
 
 def cmd_cache(args) -> int:
     t0 = time.perf_counter()
-    cache = SumCache(args.cache)
+    cache = SumCache(args.cache_path)
     if args.action == "stat":
-        body = {"cache_stat": {"path": args.cache, "records": len(cache)}}
+        body = {"cache_stat": {"path": args.cache_path, "records": len(cache)}}
         return _point_report(args, body, t0)
     if args.action == "compact":
         kept = cache.compact()
-        body = {"cache_compact": {"path": args.cache, "kept": kept}}
+        body = {"cache_compact": {"path": args.cache_path, "kept": kept}}
         return _point_report(args, body, t0)
 
     # action == "verify": recompute a sample of records from scratch
@@ -498,7 +490,7 @@ def cmd_cache(args) -> int:
             bad.append(lineno)
     body = {
         "cache_verify": {
-            "path": args.cache,
+            "path": args.cache_path,
             "checked_lines": checked,
             "bad_lines": bad,
         }
@@ -533,7 +525,8 @@ def _add_run_args(sp):
                     help="threads for per-point work")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="refuse sums needing more than this many steps")
-    sp.add_argument("--cache", default=os.environ.get(CACHE_ENV),
+    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
+                    default=os.environ.get(CACHE_ENV),
                     help=f"sum cache file (default ${CACHE_ENV})")
     sp.add_argument("--out", help="write the JSON report here (default stdout)")
     sp.add_argument("--csv", help="also write a CSV coefficient table here")
@@ -547,9 +540,10 @@ def _add_exponent_args(sp, require_k=False):
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("-k", type=int,
                        help="integer symmetric power exponent")
-    group.add_argument("--kappa", type=_digit_list, metavar="D0,D1,...",
+    group.add_argument("--kappa", type=_digit_list, dest="kappa_digits",
+                       metavar="D0,D1,...",
                        help="truncated p-adic exponent digits, low first")
-    group.add_argument("--kappa-int", type=int, dest="kappa_int",
+    group.add_argument("--kappa-int", type=int, dest="k", metavar="KAPPA_INT",
                        help="exact integer exponent (same as -k)")
 
 
@@ -601,11 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-V", type=int, default=None,
                             help="pi-adic precision target (default derived)")
         _add_run_args(sp)
-        sp.set_defaults(func=cmd_run, mode=mode)
+        # every RunConfig field, also where this mode has no option for it
+        sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
 
     sp = sub.add_parser("cache", help="inspect or repair a sum cache")
     sp.add_argument("action", choices=("stat", "verify", "compact"))
-    sp.add_argument("--cache", default=os.environ.get(CACHE_ENV),
+    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
+                    default=os.environ.get(CACHE_ENV),
                     required=os.environ.get(CACHE_ENV) is None)
     sp.add_argument("--sample", type=int, default=10,
                     help="records to recompute under verify")
@@ -617,23 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    kappa_digits = getattr(args, "kappa", None)
-    k = args.k
-    if getattr(args, "kappa_int", None) is not None:
-        k = args.kappa_int
-    config = RunConfig(
-        p=args.p,
-        a=args.a,
-        n=args.n,
-        mode=args.mode,
-        k=k,
-        kappa_digits=kappa_digits,
-        D=args.D,
-        V=getattr(args, "V", None),
-        workers=args.workers,
-        budget=args.budget,
-        cache_path=args.cache,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     report, code = run(config)
     write_report(report, args.out)
     if args.csv:

@@ -56,10 +56,10 @@ class CycInt:
     __slots__ = ("p", "coords")
 
     def __init__(self, p: int, coords):
-        check_odd_prime(p)
         coords = tuple(int(c) for c in coords)
-        if len(coords) != p - 1:
+        if len(coords) != p - 1:  # cheap, and bounds p before trial division
             raise ValueError(f"expected {p - 1} coordinates, got {len(coords)}")
+        check_odd_prime(p)
         self.p = p
         self.coords = coords
 

@@ -135,9 +135,12 @@ class SumCache:
         """(line number, line) for each newline-terminated record line.
 
         Text after the last newline is a write cut short: it is skipped,
-        counted in torn, and cut off before the next append.
+        counted in torn, and cut off before the next append.  A non-ASCII
+        byte reads as one lone surrogate, so offsets stay byte offsets and
+        parse_record rejects its line.
         """
-        with open(self.path, "r", encoding="ascii", newline="") as fh:
+        with open(self.path, "r", encoding="ascii", errors="surrogateescape",
+                  newline="") as fh:
             text = fh.read()
         end = text.rfind("\n") + 1
         if end < len(text) and self._torn_at is None:
@@ -242,10 +245,11 @@ class KloostermanEvaluator:
             if hit is not None:
                 return hit
         big = make_field(self.base.p, point.field.k * m)
-        work = (big.size - 1) ** n
-        if work > self.budget:
+        S = big.size - 1
+        # S >= 2, so S^n > budget once n reaches the budget's bit length
+        if n >= self.budget.bit_length() or S**n > self.budget:
             raise ResourceError(
-                f"sum over (F_{big.size})^{n} needs {work} steps, budget {self.budget}"
+                f"sum over (F_{big.size})^{n} needs {S}^{n} steps, budget {self.budget}"
             )
         value = _direct_sum(n, big, embed(point.field, big, point.rep))
         if self.cache is not None:

@@ -23,10 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import is_prime, check_odd_prime
+from .cyclo import check_odd_prime
 from .errors import ResourceError, UsageError
 
-MAX_POINT_DEGREE = 4
 MAX_FIELD_SIZE = 1 << 21
 
 
@@ -162,11 +161,12 @@ class Field:
     __slots__ = ("p", "k", "modulus", "_trace_vec", "_generator")
 
     def __init__(self, p: int, k: int, modulus=None):
-        check_odd_prime(p)
         if k < 1:
             raise UsageError(f"extension degree must be >= 1, got {k}")
-        if p**k > MAX_FIELD_SIZE:
+        # the size first: a huge p or k must not reach trial division or p**k
+        if p ** min(k, 64) > MAX_FIELD_SIZE:
             raise ResourceError(f"field size {p}^{k} exceeds the configured cap")
+        check_odd_prime(p)
         if modulus is None:
             modulus = canonical_modulus(p, k)
         else:
@@ -276,20 +276,17 @@ class Field:
     # -- traces ---------------------------------------------------------------
 
     def _trace_vector(self):
+        """Tr(X^i) for i < k: the power sums of the roots of the modulus.
+
+        Newton's identities for X^k + a_1 X^(k-1) + ... + a_k, a_j =
+        modulus[k - j]: Tr(X^i) = -(i a_i + sum_(j<i) a_j Tr(X^(i-j))).
+        """
         if self._trace_vec is None:
-            sums = [self.zero] * self.k
-            red = _pmod((0, 1), self.modulus, self.p)
-            beta = red + (0,) * (self.k - len(red))
-            for _ in range(self.k):
-                pw = self.one
-                for i in range(self.k):
-                    sums[i] = self.add(sums[i], pw)
-                    pw = self.mul(pw, beta)
-                beta = self.frobenius(beta)
-            for s in sums:
-                if any(s[1:]):
-                    raise AssertionError("trace image escaped the prime field")
-            self._trace_vec = tuple(s[0] for s in sums)
+            p, k, a = self.p, self.k, self.modulus[::-1]
+            tv = [k % p]
+            for i in range(1, k):
+                tv.append(-(i * a[i] + sum(a[j] * tv[i - j] for j in range(1, i))) % p)
+            self._trace_vec = tuple(tv)
         return self._trace_vec
 
     def trace_abs(self, x) -> int:
@@ -459,15 +456,13 @@ def _least_codes(md: _MultData, q: int, d: int, e):
     return least, exact
 
 
-def closed_points(base: Field, d: int, max_degree: int = MAX_POINT_DEGREE):
+def closed_points(base: Field, d: int):
     """All degree-d closed points, canonical reps in lex order.
 
     The representative is the lex-least element of its orbit.
     """
     if d < 1:
         raise UsageError("degree must be >= 1")
-    if d > max_degree:
-        raise ResourceError(f"point degree {d} exceeds the configured cap {max_degree}")
     big = point_field(base, d)
     md = _mult_data(big)
     least, exact = _least_codes(md, base.size, d, np.arange(md.S))
@@ -478,13 +473,14 @@ def closed_points(base: Field, d: int, max_degree: int = MAX_POINT_DEGREE):
             for c in reps]
 
 
-def points_up_to(base: Field, D: int, max_degree: int | None = None):
-    """Closed points of every degree 1..D, in canonical order."""
-    cap = max_degree if max_degree is not None else max(D, MAX_POINT_DEGREE)
-    out = []
-    for d in range(1, D + 1):
-        out.extend(closed_points(base, d, max_degree=cap))
-    return out
+def points_up_to(base: Field, D: int):
+    """Closed points of every degree 1..D, in canonical order.
+
+    The largest field comes first, so an oversize D is refused before
+    any table is built.
+    """
+    point_field(base, max(D, 1))
+    return [pt for d in range(1, D + 1) for pt in closed_points(base, d)]
 
 
 def orbit_rep(base: Field, field: Field, x) -> ClosedPoint:

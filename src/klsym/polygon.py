@@ -30,11 +30,10 @@ def hodge_coeffs(n: int, count: int):
     """
     if n < 1:
         raise UsageError("dimension must be >= 1")
-    strides = list(range(2, n + 2))
     h = [0] * count
     if count:
         h[0] = 1
-    for s in strides:
+    for s in range(2, min(n + 2, count)):  # a part >= count adds nothing
         for i in range(s, count):
             h[i] += h[i - s]
     return h
@@ -167,7 +166,7 @@ def lower_hull(points) -> Polygon:
 @dataclass(frozen=True)
 class Verdict:
     status: str  # "pass", "violation", "inconclusive", "agree", "disagree"
-    witness: dict | None = None
+    witness: dict | None = None  # exact values: ints and Fractions
 
     @property
     def decided(self):
@@ -200,18 +199,11 @@ def verify_above(points, hodge: Polygon) -> Verdict:
     if violations:
         w = min(violations, key=lambda pt: pt.r)
         return Verdict("violation", {
-            "r": w.r,
-            "ordq": [w.ordq.numerator, w.ordq.denominator],
-            "hodge": [hodge.value_at(Fraction(w.r)).numerator,
-                      hodge.value_at(Fraction(w.r)).denominator],
-        })
+            "r": w.r, "ordq": w.ordq, "hodge": hodge.value_at(w.r)})
     if unsettled:
-        w = min(unsettled, key=lambda t: t[0].r)
+        w, need = min(unsettled, key=lambda t: t[0].r)
         return Verdict("inconclusive", {
-            "r": w[0].r,
-            "have_ordq": [w[0].ordq.numerator, w[0].ordq.denominator],
-            "need_ordq": [w[1].numerator, w[1].denominator],
-        })
+            "r": w.r, "have_ordq": w.ordq, "need_ordq": need})
     return Verdict("pass", None)
 
 
@@ -267,13 +259,9 @@ def compare_slope_range(points_a, points_b, slope_max: Fraction) -> Verdict:
         if pinched_a and pinched_b:
             if la != lb:
                 if x <= sure_end:
-                    return Verdict("disagree", {
-                        "x": [x.numerator, x.denominator],
-                        "a": [la.numerator, la.denominator],
-                        "b": [lb.numerator, lb.denominator]})
+                    return Verdict("disagree", {"x": x, "a": la, "b": lb})
                 return Verdict("inconclusive", {
-                    "x": [x.numerator, x.denominator],
-                    "reason": "difference beyond certified slope range"})
+                    "x": x, "reason": "difference beyond certified slope range"})
             continue
-        return Verdict("inconclusive", {"x": [x.numerator, x.denominator]})
-    return Verdict("agree", {"through_x": [end.numerator, end.denominator]})
+        return Verdict("inconclusive", {"x": x})
+    return Verdict("agree", {"through_x": end})

@@ -120,7 +120,7 @@ def test_criterion_3_slope_coincidence():
         pts_inf = newton_points(inf.coeffs, 1, cert=inf.cert)
         v = compare_slope_range(newton_points(twisted, 1), pts_inf, F(1))
         assert v.status == "agree"
-        assert v.witness["through_x"] == through
+        assert v.witness["through_x"] == Fraction(*through)
 
 
 DUAL_ROUTE_FIELDS = [(3, c) for c in range(1, 7)] + [(5, c) for c in range(1, 5)]

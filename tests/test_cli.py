@@ -1,9 +1,13 @@
 """End-to-end checks of the command line driver."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import klsym
 from klsym import cli
 from klsym.cli import (
     MAX_RETRIES,
@@ -244,6 +248,57 @@ def test_corrupt_cache_reports_line(tmp_path, capsys):
     code = console_main(["cache", "stat", "--cache", str(cache)])
     assert code == 1
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["symk", "-p", "3", "-k", "1", "-D", "1", "--cache", "{cache}"],
+    ["cache", "stat", "--cache", "{cache}"],
+], ids=["symk", "cache-stat"])
+def test_non_ascii_cache_byte_is_a_corrupt_record(tmp_path, capsys, argv):
+    cache = tmp_path / "bad.txt"
+    cache.write_bytes(b"# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|3:[1,\xff]\n")
+    assert console_main([arg.format(cache=cache) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache}:2: ")
+    assert "Traceback" not in err
+
+
+BIG_LEVEL = "1000000000000000000000000000057"
+
+# console_main in a fresh process; the last line of stderr lists the sizes
+# of the fields whose discrete-log tables the run built
+_CHILD = """
+import sys
+import klsym.ff as ff
+from klsym.cli import console_main
+code = console_main(sys.argv[1:])
+print(sorted(f.size for f in ff._mult_cache), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,tables", [
+    (["points", "-p", "3", "-D", "14"], []),
+    (["symk", "-p", BIG_LEVEL, "-k", "1", "-D", "1"], []),
+    (["symk", "-p", "3", "-a", "100000000", "-k", "1", "-D", "1"], []),
+    (["symk", "-p", "3", "-n", "100000000", "-k", "1", "-D", "0"], []),
+    # the point is canonicalised on the 6-entry table of F_7 first
+    (["sum", "-p", "7", "-n", "100000000", "-d", "1", "--rep-int", "1"], [7]),
+    (["cache", "stat", "--cache", "{cache}"], []),
+], ids=["points-D", "symk-p", "symk-a", "symk-n", "sum-n", "cache-level"])
+def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
+    cache = tmp_path / "c.txt"
+    cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|{BIG_LEVEL}:[1,0]\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    env.pop(cli.CACHE_ENV, None)
+    # a hang fails on the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *(arg.format(cache=cache) for arg in argv)],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(("error: ", "usage error: "))
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == tables
 
 
 def test_torn_final_record_is_skipped_and_repaired(tmp_path):

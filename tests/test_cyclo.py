@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from klsym.cyclo import CycInt, is_prime, ord_p
 from klsym.errors import UsageError
@@ -171,3 +172,14 @@ def test_serialization_roundtrip_and_rejects():
 def test_mixed_levels_rejected():
     with pytest.raises(ValueError):
         CycInt.one(3) + CycInt.one(5)
+
+
+@given(st.text() | st.text(alphabet="0123456789:[],-\xff\udcff"))
+@example("1000000000000000000000000000057:[1,0]")
+@example("3:[1,\xff]")
+@example("3:[1,\udcff]")  # a \xff byte as the sum cache reads it
+def test_deserialize_raises_only_value_or_usage_error(text):
+    try:
+        CycInt.deserialize(text)
+    except (ValueError, UsageError):
+        pass

@@ -1,6 +1,7 @@
 """Exponential sum engine: frozen values, dual routes, twists, cache."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from klsym.cyclo import CycInt
 from klsym.errors import CacheError, ResourceError, UsageError
@@ -17,7 +18,7 @@ from oracles import direct_reference
 
 
 def _point(base, rep_coords, d):
-    pts = closed_points(base, d, max_degree=max(d, 4))
+    pts = closed_points(base, d)
     for pt in pts:
         if pt.degree == d and pt.rep == rep_coords:
             return pt
@@ -249,3 +250,20 @@ def test_record_format_shape():
         parse_record("v2|" + key + "|3:[1,0]")
     with pytest.raises(CacheError):
         parse_record(f"v1|{key}|5:[1,0,0,0]")  # wrong level for p=3
+
+
+# records that reach the key and value parsers, and arbitrary text
+_record_parts = st.lists(st.text(alphabet="0123456789,[]:-\xff\udcff"),
+                         min_size=6, max_size=6)
+_records = st.text() | _record_parts.map(lambda parts: "|".join(["v1"] + parts))
+
+
+@given(_records)
+@example("v1|3,1,[0,1]|1|1|[1]|1|1000000000000000000000000000057:[1,0]")
+@example("v1|3,1,[0,1]|1|1|[1]|1|3:[1,\xff]")
+@example("v1|3,1,[0,1]|1|1|[1]|1|3:[1,\udcff]")  # a \xff byte as the cache reads it
+def test_parse_record_raises_only_cache_error(line):
+    try:
+        parse_record(line)
+    except CacheError:
+        pass

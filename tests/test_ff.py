@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 import sympy
 
+import klsym.ff as ff
 from klsym.errors import ResourceError, UsageError
 from klsym.ff import (
     ClosedPoint,
+    Field,
     canonical_modulus,
     closed_points,
     degree_count,
@@ -16,6 +18,7 @@ from klsym.ff import (
     make_field,
     orbit_rep,
     point_field,
+    points_up_to,
 )
 
 X = sympy.symbols("x")
@@ -112,6 +115,23 @@ def test_trace_matches_power_sum_definition():
                 y = field.frobenius(y)
             assert not any(s[1:])
             assert field.trace_abs(x) == s[0]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_trace_vector_from_modulus_matches_frobenius(p, k):
+    """Tr(X^i) by Newton's identities equals the sum of its Frobenius conjugates."""
+    moduli = [tail + (1,) for tail in itertools.product(range(p), repeat=k)
+              if is_irreducible(tail + (1,), p)]
+    assert len(moduli) == degree_count(p, k)  # every monic irreducible
+    for modulus in moduli:
+        field = Field(p, k, modulus)
+        for i in range(k):
+            s = field.zero
+            y = tuple(int(j == i) for j in range(k))  # X^i
+            for _ in range(k):
+                s = field.add(s, y)
+                y = field.frobenius(y)
+            assert s == (field._trace_vector()[i],) + (0,) * (k - 1)
 
 
 def test_trace_additive():
@@ -237,10 +257,17 @@ def test_closed_point_orbits_disjoint_and_canonical():
         all_seen |= orbit
 
 
-def test_degree_cap_enforced():
+def test_degree_cap_enforced(monkeypatch):
+    # the field-size cap is the one bound, checked before any table is built
+    F3 = make_field(3, 1)
+    assert len(closed_points(F3, 5)) == degree_count(3, 5)
+
+    def no_table(field):
+        raise AssertionError(f"built the table of {field!r}")
+
+    monkeypatch.setattr(ff, "_MultData", no_table)
     with pytest.raises(ResourceError):
-        closed_points(make_field(3, 1), 5)
-    assert len(closed_points(make_field(3, 1), 5, max_degree=5)) == degree_count(3, 5)
+        points_up_to(F3, 14)
 
 
 def test_orbit_rep_canonicalizes():

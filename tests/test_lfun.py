@@ -38,7 +38,7 @@ def _ev(p=3, k=1):
 
 
 def _pt(base, rep, d=1):
-    for pt in closed_points(base, max(d, 1), max_degree=max(d, 4)):
+    for pt in closed_points(base, max(d, 1)):
         if pt.degree == d and pt.rep == rep:
             return pt
     raise AssertionError

@@ -149,7 +149,7 @@ def test_verify_above_inconclusive_reports_requirement():
            CoeffPoint(2, F(1, 2), False)]
     v = verify_above(pts, _hodge13())
     assert v.status == "inconclusive"
-    assert v.witness["need_ordq"] == [1, 1]
+    assert v.witness["need_ordq"] == Fraction(1)
     # with the bound pushed to the polygon the verdict flips to pass
     pts[2] = CoeffPoint(2, F(1), False)
     assert verify_above(pts, _hodge13()).status == "pass"
@@ -179,7 +179,7 @@ def test_compare_agrees_on_identical_polygons():
     b = _exact([0, 0, 1, 3])
     v = compare_slope_range(a, b, F(1))
     assert v.status == "agree"
-    assert v.witness["through_x"] == [2, 1]
+    assert v.witness["through_x"] == Fraction(2)
 
 
 def test_compare_detects_disagreement():
