@@ -32,12 +32,10 @@ from .errors import (
 from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, parse_key
 from .ff import make_field, orbit_rep, point_field, points_up_to
 from .lfun import (
-    LocalSeries,
     euler_product,
-    inverse_factor_series,
     local_factor,
     sym_inf_local,
-    sym_k_factor,
+    symk_local,
     unit_root_local,
 )
 from .padic import PadicExponent
@@ -83,16 +81,19 @@ def _validate(config: RunConfig):
         raise UsageError("need at least one worker")
     if config.k is not None and config.kappa_digits is not None:
         raise UsageError("give either an integer exponent or digits, not both")
-    if config.mode in ("symk", "compare-slopes"):
-        if config.k is None:
-            raise UsageError(f"mode {config.mode} needs an integer exponent k")
-        if config.k < 0:
-            raise UsageError("k must be nonnegative")
-    else:
-        if config.k is None and config.kappa_digits is None:
-            raise UsageError(f"mode {config.mode} needs an exponent")
+    if config.mode in ("symk", "compare-slopes") and config.k is None:
+        raise UsageError(f"mode {config.mode} needs an integer exponent k")
+    if config.k is None and config.kappa_digits is None:
+        raise UsageError(f"mode {config.mode} needs an exponent")
+    if _builds_symk(config) and config.k < 0:
+        raise UsageError("k must be nonnegative")
     if config.V is not None and config.V < 1:
         raise UsageError("precision target V must be positive")
+
+
+def _builds_symk(config: RunConfig) -> bool:
+    """An integer exponent builds the exact Sym^k series, but not in p-adic modes."""
+    return config.k is not None and config.mode not in ("syminf", "unitroot")
 
 
 def _kappa(config: RunConfig) -> PadicExponent:
@@ -138,16 +139,17 @@ def series(base, factors, D: int, local, workers: int = 1):
     """Euler product of the local factors of every point of degree <= D.
 
     local(lf, R) expands the inverse local factor lf at its point to
-    T-degree R * degree, as a LocalSeries.
+    T-degree R * degree, as a LocalSeries.  The points of the factors are
+    the coverage the product checks, so a run derives them only once.
     """
     return euler_product(base, _pmap(
-        lambda lf: local(lf, D // lf.point.degree), factors, workers), D)
+        lambda lf: local(lf, D // lf.point.degree), factors, workers), D,
+        [lf.point for lf in factors])
 
 
 def series_symk(base, factors, k: int, D: int, workers: int = 1):
     """Exact finite symmetric power L-series truncated at degree D."""
-    return series(base, factors, D, lambda lf, R: LocalSeries(
-        lf.point, inverse_factor_series(sym_k_factor(lf, k), R)), workers)
+    return series(base, factors, D, lambda lf, R: symk_local(lf, k, R), workers)
 
 
 def series_syminf(base, factors, kappa: PadicExponent, V: int, D: int,
@@ -301,6 +303,11 @@ def run(config: RunConfig):
     # the sums at the points of degree max(D, 1) live here; refuse an
     # oversize run before any table is built
     point_field(base, max(config.D, 1) * (config.n + 1))
+    # at a point of degree d the Sym^k series takes about (D/d) k^2 products
+    if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
+        raise ResourceError(
+            f"Sym^{config.k} series to degree {config.D} needs "
+            f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -333,8 +340,7 @@ def run(config: RunConfig):
     padic_only = mode in ("syminf", "unitroot")
     kappa = _kappa(config)  # bad digits fail before any sum is computed
     factors = local_factors(ev, n, D, config.workers)
-    # verify reads the exact series only when the exponent is an integer
-    if not padic_only and config.k is not None:
+    if _builds_symk(config):
         gs_fin = series_symk(base, factors, config.k, D, config.workers)
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
@@ -524,7 +530,8 @@ def _add_run_args(sp):
     sp.add_argument("--workers", type=int, default=1,
                     help="threads for per-point work")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="refuse sums needing more than this many steps")
+                    help="refuse sums or Sym^k series needing more than "
+                         "this many steps")
     sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
                     default=os.environ.get(CACHE_ENV),
                     help=f"sum cache file (default ${CACHE_ENV})")

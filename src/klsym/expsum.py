@@ -1,13 +1,12 @@
 """Hyper-Kloosterman sums Kl_n(t, m), exact in Z[zeta_p].
 
 Kl_n(t, m) sums zeta_p^(absolute trace of x_1 + ... + x_n + t/(x_1...x_n))
-over n-tuples of nonzero elements of the m-th extension of t's field.  Two
-independent routes are implemented: direct enumeration in discrete-log
-coordinates (the last variable is closed by an index lookup of t/prod x,
-so inner loops touch only small integers), and a full table over one field
-built by the convolution recursion g_j(t) = sum_x psi(x) g_{j-1}(t/x).
-Values are memoised in an append-only, versioned text cache keyed by every
-parameter that pins the tower, so distinct moduli never alias.
+over n-tuples of nonzero elements of the m-th extension of t's field, by
+direct enumeration in discrete-log coordinates: the last variable is
+closed by an index lookup of t/prod x, so inner loops touch only small
+integers.  Values are memoised in an append-only, versioned text cache
+keyed by every parameter that pins the tower, so distinct moduli never
+alias.
 """
 
 from __future__ import annotations
@@ -39,31 +38,6 @@ def _direct_sum(n: int, field: Field, t) -> CycInt:
         phases = c + tr + trD[b - S + 1 : b + 1][::-1]
         counts += np.bincount(phases, minlength=(n + 1) * p)
     return CycInt.from_powers(p, enumerate(counts))
-
-
-def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
-    """Kl_n(t) for every t in field^*, by the convolution recursion.
-
-    Returns a dict from element coordinates to CycInt.  O(n |F|^2)
-    character operations, independent of the direct route.
-    """
-    if n < 1:
-        raise UsageError("dimension must be >= 1")
-    S = field.size - 1
-    if n * S * S > 4 * budget:
-        raise ResourceError(f"table work n*|F|^2 = {n * S * S} exceeds budget")
-    p = field.p
-    md = _mult_data(field)
-    tr = md.tr
-    G = np.zeros((S, p), dtype=np.int64)
-    G[np.arange(S), tr % p] = 1
-    perms = [np.array([(c + t) % p for c in range(p)]) for t in range(p)]
-    for _ in range(n):
-        H = np.zeros_like(G)
-        for u in range(S):
-            H[:, perms[int(tr[u]) % p]] += np.roll(G, u, axis=0)
-        G = H
-    return {md.power(i): CycInt.from_powers(p, enumerate(G[i])) for i in range(S)}
 
 
 # ---------------------------------------------------------------------------

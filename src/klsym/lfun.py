@@ -7,7 +7,8 @@ identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
 each step, so no p-adic inversions touch the exact layer.  Symmetric
 powers go through power sums as well: the m-th power sum of Sym^k is
 h_k(pi^m), built from the base power sums p_(i m) by the h-p Newton
-relation, and the same recurrence turns those into coefficients.  The
+relation, and the same recurrence turns the first R of them into the
+series coefficients to T^(R d), without the whole Sym^k polynomial.  The
 infinite symmetric power local series needs the eigenvalues themselves and
 is assembled p-adically from a slope split.  Euler products multiply
 inverse local factors over all closed points up to a degree cap and verify
@@ -17,7 +18,6 @@ Galois descent of every global coefficient.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .cyclo import CycInt
@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .expsum import KloostermanEvaluator
-from .ff import ClosedPoint, points_up_to
+from .ff import ClosedPoint
 from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, slope_split
 
 
@@ -136,49 +136,7 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalF
 
 
 # ---------------------------------------------------------------------------
-# finite symmetric powers
-
-
-def sym_k_factor(lf: LocalFactor, k: int):
-    """Coefficients of prod over |alpha| = k of (1 - pi^alpha T).
-
-    Degree dim = binom(n+k, k).  The eigenvalues pi^alpha of Sym^k have
-    power sums p_m = h_k(pi^m), and the pi_j^m have power sums p_(i m).
-    Since j h_j = sum_i p_i h_(j-i), h_k is e_k of the power sums
-    (-1)^(i-1) p_i, so one Newton recurrence gives each p_m and then the
-    coefficients.  Every division is exact; the result stays in Z[zeta_p].
-    """
-    if k < 0:
-        raise UsageError("symmetric power must be nonnegative")
-    if k == 0:
-        return [CycInt.from_int(lf.coeffs[0].p, 1)]
-    dim = math.comb(lf.n + k, k)
-    base = eigen_power_sums(list(lf.coeffs), k * dim)
-    sym = [elementary_from_power_sums(
-        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
-        for m in range(1, dim + 1)]
-    return _factor_from_power_sums(sym)
-
-
-# ---------------------------------------------------------------------------
-# truncated series utilities (plain coefficient lists, index = T power)
-
-
-def inverse_factor_series(coeffs, R):
-    """First R+1 coefficients of 1 / sum a_i T^i with a_0 = 1, exact."""
-    p = coeffs[0].p
-    deg = len(coeffs) - 1
-    out = [CycInt.from_int(p, 1)]
-    for r in range(1, R + 1):
-        acc = CycInt.zero(p)
-        for i in range(1, min(r, deg) + 1):
-            acc = acc + coeffs[i] * out[r - i]
-        out.append(-acc)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# infinite symmetric power and unit-root series
+# local series
 
 
 @dataclass
@@ -189,6 +147,34 @@ class LocalSeries:
     coeffs: list  # index r is the coefficient of T^(r * degree)
     cert: int | None = None  # uniform pi-adic certificate; None when exact
     info: dict = field(default_factory=dict)
+
+
+def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
+    """Series of 1 / prod over |alpha| = k of (1 - pi^alpha T^d), to r = R.
+
+    j h_j = sum_i p_i h_(j-i) (Macdonald I.2), as e_j of the sums
+    (-1)^(i-1) p_i, gives the power sums h_k(pi^m) of the eigenvalues
+    pi^alpha from the base p_(i m), then their h_r, the coefficients: k R
+    base power sums and R k^2 products, whatever binom(n+k, k) is.  Each
+    division is checked exact.  k = 0 keeps the empty product's series.
+    """
+    if k < 0:
+        raise UsageError("symmetric power must be nonnegative")
+    p = lf.coeffs[0].p
+    one = CycInt.from_int(p, 1)
+    if k == 0 or R == 0:
+        return LocalSeries(lf.point, [one] + [CycInt.zero(p)] * R)
+    base = eigen_power_sums(list(lf.coeffs), k * R)
+    sym = [elementary_from_power_sums(
+        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        for m in range(1, R + 1)]
+    hs = elementary_from_power_sums(
+        [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R)
+    return LocalSeries(lf.point, [one] + hs)
+
+
+# ---------------------------------------------------------------------------
+# infinite symmetric power and unit-root series
 
 
 def sym_inf_weights(n: int, wmax: int):
@@ -262,8 +248,8 @@ class GlobalSeries:
     integers: list | None  # populated in exact mode
 
 
-def _check_coverage(base, contributions, D):
-    expected = {(pt.degree, pt.rep) for pt in points_up_to(base, D)}
+def _check_coverage(points, contributions, D):
+    expected = {(pt.degree, pt.rep) for pt in points}
     got = [(ls.point.degree, ls.point.rep) for ls in contributions]
     if len(got) != len(set(got)):
         raise UsageError("duplicate closed points in Euler product")
@@ -275,17 +261,18 @@ def _check_coverage(base, contributions, D):
             f"missing {sorted(missing)}, extra {sorted(extra)}")
 
 
-def euler_product(base, contributions, D: int) -> GlobalSeries:
+def euler_product(base, contributions, D: int, points) -> GlobalSeries:
     """Multiply inverse local factors over all closed points of degree <= D.
 
     Contributions are merged in canonical point order, so the result does
-    not depend on the order the caller produced them in.  In exact mode
+    not depend on the order the caller produced them in.  They must cover
+    points, the closed points of degree <= D, once each.  In exact mode
     every global coefficient must be a rational integer; in p-adic mode it
     must be Galois-invariant to the uniform certificate.  Violations raise
     IntegralityFindingError naming the first bad coefficient.
     """
     contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
-    _check_coverage(base, contributions, D)
+    _check_coverage(points, contributions, D)
     p = base.p
     exact = all(ls.cert is None for ls in contributions)
     if not exact and any(ls.cert is None for ls in contributions):

@@ -6,10 +6,16 @@ algorithm, so a test can require the two to agree:
 * ``sym_k_factor_berkowitz``: the Sym^k local factor as the division-free
   Berkowitz characteristic polynomial of the explicit Sym^k matrix of the
   companion matrix, O(dim^4) with dim = binom(n+k, k);
+* ``sym_k_factor`` and ``inverse_factor_series``: the same factor from
+  k dim base power sums by the Newton identities, and its inverse as a
+  power series by long division, against ``lfun.symk_local``, which never
+  forms the degree-dim polynomial;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
   extension fields, bypassing local factors altogether;
+* ``kloosterman_table``: Kl_n at every element of one field by the
+  convolution recursion, against the direct enumeration in ``expsum``;
 * ``direct_reference``: one Kloosterman sum by brute force with field
   arithmetic only, no discrete-log table;
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration.
@@ -19,17 +25,27 @@ tests need.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
-they check.
+they check.  ``sym_k_factor`` is the exception: it shares the Newton
+helpers of ``lfun`` and checks the truncation to R power sums, not them.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
+import numpy as np
+
 from klsym.cyclo import CycInt
-from klsym.errors import UsageError
-from klsym.expsum import KloostermanEvaluator, kloosterman_table
-from klsym.ff import embed, make_field
-from klsym.lfun import LocalFactor, LocalSeries
+from klsym.errors import ResourceError, UsageError
+from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
+from klsym.ff import Field, _mult_data, embed, make_field
+from klsym.lfun import (
+    LocalFactor,
+    LocalSeries,
+    _factor_from_power_sums,
+    eigen_power_sums,
+    elementary_from_power_sums,
+)
 from klsym.padic import PadicCyc, PadicExponent, one_unit_power, ord_p, slope_split
 
 
@@ -218,6 +234,44 @@ def sym_k_factor_berkowitz(lf: LocalFactor, k: int):
 
 
 # ---------------------------------------------------------------------------
+# finite symmetric powers: the whole polynomial, then its inverse series
+
+
+def sym_k_factor(lf: LocalFactor, k: int):
+    """Coefficients of prod over |alpha| = k of (1 - pi^alpha T).
+
+    Degree dim = binom(n+k, k).  The eigenvalues pi^alpha of Sym^k have
+    power sums p_m = h_k(pi^m), and the pi_j^m have power sums p_(i m).
+    Since j h_j = sum_i p_i h_(j-i), h_k is e_k of the power sums
+    (-1)^(i-1) p_i, so one Newton recurrence gives each p_m and then the
+    coefficients.  Every division is exact; the result stays in Z[zeta_p].
+    """
+    if k < 0:
+        raise UsageError("symmetric power must be nonnegative")
+    if k == 0:
+        return [CycInt.from_int(lf.coeffs[0].p, 1)]
+    dim = math.comb(lf.n + k, k)
+    base = eigen_power_sums(list(lf.coeffs), k * dim)
+    sym = [elementary_from_power_sums(
+        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        for m in range(1, dim + 1)]
+    return _factor_from_power_sums(sym)
+
+
+def inverse_factor_series(coeffs, R):
+    """First R+1 coefficients of 1 / sum a_i T^i with a_0 = 1, exact."""
+    p = coeffs[0].p
+    deg = len(coeffs) - 1
+    out = [CycInt.from_int(p, 1)]
+    for r in range(1, R + 1):
+        acc = CycInt.zero(p)
+        for i in range(1, min(r, deg) + 1):
+            acc = acc + coeffs[i] * out[r - i]
+        out.append(-acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # infinite symmetric power through power sums
 
 
@@ -251,6 +305,35 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
         out.append(acc.divide_exact_int(r))
     cert = min([V] + [c.vcert for c in out])
     return LocalSeries(lf.point, out, cert, {})
+
+
+# ---------------------------------------------------------------------------
+# Kloosterman sums over a whole field by convolution
+
+
+def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
+    """Kl_n(t) for every t in field^*, by the convolution recursion.
+
+    Returns a dict from element coordinates to CycInt.  O(n |F|^2)
+    character operations, independent of the direct route.
+    """
+    if n < 1:
+        raise UsageError("dimension must be >= 1")
+    S = field.size - 1
+    if n * S * S > 4 * budget:
+        raise ResourceError(f"table work n*|F|^2 = {n * S * S} exceeds budget")
+    p = field.p
+    md = _mult_data(field)
+    tr = md.tr
+    G = np.zeros((S, p), dtype=np.int64)
+    G[np.arange(S), tr % p] = 1
+    perms = [np.array([(c + t) % p for c in range(p)]) for t in range(p)]
+    for _ in range(n):
+        H = np.zeros_like(G)
+        for u in range(S):
+            H[:, perms[int(tr[u]) % p]] += np.roll(G, u, axis=0)
+        G = H
+    return {md.power(i): CycInt.from_powers(p, enumerate(G[i])) for i in range(S)}
 
 
 # ---------------------------------------------------------------------------

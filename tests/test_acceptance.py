@@ -13,9 +13,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from klsym.cli import RunConfig, local_factors, run, series_syminf, series_symk
-from klsym.expsum import KloostermanEvaluator, _direct_sum, kloosterman_table
+from klsym.expsum import KloostermanEvaluator, _direct_sum
 from klsym.ff import make_field, points_up_to
-from klsym.lfun import local_factor, sym_inf_local, sym_k_factor
+from klsym.lfun import local_factor, sym_inf_local
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -30,7 +30,12 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
-from oracles import _hodge_coeffs_bruteforce, sym_inf_local_hsum
+from oracles import (
+    _hodge_coeffs_bruteforce,
+    kloosterman_table,
+    sym_inf_local_hsum,
+    sym_k_factor,
+)
 
 F = Fraction
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import klsym
-from klsym import cli
+from klsym import cli, ff
 from klsym.cli import (
     MAX_RETRIES,
     RunConfig,
@@ -17,7 +17,7 @@ from klsym.cli import (
     default_precision,
     run,
 )
-from klsym.errors import PrecisionError
+from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import KloostermanEvaluator, SumCache
 from klsym.ff import closed_points, make_field, orbit_rep, points_up_to
 from klsym.polygon import Verdict
@@ -282,10 +282,12 @@ sys.exit(code)
     (["symk", "-p", BIG_LEVEL, "-k", "1", "-D", "1"], []),
     (["symk", "-p", "3", "-a", "100000000", "-k", "1", "-D", "1"], []),
     (["symk", "-p", "3", "-n", "100000000", "-k", "1", "-D", "0"], []),
+    (["symk", "-p", "3", "-k", "100000000", "-D", "1"], []),
     # the point is canonicalised on the 6-entry table of F_7 first
     (["sum", "-p", "7", "-n", "100000000", "-d", "1", "--rep-int", "1"], [7]),
     (["cache", "stat", "--cache", "{cache}"], []),
-], ids=["points-D", "symk-p", "symk-a", "symk-n", "sum-n", "cache-level"])
+], ids=["points-D", "symk-p", "symk-a", "symk-n", "symk-k", "sum-n",
+        "cache-level"])
 def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
     cache = tmp_path / "c.txt"
     cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|{BIG_LEVEL}:[1,0]\n")
@@ -341,6 +343,37 @@ def test_run_builds_each_local_factor_once(monkeypatch):
     points = points_up_to(make_field(3, 1), 4)
     assert len(points) == 31
     assert sorted(built) == sorted(pt.sort_key() for pt in points)
+
+
+def test_run_derives_the_closed_points_once(monkeypatch):
+    degrees = []
+    real = ff.closed_points
+
+    def counting(base, d):
+        degrees.append(d)
+        return real(base, d)
+
+    monkeypatch.setattr(ff, "closed_points", counting)
+    report, code = run(RunConfig(p=3, n=1, mode="verify-newton-hodge",
+                                 k=2, D=4, V=4))
+    assert code == 0
+    assert report["derived"]["attempts"] == 3
+    assert degrees == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("mode", ["symk", "verify-newton-hodge",
+                                  "compare-slopes"])
+def test_symk_work_is_bounded_by_the_budget(mode):
+    # D k^2 = 3 * 2^2 products against a budget of 11
+    with pytest.raises(ResourceError, match=r"D\*k\^2 = 12 products, budget 11"):
+        run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
+
+
+@pytest.mark.parametrize("mode", ["syminf", "unitroot"])
+def test_padic_modes_do_not_count_symk_work(mode):
+    # the same run reaches its sums, which the budget then refuses
+    with pytest.raises(ResourceError, match="sum over"):
+        run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
 
 
 def test_retry_doubles_precision_then_reports():

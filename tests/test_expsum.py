@@ -9,12 +9,11 @@ from klsym.expsum import (
     KloostermanEvaluator,
     SumCache,
     _direct_sum,
-    kloosterman_table,
     parse_record,
     record_key,
 )
 from klsym.ff import closed_points, embed, make_field, orbit_rep
-from oracles import direct_reference
+from oracles import direct_reference, kloosterman_table
 
 
 def _point(base, rep_coords, d):

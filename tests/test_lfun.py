@@ -18,16 +18,17 @@ from klsym.lfun import (
     elementary_from_power_sums,
     eigen_power_sums,
     euler_product,
-    inverse_factor_series,
     local_factor,
     sym_inf_local,
-    sym_k_factor,
+    symk_local,
     unit_root_local,
 )
 from klsym.padic import PadicCyc, PadicExponent
 from oracles import (
     from_rational,
+    inverse_factor_series,
     sym_inf_local_hsum,
+    sym_k_factor,
     sym_k_factor_berkowitz,
     trace_sums_route,
 )
@@ -215,6 +216,30 @@ def test_sym_k_matches_berkowitz_oracle(p, a, n, k, D):
         assert sym_k_factor(lf, k) == sym_k_factor_berkowitz(lf, k)
 
 
+@pytest.mark.parametrize("p,a,n,k,D", [
+    (3, 1, 1, 0, 3), (3, 1, 1, 1, 3), (3, 1, 1, 2, 3), (3, 1, 1, 6, 3),
+    (3, 1, 2, 0, 2), (3, 1, 2, 1, 2), (3, 1, 2, 2, 2), (3, 1, 2, 6, 2),
+    (3, 1, 3, 3, 1), (3, 2, 1, 3, 2), (3, 1, 1, 20, 2)])
+def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
+    ev = _ev(p, a)
+    for pt in points_up_to(ev.base, D):
+        lf = local_factor(ev, n, pt)
+        R = D // pt.degree
+        ls = symk_local(lf, k, R)
+        assert ls.point == pt and ls.cert is None
+        assert ls.coeffs == inverse_factor_series(sym_k_factor(lf, k), R)
+
+
+def test_symk_local_edge_cases():
+    base = make_field(3, 1)
+    lf = local_factor(_ev(), 1, _pt(base, (1,)))
+    # Sym^0 keeps the inverse of the empty product
+    assert [c.as_integer() for c in symk_local(lf, 0, 3).coeffs] == [1, 0, 0, 0]
+    assert [c.as_integer() for c in symk_local(lf, 4, 0).coeffs] == [1]
+    with pytest.raises(UsageError, match="nonnegative"):
+        symk_local(lf, -1, 2)
+
+
 def test_inverse_factor_series():
     cs = inverse_factor_series(_ints(3, 1, -1, 3), 4)
     # 1/(1 - T + 3T^2) = 1 + T - 2T^2 - 5T^3 + T^4 + ...
@@ -313,7 +338,8 @@ def _exact_contribs(ev, n, k, D):
 
 def test_euler_product_sym1_frozen_c1():
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3)
+    gs = euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3,
+                       points_up_to(ev.base, 3))
     assert gs.integers[0] == 1
     assert gs.integers[1] == -1
 
@@ -321,7 +347,8 @@ def test_euler_product_sym1_frozen_c1():
 @pytest.mark.parametrize("n,k,D", [(1, 1, 3), (1, 2, 2), (2, 1, 2)])
 def test_euler_product_matches_trace_sums(n, k, D):
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, n, k, D), D)
+    gs = euler_product(ev.base, _exact_contribs(ev, n, k, D), D,
+                       points_up_to(ev.base, D))
     oracle = trace_sums_route(ev, n, k, D)
     assert [c.as_integer() for c in oracle] == gs.integers
 
@@ -329,10 +356,13 @@ def test_euler_product_matches_trace_sums(n, k, D):
 def test_euler_product_coverage_errors():
     ev = _ev()
     contribs = _exact_contribs(ev, 1, 1, 2)
+    points = points_up_to(ev.base, 2)
     with pytest.raises(UsageError, match="missing"):
-        euler_product(ev.base, contribs[:-1], 2)
+        euler_product(ev.base, contribs[:-1], 2, points)
     with pytest.raises(UsageError, match="duplicate"):
-        euler_product(ev.base, contribs + [contribs[0]], 2)
+        euler_product(ev.base, contribs + [contribs[0]], 2, points)
+    with pytest.raises(UsageError, match="extra"):
+        euler_product(ev.base, contribs, 2, points[:-1])
 
 
 def test_euler_product_integrality_finding():
@@ -342,7 +372,7 @@ def test_euler_product_integrality_finding():
     bad = [LocalSeries(ls.point, [c * 1 for c in ls.coeffs]) for ls in contribs]
     bad[0].coeffs[1] = bad[0].coeffs[1] + z  # breaks Galois descent
     with pytest.raises(IntegralityFindingError):
-        euler_product(ev.base, bad, 2)
+        euler_product(ev.base, bad, 2, points_up_to(ev.base, 2))
 
 
 def test_euler_product_padic_mode_and_galois_check():
@@ -353,11 +383,11 @@ def test_euler_product_padic_mode_and_galois_check():
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)
         contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree, a=1))
-    gs = euler_product(base, contribs, 2)
+    gs = euler_product(base, contribs, 2, points_up_to(base, 2))
     assert gs.cert is not None and gs.cert >= 6
     assert gs.integers is None
     # order of contributions must not matter
-    gs2 = euler_product(base, list(reversed(contribs)), 2)
+    gs2 = euler_product(base, list(reversed(contribs)), 2, points_up_to(base, 2))
     for x, y in zip(gs.coeffs, gs2.coeffs):
         assert x.rep == y.rep and x.vcert == y.vcert
 
@@ -373,7 +403,7 @@ def test_euler_product_padic_integrality_finding():
     z = PadicCyc.embed(CycInt.zeta(3), contribs[0].coeffs[1].N)
     contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
     with pytest.raises(IntegralityFindingError):
-        euler_product(base, contribs, 1)
+        euler_product(base, contribs, 1, points_up_to(base, 1))
 
 
 def test_euler_product_rejects_mixed_modes():
@@ -384,4 +414,4 @@ def test_euler_product_rejects_mixed_modes():
     mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1, a=1)]
     mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
     with pytest.raises(UsageError):
-        euler_product(ev.base, mixed, 1)
+        euler_product(ev.base, mixed, 1, points_up_to(ev.base, 1))
