@@ -472,6 +472,8 @@ def cmd_local(args) -> int:
 
 def cmd_cache(args) -> int:
     t0 = time.perf_counter()
+    if args.sample < 0:
+        raise UsageError("--sample must be nonnegative")
     cache = SumCache(args.cache_path)
     if args.action == "stat":
         body = {"cache_stat": {"path": args.cache_path, "records": len(cache)}}
@@ -488,9 +490,13 @@ def cmd_cache(args) -> int:
         p, a, modulus, n, d, rep, m = parse_key(key)
         base = make_field(p, a, modulus)
         field = point_field(base, d)
-        pt = orbit_rep(base, field, field.element(rep))
         fresh = KloostermanEvaluator(base, None, args.budget)
-        ok = pt.rep == rep and fresh.kloosterman(n, pt, m) == value
+        try:
+            pt = orbit_rep(base, field, field.element(rep))
+        except ValueError:  # zero, or in a proper subfield: no point of degree d
+            ok = False
+        else:
+            ok = pt.rep == rep and fresh.kloosterman(n, pt, m) == value
         checked.append(lineno)
         if not ok:
             bad.append(lineno)

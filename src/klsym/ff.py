@@ -8,10 +8,13 @@ X, enumerated and compared in the same lexicographic order.  Every choice
 is canonical so that independent runs build identical towers and cache
 keys never alias.
 
-This module also owns the one multiplicative model of each field: a
-discrete-log and trace table over its least generator (``_mult_data``).
-Closed points, orbit representatives and subfield embeddings all read
-it, because Frobenius acts on discrete logs as multiplication by q.
+Multiplication by y is an F_p-linear map; its k x k matrix (row i is
+X^i y) is the one route for every product, power and trace here.  The
+one multiplicative model of each field, a discrete-log and trace table
+over its least generator (``_mult_data``), steps blocks of about
+sqrt(|F|) powers by one matrix product.  Closed points, orbit
+representatives and subfield embeddings all read it, because Frobenius
+acts on discrete logs as multiplication by q.
 """
 
 from __future__ import annotations
@@ -40,17 +43,6 @@ def _pnorm(f):
     return tuple(f[:i])
 
 
-def _pmul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pnorm(out)
-
-
 def _pmod(f, g, p):
     f = list(f)
     dg = len(g) - 1
@@ -73,22 +65,39 @@ def _pgcd(f, g, p):
     return f
 
 
-def _ppow_x(e, g, p):
-    """X^e mod g by square and multiply."""
-    base = _pmod((0, 1), g, p)
-    result = _pmod((1,), g, p)
+def _mul_matrix(y, modulus, p):
+    """The k x k matrix of multiplication by y in F_p[X]/(modulus): row i is X^i y.
+
+    A product x y is the row vector x times this matrix.  int64 is exact:
+    every entry of a product of two reduced matrices is below
+    k (p-1)^2 < 2^63 under MAX_FIELD_SIZE.
+    """
+    k = len(modulus) - 1
+    lead = pow(modulus[-1], p - 2, p)
+    top = np.array([-c * lead % p for c in modulus[:k]], dtype=np.int64)  # X^k mod the modulus
+    out = np.zeros((k, k), dtype=np.int64)
+    out[0, : len(y)] = y
+    for i in range(1, k):
+        out[i, 1:] = out[i - 1, :-1]
+        out[i] = (out[i] + out[i - 1, -1] * top) % p
+    return out
+
+
+def _mat_pow(m, e, p):
+    """m^e mod p by square and multiply."""
+    out = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), g, p)
-        base = _pmod(_pmul(base, base, p), g, p)
+            out = out @ m % p
+        m = m @ m % p
         e >>= 1
-    return result
+    return out
 
 
-def _minus_x(poly, p):
-    out = list(poly) + [0] * (2 - len(poly))
-    out[1] = (out[1] - 1) % p
-    return _pnorm(out)
+def _x_pow_minus_x(e, g, p):
+    """X^e - X mod g for deg g >= 2, from the e-th power of the matrix of X."""
+    x = _mul_matrix((0, 1), g, p)
+    return _pnorm(tuple(((_mat_pow(x, e, p)[0] - x[0]) % p).tolist()))
 
 
 def is_irreducible(f, p) -> bool:
@@ -99,10 +108,10 @@ def is_irreducible(f, p) -> bool:
         return False
     if k == 1:
         return True
-    if _minus_x(_ppow_x(p**k, f, p), p):
+    if _x_pow_minus_x(p**k, f, p):
         return False
     for r in _prime_factors(k):
-        g = _pgcd(f, _minus_x(_ppow_x(p ** (k // r), f, p), p), p)
+        g = _pgcd(f, _x_pow_minus_x(p ** (k // r), f, p), p)
         if len(g) != 1:
             return False
     return True
@@ -238,31 +247,13 @@ class Field:
         p = self.p
         return tuple((a + b) % p for a, b in zip(x, y))
 
-    def scalar_mul(self, c, x):
-        p = self.p
-        return tuple((c * a) % p for a in x)
-
     def mul(self, x, y):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    prod[i + j] += a * b
-        red = _pmod(tuple(c % p for c in prod), self.modulus, p)
-        return red + (0,) * (k - len(red))
+        return tuple((np.array(x) @ _mul_matrix(y, self.modulus, self.p) % self.p).tolist())
 
     def pow(self, x, e: int):
         if e < 0:
             return self.pow(self.inv(x), -e)
-        result = self.one
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return tuple(_mat_pow(_mul_matrix(x, self.modulus, self.p), e, self.p)[0].tolist())
 
     def inv(self, x):
         if not any(x):
@@ -276,17 +267,11 @@ class Field:
     # -- traces ---------------------------------------------------------------
 
     def _trace_vector(self):
-        """Tr(X^i) for i < k: the power sums of the roots of the modulus.
-
-        Newton's identities for X^k + a_1 X^(k-1) + ... + a_k, a_j =
-        modulus[k - j]: Tr(X^i) = -(i a_i + sum_(j<i) a_j Tr(X^(i-j))).
-        """
+        """Tr(X^i) for i < k: the trace of the matrix of X^i."""
         if self._trace_vec is None:
-            p, k, a = self.p, self.k, self.modulus[::-1]
-            tv = [k % p]
-            for i in range(1, k):
-                tv.append(-(i * a[i] + sum(a[j] * tv[i - j] for j in range(1, i))) % p)
-            self._trace_vec = tuple(tv)
+            p, k, f = self.p, self.k, self.modulus
+            self._trace_vec = tuple(int(np.trace(_mul_matrix((0,) * i + (1,), f, p))) % p
+                                    for i in range(k))
         return self._trace_vec
 
     def trace_abs(self, x) -> int:
@@ -333,18 +318,24 @@ class _MultData:
     __slots__ = ("field", "S", "code", "dlog", "tr", "trD")
 
     def __init__(self, field: Field):
-        g = field.generator()
-        S = field.size - 1
-        code = np.empty(S, dtype=np.int64)
-        tr = np.empty(S, dtype=np.int64)
-        x = field.one
-        for i in range(S):
-            code[i] = field.to_int(x)
-            tr[i] = field.trace_abs(x)
-            x = field.mul(x, g)
+        p, k, S = field.p, field.k, field.size - 1
+        step = _mul_matrix(field.generator(), field.modulus, p)
+        # the head rows g^0..g^(B-1), doubled until B^2 >= S; step is then M_g^B
+        rows = np.eye(1, k, dtype=np.int64)
+        while len(rows) ** 2 < S:
+            rows = np.concatenate([rows, rows @ step % p])
+            step = step @ step % p
+        # code and (unreduced) trace of a row are its products with these columns
+        cols = np.array([p ** np.arange(k - 1, -1, -1), field._trace_vector()]).T
+        code, tr = np.empty((2, S), dtype=np.int64)
+        for i in range(0, S, len(rows)):
+            # rows holds g^i..g^(i+B-1), and one product by M_g^B gives the next block
+            code[i : i + len(rows)], tr[i : i + len(rows)] = (rows[: S - i] @ cols).T
+            rows = rows @ step % p
+        tr %= p
         dlog = np.full(field.size, -1, dtype=np.int64)
         dlog[code] = np.arange(S)
-        if x != field.one or (dlog[1:] < 0).any():
+        if (dlog[1:] < 0).any():  # S distinct nonzero codes: g has order S
             raise AssertionError("generator order mismatch")
         self.field = field
         self.S = S
@@ -371,41 +362,35 @@ def _mult_data(field: Field) -> _MultData:
 # subfield embeddings
 
 
-def _combine(field: Field, coeffs, pows):
-    """sum_i coeffs[i] * pows[i] in field."""
-    out = field.zero
-    for c, pw in zip(coeffs, pows):
-        if c:
-            out = field.add(out, field.scalar_mul(c, pw))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _root_powers(src: Field, dst: Field):
-    """r^0..r^(f-1), r the lex-least root of src.modulus in dst (X when src == dst).
+    """r^0..r^(f-1) as the rows of a read-only array, r the lex-least root of
+    src.modulus in dst (X when src == dst).
 
     A degree-1 source needs only r^0 = 1; its X may be 0, which has no log.
     """
     if src.p != dst.p or dst.k % src.k != 0:
         raise UsageError(f"{src!r} does not embed into {dst!r}")
     f = src.k
-    if f == 1:
-        return (dst.one,)
-    if src == dst:
-        return tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
-    md = _mult_data(dst)
-    # the nonzero elements of the subfield of size p^f, in lex order
-    sub = np.arange(0, md.S, md.S // (src.size - 1))
-    for e in sub[np.argsort(md.code[sub])].tolist():
-        pows = [md.power(e * i) for i in range(f + 1)]
-        if not any(_combine(dst, src.modulus, pows)):
-            return tuple(pows[:f])
-    raise AssertionError("modulus has no root in the target subfield")
+    pows = np.eye(f, dst.k, dtype=np.int64)
+    if f > 1 and src != dst:
+        md = _mult_data(dst)
+        # the nonzero elements of the subfield of size p^f, in lex order
+        sub = np.arange(0, md.S, md.S // (src.size - 1))
+        for e in sub[np.argsort(md.code[sub])].tolist():
+            pows = np.array([md.power(e * i) for i in range(f + 1)])
+            if not (np.array(src.modulus) @ pows % src.p).any():
+                break
+        else:
+            raise AssertionError("modulus has no root in the target subfield")
+    pows = pows[:f]
+    pows.flags.writeable = False
+    return pows
 
 
 def embed(src: Field, dst: Field, x):
     """Image of x under the ring embedding src -> dst, f | k, fixing F_p."""
-    return _combine(dst, x, _root_powers(src, dst))
+    return tuple((np.array(x) @ _root_powers(src, dst) % dst.p).tolist())
 
 
 # ---------------------------------------------------------------------------

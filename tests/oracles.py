@@ -16,8 +16,12 @@ algorithm, so a test can require the two to agree:
   extension fields, bypassing local factors altogether;
 * ``kloosterman_table``: Kl_n at every element of one field by the
   convolution recursion, against the direct enumeration in ``expsum``;
-* ``direct_reference``: one Kloosterman sum by brute force with field
-  arithmetic only, no discrete-log table;
+* ``mult_tables_reference``: the discrete-log and trace tables of
+  ``ff._MultData`` by one schoolbook product per element, with traces
+  from Newton's identities on the modulus, against the block products of
+  the multiplication matrix in ``ff``;
+* ``direct_reference``: one Kloosterman sum by brute force with the same
+  schoolbook arithmetic, no discrete-log table;
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
@@ -34,11 +38,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import sympy
 
 from klsym.cyclo import CycInt
 from klsym.errors import ResourceError, UsageError
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
-from klsym.ff import Field, _mult_data, embed, make_field
+from klsym.ff import Field, _mult_data, _pmod, embed, make_field
 from klsym.lfun import (
     LocalFactor,
     LocalSeries,
@@ -71,6 +76,80 @@ def times_int(kappa: PadicExponent, m: int) -> PadicExponent:
 
 
 # ---------------------------------------------------------------------------
+# finite field arithmetic by schoolbook products
+
+
+def schoolbook_mul(field: Field, x, y):
+    """x y as a polynomial product reduced by long division by the modulus."""
+    p, k = field.p, field.k
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    red = _pmod(tuple(c % p for c in prod), field.modulus, p)
+    return red + (0,) * (k - len(red))
+
+
+def schoolbook_pow(field: Field, x, e: int):
+    """x^e, e >= 0, by square and multiply on schoolbook_mul."""
+    result = field.one
+    while e:
+        if e & 1:
+            result = schoolbook_mul(field, result, x)
+        x = schoolbook_mul(field, x, x)
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=None)
+def newton_trace_vector(field: Field):
+    """Tr(X^i) for i < k: the power sums of the roots of the modulus.
+
+    Newton's identities for X^k + a_1 X^(k-1) + ... + a_k, a_j =
+    modulus[k - j]: Tr(X^i) = -(i a_i + sum_(j<i) a_j Tr(X^(i-j))).
+    """
+    p, k, a = field.p, field.k, field.modulus[::-1]
+    tv = [k % p]
+    for i in range(1, k):
+        tv.append(-(i * a[i] + sum(a[j] * tv[i - j] for j in range(1, i))) % p)
+    return tuple(tv)
+
+
+def newton_trace(field: Field, x) -> int:
+    return sum(c * t for c, t in zip(x, newton_trace_vector(field))) % field.p
+
+
+def schoolbook_generator(field: Field):
+    """The least multiplicative generator in element order, by schoolbook powers."""
+    order = field.size - 1
+    primes = sympy.primefactors(order)
+    for v in range(2, field.size):
+        g = field.from_int(v)
+        if all(schoolbook_pow(field, g, order // r) != field.one for r in primes):
+            return g
+    raise AssertionError("no generator found")
+
+
+def mult_tables_reference(field: Field):
+    """(g, code, tr, dlog) of ``ff._MultData`` by one schoolbook product per element."""
+    g = schoolbook_generator(field)
+    S = field.size - 1
+    code = np.empty(S, dtype=np.int64)
+    tr = np.empty(S, dtype=np.int64)
+    x = field.one
+    for i in range(S):
+        code[i] = field.to_int(x)
+        tr[i] = newton_trace(field, x)
+        x = schoolbook_mul(field, x, g)
+    dlog = np.full(field.size, -1, dtype=np.int64)
+    dlog[code] = np.arange(S)
+    if x != field.one or (dlog[1:] < 0).any():
+        raise AssertionError("generator order mismatch")
+    return g, code, tr, dlog
+
+
+# ---------------------------------------------------------------------------
 # Hodge numbers and single sums by brute force
 
 
@@ -90,7 +169,7 @@ def _hodge_coeffs_bruteforce(n: int, count: int):
 
 @lru_cache(maxsize=None)
 def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
-    """Tiny brute-force oracle over F_{p^k}, field arithmetic only.
+    """Tiny brute-force oracle over F_{p^k}, schoolbook field arithmetic only.
 
     Serialised so the cache of this reference stays hashable; intended for
     tests and cache verification at small sizes.
@@ -107,10 +186,10 @@ def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
         prod = field.one
         s = field.zero
         for x in xs:
-            prod = field.mul(prod, x)
+            prod = schoolbook_mul(field, prod, x)
             s = field.add(s, x)
-        s = field.add(s, field.mul(t, field.inv(prod)))
-        e = field.trace_abs(s)
+        inv = schoolbook_pow(field, prod, field.size - 2)
+        e = newton_trace(field, field.add(s, schoolbook_mul(field, t, inv)))
         acc[e] = acc.get(e, 0) + 1
     return CycInt.from_powers(p, acc.items()).serialize()
 

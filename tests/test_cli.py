@@ -60,12 +60,16 @@ def test_even_characteristic_is_usage_error(tmp_path, capsys):
     assert "odd prime" in capsys.readouterr().err
 
 
-def test_bad_arguments_exit_one():
+def test_bad_arguments_exit_one(tmp_path):
     assert console_main(["verify", "-p", "3", "-D", "2"]) == 1  # no exponent
     assert console_main(["nonsense"]) == 1
     assert console_main(["syminf", "-p", "3", "-k", "1", "--kappa", "1",
                          "-D", "1"]) == 1  # mutually exclusive
     assert console_main(["points", "-p", "3", "-D", "-1"]) == 1
+    cache = tmp_path / "c.txt"
+    cache.write_text("# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]\n")
+    assert console_main(["cache", "verify", "--cache", str(cache),
+                         "--sample", "-1"]) == 1
     assert console_main(["--version"]) == 0
 
 
@@ -240,6 +244,19 @@ def test_cache_verify_non_canonical_base_degree_one(tmp_path):
     report = _read(out)["cache_verify"]
     assert report["checked_lines"] == list(range(2, 10))
     assert report["bad_lines"] == []
+
+
+@pytest.mark.parametrize("rep", ["[1,0]", "[0,0]"], ids=["subfield", "zero"])
+def test_cache_verify_counts_a_record_off_its_degree_as_bad(tmp_path, capsys, rep):
+    # (1, 0) lies in F_3 and 0 in no orbit, so neither is a point of degree 2
+    cache = tmp_path / "c.txt"
+    cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|2|{rep}|1|3:[-1,0]\n")
+    out = tmp_path / "verify.json"
+    assert console_main(["cache", "verify", "--cache", str(cache),
+                         "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = _read(out)["cache_verify"]
+    assert (report["checked_lines"], report["bad_lines"]) == ([2], [2])
 
 
 def test_corrupt_cache_reports_line(tmp_path, capsys):

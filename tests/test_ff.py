@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 
@@ -19,6 +20,13 @@ from klsym.ff import (
     orbit_rep,
     point_field,
     points_up_to,
+)
+from oracles import (
+    mult_tables_reference,
+    newton_trace,
+    newton_trace_vector,
+    schoolbook_generator,
+    schoolbook_pow,
 )
 
 X = sympy.symbols("x")
@@ -69,13 +77,24 @@ def test_make_field_validation():
     assert F9.size == 9
 
 
+def _sympy_mul(field, x, y):
+    """x y as sympy's product of polynomials mod the modulus over GF(p)."""
+    dom = sympy.GF(field.p)
+    px, py, pm = (sympy.Poly(list(reversed(c)), X, domain=dom)
+                  for c in (x, y, field.modulus))
+    low = [int(c) % field.p for c in reversed((px * py).rem(pm).all_coeffs())]
+    return tuple(low + [0] * (field.k - len(low)))
+
+
 def test_field_axioms_random():
     rng = random.Random(88)
-    for field in (make_field(3, 2), make_field(3, 3), make_field(5, 2)):
+    for field in (make_field(3, 2), make_field(3, 3), make_field(5, 2),
+                  make_field(3, 2, (2, 2, 1))):
         for _ in range(40):
             x = field.from_int(rng.randrange(field.size))
             y = field.from_int(rng.randrange(field.size))
             z = field.from_int(rng.randrange(field.size))
+            assert field.mul(x, y) == _sympy_mul(field, x, y)
             assert field.mul(x, field.mul(y, z)) == field.mul(field.mul(x, y), z)
             assert field.mul(x, field.add(y, z)) == field.add(
                 field.mul(x, y), field.mul(x, z)
@@ -119,7 +138,8 @@ def test_trace_matches_power_sum_definition():
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
 def test_trace_vector_from_modulus_matches_frobenius(p, k):
-    """Tr(X^i) by Newton's identities equals the sum of its Frobenius conjugates."""
+    """Tr(X^i) from the matrix of X^i equals the sum of its Frobenius conjugates,
+    and the power sum of the roots of the modulus by Newton's identities."""
     moduli = [tail + (1,) for tail in itertools.product(range(p), repeat=k)
               if is_irreducible(tail + (1,), p)]
     assert len(moduli) == degree_count(p, k)  # every monic irreducible
@@ -132,6 +152,7 @@ def test_trace_vector_from_modulus_matches_frobenius(p, k):
                 s = field.add(s, y)
                 y = field.frobenius(y)
             assert s == (field._trace_vector()[i],) + (0,) * (k - 1)
+        assert field._trace_vector() == newton_trace_vector(field)
 
 
 def test_trace_additive():
@@ -172,7 +193,7 @@ def _x_class(field):
 def _eval(field, poly, r):
     acc = field.zero
     for i, c in enumerate(poly):
-        acc = field.add(acc, field.scalar_mul(c, field.pow(r, i)))
+        acc = field.add(acc, tuple(c * a for a in field.pow(r, i)))
     return acc
 
 
@@ -180,6 +201,7 @@ def _eval(field, poly, r):
 def test_embed_is_ring_hom(src_spec, dst_spec):
     src, dst = _pair(src_spec, dst_spec)
     assert embed(src, dst, src.one) == dst.one
+    assert not ff._root_powers(src, dst).flags.writeable  # shared by the cache
     rng = random.Random(101)
     for _ in range(30):
         x = src.from_int(rng.randrange(src.size))
@@ -223,6 +245,48 @@ def test_embed_scales_trace_by_degree(src_spec, dst_spec):
     r = dst.k // src.k
     for x in src.elements():
         assert dst.trace_abs(embed(src, dst, x)) == r * src.trace_abs(x) % src.p
+
+
+# every canonical F_(p^k) with at most 20,000 elements, and a non-canonical F_9
+TABLE_FIELDS = [(p, k, None) for p in (3, 5, 7, 11, 13)
+                for k in range(1, 10) if p**k <= 20_000] + [(3, 2, (2, 2, 1))]
+
+
+@pytest.mark.parametrize("p,k,modulus", TABLE_FIELDS,
+                         ids=[f"{p}^{k}" + ("nc" if m else "") for p, k, m in TABLE_FIELDS])
+def test_mult_tables_match_schoolbook_reference(p, k, modulus):
+    field = make_field(p, k, modulus)
+    md = ff._mult_data(field)
+    g, code, tr, dlog = mult_tables_reference(field)
+    assert field.generator() == g
+    assert np.array_equal(md.code, code)
+    assert np.array_equal(md.tr, tr)
+    assert np.array_equal(md.dlog, dlog)
+
+
+def test_mult_tables_sampled_on_the_largest_fields():
+    rng = random.Random(13)
+    # F_(3^13) against schoolbook powers of the generator
+    field = make_field(3, 13)
+    md = ff._MultData(field)  # not cached: the tables are large
+    g = field.generator()
+    assert g == schoolbook_generator(field)
+    for i in [0, 1, md.S - 1] + [rng.randrange(md.S) for _ in range(60)]:
+        x = schoolbook_pow(field, g, i)
+        assert md.code[i] == field.to_int(x)
+        assert md.tr[i] == newton_trace(field, x)
+        assert md.dlog[md.code[i]] == i
+    # F_2097143, the largest prime field under the cap, against builtin pow
+    P = sympy.prevprime(ff.MAX_FIELD_SIZE)
+    field = make_field(P, 1)
+    md = ff._MultData(field)
+    primes = sympy.primefactors(P - 1)
+    least = next(v for v in range(2, P) if all(pow(v, (P - 1) // r, P) != 1 for r in primes))
+    assert (P, field.generator()) == (2097143, (least,))
+    for i in [0, 1, md.S - 1] + [rng.randrange(md.S) for _ in range(200)]:
+        assert md.code[i] == md.tr[i] == pow(least, i, P)
+        assert md.dlog[md.code[i]] == i
+    assert md.dlog[0] == -1
 
 
 def test_closed_point_counts_frozen():
