@@ -488,14 +488,15 @@ def cmd_cache(args) -> int:
     bad = []
     for lineno, key, value in cache.records()[: args.sample]:
         p, a, modulus, n, d, rep, m = parse_key(key)
-        base = make_field(p, a, modulus)
-        field = point_field(base, d)
-        fresh = KloostermanEvaluator(base, None, args.budget)
         try:
+            base = make_field(p, a, modulus)
+            field = point_field(base, d)
             pt = orbit_rep(base, field, field.element(rep))
-        except ValueError:  # zero, or in a proper subfield: no point of degree d
+        # a reducible modulus, or a rep that is zero or in a proper subfield
+        except (UsageError, ValueError):
             ok = False
         else:
+            fresh = KloostermanEvaluator(base, None, args.budget)
             ok = pt.rep == rep and fresh.kloosterman(n, pt, m) == value
         checked.append(lineno)
         if not ok:

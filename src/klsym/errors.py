@@ -36,16 +36,16 @@ class PrecisionError(KlsymError):
         self.needed_pi = needed_pi
 
 
-class DegenerateFactorError(KlsymError):
-    """Polynomial lacks the simple unit root the lifting step requires."""
-
-
 class FindingError(KlsymError):
     """A checked mathematical fact failed on a concrete instance."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class DegenerateFactorError(FindingError):
+    """Polynomial lacks the simple unit root the lifting step requires."""
 
 
 class SlopeFindingError(FindingError):

@@ -9,12 +9,13 @@ is canonical so that independent runs build identical towers and cache
 keys never alias.
 
 Multiplication by y is an F_p-linear map; its k x k matrix (row i is
-X^i y) is the one route for every product, power and trace here.  The
-one multiplicative model of each field, a discrete-log and trace table
-over its least generator (``_mult_data``), steps blocks of about
-sqrt(|F|) powers by one matrix product.  Closed points, orbit
-representatives and subfield embeddings all read it, because Frobenius
-acts on discrete logs as multiplication by q.
+X^i y) is the one route for every product, power and trace here, and
+for Rabin's irreducibility test.  The one multiplicative model of each
+field, a discrete-log and trace table over its least generator
+(``_mult_data``), steps blocks of about sqrt(|F|) powers by one matrix
+product.  Closed points, orbit representatives and subfield embeddings
+all read it, because Frobenius acts on discrete logs as multiplication
+by q.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ MAX_FIELD_SIZE = 1 << 21
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: tuples of coefficients, lowest degree first
+# F_p[X]/(f): coefficient tuples, lowest degree first, and multiplication matrices
 
 
 def _pnorm(f):
@@ -41,28 +42,6 @@ def _pnorm(f):
     while i > 0 and f[i - 1] == 0:
         i -= 1
     return tuple(f[:i])
-
-
-def _pmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lead % p
-        shift = len(f) - 1 - dg
-        if c:
-            for i, b in enumerate(g):
-                f[shift + i] = (f[shift + i] - c * b) % p
-        f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-    return tuple(f)
-
-
-def _pgcd(f, g, p):
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
 
 
 def _mul_matrix(y, modulus, p):
@@ -94,25 +73,25 @@ def _mat_pow(m, e, p):
     return out
 
 
-def _x_pow_minus_x(e, g, p):
-    """X^e - X mod g for deg g >= 2, from the e-th power of the matrix of X."""
-    x = _mul_matrix((0, 1), g, p)
-    return _pnorm(tuple(((_mat_pow(x, e, p)[0] - x[0]) % p).tolist()))
-
-
 def is_irreducible(f, p) -> bool:
-    """Rabin test: f | X^(p^k) - X and gcd(X^(p^(k/r)) - X, f) = 1."""
+    """Rabin test: X^(p^k) = X mod f, and gcd(h, f) = 1 for h = X^(p^(k/r)) - X, r | k prime.
+
+    Once f | X^(p^k) - X, F_p[X]/(f) is a product of fields whose degrees
+    divide k, so h is a unit, i.e. gcd(h, f) = 1, exactly when h^(p^k - 1) = 1.
+    """
     f = _pnorm(f)
     k = len(f) - 1
     if k < 1:
         return False
     if k == 1:
         return True
-    if _x_pow_minus_x(p**k, f, p):
+    x = _mul_matrix((0, 1), f, p)
+    if (_mat_pow(x, p**k, p)[0] != x[0]).any():
         return False
+    one = np.eye(1, k, dtype=np.int64)[0]
     for r in _prime_factors(k):
-        g = _pgcd(f, _x_pow_minus_x(p ** (k // r), f, p), p)
-        if len(g) != 1:
+        h = (_mat_pow(x, p ** (k // r), p)[0] - x[0]) % p
+        if (_mat_pow(_mul_matrix(h, f, p), p**k - 1, p)[0] != one).any():
             return False
     return True
 
@@ -132,30 +111,21 @@ def _prime_factors(n):
 
 
 def mobius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    """0 when a square divides n, else (-1)^(number of prime factors)."""
+    primes = _prime_factors(n)
+    if any(n % (q * q) == 0 for q in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
 def canonical_modulus(p: int, k: int):
     """First monic irreducible of degree k in lex coefficient order."""
-    for tail in itertools.product(range(p), repeat=k):
-        f = tail + (1,)
-        if k >= 2:
-            if f[0] == 0:
-                continue  # root at 0
-            if sum(f) % p == 0:
-                continue  # root at 1
+    # c_0 varies slowest, and c_0 = 0 is a root at 0 once k >= 2
+    c0 = range(1, p) if k >= 2 else range(p)
+    for f in itertools.product(c0, *[range(p)] * (k - 1), (1,)):
+        if k >= 2 and sum(f) % p == 0:
+            continue  # root at 1
         if is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -7,6 +7,11 @@ Every operation propagates the certificate pessimistically, so a final
 vcert is a sound claim, never a heuristic.  Division is only performed by
 certified units or by exactly divisible powers of p, and each such division
 records its precision cost.
+
+One Newton loop (``_lift_simple_nonzero_root``) lifts a simple root x of
+f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1).
+It serves the unit root of a local factor, every round of the slope
+split, and ``unit_inverse`` as the root of u X - 1.
 """
 
 from __future__ import annotations
@@ -199,19 +204,11 @@ class PadicCyc:
         return PadicCyc(self.p, self.N, self.rep.galois(c), self.vcert)
 
     def unit_inverse(self) -> "PadicCyc":
-        """Inverse of a pi-adic unit by Newton iteration; certificate kept."""
-        r0 = self.residue_int()
-        if r0 == 0:
+        """Inverse of a pi-adic unit, the root of self X - 1; certificate kept."""
+        if not self.is_unit():
             raise ZeroDivisionError("not a pi-adic unit to working precision")
-        y = PadicCyc.from_int(self.p, self.N, pow(r0, -1, self.p))
-        two = PadicCyc.from_int(self.p, self.N, 2)
-        steps = max(1, math.ceil(math.log2(self.N * (self.p - 1)))) + 1
-        for _ in range(steps):
-            y = y * (two - self * y)
-        check = self * y - 1
-        v = check.rep.pi_val()
-        if not (v is None or v >= min(self.vcert, self.N * (self.p - 1))):
-            raise AssertionError("inverse iteration failed to converge")
+        y = _lift_simple_nonzero_root([PadicCyc.from_int(self.p, self.N, -1), self],
+                                      self.p, self.N)
         return PadicCyc(self.p, self.N, y.rep, self.vcert)
 
     def times_p_power(self, j: int) -> "PadicCyc":
@@ -268,15 +265,20 @@ def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
             dr = sum(i * cr * pow(r, i - 1, p) for i, cr in enumerate(res) if i) % p
             if dr == 0:
                 raise DegenerateFactorError(f"residue root {r} is not simple")
-            roots.append(r)
+            roots.append((r, dr))
     if len(roots) != 1:
         raise DegenerateFactorError(
             f"expected one nonzero residue root, found {len(roots)}")
-    x = PadicCyc.from_int(p, N, roots[0])
+    (r, dr), = roots
+    x = PadicCyc.from_int(p, N, r)
+    y = PadicCyc.from_int(p, N, pow(dr, -1, p))
     deriv = _pderiv(coeffs)
+    # the exact-inverse step count holds: 1 - f'(x) y squares at each step and f(x) gains
+    # both factors' precision, so both reach 2^i after i steps (von zur Gathen-Gerhard, ch. 9)
     steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
     for _ in range(steps):
-        x = x - _peval(coeffs, x) * _peval(deriv, x).unit_inverse()
+        x = x - _peval(coeffs, x) * y
+        y = y - y * (_peval(deriv, x) * y - 1)
     v = _peval(coeffs, x).rep.pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")

@@ -22,7 +22,10 @@ algorithm, so a test can require the two to agree:
   the multiplication matrix in ``ff``;
 * ``direct_reference``: one Kloosterman sum by brute force with the same
   schoolbook arithmetic, no discrete-log table;
-* ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration.
+* ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration;
+* ``nested_lift_simple_nonzero_root``: the Hensel lift with a complete
+  Newton inversion of f'(x) (``nested_unit_inverse``) inside every step,
+  against the one coupled Newton loop of ``padic``.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
 tests need.
@@ -41,9 +44,9 @@ import numpy as np
 import sympy
 
 from klsym.cyclo import CycInt
-from klsym.errors import ResourceError, UsageError
+from klsym.errors import DegenerateFactorError, ResourceError, UsageError
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
-from klsym.ff import Field, _mult_data, _pmod, embed, make_field
+from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.lfun import (
     LocalFactor,
     LocalSeries,
@@ -51,7 +54,15 @@ from klsym.lfun import (
     eigen_power_sums,
     elementary_from_power_sums,
 )
-from klsym.padic import PadicCyc, PadicExponent, one_unit_power, ord_p, slope_split
+from klsym.padic import (
+    PadicCyc,
+    PadicExponent,
+    _pderiv,
+    _peval,
+    one_unit_power,
+    ord_p,
+    slope_split,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +87,70 @@ def times_int(kappa: PadicExponent, m: int) -> PadicExponent:
 
 
 # ---------------------------------------------------------------------------
+# Hensel lifts by Newton's method with an exact inverse at every step
+
+
+def nested_unit_inverse(u: PadicCyc) -> PadicCyc:
+    """Inverse of a pi-adic unit by its own Newton iteration; certificate kept."""
+    r0 = u.residue_int()
+    if r0 == 0:
+        raise ZeroDivisionError("not a pi-adic unit to working precision")
+    y = PadicCyc.from_int(u.p, u.N, pow(r0, -1, u.p))
+    two = PadicCyc.from_int(u.p, u.N, 2)
+    steps = max(1, math.ceil(math.log2(u.N * (u.p - 1)))) + 1
+    for _ in range(steps):
+        y = y * (two - u * y)
+    check = u * y - 1
+    v = check.rep.pi_val()
+    if not (v is None or v >= min(u.vcert, u.N * (u.p - 1))):
+        raise AssertionError("inverse iteration failed to converge")
+    return PadicCyc(u.p, u.N, y.rep, u.vcert)
+
+
+def nested_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
+    """Hensel lift of the unique simple nonzero root of the residue poly,
+    inverting f'(x) afresh by ``nested_unit_inverse`` at every step."""
+    res = [c.residue_int() for c in coeffs]
+    roots = []
+    for r in range(1, p):
+        if sum(cr * pow(r, i, p) for i, cr in enumerate(res)) % p == 0:
+            dr = sum(i * cr * pow(r, i - 1, p) for i, cr in enumerate(res) if i) % p
+            if dr == 0:
+                raise DegenerateFactorError(f"residue root {r} is not simple")
+            roots.append(r)
+    if len(roots) != 1:
+        raise DegenerateFactorError(
+            f"expected one nonzero residue root, found {len(roots)}")
+    x = PadicCyc.from_int(p, N, roots[0])
+    deriv = _pderiv(coeffs)
+    steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
+    for _ in range(steps):
+        x = x - _peval(coeffs, x) * nested_unit_inverse(_peval(deriv, x))
+    v = _peval(coeffs, x).rep.pi_val()
+    if not (v is None or v >= min(c.vcert for c in coeffs)):
+        raise AssertionError("Newton iteration failed to converge")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # finite field arithmetic by schoolbook products
+
+
+def _pmod(f, g, p):
+    """f mod g over F_p, coefficient tuples lowest degree first."""
+    f = list(f)
+    dg = len(g) - 1
+    inv_lead = pow(g[-1], p - 2, p)
+    while len(f) - 1 >= dg and f:
+        c = f[-1] * inv_lead % p
+        shift = len(f) - 1 - dg
+        if c:
+            for i, b in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * b) % p
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return tuple(f)
 
 
 def schoolbook_mul(field: Field, x, y):

@@ -246,17 +246,23 @@ def test_cache_verify_non_canonical_base_degree_one(tmp_path):
     assert report["bad_lines"] == []
 
 
-@pytest.mark.parametrize("rep", ["[1,0]", "[0,0]"], ids=["subfield", "zero"])
-def test_cache_verify_counts_a_record_off_its_degree_as_bad(tmp_path, capsys, rep):
+@pytest.mark.parametrize("records,checked", [
     # (1, 0) lies in F_3 and 0 in no orbit, so neither is a point of degree 2
+    (["v1|3,1,[0,1]|1|2|[1,0]|1|3:[-1,0]"], [2]),
+    (["v1|3,1,[0,1]|1|2|[0,0]|1|3:[-1,0]"], [2]),
+    # (X + 1)^2 builds no field; the good record after it is still checked
+    (["v1|3,2,[1,2,1]|1|1|[1,0]|1|3:[-1,0]", "v1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]"], [2, 3]),
+], ids=["subfield", "zero", "reducible"])
+def test_cache_verify_counts_a_record_off_its_degree_as_bad(tmp_path, capsys, records,
+                                                           checked):
     cache = tmp_path / "c.txt"
-    cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|2|{rep}|1|3:[-1,0]\n")
+    cache.write_text("# klsym sum cache v1\n" + "".join(r + "\n" for r in records))
     out = tmp_path / "verify.json"
     assert console_main(["cache", "verify", "--cache", str(cache),
                          "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     report = _read(out)["cache_verify"]
-    assert (report["checked_lines"], report["bad_lines"]) == ([2], [2])
+    assert (report["checked_lines"], report["bad_lines"]) == (checked, [2])
 
 
 def test_corrupt_cache_reports_line(tmp_path, capsys):
@@ -424,6 +430,19 @@ def test_default_precision_scales_with_cap():
     small = default_precision(RunConfig(p=3, n=1, mode="syminf", k=1, D=1))
     large = default_precision(RunConfig(p=3, n=1, mode="syminf", k=1, D=4))
     assert 0 < small < large
+
+
+@pytest.mark.parametrize("mode", ["unitroot", "syminf", "verify"])
+def test_degenerate_factor_is_a_finding(tmp_path, capsys, mode):
+    # Kl_1(1, m) = 0 and 6 for m = 1, 2 give the factor 1 + 3T^2: no unit root
+    cache = tmp_path / "c.txt"
+    cache.write_text("# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|3:[0,0]\n"
+                     "v1|3,1,[0,1]|1|1|[1]|2|3:[6,0]\n")
+    assert console_main([mode, "-p", "3", "-n", "1", "-k", "1", "-D", "1",
+                         "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("finding: ")
+    assert "Traceback" not in err
 
 
 def test_unitroot_mode(tmp_path):

@@ -41,6 +41,9 @@ def test_canonical_moduli_frozen_values():
     assert canonical_modulus(3, 1) == (0, 1)
     assert canonical_modulus(3, 2) == (1, 0, 1)
     assert canonical_modulus(3, 3) == (1, 0, 2, 1)
+    assert canonical_modulus(3, 13) == (1,) + (0,) * 11 + (2, 1)
+    assert canonical_modulus(5, 8) == (1, 0, 0, 0, 0, 1, 1, 0, 1)
+    assert canonical_modulus(7, 7) == (1, 0, 0, 0, 0, 0, 6, 1)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import klsym.padic as padic
 from klsym.cyclo import CycInt
 from klsym.errors import (
     DegenerateFactorError,
@@ -11,6 +12,9 @@ from klsym.errors import (
     SlopeFindingError,
     UsageError,
 )
+from klsym.expsum import KloostermanEvaluator
+from klsym.ff import make_field, points_up_to
+from klsym.lfun import local_factor
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -19,7 +23,12 @@ from klsym.padic import (
     ord_p,
     slope_split,
 )
-from oracles import from_rational, times_int
+from oracles import (
+    from_rational,
+    nested_lift_simple_nonzero_root,
+    nested_unit_inverse,
+    times_int,
+)
 
 
 def C(p, *coords):
@@ -220,6 +229,49 @@ def test_slope_split_certificates_meet_request():
     deep, _ = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=9)
     for x, y in zip(pis, deep):
         assert (x.rep - y.rep).pi_val() >= 7 * 2
+
+
+# ---------------------------------------------------------------------------
+# nested vs coupled Newton lift
+
+
+def _same(x, y):
+    return (x.rep.coords, x.N, x.vcert) == (y.rep.coords, y.N, y.vcert)
+
+
+# (p, n, D): n = 2 stops where the default budget refuses the next degree
+# (p = 13 allows none); n = 1 stops earlier, to keep the suite fast
+@pytest.mark.parametrize("p,n,D", [
+    (3, 1, 3), (3, 2, 2), (3, 3, 1), (5, 1, 2), (5, 2, 1),
+    (7, 1, 1), (7, 2, 1), (11, 1, 1), (11, 2, 1), (13, 1, 1),
+])
+def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
+    """Every lift of every local factor equals the lift that inverts f'(x)
+    by a Newton loop of its own at every step, bit for bit."""
+    ev = KloostermanEvaluator(make_field(p, 1))
+    for pt in points_up_to(ev.base, D):
+        coeffs = list(local_factor(ev, n, pt).coeffs)
+        for V in (10, 37, 100):
+            N = -(-V // (p - 1)) + 1
+            pis, ledger = slope_split(coeffs, 1, pt.degree, N)
+            root = hensel_unit_root(coeffs, N)
+            with monkeypatch.context() as m:
+                m.setattr(padic, "_lift_simple_nonzero_root",
+                          nested_lift_simple_nonzero_root)
+                assert _same(root, hensel_unit_root(coeffs, N))
+                nested_pis, nested_ledger = slope_split(coeffs, 1, pt.degree, N)
+            assert ledger == nested_ledger
+            assert all(_same(x, y) for x, y in zip(pis, nested_pis, strict=True))
+            assert _same(pis[0].unit_inverse(), nested_unit_inverse(pis[0]))
+
+
+def test_unit_inverse_matches_nested_inverse_below_the_cap():
+    p, N = 5, 6
+    for coords, vcert in [((2, 6, 0, 1), 3), ((7, 0, 5, 1), 11), ((1, 1, 1, 3), N * (p - 1))]:
+        u = PadicCyc(p, N, C(p, *coords), vcert)
+        w = u.unit_inverse()
+        assert w.vcert == vcert
+        assert _same(w, nested_unit_inverse(u))
 
 
 # ---------------------------------------------------------------------------
