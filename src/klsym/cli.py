@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -98,10 +99,7 @@ def _builds_symk(config: RunConfig) -> bool:
 
 def _kappa(config: RunConfig) -> PadicExponent:
     if config.kappa_digits is not None:
-        try:
-            return PadicExponent.truncated(config.p, config.kappa_digits)
-        except ValueError as exc:
-            raise UsageError(f"bad exponent digits: {exc}") from None
+        return PadicExponent.truncated(config.p, config.kappa_digits)
     return PadicExponent.exact(config.p, config.k)
 
 
@@ -349,6 +347,13 @@ def run(config: RunConfig):
 
     if mode != "symk":
         V0 = config.V if config.V is not None else default_precision(config)
+        # the first attempt takes V0 to N digits over the T weight tuples that
+        # sym_inf_weights enumerates at a degree-1 point (1 tuple in unitroot)
+        w, N = (V0 - 1) // (a * (config.p - 1)), -(-V0 // (config.p - 1)) + 1
+        T = 1 if mode == "unitroot" else math.prod(w // j + 1 for j in range(1, n + 1))
+        if T * V0 * N > config.budget:
+            raise ResourceError(f"precision V = {V0} needs T*V*N = {T * V0 * N} "
+                                f"steps, budget {config.budget}")
 
         def attempt(V):
             if mode == "unitroot":
@@ -557,8 +562,6 @@ def _add_exponent_args(sp, require_k=False):
     group.add_argument("--kappa", type=_digit_list, dest="kappa_digits",
                        metavar="D0,D1,...",
                        help="truncated p-adic exponent digits, low first")
-    group.add_argument("--kappa-int", type=int, dest="k", metavar="KAPPA_INT",
-                       help="exact integer exponent (same as -k)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,14 +72,6 @@ class CycInt:
         return cls.from_int(p, 0)
 
     @classmethod
-    def one(cls, p: int) -> "CycInt":
-        return cls.from_int(p, 1)
-
-    @classmethod
-    def zeta(cls, p: int, k: int = 1) -> "CycInt":
-        return cls.from_powers(p, [(k, 1)])
-
-    @classmethod
     def from_powers(cls, p: int, pairs) -> "CycInt":
         """Build sum c * zeta^e from (exponent, coefficient) pairs."""
         bucket = [0] * p
@@ -128,18 +120,6 @@ class CycInt:
         return CycInt._fold(p, bucket)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in the integer ring")
-        result = CycInt.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         return (

@@ -25,15 +25,7 @@ class CacheError(KlsymError):
 
 
 class PrecisionError(KlsymError):
-    """Working precision is insufficient to settle the question.
-
-    Carries ``needed_pi``, the minimal pi-unit certificate that would
-    settle it, when that is known.
-    """
-
-    def __init__(self, message, needed_pi=None):
-        super().__init__(message)
-        self.needed_pi = needed_pi
+    """Working precision is insufficient to settle the question."""
 
 
 class FindingError(KlsymError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import threading
 
 import numpy as np
@@ -82,7 +83,7 @@ def parse_record(line: str):
         value = CycInt.deserialize(parts[6])
     except (ValueError, UsageError) as exc:
         raise CacheError(f"corrupt record {line!r}: {exc}") from exc
-    if min(n, d, m) < 1 or value.p != p:
+    if min(a, n, d, m) < 1 or value.p != p:
         raise CacheError(f"inconsistent record: {line!r}")
     if len(modulus) != a + 1 or modulus[-1] != 1:
         raise CacheError(f"modulus is not monic of degree a: {line!r}")
@@ -172,7 +173,8 @@ class SumCache:
         return [(lineno, *parse_record(line)) for lineno, line in self._lines()]
 
     def compact(self):
-        """Rewrite the file keeping the first occurrence of each key."""
+        """Rewrite the file keeping the first occurrence of each key, through a
+        file beside it and one os.replace: a crash leaves the old cache whole."""
         kept = []
         seen = set()
         for _, key, value in self.records():
@@ -181,10 +183,19 @@ class SumCache:
             seen.add(key)
             kept.append((key, value))
         with self._lock:
-            with open(self.path, "w", encoding="ascii") as fh:
-                fh.write(CACHE_HEADER + "\n")
-                for key, value in kept:
-                    fh.write(f"v1|{key}|{value.serialize()}\n")
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            with open(tmp, "w", encoding="ascii") as fh:
+                try:
+                    fh.write(CACHE_HEADER + "\n")
+                    for key, value in kept:
+                        fh.write(f"v1|{key}|{value.serialize()}\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
+            shutil.copymode(self.path, tmp)
+            os.replace(tmp, self.path)
             self._torn_at = None
         return len(kept)
 

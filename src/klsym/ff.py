@@ -165,10 +165,6 @@ class Field:
         return self.p**self.k
 
     @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
     def one(self):
         return (1,) + (0,) * (self.k - 1)
 
@@ -208,31 +204,12 @@ class Field:
             v = v * self.p + c
         return v
 
-    def elements(self):
-        return itertools.product(range(self.p), repeat=self.k)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def add(self, x, y):
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        return tuple((np.array(x) @ _mul_matrix(y, self.modulus, self.p) % self.p).tolist())
 
     def pow(self, x, e: int):
         if e < 0:
-            return self.pow(self.inv(x), -e)
+            raise ValueError("negative powers need an inverse")
         return tuple(_mat_pow(_mul_matrix(x, self.modulus, self.p), e, self.p)[0].tolist())
-
-    def inv(self, x):
-        if not any(x):
-            raise ZeroDivisionError("zero is not invertible")
-        return self.pow(x, self.size - 2)
-
-    def frobenius(self, x, times: int = 1):
-        """x -> x^(p^times)."""
-        return self.pow(x, self.p**times)
 
     # -- traces ---------------------------------------------------------------
 
@@ -243,11 +220,6 @@ class Field:
             self._trace_vec = tuple(int(np.trace(_mul_matrix((0,) * i + (1,), f, p))) % p
                                     for i in range(k))
         return self._trace_vec
-
-    def trace_abs(self, x) -> int:
-        """Absolute trace to F_p, as an integer in [0, p)."""
-        tv = self._trace_vector()
-        return sum(c * t for c, t in zip(x, tv)) % self.p
 
     # -- multiplicative structure ----------------------------------------------
 

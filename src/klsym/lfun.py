@@ -81,10 +81,6 @@ class LocalFactor:
     coeffs: tuple
     sign: int  # +1 when the leading coefficient is (-1)^(n+1) q_t^(n(n+1)/2)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
 
 def _factor_from_power_sums(power_sums):
     """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""

@@ -51,15 +51,6 @@ class PadicExponent:
     def is_exact(self) -> bool:
         return self.ndigits is None
 
-    def digits(self):
-        if self.is_exact:
-            raise UsageError("exact exponent has unbounded digits")
-        out, r = [], self.rep
-        for _ in range(self.ndigits):
-            out.append(r % self.p)
-            r //= self.p
-        return tuple(out)
-
     def minus_int(self, j: int) -> "PadicExponent":
         if self.is_exact:
             return PadicExponent(self.p, self.rep - j, None)
@@ -73,11 +64,6 @@ class PadicExponent:
         else:
             b = (-1) ** l * math.comb(-r + l - 1, l)
         return b, self.ndigits
-
-    def __str__(self):
-        if self.is_exact:
-            return str(self.rep)
-        return f"...{self.rep} (mod {self.p}^{self.ndigits})"
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +85,7 @@ class PadicCyc:
         self.rep = CycInt(p, coords)
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
-            raise PrecisionError("certificate exhausted (vcert <= 0)", needed_pi=1)
+            raise PrecisionError("certificate exhausted (vcert <= 0)")
 
     # -- constructors
 
@@ -125,10 +111,6 @@ class PadicCyc:
         """Image in the residue field F_p (zeta maps to 1)."""
         return sum(self.rep.coords) % self.p
 
-    def pi_val_measured(self):
-        """pi-valuation of the representative; exact when below vcert."""
-        return self.rep.pi_val()
-
     def val_lb(self) -> int:
         """Certified lower bound for the pi-valuation of the true value."""
         v = self.rep.pi_val()
@@ -139,19 +121,11 @@ class PadicCyc:
     def is_unit(self) -> bool:
         return self.residue_int() != 0
 
-    def agrees_with(self, other: "PadicCyc", vmin: int | None = None) -> bool:
-        """True when self - other vanishes to the joint certificate."""
-        d = self - other
-        target = d.vcert if vmin is None else min(vmin, d.vcert)
-        v = d.rep.pi_val()
-        return v is None or v >= target
-
     # -- normalisation helpers
 
     def with_precision(self, N: int) -> "PadicCyc":
         if N > self.N:
-            raise PrecisionError(f"cannot raise precision {self.N} -> {N}",
-                                 needed_pi=N * (self.p - 1))
+            raise PrecisionError(f"cannot raise precision {self.N} -> {N}")
         return PadicCyc(self.p, N, self.rep, self.vcert)
 
     def _join(self, other: "PadicCyc") -> int:
@@ -172,9 +146,6 @@ class PadicCyc:
             other = PadicCyc.from_int(self.p, self.N, other)
         N = self._join(other)
         return PadicCyc(self.p, N, self.rep - other.rep, min(self.vcert, other.vcert))
-
-    def __neg__(self):
-        return PadicCyc(self.p, self.N, -self.rep, self.vcert)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -227,15 +198,6 @@ class PadicCyc:
             raise PrecisionError(f"representative not divisible by p^{j}")
         rep = CycInt(self.p, tuple(c // q for c in self.rep.coords))
         return PadicCyc(self.p, self.N - j, rep, self.vcert - j * (self.p - 1))
-
-    def divide_exact_int(self, m: int) -> "PadicCyc":
-        """Divide by a nonzero integer whose quotient is known integral."""
-        e = ord_p(self.p, m)
-        unit = m // self.p ** e
-        out = self
-        if unit != 1:
-            out = out * PadicCyc.from_int(self.p, self.N, unit).unit_inverse()
-        return out.divide_exact_p_power(e)
 
     def __repr__(self):
         return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.rep.coords})"
@@ -353,8 +315,7 @@ def slope_split(factor_coeffs, a: int, d: int, N: int):
         n_next = min(s.N for s in scaled)
         cur = [s.with_precision(n_next) for s in reversed(scaled)]
     if min(e.vcert for e in eigenvalues) < N * (p - 1):
-        raise PrecisionError("slope split lost more precision than budgeted",
-                             needed_pi=N * (p - 1))
+        raise PrecisionError("slope split lost more precision than budgeted")
     return eigenvalues, ledger
 
 

@@ -28,7 +28,8 @@ algorithm, so a test can require the two to agree:
   against the one coupled Newton loop of ``padic``.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
-tests need.
+tests need; ``agrees_with`` compares two certified p-adic values, and
+``divide_exact_int`` divides one by an integer for ``sym_inf_local_hsum``.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
@@ -66,7 +67,7 @@ from klsym.padic import (
 
 
 # ---------------------------------------------------------------------------
-# p-adic exponents
+# p-adic exponents, and agreement to a certificate
 
 
 def from_rational(p: int, num: int, den: int, ndigits: int) -> PadicExponent:
@@ -84,6 +85,23 @@ def times_int(kappa: PadicExponent, m: int) -> PadicExponent:
     if m == 0:
         return PadicExponent.exact(kappa.p, 0)
     return PadicExponent(kappa.p, (kappa.rep * m) % kappa.p ** nd, nd)
+
+
+def agrees_with(x: PadicCyc, y: PadicCyc, vmin: int | None = None) -> bool:
+    """True when x - y vanishes to the joint certificate (capped at vmin)."""
+    d = x - y
+    target = d.vcert if vmin is None else min(vmin, d.vcert)
+    v = d.rep.pi_val()
+    return v is None or v >= target
+
+
+def divide_exact_int(x: PadicCyc, m: int) -> PadicCyc:
+    """x / m for a nonzero integer m whose quotient is known integral."""
+    e = ord_p(x.p, m)
+    unit = m // x.p ** e
+    if unit != 1:
+        x = x * PadicCyc.from_int(x.p, x.N, unit).unit_inverse()
+    return x.divide_exact_p_power(e)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +276,11 @@ def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
     units = [field.from_int(v) for v in range(1, field.size)]
     for xs in itertools.product(units, repeat=n):
         prod = field.one
-        s = field.zero
         for x in xs:
             prod = schoolbook_mul(field, prod, x)
-            s = field.add(s, x)
         inv = schoolbook_pow(field, prod, field.size - 2)
-        e = newton_trace(field, field.add(s, schoolbook_mul(field, t, inv)))
+        # the trace is F_p-linear: Tr(x_1 + ... + x_n + t/prod) term by term
+        e = sum(newton_trace(field, y) for y in xs + (schoolbook_mul(field, t, inv),)) % p
         acc[e] = acc.get(e, 0) + 1
     return CycInt.from_powers(p, acc.items()).serialize()
 
@@ -455,7 +472,7 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
         acc = ptil[r - 1] * out[0]
         for m in range(1, r):
             acc = acc + ptil[m - 1] * out[r - m]
-        out.append(acc.divide_exact_int(r))
+        out.append(divide_exact_int(acc, r))
     cert = min([V] + [c.vcert for c in out])
     return LocalSeries(lf.point, out, cert, {})
 

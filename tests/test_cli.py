@@ -185,8 +185,11 @@ def test_kappa_digit_and_integer_spellings(tmp_path):
     out_int = tmp_path / "i.json"
     assert console_main(["syminf", "-p", "3", "-n", "1", "--kappa", "2,1,1",
                          "-D", "2", "--out", str(out_digits)]) == 0
-    assert console_main(["syminf", "-p", "3", "-n", "1", "--kappa-int", "2",
+    assert console_main(["syminf", "-p", "3", "-n", "1", "-k", "2",
                          "-D", "2", "--out", str(out_int)]) == 0
+    # -k is the one spelling of an exact exponent
+    assert console_main(["syminf", "-p", "3", "-n", "1", "--kappa-int", "2",
+                         "-D", "2", "--out", str(tmp_path / "x.json")]) == 1
     digits = _read(out_digits)
     exact = _read(out_int)
     assert digits["config"]["exponent"] == {"kind": "digits",
@@ -397,6 +400,26 @@ def test_padic_modes_do_not_count_symk_work(mode):
     # the same run reaches its sums, which the budget then refuses
     with pytest.raises(ResourceError, match="sum over"):
         run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
+
+
+@pytest.mark.parametrize("mode,work", [("syminf", 300), ("unitroot", 60)])
+def test_precision_work_is_bounded_by_the_budget(mode, work):
+    # V = 10 at p = 3: N = 6 digits, and w = 4 gives T = 5 weight tuples (1 in unitroot)
+    config = dict(p=3, mode=mode, k=1, D=1, V=10)
+    report, code = run(RunConfig(budget=work, **config))
+    assert (code, report["derived"]["V_used"]) == (0, 10)
+    with pytest.raises(ResourceError, match=rf"T\*V\*N = {work} steps, budget {work - 1}"):
+        run(RunConfig(budget=work - 1, **config))
+
+
+@pytest.mark.parametrize("mode,V", [("syminf", "200"), ("unitroot", "10000")])
+def test_huge_precision_exits_one_without_traceback(capsys, mode, V):
+    # T V N is 100 * 200 * 101 and 1 * 10000 * 5001, over the default budget
+    code = console_main([mode, "-p", "3", "-n", "1", "-k", "1", "-D", "1", "-V", V])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: precision V = {V} needs T*V*N = ")
+    assert "Traceback" not in err
 
 
 def test_retry_doubles_precision_then_reports():

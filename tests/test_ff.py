@@ -37,6 +37,28 @@ def sympy_irreducible(coeffs, p):
     return poly.is_irreducible
 
 
+def _elements(field):
+    """Every element of field, in lex order."""
+    return itertools.product(range(field.p), repeat=field.k)
+
+
+def _add(field, x, y):
+    return tuple((a + b) % field.p for a, b in zip(x, y))
+
+
+def _mul(field, x, y):
+    """x y as x times the multiplication matrix of y, the one product route of ff."""
+    return tuple((np.array(x) @ ff._mul_matrix(y, field.modulus, field.p) % field.p).tolist())
+
+
+def _trace(field, x):
+    """AbsTr(x) as the tables hold it: tr at the discrete log of x, and 0 at zero."""
+    if not any(x):
+        return 0
+    md = ff._mult_data(field)
+    return int(md.tr[md.dlog[field.to_int(x)]])
+
+
 def test_canonical_moduli_frozen_values():
     assert canonical_modulus(3, 1) == (0, 1)
     assert canonical_modulus(3, 2) == (1, 0, 1)
@@ -97,18 +119,20 @@ def test_field_axioms_random():
             x = field.from_int(rng.randrange(field.size))
             y = field.from_int(rng.randrange(field.size))
             z = field.from_int(rng.randrange(field.size))
-            assert field.mul(x, y) == _sympy_mul(field, x, y)
-            assert field.mul(x, field.mul(y, z)) == field.mul(field.mul(x, y), z)
-            assert field.mul(x, field.add(y, z)) == field.add(
-                field.mul(x, y), field.mul(x, z)
+            assert _mul(field, x, y) == _sympy_mul(field, x, y)
+            assert _mul(field, x, _mul(field, y, z)) == _mul(field, _mul(field, x, y), z)
+            assert _mul(field, x, _add(field, y, z)) == _add(
+                field, _mul(field, x, y), _mul(field, x, z)
             )
             if any(x):
-                assert field.mul(x, field.inv(x)) == field.one
+                assert _mul(field, x, field.pow(x, field.size - 2)) == field.one
+    with pytest.raises(ValueError):
+        make_field(3, 2).pow((0, 1), -1)
 
 
 def test_element_order_is_lex_order():
     field = make_field(3, 2)
-    listed = list(field.elements())
+    listed = list(_elements(field))
     assert listed == sorted(listed)
     assert [field.to_int(x) for x in listed] == list(range(9))
     for v in range(9):
@@ -120,9 +144,9 @@ def test_trace_on_base_and_generator():
     assert F9.modulus == (1, 0, 1)
     # elements of F_3 trace to twice themselves
     for c in range(3):
-        assert F9.trace_abs((c, 0)) == (2 * c) % 3
+        assert _trace(F9, (c, 0)) == (2 * c) % 3
     # the generator g with g^2 = -1 has trace g + g^3 = 0
-    assert F9.trace_abs((0, 1)) == 0
+    assert _trace(F9, (0, 1)) == 0
 
 
 def test_trace_matches_power_sum_definition():
@@ -130,13 +154,13 @@ def test_trace_matches_power_sum_definition():
     for field in (make_field(3, 3), make_field(5, 2), make_field(3, 4)):
         for _ in range(25):
             x = field.from_int(rng.randrange(field.size))
-            s = field.zero
+            s = (0,) * field.k
             y = x
             for _ in range(field.k):
-                s = field.add(s, y)
-                y = field.frobenius(y)
+                s = _add(field, s, y)
+                y = field.pow(y, field.p)
             assert not any(s[1:])
-            assert field.trace_abs(x) == s[0]
+            assert _trace(field, x) == s[0]
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
@@ -149,11 +173,11 @@ def test_trace_vector_from_modulus_matches_frobenius(p, k):
     for modulus in moduli:
         field = Field(p, k, modulus)
         for i in range(k):
-            s = field.zero
+            s = (0,) * k
             y = tuple(int(j == i) for j in range(k))  # X^i
             for _ in range(k):
-                s = field.add(s, y)
-                y = field.frobenius(y)
+                s = _add(field, s, y)
+                y = field.pow(y, p)
             assert s == (field._trace_vector()[i],) + (0,) * (k - 1)
         assert field._trace_vector() == newton_trace_vector(field)
 
@@ -165,8 +189,8 @@ def test_trace_additive():
         x = field.from_int(rng.randrange(field.size))
         y = field.from_int(rng.randrange(field.size))
         assert (
-            field.trace_abs(field.add(x, y))
-            == (field.trace_abs(x) + field.trace_abs(y)) % 3
+            _trace(field, _add(field, x, y))
+            == (_trace(field, x) + _trace(field, y)) % 3
         )
 
 
@@ -194,9 +218,9 @@ def _x_class(field):
 
 
 def _eval(field, poly, r):
-    acc = field.zero
+    acc = (0,) * field.k
     for i, c in enumerate(poly):
-        acc = field.add(acc, tuple(c * a for a in field.pow(r, i)))
+        acc = _add(field, acc, tuple(c * a for a in field.pow(r, i)))
     return acc
 
 
@@ -210,15 +234,15 @@ def test_embed_is_ring_hom(src_spec, dst_spec):
         x = src.from_int(rng.randrange(src.size))
         y = src.from_int(rng.randrange(src.size))
         ex, ey = embed(src, dst, x), embed(src, dst, y)
-        assert embed(src, dst, src.mul(x, y)) == dst.mul(ex, ey)
-        assert embed(src, dst, src.add(x, y)) == dst.add(ex, ey)
+        assert embed(src, dst, _mul(src, x, y)) == _mul(dst, ex, ey)
+        assert embed(src, dst, _add(src, x, y)) == _add(dst, ex, ey)
 
 
 @pytest.mark.parametrize("src_spec,dst_spec", EMBED_PAIRS, ids=PAIR_IDS)
 def test_embed_image_is_the_fixed_subfield(src_spec, dst_spec):
     src, dst = _pair(src_spec, dst_spec)
-    image = {embed(src, dst, x) for x in src.elements()}
-    fixed = {y for y in dst.elements() if dst.pow(y, src.size) == y}
+    image = {embed(src, dst, x) for x in _elements(src)}
+    fixed = {y for y in _elements(dst) if dst.pow(y, src.size) == y}
     assert len(image) == src.size
     assert image == fixed
 
@@ -227,8 +251,8 @@ def test_embed_image_is_the_fixed_subfield(src_spec, dst_spec):
 def test_embed_sends_x_to_least_root_of_modulus(src_spec, dst_spec):
     src, dst = _pair(src_spec, dst_spec)
     r = embed(src, dst, _x_class(src))
-    assert _eval(dst, src.modulus, r) == dst.zero
-    roots = [y for y in dst.elements() if _eval(dst, src.modulus, y) == dst.zero]
+    assert not any(_eval(dst, src.modulus, r))
+    roots = [y for y in _elements(dst) if not any(_eval(dst, src.modulus, y))]
     assert len(roots) == src.k
     if src.k > 1:
         assert r == min(roots)
@@ -236,7 +260,7 @@ def test_embed_sends_x_to_least_root_of_modulus(src_spec, dst_spec):
 
 def test_embed_identity():
     for field in (make_field(3, 1), make_field(3, 2), make_field(3, 2, (2, 2, 1))):
-        for x in field.elements():
+        for x in _elements(field):
             assert embed(field, field, x) == x
     with pytest.raises(UsageError):
         embed(make_field(3, 2), make_field(3, 3), (1, 0))
@@ -246,8 +270,8 @@ def test_embed_identity():
 def test_embed_scales_trace_by_degree(src_spec, dst_spec):
     src, dst = _pair(src_spec, dst_spec)
     r = dst.k // src.k
-    for x in src.elements():
-        assert dst.trace_abs(embed(src, dst, x)) == r * src.trace_abs(x) % src.p
+    for x in _elements(src):
+        assert _trace(dst, embed(src, dst, x)) == r * _trace(src, x) % src.p
 
 
 # every canonical F_(p^k) with at most 20,000 elements, and a non-canonical F_9
@@ -358,7 +382,7 @@ def test_closed_points_are_the_orbit_reps(p, a, modulus, d):
     pts = closed_points(base, d)
     assert all(pt.field == field for pt in pts)
     orbit_sizes = Counter()
-    for x in field.elements():
+    for x in _elements(field):
         if not any(x):
             continue
         y, j = field.pow(x, base.size), 1
@@ -377,6 +401,6 @@ def test_generator_has_full_order():
         x = field.one
         for _ in range(field.size - 1):
             seen.add(x)
-            x = field.mul(x, g)
+            x = _mul(field, x, g)
         assert len(seen) == field.size - 1
         assert x == field.one

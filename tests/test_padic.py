@@ -24,6 +24,7 @@ from klsym.padic import (
     slope_split,
 )
 from oracles import (
+    agrees_with,
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
@@ -42,7 +43,7 @@ def C(p, *coords):
 def test_exponent_digits_of_one_half_at_p3():
     k = from_rational(3, 1, 2, 3)
     assert k.rep == 14
-    assert k.digits() == (2, 1, 1)
+    assert k == PadicExponent.truncated(3, (2, 1, 1))
     assert (2 * k.rep) % 27 == 1
 
 
@@ -91,10 +92,10 @@ def test_ring_ops_match_exact_reduction():
 def test_val_lb_and_measured():
     p, N = 3, 4
     x = PadicCyc.embed(C(p, 3, 0), N)  # pi-val 2
-    assert x.pi_val_measured() == 2
+    assert x.rep.pi_val() == 2
     assert x.val_lb() == 2
     z = PadicCyc.embed(C(p, 0, 0), N)
-    assert z.pi_val_measured() is None
+    assert z.rep.pi_val() is None
     assert z.val_lb() == N * (p - 1)
 
 
@@ -106,9 +107,9 @@ def test_unit_inverse():
         x.unit_inverse()
     u = PadicCyc.embed(C(p, 2, 6), N)  # residue 2
     w = u.unit_inverse()
-    assert (u * w).agrees_with(PadicCyc.one(p, N))
+    assert agrees_with(u * w, PadicCyc.one(p, N))
     # Galois commutes with inversion
-    assert u.galois(2).unit_inverse().agrees_with(w.galois(2))
+    assert agrees_with(u.galois(2).unit_inverse(), w.galois(2))
 
 
 def test_p_power_shifts():
@@ -117,17 +118,9 @@ def test_p_power_shifts():
     up = x.times_p_power(2)
     assert up.N == N + 2 and up.vcert == x.vcert + 2 * (p - 1)
     back = up.divide_exact_p_power(2)
-    assert back.agrees_with(x)
+    assert agrees_with(back, x)
     with pytest.raises(PrecisionError):
         x.divide_exact_p_power(1)  # coords not divisible by 5
-
-
-def test_divide_exact_int():
-    p, N = 3, 6
-    x = PadicCyc.embed(C(p, 12, 6), N)
-    y = x.divide_exact_int(6)
-    assert (y * 6).agrees_with(x.with_precision(y.N))
-    assert y.N == N - 1  # one power of 3 spent
 
 
 def test_precision_exhaustion_guards():
@@ -187,8 +180,8 @@ def test_slope_split_frozen_quadratic():
     p0, p1 = pis
     assert p0.rep.coords[0] % 9 == 7 and p1.rep.coords[0] % 9 == 3
     # product of eigenvalues = q = 3, sum = 1 (trace)
-    assert (p0 * p1).agrees_with(PadicCyc.from_int(3, p0.N, 3), vmin=4 * 2)
-    assert (p0 + p1).agrees_with(PadicCyc.from_int(3, p0.N, 1), vmin=4 * 2)
+    assert agrees_with(p0 * p1, PadicCyc.from_int(3, p0.N, 3), vmin=4 * 2)
+    assert agrees_with(p0 + p1, PadicCyc.from_int(3, p0.N, 1), vmin=4 * 2)
     assert info["N_work"] == 4 + 1 + 2
 
 
@@ -198,8 +191,8 @@ def test_slope_split_reconstructs_cubic():
     pis, _ = slope_split(coeffs, a=1, d=1, N=5)
     vals = [pi.val_lb() for pi in pis]
     assert [pis[0].rep.pi_val(), None, None][0] == 0
-    assert pis[1].pi_val_measured() == 2  # ord 3^1
-    assert pis[2].pi_val_measured() == 4  # ord 3^2
+    assert pis[1].rep.pi_val() == 2  # ord 3^1
+    assert pis[2].rep.pi_val() == 4  # ord 3^2
     # elementary symmetric functions reproduce the coefficients mod 3^5
     e1 = pis[0] + pis[1] + pis[2]
     e2 = pis[0] * pis[1] + pis[0] * pis[2] + pis[1] * pis[2]
@@ -283,16 +276,16 @@ def test_one_unit_power_matches_integer_powers():
     u = PadicCyc.embed(C(p, 4, 0), N)  # 1 + 3
     for k in (0, 1, 2, 5, 11):
         via_series = one_unit_power(u, PadicExponent.exact(p, k), V=14)
-        assert via_series.agrees_with(u ** k)
+        assert agrees_with(via_series, u ** k)
 
 
 def test_one_unit_power_negative_exponent():
     p, N = 3, 8
     u = PadicCyc.embed(C(p, 1, 3), N)  # 1 + 3*zeta
     w = one_unit_power(u, PadicExponent.exact(p, -1), V=12)
-    assert (w * u).agrees_with(PadicCyc.one(p, N), vmin=12)
+    assert agrees_with(w * u, PadicCyc.one(p, N), vmin=12)
     w2 = one_unit_power(u, PadicExponent.exact(p, -2), V=12)
-    assert (w2 * u * u).agrees_with(PadicCyc.one(p, N), vmin=12)
+    assert agrees_with(w2 * u * u, PadicCyc.one(p, N), vmin=12)
 
 
 def test_one_unit_power_square_root():
@@ -300,7 +293,7 @@ def test_one_unit_power_square_root():
     u = PadicCyc.embed(C(p, 7, 0), N)  # 1 + 6 = 1-unit
     half = from_rational(p, 1, 2, 5)
     r = one_unit_power(u, half, V=10)
-    assert (r * r).agrees_with(u, vmin=r.vcert)
+    assert agrees_with(r * r, u, vmin=r.vcert)
     assert r.vcert >= 6  # five digits of exponent support this much
 
 
