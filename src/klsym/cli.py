@@ -247,13 +247,13 @@ _EXIT_BY_STATUS = {
 }
 
 
-def _retry_precision(attempt, V0: int):
+def _retry_precision(attempt, V0: int, check=lambda V: None):
     """Run attempt(V), doubling V on undecided verdicts up to MAX_RETRIES.
 
     attempt returns (series, points, verdict); a PrecisionError counts as
-    undecided.  Exhausting retries on a PrecisionError re-raises it; an
-    undecided verdict on the last attempt is returned as-is so the caller
-    can report exactly what is still missing.
+    undecided.  Retries stop when they run out or check(2V) raises
+    ResourceError; the undecided last verdict is then returned as-is, or,
+    after a PrecisionError, PrecisionError or check's error is raised.
     """
     V = V0
     attempts = 0
@@ -269,6 +269,12 @@ def _retry_precision(attempt, V0: int):
             if result is None:
                 raise PrecisionError(
                     f"undecided after {attempts} attempts up to V={V}")
+            return result, V, attempts
+        try:
+            check(2 * V)
+        except ResourceError:
+            if result is None:
+                raise
             return result, V, attempts
         V *= 2
 
@@ -347,13 +353,16 @@ def run(config: RunConfig):
 
     if mode != "symk":
         V0 = config.V if config.V is not None else default_precision(config)
-        # the first attempt takes V0 to N digits over the T weight tuples that
-        # sym_inf_weights enumerates at a degree-1 point (1 tuple in unitroot)
-        w, N = (V0 - 1) // (a * (config.p - 1)), -(-V0 // (config.p - 1)) + 1
-        T = 1 if mode == "unitroot" else math.prod(w // j + 1 for j in range(1, n + 1))
-        if T * V0 * N > config.budget:
-            raise ResourceError(f"precision V = {V0} needs T*V*N = {T * V0 * N} "
-                                f"steps, budget {config.budget}")
+
+        def check(V):
+            # an attempt takes V to N digits over the T weight tuples that
+            # sym_inf_weights enumerates at a degree-1 point (1 tuple in unitroot)
+            w, N = (V - 1) // (a * (config.p - 1)), -(-V // (config.p - 1)) + 1
+            T = 1 if mode == "unitroot" else math.prod(w // j + 1 for j in range(1, n + 1))
+            if T * V * N > config.budget:
+                raise ResourceError(f"precision V = {V} needs T*V*N = {T * V * N} "
+                                    f"steps, budget {config.budget}")
+        check(V0)
 
         def attempt(V):
             if mode == "unitroot":
@@ -371,7 +380,7 @@ def run(config: RunConfig):
         if padic_only:
             (gs, pts, _), V = attempt(V0), V0
         else:
-            (gs, pts, v), V, attempts = _retry_precision(attempt, V0)
+            (gs, pts, v), V, attempts = _retry_precision(attempt, V0, check)
             verdicts.append(("syminf", v))
             derived.update({"V_initial": V0, "attempts": attempts})
         add("unitroot" if mode == "unitroot" else "syminf", gs, pts)

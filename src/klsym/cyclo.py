@@ -14,6 +14,7 @@ unbounded, so nothing here may overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import UsageError
@@ -50,6 +51,12 @@ def check_odd_prime(p: int) -> None:
         raise UsageError(f"level must be an odd prime, got {p}")
 
 
+@functools.cache
+def _binomial_rows(p: int):
+    """Row j holds C(i, j) for i = j, ..., p - 2: b_j is row j dotted with a[j:]."""
+    return tuple(tuple(math.comb(i, j) for i in range(j, p - 1)) for j in range(p - 1))
+
+
 class CycInt:
     """An element of Z[zeta_p], immutable by convention."""
 
@@ -64,6 +71,13 @@ class CycInt:
         self.coords = coords
 
     @classmethod
+    def _new(cls, p: int, coords: tuple) -> "CycInt":
+        """No checks: p - 1 int coordinates at a level some operand already passed."""
+        self = object.__new__(cls)
+        self.p, self.coords = p, coords
+        return self
+
+    @classmethod
     def from_int(cls, p: int, n: int) -> "CycInt":
         return cls(p, (n,) + (0,) * (p - 2))
 
@@ -74,6 +88,7 @@ class CycInt:
     @classmethod
     def from_powers(cls, p: int, pairs) -> "CycInt":
         """Build sum c * zeta^e from (exponent, coefficient) pairs."""
+        check_odd_prime(p)
         bucket = [0] * p
         for e, c in pairs:
             bucket[e % p] += int(c)
@@ -83,7 +98,7 @@ class CycInt:
     def _fold(cls, p: int, bucket) -> "CycInt":
         """Reduce sum bucket[e] * zeta^e, e < p, through the level relation."""
         top = bucket[p - 1]
-        return cls(p, tuple(bucket[i] - top for i in range(p - 1)))
+        return cls._new(p, tuple(bucket[i] - top for i in range(p - 1)))
 
     def _check_level(self, other: "CycInt") -> None:
         if self.p != other.p:
@@ -93,13 +108,13 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check_level(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return CycInt._new(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check_level(other)
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return CycInt._new(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         return CycInt(self.p, tuple(-a for a in self.coords))
@@ -151,12 +166,15 @@ class CycInt:
             return None
         p, a = self.p, self.coords
         best = math.inf
-        for j in range(p - 1):
+        for j, row in enumerate(_binomial_rows(p)):
             if best <= j:  # the terms from j on are worth at least j
                 break
-            b = sum(math.comb(i, j) * a[i] for i in range(j, p - 1))
+            b = sum(c * x for c, x in zip(row, a[j:]))
             if b:
-                best = min(best, (p - 1) * ord_p(p, b) + j)
+                v = j
+                while b % p == 0 and v < best:  # once v >= best, this term cannot win
+                    b, v = b // p, v + p - 1
+                best = min(best, v)
         return best
 
     def divide_exact_int(self, m: int) -> "CycInt":

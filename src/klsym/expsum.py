@@ -165,8 +165,14 @@ class SumCache:
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(f"v1|{key}|{value.serialize()}\n")
+            # one write on an O_APPEND descriptor: concurrent records never interleave
+            line = f"v1|{key}|{value.serialize()}\n".encode("ascii")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                if os.write(fd, line) != len(line):
+                    raise OSError(f"{self.path}: short write appending a record")
+            finally:
+                os.close(fd)
 
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""

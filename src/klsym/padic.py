@@ -73,19 +73,19 @@ class PadicExponent:
 class PadicCyc:
     """Element of Z_p[zeta_p] stored mod p^N with pi-adic certificate vcert."""
 
-    __slots__ = ("p", "N", "rep", "vcert")
+    __slots__ = ("p", "N", "rep", "vcert", "_val_lb")
 
     def __init__(self, p: int, N: int, rep: CycInt, vcert: int):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
         mod = p ** N
-        coords = tuple(c % mod for c in rep.coords)
         self.p = p
         self.N = N
-        self.rep = CycInt(p, coords)
+        self.rep = CycInt._new(p, tuple(c % mod for c in rep.coords))
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
+        self._val_lb = None
 
     # -- constructors
 
@@ -112,11 +112,11 @@ class PadicCyc:
         return sum(self.rep.coords) % self.p
 
     def val_lb(self) -> int:
-        """Certified lower bound for the pi-valuation of the true value."""
-        v = self.rep.pi_val()
-        if v is None:
-            return self.vcert
-        return min(v, self.vcert)
+        """Certified lower bound for the pi-valuation of the true value, kept once computed."""
+        if self._val_lb is None:
+            v = self.rep.pi_val()
+            self._val_lb = self.vcert if v is None else min(v, self.vcert)
+        return self._val_lb
 
     def is_unit(self) -> bool:
         return self.residue_int() != 0
@@ -149,7 +149,13 @@ class PadicCyc:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = PadicCyc.from_int(self.p, self.N, other)
+            # the product with from_int(p, N, other): its val_lb is (p-1) ord_p(b), or N(p-1)
+            # at b = 0, for b = other mod p^N; the bound N(p-1) + val_lb() never beats the cap
+            p, N = self.p, self.N
+            b = other % p ** N
+            gain = (p - 1) * ord_p(p, b) if b else N * (p - 1)
+            return PadicCyc(p, N, CycInt._new(p, tuple(c * b for c in self.rep.coords)),
+                            self.vcert + gain)
         if isinstance(other, CycInt):
             other = PadicCyc.embed(other, self.N)
         N = self._join(other)

@@ -25,7 +25,10 @@ algorithm, so a test can require the two to agree:
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration;
 * ``nested_lift_simple_nonzero_root``: the Hensel lift with a complete
   Newton inversion of f'(x) (``nested_unit_inverse``) inside every step,
-  against the one coupled Newton loop of ``padic``.
+  against the one coupled Newton loop of ``padic``;
+* ``pi_val_reference``: the closed-form pi-valuation with a fresh
+  binomial and a full ord_p per term, against ``CycInt.pi_val``, which
+  reads a binomial table and stops dividing once a term cannot win.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
 tests need; ``agrees_with`` compares two certified p-adic values, and
@@ -102,6 +105,25 @@ def divide_exact_int(x: PadicCyc, m: int) -> PadicCyc:
     if unit != 1:
         x = x * PadicCyc.from_int(x.p, x.N, unit).unit_inverse()
     return x.divide_exact_p_power(e)
+
+
+# ---------------------------------------------------------------------------
+# the pi-valuation term by term
+
+
+def pi_val_reference(x: CycInt):
+    """Least (p-1) ord_p(b_j) + j with b_j = sum_i C(i, j) a_i; None for x = 0."""
+    if not x:
+        return None
+    p, a = x.p, x.coords
+    best = math.inf
+    for j in range(p - 1):
+        if best <= j:  # the terms from j on are worth at least j
+            break
+        b = sum(math.comb(i, j) * a[i] for i in range(j, p - 1))
+        if b:
+            best = min(best, (p - 1) * ord_p(p, b) + j)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """End-to-end checks of the command line driver."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import klsym
 from klsym import cli, ff
@@ -449,6 +453,53 @@ def test_retry_doubles_precision_then_reports():
         _retry_precision(starved, 4)
 
 
+def test_retry_stops_where_check_refuses_the_doubled_precision():
+    seen = []
+
+    def undecided(V):
+        seen.append(V)
+        return None, None, Verdict("inconclusive", {"r": 1})
+
+    def check(V):
+        if V > 8:
+            raise ResourceError(f"V = {V} is over the budget")
+
+    result, V, attempts = _retry_precision(undecided, 4, check)
+    assert (seen, V, attempts) == ([4, 8], 8, 2)
+    assert result[2].status == "inconclusive"
+
+    def starved(V):
+        raise PrecisionError("never enough")
+
+    with pytest.raises(ResourceError, match="V = 16 is over the budget"):
+        _retry_precision(starved, 4, check)
+
+
+def test_retries_stay_within_the_budget():
+    # T V N is 55,800 at V = 60, 439,200 at 120 and 3,484,800 at 240,
+    # against the default budget of 2,000,000
+    config = RunConfig(p=3, n=1, mode="verify-newton-hodge", kappa_digits=(1,), D=3, V=60)
+    report, code = run(config)
+    assert code == 3
+    assert report["derived"] == {"V_initial": 60, "V_used": 120, "attempts": 2}
+    assert report["verdict"]["status"] == "inconclusive"
+    # one step short of V = 120, the run stops at its first attempt
+    report, code = run(dataclasses.replace(config, budget=439_199))
+    assert (code, report["derived"]["V_used"]) == (3, 60)
+    # from V = 15 every retry fits, and the retry count stops the run at 120
+    report, code = run(dataclasses.replace(config, V=15))
+    assert report["derived"] == {"V_initial": 15, "V_used": 120, "attempts": 4}
+
+
+def test_retries_stopped_by_the_budget_exit_three(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = console_main(["verify", "-p", "3", "-n", "1", "--kappa", "1", "-D", "3",
+                         "-V", "60", "--out", str(out)])
+    assert code == 3
+    assert _read(out)["derived"]["V_used"] == 120
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_default_precision_scales_with_cap():
     small = default_precision(RunConfig(p=3, n=1, mode="syminf", k=1, D=1))
     large = default_precision(RunConfig(p=3, n=1, mode="syminf", k=1, D=4))
@@ -479,3 +530,30 @@ def test_unitroot_mode(tmp_path):
     assert rows[0]["ordq"] == [0, 1]
     assert rows[1]["ordq"] == [0, 1]
     assert report["series"][0]["cert"] > 0
+
+
+def _fuzz(usual):
+    """Half usual values, half zero, negative, huge or non-numeric text
+    ("\u0663" is an Arabic-Indic 3)."""
+    return (usual | st.integers(-2, 9) | st.integers(-10 ** 40, 10 ** 40)
+            | st.sampled_from(["", "x", "1.5", "3e2", "0x7", "\u0663"])).map(str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["symk", "syminf", "unitroot", "verify", "compare"]),
+       st.fixed_dictionaries(
+           {"-p": _fuzz(st.sampled_from([3, 5, 7])), "-k": _fuzz(st.integers(-3, 6)),
+            "-D": _fuzz(st.integers(0, 4))},
+           optional={"-a": _fuzz(st.integers(1, 2)), "-n": _fuzz(st.integers(1, 3)),
+                     "-V": _fuzz(st.integers(1, 60))}))
+def test_fuzzed_run_options_exit_cleanly(command, values):
+    # a small budget keeps the valid draws cheap; -V is not an option of symk
+    argv = [command, "--budget", "2000"]
+    for flag, value in values.items():
+        if not (flag == "-V" and command == "symk"):
+            argv += [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

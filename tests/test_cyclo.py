@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from klsym.cyclo import CycInt, is_prime, ord_p
 from klsym.errors import UsageError
+from oracles import pi_val_reference
 
 
 def rand_elem(rng, p, span=30):
@@ -84,6 +85,19 @@ def test_pi_val_is_ord_p_of_norm(p):
             assert z.pi_val() == ord_p(p, norm.as_integer()), z
         high = max(high, y.pi_val())
     assert high > 3 * (p - 1)
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]),
+       st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 15)),
+                min_size=12, max_size=12),
+       st.integers(0, 30))
+# b_0 = 5 and b_1 = 5^10: the second term stops dividing at 5 > pi_val = 4
+@example(5, [(5 - 5 ** 10, 0), (1, 10)] + [(0, 0)] * 10, 0)
+def test_pi_val_matches_the_term_by_term_reference(p, coords, k):
+    # coordinates c p^e: terms of high ord_p, which pi_val stops dividing early
+    x = CycInt(p, [c * p ** e for c, e in coords[: p - 1]])
+    x = x * power(one(p) - zeta(p), k)
+    assert x.pi_val() == pi_val_reference(x)
 
 
 def test_pi_val_additive_on_products():

@@ -1,16 +1,22 @@
 """Exponential sum engine: frozen values, dual routes, twists, cache."""
 
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import klsym
 from klsym.cyclo import CycInt
 from klsym.errors import CacheError, ResourceError, UsageError
 from klsym.expsum import (
+    CACHE_HEADER,
     KloostermanEvaluator,
     SumCache,
     _direct_sum,
+    parse_key,
     parse_record,
     record_key,
 )
@@ -238,6 +244,61 @@ def test_cache_compact_dedupes(tmp_path):
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1
     assert parse_record(lines[0])[1] == v
+
+
+def _record(m):
+    """A valid record key and a value of about 3000 digits, distinct per m."""
+    return record_key(3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m))
+
+
+def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
+    path = tmp_path / "sums.cache"
+    cache = SumCache(path)
+    writes, real_write = [], os.write
+
+    def write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    lines = []
+    for m in (1, 2, 3):
+        key, value = _record(m)
+        cache.put(key, value)
+        lines.append(f"v1|{key}|{value.serialize()}\n".encode("ascii"))
+    assert writes == lines
+    assert path.read_bytes() == (CACHE_HEADER + "\n").encode("ascii") + b"".join(lines)
+
+
+_WRITER = """
+import sys, time
+from klsym.cyclo import CycInt
+from klsym.expsum import SumCache, record_key
+path, first, count, start = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+cache = SumCache(path)
+time.sleep(max(0.0, start - time.time()))  # both writers begin together
+for m in range(first, first + count):
+    cache.put(record_key(3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m)))
+"""
+
+
+def test_two_processes_append_to_one_cache(tmp_path):
+    path = tmp_path / "sums.cache"
+    SumCache(path)
+    count = 300
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    start = str(time.time() + 0.5)
+    children = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path),
+                                  str(first), str(count), start], env=env)
+                for first in (1, count + 1)]
+    # a hang fails on the timeout instead of stalling the suite
+    assert [child.wait(timeout=60) for child in children] == [0, 0]
+    cache = SumCache(path)
+    assert cache.torn == 0
+    records = cache.records()  # raises CacheError on a torn or interleaved line
+    assert sorted(key for _, key, _ in records) == \
+        sorted(_record(m)[0] for m in range(1, 2 * count + 1))
+    assert all(value == _record(parse_key(key)[-1])[1] for _, key, value in records)
 
 
 def test_cache_compact_failing_part_way_leaves_the_file(tmp_path, monkeypatch):

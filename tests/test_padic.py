@@ -28,6 +28,7 @@ from oracles import (
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
+    pi_val_reference,
     times_int,
 )
 
@@ -97,6 +98,65 @@ def test_val_lb_and_measured():
     z = PadicCyc.embed(C(p, 0, 0), N)
     assert z.rep.pi_val() is None
     assert z.val_lb() == N * (p - 1)
+
+
+def _built_every_way(p, N, seed):
+    """PadicCyc values from every constructor and operation, certificates mixed."""
+    rng = random.Random(seed)
+
+    def elem():
+        return C(p, *(rng.randrange(-p ** N, p ** N) for _ in range(p - 1)))
+
+    x = PadicCyc.embed(elem(), N)
+    y = PadicCyc(p, N, elem(), rng.randrange(1, N * (p - 1)))
+    u = PadicCyc.from_int(p, N, 1 + p * rng.randrange(1, 50))
+    pi = PadicCyc.embed(C(p, 1, -1, *[0] * (p - 3)), N)
+    return [
+        x, y, u, pi, PadicCyc.zero(p, N), PadicCyc.one(p, N),
+        PadicCyc.from_int(p, N, p ** N), PadicCyc.from_int(p, N, -p),
+        x + y, x - y, y + 3, y - 5, x * y, y * elem(), x * pi * pi, x * p ** 2, y * 0,
+        u.unit_inverse(), y.galois(2), x.times_p_power(2),
+        x.times_p_power(2).divide_exact_p_power(1), y.with_precision(N - 1), u ** 3,
+        one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
+    ]
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
+def test_val_lb_is_pi_val_capped_by_the_certificate(p, N):
+    for x in _built_every_way(p, N, 100 * p + N):
+        v = pi_val_reference(x.rep)
+        want = x.vcert if v is None else min(v, x.vcert)
+        assert x.val_lb() == want, x
+        assert x.val_lb() == want, x  # the kept value
+
+
+def test_val_lb_reads_pi_val_once(monkeypatch):
+    calls = []
+    real = CycInt.pi_val
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycInt, "pi_val", counting)
+    x = PadicCyc.embed(C(5, 10, 0, 5, 0), 4)
+    assert [x.val_lb() for _ in range(3)] == [4, 4, 4]
+    assert len(calls) == 1
+    x * x
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
+def test_int_product_equals_the_product_with_its_embedding(p, N):
+    rng = random.Random(p * N)
+    bs = [0, 1, -1, 2, -7, p, -p ** 2 * 3, p ** N, -5 * p ** N, p ** (N + 2),
+          3 * p ** (N + 1) + p ** (N - 1), *(rng.randrange(-10 ** 9, 10 ** 9) for _ in range(6))]
+    for x in _built_every_way(p, N, p + N):
+        for b in bs:
+            want = x * PadicCyc.from_int(p, x.N, b)
+            for got in (x * b, b * x):
+                assert (got.rep.coords, got.N, got.vcert) == \
+                    (want.rep.coords, want.N, want.vcert), (x, b)
 
 
 def test_unit_inverse():
