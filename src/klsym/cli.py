@@ -145,18 +145,6 @@ def series(base, factors, D: int, local, workers: int = 1):
         [lf.point for lf in factors])
 
 
-def series_symk(base, factors, k: int, D: int, workers: int = 1):
-    """Exact finite symmetric power L-series truncated at degree D."""
-    return series(base, factors, D, lambda lf, R: symk_local(lf, k, R), workers)
-
-
-def series_syminf(base, factors, kappa: PadicExponent, V: int, D: int,
-                  workers: int = 1):
-    """Infinite symmetric power L-series to certified precision V."""
-    return series(base, factors, D, lambda lf, R: sym_inf_local(
-        lf, kappa, V, R, base.k), workers)
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -345,13 +333,17 @@ def run(config: RunConfig):
     kappa = _kappa(config)  # bad digits fail before any sum is computed
     factors = local_factors(ev, n, D, config.workers)
     if _builds_symk(config):
-        gs_fin = series_symk(base, factors, config.k, D, config.workers)
+        gs_fin = series(base, factors, D, lambda lf, R: symk_local(lf, config.k, R),
+                        config.workers)
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
         if mode == "verify-newton-hodge":
             verdicts.append(("symk", verify_above(pts_fin, hodge)))
 
     if mode != "symk":
+        # the unit-root series is the weight-zero term of the Sym^(kappa,oo) one
+        name, padic_local = (("unitroot", unit_root_local) if mode == "unitroot"
+                             else ("syminf", sym_inf_local))
         V0 = config.V if config.V is not None else default_precision(config)
 
         def check(V):
@@ -365,11 +357,8 @@ def run(config: RunConfig):
         check(V0)
 
         def attempt(V):
-            if mode == "unitroot":
-                gs = series(base, factors, D, lambda lf, R: unit_root_local(
-                    lf, kappa, V, R), config.workers)
-            else:
-                gs = series_syminf(base, factors, kappa, V, D, config.workers)
+            gs = series(base, factors, D, lambda lf, R: padic_local(lf, kappa, V, R),
+                        config.workers)
             pts = newton_points(gs.coeffs, a, cert=gs.cert)
             if mode == "verify-newton-hodge":
                 return gs, pts, verify_above(pts, hodge)
@@ -383,7 +372,7 @@ def run(config: RunConfig):
             (gs, pts, v), V, attempts = _retry_precision(attempt, V0, check)
             verdicts.append(("syminf", v))
             derived.update({"V_initial": V0, "attempts": attempts})
-        add("unitroot" if mode == "unitroot" else "syminf", gs, pts)
+        add(name, gs, pts)
         derived["V_used"] = V
 
     if mode == "verify-newton-hodge":
@@ -548,8 +537,6 @@ def _add_field_args(sp, with_n=True):
 
 
 def _add_run_args(sp):
-    sp.add_argument("--workers", type=int, default=1,
-                    help="threads for per-point work")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="refuse sums or Sym^k series needing more than "
                          "this many steps")
@@ -557,7 +544,6 @@ def _add_run_args(sp):
                     default=os.environ.get(CACHE_ENV),
                     help=f"sum cache file (default ${CACHE_ENV})")
     sp.add_argument("--out", help="write the JSON report here (default stdout)")
-    sp.add_argument("--csv", help="also write a CSV coefficient table here")
 
 
 def _add_exponent_args(sp, require_k=False):
@@ -621,6 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-V", type=int, default=None,
                             help="pi-adic precision target (default derived)")
         _add_run_args(sp)
+        sp.add_argument("--workers", type=int, default=1, help="threads for per-point work")
+        sp.add_argument("--csv", help="also write a CSV coefficient table here")
         # every RunConfig field, also where this mode has no option for it
         sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
 

@@ -11,6 +11,8 @@ alias.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import itertools
 import os
 import shutil
@@ -103,35 +105,58 @@ class SumCache:
         self.hits = 0
         self.misses = 0
         self.torn = 0
-        self._torn_at = None
         self._load()
 
     def _lines(self):
-        """(line number, line) for each newline-terminated record line.
+        """(line number, line) for each newline-terminated record line, and
+        whether text follows the last newline.
 
-        Text after the last newline is a write cut short: it is skipped,
-        counted in torn, and cut off before the next append.  A non-ASCII
-        byte reads as one lone surrogate, so offsets stay byte offsets and
-        parse_record rejects its line.
+        That text is a write cut short: it is skipped here and cut off by
+        the next append.  A non-ASCII byte reads as one lone surrogate, so
+        offsets stay byte offsets and parse_record rejects its line.
         """
         with open(self.path, "r", encoding="ascii", errors="surrogateescape",
                   newline="") as fh:
             text = fh.read()
         end = text.rfind("\n") + 1
-        if end < len(text) and self._torn_at is None:
-            self.torn += 1
-            self._torn_at = end
         return [(lineno, line)
                 for lineno, line in enumerate(text[:end].splitlines(), start=1)
-                if line and not line.startswith("#")]
+                if line and not line.startswith("#")], end < len(text)
+
+    @contextlib.contextmanager
+    def _locked(self):
+        """A descriptor on the cache file under an exclusive flock.
+
+        compact swaps a new file in under the lock, so a writer that waited
+        on the old file reopens the path until it holds the file it names.
+        """
+        while True:
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                try:
+                    held = os.path.samestat(os.fstat(fd), os.stat(self.path))
+                except FileNotFoundError:
+                    held = False
+                if held:
+                    yield fd
+                    return
+            finally:
+                os.close(fd)
 
     def _load(self):
         try:
-            lines = self._lines()
+            lines, torn = self._lines()
         except FileNotFoundError:
-            with open(self.path, "w", encoding="ascii") as fh:
-                fh.write(CACHE_HEADER + "\n")
+            try:
+                # O_EXCL: a second creator never truncates what the first wrote
+                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                return self._load()
+            with self._locked() as fd:
+                os.write(fd, (CACHE_HEADER + "\n").encode("ascii"))
             return
+        self.torn += torn
         for lineno, line in lines:
             try:
                 key, value = parse_record(line)
@@ -162,33 +187,32 @@ class SumCache:
                     raise CacheError(f"conflicting value for cached key {key}")
                 return
             self._mem[key] = value
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
-            # one write on an O_APPEND descriptor: concurrent records never interleave
             line = f"v1|{key}|{value.serialize()}\n".encode("ascii")
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
+            with self._locked() as fd:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    # a writer died mid-record: cut its text after the last newline
+                    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+                # one write on an O_APPEND descriptor: records never interleave
                 if os.write(fd, line) != len(line):
                     raise OSError(f"{self.path}: short write appending a record")
-            finally:
-                os.close(fd)
 
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""
-        return [(lineno, *parse_record(line)) for lineno, line in self._lines()]
+        return [(lineno, *parse_record(line)) for lineno, line in self._lines()[0]]
 
     def compact(self):
         """Rewrite the file keeping the first occurrence of each key, through a
-        file beside it and one os.replace: a crash leaves the old cache whole."""
-        kept = []
-        seen = set()
-        for _, key, value in self.records():
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append((key, value))
-        with self._lock:
+        file beside it and one os.replace: a crash leaves the old cache whole.
+        The lock spans the read and the swap, so no append in between is lost."""
+        with self._lock, self._locked():
+            kept = []
+            seen = set()
+            for _, key, value in self.records():
+                if key in seen:
+                    continue
+                seen.add(key)
+                kept.append((key, value))
             tmp = f"{self.path}.{os.getpid()}.tmp"
             with open(tmp, "w", encoding="ascii") as fh:
                 try:
@@ -202,7 +226,6 @@ class SumCache:
                     raise
             shutil.copymode(self.path, tmp)
             os.replace(tmp, self.path)
-            self._torn_at = None
         return len(kept)
 
 

@@ -18,6 +18,7 @@ Galois descent of every global coefficient.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .cyclo import CycInt
@@ -175,16 +176,24 @@ def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
 
 def sym_inf_weights(n: int, wmax: int):
     """All (i_1..i_n) >= 0 with weight sum j*i_j <= wmax, lex order."""
-    ranges = [range(wmax // j + 1) for j in range(1, n + 1)]
-    out = []
-    for tup in itertools.product(*ranges):
-        if sum(j * i for j, i in zip(range(1, n + 1), tup)) <= wmax:
-            out.append(tup)
-    return out
+    return [tup for tup in itertools.product(*(range(wmax // j + 1) for j in range(1, n + 1)))
+            if sum(j * i for j, i in enumerate(tup, start=1)) <= wmax]
 
 
-def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
-                  a: int) -> LocalSeries:
+def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int, info: dict) -> LocalSeries:
+    """prod over lams of (1 - lam T^d)^(-1) to r = R at precision N; the
+    certificate is V capped by the vcert of every lam and every coefficient."""
+    p = lf.coeffs[0].p
+    out = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * R
+    cert = V
+    for lam in lams:
+        cert = min(cert, lam.vcert)
+        for r in range(1, R + 1):
+            out[r] = out[r] + lam * out[r - 1]
+    return LocalSeries(lf.point, out, min([cert] + [c.vcert for c in out]), info)
+
+
+def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
     """Series of the infinite symmetric power Euler factor at one point.
 
     Eigenvalues are pi_0^(kappa - |i|) prod pi_j^(i_j) over integer tuples
@@ -192,45 +201,23 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     only above the target precision and are dropped.  The returned
     certificate folds the slope-split, 1-unit-power and truncation costs.
     """
-    p = lf.coeffs[0].p
-    d = lf.point.degree
-    ad = a * d
-    N = -(-V // (p - 1)) + 1
-    pis, ledger = slope_split(list(lf.coeffs), a, d, N)
-    pi0 = pis[0]
-    wmax = (V - 1) // (ad * (p - 1)) if ad * (p - 1) < V else 0
+    p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
+    pis, ledger = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
+    wmax = (V - 1) // (a * d * (p - 1))
     tuples = sym_inf_weights(lf.n, wmax)
-    pow_cache = {}
-    out = [PadicCyc.one(p, pi0.N)] + [PadicCyc.zero(p, pi0.N)] * R
-    cert = V
-    for tup in tuples:
-        size = sum(tup)
-        lam = pow_cache.get(size)
-        if lam is None:
-            lam = one_unit_power(pi0, kappa.minus_int(size), V)
-            pow_cache[size] = lam
-        for j, i_j in enumerate(tup, start=1):
-            if i_j:
-                lam = lam * pis[j] ** i_j
-        cert = min(cert, lam.vcert)
-        for r in range(1, R + 1):
-            out[r] = out[r] + lam * out[r - 1]
-    cert = min([cert] + [c.vcert for c in out])
-    return LocalSeries(lf.point, out, cert,
-                       {"tuples": len(tuples), "wmax": wmax, "split": ledger})
+    # pi_0^(kappa - s) for each size s = |i| <= wmax
+    powers = [one_unit_power(pis[0], kappa.minus_int(s), V) for s in range(wmax + 1)]
+    lams = (math.prod((pis[j] ** i for j, i in enumerate(tup, start=1) if i),
+                      start=powers[sum(tup)]) for tup in tuples)
+    return _inverse_series(lf, lams, pis[0].N, V, R,
+                           {"tuples": len(tuples), "wmax": wmax, "split": ledger})
 
 
 def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
-    """Series of (1 - pi_0^kappa T^d)^(-1): the slope-zero part alone."""
-    p = lf.coeffs[0].p
-    N = -(-V // (p - 1)) + 1
-    pi0 = hensel_unit_root(list(lf.coeffs), N)
-    u = one_unit_power(pi0, kappa, V)
-    out = [PadicCyc.one(p, u.N)]
-    for r in range(R):
-        out.append(out[-1] * u)
-    cert = min([V, u.vcert] + [c.vcert for c in out])
-    return LocalSeries(lf.point, out, cert, {})
+    """Series of (1 - pi_0^kappa T^d)^(-1): the weight-zero term of sym_inf_local."""
+    N = -(-V // (lf.coeffs[0].p - 1)) + 1
+    u = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
+    return _inverse_series(lf, [u], u.N, V, R, {})
 
 
 # ---------------------------------------------------------------------------

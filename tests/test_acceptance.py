@@ -12,10 +12,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from klsym.cli import RunConfig, local_factors, run, series_syminf, series_symk
+from klsym.cli import RunConfig, local_factors, run, series
 from klsym.expsum import KloostermanEvaluator, _direct_sum
 from klsym.ff import make_field, points_up_to
-from klsym.lfun import local_factor, sym_inf_local
+from klsym.lfun import local_factor, sym_inf_local, symk_local
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -116,13 +116,14 @@ def test_criterion_3_slope_coincidence():
         # so the comparison in slopes <= k must not move
         base = make_field(3, 1)
         factors = local_factors(KloostermanEvaluator(base), 1, 3)
-        fin = series_symk(base, factors, 1, 3)
+        fin = series(base, factors, 3, lambda lf, R: symk_local(lf, 1, R))
         nine = fin.coeffs[0].from_int(3, 9)
         twisted = list(fin.coeffs) + [fin.coeffs[0] * 0]
         for r in range(len(twisted) - 1, 0, -1):
             twisted[r] = twisted[r] - nine * twisted[r - 1]
         twisted = twisted[:4]
-        inf = series_syminf(base, factors, PadicExponent.exact(3, 1), 14, 3)
+        inf = series(base, factors, 3, lambda lf, R: sym_inf_local(
+            lf, PadicExponent.exact(3, 1), 14, R))
         pts_inf = newton_points(inf.coeffs, 1, cert=inf.cert)
         v = compare_slope_range(newton_points(twisted, 1), pts_inf, F(1))
         assert v.status == "agree"
@@ -160,7 +161,7 @@ def test_criterion_6_integrality():
         for n, k, D in [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 1, 2)]:
             base = make_field(3, 1)
             factors = local_factors(KloostermanEvaluator(base), n, D)
-            gs = series_symk(base, factors, k, D)
+            gs = series(base, factors, D, lambda lf, R: symk_local(lf, k, R))
             assert gs.integers is not None
             for c, value in zip(gs.coeffs, gs.integers):
                 assert c.as_integer() == value  # no zeta components at all
@@ -168,7 +169,8 @@ def test_criterion_6_integrality():
         for n, D, V in [(1, 3, 12), (2, 2, 10)]:
             base = make_field(3, 1)
             factors = local_factors(KloostermanEvaluator(base), n, D)
-            gs = series_syminf(base, factors, PadicExponent.exact(3, 2), V, D)
+            gs = series(base, factors, D, lambda lf, R: sym_inf_local(
+                lf, PadicExponent.exact(3, 2), V, R))
             assert gs.cert is not None and gs.cert > 0
             for c in gs.coeffs:
                 for g in range(2, 3):
@@ -189,11 +191,11 @@ def test_criterion_7_padic_limit_of_truncations():
             pi0 = hensel_unit_root(list(lf.coeffs), 7)
             v1 = (pi0 - PadicCyc.one(p, pi0.N)).rep.pi_val()
             assert v1 is not None and v1 >= 1
-            limit_coeffs = sym_inf_local(lf, kappa, 12, 2, 1).coeffs
+            limit_coeffs = sym_inf_local(lf, kappa, 12, 2).coeffs
             for s, k_s in truncations:
                 assert k_s == kappa.rep % p ** s
                 trunc = sym_inf_local(lf, PadicExponent.exact(p, k_s),
-                                      12, 2, 1).coeffs
+                                      12, 2).coeffs
                 need = (p - 1) * s + v1
                 for r in range(1, 3):
                     gap = (limit_coeffs[r] - trunc[r]).rep.pi_val()
@@ -209,7 +211,7 @@ def test_criterion_8_cross_route_equality():
         for pt in points_up_to(base, 3):
             lf = local_factor(ev, 1, pt)
             R = 3 // pt.degree
-            via_product = sym_inf_local(lf, kappa, 10, R, 1)
+            via_product = sym_inf_local(lf, kappa, 10, R)
             via_hsum = sym_inf_local_hsum(lf, kappa, 10, R, 1)
             joint = min(via_product.cert, via_hsum.cert)
             assert joint >= 6
@@ -263,7 +265,7 @@ def test_criterion_9_determinism_and_monotonicity():
             kappa = PadicExponent.exact(3, k)
             verdicts = []
             for V in (V_lo, V_hi):
-                gs = series_syminf(base, factors, kappa, V, D)
+                gs = series(base, factors, D, lambda lf, R: sym_inf_local(lf, kappa, V, R))
                 v = verify_above(newton_points(gs.coeffs, 1, cert=gs.cert),
                                  hodge)
                 verdicts.append(v)

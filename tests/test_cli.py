@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -36,6 +37,40 @@ def _strip_timing(report):
     report = dict(report)
     report.pop("timing")
     return json.dumps(report, sort_keys=True)
+
+
+# exit code and report digest of the p-adic modes that perfbench does not run, pinned
+# before the unit-root and Sym^(kappa,oo) series shared one routine; the digest is
+# perfbench's: SHA-256 of the canonical JSON report without its timing block
+@pytest.mark.parametrize("argv,code,digest", [
+    ("unitroot -p 3 -n 1 --kappa 1,1 -D 3", 0,
+     "63d4df6599f83b954b935b85e08562ae63253822bed7bdcc39f889dd18f5a936"),
+    ("unitroot -p 3 -n 1 -k -2 -D 3", 0,
+     "40e18a9130817b69edbd932f0386181b906be11691db8836c3b559ba277d24be"),
+    ("unitroot -p 3 -a 2 -n 1 --kappa 2,1 -D 1", 0,
+     "eb92210ba6a0f1365384f7dc7df32d5878505ec2ea24b5c86b407cb0fc396507"),
+    ("syminf -p 3 -n 1 --kappa 1,2,0 -D 3", 0,
+     "e6cfa1e1789840552afb017a6d5cc236c0dcbdfec27c1417993740fb617a67d0"),
+    ("syminf -p 3 -n 2 -k 1 -D 2", 0,
+     "5b27b757c37cdcf2458968bb57dca23244addd8c3825f7fa15ac614728718305"),
+    ("syminf -p 3 -a 2 -n 1 -k 1 -D 1", 0,
+     "f353bfd1c0f36c9f6f32f46df31f335cf3a3473cd736b37d8839341b8028a47a"),
+    ("syminf -p 7 -n 1 --kappa 3,1 -D 2", 0,
+     "0336788f701c9c8d9fb32f2b859a187c9e7972f2de311b99e91ffe4a0d1bc4da"),
+    ("compare -p 3 -a 2 -n 1 -k 1 -D 1", 0,
+     "0bf74df730660fc83e05babb0513fd6d70ac3e02fbcbb35f0f944b72e28daef8"),
+    ("verify -p 3 -n 2 -k 2 -D 2", 0,
+     "2914be2864166f9867228d0c0ba90976331f678e77004cf5c5bff3fac49d6b26"),
+    ("verify -p 3 -n 1 --kappa 1,0 -D 3", 0,
+     "1bc0606a6330b5a63b30bbc0ed6b118a853bc1e597f63e2f8eb4d13e7ef3fc51"),
+])
+def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main(argv.split()) == code
+    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
+            if key != "timing"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 def test_verify_pass_exit_zero(tmp_path):
@@ -75,6 +110,12 @@ def test_bad_arguments_exit_one(tmp_path):
     assert console_main(["cache", "verify", "--cache", str(cache),
                          "--sample", "-1"]) == 1
     assert console_main(["--version"]) == 0
+    # sum and local run no series: they take no --workers and write no --csv
+    for command in (["sum", "-m", "1"], ["local"]):
+        point = command + ["-p", "3", "-n", "1", "-d", "1", "--rep-int", "1"]
+        assert console_main(point + ["--workers", "7"]) == 1
+        assert console_main(point + ["--csv", str(tmp_path / "s.csv")]) == 1
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import klsym
+from klsym import expsum
 from klsym.cyclo import CycInt
 from klsym.errors import CacheError, ResourceError, UsageError
 from klsym.expsum import (
@@ -299,6 +300,69 @@ def test_two_processes_append_to_one_cache(tmp_path):
     assert sorted(key for _, key, _ in records) == \
         sorted(_record(m)[0] for m in range(1, 2 * count + 1))
     assert all(value == _record(parse_key(key)[-1])[1] for _, key, value in records)
+
+
+def test_append_after_another_writers_torn_record_heals(tmp_path):
+    path = tmp_path / "sums.cache"
+    cache = SumCache(path)  # holds the cache open
+    key, value = _record(1)
+    with open(path, "ab") as fh:  # another writer dies mid-record
+        fh.write(f"v1|{key}|{value.serialize()}".encode("ascii")[:40])
+    cache.put(*_record(2))
+    reloaded = SumCache(path)  # raises CacheError if the record joined the torn text
+    assert reloaded.torn == 0
+    assert [key for _, key, _ in reloaded.records()] == [_record(2)[0]]
+
+
+def test_two_caches_loaded_over_one_torn_tail_keep_both_records(tmp_path):
+    path = tmp_path / "sums.cache"
+    SumCache(path)
+    with open(path, "ab") as fh:
+        fh.write(b"v1|3,1,[0,1]|1|1|[1]|1|3:[5,")
+    first, second = SumCache(path), SumCache(path)
+    assert first.torn == second.torn == 1
+    first.put(*_record(1))
+    second.put(*_record(2))  # must not cut first's record at the offset it loaded
+    assert sorted(key for _, key, _ in SumCache(path).records()) == \
+        sorted(_record(m)[0] for m in (1, 2))
+
+
+def test_process_appending_while_another_compacts_loses_no_record(tmp_path):
+    path = tmp_path / "sums.cache"
+    SumCache(path)
+    count = 300
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    start = time.time() + 0.5
+    child = subprocess.Popen([sys.executable, "-c", _WRITER, str(path), "1", str(count),
+                              str(start)], env=env)
+    time.sleep(max(0.0, start - time.time()))
+    deadline = time.time() + 60
+    while child.poll() is None and time.time() < deadline:
+        SumCache(path).compact()
+    # a hang fails on the timeout instead of stalling the suite
+    assert child.wait(timeout=60) == 0
+    records = SumCache(path).records()
+    assert sorted(key for _, key, _ in records) == \
+        sorted(_record(m)[0] for m in range(1, count + 1))
+
+
+def test_second_creator_keeps_the_first_creators_records(tmp_path, monkeypatch):
+    path = tmp_path / "sums.cache"
+    SumCache(path).put(*_record(1))
+    # a second process found the file missing just before the first created it
+    real_open, missed = open, []
+
+    def late_open(file, *args, **kwargs):
+        if not missed:
+            missed.append(file)
+            raise FileNotFoundError(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(expsum, "open", late_open, raising=False)
+    second = SumCache(path)
+    assert missed == [str(path)]
+    assert len(second) == 1
+    assert [key for _, key, _ in SumCache(path).records()] == [_record(1)[0]]
 
 
 def test_cache_compact_failing_part_way_leaves_the_file(tmp_path, monkeypatch):

@@ -253,7 +253,7 @@ def test_inverse_factor_series():
 def test_sym_inf_frozen_coefficient_kappa_two():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
-    ls = sym_inf_local(lf, PadicExponent.exact(3, 2), V=8, R=2, a=1)
+    ls = sym_inf_local(lf, PadicExponent.exact(3, 2), V=8, R=2)
     c1 = ls.coeffs[1].rep
     assert (c1 - CycInt.from_int(3, 7)).pi_val() >= 4  # 7 mod 9
     assert ls.cert >= 6
@@ -267,7 +267,7 @@ def test_sym_inf_agrees_with_hsum_route():
         for kappa in (PadicExponent.exact(3, 2),
                       from_rational(3, 1, 2, 6),
                       PadicExponent.exact(3, -1)):
-            a_route = sym_inf_local(lf, kappa, V=10, R=4, a=1)
+            a_route = sym_inf_local(lf, kappa, V=10, R=4)
             b_route = sym_inf_local_hsum(lf, kappa, V=10, R=4, a=1)
             joint = min(a_route.cert, b_route.cert)
             assert joint >= 6
@@ -283,7 +283,7 @@ def test_sym_inf_at_integer_kappa_matches_finite_power():
     for rep in [(1,), (2,)]:
         lf = local_factor(_ev(), 1, _pt(base, rep))
         for k in (1, 2, 3):
-            ls = sym_inf_local(lf, PadicExponent.exact(3, k), V=12, R=3, a=1)
+            ls = sym_inf_local(lf, PadicExponent.exact(3, k), V=12, R=3)
             finite = inverse_factor_series(sym_k_factor(lf, k), 3)
             bound = min(ls.cert, 2 * (k + 1))
             for x, y in zip(ls.coeffs, finite):
@@ -295,7 +295,7 @@ def test_sym_inf_on_degree_two_point():
     base = make_field(3, 1)
     pt = [q for q in closed_points(base, 2) if q.degree == 2][0]
     lf = local_factor(_ev(), 1, pt)
-    a_route = sym_inf_local(lf, from_rational(3, 1, 2, 5), V=9, R=2, a=1)
+    a_route = sym_inf_local(lf, from_rational(3, 1, 2, 5), V=9, R=2)
     b_route = sym_inf_local_hsum(lf, from_rational(3, 1, 2, 5), V=9, R=2, a=1)
     joint = min(a_route.cert, b_route.cert)
     for x, y in zip(a_route.coeffs, b_route.coeffs):
@@ -309,7 +309,7 @@ def test_unit_root_series_is_weight_zero_truncation():
     kappa = from_rational(3, 1, 2, 4)
     unit = unit_root_local(lf, kappa, V=8, R=3)
     # with V <= a d (p-1) the infinite power keeps only the weight-0 tuple
-    small = sym_inf_local(lf, kappa, V=2, R=3, a=1)
+    small = sym_inf_local(lf, kappa, V=2, R=3)
     for x, y in zip(unit.coeffs, small.coeffs):
         d = (x.rep - y.rep).pi_val()
         assert d is None or d >= small.cert
@@ -382,7 +382,7 @@ def test_euler_product_padic_mode_and_galois_check():
     contribs = []
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)
-        contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree, a=1))
+        contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree))
     gs = euler_product(base, contribs, 2, points_up_to(base, 2))
     assert gs.cert is not None and gs.cert >= 6
     assert gs.integers is None
@@ -399,7 +399,7 @@ def test_euler_product_padic_integrality_finding():
     contribs = []
     for pt in closed_points(base, 1):
         lf = local_factor(ev, 1, pt)
-        contribs.append(sym_inf_local(lf, kappa, V=8, R=1, a=1))
+        contribs.append(sym_inf_local(lf, kappa, V=8, R=1))
     z = PadicCyc.embed(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
     contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
     with pytest.raises(IntegralityFindingError):
@@ -411,7 +411,7 @@ def test_euler_product_rejects_mixed_modes():
     exact = _exact_contribs(ev, 1, 1, 1)
     kappa = PadicExponent.exact(3, 1)
     lf = local_factor(ev, 1, exact[0].point)
-    mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1, a=1)]
+    mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1)]
     mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
     with pytest.raises(UsageError):
         euler_product(ev.base, mixed, 1, points_up_to(ev.base, 1))
