@@ -12,6 +12,7 @@ whole report through ``_jsonable``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -121,16 +122,29 @@ def default_precision(config: RunConfig) -> int:
 
 
 def _pmap(fn, items, workers: int):
+    """fn over items, results yielded in order as they are ready."""
     if workers <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1):
-    """The exact local factor at every closed point of degree <= D."""
-    return _pmap(lambda pt: local_factor(ev, n, pt),
-                 points_up_to(ev.base, D), workers)
+    """The exact local factor at every closed point of degree <= D.
+
+    A point's new sums reach the cache once it and every point before it
+    are done, so the file's bytes do not depend on the worker count.
+    """
+    cache = ev.cache
+    factors = []
+    with cache.holding() if cache is not None else contextlib.nullcontext():
+        for lf in _pmap(lambda pt: local_factor(ev, n, pt),
+                        points_up_to(ev.base, D), workers):
+            if cache is not None:
+                cache.release(lf.point.sort_key())
+            factors.append(lf)
+    return factors
 
 
 def series(base, factors, D: int, local, workers: int = 1):
@@ -292,16 +306,17 @@ def run(config: RunConfig):
     t0 = time.perf_counter()
     _validate(config)
     base = make_field(config.p, config.a)
-    # the sums at the points of degree max(D, 1) live here; refuse an
-    # oversize run before any table is built
-    point_field(base, max(config.D, 1) * (config.n + 1))
+    # the largest sum lives here: Kl(t, 1..h) at the points of degree max(D, 1),
+    # or Kl(t, n+1) at degree 1; refuse an oversize run before any table is built
+    max_degree = max(max(config.D, 1) * ((config.n + 2) // 2), config.n + 1)
+    point_field(base, max_degree)
     # at a point of degree d the Sym^k series takes about (D/d) k^2 products
     if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
         raise ResourceError(
             f"Sym^{config.k} series to degree {config.D} needs "
             f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
     cache = SumCache(config.cache_path) if config.cache_path else None
-    ev = KloostermanEvaluator(base, cache, config.budget)
+    ev = KloostermanEvaluator(base, cache, config.budget, max_degree)
     a, n, D, mode = config.a, config.n, config.D, config.mode
     exponent = _exponent_json(config)
     hodge = hodge_polygon(n, config.p, max(D, 1))
@@ -386,7 +401,8 @@ def run(config: RunConfig):
         "workers": config.workers,
         "budget": config.budget,
         "cache_path": config.cache_path,
-    })
+    }, factors={route: sum(lf.route == route for lf in factors)
+                for route in ("full", "half")})
     verdict = body["verdict"]
     code = 0 if verdict is None else _EXIT_BY_STATUS[verdict["status"]]
     return report, code

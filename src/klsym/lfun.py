@@ -4,7 +4,10 @@ The local factor at a closed point t of degree d over F_q is the degree
 n+1 polynomial P(T) = prod_j (1 - pi_j T) whose eigenvalue power sums are
 p_m = (-1)^n Kl_n(t, m).  Coefficients are recovered by the Newton
 identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
-each step, so no p-adic inversions touch the exact layer.  Symmetric
+each step, so no p-adic inversions touch the exact layer.  Where the
+top sums would need too large a field, the functional equation of the
+pure weight-n sheaf gives the upper half of the coefficients from the
+lower half, so only m <= ceil((n+1)/2) is read.  Symmetric
 powers go through power sums as well: the m-th power sum of Sym^k is
 h_k(pi^m), built from the base power sums p_(i m) by the h-p Newton
 relation, and the same recurrence turns the first R of them into the
@@ -81,13 +84,18 @@ class LocalFactor:
     n: int
     coeffs: tuple
     sign: int  # +1 when the leading coefficient is (-1)^(n+1) q_t^(n(n+1)/2)
+    route: str = "full"  # "half" when built from the functional equation
+
+
+def _signed(es):
+    """sum (-1)^m e_m T^m from e_0 = 1, e_1, ..."""
+    return [-e if m % 2 else e for m, e in enumerate(es)]
 
 
 def _factor_from_power_sums(power_sums):
     """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
-    es = elementary_from_power_sums(power_sums, len(power_sums))
-    return [CycInt.from_int(power_sums[0].p, 1)] + [
-        -e if m % 2 else e for m, e in enumerate(es, start=1)]
+    return _signed([CycInt.from_int(power_sums[0].p, 1)]
+                   + elementary_from_power_sums(power_sums, len(power_sums)))
 
 
 def _lead(coeffs):
@@ -98,24 +106,51 @@ def _lead(coeffs):
         return None
 
 
-def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalFactor:
-    """Local factor from the sums Kl_n(t, 1..n+1), with invariant checks.
+def _non_integral(point, exc):
+    return FunctionalEquationFindingError(
+        f"power sums at {point.rep} give non-integral coefficients: {exc}",
+        witness={"point": point.rep})
 
-    The leading coefficient must be +-q_t^(n(n+1)/2); a wrong magnitude that
-    a global sign flip of the power sums would repair is reported as
-    SignConventionFindingError, anything else as a functional equation
-    finding.  The sign actually observed is recorded on the factor.
+
+def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalFactor:
+    """Local factor from the sums Kl_n(t, m), with invariant checks.
+
+    The full route reads m = 1..n+1.  The leading coefficient must be
+    +-q_t^(n(n+1)/2); a wrong magnitude that a global sign flip of the power
+    sums would repair is reported as SignConventionFindingError, anything
+    else as a functional equation finding.  The sign actually observed is
+    recorded on the factor.
+
+    The half route reads m = 1..h, h = ceil((n+1)/2), and serves the points
+    whose top sum lives in a field past ev.max_degree (None: no point).
+    Kl_n is pure of weight n (Deligne, SGA 4 1/2), so complex conjugation,
+    sigma_(-1) on Q(zeta_p), sends the eigenvalues to q_t^n over themselves:
+    e_(n+1-i) = q_t^(n(n+1)/2 - n i) sigma_(-1)(e_i), with sign +1, which
+    the full route checks at every degree-1 point.  Both halves give e_h; a
+    mismatch there is a functional equation finding.
     """
-    sums = ev.sums_for_factor(n, point)
+    q_t = point.base.size ** point.degree
     sgn = -1 if n % 2 else 1
+    if ev.max_degree is not None and point.degree * (n + 1) > ev.max_degree:
+        h = (n + 2) // 2
+        power_sums = [ev.kloosterman(n, point, m) * sgn for m in range(1, h + 1)]
+        try:
+            es = [CycInt.from_int(point.base.p, 1)] + elementary_from_power_sums(power_sums, h)
+        except ValueError as exc:
+            raise _non_integral(point, exc) from None
+        top = [es[n + 1 - j].galois(-1) * q_t ** (n * j - n * (n + 1) // 2)
+               for j in range(h, n + 2)]
+        if top[0] != es[h]:
+            raise FunctionalEquationFindingError(
+                f"e_{h} at {point.rep} differs from its image under the "
+                f"functional equation", witness={"point": point.rep, "index": h})
+        return LocalFactor(point, n, tuple(_signed(es[:h] + top)), 1, "half")
+    sums = ev.sums_for_factor(n, point)
     power_sums = [s * sgn for s in sums]
     try:
         coeffs = _factor_from_power_sums(power_sums)
     except ValueError as exc:
-        raise FunctionalEquationFindingError(
-            f"power sums at {point.rep} give non-integral coefficients: {exc}",
-            witness={"point": point.rep}) from None
-    q_t = point.base.size ** point.degree
+        raise _non_integral(point, exc) from None
     magnitude = q_t ** (n * (n + 1) // 2)
     expected = magnitude if (n + 1) % 2 == 0 else -magnitude
     lead = _lead(coeffs)
@@ -205,8 +240,9 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     pis, ledger = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
     wmax = (V - 1) // (a * d * (p - 1))
     tuples = sym_inf_weights(lf.n, wmax)
-    # pi_0^(kappa - s) for each size s = |i| <= wmax
-    powers = [one_unit_power(pis[0], kappa.minus_int(s), V) for s in range(wmax + 1)]
+    # pi_0^(kappa - s) for each size s = |i| <= wmax, over one (pi_0 - 1)^l chain
+    chain = []
+    powers = [one_unit_power(pis[0], kappa.minus_int(s), V, chain) for s in range(wmax + 1)]
     lams = (math.prod((pis[j] ** i for j, i in enumerate(tup, start=1) if i),
                       start=powers[sum(tup)]) for tup in tuples)
     return _inverse_series(lf, lams, pis[0].N, V, R,

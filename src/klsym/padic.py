@@ -329,12 +329,14 @@ def slope_split(factor_coeffs, a: int, d: int, N: int):
 # 1-unit powers
 
 
-def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int) -> PadicCyc:
+def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, chain=None) -> PadicCyc:
     """u^kappa for a 1-unit u, as sum binom(kappa, l) (u-1)^l, certified.
 
     V is the target pi-adic precision; the returned certificate is V capped
     by what u's own certificate, the working modulus, and (for truncated
-    exponents) the digit supply can support.
+    exponents) the digit supply can support.  chain, a list shared by calls
+    with the same u and V, holds the (u-1)^l: the first series fills it and
+    later ones reuse it.
     """
     p = u.p
     if kappa.p != p:
@@ -346,18 +348,21 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int) -> PadicCyc:
     if kappa.is_exact and kappa.rep >= 0:
         # plain power; still certified via the multiplication rules
         return u ** kappa.rep
+    if chain is None:
+        chain = []
+    if not chain:
+        term = PadicCyc.one(p, u.N)
+        while (len(chain) + 1) * v1 < V:
+            term = term * um1
+            chain.append(term)
     acc = PadicCyc.one(p, u.N)
-    term = PadicCyc.one(p, u.N)
     cert = min(V, u.vcert, u.N * (p - 1))
-    l = 1
     fact_ord = 0
-    while l * v1 < V:
+    for l, term in enumerate(chain, start=1):
         fact_ord += ord_p(p, l)
-        term = term * um1
         b, s = kappa.binom_with_cert(l)
         if b:
             acc = acc + term * b
         if s is not None:
             cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
-        l += 1
     return PadicCyc(p, acc.N, acc.rep, min(cert, acc.vcert))

@@ -25,6 +25,7 @@ from klsym.cli import (
 from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import KloostermanEvaluator, SumCache
 from klsym.ff import closed_points, make_field, orbit_rep, points_up_to
+from klsym.lfun import local_factor
 from klsym.polygon import Verdict
 
 
@@ -71,6 +72,39 @@ def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, dig
             if key != "timing"}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+# runs whose Kl(t, n+1) at the top degree is over the default budget, so only the
+# half route reaches them; the digests are those of the full route's reports at
+# --budget 1000000000.  timing.factors counts the routes and moves no digest.
+@pytest.mark.parametrize("argv,digest,factors", [
+    ("verify -p 3 -n 2 -k 2 -D 3",
+     "7ff563dffca195104e5c44eedc679b98285f9bf177a5fc135ff7b6c3474d3767",
+     {"full": 5, "half": 8}),
+    ("verify -p 5 -n 2 -k 1 -D 2",
+     "b5032ae480024ab48957630761773b8fb1a95828305b90e20712c3b34976321c",
+     {"full": 4, "half": 10}),
+])
+def test_half_route_reaches_runs_the_full_route_refuses(capsys, monkeypatch, argv,
+                                                        digest, factors):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    p, D = int(argv.split()[2]), int(argv.split()[-1])
+    top = points_up_to(make_field(p, 1), D)[-1]
+    with pytest.raises(ResourceError, match="sum over"):
+        local_factor(KloostermanEvaluator(top.base), 2, top)
+    assert console_main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["timing"]["factors"] == factors
+    body = {key: val for key, val in report.items() if key != "timing"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def test_symk_n3_reaches_degree_two(capsys, monkeypatch):
+    # the full route would sum over (F_3^8)^3 at each degree-2 point
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main("symk -p 3 -n 3 -k 2 -D 2".split()) == 0
+    assert json.loads(capsys.readouterr().out)["timing"]["factors"] == {"full": 2, "half": 3}
 
 
 def test_verify_pass_exit_zero(tmp_path):

@@ -11,7 +11,7 @@ from klsym.errors import (
     UsageError,
 )
 from klsym.expsum import KloostermanEvaluator
-from klsym.ff import closed_points, make_field, points_up_to
+from klsym.ff import MAX_FIELD_SIZE, closed_points, make_field, points_up_to
 from klsym.lfun import (
     GlobalSeries,
     LocalSeries,
@@ -157,6 +157,92 @@ def test_functional_equation_finding_surfaces():
 
     with pytest.raises(FunctionalEquationFindingError):
         local_factor(Broken(base), 1, _pt(base, (1,)))
+
+
+class _Memo(KloostermanEvaluator):
+    """Each sum computed once, whichever route asks for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memo = {}
+
+    def kloosterman(self, n, point, m):
+        key = (n, point.sort_key(), m)
+        if key not in self.memo:
+            self.memo[key] = super().kloosterman(n, point, m)
+        return self.memo[key]
+
+
+def _half(ev, n):
+    """ev with max_degree below every point's n+1 sums: the half route everywhere."""
+    ev.max_degree = n
+    return ev
+
+
+# every (p, a, n) with p in {3, 5, 7}, a in {1, 2}, n <= 3 that has a point of
+# degree <= 2 whose full route fits the field cap and takes at most 80^2
+# vectorised passes per sum
+@pytest.mark.parametrize("p,a,n", [
+    (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2),
+    (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2), (7, 2, 1),
+])
+def test_half_route_equals_full_route(p, a, n):
+    base = make_field(p, a)
+    ev = _Memo(base, budget=10 ** 9)
+    pts = [pt for pt in points_up_to(base, 2)
+           if base.size ** (pt.degree * (n + 1)) <= MAX_FIELD_SIZE
+           and (base.size ** (pt.degree * (n + 1)) - 1) ** (n - 1) <= 80 ** 2]
+    assert pts
+    for pt in pts:
+        ev.max_degree = None
+        full = local_factor(ev, n, pt)
+        half = local_factor(_half(ev, n), n, pt)
+        assert (full.route, half.route) == ("full", "half")
+        assert half.coeffs == full.coeffs
+        assert half.sign == full.sign == 1
+
+
+def test_local_factor_routes_by_max_degree():
+    # at n = 1 a degree-d point's full route sums in F_3^(2d)
+    base = make_field(3, 1)
+    ev = KloostermanEvaluator(base, max_degree=3)
+    routes = {pt.degree: local_factor(ev, 1, pt).route for pt in points_up_to(base, 2)}
+    assert routes == {1: "full", 2: "half"}
+    ev.max_degree = 4
+    assert {local_factor(ev, 1, pt).route for pt in points_up_to(base, 2)} == {"full"}
+
+
+def _corrupt(base, h, bump):
+    """An evaluator whose Kl(t, h) is off by bump."""
+
+    class Corrupt(KloostermanEvaluator):
+        def kloosterman(self, n, point, m):
+            value = super().kloosterman(n, point, m)
+            return value + bump if m == h else value
+
+    return Corrupt(base)
+
+
+@pytest.mark.parametrize("n,bump", [
+    (1, CycInt.from_powers(3, [(1, 1)])),  # Kl(t, 1) + zeta: e_1 is no longer real
+    (2, CycInt.from_int(3, 2)),  # Kl(t, 2) + 2: e_2 moves by 1, still integral
+    (3, CycInt.from_powers(3, [(1, 2)])),  # Kl(t, 2) + 2 zeta: e_2 moves by zeta
+])
+def test_half_route_finding_surfaces(n, bump):
+    base = make_field(3, 1)
+    h = (n + 2) // 2
+    pt = _pt(base, (1,))
+    local_factor(_half(KloostermanEvaluator(base), n), n, pt)
+    with pytest.raises(FunctionalEquationFindingError, match=f"e_{h} at"):
+        local_factor(_half(_corrupt(base, h, bump), n), n, pt)
+
+
+def test_half_route_non_exact_newton_division_surfaces():
+    # Kl(t, 2) + 1 at n = 2 leaves 2 e_2 odd
+    base = make_field(3, 1)
+    with pytest.raises(FunctionalEquationFindingError, match="non-integral"):
+        local_factor(_half(_corrupt(base, 2, CycInt.from_int(3, 1)), 2), 2,
+                     _pt(base, (1,)))
 
 
 # ---------------------------------------------------------------------------

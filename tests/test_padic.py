@@ -369,6 +369,22 @@ def test_one_unit_power_truncated_certificate_is_honest():
         assert d is None or d >= coarse.vcert
 
 
+@pytest.mark.parametrize("kappa", [PadicExponent.exact(5, 2), PadicExponent.exact(5, -3),
+                                   PadicExponent.truncated(5, (2, 4, 1))])
+def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
+    # the sizes s = 0..wmax of sym_inf_local over one chain, as in a verify run at V = 100
+    lf = local_factor(KloostermanEvaluator(make_field(5, 1)), 1,
+                      points_up_to(make_field(5, 1), 1)[1])
+    V = 100
+    u = slope_split(list(lf.coeffs), 1, 1, -(-V // 4) + 1)[0][0]
+    chain = []
+    for s in range(25):
+        shared = one_unit_power(u, kappa.minus_int(s), V, chain)
+        alone = one_unit_power(u, kappa.minus_int(s), V)
+        assert (shared.rep, shared.N, shared.vcert) == (alone.rep, alone.N, alone.vcert)
+    assert len(chain) == (V - 1) // (u - 1).val_lb()
+
+
 def test_one_unit_power_rejects_non_one_unit():
     p, N = 3, 5
     with pytest.raises(DegenerateFactorError):
