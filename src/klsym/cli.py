@@ -130,8 +130,10 @@ def _pmap(fn, items, workers: int):
         yield from pool.map(fn, items)
 
 
-def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1):
-    """The exact local factor at every closed point of degree <= D.
+def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1,
+                  max_degree: int | None = None):
+    """The exact local factor at every closed point of degree <= D, from sums
+    in fields of degree <= max_degree over the base (see lfun.local_factor).
 
     A point's new sums reach the cache once it and every point before it
     are done, so the file's bytes do not depend on the worker count.
@@ -139,7 +141,7 @@ def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1):
     cache = ev.cache
     factors = []
     with cache.holding() if cache is not None else contextlib.nullcontext():
-        for lf in _pmap(lambda pt: local_factor(ev, n, pt),
+        for lf in _pmap(lambda pt: local_factor(ev, n, pt, max_degree=max_degree),
                         points_up_to(ev.base, D), workers):
             if cache is not None:
                 cache.release(lf.point.sort_key())
@@ -316,7 +318,7 @@ def run(config: RunConfig):
             f"Sym^{config.k} series to degree {config.D} needs "
             f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
     cache = SumCache(config.cache_path) if config.cache_path else None
-    ev = KloostermanEvaluator(base, cache, config.budget, max_degree)
+    ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
     exponent = _exponent_json(config)
     hodge = hodge_polygon(n, config.p, max(D, 1))
@@ -346,7 +348,7 @@ def run(config: RunConfig):
     derived = {}
     padic_only = mode in ("syminf", "unitroot")
     kappa = _kappa(config)  # bad digits fail before any sum is computed
-    factors = local_factors(ev, n, D, config.workers)
+    factors = local_factors(ev, n, D, config.workers, max_degree)
     if _builds_symk(config):
         gs_fin = series(base, factors, D, lambda lf, R: symk_local(lf, config.k, R),
                         config.workers)
@@ -483,7 +485,7 @@ def cmd_local(args) -> int:
         "point": {"degree": pt.degree, "rep": pt.rep},
         "n": args.n,
         "coefficients": [c.serialize() for c in lf.coeffs],
-        "sign": lf.sign,
+        "sign": 1,  # the only sign local_factor lets through
         "newton_slopes": slopes,
     }
     return _point_report(args, body, t0, cache)

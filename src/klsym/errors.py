@@ -45,7 +45,7 @@ class SlopeFindingError(FindingError):
 
 
 class FunctionalEquationFindingError(FindingError):
-    """Leading coefficient is not +-q^(n(n+1)d/2)."""
+    """A local-factor coefficient is not integral or breaks the functional equation."""
 
 
 class SignConventionFindingError(FindingError):

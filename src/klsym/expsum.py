@@ -265,13 +265,10 @@ class KloostermanEvaluator:
     """Evaluates Kl_n over a fixed base field with caching and budgets."""
 
     def __init__(self, base: Field, cache: SumCache | None = None,
-                 budget: int = DEFAULT_BUDGET, max_degree: int | None = None):
+                 budget: int = DEFAULT_BUDGET):
         self.base = base
         self.cache = cache
         self.budget = budget
-        # the largest degree over base that a run sums in; lfun.local_factor
-        # takes the half route at points whose n+1 sums reach past it
-        self.max_degree = max_degree
 
     def _key(self, n: int, point: ClosedPoint, m: int) -> str:
         return record_key(
@@ -302,6 +299,3 @@ class KloostermanEvaluator:
             self.cache.put(key, value)
         return value
 
-    def sums_for_factor(self, n: int, point: ClosedPoint):
-        """Kl_n(t, m) for m = 1..n+1, the inputs of one local factor."""
-        return [self.kloosterman(n, point, m) for m in range(1, n + 2)]

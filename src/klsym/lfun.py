@@ -4,10 +4,11 @@ The local factor at a closed point t of degree d over F_q is the degree
 n+1 polynomial P(T) = prod_j (1 - pi_j T) whose eigenvalue power sums are
 p_m = (-1)^n Kl_n(t, m).  Coefficients are recovered by the Newton
 identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
-each step, so no p-adic inversions touch the exact layer.  Where the
-top sums would need too large a field, the functional equation of the
-pure weight-n sheaf gives the upper half of the coefficients from the
-lower half, so only m <= ceil((n+1)/2) is read.  Symmetric
+each step, so no p-adic inversions touch the exact layer.  The functional
+equation of the pure weight-n sheaf gives the upper half of the
+coefficients from the lower half, checked against the sums wherever
+they are read; where the top sums would need too large a field, only
+m <= ceil((n+1)/2) is read.  Symmetric
 powers go through power sums as well: the m-th power sum of Sym^k is
 h_k(pi^m), built from the base power sums p_(i m) by the h-p Newton
 relation, and the same recurrence turns the first R of them into the
@@ -83,8 +84,7 @@ class LocalFactor:
     point: ClosedPoint
     n: int
     coeffs: tuple
-    sign: int  # +1 when the leading coefficient is (-1)^(n+1) q_t^(n(n+1)/2)
-    route: str = "full"  # "half" when built from the functional equation
+    route: str  # "full" when built from all n+1 sums, "half" from Kl_n(t, 1..h)
 
 
 def _signed(es):
@@ -92,79 +92,58 @@ def _signed(es):
     return [-e if m % 2 else e for m, e in enumerate(es)]
 
 
-def _factor_from_power_sums(power_sums):
-    """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
-    return _signed([CycInt.from_int(power_sums[0].p, 1)]
-                   + elementary_from_power_sums(power_sums, len(power_sums)))
-
-
-def _lead(coeffs):
-    """The leading coefficient as a rational integer, or None."""
-    try:
-        return coeffs[-1].as_integer()
-    except ValueError:
-        return None
-
-
-def _non_integral(point, exc):
-    return FunctionalEquationFindingError(
-        f"power sums at {point.rep} give non-integral coefficients: {exc}",
-        witness={"point": point.rep})
-
-
-def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint) -> LocalFactor:
-    """Local factor from the sums Kl_n(t, m), with invariant checks.
-
-    The full route reads m = 1..n+1.  The leading coefficient must be
-    +-q_t^(n(n+1)/2); a wrong magnitude that a global sign flip of the power
-    sums would repair is reported as SignConventionFindingError, anything
-    else as a functional equation finding.  The sign actually observed is
-    recorded on the factor.
-
-    The half route reads m = 1..h, h = ceil((n+1)/2), and serves the points
-    whose top sum lives in a field past ev.max_degree (None: no point).
-    Kl_n is pure of weight n (Deligne, SGA 4 1/2), so complex conjugation,
-    sigma_(-1) on Q(zeta_p), sends the eigenvalues to q_t^n over themselves:
-    e_(n+1-i) = q_t^(n(n+1)/2 - n i) sigma_(-1)(e_i), with sign +1, which
-    the full route checks at every degree-1 point.  Both halves give e_h; a
-    mismatch there is a functional equation finding.
-    """
+def _both_ways(n, point, power_sums):
+    """e_0..e_(h-1) from p_1..p_M, e_h..e_(n+1) from the functional equation,
+    and the first j in h..M whose e_j the two give differently (None when
+    they agree)."""
     q_t = point.base.size ** point.degree
-    sgn = -1 if n % 2 else 1
-    if ev.max_degree is not None and point.degree * (n + 1) > ev.max_degree:
-        h = (n + 2) // 2
-        power_sums = [ev.kloosterman(n, point, m) * sgn for m in range(1, h + 1)]
-        try:
-            es = [CycInt.from_int(point.base.p, 1)] + elementary_from_power_sums(power_sums, h)
-        except ValueError as exc:
-            raise _non_integral(point, exc) from None
-        top = [es[n + 1 - j].galois(-1) * q_t ** (n * j - n * (n + 1) // 2)
-               for j in range(h, n + 2)]
-        if top[0] != es[h]:
-            raise FunctionalEquationFindingError(
-                f"e_{h} at {point.rep} differs from its image under the "
-                f"functional equation", witness={"point": point.rep, "index": h})
-        return LocalFactor(point, n, tuple(_signed(es[:h] + top)), 1, "half")
-    sums = ev.sums_for_factor(n, point)
-    power_sums = [s * sgn for s in sums]
+    h = (n + 2) // 2
     try:
-        coeffs = _factor_from_power_sums(power_sums)
+        es = [CycInt.from_int(point.base.p, 1)] + elementary_from_power_sums(
+            power_sums, len(power_sums))
     except ValueError as exc:
-        raise _non_integral(point, exc) from None
-    magnitude = q_t ** (n * (n + 1) // 2)
-    expected = magnitude if (n + 1) % 2 == 0 else -magnitude
-    lead = _lead(coeffs)
-    if lead not in (expected, -expected):
-        if sgn == -1 and _lead(_factor_from_power_sums(sums)) in (expected, -expected):
+        raise FunctionalEquationFindingError(
+            f"power sums at {point.rep} give non-integral coefficients: {exc}",
+            witness={"point": point.rep}) from None
+    top = [es[n + 1 - j].galois(-1) * q_t ** (n * j - n * (n + 1) // 2)
+           for j in range(h, n + 2)]
+    bad = next((j for j in range(h, len(es)) if es[j] != top[j - h]), None)
+    return es[:h] + top, bad
+
+
+def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
+                 max_degree: int | None = None) -> LocalFactor:
+    """Local factor from the sums Kl_n(t, m), checked by the functional equation.
+
+    Kl_n is pure of weight n with determinant q_t^(n(n+1)/2) (Deligne,
+    SGA 4 1/2; Katz 1988), so complex conjugation, sigma_(-1) on Q(zeta_p),
+    sends the eigenvalues to q_t^n over themselves:
+    e_(n+1-i) = q_t^(n(n+1)/2 - n i) sigma_(-1)(e_i).  The sums m = 1..M
+    give e_1..e_M by the Newton identities, and the identity gives
+    e_h..e_(n+1), h = ceil((n+1)/2).  M = n+1 where Kl_n(t, n+1) lives in a
+    field of degree <= max_degree over the base (None: at every point), and
+    M = h elsewhere.  Every e_j with h <= j <= M must agree both ways; at
+    M = n+1 that covers the leading coefficient and its sign.  A mismatch
+    that the sums without the (-1)^n normalisation would not have is a
+    SignConventionFindingError, any other a functional equation finding.
+    """
+    if n < 1:
+        raise UsageError("need n >= 1")
+    full = max_degree is None or point.degree * (n + 1) <= max_degree
+    M = n + 1 if full else (n + 2) // 2
+    sums = [ev.kloosterman(n, point, m) for m in range(1, M + 1)]
+    sgn = -1 if n % 2 else 1
+    es, bad = _both_ways(n, point, [s * sgn for s in sums])
+    if bad is not None:
+        if sgn == -1 and _both_ways(n, point, sums)[1] is None:
             raise SignConventionFindingError(
-                f"leading coefficient {lead} at {point.rep} only matches "
-                f"+-{magnitude} after dropping the (-1)^n normalisation",
+                f"e_{bad} at {point.rep} only matches the functional equation "
+                f"after dropping the (-1)^n normalisation",
                 witness={"point": point.rep, "degree": point.degree})
         raise FunctionalEquationFindingError(
-            f"leading coefficient {lead} at point {point.rep} is not "
-            f"+-{magnitude}", witness={"point": point.rep, "lead": lead})
-    sign = 1 if lead == expected else -1
-    return LocalFactor(point, n, tuple(coeffs), sign)
+            f"e_{bad} at {point.rep} differs from its image under the "
+            f"functional equation", witness={"point": point.rep, "index": bad})
+    return LocalFactor(point, n, tuple(_signed(es)), "full" if full else "half")
 
 
 # ---------------------------------------------------------------------------

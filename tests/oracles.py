@@ -10,6 +10,9 @@ algorithm, so a test can require the two to agree:
   k dim base power sums by the Newton identities, and its inverse as a
   power series by long division, against ``lfun.symk_local``, which never
   forms the degree-dim polynomial;
+* ``_factor_from_power_sums``: a local factor from all n+1 signed sums
+  by the Newton identities alone, against ``lfun.local_factor``, which
+  takes the upper half from the functional equation;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
@@ -54,7 +57,7 @@ from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.lfun import (
     LocalFactor,
     LocalSeries,
-    _factor_from_power_sums,
+    _signed,
     eigen_power_sums,
     elementary_from_power_sums,
 )
@@ -408,6 +411,12 @@ def _berkowitz_charpoly(M):
             newV[i] = s
         V = newV
     return V
+
+
+def _factor_from_power_sums(power_sums):
+    """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
+    return _signed([CycInt.from_int(power_sums[0].p, 1)]
+                   + elementary_from_power_sums(power_sums, len(power_sums)))
 
 
 def sym_k_factor_berkowitz(lf: LocalFactor, k: int):

@@ -77,9 +77,8 @@ def test_criterion_1_local_factor_facts():
                 assert len(lf.coeffs) == n + 2
                 hull = lower_hull(newton_points(lf.coeffs, a * d))
                 assert hull.slopes() == [(F(j), F(1)) for j in range(n + 1)]
-                lead = abs(lf.coeffs[-1].as_integer())
-                assert lead == p ** (a * d * n * (n + 1) // 2)
-                assert lf.sign in (1, -1)
+                lead = lf.coeffs[-1].as_integer()
+                assert lead == (-1) ** (n + 1) * p ** (a * d * n * (n + 1) // 2)
                 root = hensel_unit_root(list(lf.coeffs), 4)  # 1-unit enforced
                 res = (root - PadicCyc.one(p, root.N)).rep.pi_val()
                 assert res is None or res >= 1

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import klsym
 from klsym import cli, ff
@@ -100,6 +100,44 @@ def test_half_route_reaches_runs_the_full_route_refuses(capsys, monkeypatch, arg
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
+# report digests of the local factor at one point, and the bytes of the cache a
+# cold run writes, pinned before the two local-factor routes became one
+@pytest.mark.parametrize("argv,digest", [
+    ("local -p 3 -n 1 -d 1 --rep-int 2",
+     "e59d33e92065e6295f03d107f50366f8493dba4615689cadd97b2f7ce0769268"),
+    ("local -p 3 -n 3 -d 1 --rep-int 1",
+     "a722002ed8c3624b28ce8457a5c020981f20c0fc6d12b43fbc4bd5bf6e4f57fe"),
+    ("local -p 3 -a 2 -n 1 -d 2 --rep-int 20",
+     "0031ba215ecc7ba507ad10a09e2e6897ebfc61b4a9305f4928d65cd0a9b46b81"),
+])
+def test_local_report_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main(argv.split()) == 0
+    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
+            if key != "timing"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def test_cold_cache_bytes_are_pinned(tmp_path):
+    cache = tmp_path / "c.txt"
+    assert console_main(["verify", "-p", "5", "-n", "2", "-k", "1", "-D", "2",
+                         "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "9d37a7f6ae8c762aadf1e1dbbf2487904cf5b19222a19bd49b3f0bbd40980257")
+
+
+def test_wrong_determinant_sign_in_the_cache_is_a_finding(tmp_path, capsys):
+    # Kl_1(1, 2) = 5 - 12 gives 1 - T - 3T^2: the magnitude of q, the sign wrong
+    cache = tmp_path / "c.txt"
+    cache.write_text("# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|2|3:[-7,0]\n")
+    assert console_main(["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "1",
+                         "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("finding: ")
+    assert "Traceback" not in err
+
+
 def test_symk_n3_reaches_degree_two(capsys, monkeypatch):
     # the full route would sum over (F_3^8)^3 at each degree-2 point
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -144,6 +182,8 @@ def test_bad_arguments_exit_one(tmp_path):
     assert console_main(["cache", "verify", "--cache", str(cache),
                          "--sample", "-1"]) == 1
     assert console_main(["--version"]) == 0
+    for n in ("-1", "-2"):  # no sums to build a factor from
+        assert console_main(["local", "-p", "3", "-n", n, "-d", "1", "--rep-int", "1"]) == 1
     # sum and local run no series: they take no --workers and write no --csv
     for command in (["sum", "-m", "1"], ["local"]):
         point = command + ["-p", "3", "-n", "1", "-d", "1", "--rep-int", "1"]
@@ -244,7 +284,7 @@ def test_local_subcommand_reports_slopes(tmp_path):
     assert report["coefficients"][0] == "3:[1,0]"
     assert len(report["coefficients"]) == 3
     assert report["newton_slopes"] == [[[0, 1], [1, 1]], [[1, 1], [1, 1]]]
-    assert report["sign"] in (1, -1)
+    assert report["sign"] == 1
 
 
 def test_csv_table(tmp_path):
@@ -436,9 +476,9 @@ def test_run_builds_each_local_factor_once(monkeypatch):
     built = []
     real = cli.local_factor
 
-    def counting(ev, n, pt):
+    def counting(ev, n, pt, max_degree=None):
         built.append(pt.sort_key())
-        return real(ev, n, pt)
+        return real(ev, n, pt, max_degree=max_degree)
 
     monkeypatch.setattr(cli, "local_factor", counting)
     report, code = run(RunConfig(p=3, n=1, mode="verify-newton-hodge",
@@ -627,8 +667,29 @@ def test_fuzzed_run_options_exit_cleanly(command, values):
     for flag, value in values.items():
         if not (flag == "-V" and command == "symk"):
             argv += [flag, value]
+    _exits_cleanly(argv)
+
+
+def _exits_cleanly(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = console_main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sum", "local"]),
+       st.fixed_dictionaries(
+           {"-p": _fuzz(st.sampled_from([3, 5, 7])), "-d": _fuzz(st.integers(1, 3)),
+            "--rep-int": _fuzz(st.integers(0, 30))},
+           optional={"-a": _fuzz(st.integers(1, 2)), "-n": _fuzz(st.integers(1, 3)),
+                     "-m": _fuzz(st.integers(1, 3))}))
+@example("local", {"-p": "3", "-n": "-1", "-d": "1", "--rep-int": "1"})
+def test_fuzzed_point_options_exit_cleanly(command, values):
+    # -m is an option of sum only
+    argv = [command, "--budget", "2000"]
+    for flag, value in values.items():
+        if not (flag == "-m" and command == "local"):
+            argv += [flag, value]
+    _exits_cleanly(argv)

@@ -25,6 +25,7 @@ from klsym.lfun import (
 )
 from klsym.padic import PadicCyc, PadicExponent
 from oracles import (
+    _factor_from_power_sums,
     from_rational,
     inverse_factor_series,
     sym_inf_local_hsum,
@@ -98,7 +99,7 @@ def test_local_factor_frozen_p3_n1():
     ev = _ev()
     lf1 = local_factor(ev, 1, _pt(base, (1,)))
     assert [c.as_integer() for c in lf1.coeffs] == [1, -1, 3]
-    assert lf1.sign == 1
+    assert lf1.coeffs[-1].as_integer() == 3  # (-1)^(n+1) q^(n(n+1)/2)
     lf2 = local_factor(ev, 1, _pt(base, (2,)))
     assert [c.as_integer() for c in lf2.coeffs] == [1, 2, 3]
 
@@ -109,8 +110,7 @@ def test_local_factor_n2_leading_and_first():
     assert len(lf.coeffs) == 4
     # a_1 = -p_1 = -Kl_2(1,1) = -(1 + 3 zeta^2)
     assert lf.coeffs[1] == -CycInt(3, (-2, -3))
-    assert lf.coeffs[3].as_integer() == -27
-    assert lf.sign == 1
+    assert lf.coeffs[-1].as_integer() == -27  # (-1)^(n+1) q^(n(n+1)/2)
 
 
 def test_local_factor_degree_two_point():
@@ -139,8 +139,8 @@ def test_sign_convention_finding_surfaces():
     base = make_field(3, 1)
 
     class Flipped(KloostermanEvaluator):
-        def sums_for_factor(self, n, point):
-            return [-v for v in super().sums_for_factor(n, point)]
+        def kloosterman(self, n, point, m):
+            return -super().kloosterman(n, point, m)
 
     with pytest.raises(SignConventionFindingError):
         local_factor(Flipped(base), 1, _pt(base, (1,)))
@@ -150,10 +150,9 @@ def test_functional_equation_finding_surfaces():
     base = make_field(3, 1)
 
     class Broken(KloostermanEvaluator):
-        def sums_for_factor(self, n, point):
-            vals = super().sums_for_factor(n, point)
-            vals[1] = vals[1] + CycInt.from_int(3, 3)
-            return vals
+        def kloosterman(self, n, point, m):
+            value = super().kloosterman(n, point, m)
+            return value + CycInt.from_int(3, 3) if m == 2 else value
 
     with pytest.raises(FunctionalEquationFindingError):
         local_factor(Broken(base), 1, _pt(base, (1,)))
@@ -173,12 +172,6 @@ class _Memo(KloostermanEvaluator):
         return self.memo[key]
 
 
-def _half(ev, n):
-    """ev with max_degree below every point's n+1 sums: the half route everywhere."""
-    ev.max_degree = n
-    return ev
-
-
 # every (p, a, n) with p in {3, 5, 7}, a in {1, 2}, n <= 3 that has a point of
 # degree <= 2 whose full route fits the field cap and takes at most 80^2
 # vectorised passes per sum
@@ -187,6 +180,7 @@ def _half(ev, n):
     (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2), (7, 2, 1),
 ])
 def test_half_route_equals_full_route(p, a, n):
+    # both reaches against the Newton identities on all n+1 signed sums
     base = make_field(p, a)
     ev = _Memo(base, budget=10 ** 9)
     pts = [pt for pt in points_up_to(base, 2)
@@ -194,22 +188,25 @@ def test_half_route_equals_full_route(p, a, n):
            and (base.size ** (pt.degree * (n + 1)) - 1) ** (n - 1) <= 80 ** 2]
     assert pts
     for pt in pts:
-        ev.max_degree = None
+        want = _factor_from_power_sums(
+            [ev.kloosterman(n, pt, m) * (-1) ** n for m in range(1, n + 2)])
         full = local_factor(ev, n, pt)
-        half = local_factor(_half(ev, n), n, pt)
+        half = local_factor(ev, n, pt, max_degree=n)
         assert (full.route, half.route) == ("full", "half")
-        assert half.coeffs == full.coeffs
-        assert half.sign == full.sign == 1
+        assert list(full.coeffs) == list(half.coeffs) == want
+        q_t = base.size ** pt.degree
+        assert want[-1].as_integer() == (-1) ** (n + 1) * q_t ** (n * (n + 1) // 2)
 
 
 def test_local_factor_routes_by_max_degree():
     # at n = 1 a degree-d point's full route sums in F_3^(2d)
     base = make_field(3, 1)
-    ev = KloostermanEvaluator(base, max_degree=3)
-    routes = {pt.degree: local_factor(ev, 1, pt).route for pt in points_up_to(base, 2)}
+    ev = KloostermanEvaluator(base)
+    routes = {pt.degree: local_factor(ev, 1, pt, max_degree=3).route
+              for pt in points_up_to(base, 2)}
     assert routes == {1: "full", 2: "half"}
-    ev.max_degree = 4
-    assert {local_factor(ev, 1, pt).route for pt in points_up_to(base, 2)} == {"full"}
+    assert {local_factor(ev, 1, pt, max_degree=4).route
+            for pt in points_up_to(base, 2)} == {"full"}
 
 
 def _corrupt(base, h, bump):
@@ -232,17 +229,28 @@ def test_half_route_finding_surfaces(n, bump):
     base = make_field(3, 1)
     h = (n + 2) // 2
     pt = _pt(base, (1,))
-    local_factor(_half(KloostermanEvaluator(base), n), n, pt)
+    local_factor(KloostermanEvaluator(base), n, pt, max_degree=n)
     with pytest.raises(FunctionalEquationFindingError, match=f"e_{h} at"):
-        local_factor(_half(_corrupt(base, h, bump), n), n, pt)
+        local_factor(_corrupt(base, h, bump), n, pt, max_degree=n)
 
 
 def test_half_route_non_exact_newton_division_surfaces():
     # Kl(t, 2) + 1 at n = 2 leaves 2 e_2 odd
     base = make_field(3, 1)
     with pytest.raises(FunctionalEquationFindingError, match="non-integral"):
-        local_factor(_half(_corrupt(base, 2, CycInt.from_int(3, 1)), 2), 2,
-                     _pt(base, (1,)))
+        local_factor(_corrupt(base, 2, CycInt.from_int(3, 1)), 2, _pt(base, (1,)),
+                     max_degree=2)
+
+
+@pytest.mark.parametrize("p,n,m,bump", [
+    (3, 1, 2, -4 * 3), (5, 1, 2, -4 * 5), (3, 2, 3, -6 * 3 ** 3)])
+def test_wrong_determinant_sign_is_a_finding(p, n, m, bump):
+    # moves e_(n+1) from q^(n(n+1)/2) to its negative, leaving e_1..e_n alone
+    base = make_field(p, 1)
+    pt = _pt(base, (1,))
+    local_factor(KloostermanEvaluator(base), n, pt)
+    with pytest.raises(FunctionalEquationFindingError, match=f"e_{n + 1} at"):
+        local_factor(_corrupt(base, m, CycInt.from_int(p, bump)), n, pt)
 
 
 # ---------------------------------------------------------------------------
