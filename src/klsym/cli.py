@@ -27,13 +27,16 @@ from . import __version__
 from .errors import (
     CacheError,
     FindingError,
+    OrbitFindingError,
     PrecisionError,
     ResourceError,
     UsageError,
 )
 from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, parse_key
-from .ff import make_field, orbit_rep, point_field, points_up_to
+from .ff import degree_count, make_field, orbit_rep, point_field, points_up_to, \
+    twist_orbits
 from .lfun import (
+    LocalSeries,
     euler_product,
     local_factor,
     sym_inf_local,
@@ -130,6 +133,12 @@ def _pmap(fn, items, workers: int):
         yield from pool.map(fn, items)
 
 
+def reach(n: int, D: int) -> int:
+    """The largest field degree over the base whose sums a run to degree D reads:
+    Kl(t, 1..h) at the points of degree max(D, 1), or Kl(t, n+1) at degree 1."""
+    return max(max(D, 1) * ((n + 2) // 2), n + 1)
+
+
 def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1,
                   max_degree: int | None = None):
     """The exact local factor at every closed point of degree <= D, from sums
@@ -149,16 +158,48 @@ def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1,
     return factors
 
 
-def series(base, factors, D: int, local, workers: int = 1):
+def galois_orbits(factors):
+    """The factors by orbit of t -> c^(n+1) t, c in F_p^*: a list of
+    (representative, [(member, c), ...]) with member at [c^(n+1) rep].
+
+    Kl_n(c^(n+1) t, m) = sigma_c(Kl_n(t, m)) (substitute x_i -> c x_i; Katz
+    1988), so every member's factor must be sigma_c, zeta -> zeta^c, of the
+    representative's, coefficient by coefficient; else OrbitFindingError.
+    """
+    if not factors:
+        return []
+    twists = twist_orbits([lf.point for lf in factors], factors[0].n)
+    at = {lf.point: lf for lf in factors}
+    orbits = {}
+    for lf in factors:
+        rep, c = twists[lf.point]
+        if any(x != y.galois(c) for x, y in zip(lf.coeffs, at[rep].coeffs)):
+            raise OrbitFindingError(
+                f"the factor at {lf.point.rep} is not sigma_{c} of the factor at "
+                f"its orbit representative {rep.rep}",
+                witness={"point": lf.point.rep, "representative": rep.rep, "c": c})
+        orbits.setdefault(rep, (at[rep], []))[1].append((lf, c))
+    return list(orbits.values())
+
+
+def series(base, orbits, D: int, local, workers: int = 1):
     """Euler product of the local factors of every point of degree <= D.
 
     local(lf, R) expands the inverse local factor lf at its point to
-    T-degree R * degree, as a LocalSeries.  The points of the factors are
-    the coverage the product checks, so a run derives them only once.
+    T-degree R * degree, as a LocalSeries.  It runs once per orbit (see
+    galois_orbits), at the representative; sigma_c commutes with every step
+    of it (ring products, pi-valuations, residues, the slope split and
+    1-unit powers), so a member's series is sigma_c of the representative's,
+    with the same certificate.  The members are the coverage the product
+    checks, so a run derives its points only once.
     """
-    return euler_product(base, _pmap(
-        lambda lf: local(lf, D // lf.point.degree), factors, workers), D,
-        [lf.point for lf in factors])
+    built = _pmap(lambda orbit: local(orbit[0], D // orbit[0].point.degree), orbits, workers)
+    contributions = [
+        ls if lf is rep else LocalSeries(lf.point, [x.galois(c) for x in ls.coeffs],
+                                         ls.cert, ls.info)
+        for (rep, members), ls in zip(orbits, built) for lf, c in members]
+    return euler_product(base, contributions, D,
+                         [lf.point for _, members in orbits for lf, _ in members])
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +349,20 @@ def run(config: RunConfig):
     t0 = time.perf_counter()
     _validate(config)
     base = make_field(config.p, config.a)
-    # the largest sum lives here: Kl(t, 1..h) at the points of degree max(D, 1),
-    # or Kl(t, n+1) at degree 1; refuse an oversize run before any table is built
-    max_degree = max(max(config.D, 1) * ((config.n + 2) // 2), config.n + 1)
+    # refuse an oversize run before any table is built
+    max_degree = reach(config.n, config.D)
     point_field(base, max_degree)
     # at a point of degree d the Sym^k series takes about (D/d) k^2 products
     if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
         raise ResourceError(
             f"Sym^{config.k} series to degree {config.D} needs "
             f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
+    products = _ring_products(base.size, config.n, config.D, max_degree)
+    if products * (config.p - 1) ** 2 > config.budget:
+        raise ResourceError(
+            f"the local factors and the Euler product to degree {config.D} take "
+            f"{products} products in Z[zeta_{config.p}], about "
+            f"{products * (config.p - 1) ** 2} steps, budget {config.budget}")
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -349,8 +395,9 @@ def run(config: RunConfig):
     padic_only = mode in ("syminf", "unitroot")
     kappa = _kappa(config)  # bad digits fail before any sum is computed
     factors = local_factors(ev, n, D, config.workers, max_degree)
+    orbits = galois_orbits(factors)
     if _builds_symk(config):
-        gs_fin = series(base, factors, D, lambda lf, R: symk_local(lf, config.k, R),
+        gs_fin = series(base, orbits, D, lambda lf, R: symk_local(lf, config.k, R),
                         config.workers)
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
@@ -374,7 +421,7 @@ def run(config: RunConfig):
         check(V0)
 
         def attempt(V):
-            gs = series(base, factors, D, lambda lf, R: padic_local(lf, kappa, V, R),
+            gs = series(base, orbits, D, lambda lf, R: padic_local(lf, kappa, V, R),
                         config.workers)
             pts = newton_points(gs.coeffs, a, cert=gs.cert)
             if mode == "verify-newton-hodge":
@@ -404,10 +451,23 @@ def run(config: RunConfig):
         "budget": config.budget,
         "cache_path": config.cache_path,
     }, factors={route: sum(lf.route == route for lf in factors)
-                for route in ("full", "half")})
+                for route in ("full", "half")},
+        orbits={"representatives": len(orbits), "points": len(factors)})
     verdict = body["verdict"]
     code = 0 if verdict is None else _EXIT_BY_STATUS[verdict["status"]]
     return report, code
+
+
+def _ring_products(q: int, n: int, D: int, max_degree: int) -> int:
+    """Products in Z[zeta_p], each about (p-1)^2 steps, that every mode makes:
+    the Newton identities of each point's factor from its M sums, M(M+1)/2,
+    and its share of the Euler product, sum over r <= D of (r // d + 1)."""
+    total = 0
+    for d in range(1, D + 1):
+        M = n + 1 if d * (n + 1) <= max_degree else (n + 2) // 2
+        per_point = M * (M + 1) // 2 + sum(r // d + 1 for r in range(D + 1))
+        total += degree_count(q, d) * per_point
+    return total
 
 
 def _combine_verdicts(named):
@@ -479,7 +539,7 @@ def cmd_sum(args) -> int:
 def cmd_local(args) -> int:
     t0 = time.perf_counter()
     ev, cache, pt = _point_evaluator(args)
-    lf = local_factor(ev, args.n, pt)
+    lf = local_factor(ev, args.n, pt, max_degree=reach(args.n, args.d))
     slopes = lower_hull(newton_points(lf.coeffs, args.a * pt.degree)).slopes()
     body = {
         "point": {"degree": pt.degree, "rep": pt.rep},

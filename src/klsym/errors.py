@@ -57,5 +57,13 @@ class SignConventionFindingError(FindingError):
     """
 
 
+class OrbitFindingError(FindingError):
+    """A local factor is not sigma_c of its Galois orbit representative's.
+
+    Kl_n(c^(n+1) t, m) = sigma_c(Kl_n(t, m)) for c in F_p^* (substitute
+    x_i -> c x_i), so the factor at [c^(n+1) t] is sigma_c of the one at t.
+    """
+
+
 class IntegralityFindingError(FindingError):
     """Euler-product coefficient falls outside the expected subring."""

@@ -13,9 +13,9 @@ X^i y) is the one route for every product, power and trace here, and
 for Rabin's irreducibility test.  The one multiplicative model of each
 field, a discrete-log and trace table over its least generator
 (``_mult_data``), steps blocks of about sqrt(|F|) powers by one matrix
-product.  Closed points, orbit representatives and subfield embeddings
-all read it, because Frobenius acts on discrete logs as multiplication
-by q.
+product.  Closed points, orbit representatives, the orbits of the
+twists t -> c^(n+1) t and subfield embeddings all read it, because
+Frobenius acts on discrete logs as multiplication by q.
 """
 
 from __future__ import annotations
@@ -408,6 +408,34 @@ def points_up_to(base: Field, D: int):
     """
     point_field(base, max(D, 1))
     return [pt for d in range(1, D + 1) for pt in closed_points(base, d)]
+
+
+def twist_orbits(points, n: int) -> dict:
+    """Each point's (representative, c), with point = [c^(n+1) rep] and c in F_p^*.
+
+    Multiplication by c^(n+1) commutes with Frobenius, so it permutes the
+    closed points of each degree; the representative is the first point of
+    its orbit in sort_key order.  With c = g^(j S/(p-1)) it adds
+    (n+1) j S/(p-1) to a discrete log mod S, so the p-1 shifts of every
+    point's log, each canonicalised by _least_codes, give its whole orbit.
+    """
+    out = {}
+    for d in sorted({pt.degree for pt in points}):
+        group = [pt for pt in points if pt.degree == d]
+        field, q = group[0].field, group[0].base.size
+        md, p = _mult_data(field), field.p
+        step = md.S // (p - 1)  # g^step generates F_p^*, stored as (gamma, 0, ..., 0)
+        gamma = int(md.code[step]) // p ** (field.k - 1)
+        logs = md.dlog[[pt.rep_int for pt in group]]
+        # shifted[j, i] is the code of the point [gamma^(j (n+1)) t_i]
+        shifted = np.array([_least_codes(md, q, d, (logs + (n + 1) * j * step) % md.S)[0]
+                            for j in range(p - 1)])
+        # the least j reaching the representative; t_i is then gamma^(-j (n+1)) rep
+        for pt, code, j in zip(group, shifted.min(axis=0).tolist(),
+                               shifted.argmin(axis=0).tolist()):
+            rep = ClosedPoint(base=pt.base, field=field, rep=field.from_int(code), degree=d)
+            out[pt] = (rep, pow(gamma, -j, p))
+    return out
 
 
 def orbit_rep(base: Field, field: Field, x) -> ClosedPoint:

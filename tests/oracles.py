@@ -13,6 +13,9 @@ algorithm, so a test can require the two to agree:
 * ``_factor_from_power_sums``: a local factor from all n+1 signed sums
   by the Newton identities alone, against ``lfun.local_factor``, which
   takes the upper half from the functional equation;
+* ``series_per_point``: the Euler product with a local series built
+  at every closed point, against ``cli.series``, which builds one per
+  Galois orbit and conjugates it to the other members;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
@@ -60,6 +63,7 @@ from klsym.lfun import (
     _signed,
     eigen_power_sums,
     elementary_from_power_sums,
+    euler_product,
 )
 from klsym.padic import (
     PadicCyc,
@@ -470,6 +474,17 @@ def inverse_factor_series(coeffs, R):
             acc = acc + coeffs[i] * out[r - i]
         out.append(-acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Euler products point by point
+
+
+def series_per_point(base, factors, D: int, local):
+    """The Euler product of local(lf, R) at every point of the factors, with
+    no use of the Galois orbits."""
+    return euler_product(base, [local(lf, D // lf.point.degree) for lf in factors], D,
+                         [lf.point for lf in factors])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,11 +23,14 @@ from klsym.cli import (
     default_precision,
     run,
 )
+from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
-from klsym.expsum import KloostermanEvaluator, SumCache
-from klsym.ff import closed_points, make_field, orbit_rep, points_up_to
-from klsym.lfun import local_factor
+from klsym.expsum import KloostermanEvaluator, SumCache, record_key
+from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
+from klsym.lfun import local_factor, sym_inf_local, symk_local, unit_root_local
+from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
+from oracles import series_per_point
 
 
 def _read(path):
@@ -138,6 +142,39 @@ def test_wrong_determinant_sign_in_the_cache_is_a_finding(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
+    # Kl_1(t, 1) + 1 at the first degree-2 point that is not its orbit's
+    # representative.  At D = 2 that point reads only Kl(t, 1), and at n = 1 the
+    # functional equation then checks only e_1 = sigma_(-1)(e_1), which adding a
+    # rational integer keeps; so only the orbit check sees it.
+    base = make_field(5, 1)
+    points = points_up_to(base, 2)
+    twists = ff.twist_orbits(points, 1)
+    pt = next(pt for pt in points if pt.degree == 2 and twists[pt][0] != pt)
+    rep, c = twists[pt]
+    value = KloostermanEvaluator(base).kloosterman(1, pt, 1) + CycInt.from_int(5, 1)
+    key = record_key(5, 1, base.modulus, 1, 2, pt.rep, 1)
+    cache = tmp_path / "c.txt"
+    cache.write_text(f"# klsym sum cache v1\nv1|{key}|{value.serialize()}\n")
+    assert console_main(["symk", "-p", "5", "-n", "1", "-k", "1", "-D", "2",
+                         "--cache", str(cache)]) == 2
+    assert capsys.readouterr().err == (
+        f"finding: the factor at {pt.rep} is not sigma_{c} of the factor at its "
+        f"orbit representative {rep.rep}\n")
+
+
+def test_local_reaches_every_factor_a_run_builds(capsys, monkeypatch):
+    # Kl_3(t, 4) at this degree-2 point is a sum over (F_3^8)^3, over the budget;
+    # a run with -D 2 reads Kl(t, 1..2) there, and so does local -d 2
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main("local -p 3 -n 3 -d 2 --rep-int 1".split()) == 0
+    printed = json.loads(capsys.readouterr().out)["coefficients"]
+    base = make_field(3, 1)
+    pt = orbit_rep(base, point_field(base, 2), (0, 1))
+    factors = cli.local_factors(KloostermanEvaluator(base), 3, 2, max_degree=cli.reach(3, 2))
+    assert printed == [c.serialize() for lf in factors if lf.point == pt for c in lf.coeffs]
+
+
 def test_symk_n3_reaches_degree_two(capsys, monkeypatch):
     # the full route would sum over (F_3^8)^3 at each degree-2 point
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -225,6 +262,49 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         assert code == 0
         reports.append(_strip_timing(_read(out)))
     assert reports[0] == reports[1]
+
+
+def test_timing_counts_the_orbits_and_workers_move_no_byte(tmp_path):
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        assert console_main(["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3",
+                             "--workers", workers, "--out", str(out)]) == 0
+        report = _read(out)
+        assert report["timing"]["orbits"] == {"representatives": 28, "points": 54}
+        reports.append(_strip_timing(report))
+    assert reports[0] == reports[1]
+
+
+def _series_key(gs):
+    """The certificate, the integers of an exact series, and each coefficient
+    with its precision and vcert."""
+    return gs.cert, gs.integers, [(c.rep, c.N, c.vcert) if isinstance(c, PadicCyc) else c
+                                  for c in gs.coeffs]
+
+
+# (p, n, D, reach): at n = 3 and p >= 5, Kl(t, 4) at degree 1 is over the budget,
+# so those runs read Kl(t, 1..2) there; at p = 3 with n odd every orbit is one point
+@pytest.mark.parametrize("p,n,D,max_degree", [
+    (3, 1, 3, None), (3, 2, 2, None), (3, 3, 2, None),
+    (5, 1, 3, None), (5, 2, 2, None), (5, 3, 1, 2),
+    (7, 1, 2, None), (7, 2, 1, None), (7, 3, 1, 2),
+    (11, 1, 2, None), (11, 2, 1, None), (11, 3, 1, 2),
+])
+def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
+    base = make_field(p, 1)
+    factors = cli.local_factors(KloostermanEvaluator(base), n, D,
+                                max_degree=max_degree or cli.reach(n, D))
+    orbits = cli.galois_orbits(factors)
+    assert sum(len(members) for _, members in orbits) == len(factors)
+    # the twists t -> c^(n+1) t move some degree-1 point unless every c^(n+1) = 1
+    assert (len(orbits) < len(factors)) == ((n + 1) % (p - 1) != 0)
+    kappa, V = PadicExponent.truncated(p, (2, 1)), 3 * (p - 1)
+    for local in (lambda lf, R: symk_local(lf, 2, R),
+                  lambda lf, R: sym_inf_local(lf, kappa, V, R),
+                  lambda lf, R: unit_root_local(lf, kappa, V, R)):
+        assert (_series_key(cli.series(base, orbits, D, local))
+                == _series_key(series_per_point(base, factors, D, local)))
 
 
 def test_warm_cache_rerun_is_byte_identical(tmp_path):
@@ -514,11 +594,25 @@ def test_symk_work_is_bounded_by_the_budget(mode):
         run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
 
 
+def test_ring_products_are_bounded_by_the_budget(capsys, monkeypatch):
+    # 1008 points of degree 1, each 3 Newton and 3 Euler products of about 1008^2
+    # steps; refused before any sum or table
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    t0 = time.perf_counter()
+    assert console_main("symk -p 1009 -k 1 -D 1".split()) == 1
+    assert time.perf_counter() - t0 < 5
+    assert "take 6048 products in Z[zeta_1009]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["syminf", "unitroot"])
 def test_padic_modes_do_not_count_symk_work(mode):
-    # the same run reaches its sums, which the budget then refuses
+    # symk refuses D k^2 = 1600 products; the same run in a p-adic mode passes that
+    # and its 26 ring products, and reaches its sums, which the budget then refuses
+    config = dict(p=3, n=3, k=40, D=1, budget=1000)
+    with pytest.raises(ResourceError, match=r"D\*k\^2 = 1600 products, budget 1000"):
+        run(RunConfig(mode="symk", **config))
     with pytest.raises(ResourceError, match="sum over"):
-        run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
+        run(RunConfig(mode=mode, **config))
 
 
 @pytest.mark.parametrize("mode,work", [("syminf", 300), ("unitroot", 60)])

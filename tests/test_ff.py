@@ -394,6 +394,28 @@ def test_closed_points_are_the_orbit_reps(p, a, modulus, d):
     assert set(orbit_sizes.values()) == {d}
 
 
+# the sweep of the orbit-route oracle test in test_cli, and two bases of degree 2
+@pytest.mark.parametrize("p,a,n,D", [
+    (3, 1, 1, 3), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 1, 3), (5, 1, 2, 2), (5, 1, 3, 1),
+    (7, 1, 1, 2), (7, 1, 2, 1), (7, 1, 3, 1), (11, 1, 1, 2), (11, 1, 2, 1), (11, 1, 3, 1),
+    (3, 2, 2, 2), (5, 2, 1, 1),
+])
+def test_twist_orbits_agree_with_orbit_rep(p, a, n, D):
+    base = make_field(p, a)
+    points = points_up_to(base, D)
+    twists = ff.twist_orbits(points, n)
+    assert list(twists) == points
+
+    def twist(c, pt):
+        # [c^(n+1) t]: c is in F_p, so it scales every coordinate
+        return orbit_rep(base, pt.field, tuple(pow(c, n + 1, p) * x % p for x in pt.rep))
+
+    for pt in points:
+        rep, c = twists[pt]
+        assert rep == min((twist(b, pt) for b in range(1, p)), key=ClosedPoint.sort_key)
+        assert twist(c, rep) == pt
+
+
 def test_generator_has_full_order():
     for field in (make_field(3, 2), make_field(5, 1), make_field(3, 3)):
         g = field.generator()
