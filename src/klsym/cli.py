@@ -12,7 +12,6 @@ whole report through ``_jsonable``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -39,6 +38,7 @@ from .lfun import (
     LocalSeries,
     euler_product,
     local_factor,
+    sums_read,
     sym_inf_local,
     symk_local,
     unit_root_local,
@@ -139,23 +139,14 @@ def reach(n: int, D: int) -> int:
     return max(max(D, 1) * ((n + 2) // 2), n + 1)
 
 
-def local_factors(ev: KloostermanEvaluator, n: int, D: int, workers: int = 1,
-                  max_degree: int | None = None):
+def local_factors(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | None = None):
     """The exact local factor at every closed point of degree <= D, from sums
     in fields of degree <= max_degree over the base (see lfun.local_factor).
 
-    A point's new sums reach the cache once it and every point before it
-    are done, so the file's bytes do not depend on the worker count.
+    The sums run on the calling thread in canonical point order, so new
+    records reach the cache in that order, whatever the worker count.
     """
-    cache = ev.cache
-    factors = []
-    with cache.holding() if cache is not None else contextlib.nullcontext():
-        for lf in _pmap(lambda pt: local_factor(ev, n, pt, max_degree=max_degree),
-                        points_up_to(ev.base, D), workers):
-            if cache is not None:
-                cache.release(lf.point.sort_key())
-            factors.append(lf)
-    return factors
+    return [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(ev.base, D)]
 
 
 def galois_orbits(factors):
@@ -195,8 +186,7 @@ def series(base, orbits, D: int, local, workers: int = 1):
     """
     built = _pmap(lambda orbit: local(orbit[0], D // orbit[0].point.degree), orbits, workers)
     contributions = [
-        ls if lf is rep else LocalSeries(lf.point, [x.galois(c) for x in ls.coeffs],
-                                         ls.cert, ls.info)
+        ls if lf is rep else LocalSeries(lf.point, [x.galois(c) for x in ls.coeffs], ls.cert)
         for (rep, members), ls in zip(orbits, built) for lf, c in members]
     return euler_product(base, contributions, D,
                          [lf.point for _, members in orbits for lf, _ in members])
@@ -394,7 +384,7 @@ def run(config: RunConfig):
     derived = {}
     padic_only = mode in ("syminf", "unitroot")
     kappa = _kappa(config)  # bad digits fail before any sum is computed
-    factors = local_factors(ev, n, D, config.workers, max_degree)
+    factors = local_factors(ev, n, D, max_degree)
     orbits = galois_orbits(factors)
     if _builds_symk(config):
         gs_fin = series(base, orbits, D, lambda lf, R: symk_local(lf, config.k, R),
@@ -411,8 +401,8 @@ def run(config: RunConfig):
         V0 = config.V if config.V is not None else default_precision(config)
 
         def check(V):
-            # an attempt takes V to N digits over the T weight tuples that
-            # sym_inf_weights enumerates at a degree-1 point (1 tuple in unitroot)
+            # an attempt takes V to N digits over at most T weight tuples at a
+            # degree-1 point, T the box prod (w // j + 1) (1 tuple in unitroot)
             w, N = (V - 1) // (a * (config.p - 1)), -(-V // (config.p - 1)) + 1
             T = 1 if mode == "unitroot" else math.prod(w // j + 1 for j in range(1, n + 1))
             if T * V * N > config.budget:
@@ -464,7 +454,7 @@ def _ring_products(q: int, n: int, D: int, max_degree: int) -> int:
     and its share of the Euler product, sum over r <= D of (r // d + 1)."""
     total = 0
     for d in range(1, D + 1):
-        M = n + 1 if d * (n + 1) <= max_degree else (n + 2) // 2
+        M = sums_read(n, d, max_degree)
         per_point = M * (M + 1) // 2 + sum(r // d + 1 for r in range(D + 1))
         total += degree_count(q, d) * per_point
     return total
@@ -685,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-V", type=int, default=None,
                             help="pi-adic precision target (default derived)")
         _add_run_args(sp)
-        sp.add_argument("--workers", type=int, default=1, help="threads for per-point work")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="threads for the local series, one task per orbit representative")
         sp.add_argument("--csv", help="also write a CSV coefficient table here")
         # every RunConfig field, also where this mode has no option for it
         sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)

@@ -105,7 +105,6 @@ class SumCache:
         self.hits = 0
         self.misses = 0
         self.torn = 0
-        self._held = None  # key -> record line while holding
         self._load()
 
     def _lines(self):
@@ -189,42 +188,14 @@ class SumCache:
                 return
             self._mem[key] = value
             line = f"v1|{key}|{value.serialize()}\n".encode("ascii")
-            if self._held is not None:
-                self._held[key] = line
-            else:
-                self._append(line)
-
-    def _append(self, line: bytes):
-        with self._locked() as fd:
-            size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                # a writer died mid-record: cut its text after the last newline
-                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
-            # one write on an O_APPEND descriptor: records never interleave
-            if os.write(fd, line) != len(line):
-                raise OSError(f"{self.path}: short write appending a record")
-
-    @contextlib.contextmanager
-    def holding(self):
-        """Keep new records in memory until release, and append the rest on
-        exit: threads finish sums out of order, and releasing them point by
-        point in canonical order keeps the file's bytes independent of that."""
-        self._held = {}
-        try:
-            yield
-        finally:
-            self.release()
-
-    def release(self, upto=None):
-        """Append the held records of the points whose sort key is <= upto,
-        in canonical (point, m) order; None appends all and ends holding."""
-        with self._lock:
-            # parse_key(key)[4:] is (degree, rep, m): the point's sort key, then m
-            for (d, rep, _), key in sorted((parse_key(key)[4:], key) for key in self._held):
-                if upto is None or (d, rep) <= upto:
-                    self._append(self._held.pop(key))
-            if upto is None:
-                self._held = None
+            with self._locked() as fd:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    # a writer died mid-record: cut its text after the last newline
+                    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+                # one write on an O_APPEND descriptor: records never interleave
+                if os.write(fd, line) != len(line):
+                    raise OSError(f"{self.path}: short write appending a record")
 
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""

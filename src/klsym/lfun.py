@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclo import CycInt
 from .errors import (
@@ -111,6 +111,13 @@ def _both_ways(n, point, power_sums):
     return es[:h] + top, bad
 
 
+def sums_read(n: int, degree: int, max_degree: int | None) -> int:
+    """M, how many sums Kl_n(t, 1..M) local_factor reads at a point of this
+    degree: n+1 where Kl_n(t, n+1) lives in a field of degree <= max_degree
+    over the base (None: at every point), ceil((n+1)/2) elsewhere."""
+    return n + 1 if max_degree is None or degree * (n + 1) <= max_degree else (n + 2) // 2
+
+
 def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
                  max_degree: int | None = None) -> LocalFactor:
     """Local factor from the sums Kl_n(t, m), checked by the functional equation.
@@ -120,17 +127,15 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
     sends the eigenvalues to q_t^n over themselves:
     e_(n+1-i) = q_t^(n(n+1)/2 - n i) sigma_(-1)(e_i).  The sums m = 1..M
     give e_1..e_M by the Newton identities, and the identity gives
-    e_h..e_(n+1), h = ceil((n+1)/2).  M = n+1 where Kl_n(t, n+1) lives in a
-    field of degree <= max_degree over the base (None: at every point), and
-    M = h elsewhere.  Every e_j with h <= j <= M must agree both ways; at
-    M = n+1 that covers the leading coefficient and its sign.  A mismatch
-    that the sums without the (-1)^n normalisation would not have is a
+    e_h..e_(n+1), h = ceil((n+1)/2); M is sums_read(n, degree, max_degree).
+    Every e_j with h <= j <= M must agree both ways; at M = n+1 that
+    covers the leading coefficient and its sign.  A mismatch that the sums
+    without the (-1)^n normalisation would not have is a
     SignConventionFindingError, any other a functional equation finding.
     """
     if n < 1:
         raise UsageError("need n >= 1")
-    full = max_degree is None or point.degree * (n + 1) <= max_degree
-    M = n + 1 if full else (n + 2) // 2
+    M = sums_read(n, point.degree, max_degree)
     sums = [ev.kloosterman(n, point, m) for m in range(1, M + 1)]
     sgn = -1 if n % 2 else 1
     es, bad = _both_ways(n, point, [s * sgn for s in sums])
@@ -143,7 +148,7 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
         raise FunctionalEquationFindingError(
             f"e_{bad} at {point.rep} differs from its image under the "
             f"functional equation", witness={"point": point.rep, "index": bad})
-    return LocalFactor(point, n, tuple(_signed(es)), "full" if full else "half")
+    return LocalFactor(point, n, tuple(_signed(es)), "full" if M == n + 1 else "half")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,6 @@ class LocalSeries:
     point: ClosedPoint
     coeffs: list  # index r is the coefficient of T^(r * degree)
     cert: int | None = None  # uniform pi-adic certificate; None when exact
-    info: dict = field(default_factory=dict)
 
 
 def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
@@ -194,7 +198,7 @@ def sym_inf_weights(n: int, wmax: int):
             if sum(j * i for j, i in enumerate(tup, start=1)) <= wmax]
 
 
-def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int, info: dict) -> LocalSeries:
+def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int) -> LocalSeries:
     """prod over lams of (1 - lam T^d)^(-1) to r = R at precision N; the
     certificate is V capped by the vcert of every lam and every coefficient."""
     p = lf.coeffs[0].p
@@ -204,7 +208,7 @@ def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int, info: dict) -
         cert = min(cert, lam.vcert)
         for r in range(1, R + 1):
             out[r] = out[r] + lam * out[r - 1]
-    return LocalSeries(lf.point, out, min([cert] + [c.vcert for c in out]), info)
+    return LocalSeries(lf.point, out, min([cert] + [c.vcert for c in out]))
 
 
 def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
@@ -216,7 +220,7 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     certificate folds the slope-split, 1-unit-power and truncation costs.
     """
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
-    pis, ledger = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
+    pis, _ = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
     wmax = (V - 1) // (a * d * (p - 1))
     tuples = sym_inf_weights(lf.n, wmax)
     # pi_0^(kappa - s) for each size s = |i| <= wmax, over one (pi_0 - 1)^l chain
@@ -224,15 +228,14 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     powers = [one_unit_power(pis[0], kappa.minus_int(s), V, chain) for s in range(wmax + 1)]
     lams = (math.prod((pis[j] ** i for j, i in enumerate(tup, start=1) if i),
                       start=powers[sum(tup)]) for tup in tuples)
-    return _inverse_series(lf, lams, pis[0].N, V, R,
-                           {"tuples": len(tuples), "wmax": wmax, "split": ledger})
+    return _inverse_series(lf, lams, pis[0].N, V, R)
 
 
 def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
     """Series of (1 - pi_0^kappa T^d)^(-1): the weight-zero term of sym_inf_local."""
     N = -(-V // (lf.coeffs[0].p - 1)) + 1
     u = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
-    return _inverse_series(lf, [u], u.N, V, R, {})
+    return _inverse_series(lf, [u], u.N, V, R)
 
 
 # ---------------------------------------------------------------------------

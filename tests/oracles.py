@@ -520,7 +520,7 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
             acc = acc + ptil[m - 1] * out[r - m]
         out.append(divide_exact_int(acc, r))
     cert = min([V] + [c.vcert for c in out])
-    return LocalSeries(lf.point, out, cert, {})
+    return LocalSeries(lf.point, out, cert)
 
 
 # ---------------------------------------------------------------------------

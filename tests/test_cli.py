@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -274,6 +275,22 @@ def test_timing_counts_the_orbits_and_workers_move_no_byte(tmp_path):
         assert report["timing"]["orbits"] == {"representatives": 28, "points": 54}
         reports.append(_strip_timing(report))
     assert reports[0] == reports[1]
+
+
+def test_sums_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # the workers build local series only: every sum, and so every cache
+    # append, runs on the calling thread, in point order
+    on_main, real = [], KloostermanEvaluator.kloosterman
+
+    def kloosterman(self, *args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(self, *args)
+
+    monkeypatch.setattr(KloostermanEvaluator, "kloosterman", kloosterman)
+    assert console_main(["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3",
+                         "--workers", "2", "--cache", str(tmp_path / "sums.cache"),
+                         "--out", str(tmp_path / "r.json")]) == 0
+    assert on_main and all(on_main)
 
 
 def _series_key(gs):

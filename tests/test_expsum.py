@@ -272,35 +272,9 @@ def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
     assert path.read_bytes() == (CACHE_HEADER + "\n").encode("ascii") + b"".join(lines)
 
 
-def test_held_records_append_in_canonical_order_one_write_each(tmp_path, monkeypatch):
-    path = tmp_path / "sums.cache"
-    cache = SumCache(path)
-    writes, real_write = [], os.write
-
-    def write(fd, data):
-        writes.append(bytes(data))
-        return real_write(fd, data)
-
-    monkeypatch.setattr(os, "write", write)
-    # (degree, rep, m) put out of order, as threads may finish them
-    order = [(2, (1, 2), 1), (1, (2,), 2), (2, (1, 0), 1), (1, (1,), 1), (1, (2,), 1)]
-    lines = {}
-    with cache.holding():
-        for d, rep, m in order:
-            key = record_key(3, 1, (0, 1), 1, d, rep, m)
-            value = CycInt(3, (d, m))
-            cache.put(key, value)
-            lines[d, rep, m] = f"v1|{key}|{value.serialize()}\n".encode("ascii")
-        assert writes == []
-        cache.release((1, (2,)))
-        assert writes == [lines[1, (1,), 1], lines[1, (2,), 1], lines[1, (2,), 2]]
-    assert writes == [lines[key] for key in sorted(lines)]
-    assert path.read_bytes() == (CACHE_HEADER + "\n").encode("ascii") + b"".join(writes)
-
-
 def test_cache_bytes_do_not_depend_on_workers(tmp_path):
-    # threads finish points out of order, more often with a short switch
-    # interval; the records still land in point order
+    # a short switch interval interleaves the worker threads more often;
+    # the records still land in point order
     files = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
