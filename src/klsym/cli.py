@@ -181,15 +181,13 @@ def series(base, orbits, D: int, local, workers: int = 1):
     galois_orbits), at the representative; sigma_c commutes with every step
     of it (ring products, pi-valuations, residues, the slope split and
     1-unit powers), so a member's series is sigma_c of the representative's,
-    with the same certificate.  The members are the coverage the product
-    checks, so a run derives its points only once.
+    with the same certificate.
     """
     built = _pmap(lambda orbit: local(orbit[0], D // orbit[0].point.degree), orbits, workers)
     contributions = [
         ls if lf is rep else LocalSeries(lf.point, [x.galois(c) for x in ls.coeffs], ls.cert)
         for (rep, members), ls in zip(orbits, built) for lf, c in members]
-    return euler_product(base, contributions, D,
-                         [lf.point for _, members in orbits for lf, _ in members])
+    return euler_product(base, contributions, D)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +449,11 @@ def run(config: RunConfig):
 def _ring_products(q: int, n: int, D: int, max_degree: int) -> int:
     """Products in Z[zeta_p], each about (p-1)^2 steps, that every mode makes:
     the Newton identities of each point's factor from its M sums, M(M+1)/2,
-    and its share of the Euler product, sum over r <= D of (r // d + 1)."""
+    and its share of the Euler product, sum over r <= D of r // d."""
     total = 0
     for d in range(1, D + 1):
         M = sums_read(n, d, max_degree)
-        per_point = M * (M + 1) // 2 + sum(r // d + 1 for r in range(D + 1))
+        per_point = M * (M + 1) // 2 + sum(r // d for r in range(D + 1))
         total += degree_count(q, d) * per_point
     return total
 

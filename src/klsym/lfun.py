@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclo import CycInt
@@ -33,7 +34,7 @@ from .errors import (
     UsageError,
 )
 from .expsum import KloostermanEvaluator
-from .ff import ClosedPoint
+from .ff import ClosedPoint, degree_count
 from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, slope_split
 
 
@@ -249,53 +250,51 @@ class GlobalSeries:
     integers: list | None  # populated in exact mode
 
 
-def _check_coverage(points, contributions, D):
-    expected = {(pt.degree, pt.rep) for pt in points}
-    got = [(ls.point.degree, ls.point.rep) for ls in contributions]
-    if len(got) != len(set(got)):
-        raise UsageError("duplicate closed points in Euler product")
-    missing = expected - set(got)
-    extra = set(got) - expected
-    if missing or extra:
-        raise UsageError(
-            f"Euler product coverage mismatch at degree {D}: "
-            f"missing {sorted(missing)}, extra {sorted(extra)}")
-
-
-def euler_product(base, contributions, D: int, points) -> GlobalSeries:
+def euler_product(base, contributions, D: int) -> GlobalSeries:
     """Multiply inverse local factors over all closed points of degree <= D.
 
     Contributions are merged in canonical point order, so the result does
-    not depend on the order the caller produced them in.  They must cover
-    points, the closed points of degree <= D, once each.  In exact mode
-    every global coefficient must be a rational integer; in p-adic mode it
-    must be Galois-invariant to the uniform certificate.  Violations raise
-    IntegralityFindingError naming the first bad coefficient.
+    not depend on the order the caller produced them in.  Their points are
+    distinct, ff.degree_count (Moebius) of each degree <= D and none above.
+    Each series starts with exactly 1, so only its terms j >= 1 multiply.
+    In exact mode every global coefficient must be a rational integer; in
+    p-adic mode it must be Galois-invariant to the uniform certificate.
+    Violations raise IntegralityFindingError naming the first bad coefficient.
     """
     contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
-    _check_coverage(points, contributions, D)
+    keys = [(ls.point.degree, ls.point.rep) for ls in contributions]
+    if len(set(keys)) < len(keys):
+        raise UsageError("duplicate closed points in Euler product")
+    counts = Counter(d for d, _ in keys)
+    for d in sorted(counts.keys() | range(1, D + 1)):
+        got, want = counts[d], degree_count(base.size, d) if d <= D else 0
+        if got != want:
+            raise UsageError(f"Euler product coverage mismatch at degree {d}: "
+                             f"{got} closed points, not {want}")
     p = base.p
     exact = all(ls.cert is None for ls in contributions)
     if not exact and any(ls.cert is None for ls in contributions):
         raise UsageError("cannot mix exact and p-adic local series")
+    one = CycInt.from_int(p, 1)
     for ls in contributions:
-        need = D // ls.point.degree
-        if len(ls.coeffs) < need + 1:
+        if len(ls.coeffs) < D // ls.point.degree + 1:
             raise UsageError(f"local series at {ls.point.rep} too short for degree {D}")
+        c = ls.coeffs[0]
+        if (c != one) if exact else (c.rep, c.vcert) != (one, c.N * (p - 1)):
+            raise UsageError(f"local series at {ls.point.rep} does not start with 1")
     if exact:
-        zero = CycInt.zero(p)
-        acc = [CycInt.from_int(p, 1)] + [zero] * D
+        acc = [one] + [CycInt.zero(p)] * D
     else:
         N = min(c.N for ls in contributions for c in ls.coeffs)
-        zero = PadicCyc.zero(p, N)
-        acc = [PadicCyc.one(p, N)] + [zero] * D
+        acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
     for ls in contributions:
-        # times the local series in T^d; its zero terms would only add
-        # products whose certificate is already the maximal N (p - 1)
+        # times the local series in T^d; going down in r, acc[r - j d] still
+        # holds its value from before this point
         d = ls.point.degree
         local = [c if exact else c.with_precision(N) for c in ls.coeffs[: D // d + 1]]
-        acc = [sum((acc[r - j * d] * c for j, c in enumerate(local[: r // d + 1])), zero)
-               for r in range(D + 1)]
+        for r in range(D, d - 1, -1):
+            for j in range(1, r // d + 1):
+                acc[r] = acc[r] + acc[r - j * d] * local[j]
     if exact:
         integers = []
         for r, c in enumerate(acc):

@@ -483,8 +483,7 @@ def inverse_factor_series(coeffs, R):
 def series_per_point(base, factors, D: int, local):
     """The Euler product of local(lf, R) at every point of the factors, with
     no use of the Galois orbits."""
-    return euler_product(base, [local(lf, D // lf.point.degree) for lf in factors], D,
-                         [lf.point for lf in factors])
+    return euler_product(base, [local(lf, D // lf.point.degree) for lf in factors], D)
 
 
 # ---------------------------------------------------------------------------

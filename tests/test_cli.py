@@ -612,19 +612,35 @@ def test_symk_work_is_bounded_by_the_budget(mode):
 
 
 def test_ring_products_are_bounded_by_the_budget(capsys, monkeypatch):
-    # 1008 points of degree 1, each 3 Newton and 3 Euler products of about 1008^2
-    # steps; refused before any sum or table
+    # 1008 points of degree 1, each 3 Newton products and 1 Euler product of about
+    # 1008^2 steps; refused before any sum or table
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     t0 = time.perf_counter()
     assert console_main("symk -p 1009 -k 1 -D 1".split()) == 1
     assert time.perf_counter() - t0 < 5
-    assert "take 6048 products in Z[zeta_1009]" in capsys.readouterr().err
+    assert "take 4032 products in Z[zeta_1009]" in capsys.readouterr().err
+
+
+def test_the_product_budget_counts_only_the_products_that_run(capsys, monkeypatch):
+    # 9095 products of about 10^2 steps fit the default budget; the digest is that of
+    # the report at --budget 3000000, pinned when products by the constant term 1
+    # were still made and counted (29770 products)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main("symk -p 11 -n 1 -k 1 -D 4".split()) == 0
+    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
+            if key != "timing"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "3fff16ce1a3a8066a60a53b4d5737ee19d154c1338cdf2080d85e0da33a7747a")
+    # 100 points, each 3 Newton products and 1 Euler product of about 100^2 steps
+    assert console_main("symk -p 101 -n 1 -k 1 -D 1".split()) == 1
+    assert "take 400 products in Z[zeta_101], about 4000000 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["syminf", "unitroot"])
 def test_padic_modes_do_not_count_symk_work(mode):
     # symk refuses D k^2 = 1600 products; the same run in a p-adic mode passes that
-    # and its 26 ring products, and reaches its sums, which the budget then refuses
+    # and its 22 ring products, and reaches its sums, which the budget then refuses
     config = dict(p=3, n=3, k=40, D=1, budget=1000)
     with pytest.raises(ResourceError, match=r"D\*k\^2 = 1600 products, budget 1000"):
         run(RunConfig(mode="symk", **config))

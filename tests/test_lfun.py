@@ -3,6 +3,7 @@ independent-route cross checks."""
 
 import pytest
 
+from klsym.cli import _ring_products, reach
 from klsym.cyclo import CycInt
 from klsym.errors import (
     FunctionalEquationFindingError,
@@ -19,6 +20,7 @@ from klsym.lfun import (
     eigen_power_sums,
     euler_product,
     local_factor,
+    sums_read,
     sym_inf_local,
     symk_local,
     unit_root_local,
@@ -432,8 +434,7 @@ def _exact_contribs(ev, n, k, D):
 
 def test_euler_product_sym1_frozen_c1():
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3,
-                       points_up_to(ev.base, 3))
+    gs = euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3)
     assert gs.integers[0] == 1
     assert gs.integers[1] == -1
 
@@ -441,22 +442,57 @@ def test_euler_product_sym1_frozen_c1():
 @pytest.mark.parametrize("n,k,D", [(1, 1, 3), (1, 2, 2), (2, 1, 2)])
 def test_euler_product_matches_trace_sums(n, k, D):
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, n, k, D), D,
-                       points_up_to(ev.base, D))
+    gs = euler_product(ev.base, _exact_contribs(ev, n, k, D), D)
     oracle = trace_sums_route(ev, n, k, D)
     assert [c.as_integer() for c in oracle] == gs.integers
+
+
+def test_euler_product_runs_only_the_products_the_budget_counts(monkeypatch):
+    # sum over r <= D of r // d products at a point of degree d, none by the constant
+    # term 1; the budget adds M(M+1)/2 Newton products for the M sums a point reads
+    ev, n, D = _ev(), 1, 4
+    contribs = _exact_contribs(ev, n, 2, D)
+    calls = []
+    real = CycInt.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(CycInt, "__mul__", counting)
+    euler_product(ev.base, contribs, D)
+    monkeypatch.undo()
+    runs = sum(r // ls.point.degree for ls in contribs for r in range(D + 1))
+    assert len(calls) == runs == 66
+    max_degree = reach(n, D)
+    newton = sum(M * (M + 1) // 2
+                 for M in (sums_read(n, ls.point.degree, max_degree) for ls in contribs))
+    assert _ring_products(3, n, D, max_degree) == runs + newton
 
 
 def test_euler_product_coverage_errors():
     ev = _ev()
     contribs = _exact_contribs(ev, 1, 1, 2)
-    points = points_up_to(ev.base, 2)
-    with pytest.raises(UsageError, match="missing"):
-        euler_product(ev.base, contribs[:-1], 2, points)
+    # a missing point, a duplicate, and the 8 extra points of degree 3 at D = 2
+    with pytest.raises(UsageError, match="at degree 2: 2 closed points, not 3"):
+        euler_product(ev.base, contribs[:-1], 2)
     with pytest.raises(UsageError, match="duplicate"):
-        euler_product(ev.base, contribs + [contribs[0]], 2, points)
-    with pytest.raises(UsageError, match="extra"):
-        euler_product(ev.base, contribs, 2, points[:-1])
+        euler_product(ev.base, contribs + [contribs[0]], 2)
+    with pytest.raises(UsageError, match="at degree 3: 8 closed points, not 0"):
+        euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 2)
+    # the product runs on the terms j >= 1 alone, so a constant term other than 1 is refused
+    bad = [LocalSeries(ls.point, list(ls.coeffs)) for ls in contribs]
+    bad[0].coeffs[0] = CycInt.from_int(3, 2)
+    with pytest.raises(UsageError, match="does not start with 1"):
+        euler_product(ev.base, bad, 2)
+    # a p-adic constant term known to be 1 only up to O(pi) is refused too
+    kappa = PadicExponent.exact(3, 2)
+    padic = [sym_inf_local(local_factor(ev, 1, pt), kappa, V=8, R=1)
+             for pt in points_up_to(ev.base, 1)]
+    one = padic[0].coeffs[0]
+    padic[0].coeffs[0] = PadicCyc(3, one.N, one.rep, 1)
+    with pytest.raises(UsageError, match="does not start with 1"):
+        euler_product(ev.base, padic, 1)
 
 
 def test_euler_product_integrality_finding():
@@ -466,7 +502,7 @@ def test_euler_product_integrality_finding():
     bad = [LocalSeries(ls.point, [c * 1 for c in ls.coeffs]) for ls in contribs]
     bad[0].coeffs[1] = bad[0].coeffs[1] + z  # breaks Galois descent
     with pytest.raises(IntegralityFindingError):
-        euler_product(ev.base, bad, 2, points_up_to(ev.base, 2))
+        euler_product(ev.base, bad, 2)
 
 
 def test_euler_product_padic_mode_and_galois_check():
@@ -477,11 +513,11 @@ def test_euler_product_padic_mode_and_galois_check():
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)
         contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree))
-    gs = euler_product(base, contribs, 2, points_up_to(base, 2))
+    gs = euler_product(base, contribs, 2)
     assert gs.cert is not None and gs.cert >= 6
     assert gs.integers is None
     # order of contributions must not matter
-    gs2 = euler_product(base, list(reversed(contribs)), 2, points_up_to(base, 2))
+    gs2 = euler_product(base, list(reversed(contribs)), 2)
     for x, y in zip(gs.coeffs, gs2.coeffs):
         assert x.rep == y.rep and x.vcert == y.vcert
 
@@ -497,7 +533,7 @@ def test_euler_product_padic_integrality_finding():
     z = PadicCyc.embed(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
     contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
     with pytest.raises(IntegralityFindingError):
-        euler_product(base, contribs, 1, points_up_to(base, 1))
+        euler_product(base, contribs, 1)
 
 
 def test_euler_product_rejects_mixed_modes():
@@ -508,4 +544,4 @@ def test_euler_product_rejects_mixed_modes():
     mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1)]
     mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
     with pytest.raises(UsageError):
-        euler_product(ev.base, mixed, 1, points_up_to(ev.base, 1))
+        euler_product(ev.base, mixed, 1)
