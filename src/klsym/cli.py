@@ -50,6 +50,7 @@ from .polygon import hodge_polygon, lower_hull, newton_points, verify_above, \
 SCHEMA = "klsym-report/1"
 CACHE_ENV = "KLSYM_CACHE"
 MAX_RETRIES = 3
+MAX_WORKERS = 32  # the ceiling of ThreadPoolExecutor's own default, min(32, cpu + 4)
 
 MODES = ("symk", "syminf", "unitroot", "verify-newton-hodge", "compare-slopes")
 
@@ -82,8 +83,8 @@ def _validate(config: RunConfig):
         raise UsageError("degree cap D must be nonnegative")
     if config.mode not in MODES:
         raise UsageError(f"unknown mode {config.mode!r}")
-    if config.workers < 1:
-        raise UsageError("need at least one worker")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        raise UsageError(f"need 1 to {MAX_WORKERS} workers, not {config.workers}")
     if config.k is not None and config.kappa_digits is not None:
         raise UsageError("give either an integer exponent or digits, not both")
     if config.mode in ("symk", "compare-slopes") and config.k is None:
@@ -139,38 +140,32 @@ def reach(n: int, D: int) -> int:
     return max(max(D, 1) * ((n + 2) // 2), n + 1)
 
 
-def local_factors(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | None = None):
-    """The exact local factor at every closed point of degree <= D, from sums
-    in fields of degree <= max_degree over the base (see lfun.local_factor).
+def galois_orbits(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | None = None):
+    """Each closed point of degree <= D mapped to (its representative's factor, c),
+    the point being [c^(n+1) rep], c in F_p^* (ff.twist_orbits).
 
-    The sums run on the calling thread in canonical point order, so new
-    records reach the cache in that order, whatever the worker count.
+    Kl_n(c^(n+1) t, m) = sigma_c(Kl_n(t, m)) (x_i -> c x_i; Katz 1988), so a
+    member's factor is sigma_c, zeta -> zeta^c, of its representative's.
+    Factors, from sums in fields of degree <= max_degree (lfun.local_factor),
+    are built at the representatives and at each degree's first other point,
+    the witness, which off sigma_c raises OrbitFindingError.  The sums run on
+    the calling thread in canonical point order, and reach the cache in it.
     """
-    return [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(ev.base, D)]
-
-
-def galois_orbits(factors):
-    """The factors by orbit of t -> c^(n+1) t, c in F_p^*: a list of
-    (representative, [(member, c), ...]) with member at [c^(n+1) rep].
-
-    Kl_n(c^(n+1) t, m) = sigma_c(Kl_n(t, m)) (substitute x_i -> c x_i; Katz
-    1988), so every member's factor must be sigma_c, zeta -> zeta^c, of the
-    representative's, coefficient by coefficient; else OrbitFindingError.
-    """
-    if not factors:
-        return []
-    twists = twist_orbits([lf.point for lf in factors], factors[0].n)
-    at = {lf.point: lf for lf in factors}
-    orbits = {}
-    for lf in factors:
-        rep, c = twists[lf.point]
-        if any(x != y.galois(c) for x, y in zip(lf.coeffs, at[rep].coeffs)):
-            raise OrbitFindingError(
-                f"the factor at {lf.point.rep} is not sigma_{c} of the factor at "
-                f"its orbit representative {rep.rep}",
-                witness={"point": lf.point.rep, "representative": rep.rep, "c": c})
-        orbits.setdefault(rep, (at[rep], []))[1].append((lf, c))
-    return list(orbits.values())
+    factors, orbits, witnessed = {}, {}, set()
+    # in canonical point order, where a representative comes first in its orbit
+    for pt, (rep, c) in twist_orbits(points_up_to(ev.base, D), n).items():
+        if pt == rep:
+            factors[rep] = local_factor(ev, n, pt, max_degree=max_degree)
+        elif pt.degree not in witnessed:
+            witnessed.add(pt.degree)
+            lf = local_factor(ev, n, pt, max_degree=max_degree)
+            if any(x != y.galois(c) for x, y in zip(lf.coeffs, factors[rep].coeffs)):
+                raise OrbitFindingError(
+                    f"the factor at {pt.rep} is not sigma_{c} of the factor at "
+                    f"its orbit representative {rep.rep}",
+                    witness={"point": pt.rep, "representative": rep.rep, "c": c})
+        orbits[pt] = (factors[rep], c)
+    return orbits
 
 
 def series(base, orbits, D: int, local, workers: int = 1):
@@ -183,10 +178,12 @@ def series(base, orbits, D: int, local, workers: int = 1):
     1-unit powers), so a member's series is sigma_c of the representative's,
     with the same certificate.
     """
-    built = _pmap(lambda orbit: local(orbit[0], D // orbit[0].point.degree), orbits, workers)
-    contributions = [
-        ls if lf is rep else LocalSeries(lf.point, [x.galois(c) for x in ls.coeffs], ls.cert)
-        for (rep, members), ls in zip(orbits, built) for lf, c in members]
+    reps = {lf.point: lf for lf, _ in orbits.values()}
+    built = dict(zip(reps, _pmap(lambda lf: local(lf, D // lf.point.degree),
+                                 reps.values(), workers)))
+    contributions = [built[pt] if pt == lf.point else LocalSeries(
+        pt, [x.galois(c) for x in built[lf.point].coeffs], built[lf.point].cert)
+        for pt, (lf, c) in orbits.items()]
     return euler_product(base, contributions, D)
 
 
@@ -382,8 +379,7 @@ def run(config: RunConfig):
     derived = {}
     padic_only = mode in ("syminf", "unitroot")
     kappa = _kappa(config)  # bad digits fail before any sum is computed
-    factors = local_factors(ev, n, D, max_degree)
-    orbits = galois_orbits(factors)
+    orbits = galois_orbits(ev, n, D, max_degree)
     if _builds_symk(config):
         gs_fin = series(base, orbits, D, lambda lf, R: symk_local(lf, config.k, R),
                         config.workers)
@@ -438,18 +434,20 @@ def run(config: RunConfig):
         "workers": config.workers,
         "budget": config.budget,
         "cache_path": config.cache_path,
-    }, factors={route: sum(lf.route == route for lf in factors)
+    }, factors={route: sum(lf.route == route for lf, _ in orbits.values())
                 for route in ("full", "half")},
-        orbits={"representatives": len(orbits), "points": len(factors)})
+        orbits={"representatives": sum(pt == lf.point for pt, (lf, _) in orbits.items()),
+                "points": len(orbits)})
     verdict = body["verdict"]
     code = 0 if verdict is None else _EXIT_BY_STATUS[verdict["status"]]
     return report, code
 
 
 def _ring_products(q: int, n: int, D: int, max_degree: int) -> int:
-    """Products in Z[zeta_p], each about (p-1)^2 steps, that every mode makes:
-    the Newton identities of each point's factor from its M sums, M(M+1)/2,
-    and its share of the Euler product, sum over r <= D of r // d."""
+    """An upper bound on the products in Z[zeta_p], each about (p-1)^2 steps, that
+    every mode makes: M(M+1)/2 for the Newton identities from M sums at every
+    point (galois_orbits builds fewer factors, known only once the tables exist)
+    and each point's share of the Euler product, sum over r <= D of r // d."""
     total = 0
     for d in range(1, D + 1):
         M = sums_read(n, d, max_degree)
@@ -674,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pi-adic precision target (default derived)")
         _add_run_args(sp)
         sp.add_argument("--workers", type=int, default=1,
-                        help="threads for the local series, one task per orbit representative")
+                        help=f"threads for the orbits' local series, 1 to {MAX_WORKERS}")
         sp.add_argument("--csv", help="also write a CSV coefficient table here")
         # every RunConfig field, also where this mode has no option for it
         sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)

@@ -411,7 +411,8 @@ def points_up_to(base: Field, D: int):
 
 
 def twist_orbits(points, n: int) -> dict:
-    """Each point's (representative, c), with point = [c^(n+1) rep] and c in F_p^*.
+    """Each point's (representative, c), with point = [c^(n+1) rep] and c in F_p^*,
+    keyed by degree, then in the order of points.
 
     Multiplication by c^(n+1) commutes with Frobenius, so it permutes the
     closed points of each degree; the representative is the first point of

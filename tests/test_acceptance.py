@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from klsym.cli import RunConfig, galois_orbits, local_factors, run, series
+from klsym.cli import RunConfig, galois_orbits, run, series
 from klsym.expsum import KloostermanEvaluator, _direct_sum
 from klsym.ff import make_field, points_up_to
 from klsym.lfun import local_factor, sym_inf_local, symk_local
@@ -114,14 +114,14 @@ def test_criterion_3_slope_coincidence():
         # multiplying by (1 - q^(k+1) T) adds only slope-(k+1) content,
         # so the comparison in slopes <= k must not move
         base = make_field(3, 1)
-        factors = local_factors(KloostermanEvaluator(base), 1, 3)
-        fin = series(base, galois_orbits(factors), 3, lambda lf, R: symk_local(lf, 1, R))
+        orbits = galois_orbits(KloostermanEvaluator(base), 1, 3)
+        fin = series(base, orbits, 3, lambda lf, R: symk_local(lf, 1, R))
         nine = fin.coeffs[0].from_int(3, 9)
         twisted = list(fin.coeffs) + [fin.coeffs[0] * 0]
         for r in range(len(twisted) - 1, 0, -1):
             twisted[r] = twisted[r] - nine * twisted[r - 1]
         twisted = twisted[:4]
-        inf = series(base, galois_orbits(factors), 3, lambda lf, R: sym_inf_local(
+        inf = series(base, orbits, 3, lambda lf, R: sym_inf_local(
             lf, PadicExponent.exact(3, 1), 14, R))
         pts_inf = newton_points(inf.coeffs, 1, cert=inf.cert)
         v = compare_slope_range(newton_points(twisted, 1), pts_inf, F(1))
@@ -159,16 +159,16 @@ def test_criterion_6_integrality():
     with criterion("integrality", limit=120):
         for n, k, D in [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 1, 2)]:
             base = make_field(3, 1)
-            factors = local_factors(KloostermanEvaluator(base), n, D)
-            gs = series(base, galois_orbits(factors), D, lambda lf, R: symk_local(lf, k, R))
+            orbits = galois_orbits(KloostermanEvaluator(base), n, D)
+            gs = series(base, orbits, D, lambda lf, R: symk_local(lf, k, R))
             assert gs.integers is not None
             for c, value in zip(gs.coeffs, gs.integers):
                 assert c.as_integer() == value  # no zeta components at all
 
         for n, D, V in [(1, 3, 12), (2, 2, 10)]:
             base = make_field(3, 1)
-            factors = local_factors(KloostermanEvaluator(base), n, D)
-            gs = series(base, galois_orbits(factors), D, lambda lf, R: sym_inf_local(
+            orbits = galois_orbits(KloostermanEvaluator(base), n, D)
+            gs = series(base, orbits, D, lambda lf, R: sym_inf_local(
                 lf, PadicExponent.exact(3, 2), V, R))
             assert gs.cert is not None and gs.cert > 0
             for c in gs.coeffs:
@@ -259,12 +259,12 @@ def test_criterion_9_determinism_and_monotonicity():
         observed = set()
         for n, k, D, V_lo, V_hi in [(1, 2, 4, 4, 20), (2, 1, 2, 6, 16)]:
             base = make_field(3, 1)
-            factors = local_factors(KloostermanEvaluator(base), n, D)
+            orbits = galois_orbits(KloostermanEvaluator(base), n, D)
             hodge = hodge_polygon(n, 3, D)
             kappa = PadicExponent.exact(3, k)
             verdicts = []
             for V in (V_lo, V_hi):
-                gs = series(base, galois_orbits(factors), D, lambda lf, R: sym_inf_local(lf, kappa, V, R))
+                gs = series(base, orbits, D, lambda lf, R: sym_inf_local(lf, kappa, V, R))
                 v = verify_above(newton_points(gs.coeffs, 1, cert=gs.cert),
                                  hodge)
                 verdicts.append(v)

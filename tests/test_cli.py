@@ -28,7 +28,8 @@ from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import KloostermanEvaluator, SumCache, record_key
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
-from klsym.lfun import local_factor, sym_inf_local, symk_local, unit_root_local
+from klsym.lfun import local_factor, sums_read, sym_inf_local, symk_local, \
+    unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
 from oracles import series_per_point
@@ -125,11 +126,53 @@ def test_local_report_bytes_are_pinned(capsys, monkeypatch, argv, digest):
 
 
 def test_cold_cache_bytes_are_pinned(tmp_path):
+    # re-pinned when sums moved to the orbit representatives and one witness per
+    # degree: the file is the earlier pin's header and its 14 records at those
+    # points, of 32, in the same order
     cache = tmp_path / "c.txt"
     assert console_main(["verify", "-p", "5", "-n", "2", "-k", "1", "-D", "2",
                          "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
-        "9d37a7f6ae8c762aadf1e1dbbf2487904cf5b19222a19bd49b3f0bbd40980257")
+        "af369181b3e75627f7d27fb240f62b568a3025b4adc9febc5ac58f487872ac7c")
+
+
+def _built_points(base, n, D):
+    """The points galois_orbits builds a factor at: every orbit representative
+    and the first other point of each degree."""
+    points = points_up_to(base, D)
+    twists = ff.twist_orbits(points, n)
+    members = [pt for pt in points if twists[pt][0] != pt]
+    witnesses = {d: next(pt for pt in members if pt.degree == d)
+                 for d in {pt.degree for pt in members}}
+    return [pt for pt in points if twists[pt][0] == pt or pt in witnesses.values()]
+
+
+def test_a_cold_run_sums_at_the_representatives_and_witnesses_only(tmp_path):
+    base = make_field(5, 1)
+    reads = sum(sums_read(1, pt.degree, cli.reach(1, 4)) for pt in _built_points(base, 1, 4))
+    cache = tmp_path / "c.txt"
+    assert console_main(["symk", "-p", "5", "-n", "1", "-k", "3", "-D", "4",
+                         "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(SumCache(str(cache))) == reads == 120  # summing at all 204 points: 218
+
+
+def test_a_bad_sum_at_a_member_no_run_reads_moves_no_byte(tmp_path):
+    # Kl_1(t, 1) + 1 at a degree-2 member that is not its degree's witness: its
+    # factor is sigma_c of its representative's, so the sum is never read
+    base = make_field(5, 1)
+    built = _built_points(base, 1, 2)
+    pt = next(pt for pt in points_up_to(base, 2) if pt.degree == 2 and pt not in built)
+    value = KloostermanEvaluator(base).kloosterman(1, pt, 1) + CycInt.from_int(5, 1)
+    key = record_key(5, 1, base.modulus, 1, 2, pt.rep, 1)
+    cache = tmp_path / "c.txt"
+    cache.write_text(f"# klsym sum cache v1\nv1|{key}|{value.serialize()}\n")
+    reports = []
+    for extra in (["--cache", str(cache)], []):
+        out = tmp_path / "r.json"
+        assert console_main(["symk", "-p", "5", "-n", "1", "-k", "1", "-D", "2",
+                             "--out", str(out)] + extra) == 0
+        reports.append(_strip_timing(_read(out)))
+    assert reports[0] == reports[1]
 
 
 def test_wrong_determinant_sign_in_the_cache_is_a_finding(tmp_path, capsys):
@@ -172,8 +215,8 @@ def test_local_reaches_every_factor_a_run_builds(capsys, monkeypatch):
     printed = json.loads(capsys.readouterr().out)["coefficients"]
     base = make_field(3, 1)
     pt = orbit_rep(base, point_field(base, 2), (0, 1))
-    factors = cli.local_factors(KloostermanEvaluator(base), 3, 2, max_degree=cli.reach(3, 2))
-    assert printed == [c.serialize() for lf in factors if lf.point == pt for c in lf.coeffs]
+    lf, c = cli.galois_orbits(KloostermanEvaluator(base), 3, 2, max_degree=cli.reach(3, 2))[pt]
+    assert printed == [x.galois(c).serialize() for x in lf.coeffs]
 
 
 def test_symk_n3_reaches_degree_two(capsys, monkeypatch):
@@ -253,6 +296,18 @@ def test_usage_validation_direct():
         run(RunConfig(p=3, mode="compare-slopes", kappa_digits=(1,), D=1))
 
 
+def test_workers_are_bounded_before_any_pool_exists(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    assert console_main("symk -p 3 -n 1 -k 2 -D 10 --workers 100000".split()) == 1
+    assert capsys.readouterr().err == "usage error: need 1 to 32 workers, not 100000\n"
+    monkeypatch.undo()
+    assert console_main(["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "1",
+                         "--workers", "32", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     reports = []
     for workers in ("1", "3"):
@@ -310,12 +365,14 @@ def _series_key(gs):
 ])
 def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
     base = make_field(p, 1)
-    factors = cli.local_factors(KloostermanEvaluator(base), n, D,
-                                max_degree=max_degree or cli.reach(n, D))
-    orbits = cli.galois_orbits(factors)
-    assert sum(len(members) for _, members in orbits) == len(factors)
+    max_degree = max_degree or cli.reach(n, D)
+    ev = KloostermanEvaluator(base)
+    factors = [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(base, D)]
+    orbits = cli.galois_orbits(ev, n, D, max_degree=max_degree)
+    assert list(orbits) == [lf.point for lf in factors]
+    reps = {lf.point for lf, _ in orbits.values()}
     # the twists t -> c^(n+1) t move some degree-1 point unless every c^(n+1) = 1
-    assert (len(orbits) < len(factors)) == ((n + 1) % (p - 1) != 0)
+    assert (len(reps) < len(factors)) == ((n + 1) % (p - 1) != 0)
     kappa, V = PadicExponent.truncated(p, (2, 1)), 3 * (p - 1)
     for local in (lambda lf, R: symk_local(lf, 2, R),
                   lambda lf, R: sym_inf_local(lf, kappa, V, R),
