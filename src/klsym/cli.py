@@ -76,7 +76,50 @@ class RunConfig:
     cache_path: str | None = None
 
 
-def _validate(config: RunConfig):
+def _builds_symk(config: RunConfig) -> bool:
+    """An integer exponent builds the exact Sym^k series, but not in p-adic modes."""
+    return config.k is not None and config.mode not in ("syminf", "unitroot")
+
+
+def default_precision(config: RunConfig) -> int:
+    """Initial pi-adic target: Hodge height at the degree cap plus slack.
+
+    The Hodge polygon bounds every slope the verdict can depend on, so
+    clearing its value at D (in pi units) with a few digits to spare
+    settles typical runs on the first attempt; retries double from here.
+    """
+    hodge = hodge_polygon(config.n, config.p, max(config.D, 1))
+    height = hodge.value_at(Fraction(min(config.D, int(hodge.width))))
+    digits = int(-(-height.numerator // height.denominator))
+    return (config.p - 1) * config.a * (digits + 4)
+
+
+def _precisions(config: RunConfig, V0: int):
+    """The precision ladder: V0 and up to MAX_RETRIES doublings while an attempt
+    fits the budget, and the ResourceError of the first doubling that does not
+    (None when the retries run out first); V0 itself must fit.  An attempt takes
+    V to N digits over at most T weight tuples at a degree-1 point, T the box
+    prod (w // j + 1) (1 tuple in unitroot)."""
+    Vs = []
+    for V in (V0 << i for i in range(MAX_RETRIES + 1)):
+        w, N = (V - 1) // (config.a * (config.p - 1)), -(-V // (config.p - 1)) + 1
+        T = 1 if config.mode == "unitroot" else \
+            math.prod(w // j + 1 for j in range(1, config.n + 1))
+        if T * V * N > config.budget:
+            refusal = ResourceError(f"precision V = {V} needs T*V*N = {T * V * N} "
+                                    f"steps, budget {config.budget}")
+            if not Vs:
+                raise refusal
+            return Vs, refusal
+        Vs.append(V)
+    return Vs, None
+
+
+def _admit(config: RunConfig):
+    """Every refusal a run makes before any table, sum or cache file; only the
+    per-sum bound (expsum) stays lazy, so a warm cache serves what the budget
+    would refuse cold.  Returns (base, max_degree, kappa, ladder), ladder None
+    in symk mode and else the (precisions, refusal) of _precisions."""
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
     if config.D < 0:
@@ -95,30 +138,26 @@ def _validate(config: RunConfig):
         raise UsageError("k must be nonnegative")
     if config.V is not None and config.V < 1:
         raise UsageError("precision target V must be positive")
-
-
-def _builds_symk(config: RunConfig) -> bool:
-    """An integer exponent builds the exact Sym^k series, but not in p-adic modes."""
-    return config.k is not None and config.mode not in ("syminf", "unitroot")
-
-
-def _kappa(config: RunConfig) -> PadicExponent:
-    if config.kappa_digits is not None:
-        return PadicExponent.truncated(config.p, config.kappa_digits)
-    return PadicExponent.exact(config.p, config.k)
-
-
-def default_precision(config: RunConfig) -> int:
-    """Initial pi-adic target: Hodge height at the degree cap plus slack.
-
-    The Hodge polygon bounds every slope the verdict can depend on, so
-    clearing its value at D (in pi units) with a few digits to spare
-    settles typical runs on the first attempt; retries double from here.
-    """
-    hodge = hodge_polygon(config.n, config.p, max(config.D, 1))
-    height = hodge.value_at(Fraction(min(config.D, int(hodge.width))))
-    digits = int(-(-height.numerator // height.denominator))
-    return (config.p - 1) * config.a * (digits + 4)
+    base = make_field(config.p, config.a)
+    max_degree = reach(config.n, config.D)
+    point_field(base, max_degree)
+    # at a point of degree d the Sym^k series takes about (D/d) k^2 products
+    if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
+        raise ResourceError(
+            f"Sym^{config.k} series to degree {config.D} needs "
+            f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
+    products = _ring_products(base.size, config.n, config.D, max_degree)
+    if products * (config.p - 1) ** 2 > config.budget:
+        raise ResourceError(
+            f"the local factors and the Euler product to degree {config.D} take "
+            f"{products} products in Z[zeta_{config.p}], about "
+            f"{products * (config.p - 1) ** 2} steps, budget {config.budget}")
+    kappa = (PadicExponent.exact(config.p, config.k) if config.kappa_digits is None
+             else PadicExponent.truncated(config.p, config.kappa_digits))
+    if config.mode == "symk":
+        return base, max_degree, kappa, None
+    V0 = config.V if config.V is not None else default_precision(config)
+    return base, max_degree, kappa, _precisions(config, V0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +260,7 @@ def _series_json(name, gs, points, exponent):
             "ordq": cp.ordq,
         }
         if gs.cert is None:
-            row["value"] = gs.integers[cp.r]
+            row["value"] = c.as_integer()
         else:
             row["coords"] = c.rep.coords
             row["precision"] = c.N
@@ -277,36 +316,22 @@ _EXIT_BY_STATUS = {
 }
 
 
-def _retry_precision(attempt, V0: int, check=lambda V: None):
-    """Run attempt(V), doubling V on undecided verdicts up to MAX_RETRIES.
-
-    attempt returns (series, points, verdict); a PrecisionError counts as
-    undecided.  Retries stop when they run out or check(2V) raises
-    ResourceError; the undecided last verdict is then returned as-is, or,
-    after a PrecisionError, PrecisionError or check's error is raised.
-    """
-    V = V0
-    attempts = 0
-    while True:
-        attempts += 1
+def _retry_precision(attempt, Vs, refusal):
+    """attempt(V) -> (series, points, verdict) for V in Vs until a verdict is
+    decided; a PrecisionError counts as undecided.  The last undecided verdict
+    is returned, or, after a PrecisionError, refusal (see _precisions) or, when
+    the retries ran out, a PrecisionError is raised."""
+    for attempts, V in enumerate(Vs, start=1):
         try:
             result = attempt(V)
         except PrecisionError:
             result = None
         if result is not None and result[2].decided:
             return result, V, attempts
-        if attempts > MAX_RETRIES:
-            if result is None:
-                raise PrecisionError(
-                    f"undecided after {attempts} attempts up to V={V}")
-            return result, V, attempts
-        try:
-            check(2 * V)
-        except ResourceError:
-            if result is None:
-                raise
-            return result, V, attempts
-        V *= 2
+    if result is None:
+        raise refusal or PrecisionError(
+            f"undecided after {attempts} attempts up to V={V}")
+    return result, V, attempts
 
 
 def _envelope(body: dict, t0: float, cache, **timing):
@@ -332,22 +357,7 @@ def _envelope(body: dict, t0: float, cache, **timing):
 def run(config: RunConfig):
     """Execute one run and return (report, exit_code)."""
     t0 = time.perf_counter()
-    _validate(config)
-    base = make_field(config.p, config.a)
-    # refuse an oversize run before any table is built
-    max_degree = reach(config.n, config.D)
-    point_field(base, max_degree)
-    # at a point of degree d the Sym^k series takes about (D/d) k^2 products
-    if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
-        raise ResourceError(
-            f"Sym^{config.k} series to degree {config.D} needs "
-            f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
-    products = _ring_products(base.size, config.n, config.D, max_degree)
-    if products * (config.p - 1) ** 2 > config.budget:
-        raise ResourceError(
-            f"the local factors and the Euler product to degree {config.D} take "
-            f"{products} products in Z[zeta_{config.p}], about "
-            f"{products * (config.p - 1) ** 2} steps, budget {config.budget}")
+    base, max_degree, kappa, ladder = _admit(config)
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -377,8 +387,6 @@ def run(config: RunConfig):
 
     verdicts = []
     derived = {}
-    padic_only = mode in ("syminf", "unitroot")
-    kappa = _kappa(config)  # bad digits fail before any sum is computed
     orbits = galois_orbits(ev, n, D, max_degree)
     if _builds_symk(config):
         gs_fin = series(base, orbits, D, lambda lf, R: symk_local(lf, config.k, R),
@@ -392,17 +400,7 @@ def run(config: RunConfig):
         # the unit-root series is the weight-zero term of the Sym^(kappa,oo) one
         name, padic_local = (("unitroot", unit_root_local) if mode == "unitroot"
                              else ("syminf", sym_inf_local))
-        V0 = config.V if config.V is not None else default_precision(config)
-
-        def check(V):
-            # an attempt takes V to N digits over at most T weight tuples at a
-            # degree-1 point, T the box prod (w // j + 1) (1 tuple in unitroot)
-            w, N = (V - 1) // (a * (config.p - 1)), -(-V // (config.p - 1)) + 1
-            T = 1 if mode == "unitroot" else math.prod(w // j + 1 for j in range(1, n + 1))
-            if T * V * N > config.budget:
-                raise ResourceError(f"precision V = {V} needs T*V*N = {T * V * N} "
-                                    f"steps, budget {config.budget}")
-        check(V0)
+        Vs, refusal = ladder
 
         def attempt(V):
             gs = series(base, orbits, D, lambda lf, R: padic_local(lf, kappa, V, R),
@@ -414,12 +412,12 @@ def run(config: RunConfig):
                 return gs, pts, compare_slope_range(pts_fin, pts, Fraction(config.k))
             return gs, pts, None
 
-        if padic_only:
-            (gs, pts, _), V = attempt(V0), V0
+        if mode in ("syminf", "unitroot"):
+            (gs, pts, _), V = attempt(Vs[0]), Vs[0]
         else:
-            (gs, pts, v), V, attempts = _retry_precision(attempt, V0, check)
+            (gs, pts, v), V, attempts = _retry_precision(attempt, Vs, refusal)
             verdicts.append(("syminf", v))
-            derived.update({"V_initial": V0, "attempts": attempts})
+            derived.update({"V_initial": Vs[0], "attempts": attempts})
         add(name, gs, pts)
         derived["V_used"] = V
 
@@ -541,6 +539,8 @@ def cmd_cache(args) -> int:
     t0 = time.perf_counter()
     if args.sample < 0:
         raise UsageError("--sample must be nonnegative")
+    if not os.path.exists(args.cache_path):
+        raise CacheError(f"{args.cache_path}: no such sum cache")
     cache = SumCache(args.cache_path)
     if args.action == "stat":
         body = {"cache_stat": {"path": args.cache_path, "records": len(cache)}}

@@ -21,7 +21,7 @@ class ResourceError(KlsymError):
 
 
 class CacheError(KlsymError):
-    """Sum cache is structurally or semantically corrupt."""
+    """Sum cache is missing, or structurally or semantically corrupt."""
 
 
 class PrecisionError(KlsymError):

@@ -247,7 +247,6 @@ def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Lo
 class GlobalSeries:
     coeffs: list  # exact CycInt or PadicCyc, index = power of T
     cert: int | None
-    integers: list | None  # populated in exact mode
 
 
 def euler_product(base, contributions, D: int) -> GlobalSeries:
@@ -296,15 +295,14 @@ def euler_product(base, contributions, D: int) -> GlobalSeries:
             for j in range(1, r // d + 1):
                 acc[r] = acc[r] + acc[r - j * d] * local[j]
     if exact:
-        integers = []
         for r, c in enumerate(acc):
             try:
-                integers.append(c.as_integer())
+                c.as_integer()
             except ValueError:
                 raise IntegralityFindingError(
                     f"coefficient of T^{r} is not a rational integer: {c!r}",
                     witness={"r": r}) from None
-        return GlobalSeries(acc, None, integers)
+        return GlobalSeries(acc, None)
     cert = min(ls.cert for ls in contributions)
     cert = min([cert] + [c.vcert for c in acc])
     for r, c in enumerate(acc):
@@ -315,4 +313,4 @@ def euler_product(base, contributions, D: int) -> GlobalSeries:
                     f"coefficient of T^{r} moves under zeta -> zeta^{g} "
                     f"below the certificate {cert}",
                     witness={"r": r, "galois": g, "val": diff})
-    return GlobalSeries(acc, cert, None)
+    return GlobalSeries(acc, cert)

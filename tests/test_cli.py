@@ -19,6 +19,7 @@ from klsym import cli, ff
 from klsym.cli import (
     MAX_RETRIES,
     RunConfig,
+    _precisions,
     _retry_precision,
     console_main,
     default_precision,
@@ -349,10 +350,9 @@ def test_sums_run_on_the_calling_thread(tmp_path, monkeypatch):
 
 
 def _series_key(gs):
-    """The certificate, the integers of an exact series, and each coefficient
-    with its precision and vcert."""
-    return gs.cert, gs.integers, [(c.rep, c.N, c.vcert) if isinstance(c, PadicCyc) else c
-                                  for c in gs.coeffs]
+    """The certificate, and each coefficient with its precision and vcert."""
+    return gs.cert, [(c.rep, c.N, c.vcert) if isinstance(c, PadicCyc) else c
+                     for c in gs.coeffs]
 
 
 # (p, n, D, reach): at n = 3 and p >= 5, Kl(t, 4) at degree 1 is over the budget,
@@ -507,6 +507,14 @@ def test_cache_admin_cycle(tmp_path):
     assert len(cache.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("action", ["stat", "verify", "compact"])
+def test_cache_action_on_a_missing_file_exits_one(tmp_path, capsys, action):
+    missing = tmp_path / "missing"
+    assert console_main(["cache", action, "--cache", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: no such sum cache\n"
+    assert not missing.exists()
+
+
 def test_cache_verify_non_canonical_base_degree_one(tmp_path):
     # degree-1 points live in the base field itself, not the canonical F_9
     cache = tmp_path / "c.txt"
@@ -585,8 +593,9 @@ sys.exit(code)
     # the point is canonicalised on the 6-entry table of F_7 first
     (["sum", "-p", "7", "-n", "100000000", "-d", "1", "--rep-int", "1"], [7]),
     (["cache", "stat", "--cache", "{cache}"], []),
+    (["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3", "-V", "400"], []),
 ], ids=["points-D", "symk-p", "symk-a", "symk-n", "symk-k", "sum-n",
-        "cache-level"])
+        "cache-level", "verify-V"])
 def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
     cache = tmp_path / "c.txt"
     cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|{BIG_LEVEL}:[1,0]\n")
@@ -600,6 +609,26 @@ def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
     assert proc.stderr.startswith(("error: ", "usage error: "))
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == tables
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3", "-V", "400"],
+     "error: precision V = 400 needs T*V*N = 4040000 steps, budget 2000000"),
+    (["unitroot", "-p", "3", "-n", "1", "-k", "2", "-D", "6", "-V", "100000"],
+     "error: precision V = 100000 needs T*V*N = 5000100000 steps, budget 2000000"),
+    (["syminf", "-p", "3", "-n", "1", "--kappa", "3", "-D", "2"],
+     "usage error: digits must be base-3 digits, got (3,)"),
+], ids=["verify-V", "unitroot-V", "syminf-kappa"])
+def test_a_refused_run_leaves_no_trace(tmp_path, argv, err):
+    # every refusal is made before a discrete-log table, a sum or the cache file
+    cache = tmp_path / "new.cache"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    env.pop(cli.CACHE_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv, "--cache", str(cache)],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [err, "[]"]
+    assert not cache.exists()
 
 
 def test_torn_final_record_is_skipped_and_repaired(tmp_path):
@@ -732,7 +761,7 @@ def test_retry_doubles_precision_then_reports():
         seen.append(V)
         return None, None, Verdict("inconclusive", {"r": 1})
 
-    result, V, attempts = _retry_precision(undecided, 4)
+    result, V, attempts = _retry_precision(undecided, [4, 8, 16, 32], None)
     assert seen == [4, 8, 16, 32]
     assert attempts == MAX_RETRIES + 1
     assert V == 32
@@ -741,7 +770,7 @@ def test_retry_doubles_precision_then_reports():
     def decided_at_16(V):
         return None, None, Verdict("pass" if V >= 16 else "inconclusive", None)
 
-    result, V, attempts = _retry_precision(decided_at_16, 4)
+    result, V, attempts = _retry_precision(decided_at_16, [4, 8, 16, 32], None)
     assert (V, attempts) == (16, 3)
     assert result[2].status == "pass"
 
@@ -749,7 +778,7 @@ def test_retry_doubles_precision_then_reports():
         raise PrecisionError("never enough")
 
     with pytest.raises(PrecisionError, match="undecided after"):
-        _retry_precision(starved, 4)
+        _retry_precision(starved, [4, 8, 16, 32], None)
 
 
 def test_retry_stops_where_check_refuses_the_doubled_precision():
@@ -759,11 +788,8 @@ def test_retry_stops_where_check_refuses_the_doubled_precision():
         seen.append(V)
         return None, None, Verdict("inconclusive", {"r": 1})
 
-    def check(V):
-        if V > 8:
-            raise ResourceError(f"V = {V} is over the budget")
-
-    result, V, attempts = _retry_precision(undecided, 4, check)
+    refusal = ResourceError("V = 16 is over the budget")
+    result, V, attempts = _retry_precision(undecided, [4, 8], refusal)
     assert (seen, V, attempts) == ([4, 8], 8, 2)
     assert result[2].status == "inconclusive"
 
@@ -771,7 +797,20 @@ def test_retry_stops_where_check_refuses_the_doubled_precision():
         raise PrecisionError("never enough")
 
     with pytest.raises(ResourceError, match="V = 16 is over the budget"):
-        _retry_precision(starved, 4, check)
+        _retry_precision(starved, [4, 8], refusal)
+
+
+def test_precision_ladder_doubles_while_the_budget_allows():
+    # T V N is 55,800 at V = 60, 439,200 at 120 and 3,484,800 at 240,
+    # against the default budget of 2,000,000
+    config = RunConfig(p=3, n=1, mode="verify-newton-hodge", kappa_digits=(1,), D=3)
+    Vs, refusal = _precisions(config, 60)
+    assert Vs == [60, 120]
+    assert str(refusal) == "precision V = 240 needs T*V*N = 3484800 steps, budget 2000000"
+    with pytest.raises(ResourceError, match=r"V = 240 needs T\*V\*N = 3484800 steps"):
+        _precisions(config, 240)
+    # from V = 10 the retries run out first, at 10 * 2^MAX_RETRIES
+    assert _precisions(config, 10) == ([10, 20, 40, 80], None)
 
 
 def test_retries_stay_within_the_budget():
