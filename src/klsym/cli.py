@@ -477,12 +477,12 @@ def _point_report(args, body, t0, cache=None):
 def _point_evaluator(args):
     """(evaluator, cache, closed point) named by sum/local arguments."""
     base = make_field(args.p, args.a)
-    cache = SumCache(args.cache_path) if args.cache_path else None
     field = point_field(base, args.d)
     try:
         pt = orbit_rep(base, field, field.from_int(args.rep_int))
     except ValueError as exc:
         raise UsageError(f"bad point: {exc}") from None
+    cache = SumCache(args.cache_path) if args.cache_path else None  # a refused point opens none
     return KloostermanEvaluator(base, cache, args.budget), cache, pt
 
 

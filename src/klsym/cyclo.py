@@ -45,6 +45,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.cache
 def check_odd_prime(p: int) -> None:
     """Reject p = 2 and composites; the verified statements assume p odd."""
     if not is_prime(p) or p == 2:

@@ -6,7 +6,11 @@ has pi-adic valuation >= vcert, where pi = 1 - zeta_p and (p) = (pi)^(p-1).
 Every operation propagates the certificate pessimistically, so a final
 vcert is a sound claim, never a heuristic.  Division is only performed by
 certified units or by exactly divisible powers of p, and each such division
-records its precision cost.
+records its precision cost.  Two routes skip work whose certificate is
+fixed in advance (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014):
+a product of two factors at the cap N(p-1) is at the cap, so it reads no
+valuation; and the Newton loop and the 1-unit series run on coordinates
+mod p^N, a ring map, and set the one certificate the per-step rules give.
 
 One Newton loop (``_lift_simple_nonzero_root``) lifts a simple root x of
 f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1).
@@ -70,6 +74,11 @@ class PadicExponent:
 # truncated elements
 
 
+def _reduce(x: CycInt, mod: int) -> CycInt:
+    """x with every coordinate reduced into [0, mod)."""
+    return CycInt._new(x.p, tuple(c % mod for c in x.coords))
+
+
 class PadicCyc:
     """Element of Z_p[zeta_p] stored mod p^N with pi-adic certificate vcert."""
 
@@ -78,10 +87,9 @@ class PadicCyc:
     def __init__(self, p: int, N: int, rep: CycInt, vcert: int):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
-        mod = p ** N
         self.p = p
         self.N = N
-        self.rep = CycInt._new(p, tuple(c % mod for c in rep.coords))
+        self.rep = _reduce(rep, p ** N)
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
@@ -159,7 +167,10 @@ class PadicCyc:
         if isinstance(other, CycInt):
             other = PadicCyc.embed(other, self.N)
         N = self._join(other)
-        vc = min(self.vcert + other.val_lb(), other.vcert + self.val_lb())
+        cap = N * (self.p - 1)
+        # val_lb() >= 0, so two factors at the cap make a product at the cap
+        vc = cap if min(self.vcert, other.vcert) >= cap else \
+            min(self.vcert + other.val_lb(), other.vcert + self.val_lb())
         return PadicCyc(self.p, N, self.rep * other.rep, vc)
 
     __radd__ = __add__
@@ -210,22 +221,15 @@ class PadicCyc:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over PadicCyc (coefficient lists are low-degree-first)
-
-
-def _peval(coeffs, x: PadicCyc) -> PadicCyc:
-    acc = PadicCyc.zero(x.p, x.N)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _pderiv(coeffs):
-    return [c * i for i, c in enumerate(coeffs) if i >= 1]
+# Hensel lifting on coordinates mod p^N (coefficient lists are low-degree-first)
 
 
 def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
-    """Hensel lift of the unique simple nonzero root of the residue poly."""
+    """Hensel lift of the unique simple nonzero root of the residue poly.
+
+    Runs on coordinates mod p^N (N joined with every coefficient's), a ring map, so
+    they are those of the same loop over PadicCyc; a simple root with a unit
+    derivative is as exact as the least exact coefficient (Hensel)."""
     res = [c.residue_int() for c in coeffs]
     roots = []
     for r in range(1, p):
@@ -238,19 +242,28 @@ def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
         raise DegenerateFactorError(
             f"expected one nonzero residue root, found {len(roots)}")
     (r, dr), = roots
-    x = PadicCyc.from_int(p, N, r)
-    y = PadicCyc.from_int(p, N, pow(dr, -1, p))
-    deriv = _pderiv(coeffs)
     # the exact-inverse step count holds: 1 - f'(x) y squares at each step and f(x) gains
     # both factors' precision, so both reach 2^i after i steps (von zur Gathen-Gerhard, ch. 9)
     steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
+    N = min(N, *(c.N for c in coeffs))
+    mod = p ** N
+
+    def peval(f, z):
+        acc = f[-1]
+        for c in reversed(f[:-1]):
+            acc = _reduce(acc * z, mod) + c
+        return _reduce(acc, mod)
+
+    f = [c.rep for c in coeffs]
+    deriv = [c * i for i, c in enumerate(f) if i >= 1]
+    x, y = CycInt.from_int(p, r), CycInt.from_int(p, pow(dr, -1, p))
     for _ in range(steps):
-        x = x - _peval(coeffs, x) * y
-        y = y - y * (_peval(deriv, x) * y - 1)
-    v = _peval(coeffs, x).rep.pi_val()
+        x = _reduce(x - peval(f, x) * y, mod)
+        y = _reduce(y * 2 - y * peval(deriv, x) * y, mod)
+    v = peval(f, x).pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")
-    return x
+    return PadicCyc(p, N, x, min(c.vcert for c in coeffs))
 
 
 def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
@@ -355,14 +368,18 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, chain=None) -> Pad
         while (len(chain) + 1) * v1 < V:
             term = term * um1
             chain.append(term)
-    acc = PadicCyc.one(p, u.N)
+    # one integer combination of the chain, reduced once; a term's certificate, raised by
+    # the product with b, bounds no further: (u-1)^l is certified at least as well as u
+    mod = p ** u.N
+    acc = [1] + [0] * (p - 2)
     cert = min(V, u.vcert, u.N * (p - 1))
     fact_ord = 0
     for l, term in enumerate(chain, start=1):
         fact_ord += ord_p(p, l)
         b, s = kappa.binom_with_cert(l)
+        b %= mod
         if b:
-            acc = acc + term * b
+            acc = [a + b * c for a, c in zip(acc, term.rep.coords)]
         if s is not None:
             cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
-    return PadicCyc(p, acc.N, acc.rep, min(cert, acc.vcert))
+    return PadicCyc(p, u.N, CycInt._new(p, tuple(acc)), cert)

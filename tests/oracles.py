@@ -32,6 +32,10 @@ algorithm, so a test can require the two to agree:
 * ``nested_lift_simple_nonzero_root``: the Hensel lift with a complete
   Newton inversion of f'(x) (``nested_unit_inverse``) inside every step,
   against the one coupled Newton loop of ``padic``;
+* ``per_element_lift_simple_nonzero_root`` and ``per_element_one_unit_power``:
+  the coupled Newton loop and the binomial sum with a certified ``PadicCyc``
+  at every ring operation, against ``padic``, which runs both on
+  coordinates mod p^N and sets the certificate once;
 * ``pi_val_reference``: the closed-form pi-valuation with a fresh
   binomial and a full ord_p per term, against ``CycInt.pi_val``, which
   reads a binomial table and stops dividing once a term cannot win.
@@ -68,8 +72,6 @@ from klsym.lfun import (
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
-    _pderiv,
-    _peval,
     one_unit_power,
     ord_p,
     slope_split,
@@ -131,6 +133,79 @@ def pi_val_reference(x: CycInt):
         if b:
             best = min(best, (p - 1) * ord_p(p, b) + j)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifts and 1-unit powers element by element, every step certified
+
+
+def _peval(coeffs, x: PadicCyc) -> PadicCyc:
+    acc = PadicCyc.zero(x.p, x.N)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _pderiv(coeffs):
+    return [c * i for i, c in enumerate(coeffs) if i >= 1]
+
+
+def per_element_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
+    """The coupled Newton loop of ``padic`` with a PadicCyc, and its
+    certificate, at every ring operation."""
+    res = [c.residue_int() for c in coeffs]
+    roots = []
+    for r in range(1, p):
+        if sum(cr * pow(r, i, p) for i, cr in enumerate(res)) % p == 0:
+            dr = sum(i * cr * pow(r, i - 1, p) for i, cr in enumerate(res) if i) % p
+            if dr == 0:
+                raise DegenerateFactorError(f"residue root {r} is not simple")
+            roots.append((r, dr))
+    if len(roots) != 1:
+        raise DegenerateFactorError(
+            f"expected one nonzero residue root, found {len(roots)}")
+    (r, dr), = roots
+    x = PadicCyc.from_int(p, N, r)
+    y = PadicCyc.from_int(p, N, pow(dr, -1, p))
+    deriv = _pderiv(coeffs)
+    steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
+    for _ in range(steps):
+        x = x - _peval(coeffs, x) * y
+        y = y - y * (_peval(deriv, x) * y - 1)
+    v = _peval(coeffs, x).rep.pi_val()
+    if not (v is None or v >= min(c.vcert for c in coeffs)):
+        raise AssertionError("Newton iteration failed to converge")
+    return x
+
+
+def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
+                               chain=None) -> PadicCyc:
+    """``one_unit_power`` as a PadicCyc sum of the products (u-1)^l * b_l."""
+    p = u.p
+    um1 = u - 1
+    v1 = um1.val_lb()
+    if v1 < 1 or u.residue_int() != 1:
+        raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
+    if kappa.is_exact and kappa.rep >= 0:
+        return u ** kappa.rep
+    if chain is None:
+        chain = []
+    if not chain:
+        term = PadicCyc.one(p, u.N)
+        while (len(chain) + 1) * v1 < V:
+            term = term * um1
+            chain.append(term)
+    acc = PadicCyc.one(p, u.N)
+    cert = min(V, u.vcert, u.N * (p - 1))
+    fact_ord = 0
+    for l, term in enumerate(chain, start=1):
+        fact_ord += ord_p(p, l)
+        b, s = kappa.binom_with_cert(l)
+        if b:
+            acc = acc + term * b
+        if s is not None:
+            cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
+    return PadicCyc(p, acc.N, acc.rep, min(cert, acc.vcert))
 
 
 # ---------------------------------------------------------------------------

@@ -631,6 +631,19 @@ def test_a_refused_run_leaves_no_trace(tmp_path, argv, err):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("argv,err", [
+    ("sum -p 3 -n 1 -d 1 --rep-int 0", "usage error: bad point: zero has no closed point"),
+    ("local -p 3 -n 1 -d 1 --rep-int 0", "usage error: bad point: zero has no closed point"),
+    ("local -p 3 -n 1 -d 40 --rep-int 1", "error: field size 3^40 exceeds the configured cap"),
+], ids=["sum-zero", "local-zero", "local-field-cap"])
+def test_a_refused_point_opens_no_cache(tmp_path, capsys, argv, err):
+    # the field and the point are checked before the cache file is opened
+    cache = tmp_path / "new.cache"
+    assert console_main(argv.split() + ["--cache", str(cache)]) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert not cache.exists()
+
+
 def test_torn_final_record_is_skipped_and_repaired(tmp_path):
     cache = tmp_path / "t.txt"
     out = tmp_path / "r.json"

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import klsym.padic as padic
+from klsym import cli
+from klsym.cli import console_main
 from klsym.cyclo import CycInt
 from klsym.errors import (
     DegenerateFactorError,
@@ -28,6 +31,8 @@ from oracles import (
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
+    per_element_lift_simple_nonzero_root,
+    per_element_one_unit_power,
     pi_val_reference,
     times_int,
 )
@@ -299,8 +304,10 @@ def _same(x, y):
     (7, 1, 1), (7, 2, 1), (11, 1, 1), (11, 2, 1), (13, 1, 1),
 ])
 def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
-    """Every lift of every local factor equals the lift that inverts f'(x)
-    by a Newton loop of its own at every step, bit for bit."""
+    """Every lift of every local factor, every slope-split round and the
+    unit root's inverse equal the lift that inverts f'(x) by a Newton loop
+    of its own at every step, and the coupled loop with a certified
+    PadicCyc at every step, bit for bit: every production lift is at the cap."""
     ev = KloostermanEvaluator(make_field(p, 1))
     for pt in points_up_to(ev.base, D):
         coeffs = list(local_factor(ev, n, pt).coeffs)
@@ -308,14 +315,16 @@ def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
             N = -(-V // (p - 1)) + 1
             pis, ledger = slope_split(coeffs, 1, pt.degree, N)
             root = hensel_unit_root(coeffs, N)
-            with monkeypatch.context() as m:
-                m.setattr(padic, "_lift_simple_nonzero_root",
-                          nested_lift_simple_nonzero_root)
-                assert _same(root, hensel_unit_root(coeffs, N))
-                nested_pis, nested_ledger = slope_split(coeffs, 1, pt.degree, N)
-            assert ledger == nested_ledger
-            assert all(_same(x, y) for x, y in zip(pis, nested_pis, strict=True))
-            assert _same(pis[0].unit_inverse(), nested_unit_inverse(pis[0]))
+            inverse = pis[0].unit_inverse()
+            assert _same(inverse, nested_unit_inverse(pis[0]))
+            for lift in (nested_lift_simple_nonzero_root, per_element_lift_simple_nonzero_root):
+                with monkeypatch.context() as m:
+                    m.setattr(padic, "_lift_simple_nonzero_root", lift)
+                    assert _same(root, hensel_unit_root(coeffs, N))
+                    ref_pis, ref_ledger = slope_split(coeffs, 1, pt.degree, N)
+                    assert _same(inverse, pis[0].unit_inverse())
+                assert ledger == ref_ledger
+                assert all(_same(x, y) for x, y in zip(pis, ref_pis, strict=True))
 
 
 def test_unit_inverse_matches_nested_inverse_below_the_cap():
@@ -325,6 +334,73 @@ def test_unit_inverse_matches_nested_inverse_below_the_cap():
         w = u.unit_inverse()
         assert w.vcert == vcert
         assert _same(w, nested_unit_inverse(u))
+
+
+def _one_unit(p, N, rng, vcert=None):
+    """1 + pi * (random element), certified to vcert (the cap by default)."""
+    pi = C(p, 1, -1, *[0] * (p - 3))
+    w = C(p, *(rng.randrange(-p ** N, p ** N) for _ in range(p - 1)))
+    return PadicCyc(p, N, CycInt.from_int(p, 1) + pi * w,
+                    N * (p - 1) if vcert is None else vcert)
+
+
+@pytest.mark.parametrize("p,N", [(3, 4), (3, 9), (5, 3), (7, 2)])
+def test_coordinate_lift_matches_per_element_lift_on_mixed_precision(p, N):
+    # coefficients at different N and below the cap: the coordinates and N agree,
+    # and the certificate is the least coefficient certificate
+    rng = random.Random(p * N)
+    for _ in range(20):
+        a = _one_unit(p, N + 2, rng, rng.randrange(1, (N + 2) * (p - 1) + 1))
+        coeffs = [a * -1, PadicCyc.from_int(p, N, 1),
+                  PadicCyc.embed(C(p, *(p * rng.randrange(50) for _ in range(p - 1))), N + 1)]
+        for n_req in (N - 1, N, N + 3):
+            got = padic._lift_simple_nonzero_root(coeffs, p, n_req)
+            ref = per_element_lift_simple_nonzero_root(coeffs, p, n_req)
+            assert (got.rep.coords, got.N) == (ref.rep.coords, ref.N)
+            assert got.vcert == min(min(c.vcert for c in coeffs), got.N * (p - 1))
+
+
+@pytest.mark.parametrize("p,N", [(3, 3), (3, 8), (5, 4), (7, 3)])
+def test_lift_below_the_cap_agrees_with_the_exact_root(p, N):
+    # f = (X - a)(X^2 + s X + t), p | s and p | t, has the one nonzero residue root a, simple;
+    # moving each coefficient by pi^v (its certificate v) moves the lift by no less
+    rng = random.Random(31 * p + N)
+    pi = C(p, 1, -1, *[0] * (p - 3))
+    for _ in range(15):
+        a = _one_unit(p, N + 1, rng).rep * rng.randrange(1, p)
+        s, t = (C(p, *(p * rng.randrange(-40, 40) for _ in range(p - 1))) for _ in "st")
+        exact = [-a * t, t - a * s, s - a, CycInt.from_int(p, 1)]
+        coeffs = []
+        for c in exact:
+            v = rng.randrange(1, N * (p - 1) + 1)
+            move = C(p, *(rng.randrange(-9, 10) for _ in range(p - 1)))
+            for _ in range(v):
+                move = move * pi
+            coeffs.append(PadicCyc(p, N, c + move, v))
+        root = padic._lift_simple_nonzero_root(coeffs, p, N)
+        assert root.vcert == min(c.vcert for c in coeffs)
+        d = (root.rep - a).pi_val()
+        assert d is None or d >= root.vcert
+
+
+def _full_mul_rule(x, y):
+    N = min(x.N, y.N)
+    return min(x.vcert + y.val_lb(), y.vcert + x.val_lb(), N * (x.p - 1))
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
+def test_product_certificate_is_the_full_rule(p, N):
+    # pairs at the cap, below it, and at mixed N
+    xs = _built_every_way(p, N, 7 * p + N)
+    xs += [x.with_precision(N - 1) for x in xs[:8] if N > 1]
+    xs += [x.times_p_power(1) for x in xs[:8]]
+    for x in xs:
+        for y in xs:
+            got = x * y
+            assert got.vcert == _full_mul_rule(x, y), (x, y)
+            assert got.N == min(x.N, y.N)
+            mod = p ** got.N
+            assert got.rep.coords == tuple(c % mod for c in (x.rep * y.rep).coords)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +459,56 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
         alone = one_unit_power(u, kappa.minus_int(s), V)
         assert (shared.rep, shared.N, shared.vcert) == (alone.rep, alone.N, alone.vcert)
     assert len(chain) == (V - 1) // (u - 1).val_lb()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 7), st.integers(0, 2 ** 32),
+       st.booleans(), st.integers(1, 60),
+       st.lists(st.one_of(st.integers(-10 ** 6, -1).map(lambda k: (k,)),
+                          st.lists(st.integers(0, 6), min_size=1, max_size=9).map(tuple)),
+                min_size=1, max_size=3))
+@example(3, 4, 1, True, 30, [(-81,), (-3 ** 6,)])  # binom(kappa, 1) = 0 mod p^N
+@example(5, 3, 2, False, 24, [(-125 * 7,), (4, 4, 4)])
+def test_one_unit_power_matches_per_element_sum(p, N, seed, at_cap, V, kappas):
+    # exact negative and truncated exponents, each over one shared chain and alone
+    rng = random.Random(seed)
+    u = _one_unit(p, N, rng, None if at_cap else rng.randrange(1, N * (p - 1) + 1))
+    shared, ref_shared = [], []
+    for k in kappas:
+        if len(k) == 1:
+            kappa = PadicExponent.exact(p, k[0])
+        else:
+            kappa = PadicExponent.truncated(p, tuple(d % p for d in k))
+        want = per_element_one_unit_power(u, kappa, V)
+        for got in (one_unit_power(u, kappa, V), one_unit_power(u, kappa, V, shared)):
+            assert (got.rep.coords, got.N, got.vcert) == \
+                (want.rep.coords, want.N, want.vcert), (u, kappa, V)
+        ref = per_element_one_unit_power(u, kappa, V, ref_shared)
+        assert (ref.rep.coords, ref.vcert) == (want.rep.coords, want.vcert)
+
+
+def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
+    # the lifts and 1-unit series run on coordinates and the products at the cap
+    # read no valuation: this run made 8,231 pi_val calls and 33,902 PadicCyc
+    # constructions when every step carried its own certificate
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    counts = {"pi_val": 0, "init": 0}
+    pi_val, init = CycInt.pi_val, PadicCyc.__init__
+
+    def counted_pi_val(self):
+        counts["pi_val"] += 1
+        return pi_val(self)
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CycInt, "pi_val", counted_pi_val)
+    monkeypatch.setattr(PadicCyc, "__init__", counted_init)
+    assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
+    capsys.readouterr()
+    assert counts["pi_val"] <= 1500
+    assert counts["init"] <= 8000
 
 
 def test_one_unit_power_rejects_non_one_unit():
