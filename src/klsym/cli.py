@@ -504,6 +504,8 @@ def cmd_points(args) -> int:
 
 def cmd_sum(args) -> int:
     t0 = time.perf_counter()
+    if args.n < 1 or args.m < 1:  # refused before the cache opens
+        raise UsageError("need n >= 1 and m >= 1")
     ev, cache, pt = _point_evaluator(args)
     value = ev.kloosterman(args.n, pt, args.m)
     try:
@@ -522,6 +524,8 @@ def cmd_sum(args) -> int:
 
 def cmd_local(args) -> int:
     t0 = time.perf_counter()
+    if args.n < 1:  # refused before the cache opens
+        raise UsageError("need n >= 1")
     ev, cache, pt = _point_evaluator(args)
     lf = local_factor(ev, args.n, pt, max_degree=reach(args.n, args.d))
     slopes = lower_hull(newton_points(lf.coeffs, args.a * pt.degree)).slopes()

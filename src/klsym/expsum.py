@@ -148,14 +148,8 @@ class SumCache:
         try:
             lines, torn = self._lines()
         except FileNotFoundError:
-            try:
-                # O_EXCL: a second creator never truncates what the first wrote
-                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-            except FileExistsError:
-                return self._load()
-            with self._locked() as fd:
-                os.write(fd, (CACHE_HEADER + "\n").encode("ascii"))
-            return
+            # the first append creates the file; read one another writer made since
+            return self._load() if os.path.exists(self.path) else None
         self.torn += torn
         for lineno, line in lines:
             try:
@@ -192,8 +186,11 @@ class SumCache:
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     # a writer died mid-record: cut its text after the last newline
-                    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
-                # one write on an O_APPEND descriptor: records never interleave
+                    size = os.pread(fd, size, 0).rfind(b"\n") + 1
+                    os.ftruncate(fd, size)
+                # one write on an O_APPEND descriptor: records never interleave; an
+                # empty file gets its header in the same write
+                line = line if size else (CACHE_HEADER + "\n").encode("ascii") + line
                 if os.write(fd, line) != len(line):
                     raise OSError(f"{self.path}: short write appending a record")
 

@@ -8,21 +8,23 @@ each step, so no p-adic inversions touch the exact layer.  The functional
 equation of the pure weight-n sheaf gives the upper half of the
 coefficients from the lower half, checked against the sums wherever
 they are read; where the top sums would need too large a field, only
-m <= ceil((n+1)/2) is read.  Symmetric
-powers go through power sums as well: the m-th power sum of Sym^k is
-h_k(pi^m), built from the base power sums p_(i m) by the h-p Newton
-relation, and the same recurrence turns the first R of them into the
-series coefficients to T^(R d), without the whole Sym^k polynomial.  The
-infinite symmetric power local series needs the eigenvalues themselves and
-is assembled p-adically from a slope split.  Euler products multiply
-inverse local factors over all closed points up to a degree cap and verify
-Galois descent of every global coefficient.
+m <= ceil((n+1)/2) is read.  Symmetric powers go through power sums as
+well: the m-th power sum of Sym^k is h_k(pi^m), built from the base
+power sums p_(i m) by the h-p Newton relation, and the same recurrence
+turns the first R of them into the series coefficients to T^(R d),
+without the whole Sym^k polynomial.  The infinite symmetric power series
+takes the eigenvalues from a p-adic slope split; one call gives every
+1-unit power of the unit one, and each power of another is one product
+from the last.  Euler products multiply inverse local factors over all
+closed points to a degree cap and verify Galois descent of every global
+coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -223,19 +225,19 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
     pis, _ = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
     wmax = (V - 1) // (a * d * (p - 1))
-    tuples = sym_inf_weights(lf.n, wmax)
-    # pi_0^(kappa - s) for each size s = |i| <= wmax, over one (pi_0 - 1)^l chain
-    chain = []
-    powers = [one_unit_power(pis[0], kappa.minus_int(s), V, chain) for s in range(wmax + 1)]
-    lams = (math.prod((pis[j] ** i for j, i in enumerate(tup, start=1) if i),
-                      start=powers[sum(tup)]) for tup in tuples)
+    # pi_0^(kappa - s) for each size s = |i| <= wmax; ladders[j - 1][i - 1] = pi_j^(i-1) pi_j
+    powers = one_unit_power(pis[0], kappa, V, wmax)
+    ladders = [list(itertools.accumulate(itertools.repeat(pi, wmax // j), operator.mul))
+               for j, pi in enumerate(pis[1:], start=1)]
+    lams = (math.prod((ladders[j - 1][i - 1] for j, i in enumerate(tup, start=1) if i),
+                      start=powers[sum(tup)]) for tup in sym_inf_weights(lf.n, wmax))
     return _inverse_series(lf, lams, pis[0].N, V, R)
 
 
 def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
     """Series of (1 - pi_0^kappa T^d)^(-1): the weight-zero term of sym_inf_local."""
     N = -(-V // (lf.coeffs[0].p - 1)) + 1
-    u = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
+    u, = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
     return _inverse_series(lf, [u], u.N, V, R)
 
 

@@ -6,11 +6,12 @@ has pi-adic valuation >= vcert, where pi = 1 - zeta_p and (p) = (pi)^(p-1).
 Every operation propagates the certificate pessimistically, so a final
 vcert is a sound claim, never a heuristic.  Division is only performed by
 certified units or by exactly divisible powers of p, and each such division
-records its precision cost.  Two routes skip work whose certificate is
-fixed in advance (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014):
-a product of two factors at the cap N(p-1) is at the cap, so it reads no
-valuation; and the Newton loop and the 1-unit series run on coordinates
-mod p^N, a ring map, and set the one certificate the per-step rules give.
+records its precision cost.  Every product runs on one kernel, ``_mul_mod``:
+multiply, fold zeta^(p-1) and reduce mod p^N in one pass.  A certificate
+fixed in advance is set once (Caruso-Roe-Vaccon, "Tracking p-adic
+precision", 2014): a product of two factors at the cap N(p-1) reads no
+valuation; the Newton loop and the 1-unit series run on bare coordinates
+mod p^N, a ring map, and build a ``PadicCyc`` only for the result.
 
 One Newton loop (``_lift_simple_nonzero_root``) lifts a simple root x of
 f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .cyclo import CycInt, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
@@ -60,23 +62,21 @@ class PadicExponent:
             return PadicExponent(self.p, self.rep - j, None)
         return PadicExponent(self.p, (self.rep - j) % self.p ** self.ndigits, self.ndigits)
 
-    def binom_with_cert(self, l: int):
-        """(binomial(kappa_rep, l), s) with kappa == rep mod p^s; s None if exact."""
-        r = self.rep
-        if r >= 0:
-            b = math.comb(r, l)
-        else:
-            b = (-1) ** l * math.comb(-r + l - 1, l)
-        return b, self.ndigits
-
 
 # ---------------------------------------------------------------------------
 # truncated elements
 
 
-def _reduce(x: CycInt, mod: int) -> CycInt:
-    """x with every coordinate reduced into [0, mod)."""
-    return CycInt._new(x.p, tuple(c % mod for c in x.coords))
+def _mul_mod(a: tuple, b: tuple, mod: int) -> tuple:
+    """Coordinates of a * b reduced into [0, mod), from any integer coordinates a, b:
+    the products gather by the power of zeta mod p, then zeta^(p-1) folds into the rest."""
+    p = len(a) + 1
+    bucket = [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            bucket[j % p] += x * y
+    top = bucket.pop()
+    return tuple([(c - top) % mod for c in bucket])
 
 
 class PadicCyc:
@@ -87,13 +87,20 @@ class PadicCyc:
     def __init__(self, p: int, N: int, rep: CycInt, vcert: int):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
-        self.p = p
-        self.N = N
-        self.rep = _reduce(rep, p ** N)
+        self.p, self.N = p, N
+        self.rep = CycInt._new(p, tuple(c % p ** N for c in rep.coords))
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
         self._val_lb = None
+
+    @classmethod
+    def _new(cls, p: int, N: int, coords: tuple, vcert: int) -> "PadicCyc":
+        """No checks: coords reduced mod p^N, 0 < vcert <= N(p-1)."""
+        self = object.__new__(cls)
+        self.p, self.N, self.rep, self.vcert = p, N, CycInt._new(p, coords), vcert
+        self._val_lb = None
+        return self
 
     # -- constructors
 
@@ -170,8 +177,9 @@ class PadicCyc:
         cap = N * (self.p - 1)
         # val_lb() >= 0, so two factors at the cap make a product at the cap
         vc = cap if min(self.vcert, other.vcert) >= cap else \
-            min(self.vcert + other.val_lb(), other.vcert + self.val_lb())
-        return PadicCyc(self.p, N, self.rep * other.rep, vc)
+            min(self.vcert + other.val_lb(), other.vcert + self.val_lb(), cap)
+        return PadicCyc._new(self.p, N, _mul_mod(self.rep.coords, other.rep.coords,
+                                                 self.p ** N), vc)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -251,19 +259,20 @@ def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     def peval(f, z):
         acc = f[-1]
         for c in reversed(f[:-1]):
-            acc = _reduce(acc * z, mod) + c
-        return _reduce(acc, mod)
+            acc = [s + t for s, t in zip(_mul_mod(acc, z, mod), c)]
+        return tuple([s % mod for s in acc])
 
-    f = [c.rep for c in coeffs]
-    deriv = [c * i for i, c in enumerate(f) if i >= 1]
-    x, y = CycInt.from_int(p, r), CycInt.from_int(p, pow(dr, -1, p))
+    f = [c.rep.coords for c in coeffs]
+    deriv = [tuple([i * c for c in cs]) for i, cs in enumerate(f) if i >= 1]
+    x, y = (r,) + (0,) * (p - 2), (pow(dr, -1, p),) + (0,) * (p - 2)
     for _ in range(steps):
-        x = _reduce(x - peval(f, x) * y, mod)
-        y = _reduce(y * 2 - y * peval(deriv, x) * y, mod)
-    v = peval(f, x).pi_val()
+        x = tuple([(s - t) % mod for s, t in zip(x, _mul_mod(peval(f, x), y, mod))])
+        dy = _mul_mod(peval(deriv, x), y, mod)
+        y = _mul_mod(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
+    v = CycInt._new(p, peval(f, x)).pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")
-    return PadicCyc(p, N, x, min(c.vcert for c in coeffs))
+    return PadicCyc(p, N, CycInt._new(p, x), min(c.vcert for c in coeffs))
 
 
 def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
@@ -342,44 +351,43 @@ def slope_split(factor_coeffs, a: int, d: int, N: int):
 # 1-unit powers
 
 
-def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, chain=None) -> PadicCyc:
-    """u^kappa for a 1-unit u, as sum binom(kappa, l) (u-1)^l, certified.
+def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> list:
+    """[u^(kappa - s) for s = 0..wmax] for a 1-unit u, each certified.
 
-    V is the target pi-adic precision; the returned certificate is V capped
-    by what u's own certificate, the working modulus, and (for truncated
-    exponents) the digit supply can support.  chain, a list shared by calls
-    with the same u and V, holds the (u-1)^l: the first series fills it and
-    later ones reuse it.
+    An exact kappa - s >= 0 is a plain power.  Any other, represented by r,
+    is the sum of b_l (u-1)^l over l v(u-1) < V, b_l = b_(l-1) (r-l+1)/l: a
+    column dot product per coordinate over the (u-1)^l mod p^N.  Its
+    certificate is V capped by u's own, the working modulus and (for
+    truncated exponents) the digit supply; (u-1)^l is certified at least as
+    well as u, so no term's certificate bounds it further.
     """
-    p = u.p
+    p, N = u.p, u.N
     if kappa.p != p:
         raise UsageError("exponent and base have different p")
     um1 = u - 1
     v1 = um1.val_lb()
     if v1 < 1 or u.residue_int() != 1:
         raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
-    if kappa.is_exact and kappa.rep >= 0:
-        # plain power; still certified via the multiplication rules
-        return u ** kappa.rep
-    if chain is None:
-        chain = []
-    if not chain:
-        term = PadicCyc.one(p, u.N)
-        while (len(chain) + 1) * v1 < V:
-            term = term * um1
-            chain.append(term)
-    # one integer combination of the chain, reduced once; a term's certificate, raised by
-    # the product with b, bounds no further: (u-1)^l is certified at least as well as u
-    mod = p ** u.N
-    acc = [1] + [0] * (p - 2)
-    cert = min(V, u.vcert, u.N * (p - 1))
-    fact_ord = 0
-    for l, term in enumerate(chain, start=1):
-        fact_ord += ord_p(p, l)
-        b, s = kappa.binom_with_cert(l)
-        b %= mod
-        if b:
-            acc = [a + b * c for a, c in zip(acc, term.rep.coords)]
-        if s is not None:
-            cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
-    return PadicCyc(p, u.N, CycInt._new(p, tuple(acc)), cert)
+    mod, chain = p ** N, [(1,) + (0,) * (p - 2)]
+    # (u-1)^l for l >= 1 only when some kappa - s is not a plain power
+    while (not kappa.is_exact or kappa.rep < wmax) and len(chain) * v1 < V:
+        chain.append(_mul_mod(chain[-1], um1.rep.coords, mod))
+    columns = list(zip(*chain))
+    cert = min(V, u.vcert, N * (p - 1))
+    if not kappa.is_exact:
+        fact_ord = 0
+        for l in range(1, len(chain)):
+            fact_ord += ord_p(p, l)
+            cert = min(cert, (p - 1) * max(0, kappa.ndigits - fact_ord) + l * v1)
+    out = []
+    for s in range(wmax + 1):
+        r = kappa.minus_int(s).rep
+        if kappa.is_exact and r >= 0:
+            out.append(u ** r)
+            continue
+        bs = [1]
+        for l in range(1, len(chain)):
+            bs.append(bs[-1] * (r - l + 1) // l)
+        acc = [sum(map(mul, bs, column)) for column in columns]
+        out.append(PadicCyc(p, N, CycInt._new(p, tuple(acc)), cert))
+    return out

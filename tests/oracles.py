@@ -18,6 +18,10 @@ algorithm, so a test can require the two to agree:
   Galois orbit and conjugates it to the other members;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
+* ``sym_inf_local_per_size``: the same product over weights with one
+  certified 1-unit series per size and binary powers of each eigenvalue,
+  against ``lfun.sym_inf_local``, which takes every size from one
+  coordinate chain and each power one product from the last;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
   extension fields, bypassing local factors altogether;
 * ``kloosterman_table``: Kl_n at every element of one field by the
@@ -34,8 +38,9 @@ algorithm, so a test can require the two to agree:
   against the one coupled Newton loop of ``padic``;
 * ``per_element_lift_simple_nonzero_root`` and ``per_element_one_unit_power``:
   the coupled Newton loop and the binomial sum with a certified ``PadicCyc``
-  at every ring operation, against ``padic``, which runs both on
-  coordinates mod p^N and sets the certificate once;
+  at every ring operation and ``math.comb`` binomials (``binom_with_cert``),
+  against ``padic``, which runs both on coordinates mod p^N and sets the
+  certificate once;
 * ``pi_val_reference``: the closed-form pi-valuation with a fresh
   binomial and a full ord_p per term, against ``CycInt.pi_val``, which
   reads a binomial table and stops dividing once a term cannot win.
@@ -64,10 +69,12 @@ from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.lfun import (
     LocalFactor,
     LocalSeries,
+    _inverse_series,
     _signed,
     eigen_power_sums,
     elementary_from_power_sums,
     euler_product,
+    sym_inf_weights,
 )
 from klsym.padic import (
     PadicCyc,
@@ -97,6 +104,16 @@ def times_int(kappa: PadicExponent, m: int) -> PadicExponent:
     if m == 0:
         return PadicExponent.exact(kappa.p, 0)
     return PadicExponent(kappa.p, (kappa.rep * m) % kappa.p ** nd, nd)
+
+
+def binom_with_cert(kappa: PadicExponent, l: int):
+    """(binomial(kappa_rep, l), s) with kappa == rep mod p^s; s None if exact."""
+    r = kappa.rep
+    if r >= 0:
+        b = math.comb(r, l)
+    else:
+        b = (-1) ** l * math.comb(-r + l - 1, l)
+    return b, kappa.ndigits
 
 
 def agrees_with(x: PadicCyc, y: PadicCyc, vmin: int | None = None) -> bool:
@@ -200,7 +217,7 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
     fact_ord = 0
     for l, term in enumerate(chain, start=1):
         fact_ord += ord_p(p, l)
-        b, s = kappa.binom_with_cert(l)
+        b, s = binom_with_cert(kappa, l)
         if b:
             acc = acc + term * b
         if s is not None:
@@ -582,7 +599,7 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     ratios = [pi * inv0 for pi in pis[1:]]
     ptil = []
     for m in range(1, R + 1):
-        val = one_unit_power(pi0, times_int(kappa, m), V)
+        val, = one_unit_power(pi0, times_int(kappa, m), V)
         for rho in ratios:
             one = PadicCyc.one(p, val.N)
             val = val * (one - rho ** m).unit_inverse()
@@ -595,6 +612,21 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
         out.append(divide_exact_int(acc, r))
     cert = min([V] + [c.vcert for c in out])
     return LocalSeries(lf.point, out, cert)
+
+
+def sym_inf_local_per_size(lf: LocalFactor, kappa: PadicExponent, V: int,
+                           R: int) -> LocalSeries:
+    """``lfun.sym_inf_local`` with one certified 1-unit series per size s over a
+    shared PadicCyc chain, and each eigenvalue power pi_j^i by binary powering."""
+    p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
+    pis, _ = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
+    wmax = (V - 1) // (a * d * (p - 1))
+    chain = []
+    powers = [per_element_one_unit_power(pis[0], kappa.minus_int(s), V, chain)
+              for s in range(wmax + 1)]
+    lams = (math.prod((pis[j] ** i for j, i in enumerate(tup, start=1) if i),
+                      start=powers[sum(tup)]) for tup in sym_inf_weights(lf.n, wmax))
+    return _inverse_series(lf, lams, pis[0].N, V, R)
 
 
 # ---------------------------------------------------------------------------

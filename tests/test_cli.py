@@ -71,6 +71,11 @@ def _strip_timing(report):
      "2914be2864166f9867228d0c0ba90976331f678e77004cf5c5bff3fac49d6b26"),
     ("verify -p 3 -n 1 --kappa 1,0 -D 3", 0,
      "1bc0606a6330b5a63b30bbc0ed6b118a853bc1e597f63e2f8eb4d13e7ef3fc51"),
+    # n = 3 ladders and truncated kappa at p = 5, pinned before the coordinate kernel
+    ("syminf -p 3 -n 3 -k 1 -D 2", 0,
+     "a9924ee2a1efed0545905d588a5df85d627e5f4f928b9b72459b1cb13eb98198"),
+    ("syminf -p 5 -n 2 --kappa 2,1 -D 2", 0,
+     "b3e007c85a195a34e74e4eb0606801f7ad734e396f4e8020bbe31d031c2b1854"),
 ])
 def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -635,13 +640,29 @@ def test_a_refused_run_leaves_no_trace(tmp_path, argv, err):
     ("sum -p 3 -n 1 -d 1 --rep-int 0", "usage error: bad point: zero has no closed point"),
     ("local -p 3 -n 1 -d 1 --rep-int 0", "usage error: bad point: zero has no closed point"),
     ("local -p 3 -n 1 -d 40 --rep-int 1", "error: field size 3^40 exceeds the configured cap"),
-], ids=["sum-zero", "local-zero", "local-field-cap"])
+    ("sum -p 3 -n 1 -m 0 -d 1 --rep-int 1", "usage error: need n >= 1 and m >= 1"),
+    ("local -p 3 -n 0 -d 1 --rep-int 1", "usage error: need n >= 1"),
+    ("sum -p 3 -n 1 -m 1 -d 1 --rep-int 1 --budget 0",
+     "error: sum over (F_3)^1 needs 2^1 steps, budget 0"),
+], ids=["sum-zero", "local-zero", "local-field-cap", "sum-m-zero", "local-n-zero",
+        "sum-budget"])
 def test_a_refused_point_opens_no_cache(tmp_path, capsys, argv, err):
-    # the field and the point are checked before the cache file is opened
+    # the field, the point, n and m are checked before the cache file is opened, and
+    # a cache file is created by its first record, so a sum the budget refuses
+    # leaves none either
     cache = tmp_path / "new.cache"
     assert console_main(argv.split() + ["--cache", str(cache)]) == 1
     assert capsys.readouterr().err == err + "\n"
     assert not cache.exists()
+
+
+def test_a_warm_cache_serves_a_sum_at_budget_zero(tmp_path, capsys):
+    cache = tmp_path / "warm.cache"
+    argv = "sum -p 3 -n 1 -m 1 -d 1 --rep-int 1 --cache".split() + [str(cache)]
+    assert console_main(argv) == 0
+    cold = _strip_timing(json.loads(capsys.readouterr().out))
+    assert console_main(argv + ["--budget", "0"]) == 0
+    assert _strip_timing(json.loads(capsys.readouterr().out)) == cold
 
 
 def test_torn_final_record_is_skipped_and_repaired(tmp_path):

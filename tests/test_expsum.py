@@ -256,6 +256,7 @@ def _record(m):
 def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
     path = tmp_path / "sums.cache"
     cache = SumCache(path)
+    assert not path.exists()  # the first append creates the file
     writes, real_write = [], os.write
 
     def write(fd, data):
@@ -268,8 +269,9 @@ def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
         key, value = _record(m)
         cache.put(key, value)
         lines.append(f"v1|{key}|{value.serialize()}\n".encode("ascii"))
-    assert writes == lines
-    assert path.read_bytes() == (CACHE_HEADER + "\n").encode("ascii") + b"".join(lines)
+    header = (CACHE_HEADER + "\n").encode("ascii")
+    assert writes == [header + lines[0]] + lines[1:]  # the header rides on the first record
+    assert path.read_bytes() == header + b"".join(lines)
 
 
 def test_cache_bytes_do_not_depend_on_workers(tmp_path):

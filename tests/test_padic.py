@@ -17,7 +17,7 @@ from klsym.errors import (
 )
 from klsym.expsum import KloostermanEvaluator
 from klsym.ff import make_field, points_up_to
-from klsym.lfun import local_factor
+from klsym.lfun import local_factor, sym_inf_local
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -28,12 +28,14 @@ from klsym.padic import (
 )
 from oracles import (
     agrees_with,
+    binom_with_cert,
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
     per_element_lift_simple_nonzero_root,
     per_element_one_unit_power,
     pi_val_reference,
+    sym_inf_local_per_size,
     times_int,
 )
 
@@ -67,9 +69,9 @@ def test_exponent_arithmetic():
 def test_exponent_binomials():
     e = PadicExponent.exact(5, -1)
     # binom(-1, l) = (-1)^l
-    assert [e.binom_with_cert(l)[0] for l in range(5)] == [1, -1, 1, -1, 1]
+    assert [binom_with_cert(e, l)[0] for l in range(5)] == [1, -1, 1, -1, 1]
     h = from_rational(3, 1, 2, 3)
-    b2, s = h.binom_with_cert(2)
+    b2, s = binom_with_cert(h, 2)
     assert b2 == 14 * 13 // 2 and s == 3
     with pytest.raises(UsageError):
         PadicExponent.truncated(3, (3, 0))
@@ -79,6 +81,28 @@ def test_exponent_binomials():
 
 # ---------------------------------------------------------------------------
 # core arithmetic tracks exact arithmetic mod p^N
+
+
+@st.composite
+def _kernel_operands(draw):
+    """p, mod = p^N and two coordinate tuples in [0, 2 mod): zeros, reduced values
+    and the unreduced sums the Horner loop hands the kernel."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    mod = p ** draw(st.integers(1, 30))
+    coord = st.one_of(st.just(0), st.just(mod - 1), st.just(2 * mod - 1),
+                      st.integers(0, 2 * mod - 1))
+    tup = st.lists(coord, min_size=p - 1, max_size=p - 1).map(tuple)
+    return p, mod, draw(tup), draw(tup)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_operands())
+@example((3, 3, (0, 0), (2, 5)))
+@example((11, 11 ** 30, (2 * 11 ** 30 - 1,) * 10, (2 * 11 ** 30 - 1,) * 10))
+def test_mul_mod_is_the_reduced_ring_product(operands):
+    p, mod, a, b = operands
+    want = tuple(c % mod for c in (CycInt(p, a) * CycInt(p, b)).coords)
+    assert padic._mul_mod(a, b, mod) == want
 
 
 def test_ring_ops_match_exact_reduction():
@@ -122,7 +146,7 @@ def _built_every_way(p, N, seed):
         x + y, x - y, y + 3, y - 5, x * y, y * elem(), x * pi * pi, x * p ** 2, y * 0,
         u.unit_inverse(), y.galois(2), x.times_p_power(2),
         x.times_p_power(2).divide_exact_p_power(1), y.with_precision(N - 1), u ** 3,
-        one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
+        *one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
     ]
 
 
@@ -411,16 +435,16 @@ def test_one_unit_power_matches_integer_powers():
     p, N = 3, 8
     u = PadicCyc.embed(C(p, 4, 0), N)  # 1 + 3
     for k in (0, 1, 2, 5, 11):
-        via_series = one_unit_power(u, PadicExponent.exact(p, k), V=14)
+        via_series, = one_unit_power(u, PadicExponent.exact(p, k), V=14)
         assert agrees_with(via_series, u ** k)
 
 
 def test_one_unit_power_negative_exponent():
     p, N = 3, 8
     u = PadicCyc.embed(C(p, 1, 3), N)  # 1 + 3*zeta
-    w = one_unit_power(u, PadicExponent.exact(p, -1), V=12)
+    w, = one_unit_power(u, PadicExponent.exact(p, -1), V=12)
     assert agrees_with(w * u, PadicCyc.one(p, N), vmin=12)
-    w2 = one_unit_power(u, PadicExponent.exact(p, -2), V=12)
+    w2, = one_unit_power(u, PadicExponent.exact(p, -2), V=12)
     assert agrees_with(w2 * u * u, PadicCyc.one(p, N), vmin=12)
 
 
@@ -428,7 +452,7 @@ def test_one_unit_power_square_root():
     p, N = 3, 9
     u = PadicCyc.embed(C(p, 7, 0), N)  # 1 + 6 = 1-unit
     half = from_rational(p, 1, 2, 5)
-    r = one_unit_power(u, half, V=10)
+    r, = one_unit_power(u, half, V=10)
     assert agrees_with(r * r, u, vmin=r.vcert)
     assert r.vcert >= 6  # five digits of exponent support this much
 
@@ -438,9 +462,9 @@ def test_one_unit_power_truncated_certificate_is_honest():
     # smaller claimed certificate
     p, N = 3, 10
     u = PadicCyc.embed(C(p, 4, 3), N)
-    full = one_unit_power(u, from_rational(p, 1, 2, 6), V=12)
+    full, = one_unit_power(u, from_rational(p, 1, 2, 6), V=12)
     for nd in (2, 3, 4):
-        coarse = one_unit_power(u, from_rational(p, 1, 2, nd), V=12)
+        coarse, = one_unit_power(u, from_rational(p, 1, 2, nd), V=12)
         d = (full.rep - coarse.rep).pi_val()
         assert d is None or d >= coarse.vcert
 
@@ -448,16 +472,20 @@ def test_one_unit_power_truncated_certificate_is_honest():
 @pytest.mark.parametrize("kappa", [PadicExponent.exact(5, 2), PadicExponent.exact(5, -3),
                                    PadicExponent.truncated(5, (2, 4, 1))])
 def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
-    # the sizes s = 0..wmax of sym_inf_local over one chain, as in a verify run at V = 100
+    # the sizes s = 0..wmax of sym_inf_local in one call, as in a verify run at V = 100,
+    # against one call per size and the per-element sum over one shared chain
     lf = local_factor(KloostermanEvaluator(make_field(5, 1)), 1,
                       points_up_to(make_field(5, 1), 1)[1])
     V = 100
     u = slope_split(list(lf.coeffs), 1, 1, -(-V // 4) + 1)[0][0]
     chain = []
-    for s in range(25):
-        shared = one_unit_power(u, kappa.minus_int(s), V, chain)
-        alone = one_unit_power(u, kappa.minus_int(s), V)
-        assert (shared.rep, shared.N, shared.vcert) == (alone.rep, alone.N, alone.vcert)
+    powers = one_unit_power(u, kappa, V, 24)
+    assert len(powers) == 25
+    for s, shared in enumerate(powers):
+        alone, = one_unit_power(u, kappa.minus_int(s), V)
+        ref = per_element_one_unit_power(u, kappa.minus_int(s), V, chain)
+        for got in (shared, alone):
+            assert (got.rep, got.N, got.vcert) == (ref.rep, ref.N, ref.vcert)
     assert len(chain) == (V - 1) // (u - 1).val_lb()
 
 
@@ -470,30 +498,35 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
 @example(3, 4, 1, True, 30, [(-81,), (-3 ** 6,)])  # binom(kappa, 1) = 0 mod p^N
 @example(5, 3, 2, False, 24, [(-125 * 7,), (4, 4, 4)])
 def test_one_unit_power_matches_per_element_sum(p, N, seed, at_cap, V, kappas):
-    # exact negative and truncated exponents, each over one shared chain and alone
+    # exact negative and truncated exponents, alone and with the sizes kappa - s of one
+    # call, against the per-element sums, alone and over one shared chain
     rng = random.Random(seed)
     u = _one_unit(p, N, rng, None if at_cap else rng.randrange(1, N * (p - 1) + 1))
-    shared, ref_shared = [], []
+    ref_shared = []
     for k in kappas:
         if len(k) == 1:
             kappa = PadicExponent.exact(p, k[0])
         else:
             kappa = PadicExponent.truncated(p, tuple(d % p for d in k))
-        want = per_element_one_unit_power(u, kappa, V)
-        for got in (one_unit_power(u, kappa, V), one_unit_power(u, kappa, V, shared)):
+        alone, = one_unit_power(u, kappa, V)
+        for s, got in [(0, alone), *enumerate(one_unit_power(u, kappa, V, 3))]:
+            want = per_element_one_unit_power(u, kappa.minus_int(s), V)
             assert (got.rep.coords, got.N, got.vcert) == \
-                (want.rep.coords, want.N, want.vcert), (u, kappa, V)
+                (want.rep.coords, want.N, want.vcert), (u, kappa, V, s)
         ref = per_element_one_unit_power(u, kappa, V, ref_shared)
-        assert (ref.rep.coords, ref.vcert) == (want.rep.coords, want.vcert)
+        assert (ref.rep.coords, ref.vcert) == (alone.rep.coords, alone.vcert)
 
 
 def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
     # the lifts and 1-unit series run on coordinates and the products at the cap
     # read no valuation: this run made 8,231 pi_val calls and 33,902 PadicCyc
-    # constructions when every step carried its own certificate
+    # constructions when every step carried its own certificate; and the 1-unit
+    # chain holds coordinates and each pi_j^i is one product from pi_j^(i-1): it
+    # made 3,520 PadicCyc products with a PadicCyc chain and a binary power per
+    # weight tuple (the padic-warm command; no product depends on the cache)
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    counts = {"pi_val": 0, "init": 0}
-    pi_val, init = CycInt.pi_val, PadicCyc.__init__
+    counts = {"pi_val": 0, "init": 0, "mul": 0}
+    pi_val, init, mul = CycInt.pi_val, PadicCyc.__init__, PadicCyc.__mul__
 
     def counted_pi_val(self):
         counts["pi_val"] += 1
@@ -503,12 +536,44 @@ def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
         counts["init"] += 1
         init(self, *args)
 
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
     monkeypatch.setattr(CycInt, "pi_val", counted_pi_val)
     monkeypatch.setattr(PadicCyc, "__init__", counted_init)
+    monkeypatch.setattr(PadicCyc, "__mul__", counted_mul)
+    monkeypatch.setattr(PadicCyc, "__rmul__", counted_mul)
     assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
     capsys.readouterr()
     assert counts["pi_val"] <= 1500
     assert counts["init"] <= 8000
+    assert counts["mul"] <= 1500
+
+
+def _kappas(p):
+    return [PadicExponent.exact(p, 2), PadicExponent.exact(p, 40),
+            PadicExponent.exact(p, -3), PadicExponent.truncated(p, (2, 1, p - 1))]
+
+
+# n = 3 reads the half route's sums (max_degree 1) so that p = 5, 7 fit the budget
+@pytest.mark.parametrize("p,n,D,V", [
+    (3, 1, 2, 30), (3, 2, 2, 20), (3, 3, 1, 20), (5, 1, 1, 40), (5, 2, 1, 24),
+    (5, 3, 1, 16), (7, 1, 1, 30), (7, 2, 1, 24), (7, 3, 1, 18),
+])
+def test_sym_inf_local_matches_the_per_size_route(p, n, D, V):
+    """The one-call 1-unit powers on a coordinate chain and the eigenvalue ladders
+    give the coords, N and vcert of every coefficient, and the series certificate,
+    of one certified series per size and binary powers."""
+    ev = KloostermanEvaluator(make_field(p, 1))
+    for pt in points_up_to(ev.base, D):
+        lf = local_factor(ev, n, pt, max_degree=1)
+        for kappa in _kappas(p):
+            got = sym_inf_local(lf, kappa, V, 2)
+            want = sym_inf_local_per_size(lf, kappa, V, 2)
+            assert got.cert == want.cert, (pt.rep, kappa)
+            assert [(c.rep.coords, c.N, c.vcert) for c in got.coeffs] == \
+                [(c.rep.coords, c.N, c.vcert) for c in want.coeffs], (pt.rep, kappa)
 
 
 def test_one_unit_power_rejects_non_one_unit():
