@@ -209,8 +209,8 @@ def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int) -> LocalSerie
     cert = V
     for lam in lams:
         cert = min(cert, lam.vcert)
-        for r in range(1, R + 1):
-            out[r] = out[r] + lam * out[r - 1]
+        for r in range(1, R + 1):  # lam * out[0], out[0] = 1 at the cap, is lam
+            out[r] = out[r] + (lam * out[r - 1] if r > 1 else lam)
     return LocalSeries(lf.point, out, min([cert] + [c.vcert for c in out]))
 
 

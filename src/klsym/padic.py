@@ -9,21 +9,23 @@ certified units or by exactly divisible powers of p, and each such division
 records its precision cost.  Every product runs on one kernel, ``_mul_mod``:
 multiply, fold zeta^(p-1) and reduce mod p^N in one pass.  A certificate
 fixed in advance is set once (Caruso-Roe-Vaccon, "Tracking p-adic
-precision", 2014): a product of two factors at the cap N(p-1) reads no
-valuation; the Newton loop and the 1-unit series run on bare coordinates
-mod p^N, a ring map, and build a ``PadicCyc`` only for the result.
+precision", 2014): a product reads a factor's valuation only when the
+other is below the cap N(p-1); the Newton loop and the 1-unit series run on
+bare coordinates mod p^N, a ring map, and build a ``PadicCyc`` only for the
+result.  These coordinates are canonical, so no skipped work moves a byte.
 
 One Newton loop (``_lift_simple_nonzero_root``) lifts a simple root x of
-f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1).
-It serves the unit root of a local factor, every round of the slope
-split, and ``unit_inverse`` as the root of u X - 1.
+f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
+until f(x) = 0 mod p^N.  It serves the unit root of a local factor, every
+round of the slope split, and ``unit_inverse`` as the root of u X - 1.
+``one_unit_power`` steps each size from the last by Pascal's rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, sub
 
 from .cyclo import CycInt, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
@@ -87,8 +89,8 @@ class PadicCyc:
     def __init__(self, p: int, N: int, rep: CycInt, vcert: int):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
-        self.p, self.N = p, N
-        self.rep = CycInt._new(p, tuple(c % p ** N for c in rep.coords))
+        self.p, self.N, mod = p, N, p ** N
+        self.rep = CycInt._new(p, tuple(c % mod for c in rep.coords))
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
@@ -150,17 +152,20 @@ class PadicCyc:
 
     # -- ring operations
 
-    def __add__(self, other):
+    def _linear(self, other, op) -> "PadicCyc":
+        """self op other, op add or sub; the least vcert is within both caps."""
         if isinstance(other, int):
             other = PadicCyc.from_int(self.p, self.N, other)
         N = self._join(other)
-        return PadicCyc(self.p, N, self.rep + other.rep, min(self.vcert, other.vcert))
+        mod = self.p ** N
+        return PadicCyc._new(self.p, N, tuple([op(a, b) % mod for a, b in zip(
+            self.rep.coords, other.rep.coords)]), min(self.vcert, other.vcert))
+
+    def __add__(self, other):
+        return self._linear(other, add)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = PadicCyc.from_int(self.p, self.N, other)
-        N = self._join(other)
-        return PadicCyc(self.p, N, self.rep - other.rep, min(self.vcert, other.vcert))
+        return self._linear(other, sub)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -175,9 +180,9 @@ class PadicCyc:
             other = PadicCyc.embed(other, self.N)
         N = self._join(other)
         cap = N * (self.p - 1)
-        # val_lb() >= 0, so two factors at the cap make a product at the cap
-        vc = cap if min(self.vcert, other.vcert) >= cap else \
-            min(self.vcert + other.val_lb(), other.vcert + self.val_lb(), cap)
+        # val_lb() >= 0: a term whose factor is at the cap never binds
+        vc = min([cap] + [a.vcert + b.val_lb() for a, b in ((self, other), (other, self))
+                          if a.vcert < cap])
         return PadicCyc._new(self.p, N, _mul_mod(self.rep.coords, other.rep.coords,
                                                  self.p ** N), vc)
 
@@ -187,14 +192,14 @@ class PadicCyc:
     def __pow__(self, e: int):
         if e < 0:
             return self.unit_inverse() ** (-e)
-        out = PadicCyc.one(self.p, self.N)
-        base = self
+        # no product by one and no square past the top bit: both leave the result as it is
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            base = base * base if e else base
+        return PadicCyc.one(self.p, self.N) if out is None else out
 
     def galois(self, c: int) -> "PadicCyc":
         return PadicCyc(self.p, self.N, self.rep.galois(c), self.vcert)
@@ -265,11 +270,17 @@ def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     f = [c.rep.coords for c in coeffs]
     deriv = [tuple([i * c for c in cs]) for i, cs in enumerate(f) if i >= 1]
     x, y = (r,) + (0,) * (p - 2), (pow(dr, -1, p),) + (0,) * (p - 2)
-    for _ in range(steps):
-        x = tuple([(s - t) % mod for s, t in zip(x, _mul_mod(peval(f, x), y, mod))])
-        dy = _mul_mod(peval(deriv, x), y, mod)
-        y = _mul_mod(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
-    v = CycInt._new(p, peval(f, x)).pi_val()
+    fx = peval(f, x)
+    # f(x) = 0 mod p^N fixes x from there on; y is refreshed only for a next step
+    for i in range(steps):
+        if not any(fx):
+            break
+        if i:
+            dy = _mul_mod(peval(deriv, x), y, mod)
+            y = _mul_mod(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
+        x = tuple([(s - t) % mod for s, t in zip(x, _mul_mod(fx, y, mod))])
+        fx = peval(f, x)
+    v = CycInt._new(p, fx).pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")
     return PadicCyc(p, N, CycInt._new(p, x), min(c.vcert for c in coeffs))
@@ -355,11 +366,16 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
     """[u^(kappa - s) for s = 0..wmax] for a 1-unit u, each certified.
 
     An exact kappa - s >= 0 is a plain power.  Any other, represented by r,
-    is the sum of b_l (u-1)^l over l v(u-1) < V, b_l = b_(l-1) (r-l+1)/l: a
-    column dot product per coordinate over the (u-1)^l mod p^N.  Its
-    certificate is V capped by u's own, the working modulus and (for
-    truncated exponents) the digit supply; (u-1)^l is certified at least as
-    well as u, so no term's certificate bounds it further.
+    is S(r), the sum of C(r, l) x^l over l < L, x = u - 1, L the least with
+    L v(x) >= V, on coordinates mod p^N.  The sizes run from s = wmax down,
+    so r goes up by one, and Pascal's rule gives (1 + x) S(r-1) = S(r) +
+    C(r-1, L-1) x^L: each S(r) is one product from S(r-1).  S(r) is summed
+    afresh only at the first such size and where a truncated kappa's r wraps
+    to 0, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): x^i for i <= m =
+    ceil(sqrt L), then Horner in x^m over blocks of m terms, about 2 sqrt(L)
+    products.  Its certificate is V capped by u's own, the working modulus
+    and (for truncated exponents) the digit supply; (u-1)^l is certified at
+    least as well as u, so no term's certificate bounds it further.
     """
     p, N = u.p, u.N
     if kappa.p != p:
@@ -368,26 +384,35 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
     v1 = um1.val_lb()
     if v1 < 1 or u.residue_int() != 1:
         raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
-    mod, chain = p ** N, [(1,) + (0,) * (p - 2)]
-    # (u-1)^l for l >= 1 only when some kappa - s is not a plain power
-    while (not kappa.is_exact or kappa.rep < wmax) and len(chain) * v1 < V:
-        chain.append(_mul_mod(chain[-1], um1.rep.coords, mod))
-    columns = list(zip(*chain))
-    cert = min(V, u.vcert, N * (p - 1))
+    L, cert = max(1, -(-V // v1)), min(V, u.vcert, N * (p - 1))
     if not kappa.is_exact:
         fact_ord = 0
-        for l in range(1, len(chain)):
+        for l in range(1, L):
             fact_ord += ord_p(p, l)
             cert = min(cert, (p - 1) * max(0, kappa.ndigits - fact_ord) + l * v1)
+    mod, m, x = p ** N, math.isqrt(L - 1) + 1, um1.rep.coords
+    # x^0..x^m and x^L only when some kappa - s is not a plain power
+    if not kappa.is_exact or kappa.rep < wmax:
+        pw = [(1,) + (0,) * (p - 2), x]
+        while len(pw) <= m:
+            pw.append(_mul_mod(pw[-1], x, mod))
+        columns, x_L = list(zip(*pw[:m])), (um1 ** L).rep.coords
     out = []
-    for s in range(wmax + 1):
+    for s in range(wmax, -1, -1):
         r = kappa.minus_int(s).rep
         if kappa.is_exact and r >= 0:
             out.append(u ** r)
             continue
-        bs = [1]
-        for l in range(1, len(chain)):
-            bs.append(bs[-1] * (r - l + 1) // l)
-        acc = [sum(map(mul, bs, column)) for column in columns]
+        if s < wmax and r:  # out[-1] is S(r - 1)
+            c = math.comb(r - 1, L - 1) if r > 0 else (-1) ** (L - 1) * math.comb(L - r - 1, L - 1)
+            acc = [a - c * b for a, b in zip(_mul_mod(u.rep.coords, out[-1].rep.coords, mod), x_L)]
+        else:
+            bs = [1]
+            for l in range(1, L):
+                bs.append(bs[-1] * (r - l + 1) // l)
+            acc = (0,) * (p - 1)
+            for j in reversed(range(0, L, m)):  # Horner in x^m from the top block down
+                acc = _mul_mod(acc, pw[m], mod) if j + m < L else acc
+                acc = [a + sum(map(mul, bs[j:j + m], col)) for a, col in zip(acc, columns)]
         out.append(PadicCyc(p, N, CycInt._new(p, tuple(acc)), cert))
-    return out
+    return out[::-1]

@@ -20,8 +20,8 @@ algorithm, so a test can require the two to agree:
   through eigenvalue power sums instead of the product over weights;
 * ``sym_inf_local_per_size``: the same product over weights with one
   certified 1-unit series per size and binary powers of each eigenvalue,
-  against ``lfun.sym_inf_local``, which takes every size from one
-  coordinate chain and each power one product from the last;
+  against ``lfun.sym_inf_local``, which takes each size one Pascal step
+  from the last and each power one product from the last;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
   extension fields, bypassing local factors altogether;
 * ``kloosterman_table``: Kl_n at every element of one field by the

@@ -76,6 +76,12 @@ def _strip_timing(report):
      "a9924ee2a1efed0545905d588a5df85d627e5f4f928b9b72459b1cb13eb98198"),
     ("syminf -p 5 -n 2 --kappa 2,1 -D 2", 0,
      "b3e007c85a195a34e74e4eb0606801f7ad734e396f4e8020bbe31d031c2b1854"),
+    # pinned before the Pascal steps of the 1-unit powers: a truncated kappa whose
+    # representative wraps every third size, and an exact kappa < 0, every size a series
+    ("syminf -p 3 -n 1 --kappa 1 -D 4", 0,
+     "497daca8abe6e6c41397523fc9df343e9dcb703e35d6903afc0caaab2d8ee90e"),
+    ("syminf -p 3 -n 1 -k -5 -D 5", 0,
+     "1107e96737d4fe788edefe0129b8ac9c17eb62d4c84ede2c36d63f805beab357"),
 ])
 def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)

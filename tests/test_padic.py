@@ -412,12 +412,17 @@ def _full_mul_rule(x, y):
     return min(x.vcert + y.val_lb(), y.vcert + x.val_lb(), N * (x.p - 1))
 
 
+def _mixed(p, N, seed):
+    """_built_every_way, and some of it below N and above it."""
+    xs = _built_every_way(p, N, seed)
+    return xs + [x.with_precision(N - 1) for x in xs[:8] if N > 1] + \
+        [x.times_p_power(1) for x in xs[:8]]
+
+
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
 def test_product_certificate_is_the_full_rule(p, N):
     # pairs at the cap, below it, and at mixed N
-    xs = _built_every_way(p, N, 7 * p + N)
-    xs += [x.with_precision(N - 1) for x in xs[:8] if N > 1]
-    xs += [x.times_p_power(1) for x in xs[:8]]
+    xs = _mixed(p, N, 7 * p + N)
     for x in xs:
         for y in xs:
             got = x * y
@@ -425,6 +430,40 @@ def test_product_certificate_is_the_full_rule(p, N):
             assert got.N == min(x.N, y.N)
             mod = p ** got.N
             assert got.rep.coords == tuple(c % mod for c in (x.rep * y.rep).coords)
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
+def test_sums_and_differences_are_the_checked_construction(p, N):
+    # at the cap, below it and at mixed N, and with int operands
+    xs = _mixed(p, N, 11 * p + N)
+    for x in xs:
+        for y in xs + [0, 1, -p, p ** N + 2]:
+            z = y if isinstance(y, PadicCyc) else PadicCyc.from_int(p, x.N, y)
+            n, vc = min(x.N, z.N), min(x.vcert, z.vcert)
+            for got, rep in [(x + y, x.rep + z.rep), (x - y, x.rep - z.rep)]:
+                want = PadicCyc(p, n, rep, vc)
+                assert (got.rep.coords, got.N, got.vcert) == \
+                    (want.rep.coords, want.N, want.vcert), (x, y)
+
+
+def _pow_every_square(x, e):
+    out, base = PadicCyc.one(x.p, x.N), x
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
+def test_power_skips_only_products_that_change_nothing(p, N):
+    # binary powering from one, squaring past the top bit, gives the same value
+    for x in _mixed(p, N, 13 * p + N):
+        for e in (0, 1, 2, 3, 6, 25, 50):
+            got, want = x ** e, _pow_every_square(x, e)
+            assert (got.rep.coords, got.N, got.vcert) == \
+                (want.rep.coords, want.N, want.vcert), (x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +528,13 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
     assert len(chain) == (V - 1) // (u - 1).val_lb()
 
 
+def _exponent(p, k):
+    """An exact exponent from (k,), a truncated one from a digit tuple."""
+    if len(k) == 1:
+        return PadicExponent.exact(p, k[0])
+    return PadicExponent.truncated(p, tuple(d % p for d in k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([3, 5, 7]), st.integers(2, 7), st.integers(0, 2 ** 32),
        st.booleans(), st.integers(1, 60),
@@ -504,10 +550,7 @@ def test_one_unit_power_matches_per_element_sum(p, N, seed, at_cap, V, kappas):
     u = _one_unit(p, N, rng, None if at_cap else rng.randrange(1, N * (p - 1) + 1))
     ref_shared = []
     for k in kappas:
-        if len(k) == 1:
-            kappa = PadicExponent.exact(p, k[0])
-        else:
-            kappa = PadicExponent.truncated(p, tuple(d % p for d in k))
+        kappa = _exponent(p, k)
         alone, = one_unit_power(u, kappa, V)
         for s, got in [(0, alone), *enumerate(one_unit_power(u, kappa, V, 3))]:
             want = per_element_one_unit_power(u, kappa.minus_int(s), V)
@@ -515,6 +558,94 @@ def test_one_unit_power_matches_per_element_sum(p, N, seed, at_cap, V, kappas):
                 (want.rep.coords, want.N, want.vcert), (u, kappa, V, s)
         ref = per_element_one_unit_power(u, kappa, V, ref_shared)
         assert (ref.rep.coords, ref.vcert) == (alone.rep.coords, alone.vcert)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 7), st.integers(0, 2 ** 32), st.booleans(),
+       st.sampled_from([1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 24, 25, 26]), st.integers(0, 14),
+       st.one_of(st.integers(-10 ** 6, 14).map(lambda k: (k,)),
+                 st.lists(st.integers(0, 6), min_size=2, max_size=4).map(tuple)))
+@example(3, 6, 5, True, 16, 9, (2, 0))        # truncated: r = 2, 1, 0, 8, 7, ... wraps at s = 2
+@example(5, 4, 8, False, 1, 6, (-3,))         # L = 1: V <= v(u - 1)
+@example(7, 3, 9, True, 9, 12, (5,))          # exact: series at s = 12..6, plain below
+@example(3, 7, 10, True, 17, 14, (0, 1, 0))   # truncated: r = 3 - s mod 27 wraps at s = 3
+def test_one_unit_power_pascal_steps_match_per_element_sums(p, N, seed, at_cap, L, wmax, k):
+    """Every size of one call, with L terms: at, just below and just above a perfect
+    square L (where the Paterson-Stockmeyer blocks change), and L = 1; exact kappa
+    of either sign and truncated kappa whose representative wraps."""
+    rng = random.Random(seed)
+    u = _one_unit(p, N, rng, None if at_cap else rng.randrange(1, N * (p - 1) + 1))
+    v1 = (u - 1).val_lb()
+    V = rng.randrange((L - 1) * v1 + 1, L * v1 + 1)  # the least L with L v1 >= V
+    kappa = _exponent(p, k)
+    for s, got in enumerate(one_unit_power(u, kappa, V, wmax)):
+        want = per_element_one_unit_power(u, kappa.minus_int(s), V)
+        assert (got.rep.coords, got.N, got.vcert) == \
+            (want.rep.coords, want.N, want.vcert), (u, kappa, V, s)
+
+
+def _counting_mul_mod(monkeypatch):
+    calls = []
+    real = padic._mul_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(padic, "_mul_mod", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,N", [(3, 5), (5, 4), (7, 3), (11, 2)])
+def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
+    # X + c has the root -c: one step from the residue root reaches it, and f(x) = 0
+    # mod p^N stops the loop (the last slope-split round is always such an input)
+    rng = random.Random(p + N)
+    calls = _counting_mul_mod(monkeypatch)
+    for _ in range(10):
+        c = PadicCyc.embed(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
+        if c.is_unit():
+            coeffs = [c, PadicCyc.one(p, N)]
+            want = per_element_lift_simple_nonzero_root(coeffs, p, N)
+            calls.clear()
+            got = padic._lift_simple_nonzero_root(coeffs, p, N)
+            assert len(calls) == 3  # f(x0), f(x0) y, f(x1)
+            assert _same(got, want)
+            assert got.rep == (c * -1).rep
+
+
+@pytest.mark.parametrize("p,N", [(3, 5), (5, 4), (7, 3)])
+def test_lift_of_an_exact_integer_root_takes_no_step(monkeypatch, p, N):
+    # (X - a)(X^2 + p) has the one nonzero residue root a, simple, and f(a) = 0
+    calls = _counting_mul_mod(monkeypatch)
+    for a in range(1, p):
+        coeffs = [PadicCyc.from_int(p, N, v) for v in (-a * p, p, -a, 1)]
+        want = per_element_lift_simple_nonzero_root(coeffs, p, N)
+        calls.clear()
+        got = padic._lift_simple_nonzero_root(coeffs, p, N)
+        assert len(calls) == 3  # the one evaluation of f, degree 3
+        assert _same(got, PadicCyc.from_int(p, N, a))
+        assert _same(got, want)
+
+
+def test_verify_run_makes_no_redundant_kernel_products(monkeypatch, capsys):
+    # the padic-warm command: the 1-unit powers take one product per size from the
+    # last (Pascal), the lift stops at the root and a factor at the cap reads no
+    # valuation; the parent made 4,766 _mul_mod and 801 pi_val calls
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = _counting_mul_mod(monkeypatch)
+    vals = []
+    pi_val = CycInt.pi_val
+
+    def counted_pi_val(self):
+        vals.append(self)
+        return pi_val(self)
+
+    monkeypatch.setattr(CycInt, "pi_val", counted_pi_val)
+    assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
+    capsys.readouterr()
+    assert len(calls) <= 3300
+    assert len(vals) <= 600
 
 
 def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
