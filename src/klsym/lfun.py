@@ -223,7 +223,7 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     certificate folds the slope-split, 1-unit-power and truncation costs.
     """
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
-    pis, _ = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
+    pis = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
     wmax = (V - 1) // (a * d * (p - 1))
     # pi_0^(kappa - s) for each size s = |i| <= wmax; ladders[j - 1][i - 1] = pi_j^(i-1) pi_j
     powers = one_unit_power(pis[0], kappa, V, wmax)

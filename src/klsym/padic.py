@@ -4,21 +4,20 @@ Elements carry coordinates mod p^N together with a certificate vcert: the
 difference between the stored representative and the intended exact value
 has pi-adic valuation >= vcert, where pi = 1 - zeta_p and (p) = (pi)^(p-1).
 Every operation propagates the certificate pessimistically, so a final
-vcert is a sound claim, never a heuristic.  Division is only performed by
-certified units or by exactly divisible powers of p, and each such division
-records its precision cost.  Every product runs on one kernel, ``_mul_mod``:
-multiply, fold zeta^(p-1) and reduce mod p^N in one pass.  A certificate
-fixed in advance is set once (Caruso-Roe-Vaccon, "Tracking p-adic
-precision", 2014): a product reads a factor's valuation only when the
-other is below the cap N(p-1); the Newton loop and the 1-unit series run on
-bare coordinates mod p^N, a ring map, and build a ``PadicCyc`` only for the
-result.  These coordinates are canonical, so no skipped work moves a byte.
+vcert is a sound claim, never a heuristic.  A ``PadicCyc`` divides only by
+certified units, and a product reads a factor's valuation only when the
+other is below the cap N(p-1).
 
-One Newton loop (``_lift_simple_nonzero_root``) lifts a simple root x of
-f together with y ~ 1/f'(x): x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
-until f(x) = 0 mod p^N.  It serves the unit root of a local factor, every
-round of the slope split, and ``unit_inverse`` as the root of u X - 1.
-``one_unit_power`` steps each size from the last by Pascal's rule.
+Below ``PadicCyc`` lies one layer of bare coordinate tuples mod p^N, a ring
+map, where a certificate fixed in advance is set once, for the result
+(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``_mul_mod``
+multiplies, folds zeta^(p-1) and reduces in one pass; ``_horner`` evaluates
+f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
+root x of f with y ~ 1/f'(x), x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
+until f(x) = 0 mod p^N, for the unit root, each slope-split round and
+``unit_inverse``; ``slope_split`` lifts, deflates and divides by powers of p;
+``one_unit_power`` steps each size from the last by Pascal's rule.  These
+coordinates are canonical, so no skipped work moves a byte.
 """
 
 from __future__ import annotations
@@ -208,42 +207,37 @@ class PadicCyc:
         """Inverse of a pi-adic unit, the root of self X - 1; certificate kept."""
         if not self.is_unit():
             raise ZeroDivisionError("not a pi-adic unit to working precision")
-        y = _lift_simple_nonzero_root([PadicCyc.from_int(self.p, self.N, -1), self],
+        y = _lift_simple_nonzero_root([(-1,) + (0,) * (self.p - 2), self.rep.coords],
                                       self.p, self.N)
-        return PadicCyc(self.p, self.N, y.rep, self.vcert)
-
-    def times_p_power(self, j: int) -> "PadicCyc":
-        """Multiply by p^j; the certificate improves by j*(p-1)."""
-        if j < 0:
-            raise UsageError("use divide_exact_p_power for negative powers")
-        rep = CycInt(self.p, tuple(c * self.p ** j for c in self.rep.coords))
-        return PadicCyc(self.p, self.N + j, rep, self.vcert + j * (self.p - 1))
-
-    def divide_exact_p_power(self, j: int) -> "PadicCyc":
-        """Divide by p^j assuming exact divisibility; costs j digits of N."""
-        if j == 0:
-            return self
-        q = self.p ** j
-        if any(c % q for c in self.rep.coords):
-            raise PrecisionError(f"representative not divisible by p^{j}")
-        rep = CycInt(self.p, tuple(c // q for c in self.rep.coords))
-        return PadicCyc(self.p, self.N - j, rep, self.vcert - j * (self.p - 1))
+        return PadicCyc._new(self.p, self.N, y, self.vcert)
 
     def __repr__(self):
         return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.rep.coords})"
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting on coordinates mod p^N (coefficient lists are low-degree-first)
+# Hensel lifting and the slope split on coordinates mod p^N (lists are low-degree-first)
 
 
-def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
-    """Hensel lift of the unique simple nonzero root of the residue poly.
+def _horner(f, z: tuple, mod: int) -> list:
+    """Horner's partial sums of f at z, each mod `mod`: the last is f(z), the others
+    the quotient by X - z, high-first."""
+    out = [tuple([c % mod for c in f[-1]])]
+    for c in reversed(f[:-1]):
+        out.append(tuple([(s + t) % mod for s, t in zip(_mul_mod(out[-1], z, mod), c)]))
+    return out
 
-    Runs on coordinates mod p^N (N joined with every coefficient's), a ring map, so
-    they are those of the same loop over PadicCyc; a simple root with a unit
-    derivative is as exact as the least exact coefficient (Hensel)."""
-    res = [c.residue_int() for c in coeffs]
+
+def _lift_simple_nonzero_root(f, p: int, N: int) -> tuple:
+    """Coordinates mod p^N of the Hensel lift of the unique simple nonzero root of
+    the residue poly of f, a list of coordinate tuples.
+
+    Reduction mod p^N is a ring map, so these are the coordinates of the same loop
+    over PadicCyc; a simple root with a unit derivative is as exact as the least
+    exact coefficient (Hensel), so the caller sets the certificate."""
+    if N < 1:
+        raise PrecisionError("working precision exhausted (N < 1)")
+    res = [sum(c) % p for c in f]
     roots = []
     for r in range(1, p):
         if sum(cr * pow(r, i, p) for i, cr in enumerate(res)) % p == 0:
@@ -258,32 +252,22 @@ def _lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     # the exact-inverse step count holds: 1 - f'(x) y squares at each step and f(x) gains
     # both factors' precision, so both reach 2^i after i steps (von zur Gathen-Gerhard, ch. 9)
     steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
-    N = min(N, *(c.N for c in coeffs))
     mod = p ** N
-
-    def peval(f, z):
-        acc = f[-1]
-        for c in reversed(f[:-1]):
-            acc = [s + t for s, t in zip(_mul_mod(acc, z, mod), c)]
-        return tuple([s % mod for s in acc])
-
-    f = [c.rep.coords for c in coeffs]
     deriv = [tuple([i * c for c in cs]) for i, cs in enumerate(f) if i >= 1]
     x, y = (r,) + (0,) * (p - 2), (pow(dr, -1, p),) + (0,) * (p - 2)
-    fx = peval(f, x)
+    fx = _horner(f, x, mod)[-1]
     # f(x) = 0 mod p^N fixes x from there on; y is refreshed only for a next step
     for i in range(steps):
         if not any(fx):
             break
         if i:
-            dy = _mul_mod(peval(deriv, x), y, mod)
+            dy = _mul_mod(_horner(deriv, x, mod)[-1], y, mod)
             y = _mul_mod(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
         x = tuple([(s - t) % mod for s, t in zip(x, _mul_mod(fx, y, mod))])
-        fx = peval(f, x)
-    v = CycInt._new(p, fx).pi_val()
-    if not (v is None or v >= min(c.vcert for c in coeffs)):
+        fx = _horner(f, x, mod)[-1]
+    if any(fx):
         raise AssertionError("Newton iteration failed to converge")
-    return PadicCyc(p, N, CycInt._new(p, x), min(c.vcert for c in coeffs))
+    return x
 
 
 def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
@@ -298,20 +282,21 @@ def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
         raise UsageError("local factor must have constant term 1")
     p = coeffs[0].p
     # E(X) = X^deg * P(1/X): low-first list is P reversed
-    e_coeffs = [PadicCyc.embed(c, N) for c in reversed(coeffs)]
-    root = _lift_simple_nonzero_root(e_coeffs, p, N)
-    if (root - 1).val_lb() < 1 or root.residue_int() != 1:
+    root = _lift_simple_nonzero_root([c.coords for c in reversed(coeffs)], p, N)
+    if sum(root) % p != 1:
         raise DegenerateFactorError(
-            f"unit root has residue {root.residue_int()} != 1, not a 1-unit")
-    return root
+            f"unit root has residue {sum(root) % p} != 1, not a 1-unit")
+    return PadicCyc._new(p, N, root, N * (p - 1))
 
 
-def slope_split(factor_coeffs, a: int, d: int, N: int):
-    """Split a local factor into eigenvalues pi_j = p^(a d j) * unit.
+def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
+    """Split a local factor into eigenvalues pi_j = p^(a d j) * unit, each at its cap.
 
     Requires the exact coefficient valuations pi-val(a_i) = (p-1) a d i(i-1)/2;
     any other shape is reported as SlopeFindingError with the witness index.
-    Returns (eigenvalues, info) where info records the precision ledger.
+    Round j lifts the unit root u of E(X) mod p^M, deflates E by X - u and
+    rescales X -> p^(a d) X, dividing the quotient's coefficient of X^(deg-1-i)
+    by p^(a d i); the constant term costs a d (deg - 1) digits of M.
     """
     coeffs = list(factor_coeffs)
     p = coeffs[0].p
@@ -328,34 +313,29 @@ def slope_split(factor_coeffs, a: int, d: int, N: int):
                 f"coefficient {i} has pi-valuation {got}, Newton polygon needs {want}",
                 witness={"index": i, "measured": got, "expected": want})
     ad = a * d
-    n_work = N + ad * n * (n + 1) // 2 + 2
-    ledger = {"N_requested": N, "N_work": n_work, "rounds": []}
-    # E(X) low-first, then run root-extract / deflate / rescale rounds
-    cur = [PadicCyc.embed(c, n_work) for c in reversed(coeffs)]
+    M = N + ad * n * (n + 1) // 2 + 2
+    f = [c.coords for c in reversed(coeffs)]  # E(X), low-first
     eigenvalues = []
     for j in range(n + 1):
-        u = _lift_simple_nonzero_root(cur, p, cur[0].N)
-        if j == 0 and u.residue_int() != 1:
+        u = _lift_simple_nonzero_root(f, p, M)
+        if j == 0 and sum(u) % p != 1:
             raise DegenerateFactorError("unit eigenvalue is not a 1-unit")
-        eigenvalues.append(u.times_p_power(ad * j))
-        ledger["rounds"].append({"j": j, "N": u.N, "vcert": u.vcert})
+        eigenvalues.append(PadicCyc._new(p, M + ad * j, tuple([c * p ** (ad * j) for c in u]),
+                                         (M + ad * j) * (p - 1)))
         if j == n:
             break
-        deg = len(cur) - 1
-        high = list(reversed(cur))  # high[0] = 1
-        quot = [high[0]]
-        for i in range(1, deg):
-            quot.append(high[i] + u * quot[i - 1])
-        rem = high[deg] + u * quot[deg - 1]
-        vr = rem.rep.pi_val()
-        if not (vr is None or vr >= rem.vcert):
+        *quot, rem = _horner(f, u, p ** M)
+        if any(rem):
             raise AssertionError("deflation remainder not negligible")
-        scaled = [q.divide_exact_p_power(ad * i) for i, q in enumerate(quot)]
-        n_next = min(s.N for s in scaled)
-        cur = [s.with_precision(n_next) for s in reversed(scaled)]
+        for i, c in enumerate(quot):
+            if any(x % p ** (ad * i) for x in c):
+                raise PrecisionError(f"representative not divisible by p^{ad * i}")
+        # the next lift reads these mod p^M only, and refuses an M below 1
+        f = [tuple([x // p ** (ad * i) for x in c]) for i, c in enumerate(quot)][::-1]
+        M -= ad * (len(quot) - 1)
     if min(e.vcert for e in eigenvalues) < N * (p - 1):
         raise PrecisionError("slope split lost more precision than budgeted")
-    return eigenvalues, ledger
+    return eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +345,17 @@ def slope_split(factor_coeffs, a: int, d: int, N: int):
 def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> list:
     """[u^(kappa - s) for s = 0..wmax] for a 1-unit u, each certified.
 
-    An exact kappa - s >= 0 is a plain power.  Any other, represented by r,
-    is S(r), the sum of C(r, l) x^l over l < L, x = u - 1, L the least with
-    L v(x) >= V, on coordinates mod p^N.  The sizes run from s = wmax down,
-    so r goes up by one, and Pascal's rule gives (1 + x) S(r-1) = S(r) +
-    C(r-1, L-1) x^L: each S(r) is one product from S(r-1).  S(r) is summed
-    afresh only at the first such size and where a truncated kappa's r wraps
-    to 0, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): x^i for i <= m =
-    ceil(sqrt L), then Horner in x^m over blocks of m terms, about 2 sqrt(L)
-    products.  Its certificate is V capped by u's own, the working modulus
-    and (for truncated exponents) the digit supply; (u-1)^l is certified at
-    least as well as u, so no term's certificate bounds it further.
+    The sizes run from s = wmax down, so r = kappa - s goes up by one.  An
+    exact r >= 0 is a plain power, from u^2 on one product from u^(r-1).  Any
+    other r is S(r), the sum of C(r, l) x^l over l < L, x = u - 1, L the least
+    with L v(x) >= V, on coordinates mod p^N; Pascal's rule gives (1 + x)
+    S(r-1) = S(r) + C(r-1, L-1) x^L, so each S(r) is one product from S(r-1).
+    S(r) is summed afresh only at the first such size and where a truncated
+    kappa's r wraps to 0, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973):
+    x^i for i <= m = ceil(sqrt L), then Horner in x^m over blocks of m terms,
+    about 2 sqrt(L) products.  Its certificate is V capped by u's own, the
+    working modulus and (for truncated exponents) the digit supply; (u-1)^l is
+    certified at least as well as u, so no term's certificate bounds it further.
     """
     p, N = u.p, u.N
     if kappa.p != p:
@@ -401,7 +381,7 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
     for s in range(wmax, -1, -1):
         r = kappa.minus_int(s).rep
         if kappa.is_exact and r >= 0:
-            out.append(u ** r)
+            out.append(out[-1] * u if r > 1 and s < wmax else u ** r)
             continue
         if s < wmax and r:  # out[-1] is S(r - 1)
             c = math.comb(r - 1, L - 1) if r > 0 else (-1) ** (L - 1) * math.comb(L - r - 1, L - 1)

@@ -41,6 +41,10 @@ algorithm, so a test can require the two to agree:
   at every ring operation and ``math.comb`` binomials (``binom_with_cert``),
   against ``padic``, which runs both on coordinates mod p^N and sets the
   certificate once;
+* ``per_element_slope_split``: the slope split with a certified ``PadicCyc``
+  at every deflation step and p-power shifts by ``times_p_power`` and
+  ``divide_exact_p_power``, against ``padic.slope_split``, which deflates
+  and divides on coordinates mod p^N;
 * ``pi_val_reference``: the closed-form pi-valuation with a fresh
   binomial and a full ord_p per term, against ``CycInt.pi_val``, which
   reads a binomial table and stops dividing once a term cannot win.
@@ -63,7 +67,13 @@ import numpy as np
 import sympy
 
 from klsym.cyclo import CycInt
-from klsym.errors import DegenerateFactorError, ResourceError, UsageError
+from klsym.errors import (
+    DegenerateFactorError,
+    PrecisionError,
+    ResourceError,
+    SlopeFindingError,
+    UsageError,
+)
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
 from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.lfun import (
@@ -79,6 +89,7 @@ from klsym.lfun import (
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
+    _lift_simple_nonzero_root,
     one_unit_power,
     ord_p,
     slope_split,
@@ -130,7 +141,26 @@ def divide_exact_int(x: PadicCyc, m: int) -> PadicCyc:
     unit = m // x.p ** e
     if unit != 1:
         x = x * PadicCyc.from_int(x.p, x.N, unit).unit_inverse()
-    return x.divide_exact_p_power(e)
+    return divide_exact_p_power(x, e)
+
+
+def times_p_power(x: PadicCyc, j: int) -> PadicCyc:
+    """x * p^j; the certificate improves by j*(p-1)."""
+    if j < 0:
+        raise UsageError("use divide_exact_p_power for negative powers")
+    rep = CycInt(x.p, tuple(c * x.p ** j for c in x.rep.coords))
+    return PadicCyc(x.p, x.N + j, rep, x.vcert + j * (x.p - 1))
+
+
+def divide_exact_p_power(x: PadicCyc, j: int) -> PadicCyc:
+    """x / p^j assuming exact divisibility; costs j digits of N."""
+    if j == 0:
+        return x
+    q = x.p ** j
+    if any(c % q for c in x.rep.coords):
+        raise PrecisionError(f"representative not divisible by p^{j}")
+    rep = CycInt(x.p, tuple(c // q for c in x.rep.coords))
+    return PadicCyc(x.p, x.N - j, rep, x.vcert - j * (x.p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +253,54 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
         if s is not None:
             cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
     return PadicCyc(p, acc.N, acc.rep, min(cert, acc.vcert))
+
+
+def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
+    """``padic.slope_split`` with a PadicCyc, and its certificate, at every
+    deflation step and p-power shift; each round's root is ``padic``'s lift,
+    which the lift tests check against the per-element and nested lifts."""
+    coeffs = list(factor_coeffs)
+    p = coeffs[0].p
+    n = len(coeffs) - 2  # factor degree n+1
+    if n < 0 or coeffs[0].as_integer() != 1:
+        raise UsageError("local factor must have constant term 1 and degree >= 1")
+    for i, c in enumerate(coeffs):
+        if i == 0:
+            continue
+        want = (p - 1) * a * d * i * (i - 1) // 2
+        got = c.pi_val()
+        if got != want:
+            raise SlopeFindingError(
+                f"coefficient {i} has pi-valuation {got}, Newton polygon needs {want}",
+                witness={"index": i, "measured": got, "expected": want})
+    ad = a * d
+    n_work = N + ad * n * (n + 1) // 2 + 2
+    # E(X) low-first, then run root-extract / deflate / rescale rounds
+    cur = [PadicCyc.embed(c, n_work) for c in reversed(coeffs)]
+    eigenvalues = []
+    for j in range(n + 1):
+        u = PadicCyc.embed(CycInt(p, _lift_simple_nonzero_root(
+            [c.rep.coords for c in cur], p, cur[0].N)), cur[0].N)
+        if j == 0 and u.residue_int() != 1:
+            raise DegenerateFactorError("unit eigenvalue is not a 1-unit")
+        eigenvalues.append(times_p_power(u, ad * j))
+        if j == n:
+            break
+        deg = len(cur) - 1
+        high = list(reversed(cur))  # high[0] = 1
+        quot = [high[0]]
+        for i in range(1, deg):
+            quot.append(high[i] + u * quot[i - 1])
+        rem = high[deg] + u * quot[deg - 1]
+        vr = rem.rep.pi_val()
+        if not (vr is None or vr >= rem.vcert):
+            raise AssertionError("deflation remainder not negligible")
+        scaled = [divide_exact_p_power(q, ad * i) for i, q in enumerate(quot)]
+        n_next = min(s.N for s in scaled)
+        cur = [s.with_precision(n_next) for s in reversed(scaled)]
+    if min(e.vcert for e in eigenvalues) < N * (p - 1):
+        raise PrecisionError("slope split lost more precision than budgeted")
+    return eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +671,7 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     p = lf.coeffs[0].p
     d = lf.point.degree
     N = -(-V // (p - 1)) + 1 + sum(ord_p(p, r) for r in range(1, R + 1))
-    pis, _ = slope_split(list(lf.coeffs), a, d, N)
+    pis = slope_split(list(lf.coeffs), a, d, N)
     pi0 = pis[0]
     inv0 = pi0.unit_inverse()
     ratios = [pi * inv0 for pi in pis[1:]]
@@ -619,7 +697,7 @@ def sym_inf_local_per_size(lf: LocalFactor, kappa: PadicExponent, V: int,
     """``lfun.sym_inf_local`` with one certified 1-unit series per size s over a
     shared PadicCyc chain, and each eigenvalue power pi_j^i by binary powering."""
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
-    pis, _ = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
+    pis = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
     wmax = (V - 1) // (a * d * (p - 1))
     chain = []
     powers = [per_element_one_unit_power(pis[0], kappa.minus_int(s), V, chain)

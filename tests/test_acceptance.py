@@ -224,7 +224,7 @@ def test_criterion_8_cross_route_equality():
             for pt in points_up_to(ev.base, D):
                 lf = local_factor(ev, n, pt)
                 exact = sym_k_factor(lf, k)
-                eigen, _ = slope_split(list(lf.coeffs), a, pt.degree, 6)
+                eigen = slope_split(list(lf.coeffs), a, pt.degree, 6)
                 rebuilt = [PadicCyc.one(p, eigen[0].N)]
                 for combo in itertools.combinations_with_replacement(
                         range(n + 1), k):

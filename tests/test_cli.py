@@ -82,6 +82,14 @@ def _strip_timing(report):
      "497daca8abe6e6c41397523fc9df343e9dcb703e35d6903afc0caaab2d8ee90e"),
     ("syminf -p 3 -n 1 -k -5 -D 5", 0,
      "1107e96737d4fe788edefe0129b8ac9c17eb62d4c84ede2c36d63f805beab357"),
+    # pinned before the slope split ran on coordinates: deeper splits, n = 3 and
+    # n = 2 at V = 30 and 60, and a = 2, where every division is by p^2 or more
+    ("verify -p 3 -n 3 -k 1 -D 2 -V 30", 0,
+     "1ec769e7b48057470087e167d3037791fa43af90fd111e183bb3593bb7fbef76"),
+    ("verify -p 3 -n 2 -k 2 -D 3 -V 60", 0,
+     "347f12133168515b6d44898dac7a550278662ffaaa21d4fe81424f0c74c9f4a9"),
+    ("syminf -p 3 -a 2 -n 2 -k 1 -D 1 -V 30", 0,
+     "21993c28cacb66151672ae30c0ea42955860e9eea398f13baac437c8f21a2125"),
 ])
 def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)

@@ -29,14 +29,17 @@ from klsym.padic import (
 from oracles import (
     agrees_with,
     binom_with_cert,
+    divide_exact_p_power,
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
     per_element_lift_simple_nonzero_root,
     per_element_one_unit_power,
+    per_element_slope_split,
     pi_val_reference,
     sym_inf_local_per_size,
     times_int,
+    times_p_power,
 )
 
 
@@ -144,8 +147,8 @@ def _built_every_way(p, N, seed):
         x, y, u, pi, PadicCyc.zero(p, N), PadicCyc.one(p, N),
         PadicCyc.from_int(p, N, p ** N), PadicCyc.from_int(p, N, -p),
         x + y, x - y, y + 3, y - 5, x * y, y * elem(), x * pi * pi, x * p ** 2, y * 0,
-        u.unit_inverse(), y.galois(2), x.times_p_power(2),
-        x.times_p_power(2).divide_exact_p_power(1), y.with_precision(N - 1), u ** 3,
+        u.unit_inverse(), y.galois(2), times_p_power(x, 2),
+        divide_exact_p_power(times_p_power(x, 2), 1), y.with_precision(N - 1), u ** 3,
         *one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
     ]
 
@@ -204,21 +207,29 @@ def test_unit_inverse():
 def test_p_power_shifts():
     p, N = 5, 4
     x = PadicCyc.embed(C(p, 2, 0, 1, 0), N)
-    up = x.times_p_power(2)
+    up = times_p_power(x, 2)
     assert up.N == N + 2 and up.vcert == x.vcert + 2 * (p - 1)
-    back = up.divide_exact_p_power(2)
+    back = divide_exact_p_power(up, 2)
     assert agrees_with(back, x)
     with pytest.raises(PrecisionError):
-        x.divide_exact_p_power(1)  # coords not divisible by 5
+        divide_exact_p_power(x, 1)  # coords not divisible by 5
 
 
 def test_precision_exhaustion_guards():
     p = 3
     x = PadicCyc.embed(C(p, 9, 0), 2)
     with pytest.raises(PrecisionError):
-        x.divide_exact_p_power(2)  # N would hit 0
+        divide_exact_p_power(x, 2)  # N would hit 0
     with pytest.raises(PrecisionError):
         PadicCyc(p, 3, C(p, 1, 0), 0)
+    # a request so low that a round of the split would work mod p^0
+    for split in (slope_split, per_element_slope_split):
+        for coeffs, N in [(_pc(3, 1, -1, 3), -2), (_pc(3, 1, -25, 132, -108), -2),
+                          (_pc(3, 1, -1, 3), -9)]:
+            with pytest.raises(PrecisionError, match="N < 1"):
+                split(coeffs, a=1, d=1, N=N)
+    with pytest.raises(PrecisionError, match="N < 1"):
+        hensel_unit_root(_pc(3, 1, -1, 3), N=0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +275,20 @@ def test_unit_root_rejects_bad_constant():
 
 
 def test_slope_split_frozen_quadratic():
-    pis, info = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=4)
+    pis = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=4)
     assert len(pis) == 2
     p0, p1 = pis
     assert p0.rep.coords[0] % 9 == 7 and p1.rep.coords[0] % 9 == 3
     # product of eigenvalues = q = 3, sum = 1 (trace)
     assert agrees_with(p0 * p1, PadicCyc.from_int(3, p0.N, 3), vmin=4 * 2)
     assert agrees_with(p0 + p1, PadicCyc.from_int(3, p0.N, 1), vmin=4 * 2)
-    assert info["N_work"] == 4 + 1 + 2
+    assert p0.N == 4 + 1 + 2  # the working precision of the first round
 
 
 def test_slope_split_reconstructs_cubic():
     # (1 - T)(1 - 6T)(1 - 18T) over Z_3: slopes 0, 1, 2
     coeffs = _pc(3, 1, -25, 132, -108)
-    pis, _ = slope_split(coeffs, a=1, d=1, N=5)
+    pis = slope_split(coeffs, a=1, d=1, N=5)
     vals = [pi.val_lb() for pi in pis]
     assert [pis[0].rep.pi_val(), None, None][0] == 0
     assert pis[1].rep.pi_val() == 2  # ord 3^1
@@ -291,8 +302,8 @@ def test_slope_split_reconstructs_cubic():
     assert (e2.rep - CycInt.from_int(3, 132)).coords[0] % m == 0
     assert (e3.rep - CycInt.from_int(3, 108)).coords[0] % m == 0
     # recovered slope-j eigenvalue is 3^j times the expected unit
-    assert pis[1].divide_exact_p_power(1).residue_int() == 2  # 6/3
-    assert pis[2].divide_exact_p_power(2).residue_int() == 2  # 18/9
+    assert divide_exact_p_power(pis[1], 1).residue_int() == 2  # 6/3
+    assert divide_exact_p_power(pis[2], 2).residue_int() == 2  # 18/9
 
 
 def test_slope_split_detects_wrong_valuation():
@@ -304,13 +315,51 @@ def test_slope_split_detects_wrong_valuation():
 
 
 def test_slope_split_certificates_meet_request():
-    pis, info = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=7)
+    pis = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=7)
     for pi in pis:
         assert pi.vcert >= 7 * 2
     # deeper request agrees with shallower one
-    deep, _ = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=9)
+    deep = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=9)
     for x, y in zip(pis, deep):
         assert (x.rep - y.rep).pi_val() >= 7 * 2
+
+
+# (p, a, n, D): every point of degree <= D; the sums of the cases left out (p = 5,
+# a = 2, n = 3; p = 7, 11, a = 2, n >= 2) are over the default budget
+@pytest.mark.parametrize("p,a,n,D", [
+    (3, 1, 1, 3), (3, 1, 2, 3), (3, 1, 3, 2), (3, 2, 1, 1), (3, 2, 2, 1), (3, 2, 3, 1),
+    (5, 1, 1, 2), (5, 1, 2, 2), (5, 1, 3, 1), (5, 2, 1, 1), (5, 2, 2, 1),
+    (7, 1, 1, 1), (7, 1, 2, 1), (7, 1, 3, 1), (7, 2, 1, 1),
+    (11, 1, 1, 1), (11, 1, 2, 1), (11, 1, 3, 1), (11, 2, 1, 1),
+])
+def test_slope_split_matches_the_per_element_split(p, a, n, D):
+    """Coordinates, N and vcert of every eigenvalue equal those of the split with a
+    certified PadicCyc at every deflation step and p-power shift; a d >= 2 divides
+    by p^2 or more."""
+    ev = KloostermanEvaluator(make_field(p, a))
+    for pt in points_up_to(ev.base, D):
+        coeffs = list(local_factor(ev, n, pt, max_degree=1).coeffs)
+        for V in (1, 10, 37, 100, 300):
+            N = -(-V // (p - 1)) + 1
+            got = slope_split(coeffs, a, pt.degree, N)
+            want = per_element_slope_split(coeffs, a, pt.degree, N)
+            assert [(x.rep.coords, x.N, x.vcert) for x in got] == \
+                [(x.rep.coords, x.N, x.vcert) for x in want], (pt.rep, V)
+
+
+def test_slope_split_makes_no_padic_arithmetic(monkeypatch):
+    # every round lifts, deflates and rescales on coordinates mod p^M, and a PadicCyc
+    # is built only for each eigenvalue
+    lf = local_factor(KloostermanEvaluator(make_field(3, 1)), 3,
+                      points_up_to(make_field(3, 1), 1)[0])
+    calls = []
+    for name in ("__mul__", "__rmul__", "_linear", "with_precision"):
+        real = getattr(PadicCyc, name)
+        monkeypatch.setattr(PadicCyc, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    pis = slope_split(list(lf.coeffs), 1, 1, 51)
+    assert calls == []
+    assert len(pis) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +368,14 @@ def test_slope_split_certificates_meet_request():
 
 def _same(x, y):
     return (x.rep.coords, x.N, x.vcert) == (y.rep.coords, y.N, y.vcert)
+
+
+def _on_coords(lift):
+    """An oracle lift over PadicCyc coefficients at the cap, called as ``padic``'s
+    lift is: coordinate tuples in, the root's coordinates out."""
+    def coords_lift(f, p, N):
+        return lift([PadicCyc.embed(CycInt(p, c), N) for c in f], p, N).rep.coords
+    return coords_lift
 
 
 # (p, n, D): n = 2 stops where the default budget refuses the next degree
@@ -331,23 +388,24 @@ def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
     """Every lift of every local factor, every slope-split round and the
     unit root's inverse equal the lift that inverts f'(x) by a Newton loop
     of its own at every step, and the coupled loop with a certified
-    PadicCyc at every step, bit for bit: every production lift is at the cap."""
+    PadicCyc at every step, bit for bit: every production lift is at the cap.
+    The lift returns coordinates and its callers set N and the certificate, so
+    the oracles are patched in on coordinates."""
     ev = KloostermanEvaluator(make_field(p, 1))
     for pt in points_up_to(ev.base, D):
         coeffs = list(local_factor(ev, n, pt).coeffs)
         for V in (10, 37, 100):
             N = -(-V // (p - 1)) + 1
-            pis, ledger = slope_split(coeffs, 1, pt.degree, N)
+            pis = slope_split(coeffs, 1, pt.degree, N)
             root = hensel_unit_root(coeffs, N)
             inverse = pis[0].unit_inverse()
             assert _same(inverse, nested_unit_inverse(pis[0]))
             for lift in (nested_lift_simple_nonzero_root, per_element_lift_simple_nonzero_root):
                 with monkeypatch.context() as m:
-                    m.setattr(padic, "_lift_simple_nonzero_root", lift)
+                    m.setattr(padic, "_lift_simple_nonzero_root", _on_coords(lift))
                     assert _same(root, hensel_unit_root(coeffs, N))
-                    ref_pis, ref_ledger = slope_split(coeffs, 1, pt.degree, N)
+                    ref_pis = slope_split(coeffs, 1, pt.degree, N)
                     assert _same(inverse, pis[0].unit_inverse())
-                assert ledger == ref_ledger
                 assert all(_same(x, y) for x, y in zip(pis, ref_pis, strict=True))
 
 
@@ -370,24 +428,27 @@ def _one_unit(p, N, rng, vcert=None):
 
 @pytest.mark.parametrize("p,N", [(3, 4), (3, 9), (5, 3), (7, 2)])
 def test_coordinate_lift_matches_per_element_lift_on_mixed_precision(p, N):
-    # coefficients at different N and below the cap: the coordinates and N agree,
-    # and the certificate is the least coefficient certificate
+    # coefficients at different N and below the cap: the coordinates agree at the
+    # per-element lift's N, the least of the request and the coefficients' N; the
+    # lift takes bare coordinates and that N, so the join and the certificate are
+    # its callers' and only the coordinates are checked here
     rng = random.Random(p * N)
     for _ in range(20):
         a = _one_unit(p, N + 2, rng, rng.randrange(1, (N + 2) * (p - 1) + 1))
         coeffs = [a * -1, PadicCyc.from_int(p, N, 1),
                   PadicCyc.embed(C(p, *(p * rng.randrange(50) for _ in range(p - 1))), N + 1)]
         for n_req in (N - 1, N, N + 3):
-            got = padic._lift_simple_nonzero_root(coeffs, p, n_req)
             ref = per_element_lift_simple_nonzero_root(coeffs, p, n_req)
-            assert (got.rep.coords, got.N) == (ref.rep.coords, ref.N)
-            assert got.vcert == min(min(c.vcert for c in coeffs), got.N * (p - 1))
+            assert ref.N == min(n_req, N)
+            got = padic._lift_simple_nonzero_root([c.rep.coords for c in coeffs], p, ref.N)
+            assert got == ref.rep.coords
 
 
 @pytest.mark.parametrize("p,N", [(3, 3), (3, 8), (5, 4), (7, 3)])
 def test_lift_below_the_cap_agrees_with_the_exact_root(p, N):
     # f = (X - a)(X^2 + s X + t), p | s and p | t, has the one nonzero residue root a, simple;
-    # moving each coefficient by pi^v (its certificate v) moves the lift by no less
+    # moving each coefficient by pi^v (its certificate v) moves the lift by no less;
+    # the lift returns coordinates, so this checks them against the least certificate
     rng = random.Random(31 * p + N)
     pi = C(p, 1, -1, *[0] * (p - 3))
     for _ in range(15):
@@ -401,10 +462,9 @@ def test_lift_below_the_cap_agrees_with_the_exact_root(p, N):
             for _ in range(v):
                 move = move * pi
             coeffs.append(PadicCyc(p, N, c + move, v))
-        root = padic._lift_simple_nonzero_root(coeffs, p, N)
-        assert root.vcert == min(c.vcert for c in coeffs)
-        d = (root.rep - a).pi_val()
-        assert d is None or d >= root.vcert
+        root = padic._lift_simple_nonzero_root([c.rep.coords for c in coeffs], p, N)
+        d = (CycInt(p, root) - a).pi_val()
+        assert d is None or d >= min(c.vcert for c in coeffs)
 
 
 def _full_mul_rule(x, y):
@@ -416,7 +476,7 @@ def _mixed(p, N, seed):
     """_built_every_way, and some of it below N and above it."""
     xs = _built_every_way(p, N, seed)
     return xs + [x.with_precision(N - 1) for x in xs[:8] if N > 1] + \
-        [x.times_p_power(1) for x in xs[:8]]
+        [times_p_power(x, 1) for x in xs[:8]]
 
 
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
@@ -516,7 +576,7 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
     lf = local_factor(KloostermanEvaluator(make_field(5, 1)), 1,
                       points_up_to(make_field(5, 1), 1)[1])
     V = 100
-    u = slope_split(list(lf.coeffs), 1, 1, -(-V // 4) + 1)[0][0]
+    u = slope_split(list(lf.coeffs), 1, 1, -(-V // 4) + 1)[0]
     chain = []
     powers = one_unit_power(u, kappa, V, 24)
     assert len(powers) == 25
@@ -526,6 +586,24 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
         for got in (shared, alone):
             assert (got.rep, got.N, got.vcert) == (ref.rep, ref.N, ref.vcert)
     assert len(chain) == (V - 1) // (u - 1).val_lb()
+
+
+def test_plain_one_unit_sizes_take_one_product_each(monkeypatch):
+    # exact kappa = 40 at wmax = 40: u^0 and u^1 take no product and each u^r, r >= 2,
+    # one from u^(r-1), 39 in all; a binary power per size took 205
+    lf = local_factor(KloostermanEvaluator(make_field(5, 1)), 1,
+                      points_up_to(make_field(5, 1), 1)[1])
+    V = 100
+    u = hensel_unit_root(list(lf.coeffs), -(-V // 4) + 1)
+    calls = []
+    mul = PadicCyc.__mul__
+    monkeypatch.setattr(PadicCyc, "__mul__", lambda x, y: calls.append(y) or mul(x, y))
+    powers = one_unit_power(u, PadicExponent.exact(5, 40), V, 40)
+    assert len(calls) == 39
+    monkeypatch.undo()
+    for s, got in enumerate(powers):
+        want = u ** (40 - s)
+        assert (got.rep.coords, got.N, got.vcert) == (want.rep.coords, want.N, want.vcert)
 
 
 def _exponent(p, k):
@@ -605,13 +683,13 @@ def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
     for _ in range(10):
         c = PadicCyc.embed(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
         if c.is_unit():
-            coeffs = [c, PadicCyc.one(p, N)]
-            want = per_element_lift_simple_nonzero_root(coeffs, p, N)
+            f = [c.rep.coords, PadicCyc.one(p, N).rep.coords]
+            want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
             calls.clear()
-            got = padic._lift_simple_nonzero_root(coeffs, p, N)
+            got = padic._lift_simple_nonzero_root(f, p, N)
             assert len(calls) == 3  # f(x0), f(x0) y, f(x1)
-            assert _same(got, want)
-            assert got.rep == (c * -1).rep
+            assert got == want
+            assert got == (c * -1).rep.coords
 
 
 @pytest.mark.parametrize("p,N", [(3, 5), (5, 4), (7, 3)])
@@ -619,13 +697,13 @@ def test_lift_of_an_exact_integer_root_takes_no_step(monkeypatch, p, N):
     # (X - a)(X^2 + p) has the one nonzero residue root a, simple, and f(a) = 0
     calls = _counting_mul_mod(monkeypatch)
     for a in range(1, p):
-        coeffs = [PadicCyc.from_int(p, N, v) for v in (-a * p, p, -a, 1)]
-        want = per_element_lift_simple_nonzero_root(coeffs, p, N)
+        f = [PadicCyc.from_int(p, N, v).rep.coords for v in (-a * p, p, -a, 1)]
+        want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
         calls.clear()
-        got = padic._lift_simple_nonzero_root(coeffs, p, N)
+        got = padic._lift_simple_nonzero_root(f, p, N)
         assert len(calls) == 3  # the one evaluation of f, degree 3
-        assert _same(got, PadicCyc.from_int(p, N, a))
-        assert _same(got, want)
+        assert got == PadicCyc.from_int(p, N, a).rep.coords
+        assert got == want
 
 
 def test_verify_run_makes_no_redundant_kernel_products(monkeypatch, capsys):
