@@ -38,6 +38,7 @@ from .lfun import (
     LocalSeries,
     euler_product,
     local_factor,
+    precision_plan,
     sums_read,
     sym_inf_local,
     symk_local,
@@ -102,7 +103,7 @@ def _precisions(config: RunConfig, V0: int):
     prod (w // j + 1) (1 tuple in unitroot)."""
     Vs = []
     for V in (V0 << i for i in range(MAX_RETRIES + 1)):
-        w, N = (V - 1) // (config.a * (config.p - 1)), -(-V // (config.p - 1)) + 1
+        N, w = precision_plan(config.p, config.a, 1, V)
         T = 1 if config.mode == "unitroot" else \
             math.prod(w // j + 1 for j in range(1, config.n + 1))
         if T * V * N > config.budget:
@@ -136,6 +137,9 @@ def _admit(config: RunConfig):
         raise UsageError(f"mode {config.mode} needs an exponent")
     if _builds_symk(config) and config.k < 0:
         raise UsageError("k must be nonnegative")
+    # Sym^0 is the trivial sheaf: its series (1 - T)/(1 - qT) falls below the Hodge bound
+    if config.mode == "verify-newton-hodge" and config.k == 0:
+        raise UsageError("verify needs k >= 1: the Hodge bound does not hold for Sym^0")
     if config.V is not None and config.V < 1:
         raise UsageError("precision target V must be positive")
     base = make_field(config.p, config.a)

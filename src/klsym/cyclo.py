@@ -118,11 +118,11 @@ class CycInt:
         return CycInt._new(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coords))
+        return CycInt._new(self.p, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.p, tuple(a * other for a in self.coords))
+            return CycInt._new(self.p, tuple(a * other for a in self.coords))
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check_level(other)
@@ -184,7 +184,7 @@ class CycInt:
             raise ZeroDivisionError("division by zero")
         if any(c % m for c in self.coords):
             raise ValueError(f"{self!r} is not divisible by {m}")
-        return CycInt(self.p, tuple(c // m for c in self.coords))
+        return CycInt._new(self.p, tuple(c // m for c in self.coords))
 
     def as_integer(self) -> int:
         """Coerce to a rational integer; error on nonzero zeta-components."""

@@ -44,13 +44,13 @@ from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, sl
 # Newton identities
 
 
-def elementary_from_power_sums(power_sums, count):
-    """e_1..e_count from p_1..p_count: m e_m = sum_i (-1)^(i-1) e_(m-i) p_i.
+def elementary_from_power_sums(p, power_sums, count):
+    """e_0 = 1, e_1..e_count in Z[zeta_p] from p_1..p_count:
+    m e_m = sum_i (-1)^(i-1) e_(m-i) p_i.
 
     Each division by m is checked exact; a power-sum sequence that no
     polynomial over Z[zeta_p] has raises ValueError.
     """
-    p = power_sums[0].p
     es = [CycInt.from_int(p, 1)]
     for m in range(1, count + 1):
         acc = CycInt.zero(p)
@@ -58,7 +58,7 @@ def elementary_from_power_sums(power_sums, count):
             term = es[m - i] * power_sums[i - 1]
             acc = acc + term if i % 2 else acc - term
         es.append(acc.divide_exact_int(m))
-    return es[1:]
+    return es
 
 
 def eigen_power_sums(coeffs, count):
@@ -102,8 +102,7 @@ def _both_ways(n, point, power_sums):
     q_t = point.base.size ** point.degree
     h = (n + 2) // 2
     try:
-        es = [CycInt.from_int(point.base.p, 1)] + elementary_from_power_sums(
-            power_sums, len(power_sums))
+        es = elementary_from_power_sums(point.base.p, power_sums, len(power_sums))
     except ValueError as exc:
         raise FunctionalEquationFindingError(
             f"power sums at {point.rep} give non-integral coefficients: {exc}",
@@ -174,25 +173,29 @@ def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
     (-1)^(i-1) p_i, gives the power sums h_k(pi^m) of the eigenvalues
     pi^alpha from the base p_(i m), then their h_r, the coefficients: k R
     base power sums and R k^2 products, whatever binom(n+k, k) is.  Each
-    division is checked exact.  k = 0 keeps the empty product's series.
+    division is checked exact.  Both recurrences start from h_0 = e_0 = 1, so
+    Sym^0, the trivial sheaf, has the power sums 1 and the series 1/(1 - T^d).
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
     p = lf.coeffs[0].p
-    one = CycInt.from_int(p, 1)
-    if k == 0 or R == 0:
-        return LocalSeries(lf.point, [one] + [CycInt.zero(p)] * R)
     base = eigen_power_sums(list(lf.coeffs), k * R)
     sym = [elementary_from_power_sums(
-        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
         for m in range(1, R + 1)]
-    hs = elementary_from_power_sums(
-        [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R)
-    return LocalSeries(lf.point, [one] + hs)
+    return LocalSeries(lf.point, elementary_from_power_sums(
+        p, [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R))
 
 
 # ---------------------------------------------------------------------------
 # infinite symmetric power and unit-root series
+
+
+def precision_plan(p: int, a: int, d: int, V: int):
+    """(N, wmax) for the target V at a point of degree d over F_(p^a): N = ceil(V/(p-1))
+    + 1 working digits, and the largest weight w of an eigenvalue tuple, whose
+    pi-valuation is at least a d w (p-1), that is not dropped below V."""
+    return -(-V // (p - 1)) + 1, (V - 1) // (a * d * (p - 1))
 
 
 def sym_inf_weights(n: int, wmax: int):
@@ -223,8 +226,8 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     certificate folds the slope-split, 1-unit-power and truncation costs.
     """
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
-    pis = slope_split(list(lf.coeffs), a, d, -(-V // (p - 1)) + 1)
-    wmax = (V - 1) // (a * d * (p - 1))
+    N, wmax = precision_plan(p, a, d, V)
+    pis = slope_split(list(lf.coeffs), a, d, N)
     # pi_0^(kappa - s) for each size s = |i| <= wmax; ladders[j - 1][i - 1] = pi_j^(i-1) pi_j
     powers = one_unit_power(pis[0], kappa, V, wmax)
     ladders = [list(itertools.accumulate(itertools.repeat(pi, wmax // j), operator.mul))
@@ -236,7 +239,7 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
 
 def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
     """Series of (1 - pi_0^kappa T^d)^(-1): the weight-zero term of sym_inf_local."""
-    N = -(-V // (lf.coeffs[0].p - 1)) + 1
+    N, _ = precision_plan(lf.coeffs[0].p, lf.point.base.k, lf.point.degree, V)
     u, = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
     return _inverse_series(lf, [u], u.N, V, R)
 

@@ -4,9 +4,10 @@ Elements carry coordinates mod p^N together with a certificate vcert: the
 difference between the stored representative and the intended exact value
 has pi-adic valuation >= vcert, where pi = 1 - zeta_p and (p) = (pi)^(p-1).
 Every operation propagates the certificate pessimistically, so a final
-vcert is a sound claim, never a heuristic.  A ``PadicCyc`` divides only by
-certified units, and a product reads a factor's valuation only when the
-other is below the cap N(p-1).
+vcert is a sound claim, never a heuristic.  A ``PadicCyc`` has no inverse;
+an int or a ``CycInt`` operand is exact, so it embeds at the cap, and every
+product is certified by one rule: the least of N(p-1) and each factor's
+vcert plus the other's valuation.
 
 Below ``PadicCyc`` lies one layer of bare coordinate tuples mod p^N, a ring
 map, where a certificate fixed in advance is set once, for the result
@@ -14,8 +15,8 @@ map, where a certificate fixed in advance is set once, for the result
 multiplies, folds zeta^(p-1) and reduces in one pass; ``_horner`` evaluates
 f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
 root x of f with y ~ 1/f'(x), x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
-until f(x) = 0 mod p^N, for the unit root, each slope-split round and
-``unit_inverse``; ``slope_split`` lifts, deflates and divides by powers of p;
+until f(x) = 0 mod p^N, for the unit root and each slope-split round;
+``slope_split`` lifts, deflates and divides by powers of p;
 ``one_unit_power`` steps each size from the last by Pascal's rule.  These
 coordinates are canonical, so no skipped work moves a byte.
 """
@@ -134,9 +135,6 @@ class PadicCyc:
             self._val_lb = self.vcert if v is None else min(v, self.vcert)
         return self._val_lb
 
-    def is_unit(self) -> bool:
-        return self.residue_int() != 0
-
     # -- normalisation helpers
 
     def with_precision(self, N: int) -> "PadicCyc":
@@ -144,18 +142,22 @@ class PadicCyc:
             raise PrecisionError(f"cannot raise precision {self.N} -> {N}")
         return PadicCyc(self.p, N, self.rep, self.vcert)
 
-    def _join(self, other: "PadicCyc") -> int:
+    # -- ring operations
+
+    def _coerce(self, other) -> "PadicCyc":
+        """The operand at this level: an int or a CycInt is exact, so it embeds at the cap."""
+        if isinstance(other, int):
+            other = CycInt._new(self.p, (other,) + (0,) * (self.p - 2))
+        if isinstance(other, CycInt):
+            other = PadicCyc.embed(other, self.N)
         if not isinstance(other, PadicCyc) or other.p != self.p:
             raise UsageError("mixed p-adic levels")
-        return min(self.N, other.N)
-
-    # -- ring operations
+        return other
 
     def _linear(self, other, op) -> "PadicCyc":
         """self op other, op add or sub; the least vcert is within both caps."""
-        if isinstance(other, int):
-            other = PadicCyc.from_int(self.p, self.N, other)
-        N = self._join(other)
+        other = self._coerce(other)
+        N = min(self.N, other.N)
         mod = self.p ** N
         return PadicCyc._new(self.p, N, tuple([op(a, b) % mod for a, b in zip(
             self.rep.coords, other.rep.coords)]), min(self.vcert, other.vcert))
@@ -167,17 +169,8 @@ class PadicCyc:
         return self._linear(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            # the product with from_int(p, N, other): its val_lb is (p-1) ord_p(b), or N(p-1)
-            # at b = 0, for b = other mod p^N; the bound N(p-1) + val_lb() never beats the cap
-            p, N = self.p, self.N
-            b = other % p ** N
-            gain = (p - 1) * ord_p(p, b) if b else N * (p - 1)
-            return PadicCyc(p, N, CycInt._new(p, tuple(c * b for c in self.rep.coords)),
-                            self.vcert + gain)
-        if isinstance(other, CycInt):
-            other = PadicCyc.embed(other, self.N)
-        N = self._join(other)
+        other = self._coerce(other)
+        N = min(self.N, other.N)
         cap = N * (self.p - 1)
         # val_lb() >= 0: a term whose factor is at the cap never binds
         vc = min([cap] + [a.vcert + b.val_lb() for a, b in ((self, other), (other, self))
@@ -190,7 +183,7 @@ class PadicCyc:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.unit_inverse() ** (-e)
+            raise ValueError("negative powers need an inverse")
         # no product by one and no square past the top bit: both leave the result as it is
         out, base = None, self
         while e:
@@ -202,14 +195,6 @@ class PadicCyc:
 
     def galois(self, c: int) -> "PadicCyc":
         return PadicCyc(self.p, self.N, self.rep.galois(c), self.vcert)
-
-    def unit_inverse(self) -> "PadicCyc":
-        """Inverse of a pi-adic unit, the root of self X - 1; certificate kept."""
-        if not self.is_unit():
-            raise ZeroDivisionError("not a pi-adic unit to working precision")
-        y = _lift_simple_nonzero_root([(-1,) + (0,) * (self.p - 2), self.rep.coords],
-                                      self.p, self.N)
-        return PadicCyc._new(self.p, self.N, y, self.vcert)
 
     def __repr__(self):
         return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.rep.coords})"

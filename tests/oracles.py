@@ -52,6 +52,7 @@ algorithm, so a test can require the two to agree:
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
 tests need; ``agrees_with`` compares two certified p-adic values, and
 ``divide_exact_int`` divides one by an integer for ``sym_inf_local_hsum``.
+Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
@@ -140,7 +141,7 @@ def divide_exact_int(x: PadicCyc, m: int) -> PadicCyc:
     e = ord_p(x.p, m)
     unit = m // x.p ** e
     if unit != 1:
-        x = x * PadicCyc.from_int(x.p, x.N, unit).unit_inverse()
+        x = x * nested_unit_inverse(PadicCyc.from_int(x.p, x.N, unit))
     return divide_exact_p_power(x, e)
 
 
@@ -589,8 +590,7 @@ def _berkowitz_charpoly(M):
 
 def _factor_from_power_sums(power_sums):
     """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
-    return _signed([CycInt.from_int(power_sums[0].p, 1)]
-                   + elementary_from_power_sums(power_sums, len(power_sums)))
+    return _signed(elementary_from_power_sums(power_sums[0].p, power_sums, len(power_sums)))
 
 
 def sym_k_factor_berkowitz(lf: LocalFactor, k: int):
@@ -601,9 +601,6 @@ def sym_k_factor_berkowitz(lf: LocalFactor, k: int):
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
-    p = lf.coeffs[0].p
-    if k == 0:
-        return [CycInt.from_int(p, 1)]
     M = _sym_power_matrix(_companion(list(lf.coeffs)), k)
     return _berkowitz_charpoly(M)
 
@@ -623,12 +620,10 @@ def sym_k_factor(lf: LocalFactor, k: int):
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
-    if k == 0:
-        return [CycInt.from_int(lf.coeffs[0].p, 1)]
     dim = math.comb(lf.n + k, k)
     base = eigen_power_sums(list(lf.coeffs), k * dim)
     sym = [elementary_from_power_sums(
-        [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        lf.coeffs[0].p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
         for m in range(1, dim + 1)]
     return _factor_from_power_sums(sym)
 
@@ -673,14 +668,14 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     N = -(-V // (p - 1)) + 1 + sum(ord_p(p, r) for r in range(1, R + 1))
     pis = slope_split(list(lf.coeffs), a, d, N)
     pi0 = pis[0]
-    inv0 = pi0.unit_inverse()
+    inv0 = nested_unit_inverse(pi0)
     ratios = [pi * inv0 for pi in pis[1:]]
     ptil = []
     for m in range(1, R + 1):
         val, = one_unit_power(pi0, times_int(kappa, m), V)
         for rho in ratios:
             one = PadicCyc.one(p, val.N)
-            val = val * (one - rho ** m).unit_inverse()
+            val = val * nested_unit_inverse(one - rho ** m)
         ptil.append(val)
     out = [PadicCyc.one(p, pi0.N)]
     for r in range(1, R + 1):

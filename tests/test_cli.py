@@ -266,6 +266,28 @@ def test_compare_agree_exit_zero(tmp_path):
     assert _read(out)["verdict"]["status"] == "agree"
 
 
+@pytest.mark.parametrize("argv,values", [
+    ("symk -p 3 -n 1 -k 0 -D 3", [1, 2, 6, 18]), ("symk -p 5 -n 2 -k 0 -D 2", [1, 4, 20])])
+def test_sym_zero_is_the_trivial_sheaf(capsys, argv, values):
+    # 1/(1 - T^d) at every point of G_m: the series (1 - T)/(1 - qT)
+    assert console_main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["value"] for c in report["series"][0]["coefficients"]] == values
+
+
+def test_verify_refuses_sym_zero_and_compare_agrees(tmp_path, capsys):
+    # the Hodge bound that verify checks does not hold for Sym^0; compare has no such bound
+    cache = tmp_path / "c.txt"
+    assert console_main(["verify", "-p", "3", "-n", "1", "-k", "0", "-D", "3",
+                         "--cache", str(cache)]) == 1
+    assert "k >= 1" in capsys.readouterr().err
+    assert not cache.exists()
+    out = tmp_path / "r.json"
+    assert console_main(["compare", "-p", "3", "-n", "1", "-k", "0", "-D", "2",
+                         "--out", str(out)]) == 0
+    assert _read(out)["verdict"]["status"] == "agree"
+
+
 def test_even_characteristic_is_usage_error(tmp_path, capsys):
     code = console_main(["verify", "-p", "2", "-n", "1", "-k", "1", "-D", "1"])
     assert code == 1

@@ -60,7 +60,8 @@ def test_elementary_from_power_sums_matches_hand_formulas():
     # roots 1, 2, 3: p = (6, 14, 36), e = (6, 11, 6)
     p = 7
     p1, p2, p3 = _ints(p, 6, 14, 36)
-    e1, e2, e3 = elementary_from_power_sums([p1, p2, p3], 3)
+    e0, e1, e2, e3 = elementary_from_power_sums(p, [p1, p2, p3], 3)
+    assert e0.as_integer() == 1
     assert e1.as_integer() == 6
     assert e2.as_integer() == (6 * 6 - 14) // 2
     assert e3.as_integer() == (6 ** 3 - 3 * 6 * 14 + 2 * 36) // 6
@@ -81,8 +82,8 @@ def test_power_sums_roundtrip_random_roots():
         ps = eigen_power_sums(cc, 6)
         for m in range(1, 7):
             assert ps[m - 1].as_integer() == sum(r ** m for r in roots)
-        es = elementary_from_power_sums(ps, 4)
-        for i, e in enumerate(es, start=1):
+        es = elementary_from_power_sums(p, ps, 4)
+        for i, e in enumerate(es):
             assert e == (cc[i] if i % 2 == 0 else -cc[i])
 
 
@@ -270,7 +271,9 @@ def test_sym_one_is_identity_and_sym_zero_trivial():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (2,)))
     assert sym_k_factor(lf, 1) == list(lf.coeffs)
-    assert [c.as_integer() for c in sym_k_factor(lf, 0)] == [1]
+    # Sym^0 is the trivial rank-1 sheaf: one eigenvalue, 1
+    for route in (sym_k_factor, sym_k_factor_berkowitz):
+        assert [c.as_integer() for c in route(lf, 0)] == [1, -1]
 
 
 def test_sym_k_against_symmetric_function_algebra():
@@ -329,8 +332,9 @@ def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
 def test_symk_local_edge_cases():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
-    # Sym^0 keeps the inverse of the empty product
-    assert [c.as_integer() for c in symk_local(lf, 0, 3).coeffs] == [1, 0, 0, 0]
+    # Sym^0 is 1 / (1 - T^d)
+    assert [c.as_integer() for c in symk_local(lf, 0, 3).coeffs] == [1, 1, 1, 1]
+    assert [c.as_integer() for c in symk_local(lf, 0, 0).coeffs] == [1]
     assert [c.as_integer() for c in symk_local(lf, 4, 0).coeffs] == [1]
     with pytest.raises(UsageError, match="nonnegative"):
         symk_local(lf, -1, 2)

@@ -147,7 +147,7 @@ def _built_every_way(p, N, seed):
         x, y, u, pi, PadicCyc.zero(p, N), PadicCyc.one(p, N),
         PadicCyc.from_int(p, N, p ** N), PadicCyc.from_int(p, N, -p),
         x + y, x - y, y + 3, y - 5, x * y, y * elem(), x * pi * pi, x * p ** 2, y * 0,
-        u.unit_inverse(), y.galois(2), times_p_power(x, 2),
+        nested_unit_inverse(u), y.galois(2), times_p_power(x, 2),
         divide_exact_p_power(times_p_power(x, 2), 1), y.with_precision(N - 1), u ** 3,
         *one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
     ]
@@ -180,28 +180,30 @@ def test_val_lb_reads_pi_val_once(monkeypatch):
 
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
 def test_int_product_equals_the_product_with_its_embedding(p, N):
+    # an int or CycInt operand of *, + and - is the same operand embedded at the cap
     rng = random.Random(p * N)
     bs = [0, 1, -1, 2, -7, p, -p ** 2 * 3, p ** N, -5 * p ** N, p ** (N + 2),
           3 * p ** (N + 1) + p ** (N - 1), *(rng.randrange(-10 ** 9, 10 ** 9) for _ in range(6))]
+    cs = [C(p, *[0] * (p - 1)), C(p, 1, -1, *[0] * (p - 3)), C(p, *[p ** N] * (p - 1)),
+          *(C(p, *(rng.randrange(-p ** (N + 2), p ** (N + 2)) for _ in range(p - 1)))
+            for _ in range(4))]
     for x in _built_every_way(p, N, p + N):
-        for b in bs:
-            want = x * PadicCyc.from_int(p, x.N, b)
-            for got in (x * b, b * x):
-                assert (got.rep.coords, got.N, got.vcert) == \
-                    (want.rep.coords, want.N, want.vcert), (x, b)
+        for b in bs + cs:
+            e = PadicCyc.embed(b if isinstance(b, CycInt) else CycInt.from_int(p, b), x.N)
+            for want, gots in ((x * e, (x * b, b * x)), (x + e, (x + b, b + x)), (x - e, (x - b,))):
+                for got in gots:
+                    assert (got.rep.coords, got.N, got.vcert) == \
+                        (want.rep.coords, want.N, want.vcert), (x, b)
 
 
-def test_unit_inverse():
-    p, N = 3, 6
-    x = PadicCyc.embed(C(p, 2, 7), N)  # residue 2+7 = 0 mod 3? 9 = 0 -> not unit
-    assert not x.is_unit()
-    with pytest.raises(ZeroDivisionError):
-        x.unit_inverse()
-    u = PadicCyc.embed(C(p, 2, 6), N)  # residue 2
-    w = u.unit_inverse()
-    assert agrees_with(u * w, PadicCyc.one(p, N))
-    # Galois commutes with inversion
-    assert agrees_with(u.galois(2).unit_inverse(), w.galois(2))
+def test_operands_of_another_level_and_negative_powers_are_refused():
+    x = PadicCyc.embed(C(5, 2, 6, 0, 1), 3)
+    for other in (PadicCyc.one(3, 3), C(3, 1, 1), 1.0):
+        for op in (x.__mul__, x.__add__, x.__sub__):
+            with pytest.raises(UsageError, match="mixed p-adic levels"):
+                op(other)
+    with pytest.raises(ValueError, match="negative powers"):
+        x ** -1
 
 
 def test_p_power_shifts():
@@ -385,10 +387,10 @@ def _on_coords(lift):
     (7, 1, 1), (7, 2, 1), (11, 1, 1), (11, 2, 1), (13, 1, 1),
 ])
 def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
-    """Every lift of every local factor, every slope-split round and the
-    unit root's inverse equal the lift that inverts f'(x) by a Newton loop
-    of its own at every step, and the coupled loop with a certified
-    PadicCyc at every step, bit for bit: every production lift is at the cap.
+    """Every lift of every local factor and every slope-split round equal the
+    lift that inverts f'(x) by a Newton loop of its own at every step, and the
+    coupled loop with a certified PadicCyc at every step, bit for bit: every
+    production lift is at the cap.
     The lift returns coordinates and its callers set N and the certificate, so
     the oracles are patched in on coordinates."""
     ev = KloostermanEvaluator(make_field(p, 1))
@@ -398,24 +400,12 @@ def test_coupled_lift_matches_nested_lift(monkeypatch, p, n, D):
             N = -(-V // (p - 1)) + 1
             pis = slope_split(coeffs, 1, pt.degree, N)
             root = hensel_unit_root(coeffs, N)
-            inverse = pis[0].unit_inverse()
-            assert _same(inverse, nested_unit_inverse(pis[0]))
             for lift in (nested_lift_simple_nonzero_root, per_element_lift_simple_nonzero_root):
                 with monkeypatch.context() as m:
                     m.setattr(padic, "_lift_simple_nonzero_root", _on_coords(lift))
                     assert _same(root, hensel_unit_root(coeffs, N))
                     ref_pis = slope_split(coeffs, 1, pt.degree, N)
-                    assert _same(inverse, pis[0].unit_inverse())
                 assert all(_same(x, y) for x, y in zip(pis, ref_pis, strict=True))
-
-
-def test_unit_inverse_matches_nested_inverse_below_the_cap():
-    p, N = 5, 6
-    for coords, vcert in [((2, 6, 0, 1), 3), ((7, 0, 5, 1), 11), ((1, 1, 1, 3), N * (p - 1))]:
-        u = PadicCyc(p, N, C(p, *coords), vcert)
-        w = u.unit_inverse()
-        assert w.vcert == vcert
-        assert _same(w, nested_unit_inverse(u))
 
 
 def _one_unit(p, N, rng, vcert=None):
@@ -682,7 +672,7 @@ def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
     calls = _counting_mul_mod(monkeypatch)
     for _ in range(10):
         c = PadicCyc.embed(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
-        if c.is_unit():
+        if c.residue_int() != 0:
             f = [c.rep.coords, PadicCyc.one(p, N).rep.coords]
             want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
             calls.clear()
