@@ -38,6 +38,7 @@ from .lfun import (
     LocalSeries,
     euler_product,
     local_factor,
+    power_sum_series,
     precision_plan,
     sums_read,
     sym_inf_local,
@@ -145,7 +146,7 @@ def _admit(config: RunConfig):
     base = make_field(config.p, config.a)
     max_degree = reach(config.n, config.D)
     point_field(base, max_degree)
-    # at a point of degree d the Sym^k series takes about (D/d) k^2 products
+    # at a point of degree d the Sym^k power sums take about (D/d) k^2 products
     if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
         raise ResourceError(
             f"Sym^{config.k} series to degree {config.D} needs "
@@ -212,22 +213,19 @@ def galois_orbits(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | No
 
 
 def series(base, orbits, D: int, local, workers: int = 1):
-    """Euler product of the local factors of every point of degree <= D.
-
-    local(lf, R) expands the inverse local factor lf at its point to
-    T-degree R * degree, as a LocalSeries.  It runs once per orbit (see
-    galois_orbits), at the representative; sigma_c commutes with every step
-    of it (ring products, pi-valuations, residues, the slope split and
-    1-unit powers), so a member's series is sigma_c of the representative's,
-    with the same certificate.
-    """
+    """The L-series to T^D from local(lf, D // degree) at each orbit's representative
+    (galois_orbits): sigma_c commutes with every step of local, so a member's value
+    is sigma_c of it.  A p-adic local gives LocalSeries for lfun.euler_product,
+    an exact one power sums (lfun.symk_local) for lfun.power_sum_series."""
     reps = {lf.point: lf for lf, _ in orbits.values()}
     built = dict(zip(reps, _pmap(lambda lf: local(lf, D // lf.point.degree),
                                  reps.values(), workers)))
-    contributions = [built[pt] if pt == lf.point else LocalSeries(
-        pt, [x.galois(c) for x in built[lf.point].coeffs], built[lf.point].cert)
-        for pt, (lf, c) in orbits.items()]
-    return euler_product(base, contributions, D)
+    if built and isinstance(next(iter(built.values())), LocalSeries):
+        return euler_product(base, [built[pt] if pt == lf.point else LocalSeries(
+            pt, [x.galois(c) for x in built[lf.point].coeffs], built[lf.point].cert)
+            for pt, (lf, c) in orbits.items()], D)
+    return power_sum_series(base, [(pt, c, built[lf.point])
+                                   for pt, (lf, c) in orbits.items()], D)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +445,14 @@ def run(config: RunConfig):
 
 def _ring_products(q: int, n: int, D: int, max_degree: int) -> int:
     """An upper bound on the products in Z[zeta_p], each about (p-1)^2 steps, that
-    every mode makes: M(M+1)/2 for the Newton identities from M sums at every
+    either mode makes: M(M+1)/2 for the Newton identities from M sums at every
     point (galois_orbits builds fewer factors, known only once the tables exist)
-    and each point's share of the Euler product, sum over r <= D of r // d."""
+    and, per point, sum over r <= D of r // d for the p-adic Euler product, more
+    than the D // d additions of p-1 coordinates of the exact power-sum route."""
     total = 0
     for d in range(1, D + 1):
         M = sums_read(n, d, max_degree)
-        per_point = M * (M + 1) // 2 + sum(r // d for r in range(D + 1))
-        total += degree_count(q, d) * per_point
+        total += degree_count(q, d) * (M * (M + 1) // 2 + sum(r // d for r in range(D + 1)))
     return total
 
 

@@ -7,9 +7,9 @@ with pi = 1 - zeta, so valuations are tracked in pi-units and ord_p(x)
 equals pi_val(x)/(p-1).  Substituting zeta = 1 - pi rewrites x = sum a_i
 zeta^i as sum_j (-1)^j b_j pi^j with b_j = sum_i C(i, j) a_i, j <= p-2;
 the terms have valuations (p-1) ord_p(b_j) + j, distinct mod p-1, so
-pi_val(x) is the least of them.  Coordinates are unbounded Python integers;
-coefficient growth in characteristic polynomials of symmetric powers is
-unbounded, so nothing here may overflow.
+pi_val(x) is the least of them.  Coordinates are unbounded Python integers,
+so nothing here may overflow.  Every product in Z[zeta_p], exact or mod p^N
+(``CycInt``, ``lfun``'s Newton identities, ``padic``), is ``mul_coords``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,30 @@ def check_odd_prime(p: int) -> None:
     """Reject p = 2 and composites; the verified statements assume p odd."""
     if not is_prime(p) or p == 2:
         raise UsageError(f"level must be an odd prime, got {p}")
+
+
+def mul_coords(a: tuple, b: tuple, mod: int | None = None) -> tuple:
+    """Coordinates of a * b, reduced into [0, mod) when mod is given: the products
+    gather by the power of zeta mod p, then zeta^(p-1) folds into the rest."""
+    p = len(a) + 1
+    bucket = [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            bucket[j % p] += x * y
+    top = bucket.pop()
+    if mod is None:
+        return tuple([c - top for c in bucket])
+    return tuple([(c - top) % mod for c in bucket])
+
+
+def galois_coords(a: tuple, c: int) -> tuple:
+    """Coordinates of sigma_c(a), zeta -> zeta^c, for c a unit mod p."""
+    p = len(a) + 1
+    bucket = [0] * p
+    for i, x in enumerate(a):
+        bucket[i * c % p] += x
+    top = bucket.pop()
+    return tuple([x - top for x in bucket])
 
 
 @functools.cache
@@ -93,13 +117,8 @@ class CycInt:
         bucket = [0] * p
         for e, c in pairs:
             bucket[e % p] += int(c)
-        return cls._fold(p, bucket)
-
-    @classmethod
-    def _fold(cls, p: int, bucket) -> "CycInt":
-        """Reduce sum bucket[e] * zeta^e, e < p, through the level relation."""
-        top = bucket[p - 1]
-        return cls._new(p, tuple(bucket[i] - top for i in range(p - 1)))
+        top = bucket.pop()
+        return cls._new(p, tuple([c - top for c in bucket]))
 
     def _check_level(self, other: "CycInt") -> None:
         if self.p != other.p:
@@ -126,14 +145,7 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check_level(other)
-        p = self.p
-        bucket = [0] * p
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        bucket[(i + j) % p] += a * b
-        return CycInt._fold(p, bucket)
+        return CycInt._new(self.p, mul_coords(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -157,9 +169,7 @@ class CycInt:
         """Apply the substitution zeta -> zeta^c, c not divisible by p."""
         if c % self.p == 0:
             raise ValueError("substitution exponent must be a unit mod p")
-        return CycInt.from_powers(
-            self.p, ((i * c, a) for i, a in enumerate(self.coords))
-        )
+        return CycInt._new(self.p, galois_coords(self.coords, c))
 
     def pi_val(self):
         """Least (p-1) ord_p(b_j) + j (module docstring); None for x = 0."""
@@ -177,14 +187,6 @@ class CycInt:
                     b, v = b // p, v + p - 1
                 best = min(best, v)
         return best
-
-    def divide_exact_int(self, m: int) -> "CycInt":
-        """Divide by a nonzero rational integer, requiring exactness."""
-        if m == 0:
-            raise ZeroDivisionError("division by zero")
-        if any(c % m for c in self.coords):
-            raise ValueError(f"{self!r} is not divisible by {m}")
-        return CycInt._new(self.p, tuple(c // m for c in self.coords))
 
     def as_integer(self) -> int:
         """Coerce to a rational integer; error on nonzero zeta-components."""

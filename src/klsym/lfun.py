@@ -4,20 +4,19 @@ The local factor at a closed point t of degree d over F_q is the degree
 n+1 polynomial P(T) = prod_j (1 - pi_j T) whose eigenvalue power sums are
 p_m = (-1)^n Kl_n(t, m).  Coefficients are recovered by the Newton
 identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
-each step, so no p-adic inversions touch the exact layer.  The functional
-equation of the pure weight-n sheaf gives the upper half of the
-coefficients from the lower half, checked against the sums wherever
-they are read; where the top sums would need too large a field, only
-m <= ceil((n+1)/2) is read.  Symmetric powers go through power sums as
-well: the m-th power sum of Sym^k is h_k(pi^m), built from the base
-power sums p_(i m) by the h-p Newton relation, and the same recurrence
-turns the first R of them into the series coefficients to T^(R d),
-without the whole Sym^k polynomial.  The infinite symmetric power series
-takes the eigenvalues from a p-adic slope split; one call gives every
-1-unit power of the unit one, and each power of another is one product
-from the last.  Euler products multiply inverse local factors over all
-closed points to a degree cap and verify Galois descent of every global
-coefficient.
+each step on coordinate tuples (the ``cyclo`` kernel), so no p-adic
+inversions touch the exact layer.  The functional equation of the pure
+weight-n sheaf gives the upper half of the coefficients from the lower
+half, checked against the sums wherever they are read; where the top
+sums would need too large a field, only m <= ceil((n+1)/2) is read, and
+the Weil bound checks the middle one.  The m-th power sum of Sym^k is
+h_k(pi^m), from the base power sums p_(i m) by the h-p Newton relation,
+and the exact series is one recurrence over their sums at all points.
+The infinite symmetric power series takes the eigenvalues from a p-adic
+slope split; one call gives every 1-unit power of the unit one, and each
+power of another is one product from the last.  Its Euler product
+multiplies inverse local factors over all closed points to a degree cap
+and verifies Galois descent of every global coefficient.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .cyclo import CycInt
+from .cyclo import CycInt, galois_coords, mul_coords
 from .errors import (
     FunctionalEquationFindingError,
     IntegralityFindingError,
@@ -41,38 +40,34 @@ from .padic import PadicCyc, PadicExponent, hensel_unit_root, one_unit_power, sl
 
 
 # ---------------------------------------------------------------------------
-# Newton identities
+# Newton identities on coordinate tuples over Z[zeta_p]
 
 
 def elementary_from_power_sums(p, power_sums, count):
-    """e_0 = 1, e_1..e_count in Z[zeta_p] from p_1..p_count:
-    m e_m = sum_i (-1)^(i-1) e_(m-i) p_i.
-
-    Each division by m is checked exact; a power-sum sequence that no
-    polynomial over Z[zeta_p] has raises ValueError.
-    """
-    es = [CycInt.from_int(p, 1)]
+    """e_0 = 1, e_1..e_count from p_1..p_count: m e_m = sum_i (-1)^(i-1) e_(m-i) p_i,
+    each division checked exact; power sums that no polynomial over Z[zeta_p] has
+    raise ValueError."""
+    es = [(1,) + (0,) * (p - 2)]
     for m in range(1, count + 1):
-        acc = CycInt.zero(p)
+        acc = [0] * (p - 1)
         for i in range(1, m + 1):
-            term = es[m - i] * power_sums[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        es.append(acc.divide_exact_int(m))
+            acc = list(map(operator.add if i % 2 else operator.sub, acc,
+                           mul_coords(es[m - i], power_sums[i - 1])))
+        if any(c % m for c in acc):
+            raise ValueError(f"CycInt({p}, {tuple(acc)}) is not divisible by {m}")
+        es.append(tuple([c // m for c in acc]))
     return es
 
 
 def eigen_power_sums(coeffs, count):
     """p_1..p_count of the reciprocal roots of sum a_i T^i (a_0 = 1)."""
-    p = coeffs[0].p
     deg = len(coeffs) - 1
     ps = []
     for m in range(1, count + 1):
-        acc = CycInt.zero(p)
+        acc = [m * c for c in coeffs[m]] if m <= deg else [0] * len(coeffs[0])
         for i in range(1, min(m - 1, deg) + 1):
-            acc = acc + coeffs[i] * ps[m - i - 1]
-        if m <= deg:
-            acc = acc + coeffs[m] * m
-        ps.append(-acc)
+            acc = list(map(operator.add, acc, mul_coords(coeffs[i], ps[m - i - 1])))
+        ps.append(tuple([-c for c in acc]))
     return ps
 
 
@@ -91,8 +86,8 @@ class LocalFactor:
 
 
 def _signed(es):
-    """sum (-1)^m e_m T^m from e_0 = 1, e_1, ..."""
-    return [-e if m % 2 else e for m, e in enumerate(es)]
+    """The coordinates of (-1)^m e_m, m = 0, 1, ..."""
+    return [tuple([-c for c in e]) if m % 2 else e for m, e in enumerate(es)]
 
 
 def _both_ways(n, point, power_sums):
@@ -107,7 +102,7 @@ def _both_ways(n, point, power_sums):
         raise FunctionalEquationFindingError(
             f"power sums at {point.rep} give non-integral coefficients: {exc}",
             witness={"point": point.rep}) from None
-    top = [es[n + 1 - j].galois(-1) * q_t ** (n * j - n * (n + 1) // 2)
+    top = [tuple([c * q_t ** (n * j - n * (n + 1) // 2) for c in galois_coords(es[n + 1 - j], -1)])
            for j in range(h, n + 2)]
     bad = next((j for j in range(h, len(es)) if es[j] != top[j - h]), None)
     return es[:h] + top, bad
@@ -134,13 +129,17 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
     covers the leading coefficient and its sign.  A mismatch that the sums
     without the (-1)^n normalisation would not have is a
     SignConventionFindingError, any other a functional equation finding.
+    At M < n+1, where odd n checks only e_h = sigma_(-1)(e_h), e_h (C(n+1, h)
+    products of h eigenvalues of absolute value q_t^(n/2)) must meet the Weil
+    bound, exactly: 0 <= Tr(e_h sigma_(-1)(e_h)) <= (p-1) C(n+1, h)^2 q_t^(n h),
+    where Tr(x sigma_(-1)(x)) = p sum x_i^2 - (sum x_i)^2, as Tr(zeta^j) = -1, j != 0.
     """
     if n < 1:
         raise UsageError("need n >= 1")
     M = sums_read(n, point.degree, max_degree)
-    sums = [ev.kloosterman(n, point, m) for m in range(1, M + 1)]
+    sums = [ev.kloosterman(n, point, m).coords for m in range(1, M + 1)]
     sgn = -1 if n % 2 else 1
-    es, bad = _both_ways(n, point, [s * sgn for s in sums])
+    es, bad = _both_ways(n, point, [tuple([sgn * c for c in s]) for s in sums])
     if bad is not None:
         if sgn == -1 and _both_ways(n, point, sums)[1] is None:
             raise SignConventionFindingError(
@@ -150,7 +149,15 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
         raise FunctionalEquationFindingError(
             f"e_{bad} at {point.rep} differs from its image under the "
             f"functional equation", witness={"point": point.rep, "index": bad})
-    return LocalFactor(point, n, tuple(_signed(es)), "full" if M == n + 1 else "half")
+    p, h = point.base.p, (n + 2) // 2
+    trace = p * sum(c * c for c in es[h]) - sum(es[h]) ** 2
+    bound = (p - 1) * math.comb(n + 1, h) ** 2 * point.base.size ** (point.degree * n * h)
+    if M < n + 1 and not 0 <= trace <= bound:
+        raise FunctionalEquationFindingError(
+            f"e_{h} at {point.rep} breaks the Weil bound: Tr(e_{h} conj(e_{h})) = "
+            f"{trace}, not in [0, {bound}]", witness={"point": point.rep, "index": h})
+    return LocalFactor(point, n, tuple(CycInt._new(p, c) for c in _signed(es)),
+                       "full" if M == n + 1 else "half")
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +173,18 @@ class LocalSeries:
     cert: int | None = None  # uniform pi-adic certificate; None when exact
 
 
-def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
-    """Series of 1 / prod over |alpha| = k of (1 - pi^alpha T^d), to r = R.
-
-    j h_j = sum_i p_i h_(j-i) (Macdonald I.2), as e_j of the sums
-    (-1)^(i-1) p_i, gives the power sums h_k(pi^m) of the eigenvalues
-    pi^alpha from the base p_(i m), then their h_r, the coefficients: k R
-    base power sums and R k^2 products, whatever binom(n+k, k) is.  Each
-    division is checked exact.  Both recurrences start from h_0 = e_0 = 1, so
-    Sym^0, the trivial sheaf, has the power sums 1 and the series 1/(1 - T^d).
+def symk_local(lf: LocalFactor, k: int, R: int) -> list:
+    """Coordinates of the power sums h_k(pi^m), m = 1..R, of the Sym^k eigenvalues
+    pi^alpha, |alpha| = k, at one point: j h_j = sum_i p_i h_(j-i) (Macdonald I.2),
+    as e_j of the sums (-1)^(i-1) p_i, gives each from the base p_(i m), whatever
+    binom(n+k, k) is, each division checked exact.  Sym^0's are h_0 = e_0 = 1.
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
-    p = lf.coeffs[0].p
-    base = eigen_power_sums(list(lf.coeffs), k * R)
-    sym = [elementary_from_power_sums(
-        p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+    base = eigen_power_sums([c.coords for c in lf.coeffs], k * R)
+    return [elementary_from_power_sums(
+        lf.coeffs[0].p, _signed([base[i * m - 1] for i in range(1, k + 1)]), k)[-1]
         for m in range(1, R + 1)]
-    return LocalSeries(lf.point, elementary_from_power_sums(
-        p, [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R))
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +254,9 @@ class GlobalSeries:
     cert: int | None
 
 
-def euler_product(base, contributions, D: int) -> GlobalSeries:
-    """Multiply inverse local factors over all closed points of degree <= D.
-
-    Contributions are merged in canonical point order, so the result does
-    not depend on the order the caller produced them in.  Their points are
-    distinct, ff.degree_count (Moebius) of each degree <= D and none above.
-    Each series starts with exactly 1, so only its terms j >= 1 multiply.
-    In exact mode every global coefficient must be a rational integer; in
-    p-adic mode it must be Galois-invariant to the uniform certificate.
-    Violations raise IntegralityFindingError naming the first bad coefficient.
-    """
-    contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
-    keys = [(ls.point.degree, ls.point.rep) for ls in contributions]
+def check_coverage(base, points, D: int) -> None:
+    """UsageError unless the points are distinct, degree_count(q, d) at each d <= D, none above."""
+    keys = [(pt.degree, pt.rep) for pt in points]
     if len(set(keys)) < len(keys):
         raise UsageError("duplicate closed points in Euler product")
     counts = Counter(d for d, _ in keys)
@@ -275,39 +265,69 @@ def euler_product(base, contributions, D: int) -> GlobalSeries:
         if got != want:
             raise UsageError(f"Euler product coverage mismatch at degree {d}: "
                              f"{got} closed points, not {want}")
+
+
+def power_sum_series(base, members, D: int) -> GlobalSeries:
+    """The exact L-series to T^D from (point, c, P_1..P_R at the point it is sigma_c
+    of) at every closed point of degree <= D: L(T) = exp(sum S_r T^r / r), S_r the
+    sum over d m = r of d T(d, m), where T(d, m), the sum of P_m over the points of
+    degree d, is Galois-invariant, so a rational integer; then r c_r = sum over
+    i <= r of S_i c_(r-i).  Either check failing is an IntegralityFindingError at r.
+    """
+    check_coverage(base, [pt for pt, _, _ in members], D)
+    p, traces = base.p, {}
+    for pt, c, sums in members:  # sigma_c(P_m) into a bucket by the power of zeta
+        for m, x in enumerate(sums, start=1):
+            bucket = traces.setdefault((pt.degree * m, pt.degree), [0] * p)
+            for i, v in enumerate(x):
+                bucket[i * c % p] += v
+    S = [0] * (D + 1)
+    for (r, d), (*low, top) in sorted(traces.items()):
+        if low[1:] != [top] * (p - 2):
+            raise IntegralityFindingError(
+                f"the sum of the trace of T^{r} over the points of degree {d} is not "
+                f"a rational integer", witness={"r": r, "degree": d})
+        S[r] += d * (low[0] - top)
+    coeffs = [1]
+    for r in range(1, D + 1):
+        rc = sum(S[i] * coeffs[r - i] for i in range(1, r + 1))
+        if rc % r:
+            raise IntegralityFindingError(
+                f"coefficient of T^{r} is not an integer: {rc}/{r}", witness={"r": r})
+        coeffs.append(rc // r)
+    return GlobalSeries([CycInt.from_int(p, c) for c in coeffs], None)
+
+
+def euler_product(base, contributions, D: int) -> GlobalSeries:
+    """Multiply p-adic inverse local factors over all closed points of degree <= D.
+
+    Contributions are merged in canonical point order, so the result does
+    not depend on the order the caller produced them in.  Each series starts
+    with exactly 1, so only its terms j >= 1 multiply.  Every coefficient
+    must be Galois-invariant to the uniform certificate, or
+    IntegralityFindingError names the first that is not.
+    """
+    contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
+    check_coverage(base, [ls.point for ls in contributions], D)
     p = base.p
-    exact = all(ls.cert is None for ls in contributions)
-    if not exact and any(ls.cert is None for ls in contributions):
-        raise UsageError("cannot mix exact and p-adic local series")
-    one = CycInt.from_int(p, 1)
+    if any(ls.cert is None for ls in contributions):
+        raise UsageError("exact local series take power_sum_series, not euler_product")
     for ls in contributions:
         if len(ls.coeffs) < D // ls.point.degree + 1:
             raise UsageError(f"local series at {ls.point.rep} too short for degree {D}")
         c = ls.coeffs[0]
-        if (c != one) if exact else (c.rep, c.vcert) != (one, c.N * (p - 1)):
+        if (c.rep.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
             raise UsageError(f"local series at {ls.point.rep} does not start with 1")
-    if exact:
-        acc = [one] + [CycInt.zero(p)] * D
-    else:
-        N = min(c.N for ls in contributions for c in ls.coeffs)
-        acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
+    N = min(c.N for ls in contributions for c in ls.coeffs)
+    acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
     for ls in contributions:
         # times the local series in T^d; going down in r, acc[r - j d] still
         # holds its value from before this point
         d = ls.point.degree
-        local = [c if exact else c.with_precision(N) for c in ls.coeffs[: D // d + 1]]
+        local = [c.with_precision(N) for c in ls.coeffs[: D // d + 1]]
         for r in range(D, d - 1, -1):
             for j in range(1, r // d + 1):
                 acc[r] = acc[r] + acc[r - j * d] * local[j]
-    if exact:
-        for r, c in enumerate(acc):
-            try:
-                c.as_integer()
-            except ValueError:
-                raise IntegralityFindingError(
-                    f"coefficient of T^{r} is not a rational integer: {c!r}",
-                    witness={"r": r}) from None
-        return GlobalSeries(acc, None)
     cert = min(ls.cert for ls in contributions)
     cert = min([cert] + [c.vcert for c in acc])
     for r, c in enumerate(acc):

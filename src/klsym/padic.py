@@ -11,8 +11,9 @@ vcert plus the other's valuation.
 
 Below ``PadicCyc`` lies one layer of bare coordinate tuples mod p^N, a ring
 map, where a certificate fixed in advance is set once, for the result
-(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``_mul_mod``
-multiplies, folds zeta^(p-1) and reduces in one pass; ``_horner`` evaluates
+(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``_mul_mod``, the
+``cyclo`` product kernel with a modulus, multiplies, folds zeta^(p-1) and
+reduces in one pass; ``_horner`` evaluates
 f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
 root x of f with y ~ 1/f'(x), x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
 until f(x) = 0 mod p^N, for the unit root and each slope-split round;
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .cyclo import CycInt, ord_p
+from .cyclo import CycInt, mul_coords as _mul_mod, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
 
 
@@ -67,18 +68,6 @@ class PadicExponent:
 
 # ---------------------------------------------------------------------------
 # truncated elements
-
-
-def _mul_mod(a: tuple, b: tuple, mod: int) -> tuple:
-    """Coordinates of a * b reduced into [0, mod), from any integer coordinates a, b:
-    the products gather by the power of zeta mod p, then zeta^(p-1) folds into the rest."""
-    p = len(a) + 1
-    bucket = [0] * p
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            bucket[j % p] += x * y
-    top = bucket.pop()
-    return tuple([(c - top) % mod for c in bucket])
 
 
 class PadicCyc:

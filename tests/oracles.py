@@ -9,13 +9,21 @@ algorithm, so a test can require the two to agree:
 * ``sym_k_factor`` and ``inverse_factor_series``: the same factor from
   k dim base power sums by the Newton identities, and its inverse as a
   power series by long division, against ``lfun.symk_local``, which never
-  forms the degree-dim polynomial;
+  forms the degree-dim polynomial, and its per-point series;
+* ``elementary_from_power_sums_cyc`` and ``eigen_power_sums_cyc``: the
+  Newton identities with a ``CycInt`` at every ring operation, against
+  the loops of ``lfun`` on coordinate tuples, message of the ValueError
+  included;
 * ``_factor_from_power_sums``: a local factor from all n+1 signed sums
   by the Newton identities alone, against ``lfun.local_factor``, which
   takes the upper half from the functional equation;
 * ``series_per_point``: the Euler product with a local series built
   at every closed point, against ``cli.series``, which builds one per
-  Galois orbit and conjugates it to the other members;
+  Galois orbit and conjugates it to the other members; for Sym^k, each
+  point's own series (``symk_local``: the power sums of ``lfun.symk_local``,
+  then their h_r) multiplied in place by ``exact_euler_product``, against
+  the one recurrence of ``lfun.power_sum_series`` over the sums of the
+  power sums at all points;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``sym_inf_local_per_size``: the same product over weights with one
@@ -23,7 +31,8 @@ algorithm, so a test can require the two to agree:
   against ``lfun.sym_inf_local``, which takes each size one Pascal step
   from the last and each power one product from the last;
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
-  extension fields, bypassing local factors altogether;
+  extension fields, S_r summed over every t of F_(q^r)^*, bypassing closed
+  points, orbits and local factors altogether;
 * ``kloosterman_table``: Kl_n at every element of one field by the
   convolution recursion, against the direct enumeration in ``expsum``;
 * ``mult_tables_reference``: the discrete-log and trace tables of
@@ -53,11 +62,12 @@ algorithm, so a test can require the two to agree:
 tests need; ``agrees_with`` compares two certified p-adic values, and
 ``divide_exact_int`` divides one by an integer for ``sym_inf_local_hsum``.
 Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
+``divide_exact_cyc`` is the exact division by an integer in Z[zeta_p] of
+the ``CycInt`` loops, which production no longer makes.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
-they check.  ``sym_k_factor`` is the exception: it shares the Newton
-helpers of ``lfun`` and checks the truncation to R power sums, not them.
+they check.
 """
 
 import itertools
@@ -77,13 +87,13 @@ from klsym.errors import (
 )
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
 from klsym.ff import Field, _mult_data, embed, make_field
+from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
+    GlobalSeries,
     LocalFactor,
     LocalSeries,
     _inverse_series,
-    _signed,
-    eigen_power_sums,
-    elementary_from_power_sums,
+    check_coverage,
     euler_product,
     sym_inf_weights,
 )
@@ -134,6 +144,15 @@ def agrees_with(x: PadicCyc, y: PadicCyc, vmin: int | None = None) -> bool:
     target = d.vcert if vmin is None else min(vmin, d.vcert)
     v = d.rep.pi_val()
     return v is None or v >= target
+
+
+def divide_exact_cyc(x: CycInt, m: int) -> CycInt:
+    """x / m for a nonzero rational integer m, requiring exactness."""
+    if m == 0:
+        raise ZeroDivisionError("division by zero")
+    if any(c % m for c in x.coords):
+        raise ValueError(f"{x!r} is not divisible by {m}")
+    return CycInt._new(x.p, tuple(c // m for c in x.coords))
 
 
 def divide_exact_int(x: PadicCyc, m: int) -> PadicCyc:
@@ -588,9 +607,38 @@ def _berkowitz_charpoly(M):
     return V
 
 
+def elementary_from_power_sums_cyc(p, power_sums, count):
+    """e_0 = 1, e_1..e_count from p_1..p_count as CycInt, one ring operation at a
+    time: the loop ``lfun.elementary_from_power_sums`` runs on coordinate tuples."""
+    es = [CycInt.from_int(p, 1)]
+    for m in range(1, count + 1):
+        acc = CycInt.zero(p)
+        for i in range(1, m + 1):
+            term = es[m - i] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        es.append(divide_exact_cyc(acc, m))
+    return es
+
+
+def eigen_power_sums_cyc(coeffs, count):
+    """p_1..p_count of the reciprocal roots of sum a_i T^i (a_0 = 1), as CycInt."""
+    p = coeffs[0].p
+    deg = len(coeffs) - 1
+    ps = []
+    for m in range(1, count + 1):
+        acc = CycInt.zero(p)
+        for i in range(1, min(m - 1, deg) + 1):
+            acc = acc + coeffs[i] * ps[m - i - 1]
+        if m <= deg:
+            acc = acc + coeffs[m] * m
+        ps.append(-acc)
+    return ps
+
+
 def _factor_from_power_sums(power_sums):
     """prod (1 - pi_j T) = sum (-1)^m e_m T^m from the p_m of the pi_j."""
-    return _signed(elementary_from_power_sums(power_sums[0].p, power_sums, len(power_sums)))
+    es = elementary_from_power_sums_cyc(power_sums[0].p, power_sums, len(power_sums))
+    return [-e if m % 2 else e for m, e in enumerate(es)]
 
 
 def sym_k_factor_berkowitz(lf: LocalFactor, k: int):
@@ -621,8 +669,8 @@ def sym_k_factor(lf: LocalFactor, k: int):
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
     dim = math.comb(lf.n + k, k)
-    base = eigen_power_sums(list(lf.coeffs), k * dim)
-    sym = [elementary_from_power_sums(
+    base = eigen_power_sums_cyc(list(lf.coeffs), k * dim)
+    sym = [elementary_from_power_sums_cyc(
         lf.coeffs[0].p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
         for m in range(1, dim + 1)]
     return _factor_from_power_sums(sym)
@@ -645,10 +693,58 @@ def inverse_factor_series(coeffs, R):
 # Euler products point by point
 
 
+def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
+    """Series of 1 / prod over |alpha| = k of (1 - pi^alpha T^d), to r = R, at
+    one point: the power sums h_k(pi^m) of ``lfun.symk_local``, then their
+    h_r by the same Newton recurrence, on CycInt."""
+    if k < 0:
+        raise UsageError("symmetric power must be nonnegative")
+    p = lf.coeffs[0].p
+    base = eigen_power_sums_cyc(list(lf.coeffs), k * R)
+    sym = [elementary_from_power_sums_cyc(
+        p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
+        for m in range(1, R + 1)]
+    return LocalSeries(lf.point, elementary_from_power_sums_cyc(
+        p, [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R))
+
+
+def exact_euler_product(base, contributions, D: int) -> GlobalSeries:
+    """The product of exact local series over every closed point of degree <= D,
+    in place, with only the terms j >= 1 of each series multiplying; every
+    coefficient must be a rational integer."""
+    contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
+    check_coverage(base, [ls.point for ls in contributions], D)
+    p = base.p
+    one = CycInt.from_int(p, 1)
+    for ls in contributions:
+        if len(ls.coeffs) < D // ls.point.degree + 1:
+            raise UsageError(f"local series at {ls.point.rep} too short for degree {D}")
+        if ls.coeffs[0] != one:
+            raise UsageError(f"local series at {ls.point.rep} does not start with 1")
+    acc = [one] + [CycInt.zero(p)] * D
+    for ls in contributions:
+        # going down in r, acc[r - j d] still holds its value from before this point
+        d = ls.point.degree
+        for r in range(D, d - 1, -1):
+            for j in range(1, r // d + 1):
+                acc[r] = acc[r] + acc[r - j * d] * ls.coeffs[j]
+    for r, c in enumerate(acc):
+        try:
+            c.as_integer()
+        except ValueError:
+            raise IntegralityFindingError(
+                f"coefficient of T^{r} is not a rational integer: {c!r}",
+                witness={"r": r}) from None
+    return GlobalSeries(acc, None)
+
+
 def series_per_point(base, factors, D: int, local):
     """The Euler product of local(lf, R) at every point of the factors, with
-    no use of the Galois orbits."""
-    return euler_product(base, [local(lf, D // lf.point.degree) for lf in factors], D)
+    no use of the Galois orbits: ``exact_euler_product`` for exact series,
+    ``lfun.euler_product`` for p-adic ones."""
+    contributions = [local(lf, D // lf.point.degree) for lf in factors]
+    exact = all(ls.cert is None for ls in contributions)
+    return (exact_euler_product if exact else euler_product)(base, contributions, D)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +873,7 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
                     acc = CycInt.zero(p)
                     for i in range(1, j + 1):
                         acc = acc + ps[i - 1] * hs[j - i]
-                    hs.append(acc.divide_exact_int(j))
+                    hs.append(divide_exact_cyc(acc, j))
                 total = total + hs[k]
         S.append(total)
     out = [CycInt.from_int(p, 1)]
@@ -785,5 +881,5 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
         acc = CycInt.zero(p)
         for m in range(1, r + 1):
             acc = acc + S[m - 1] * out[r - m]
-        out.append(acc.divide_exact_int(r))
+        out.append(divide_exact_cyc(acc, r))
     return out

@@ -33,6 +33,7 @@ from klsym.lfun import local_factor, sums_read, sym_inf_local, symk_local, \
     unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
+import oracles
 from oracles import series_per_point
 
 
@@ -227,6 +228,25 @@ def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
         f"orbit representative {rep.rep}\n")
 
 
+def test_a_non_real_trace_sum_is_a_finding(capsys, monkeypatch):
+    # P_2 + zeta at every degree-2 point: at p = 3, n = 1 each orbit is one point, so
+    # T(2, 2) moves by 3 zeta, and the run names r = 2 * 2
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    real = cli.symk_local
+
+    def bumped(lf, k, R):
+        sums = real(lf, k, R)
+        if lf.point.degree == 2:
+            sums[1] = (sums[1][0], sums[1][1] + 1)
+        return sums
+
+    monkeypatch.setattr(cli, "symk_local", bumped)
+    assert console_main("symk -p 3 -n 1 -k 2 -D 4".split()) == 2
+    assert capsys.readouterr().err == (
+        "finding: the sum of the trace of T^4 over the points of degree 2 is not a "
+        "rational integer\n")
+
+
 def test_local_reaches_every_factor_a_run_builds(capsys, monkeypatch):
     # Kl_3(t, 4) at this degree-2 point is a sum over (F_3^8)^3, over the budget;
     # a run with -D 2 reads Kl(t, 1..2) there, and so does local -d 2
@@ -415,11 +435,13 @@ def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
     # the twists t -> c^(n+1) t move some degree-1 point unless every c^(n+1) = 1
     assert (len(reps) < len(factors)) == ((n + 1) % (p - 1) != 0)
     kappa, V = PadicExponent.truncated(p, (2, 1)), 3 * (p - 1)
-    for local in (lambda lf, R: symk_local(lf, 2, R),
-                  lambda lf, R: sym_inf_local(lf, kappa, V, R),
-                  lambda lf, R: unit_root_local(lf, kappa, V, R)):
+    # the exact series from the power sums against the per-point Euler product
+    for local, per_point in (
+            (lambda lf, R: symk_local(lf, 2, R), lambda lf, R: oracles.symk_local(lf, 2, R)),
+            (lambda lf, R: sym_inf_local(lf, kappa, V, R),) * 2,
+            (lambda lf, R: unit_root_local(lf, kappa, V, R),) * 2):
         assert (_series_key(cli.series(base, orbits, D, local))
-                == _series_key(series_per_point(base, factors, D, local)))
+                == _series_key(series_per_point(base, factors, D, per_point)))
 
 
 def test_warm_cache_rerun_is_byte_identical(tmp_path):

@@ -1,8 +1,11 @@
 """Local factors, symmetric powers, Euler products: frozen values and
 independent-route cross checks."""
 
+import math
+
 import pytest
 
+from klsym import cli
 from klsym.cli import _ring_products, reach
 from klsym.cyclo import CycInt
 from klsym.errors import (
@@ -26,10 +29,15 @@ from klsym.lfun import (
     unit_root_local,
 )
 from klsym.padic import PadicCyc, PadicExponent
+import oracles
 from oracles import (
     _factor_from_power_sums,
+    eigen_power_sums_cyc,
+    elementary_from_power_sums_cyc,
+    exact_euler_product,
     from_rational,
     inverse_factor_series,
+    series_per_point,
     sym_inf_local_hsum,
     sym_k_factor,
     sym_k_factor_berkowitz,
@@ -52,6 +60,10 @@ def _ints(p, *vals):
     return [CycInt.from_int(p, v) for v in vals]
 
 
+def _coords(p, *vals):
+    return [c.coords for c in _ints(p, *vals)]
+
+
 # ---------------------------------------------------------------------------
 # Newton identities
 
@@ -59,12 +71,11 @@ def _ints(p, *vals):
 def test_elementary_from_power_sums_matches_hand_formulas():
     # roots 1, 2, 3: p = (6, 14, 36), e = (6, 11, 6)
     p = 7
-    p1, p2, p3 = _ints(p, 6, 14, 36)
-    e0, e1, e2, e3 = elementary_from_power_sums(p, [p1, p2, p3], 3)
-    assert e0.as_integer() == 1
-    assert e1.as_integer() == 6
-    assert e2.as_integer() == (6 * 6 - 14) // 2
-    assert e3.as_integer() == (6 ** 3 - 3 * 6 * 14 + 2 * 36) // 6
+    e0, e1, e2, e3 = elementary_from_power_sums(p, _coords(p, 6, 14, 36), 3)
+    assert e0 == (1, 0, 0, 0, 0, 0)
+    assert e1 == (6, 0, 0, 0, 0, 0)
+    assert e2 == ((6 * 6 - 14) // 2, 0, 0, 0, 0, 0)
+    assert e3 == ((6 ** 3 - 3 * 6 * 14 + 2 * 36) // 6, 0, 0, 0, 0, 0)
 
 
 def test_power_sums_roundtrip_random_roots():
@@ -78,19 +89,19 @@ def test_power_sums_roundtrip_random_roots():
         coeffs = [1, 0, 0, 0, 0]
         for r in roots:
             coeffs = [coeffs[i] - (r * coeffs[i - 1] if i else 0) for i in range(5)]
-        cc = _ints(p, *coeffs)
+        cc = _coords(p, *coeffs)
         ps = eigen_power_sums(cc, 6)
         for m in range(1, 7):
-            assert ps[m - 1].as_integer() == sum(r ** m for r in roots)
+            assert ps[m - 1] == (sum(r ** m for r in roots), 0, 0, 0)
         es = elementary_from_power_sums(p, ps, 4)
         for i, e in enumerate(es):
-            assert e == (cc[i] if i % 2 == 0 else -cc[i])
+            assert e == (cc[i] if i % 2 == 0 else tuple(-c for c in cc[i]))
 
 
 def test_frozen_power_sums_of_first_factor():
-    ps = eigen_power_sums(_ints(3, 1, -1, 3), 2)
-    assert ps[0].as_integer() == 1
-    assert ps[1].as_integer() == -5
+    ps = eigen_power_sums(_coords(3, 1, -1, 3), 2)
+    assert ps[0] == (1, 0)
+    assert ps[1] == (-5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +143,10 @@ def test_local_factor_extends_to_higher_power_sums():
         for n in (1, 2):
             pt = _pt(base, rep)
             lf = local_factor(ev, n, pt)
-            ps = eigen_power_sums(list(lf.coeffs), n + 3)
+            ps = eigen_power_sums([c.coords for c in lf.coeffs], n + 3)
             sgn = -1 if n % 2 else 1
             for m in range(n + 2, n + 4):
-                assert ps[m - 1] == ev.kloosterman(n, pt, m) * sgn
+                assert ps[m - 1] == (ev.kloosterman(n, pt, m) * sgn).coords
 
 
 def test_sign_convention_finding_surfaces():
@@ -320,24 +331,30 @@ def test_sym_k_matches_berkowitz_oracle(p, a, n, k, D):
     (3, 1, 2, 0, 2), (3, 1, 2, 1, 2), (3, 1, 2, 2, 2), (3, 1, 2, 6, 2),
     (3, 1, 3, 3, 1), (3, 2, 1, 3, 2), (3, 1, 1, 20, 2)])
 def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
+    # the power sums of the whole Sym^k factor, and the per-point series from them
     ev = _ev(p, a)
     for pt in points_up_to(ev.base, D):
         lf = local_factor(ev, n, pt)
         R = D // pt.degree
-        ls = symk_local(lf, k, R)
+        whole = sym_k_factor(lf, k)
+        assert symk_local(lf, k, R) == [c.coords for c in eigen_power_sums_cyc(whole, R)]
+        ls = oracles.symk_local(lf, k, R)
         assert ls.point == pt and ls.cert is None
-        assert ls.coeffs == inverse_factor_series(sym_k_factor(lf, k), R)
+        assert ls.coeffs == inverse_factor_series(whole, R)
 
 
 def test_symk_local_edge_cases():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
-    # Sym^0 is 1 / (1 - T^d)
-    assert [c.as_integer() for c in symk_local(lf, 0, 3).coeffs] == [1, 1, 1, 1]
-    assert [c.as_integer() for c in symk_local(lf, 0, 0).coeffs] == [1]
-    assert [c.as_integer() for c in symk_local(lf, 4, 0).coeffs] == [1]
-    with pytest.raises(UsageError, match="nonnegative"):
-        symk_local(lf, -1, 2)
+    # Sym^0 is 1 / (1 - T^d): every power sum is 1
+    assert symk_local(lf, 0, 3) == [(1, 0)] * 3
+    assert symk_local(lf, 0, 0) == symk_local(lf, 4, 0) == []
+    assert [c.as_integer() for c in oracles.symk_local(lf, 0, 3).coeffs] == [1, 1, 1, 1]
+    assert [c.as_integer() for c in oracles.symk_local(lf, 0, 0).coeffs] == [1]
+    assert [c.as_integer() for c in oracles.symk_local(lf, 4, 0).coeffs] == [1]
+    for route in (symk_local, oracles.symk_local):
+        with pytest.raises(UsageError, match="nonnegative"):
+            route(lf, -1, 2)
 
 
 def test_inverse_factor_series():
@@ -438,14 +455,14 @@ def _exact_contribs(ev, n, k, D):
 
 def test_euler_product_sym1_frozen_c1():
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3)
+    gs = exact_euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3)
     assert [c.as_integer() for c in gs.coeffs[:2]] == [1, -1]
 
 
 @pytest.mark.parametrize("n,k,D", [(1, 1, 3), (1, 2, 2), (2, 1, 2)])
 def test_euler_product_matches_trace_sums(n, k, D):
     ev = _ev()
-    gs = euler_product(ev.base, _exact_contribs(ev, n, k, D), D)
+    gs = exact_euler_product(ev.base, _exact_contribs(ev, n, k, D), D)
     oracle = trace_sums_route(ev, n, k, D)
     assert [c.as_integer() for c in oracle] == [c.as_integer() for c in gs.coeffs]
 
@@ -463,7 +480,7 @@ def test_euler_product_runs_only_the_products_the_budget_counts(monkeypatch):
         return real(x, y)
 
     monkeypatch.setattr(CycInt, "__mul__", counting)
-    euler_product(ev.base, contribs, D)
+    exact_euler_product(ev.base, contribs, D)
     monkeypatch.undo()
     runs = sum(r // ls.point.degree for ls in contribs for r in range(D + 1))
     assert len(calls) == runs == 66
@@ -478,16 +495,16 @@ def test_euler_product_coverage_errors():
     contribs = _exact_contribs(ev, 1, 1, 2)
     # a missing point, a duplicate, and the 8 extra points of degree 3 at D = 2
     with pytest.raises(UsageError, match="at degree 2: 2 closed points, not 3"):
-        euler_product(ev.base, contribs[:-1], 2)
+        exact_euler_product(ev.base, contribs[:-1], 2)
     with pytest.raises(UsageError, match="duplicate"):
-        euler_product(ev.base, contribs + [contribs[0]], 2)
+        exact_euler_product(ev.base, contribs + [contribs[0]], 2)
     with pytest.raises(UsageError, match="at degree 3: 8 closed points, not 0"):
-        euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 2)
+        exact_euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 2)
     # the product runs on the terms j >= 1 alone, so a constant term other than 1 is refused
     bad = [LocalSeries(ls.point, list(ls.coeffs)) for ls in contribs]
     bad[0].coeffs[0] = CycInt.from_int(3, 2)
     with pytest.raises(UsageError, match="does not start with 1"):
-        euler_product(ev.base, bad, 2)
+        exact_euler_product(ev.base, bad, 2)
     # a p-adic constant term known to be 1 only up to O(pi) is refused too
     kappa = PadicExponent.exact(3, 2)
     padic = [sym_inf_local(local_factor(ev, 1, pt), kappa, V=8, R=1)
@@ -505,7 +522,7 @@ def test_euler_product_integrality_finding():
     bad = [LocalSeries(ls.point, [c * 1 for c in ls.coeffs]) for ls in contribs]
     bad[0].coeffs[1] = bad[0].coeffs[1] + z  # breaks Galois descent
     with pytest.raises(IntegralityFindingError):
-        euler_product(ev.base, bad, 2)
+        exact_euler_product(ev.base, bad, 2)
 
 
 def test_euler_product_padic_mode_and_galois_check():
@@ -548,3 +565,175 @@ def test_euler_product_rejects_mixed_modes():
     mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
     with pytest.raises(UsageError):
         euler_product(ev.base, mixed, 1)
+
+
+# ---------------------------------------------------------------------------
+# the exact series from one recurrence over the trace sums
+
+
+def _exact_series(p, a, n, k, D, max_degree=None):
+    """(cli.series on the power-sum route, the per-point Euler product oracle,
+    the factors' routes) for Sym^k to T^D."""
+    base = make_field(p, a)
+    ev = _Memo(base)
+    max_degree = max_degree or reach(n, D)
+    orbits = cli.galois_orbits(ev, n, D, max_degree=max_degree)
+    gs = cli.series(base, orbits, D, lambda lf, R: symk_local(lf, k, R))
+    factors = [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(base, D)]
+    per_point = series_per_point(base, factors, D, lambda lf, R: oracles.symk_local(lf, k, R))
+    return gs, per_point, {lf.route for lf in factors}
+
+
+# (p, a, n, k, D, max_degree): every k in {0, 1, 2, 3, 6}; at p = 5, n = 1 and
+# p = 7, n = 2 each orbit has a nontrivial stabiliser (c^(n+1) = 1 for c = -1, resp.
+# c^3 = 1), at p = 5, n = 3 every orbit is one point; max_degree = n reads Kl(t, 1..h)
+# alone at every point, and max_degree 2 at n = 3 does so at p = 11
+@pytest.mark.parametrize("p,a,n,k,D,max_degree", [
+    (3, 1, 1, 0, 4, None), (3, 1, 1, 1, 4, None), (3, 1, 1, 2, 4, None),
+    (3, 1, 1, 3, 4, 1), (3, 1, 1, 6, 3, None), (3, 1, 2, 2, 3, 2), (3, 1, 2, 6, 2, None),
+    (3, 1, 3, 1, 2, 3), (3, 2, 1, 2, 2, None), (3, 2, 1, 3, 2, 1), (3, 2, 2, 1, 1, None),
+    (5, 1, 1, 2, 3, None), (5, 1, 1, 6, 2, 1), (5, 1, 2, 3, 2, 2), (5, 1, 3, 1, 1, 2),
+    (5, 2, 1, 1, 1, None), (7, 1, 1, 3, 2, None), (7, 1, 2, 2, 1, 2), (7, 1, 2, 6, 1, None),
+    (11, 1, 1, 2, 2, None), (11, 1, 3, 1, 1, 2),
+])
+def test_exact_series_matches_the_per_point_euler_product(p, a, n, k, D, max_degree):
+    gs, per_point, routes = _exact_series(p, a, n, k, D, max_degree)
+    assert gs.cert is None and len(gs.coeffs) == D + 1
+    assert gs.coeffs == per_point.coeffs
+    if max_degree == n:
+        assert routes == {"half"}
+
+
+@pytest.mark.parametrize("p,a,n,k,D", [
+    (3, 1, 1, 0, 4), (3, 1, 1, 1, 4), (3, 1, 1, 2, 3), (3, 1, 1, 3, 2), (3, 1, 1, 6, 1),
+    (3, 1, 2, 1, 3), (3, 1, 2, 2, 2), (3, 1, 3, 1, 2), (3, 2, 1, 1, 2), (3, 2, 1, 2, 1),
+    (5, 1, 1, 1, 2), (5, 1, 1, 2, 1), (5, 1, 2, 1, 1), (7, 1, 1, 2, 1), (11, 1, 1, 1, 1),
+])
+def test_exact_series_matches_the_trace_sums_over_whole_fields(p, a, n, k, D):
+    # S_r from every t in F_(q^r)^*, with no closed points, orbits or local factors
+    gs, _, _ = _exact_series(p, a, n, k, D)
+    oracle = trace_sums_route(KloostermanEvaluator(make_field(p, a), budget=10 ** 9), n, k, D)
+    assert [c.as_integer() for c in gs.coeffs] == [c.as_integer() for c in oracle]
+
+
+def _bumped(k, at, m, bump):
+    """symk_local with the power sum P_m at the point `at` moved by bump."""
+    def local(lf, R):
+        sums = symk_local(lf, k, R)
+        if lf.point == at:
+            sums[m - 1] = tuple(map(int.__add__, sums[m - 1], bump))
+        return sums
+    return local
+
+
+@pytest.mark.parametrize("p,n,D,d,m", [
+    (3, 1, 4, 2, 2), (3, 1, 4, 1, 3), (5, 1, 2, 1, 2), (7, 2, 1, 1, 1)])
+def test_a_non_real_power_sum_is_an_integrality_finding(p, n, D, d, m):
+    # + zeta at one representative: its orbit adds sigma_c(zeta) over fewer than p - 1
+    # twists c, which is not a rational integer, so T(d, m) is not, and r = d m
+    base = make_field(p, 1)
+    orbits = cli.galois_orbits(KloostermanEvaluator(base), n, D)
+    rep = next(lf.point for lf, _ in orbits.values() if lf.point.degree == d)
+    zeta = (0, 1) + (0,) * (p - 3)
+    with pytest.raises(IntegralityFindingError, match=f"trace of T\\^{d * m} over the "
+                       f"points of degree {d} is not a rational integer") as info:
+        cli.series(base, orbits, D, _bumped(2, rep, m, zeta))
+    assert info.value.witness == {"r": d * m, "degree": d}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_a_trace_sum_off_by_one_fails_the_exact_division(r):
+    # at p = 3, n = 1 every orbit is one point, so P_r + 1 at a point of degree 1 moves
+    # S_r by exactly 1, and r c_r = ... + S_r c_0 is no longer divisible by r
+    base, D = make_field(3, 1), 4
+    orbits = cli.galois_orbits(KloostermanEvaluator(base), 1, D)
+    rep = next(iter(orbits))
+    with pytest.raises(IntegralityFindingError, match=f"coefficient of T\\^{r} is not "
+                       f"an integer") as info:
+        cli.series(base, orbits, D, _bumped(2, rep, r, (1, 0)))
+    assert info.value.witness == {"r": r}
+
+
+def test_the_power_sum_route_checks_coverage():
+    base = make_field(3, 1)
+    orbits = cli.galois_orbits(KloostermanEvaluator(base), 1, 2)
+    missing = dict(list(orbits.items())[:-1])
+    local = lambda lf, R: symk_local(lf, 1, R)  # noqa: E731
+    with pytest.raises(UsageError, match="at degree 2: 2 closed points, not 3"):
+        cli.series(base, missing, 2, local)
+    with pytest.raises(UsageError, match="at degree 3: 8 closed points, not 0"):
+        cli.series(base, cli.galois_orbits(KloostermanEvaluator(base), 1, 3), 2, local)
+
+
+# ---------------------------------------------------------------------------
+# the Newton identities on coordinate tuples against the CycInt loops
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_tuple_newton_identities_match_the_cycint_loops(p):
+    import random
+
+    rng = random.Random(p)
+    for _ in range(20):
+        deg = rng.randrange(1, 5)
+        coeffs = [CycInt.from_int(p, 1)] + [
+            CycInt(p, [rng.randrange(-9, 10) for _ in range(p - 1)]) for _ in range(deg)]
+        count = rng.randrange(0, 8)
+        ps = eigen_power_sums([c.coords for c in coeffs], count)
+        ps_cyc = eigen_power_sums_cyc(coeffs, count)
+        assert ps == [x.coords for x in ps_cyc]
+        es = elementary_from_power_sums(p, ps, count)
+        assert es == [e.coords for e in elementary_from_power_sums_cyc(p, ps_cyc, count)]
+        # the polynomial comes back: e_m = (-1)^m a_m, and 0 above its degree
+        assert es[:deg + 1] == [(c if m % 2 == 0 else -c).coords
+                                for m, c in enumerate(coeffs)][:count + 1]
+        assert all(not any(e) for e in es[deg + 1:])
+        # power sums that no polynomial has: the same ValueError from both loops
+        bad = [CycInt(p, [rng.randrange(-9, 10) for _ in range(p - 1)]) for _ in range(4)]
+        with pytest.raises(ValueError) as want:
+            elementary_from_power_sums_cyc(p, bad, 4)
+        with pytest.raises(ValueError) as got:
+            elementary_from_power_sums(p, [x.coords for x in bad], 4)
+        assert str(got.value) == str(want.value)
+        assert "is not divisible by" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# the Weil bound at half-route points
+
+
+@pytest.mark.parametrize("n,bump", [(1, 5), (3, 400)])
+def test_a_real_error_breaking_the_weil_bound_is_a_finding(n, bump):
+    # a rational bump of Kl(t, h) is sigma_(-1)-fixed, so at odd n the half route's
+    # e_h = sigma_(-1)(e_h) misses it; a large one breaks 0 <= Tr(e_h conj(e_h)) <=
+    # (p-1) C(n+1, h)^2 q^(n h): at n = 1, e_1 = -4 gives 32 > 24
+    base = make_field(3, 1)
+    h = (n + 2) // 2
+    pt = _pt(base, (1,))
+    local_factor(KloostermanEvaluator(base), n, pt, max_degree=n)
+    with pytest.raises(FunctionalEquationFindingError,
+                       match=f"e_{h} at .* breaks the Weil bound") as info:
+        local_factor(_corrupt(base, h, CycInt.from_int(3, bump)), n, pt, max_degree=n)
+    assert info.value.witness == {"point": pt.rep, "index": h}
+
+
+def test_the_weil_trace_is_within_its_bound_at_half_route_points():
+    # Tr(e_h sigma_(-1)(e_h)) by the kernel product against its closed form, on true
+    # factors, and below the bound
+    from klsym.cyclo import galois_coords, mul_coords
+
+    seen = 0
+    for p, n in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]:
+        base = make_field(p, 1)
+        ev = KloostermanEvaluator(base)
+        h = (n + 2) // 2
+        for pt in points_up_to(base, 2 if p == 3 else 1):
+            lf = local_factor(ev, n, pt, max_degree=n)
+            e = tuple(-c for c in lf.coeffs[h].coords) if h % 2 else lf.coeffs[h].coords
+            x = mul_coords(e, galois_coords(e, -1))
+            trace = p * x[0] - sum(x)
+            assert trace == p * sum(c * c for c in e) - sum(e) ** 2
+            q_t = base.size ** pt.degree
+            assert 0 <= trace <= (p - 1) * math.comb(n + 1, h) ** 2 * q_t ** (n * h)
+            seen += 1
+    assert seen > 20
