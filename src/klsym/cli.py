@@ -35,7 +35,6 @@ from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, parse_key
 from .ff import degree_count, make_field, orbit_rep, point_field, points_up_to, \
     twist_orbits
 from .lfun import (
-    LocalSeries,
     euler_product,
     local_factor,
     power_sum_series,
@@ -90,8 +89,7 @@ def default_precision(config: RunConfig) -> int:
     clearing its value at D (in pi units) with a few digits to spare
     settles typical runs on the first attempt; retries double from here.
     """
-    hodge = hodge_polygon(config.n, config.p, max(config.D, 1))
-    height = hodge.value_at(Fraction(min(config.D, int(hodge.width))))
+    height = hodge_polygon(config.n, config.p, config.D).value_at(config.D)
     digits = int(-(-height.numerator // height.denominator))
     return (config.p - 1) * config.a * (digits + 4)
 
@@ -124,8 +122,8 @@ def _admit(config: RunConfig):
     in symk mode and else the (precisions, refusal) of _precisions."""
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
-    if config.D < 0:
-        raise UsageError("degree cap D must be nonnegative")
+    if config.D < 1:
+        raise UsageError("degree cap D must be positive")
     if config.mode not in MODES:
         raise UsageError(f"unknown mode {config.mode!r}")
     if not 1 <= config.workers <= MAX_WORKERS:
@@ -179,9 +177,9 @@ def _pmap(fn, items, workers: int):
 
 
 def reach(n: int, D: int) -> int:
-    """The largest field degree over the base whose sums a run to degree D reads:
-    Kl(t, 1..h) at the points of degree max(D, 1), or Kl(t, n+1) at degree 1."""
-    return max(max(D, 1) * ((n + 2) // 2), n + 1)
+    """The largest field degree over the base whose sums a run to degree D >= 1 reads:
+    Kl(t, 1..h) at the points of degree D, or Kl(t, n+1) at degree 1."""
+    return max(D * ((n + 2) // 2), n + 1)
 
 
 def galois_orbits(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | None = None):
@@ -212,20 +210,15 @@ def galois_orbits(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | No
     return orbits
 
 
-def series(base, orbits, D: int, local, workers: int = 1):
-    """The L-series to T^D from local(lf, D // degree) at each orbit's representative
-    (galois_orbits): sigma_c commutes with every step of local, so a member's value
-    is sigma_c of it.  A p-adic local gives LocalSeries for lfun.euler_product,
-    an exact one power sums (lfun.symk_local) for lfun.power_sum_series."""
+def series(orbits, D: int, local, workers: int = 1):
+    """(point, c, value) at every closed point of degree <= D (galois_orbits), value
+    local(lf, D // degree) at its orbit's representative, built once per orbit:
+    sigma_c commutes with every step of local, so the route the members go to,
+    lfun.power_sum_series or lfun.euler_product, applies sigma_c to it."""
     reps = {lf.point: lf for lf, _ in orbits.values()}
     built = dict(zip(reps, _pmap(lambda lf: local(lf, D // lf.point.degree),
                                  reps.values(), workers)))
-    if built and isinstance(next(iter(built.values())), LocalSeries):
-        return euler_product(base, [built[pt] if pt == lf.point else LocalSeries(
-            pt, [x.galois(c) for x in built[lf.point].coeffs], built[lf.point].cert)
-            for pt, (lf, c) in orbits.items()], D)
-    return power_sum_series(base, [(pt, c, built[lf.point])
-                                   for pt, (lf, c) in orbits.items()], D)
+    return [(pt, c, built[lf.point]) for pt, (lf, c) in orbits.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +266,7 @@ def _series_json(name, gs, points, exponent):
 
 
 def _newton_hull_json(points):
-    finite = [pt for pt in points if pt.exact and pt.ordq is not None]
-    return lower_hull(finite).vertices if finite else []
+    return lower_hull([pt for pt in points if pt.exact and pt.ordq is not None]).vertices
 
 
 def write_report(report: dict, out_path: str | None):
@@ -364,7 +356,7 @@ def run(config: RunConfig):
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
     exponent = _exponent_json(config)
-    hodge = hodge_polygon(n, config.p, max(D, 1))
+    hodge = hodge_polygon(n, config.p, D)
     body = {
         "config": {
             "p": config.p,
@@ -391,8 +383,8 @@ def run(config: RunConfig):
     derived = {}
     orbits = galois_orbits(ev, n, D, max_degree)
     if _builds_symk(config):
-        gs_fin = series(base, orbits, D, lambda lf, R: symk_local(lf, config.k, R),
-                        config.workers)
+        gs_fin = power_sum_series(base, series(
+            orbits, D, lambda lf, R: symk_local(lf, config.k, R), config.workers), D)
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
         if mode == "verify-newton-hodge":
@@ -405,8 +397,8 @@ def run(config: RunConfig):
         Vs, refusal = ladder
 
         def attempt(V):
-            gs = series(base, orbits, D, lambda lf, R: padic_local(lf, kappa, V, R),
-                        config.workers)
+            gs = euler_product(base, series(
+                orbits, D, lambda lf, R: padic_local(lf, kappa, V, R), config.workers), D)
             pts = newton_points(gs.coeffs, a, cert=gs.cert)
             if mode == "verify-newton-hodge":
                 return gs, pts, verify_above(pts, hodge)

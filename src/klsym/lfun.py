@@ -150,12 +150,13 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
             f"e_{bad} at {point.rep} differs from its image under the "
             f"functional equation", witness={"point": point.rep, "index": bad})
     p, h = point.base.p, (n + 2) // 2
-    trace = p * sum(c * c for c in es[h]) - sum(es[h]) ** 2
-    bound = (p - 1) * math.comb(n + 1, h) ** 2 * point.base.size ** (point.degree * n * h)
-    if M < n + 1 and not 0 <= trace <= bound:
-        raise FunctionalEquationFindingError(
-            f"e_{h} at {point.rep} breaks the Weil bound: Tr(e_{h} conj(e_{h})) = "
-            f"{trace}, not in [0, {bound}]", witness={"point": point.rep, "index": h})
+    if M < n + 1:
+        trace = p * sum(c * c for c in es[h]) - sum(es[h]) ** 2
+        bound = (p - 1) * math.comb(n + 1, h) ** 2 * point.base.size ** (point.degree * n * h)
+        if not 0 <= trace <= bound:
+            raise FunctionalEquationFindingError(
+                f"e_{h} at {point.rep} breaks the Weil bound: Tr(e_{h} conj(e_{h})) = "
+                f"{trace}, not in [0, {bound}]", witness={"point": point.rep, "index": h})
     return LocalFactor(point, n, tuple(CycInt._new(p, c) for c in _signed(es)),
                        "full" if M == n + 1 else "half")
 
@@ -298,38 +299,37 @@ def power_sum_series(base, members, D: int) -> GlobalSeries:
     return GlobalSeries([CycInt.from_int(p, c) for c in coeffs], None)
 
 
-def euler_product(base, contributions, D: int) -> GlobalSeries:
-    """Multiply p-adic inverse local factors over all closed points of degree <= D.
+def euler_product(base, members, D: int) -> GlobalSeries:
+    """The p-adic L-series to T^D from (point, c, LocalSeries at the point it is
+    sigma_c of) at every closed point of degree <= D, merged in canonical point order.
 
-    Contributions are merged in canonical point order, so the result does
-    not depend on the order the caller produced them in.  Each series starts
-    with exactly 1, so only its terms j >= 1 multiply.  Every coefficient
-    must be Galois-invariant to the uniform certificate, or
-    IntegralityFindingError names the first that is not.
+    Each series starts with exactly 1, so only its terms j >= 1 multiply, each
+    sigma_c of the given one cut to the least precision.  Every coefficient must
+    be Galois-invariant to the uniform certificate, or IntegralityFindingError
+    names the first that is not.
     """
-    contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
-    check_coverage(base, [ls.point for ls in contributions], D)
+    members = sorted(members, key=lambda m: m[0].sort_key())
+    check_coverage(base, [pt for pt, _, _ in members], D)
     p = base.p
-    if any(ls.cert is None for ls in contributions):
+    if any(ls.cert is None for _, _, ls in members):
         raise UsageError("exact local series take power_sum_series, not euler_product")
-    for ls in contributions:
-        if len(ls.coeffs) < D // ls.point.degree + 1:
-            raise UsageError(f"local series at {ls.point.rep} too short for degree {D}")
+    for pt, _, ls in members:
+        if len(ls.coeffs) < D // pt.degree + 1:
+            raise UsageError(f"local series at {pt.rep} too short for degree {D}")
         c = ls.coeffs[0]
         if (c.rep.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
-            raise UsageError(f"local series at {ls.point.rep} does not start with 1")
-    N = min(c.N for ls in contributions for c in ls.coeffs)
+            raise UsageError(f"local series at {pt.rep} does not start with 1")
+    N = min(c.N for _, _, ls in members for c in ls.coeffs)
     acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
-    for ls in contributions:
+    for pt, g, ls in members:
         # times the local series in T^d; going down in r, acc[r - j d] still
         # holds its value from before this point
-        d = ls.point.degree
-        local = [c.with_precision(N) for c in ls.coeffs[: D // d + 1]]
+        d = pt.degree
+        local = [c.galois(g).with_precision(N) for c in ls.coeffs[: D // d + 1]]
         for r in range(D, d - 1, -1):
             for j in range(1, r // d + 1):
                 acc[r] = acc[r] + acc[r - j * d] * local[j]
-    cert = min(ls.cert for ls in contributions)
-    cert = min([cert] + [c.vcert for c in acc])
+    cert = min([ls.cert for _, _, ls in members] + [c.vcert for c in acc])
     for r, c in enumerate(acc):
         for g in range(2, p):
             diff = (c.galois(g) - c).rep.pi_val()

@@ -335,8 +335,8 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
     if kappa.p != p:
         raise UsageError("exponent and base have different p")
     um1 = u - 1
-    v1 = um1.val_lb()
-    if v1 < 1 or u.residue_int() != 1:
+    v1 = um1.val_lb()  # >= 1 exactly when u = 1 mod pi, as u.vcert >= 1
+    if v1 < 1:
         raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
     L, cert = max(1, -(-V // v1)), min(V, u.vcert, N * (p - 1))
     if not kappa.is_exact:

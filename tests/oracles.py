@@ -743,8 +743,9 @@ def series_per_point(base, factors, D: int, local):
     no use of the Galois orbits: ``exact_euler_product`` for exact series,
     ``lfun.euler_product`` for p-adic ones."""
     contributions = [local(lf, D // lf.point.degree) for lf in factors]
-    exact = all(ls.cert is None for ls in contributions)
-    return (exact_euler_product if exact else euler_product)(base, contributions, D)
+    if all(ls.cert is None for ls in contributions):
+        return exact_euler_product(base, contributions, D)
+    return euler_product(base, [(ls.point, 1, ls) for ls in contributions], D)
 
 
 # ---------------------------------------------------------------------------

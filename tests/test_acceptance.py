@@ -15,7 +15,8 @@ from fractions import Fraction
 from klsym.cli import RunConfig, galois_orbits, run, series
 from klsym.expsum import KloostermanEvaluator, _direct_sum
 from klsym.ff import make_field, points_up_to
-from klsym.lfun import local_factor, sym_inf_local, symk_local
+from klsym.lfun import euler_product, local_factor, power_sum_series, sym_inf_local, \
+    symk_local
 from klsym.padic import (
     PadicCyc,
     PadicExponent,
@@ -115,14 +116,14 @@ def test_criterion_3_slope_coincidence():
         # so the comparison in slopes <= k must not move
         base = make_field(3, 1)
         orbits = galois_orbits(KloostermanEvaluator(base), 1, 3)
-        fin = series(base, orbits, 3, lambda lf, R: symk_local(lf, 1, R))
+        fin = power_sum_series(base, series(orbits, 3, lambda lf, R: symk_local(lf, 1, R)), 3)
         nine = fin.coeffs[0].from_int(3, 9)
         twisted = list(fin.coeffs) + [fin.coeffs[0] * 0]
         for r in range(len(twisted) - 1, 0, -1):
             twisted[r] = twisted[r] - nine * twisted[r - 1]
         twisted = twisted[:4]
-        inf = series(base, orbits, 3, lambda lf, R: sym_inf_local(
-            lf, PadicExponent.exact(3, 1), 14, R))
+        inf = euler_product(base, series(orbits, 3, lambda lf, R: sym_inf_local(
+            lf, PadicExponent.exact(3, 1), 14, R)), 3)
         pts_inf = newton_points(inf.coeffs, 1, cert=inf.cert)
         v = compare_slope_range(newton_points(twisted, 1), pts_inf, F(1))
         assert v.status == "agree"
@@ -160,7 +161,7 @@ def test_criterion_6_integrality():
         for n, k, D in [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 1, 2)]:
             base = make_field(3, 1)
             orbits = galois_orbits(KloostermanEvaluator(base), n, D)
-            gs = series(base, orbits, D, lambda lf, R: symk_local(lf, k, R))
+            gs = power_sum_series(base, series(orbits, D, lambda lf, R: symk_local(lf, k, R)), D)
             assert gs.cert is None
             for c in gs.coeffs:
                 c.as_integer()  # raises unless c has no zeta components at all
@@ -168,8 +169,8 @@ def test_criterion_6_integrality():
         for n, D, V in [(1, 3, 12), (2, 2, 10)]:
             base = make_field(3, 1)
             orbits = galois_orbits(KloostermanEvaluator(base), n, D)
-            gs = series(base, orbits, D, lambda lf, R: sym_inf_local(
-                lf, PadicExponent.exact(3, 2), V, R))
+            gs = euler_product(base, series(orbits, D, lambda lf, R: sym_inf_local(
+                lf, PadicExponent.exact(3, 2), V, R)), D)
             assert gs.cert is not None and gs.cert > 0
             for c in gs.coeffs:
                 for g in range(2, 3):
@@ -264,7 +265,8 @@ def test_criterion_9_determinism_and_monotonicity():
             kappa = PadicExponent.exact(3, k)
             verdicts = []
             for V in (V_lo, V_hi):
-                gs = series(base, orbits, D, lambda lf, R: sym_inf_local(lf, kappa, V, R))
+                gs = euler_product(base, series(
+                    orbits, D, lambda lf, R: sym_inf_local(lf, kappa, V, R)), D)
                 v = verify_above(newton_points(gs.coeffs, 1, cert=gs.cert),
                                  hodge)
                 verdicts.append(v)

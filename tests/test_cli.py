@@ -29,8 +29,8 @@ from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import KloostermanEvaluator, SumCache, record_key
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
-from klsym.lfun import local_factor, sums_read, sym_inf_local, symk_local, \
-    unit_root_local
+from klsym.lfun import euler_product, local_factor, power_sum_series, sums_read, \
+    sym_inf_local, symk_local, unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
 import oracles
@@ -352,7 +352,7 @@ def test_unwritable_path_exits_one_without_traceback(tmp_path, capsys, argv):
 def test_usage_validation_direct():
     with pytest.raises(Exception, match="odd prime"):
         run(RunConfig(p=9, mode="symk", k=1, D=1))
-    with pytest.raises(Exception, match="nonnegative"):
+    with pytest.raises(Exception, match="degree cap D must be positive"):
         run(RunConfig(p=3, mode="symk", k=1, D=-1))
     with pytest.raises(Exception, match="needs an integer exponent"):
         run(RunConfig(p=3, mode="compare-slopes", kappa_digits=(1,), D=1))
@@ -436,11 +436,12 @@ def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
     assert (len(reps) < len(factors)) == ((n + 1) % (p - 1) != 0)
     kappa, V = PadicExponent.truncated(p, (2, 1)), 3 * (p - 1)
     # the exact series from the power sums against the per-point Euler product
-    for local, per_point in (
-            (lambda lf, R: symk_local(lf, 2, R), lambda lf, R: oracles.symk_local(lf, 2, R)),
-            (lambda lf, R: sym_inf_local(lf, kappa, V, R),) * 2,
-            (lambda lf, R: unit_root_local(lf, kappa, V, R),) * 2):
-        assert (_series_key(cli.series(base, orbits, D, local))
+    for route, local, per_point in (
+            (power_sum_series, lambda lf, R: symk_local(lf, 2, R),
+             lambda lf, R: oracles.symk_local(lf, 2, R)),
+            (euler_product,) + (lambda lf, R: sym_inf_local(lf, kappa, V, R),) * 2,
+            (euler_product,) + (lambda lf, R: unit_root_local(lf, kappa, V, R),) * 2):
+        assert (_series_key(route(base, cli.series(orbits, D, local), D))
                 == _series_key(series_per_point(base, factors, D, per_point)))
 
 
@@ -476,6 +477,12 @@ def test_report_goes_to_stdout_by_default(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [pt["rep_int"] for pt in report["points"]] == [1, 2]
+
+
+def test_points_to_degree_zero_is_an_empty_list(capsys):
+    # a series run needs D >= 1, but the points of degree <= 0 are a plain empty list
+    assert console_main(["points", "-p", "3", "-D", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == []
 
 
 def test_sum_subcommand_matches_library(tmp_path):
@@ -651,14 +658,18 @@ sys.exit(code)
     (["points", "-p", "3", "-D", "14"], []),
     (["symk", "-p", BIG_LEVEL, "-k", "1", "-D", "1"], []),
     (["symk", "-p", "3", "-a", "100000000", "-k", "1", "-D", "1"], []),
-    (["symk", "-p", "3", "-n", "100000000", "-k", "1", "-D", "0"], []),
+    (["symk", "-p", "3", "-n", "100000000", "-k", "1", "-D", "1"], []),
     (["symk", "-p", "3", "-k", "100000000", "-D", "1"], []),
     # the point is canonicalised on the 6-entry table of F_7 first
     (["sum", "-p", "7", "-n", "100000000", "-d", "1", "--rep-int", "1"], [7]),
     (["cache", "stat", "--cache", "{cache}"], []),
     (["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3", "-V", "400"], []),
+    # every series to T^0 is the constant 1, so a series run needs D >= 1
+    *(([cmd, "-p", "3", "-n", "1", "-k", "1", "-D", "0", "--cache", "{cache}.new"], [])
+      for cmd in ("symk", "syminf", "unitroot", "verify", "compare")),
 ], ids=["points-D", "symk-p", "symk-a", "symk-n", "symk-k", "sum-n",
-        "cache-level", "verify-V"])
+        "cache-level", "verify-V", "symk-D0", "syminf-D0", "unitroot-D0", "verify-D0",
+        "compare-D0"])
 def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
     cache = tmp_path / "c.txt"
     cache.write_text(f"# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|{BIG_LEVEL}:[1,0]\n")
@@ -672,6 +683,7 @@ def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
     assert proc.stderr.startswith(("error: ", "usage error: "))
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == tables
+    assert os.listdir(tmp_path) == ["c.txt"]  # no new cache file
 
 
 @pytest.mark.parametrize("argv,err", [

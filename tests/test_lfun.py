@@ -23,6 +23,7 @@ from klsym.lfun import (
     eigen_power_sums,
     euler_product,
     local_factor,
+    power_sum_series,
     sums_read,
     sym_inf_local,
     symk_local,
@@ -453,6 +454,11 @@ def _exact_contribs(ev, n, k, D):
     return out
 
 
+def _members(contribs):
+    """euler_product's (point, c, series) triples: each point its own representative."""
+    return [(ls.point, 1, ls) for ls in contribs]
+
+
 def test_euler_product_sym1_frozen_c1():
     ev = _ev()
     gs = exact_euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 3)
@@ -512,7 +518,7 @@ def test_euler_product_coverage_errors():
     one = padic[0].coeffs[0]
     padic[0].coeffs[0] = PadicCyc(3, one.N, one.rep, 1)
     with pytest.raises(UsageError, match="does not start with 1"):
-        euler_product(ev.base, padic, 1)
+        euler_product(ev.base, _members(padic), 1)
 
 
 def test_euler_product_integrality_finding():
@@ -533,11 +539,11 @@ def test_euler_product_padic_mode_and_galois_check():
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)
         contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree))
-    gs = euler_product(base, contribs, 2)
+    gs = euler_product(base, _members(contribs), 2)
     assert gs.cert is not None and gs.cert >= 6
     assert all(isinstance(c, PadicCyc) for c in gs.coeffs)
     # order of contributions must not matter
-    gs2 = euler_product(base, list(reversed(contribs)), 2)
+    gs2 = euler_product(base, list(reversed(_members(contribs))), 2)
     for x, y in zip(gs.coeffs, gs2.coeffs):
         assert x.rep == y.rep and x.vcert == y.vcert
 
@@ -553,7 +559,7 @@ def test_euler_product_padic_integrality_finding():
     z = PadicCyc.embed(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
     contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
     with pytest.raises(IntegralityFindingError):
-        euler_product(base, contribs, 1)
+        euler_product(base, _members(contribs), 1)
 
 
 def test_euler_product_rejects_mixed_modes():
@@ -564,7 +570,7 @@ def test_euler_product_rejects_mixed_modes():
     mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1)]
     mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
     with pytest.raises(UsageError):
-        euler_product(ev.base, mixed, 1)
+        euler_product(ev.base, _members(mixed), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +584,7 @@ def _exact_series(p, a, n, k, D, max_degree=None):
     ev = _Memo(base)
     max_degree = max_degree or reach(n, D)
     orbits = cli.galois_orbits(ev, n, D, max_degree=max_degree)
-    gs = cli.series(base, orbits, D, lambda lf, R: symk_local(lf, k, R))
+    gs = power_sum_series(base, cli.series(orbits, D, lambda lf, R: symk_local(lf, k, R)), D)
     factors = [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(base, D)]
     per_point = series_per_point(base, factors, D, lambda lf, R: oracles.symk_local(lf, k, R))
     return gs, per_point, {lf.route for lf in factors}
@@ -637,7 +643,7 @@ def test_a_non_real_power_sum_is_an_integrality_finding(p, n, D, d, m):
     zeta = (0, 1) + (0,) * (p - 3)
     with pytest.raises(IntegralityFindingError, match=f"trace of T\\^{d * m} over the "
                        f"points of degree {d} is not a rational integer") as info:
-        cli.series(base, orbits, D, _bumped(2, rep, m, zeta))
+        power_sum_series(base, cli.series(orbits, D, _bumped(2, rep, m, zeta)), D)
     assert info.value.witness == {"r": d * m, "degree": d}
 
 
@@ -650,7 +656,7 @@ def test_a_trace_sum_off_by_one_fails_the_exact_division(r):
     rep = next(iter(orbits))
     with pytest.raises(IntegralityFindingError, match=f"coefficient of T\\^{r} is not "
                        f"an integer") as info:
-        cli.series(base, orbits, D, _bumped(2, rep, r, (1, 0)))
+        power_sum_series(base, cli.series(orbits, D, _bumped(2, rep, r, (1, 0))), D)
     assert info.value.witness == {"r": r}
 
 
@@ -660,9 +666,10 @@ def test_the_power_sum_route_checks_coverage():
     missing = dict(list(orbits.items())[:-1])
     local = lambda lf, R: symk_local(lf, 1, R)  # noqa: E731
     with pytest.raises(UsageError, match="at degree 2: 2 closed points, not 3"):
-        cli.series(base, missing, 2, local)
+        power_sum_series(base, cli.series(missing, 2, local), 2)
     with pytest.raises(UsageError, match="at degree 3: 8 closed points, not 0"):
-        cli.series(base, cli.galois_orbits(KloostermanEvaluator(base), 1, 3), 2, local)
+        power_sum_series(base, cli.series(
+            cli.galois_orbits(KloostermanEvaluator(base), 1, 3), 2, local), 2)
 
 
 # ---------------------------------------------------------------------------
