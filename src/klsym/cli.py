@@ -31,7 +31,7 @@ from .errors import (
     ResourceError,
     UsageError,
 )
-from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, parse_key
+from .expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache
 from .ff import degree_count, make_field, orbit_rep, point_field, points_up_to, \
     twist_orbits
 from .lfun import (
@@ -551,8 +551,7 @@ def cmd_cache(args) -> int:
     # action == "verify": recompute a sample of records from scratch
     checked = []
     bad = []
-    for lineno, key, value in cache.records()[: args.sample]:
-        p, a, modulus, n, d, rep, m = parse_key(key)
+    for lineno, (p, a, modulus, n, d, rep, m), value in cache.records()[: args.sample]:
         try:
             base = make_field(p, a, modulus)
             field = point_field(base, d)

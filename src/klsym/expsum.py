@@ -60,29 +60,31 @@ def _parse_ints(text: str):
     return tuple(int(s) for s in inner.split(",")) if inner else ()
 
 
-def record_key(p: int, a: int, modulus, n: int, d: int, rep, m: int) -> str:
+def key_text(key) -> str:
+    """The text of a key (p, a, modulus, n, d, rep, m), as its record spells it."""
+    p, a, modulus, n, d, rep, m = key
     return "%d,%d,%s|%d|%d|%s|%d" % (p, a, _fmt_ints(modulus), n, d, _fmt_ints(rep), m)
 
 
-def parse_key(key: str):
-    """(p, a, modulus, n, d, rep, m) from a record key; ValueError if malformed."""
-    head, n, d, rep, m = key.split("|")
-    fields = head.split(",", 2)
-    if len(fields) != 3:
-        raise ValueError("field descriptor needs p,a,[modulus]")
-    p, a, modulus = fields
-    return (int(p), int(a), _parse_ints(modulus),
-            int(n), int(d), _parse_ints(rep), int(m))
+def record_line(key, value: CycInt) -> str:
+    """The cache line of one record: v1|p,a,[modulus]|n|d|[rep]|m|value."""
+    return f"v1|{key_text(key)}|{value.serialize()}\n"
 
 
 def parse_record(line: str):
-    """Split a cache line into (key, value); raise CacheError when invalid."""
+    """Split a cache line into ((p, a, modulus, n, d, rep, m), value); raise
+    CacheError when invalid.  Any spelling of the same integers is one key."""
     parts = line.split("|")
     if len(parts) != 7 or parts[0] != "v1":
         raise CacheError(f"unrecognised record shape: {line!r}")
+    _, head, n, d, rep, m, value = parts
     try:
-        p, a, modulus, n, d, rep, m = parse_key("|".join(parts[1:6]))
-        value = CycInt.deserialize(parts[6])
+        fields = head.split(",", 2)
+        if len(fields) != 3:
+            raise ValueError("field descriptor needs p,a,[modulus]")
+        p, a, modulus = int(fields[0]), int(fields[1]), _parse_ints(fields[2])
+        n, d, rep, m = int(n), int(d), _parse_ints(rep), int(m)
+        value = CycInt.deserialize(value)
     except (ValueError, UsageError) as exc:
         raise CacheError(f"corrupt record {line!r}: {exc}") from exc
     if min(a, n, d, m) < 1 or value.p != p:
@@ -91,8 +93,7 @@ def parse_record(line: str):
         raise CacheError(f"modulus is not monic of degree a: {line!r}")
     if len(rep) != a * d:
         raise CacheError(f"representative has wrong length: {line!r}")
-    key = record_key(p, a, modulus, n, d, rep, m)
-    return key, value
+    return (p, a, modulus, n, d, rep, m), value
 
 
 class SumCache:
@@ -100,7 +101,7 @@ class SumCache:
 
     def __init__(self, path):
         self.path = str(path)
-        self._mem: dict[str, CycInt] = {}
+        self._mem: dict[tuple, CycInt] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -158,13 +159,14 @@ class SumCache:
                 raise CacheError(f"{self.path}:{lineno}: {exc}") from None
             old = self._mem.get(key)
             if old is not None and old != value:
-                raise CacheError(f"{self.path}:{lineno}: conflicting duplicate for {key}")
+                raise CacheError(
+                    f"{self.path}:{lineno}: conflicting duplicate for {key_text(key)}")
             self._mem[key] = value
 
     def __len__(self):
         return len(self._mem)
 
-    def get(self, key: str):
+    def get(self, key: tuple):
         with self._lock:
             value = self._mem.get(key)
             if value is None:
@@ -173,15 +175,15 @@ class SumCache:
                 self.hits += 1
             return value
 
-    def put(self, key: str, value: CycInt):
+    def put(self, key: tuple, value: CycInt):
         with self._lock:
             old = self._mem.get(key)
             if old is not None:
                 if old != value:
-                    raise CacheError(f"conflicting value for cached key {key}")
+                    raise CacheError(f"conflicting value for cached key {key_text(key)}")
                 return
             self._mem[key] = value
-            line = f"v1|{key}|{value.serialize()}\n".encode("ascii")
+            line = record_line(key, value).encode("ascii")
             with self._locked() as fd:
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
@@ -215,7 +217,7 @@ class SumCache:
                 try:
                     fh.write(CACHE_HEADER + "\n")
                     for key, value in kept:
-                        fh.write(f"v1|{key}|{value.serialize()}\n")
+                        fh.write(record_line(key, value))
                     fh.flush()
                     os.fsync(fh.fileno())
                 except BaseException:
@@ -238,19 +240,13 @@ class KloostermanEvaluator:
         self.cache = cache
         self.budget = budget
 
-    def _key(self, n: int, point: ClosedPoint, m: int) -> str:
-        return record_key(
-            self.base.p, self.base.k, self.base.modulus,
-            n, point.degree, point.rep, m,
-        )
-
     def kloosterman(self, n: int, point: ClosedPoint, m: int) -> CycInt:
         """Exact Kl_n(t, m) at a closed point t of the base torus."""
         if n < 1 or m < 1:
             raise UsageError("need n >= 1 and m >= 1")
         if point.base != self.base:
             raise UsageError("point does not belong to this base field")
-        key = self._key(n, point, m)
+        key = (self.base.p, self.base.k, self.base.modulus, n, point.degree, point.rep, m)
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:

@@ -113,10 +113,6 @@ class PadicCyc:
 
     # -- inspection
 
-    def residue_int(self) -> int:
-        """Image in the residue field F_p (zeta maps to 1)."""
-        return sum(self.rep.coords) % self.p
-
     def val_lb(self) -> int:
         """Certified lower bound for the pi-valuation of the true value, kept once computed."""
         if self._val_lb is None:

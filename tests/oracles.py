@@ -59,7 +59,8 @@ algorithm, so a test can require the two to agree:
   reads a binomial table and stops dividing once a term cannot win.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
-tests need; ``agrees_with`` compares two certified p-adic values, and
+tests need; ``residue_int`` reduces a p-adic value to F_p;
+``agrees_with`` compares two certified p-adic values, and
 ``divide_exact_int`` divides one by an integer for ``sym_inf_local_hsum``.
 Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
 ``divide_exact_cyc`` is the exact division by an integer in Z[zeta_p] of
@@ -109,6 +110,11 @@ from klsym.padic import (
 
 # ---------------------------------------------------------------------------
 # p-adic exponents, and agreement to a certificate
+
+
+def residue_int(x: PadicCyc) -> int:
+    """Image of x in the residue field F_p (zeta maps to 1)."""
+    return sum(x.rep.coords) % x.p
 
 
 def from_rational(p: int, num: int, den: int, ndigits: int) -> PadicExponent:
@@ -220,7 +226,7 @@ def _pderiv(coeffs):
 def per_element_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     """The coupled Newton loop of ``padic`` with a PadicCyc, and its
     certificate, at every ring operation."""
-    res = [c.residue_int() for c in coeffs]
+    res = [residue_int(c) for c in coeffs]
     roots = []
     for r in range(1, p):
         if sum(cr * pow(r, i, p) for i, cr in enumerate(res)) % p == 0:
@@ -251,7 +257,7 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
     p = u.p
     um1 = u - 1
     v1 = um1.val_lb()
-    if v1 < 1 or u.residue_int() != 1:
+    if v1 < 1 or residue_int(u) != 1:
         raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
     if kappa.is_exact and kappa.rep >= 0:
         return u ** kappa.rep
@@ -301,7 +307,7 @@ def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
     for j in range(n + 1):
         u = PadicCyc.embed(CycInt(p, _lift_simple_nonzero_root(
             [c.rep.coords for c in cur], p, cur[0].N)), cur[0].N)
-        if j == 0 and u.residue_int() != 1:
+        if j == 0 and residue_int(u) != 1:
             raise DegenerateFactorError("unit eigenvalue is not a 1-unit")
         eigenvalues.append(times_p_power(u, ad * j))
         if j == n:
@@ -329,7 +335,7 @@ def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
 
 def nested_unit_inverse(u: PadicCyc) -> PadicCyc:
     """Inverse of a pi-adic unit by its own Newton iteration; certificate kept."""
-    r0 = u.residue_int()
+    r0 = residue_int(u)
     if r0 == 0:
         raise ZeroDivisionError("not a pi-adic unit to working precision")
     y = PadicCyc.from_int(u.p, u.N, pow(r0, -1, u.p))
@@ -347,7 +353,7 @@ def nested_unit_inverse(u: PadicCyc) -> PadicCyc:
 def nested_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     """Hensel lift of the unique simple nonzero root of the residue poly,
     inverting f'(x) afresh by ``nested_unit_inverse`` at every step."""
-    res = [c.residue_int() for c in coeffs]
+    res = [residue_int(c) for c in coeffs]
     roots = []
     for r in range(1, p):
         if sum(cr * pow(r, i, p) for i, cr in enumerate(res)) % p == 0:

@@ -27,7 +27,7 @@ from klsym.cli import (
 )
 from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
-from klsym.expsum import KloostermanEvaluator, SumCache, record_key
+from klsym.expsum import KloostermanEvaluator, SumCache, record_line
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
 from klsym.lfun import euler_product, local_factor, power_sum_series, sums_read, \
     sym_inf_local, symk_local, unit_root_local
@@ -184,9 +184,9 @@ def test_a_bad_sum_at_a_member_no_run_reads_moves_no_byte(tmp_path):
     built = _built_points(base, 1, 2)
     pt = next(pt for pt in points_up_to(base, 2) if pt.degree == 2 and pt not in built)
     value = KloostermanEvaluator(base).kloosterman(1, pt, 1) + CycInt.from_int(5, 1)
-    key = record_key(5, 1, base.modulus, 1, 2, pt.rep, 1)
+    key = (5, 1, base.modulus, 1, 2, pt.rep, 1)
     cache = tmp_path / "c.txt"
-    cache.write_text(f"# klsym sum cache v1\nv1|{key}|{value.serialize()}\n")
+    cache.write_text(f"# klsym sum cache v1\n{record_line(key, value)}")
     reports = []
     for extra in (["--cache", str(cache)], []):
         out = tmp_path / "r.json"
@@ -218,9 +218,9 @@ def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
     pt = next(pt for pt in points if pt.degree == 2 and twists[pt][0] != pt)
     rep, c = twists[pt]
     value = KloostermanEvaluator(base).kloosterman(1, pt, 1) + CycInt.from_int(5, 1)
-    key = record_key(5, 1, base.modulus, 1, 2, pt.rep, 1)
+    key = (5, 1, base.modulus, 1, 2, pt.rep, 1)
     cache = tmp_path / "c.txt"
-    cache.write_text(f"# klsym sum cache v1\nv1|{key}|{value.serialize()}\n")
+    cache.write_text(f"# klsym sum cache v1\n{record_line(key, value)}")
     assert console_main(["symk", "-p", "5", "-n", "1", "-k", "1", "-D", "2",
                          "--cache", str(cache)]) == 2
     assert capsys.readouterr().err == (

@@ -18,9 +18,9 @@ from klsym.expsum import (
     KloostermanEvaluator,
     SumCache,
     _direct_sum,
-    parse_key,
+    key_text,
     parse_record,
-    record_key,
+    record_line,
 )
 from klsym.ff import closed_points, embed, make_field, orbit_rep
 from oracles import direct_reference, kloosterman_table
@@ -223,9 +223,9 @@ def test_cache_rejects_conflicting_duplicate(tmp_path):
     base = make_field(3, 1)
     ev = KloostermanEvaluator(base, cache=cache)
     ev.kloosterman(1, _point(base, (1,), 1), 1)
-    key = record_key(3, 1, (0, 1), 1, 1, (1,), 1)
+    key = (3, 1, (0, 1), 1, 1, (1,), 1)
     with open(path, "a") as fh:
-        fh.write(f"v1|{key}|3:[7,7]\n")
+        fh.write(record_line(key, CycInt(3, (7, 7))))
     with pytest.raises(CacheError, match="conflicting"):
         SumCache(path)
     with pytest.raises(CacheError):
@@ -238,9 +238,9 @@ def test_cache_compact_dedupes(tmp_path):
     base = make_field(3, 1)
     ev = KloostermanEvaluator(base, cache=cache)
     v = ev.kloosterman(1, _point(base, (2,), 1), 1)
-    key = record_key(3, 1, (0, 1), 1, 1, (2,), 1)
+    key = (3, 1, (0, 1), 1, 1, (2,), 1)
     with open(path, "a") as fh:
-        fh.write(f"v1|{key}|{v.serialize()}\n")  # benign duplicate
+        fh.write(record_line(key, v))  # benign duplicate
     assert len(SumCache(path)) == 1
     assert SumCache(path).compact() == 1
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
@@ -248,9 +248,31 @@ def test_cache_compact_dedupes(tmp_path):
     assert parse_record(lines[0])[1] == v
 
 
+def test_any_spelling_of_a_key_is_one_key(tmp_path):
+    # "[0, 1]", "+1" and "01" spell the integers of 3,1,[0,1]|1|1|[1]|1
+    path = tmp_path / "sums.cache"
+    base = make_field(3, 1)
+    pt = _point(base, (1,), 1)
+    v = KloostermanEvaluator(base).kloosterman(1, pt, 1)
+    odd = "v1|3,1,[0, 1]|+1|01|[1]|1|"
+    canonical = "v1|3,1,[0,1]|1|1|[1]|1|"
+    path.write_text(f"{CACHE_HEADER}\n{odd}{v.serialize()}\n{canonical}{v.serialize()}\n")
+    cache = SumCache(path)
+    assert len(cache) == 1
+    assert KloostermanEvaluator(base, cache=cache).kloosterman(1, pt, 1) == v
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert SumCache(path).compact() == 1
+    assert path.read_text() == f"{CACHE_HEADER}\n{canonical}{v.serialize()}\n"
+    with open(path, "a") as fh:
+        fh.write(f"{odd}{(v + CycInt.from_int(3, 1)).serialize()}\n")
+    with pytest.raises(CacheError) as exc:
+        SumCache(path)
+    assert str(exc.value) == f"{path}:3: conflicting duplicate for 3,1,[0,1]|1|1|[1]|1"
+
+
 def _record(m):
     """A valid record key and a value of about 3000 digits, distinct per m."""
-    return record_key(3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m))
+    return (3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m))
 
 
 def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
@@ -268,7 +290,7 @@ def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
     for m in (1, 2, 3):
         key, value = _record(m)
         cache.put(key, value)
-        lines.append(f"v1|{key}|{value.serialize()}\n".encode("ascii"))
+        lines.append(f"v1|3,1,[0,1]|1|1|[1]|{m}|{value.serialize()}\n".encode("ascii"))
     header = (CACHE_HEADER + "\n").encode("ascii")
     assert writes == [header + lines[0]] + lines[1:]  # the header rides on the first record
     assert path.read_bytes() == header + b"".join(lines)
@@ -295,12 +317,12 @@ def test_cache_bytes_do_not_depend_on_workers(tmp_path):
 _WRITER = """
 import sys, time
 from klsym.cyclo import CycInt
-from klsym.expsum import SumCache, record_key
+from klsym.expsum import SumCache
 path, first, count, start = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 cache = SumCache(path)
 time.sleep(max(0.0, start - time.time()))  # both writers begin together
 for m in range(first, first + count):
-    cache.put(record_key(3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m)))
+    cache.put((3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m)))
 """
 
 
@@ -320,7 +342,7 @@ def test_two_processes_append_to_one_cache(tmp_path):
     records = cache.records()  # raises CacheError on a torn or interleaved line
     assert sorted(key for _, key, _ in records) == \
         sorted(_record(m)[0] for m in range(1, 2 * count + 1))
-    assert all(value == _record(parse_key(key)[-1])[1] for _, key, value in records)
+    assert all(value == _record(key[-1])[1] for _, key, value in records)
 
 
 def test_append_after_another_writers_torn_record_heals(tmp_path):
@@ -328,7 +350,7 @@ def test_append_after_another_writers_torn_record_heals(tmp_path):
     cache = SumCache(path)  # holds the cache open
     key, value = _record(1)
     with open(path, "ab") as fh:  # another writer dies mid-record
-        fh.write(f"v1|{key}|{value.serialize()}".encode("ascii")[:40])
+        fh.write(record_line(key, value).encode("ascii")[:40])
     cache.put(*_record(2))
     reloaded = SumCache(path)  # raises CacheError if the record joined the torn text
     assert reloaded.torn == 0
@@ -408,15 +430,18 @@ def test_cache_compact_failing_part_way_leaves_the_file(tmp_path, monkeypatch):
 
 
 def test_record_format_shape():
-    key = record_key(3, 2, (1, 0, 1), 2, 3, (1, 2, 0, 1, 1, 2), 4)
-    line = f"v1|{key}|3:[-2,-3]"
+    key = (3, 2, (1, 0, 1), 2, 3, (1, 2, 0, 1, 1, 2), 4)
+    text = "3,2,[1,0,1]|2|3|[1,2,0,1,1,2]|4"
+    line = f"v1|{text}|3:[-2,-3]"
+    assert key_text(key) == text
+    assert record_line(key, CycInt(3, (-2, -3))) == line + "\n"
     got_key, got_val = parse_record(line)
     assert got_key == key
     assert got_val == CycInt(3, (-2, -3))
     with pytest.raises(CacheError):
-        parse_record("v2|" + key + "|3:[1,0]")
+        parse_record("v2|" + text + "|3:[1,0]")
     with pytest.raises(CacheError):
-        parse_record(f"v1|{key}|5:[1,0,0,0]")  # wrong level for p=3
+        parse_record(f"v1|{text}|5:[1,0,0,0]")  # wrong level for p=3
 
 
 def test_base_degree_zero_is_a_corrupt_record(tmp_path):
