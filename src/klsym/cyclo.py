@@ -32,23 +32,25 @@ def ord_p(p: int, m: int) -> int:
     return e
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division; [] for n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @functools.cache
 def check_odd_prime(p: int) -> None:
     """Reject p = 2 and composites; the verified statements assume p odd."""
-    if not is_prime(p) or p == 2:
+    if p == 2 or prime_factors(p) != [p]:
         raise UsageError(f"level must be an odd prime, got {p}")
 
 

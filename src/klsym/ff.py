@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import check_odd_prime
+from .cyclo import check_odd_prime, prime_factors
 from .errors import ResourceError, UsageError
 
 MAX_FIELD_SIZE = 1 << 21
@@ -89,30 +89,16 @@ def is_irreducible(f, p) -> bool:
     if (_mat_pow(x, p**k, p)[0] != x[0]).any():
         return False
     one = np.eye(1, k, dtype=np.int64)[0]
-    for r in _prime_factors(k):
+    for r in prime_factors(k):
         h = (_mat_pow(x, p ** (k // r), p)[0] - x[0]) % p
         if (_mat_pow(_mul_matrix(h, f, p), p**k - 1, p)[0] != one).any():
             return False
     return True
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def mobius(n: int) -> int:
     """0 when a square divides n, else (-1)^(number of prime factors)."""
-    primes = _prime_factors(n)
+    primes = prime_factors(n)
     if any(n % (q * q) == 0 for q in primes):
         return 0
     return (-1) ** len(primes)
@@ -137,7 +123,7 @@ def canonical_modulus(p: int, k: int):
 class Field:
     """F_{p^k} with arithmetic on coordinate tuples over F_p."""
 
-    __slots__ = ("p", "k", "modulus", "_trace_vec", "_generator")
+    __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus=None):
         if k < 1:
@@ -157,8 +143,6 @@ class Field:
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._trace_vec = None
-        self._generator = None
 
     @property
     def size(self) -> int:
@@ -215,27 +199,20 @@ class Field:
 
     def _trace_vector(self):
         """Tr(X^i) for i < k: the trace of the matrix of X^i."""
-        if self._trace_vec is None:
-            p, k, f = self.p, self.k, self.modulus
-            self._trace_vec = tuple(int(np.trace(_mul_matrix((0,) * i + (1,), f, p))) % p
-                                    for i in range(k))
-        return self._trace_vec
+        p, k, f = self.p, self.k, self.modulus
+        return tuple(int(np.trace(_mul_matrix((0,) * i + (1,), f, p))) % p for i in range(k))
 
     # -- multiplicative structure ----------------------------------------------
 
     def generator(self):
         """Smallest multiplicative generator in element order."""
-        if self._generator is None:
-            order = self.size - 1
-            primes = _prime_factors(order)
-            for v in range(2, self.size):
-                g = self.from_int(v)
-                if all(self.pow(g, order // r) != self.one for r in primes):
-                    self._generator = g
-                    break
-            else:
-                raise AssertionError("no generator found")
-        return self._generator
+        order = self.size - 1
+        primes = prime_factors(order)
+        for v in range(2, self.size):
+            g = self.from_int(v)
+            if all(self.pow(g, order // r) != self.one for r in primes):
+                return g
+        raise AssertionError("no generator found")
 
 
 @lru_cache(maxsize=None)

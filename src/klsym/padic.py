@@ -16,8 +16,8 @@ map, where a certificate fixed in advance is set once, for the result
 reduces in one pass; ``_horner`` evaluates
 f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
 root x of f with y ~ 1/f'(x), x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
-until f(x) = 0 mod p^N, for the unit root and each slope-split round;
-``slope_split`` lifts, deflates and divides by powers of p;
+until f(x) = 0 mod p^N; ``hensel_unit_root`` adds the one 1-unit test and gives
+every p-adic mode its unit root, the first eigenvalue of ``slope_split``;
 ``one_unit_power`` steps each size from the last by Pascal's rule.  These
 coordinates are canonical, so no skipped work moves a byte.
 """
@@ -264,9 +264,11 @@ def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
 
     Requires the exact coefficient valuations pi-val(a_i) = (p-1) a d i(i-1)/2;
     any other shape is reported as SlopeFindingError with the witness index.
-    Round j lifts the unit root u of E(X) mod p^M, deflates E by X - u and
-    rescales X -> p^(a d) X, dividing the quotient's coefficient of X^(deg-1-i)
-    by p^(a d i); the constant term costs a d (deg - 1) digits of M.
+    Eigenvalue 0 is ``hensel_unit_root`` of E(X) mod p^M, the one lift and 1-unit
+    test of every p-adic mode.  Round j = 1..n deflates E by X - u, u the last
+    root, rescales X -> p^(a d) X, dividing the quotient's coefficient of
+    X^(deg-1-i) by p^(a d i), and lifts again mod p^M, M lowered by a d (deg - 1);
+    eigenvalue j keeps N + 2 + a d ((n-j)(n-j+1)/2 + j) > N digits.
     """
     coeffs = list(factor_coeffs)
     p = coeffs[0].p
@@ -285,26 +287,20 @@ def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
     ad = a * d
     M = N + ad * n * (n + 1) // 2 + 2
     f = [c.coords for c in reversed(coeffs)]  # E(X), low-first
-    eigenvalues = []
-    for j in range(n + 1):
-        u = _lift_simple_nonzero_root(f, p, M)
-        if j == 0 and sum(u) % p != 1:
-            raise DegenerateFactorError("unit eigenvalue is not a 1-unit")
-        eigenvalues.append(PadicCyc._new(p, M + ad * j, tuple([c * p ** (ad * j) for c in u]),
-                                         (M + ad * j) * (p - 1)))
-        if j == n:
-            break
-        *quot, rem = _horner(f, u, p ** M)
-        if any(rem):
-            raise AssertionError("deflation remainder not negligible")
+    eigenvalues = [hensel_unit_root(coeffs, M)]
+    u = eigenvalues[0].rep.coords
+    for j in range(1, n + 1):
+        # the lift stopped once f(u) = 0 mod p^M, in this same pass: no remainder
+        quot = _horner(f, u, p ** M)[:-1]
         for i, c in enumerate(quot):
             if any(x % p ** (ad * i) for x in c):
                 raise PrecisionError(f"representative not divisible by p^{ad * i}")
         # the next lift reads these mod p^M only, and refuses an M below 1
         f = [tuple([x // p ** (ad * i) for x in c]) for i, c in enumerate(quot)][::-1]
         M -= ad * (len(quot) - 1)
-    if min(e.vcert for e in eigenvalues) < N * (p - 1):
-        raise PrecisionError("slope split lost more precision than budgeted")
+        u = _lift_simple_nonzero_root(f, p, M)
+        eigenvalues.append(PadicCyc._new(p, M + ad * j, tuple([c * p ** (ad * j) for c in u]),
+                                         (M + ad * j) * (p - 1)))
     return eigenvalues
 
 

@@ -207,6 +207,21 @@ def test_wrong_determinant_sign_in_the_cache_is_a_finding(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "syminf -p 3 -n 1 -k 1 -D 1", "unitroot -p 3 -n 1 -k 1 -D 1",
+    "verify -p 3 -n 1 --kappa 1 -D 1"])
+def test_a_unit_root_off_the_one_units_has_one_finding_text(tmp_path, capsys, argv):
+    # Kl_1(1, 1) = -2 and Kl_1(1, 2) = 2 give e_1 = 2 over F_3: the functional equation
+    # and the slope shape hold, but the unit root is 2 mod 3; every p-adic mode takes
+    # it from the one lift, so all three name it alike
+    key = (3, 1, (0, 1), 1, 1, (1,))
+    cache = tmp_path / "c.txt"
+    cache.write_text("# klsym sum cache v1\n" + record_line(key + (1,), CycInt(3, [-2, 0]))
+                     + record_line(key + (2,), CycInt(3, [2, 0])))
+    assert console_main(argv.split() + ["--cache", str(cache)]) == 2
+    assert capsys.readouterr().err == "finding: unit root has residue 2 != 1, not a 1-unit\n"
+
+
 def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
     # Kl_1(t, 1) + 1 at the first degree-2 point that is not its orbit's
     # representative.  At D = 2 that point reads only Kl(t, 1), and at n = 1 the

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from klsym.cyclo import CycInt, is_prime, ord_p
+from klsym.cyclo import CycInt, check_odd_prime, ord_p, prime_factors
 from klsym.errors import UsageError
 from oracles import divide_exact_cyc, pi_val_reference
 
@@ -30,7 +30,20 @@ def test_level_must_be_odd_prime():
         CycInt.from_int(2, 1)
     with pytest.raises(UsageError):
         CycInt.from_int(9, 1)
-    assert is_prime(7) and not is_prime(1)
+    assert prime_factors(7) == [7] and prime_factors(1) == []
+
+
+def test_one_trial_division_matches_sympy():
+    # prime_factors is the one trial division: sympy's primes of |n| from n = 2 on,
+    # none below; check_odd_prime refuses exactly what is not an odd prime
+    sympy = pytest.importorskip("sympy")
+    for n in range(-3, 5000):
+        assert prime_factors(n) == (sympy.primefactors(n) if n > 1 else []), n
+        if sympy.isprime(n) and n != 2:
+            check_odd_prime(n)
+        else:
+            with pytest.raises(UsageError, match="odd prime"):
+                check_odd_prime(n)
 
 
 def test_basis_reduction_relations():

@@ -344,6 +344,20 @@ def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
         assert ls.coeffs == inverse_factor_series(whole, R)
 
 
+# above k = 3, sym_k_factor runs symk_local's own recurrence (e_k of the signed power
+# sums); the division-free Berkowitz charpoly of the Sym^k matrix is independent of it
+@pytest.mark.parametrize("p,a,n,k,D", [
+    (3, 1, 1, 12, 2), (5, 1, 1, 6, 2), (3, 1, 2, 4, 2), (3, 1, 2, 6, 1), (3, 2, 1, 6, 1),
+    (7, 1, 1, 8, 1)])
+def test_symk_local_matches_berkowitz_above_k_3(p, a, n, k, D):
+    ev = _ev(p, a)
+    for pt in points_up_to(ev.base, D):
+        lf = local_factor(ev, n, pt)
+        R = D // pt.degree
+        want = eigen_power_sums_cyc(sym_k_factor_berkowitz(lf, k), R)
+        assert symk_local(lf, k, R) == [c.coords for c in want], pt.rep
+
+
 def test_symk_local_edge_cases():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
