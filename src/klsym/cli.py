@@ -144,7 +144,7 @@ def _admit(config: RunConfig):
     base = make_field(config.p, config.a)
     max_degree = reach(config.n, config.D)
     point_field(base, max_degree)
-    # at a point of degree d the Sym^k power sums take about (D/d) k^2 products
+    # at a point of degree d the Sym^k power sums take about (D/d) k min(k, n+1) products
     if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
         raise ResourceError(
             f"Sym^{config.k} series to degree {config.D} needs "

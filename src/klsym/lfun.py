@@ -10,8 +10,9 @@ weight-n sheaf gives the upper half of the coefficients from the lower
 half, checked against the sums wherever they are read; where the top
 sums would need too large a field, only m <= ceil((n+1)/2) is read, and
 the Weil bound checks the middle one.  The m-th power sum of Sym^k is
-h_k(pi^m), from the base power sums p_(i m) by the h-p Newton relation,
-and the exact series is one recurrence over their sums at all points.
+h_k(pi^m): h_0..h_(n+1) from the base power sums p_(i m) by the h-p Newton
+relation, the rest by the recurrence of order n+1 that the n+1 eigenvalues
+pi^m give; the exact series is one recurrence over their sums at all points.
 The infinite symmetric power series takes the eigenvalues from a p-adic
 slope split; one call gives every 1-unit power of the unit one, and each
 power of another is one product from the last.  Its Euler product
@@ -176,16 +177,25 @@ class LocalSeries:
 
 def symk_local(lf: LocalFactor, k: int, R: int) -> list:
     """Coordinates of the power sums h_k(pi^m), m = 1..R, of the Sym^k eigenvalues
-    pi^alpha, |alpha| = k, at one point: j h_j = sum_i p_i h_(j-i) (Macdonald I.2),
-    as e_j of the sums (-1)^(i-1) p_i, gives each from the base p_(i m), whatever
-    binom(n+k, k) is, each division checked exact.  Sym^0's are h_0 = e_0 = 1.
+    pi^alpha, |alpha| = k, at one point, whatever binom(n+k, k) is (Macdonald I.2):
+    h_0..h_j, j = min(k, n+1), are e_0..e_j of the sums (-1)^(i-1) p_(i m), each
+    division checked exact; above n+1, h_s = -sum_(i <= n+1) a_i h_(s-i), with
+    a_i = (-1)^i e_i(pi^m) from the same sums, n+1 products a step.  Sym^0's are h_0 = 1.
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
-    base = eigen_power_sums([c.coords for c in lf.coeffs], k * R)
-    return [elementary_from_power_sums(
-        lf.coeffs[0].p, _signed([base[i * m - 1] for i in range(1, k + 1)]), k)[-1]
-        for m in range(1, R + 1)]
+    p, j = lf.coeffs[0].p, min(k, lf.n + 1)
+    base = eigen_power_sums([c.coords for c in lf.coeffs], j * R)
+    out = []
+    for m in range(1, R + 1):
+        sums = [base[i * m - 1] for i in range(1, j + 1)]
+        hs = elementary_from_power_sums(p, _signed(sums), j)
+        a = _signed(elementary_from_power_sums(p, sums, j)) if k > j else []
+        for s in range(j + 1, k + 1):
+            hs.append(tuple(-sum(col) for col in zip(
+                *(mul_coords(a[i], hs[s - i]) for i in range(1, j + 1)))))
+        out.append(hs[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ algorithm, so a test can require the two to agree:
   Berkowitz characteristic polynomial of the explicit Sym^k matrix of the
   companion matrix, O(dim^4) with dim = binom(n+k, k);
 * ``sym_k_factor`` and ``inverse_factor_series``: the same factor from
-  k dim base power sums by the Newton identities, and its inverse as a
-  power series by long division, against ``lfun.symk_local``, which never
-  forms the degree-dim polynomial, and its per-point series;
+  k dim base power sums by k-step Newton runs, O(k^2) products for each
+  h_k(pi^m), and its inverse as a power series by long division, against
+  ``lfun.symk_local``, which never forms the degree-dim polynomial and
+  runs Newton only to h_(n+1), then a recurrence of order n+1; the
+  k-step route lives only here and in ``symk_local`` below;
 * ``elementary_from_power_sums_cyc`` and ``eigen_power_sums_cyc``: the
   Newton identities with a ``CycInt`` at every ring operation, against
   the loops of ``lfun`` on coordinate tuples, message of the ValueError
@@ -20,10 +22,10 @@ algorithm, so a test can require the two to agree:
 * ``series_per_point``: the Euler product with a local series built
   at every closed point, against ``cli.series``, which builds one per
   Galois orbit and conjugates it to the other members; for Sym^k, each
-  point's own series (``symk_local``: the power sums of ``lfun.symk_local``,
-  then their h_r) multiplied in place by ``exact_euler_product``, against
-  the one recurrence of ``lfun.power_sum_series`` over the sums of the
-  power sums at all points;
+  point's own series (``symk_local``: the power sums h_k(pi^m) by k-step
+  Newton runs, then their h_r) multiplied in place by
+  ``exact_euler_product``, against the one recurrence of
+  ``lfun.power_sum_series`` over the sums of the power sums at all points;
 * ``sym_inf_local_hsum``: the infinite symmetric power local series
   through eigenvalue power sums instead of the product over weights;
 * ``sym_inf_local_per_size``: the same product over weights with one
@@ -701,8 +703,8 @@ def inverse_factor_series(coeffs, R):
 
 def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
     """Series of 1 / prod over |alpha| = k of (1 - pi^alpha T^d), to r = R, at
-    one point: the power sums h_k(pi^m) of ``lfun.symk_local``, then their
-    h_r by the same Newton recurrence, on CycInt."""
+    one point: the power sums h_k(pi^m) by k-step Newton runs, as in
+    ``sym_k_factor``, then their h_r by the same Newton recurrence, on CycInt."""
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
     p = lf.coeffs[0].p

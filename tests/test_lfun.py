@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from klsym import cli
+from klsym import cli, lfun
 from klsym.cli import _ring_products, reach
 from klsym.cyclo import CycInt
 from klsym.errors import (
@@ -330,7 +330,10 @@ def test_sym_k_matches_berkowitz_oracle(p, a, n, k, D):
 @pytest.mark.parametrize("p,a,n,k,D", [
     (3, 1, 1, 0, 3), (3, 1, 1, 1, 3), (3, 1, 1, 2, 3), (3, 1, 1, 6, 3),
     (3, 1, 2, 0, 2), (3, 1, 2, 1, 2), (3, 1, 2, 2, 2), (3, 1, 2, 6, 2),
-    (3, 1, 3, 3, 1), (3, 2, 1, 3, 2), (3, 1, 1, 20, 2)])
+    (3, 1, 3, 3, 1), (3, 2, 1, 3, 2), (3, 1, 1, 20, 2),
+    # large k, and k = n+1 (no recurrence step), n+2 (the first) and beyond at n = 2, 3
+    (3, 1, 1, 40, 2), (5, 1, 1, 25, 1), (3, 1, 2, 12, 1), (3, 1, 2, 3, 2), (3, 1, 2, 4, 2),
+    (3, 1, 3, 4, 1), (3, 1, 3, 6, 1), (3, 2, 1, 7, 1)])
 def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
     # the power sums of the whole Sym^k factor, and the per-point series from them
     ev = _ev(p, a)
@@ -344,8 +347,9 @@ def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
         assert ls.coeffs == inverse_factor_series(whole, R)
 
 
-# above k = 3, sym_k_factor runs symk_local's own recurrence (e_k of the signed power
-# sums); the division-free Berkowitz charpoly of the Sym^k matrix is independent of it
+# above k = 3, sym_k_factor runs its own k-step Newton route (e_k of the signed power
+# sums); the division-free Berkowitz charpoly of the Sym^k matrix is independent of
+# both it and symk_local's order-(n+1) recurrence
 @pytest.mark.parametrize("p,a,n,k,D", [
     (3, 1, 1, 12, 2), (5, 1, 1, 6, 2), (3, 1, 2, 4, 2), (3, 1, 2, 6, 1), (3, 2, 1, 6, 1),
     (7, 1, 1, 8, 1)])
@@ -356,6 +360,20 @@ def test_symk_local_matches_berkowitz_above_k_3(p, a, n, k, D):
         R = D // pt.degree
         want = eigen_power_sums_cyc(sym_k_factor_berkowitz(lf, k), R)
         assert symk_local(lf, k, R) == [c.coords for c in want], pt.rep
+
+
+@pytest.mark.parametrize("n,k,R,most", [
+    # no more products than the k-step Newton route made (as many at k <= n+1)
+    (1, 2, 10, 67), (2, 3, 2, 24), (3, 4, 1, 16), (1, 3, 4, 45), (2, 6, 2, 72),
+    # linear in k: that route made 20,497 and 7,197 products here
+    (1, 200, 1, 1200), (1, 40, 8, 1920)])
+def test_symk_local_product_count(monkeypatch, n, k, R, most):
+    lf = local_factor(_ev(), n, _pt(make_field(3, 1), (1,)))
+    calls = []
+    real = lfun.mul_coords
+    monkeypatch.setattr(lfun, "mul_coords", lambda *args: calls.append(1) or real(*args))
+    symk_local(lf, k, R)
+    assert 0 < len(calls) <= most
 
 
 def test_symk_local_edge_cases():
