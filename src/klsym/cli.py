@@ -576,6 +576,15 @@ def cmd_cache(args) -> int:
     return 2 if bad else code
 
 
+def cmd_run(args) -> int:
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    report, code = run(config)
+    write_report(report, args.out)
+    if args.csv:
+        write_csv(report, args.csv)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -620,61 +629,41 @@ def _add_exponent_args(sp, require_k=False):
                        help="truncated p-adic exponent digits, low first")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="klsym",
-        description="Symmetric power L-series of hyper-Kloosterman sums",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"klsym {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("points", help="list closed points of the torus")
+def _points_options(sp):
     _add_field_args(sp, with_n=False)
     sp.add_argument("-D", type=int, required=True, help="maximal degree")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_points)
 
-    sp = sub.add_parser("sum", help="one exact hyper-Kloosterman sum")
+
+def _point_options(sp, func):
+    """sum and local, at one closed point; only sum takes an extension level."""
     _add_field_args(sp)
     sp.add_argument("-d", type=int, required=True, help="point degree")
     sp.add_argument("--rep-int", type=int, required=True, dest="rep_int",
                     help="integer code of any orbit element")
-    sp.add_argument("-m", type=int, default=1, help="extension level")
+    if func is cmd_sum:
+        sp.add_argument("-m", type=int, default=1, help="extension level")
     _add_run_args(sp)
-    sp.set_defaults(func=cmd_sum)
+    sp.set_defaults(func=func)
 
-    sp = sub.add_parser("local", help="local L-factor at one closed point")
+
+def _series_options(sp, mode):
     _add_field_args(sp)
-    sp.add_argument("-d", type=int, required=True, help="point degree")
-    sp.add_argument("--rep-int", type=int, required=True, dest="rep_int",
-                    help="integer code of any orbit element")
+    _add_exponent_args(sp, require_k=mode in ("symk", "compare-slopes"))
+    sp.add_argument("-D", type=int, required=True, help="Euler product degree cap")
+    if mode != "symk":
+        sp.add_argument("-V", type=int, default=None,
+                        help="pi-adic precision target (default derived)")
     _add_run_args(sp)
-    sp.set_defaults(func=cmd_local)
+    sp.add_argument("--workers", type=int, default=1,
+                    help=f"threads for the orbits' local series, 1 to {MAX_WORKERS}")
+    sp.add_argument("--csv", help="also write a CSV coefficient table here")
+    # every RunConfig field, also where this mode has no option for it
+    sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
 
-    for name, mode, kind in (
-        ("symk", "symk", "k"),
-        ("syminf", "syminf", "any"),
-        ("unitroot", "unitroot", "any"),
-        ("verify", "verify-newton-hodge", "any"),
-        ("compare", "compare-slopes", "k"),
-    ):
-        sp = sub.add_parser(name, help=f"run mode {mode}")
-        _add_field_args(sp)
-        _add_exponent_args(sp, require_k=(kind == "k"))
-        sp.add_argument("-D", type=int, required=True,
-                        help="Euler product degree cap")
-        if mode != "symk":
-            sp.add_argument("-V", type=int, default=None,
-                            help="pi-adic precision target (default derived)")
-        _add_run_args(sp)
-        sp.add_argument("--workers", type=int, default=1,
-                        help=f"threads for the orbits' local series, 1 to {MAX_WORKERS}")
-        sp.add_argument("--csv", help="also write a CSV coefficient table here")
-        # every RunConfig field, also where this mode has no option for it
-        sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
 
-    sp = sub.add_parser("cache", help="inspect or repair a sum cache")
+def _cache_options(sp):
     sp.add_argument("action", choices=("stat", "verify", "compact"))
     sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
                     default=os.environ.get(CACHE_ENV),
@@ -685,20 +674,39 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_cache)
 
+
+# each subcommand's help, and the builder of its options with the builder's arguments
+COMMANDS = {
+    "points": ("list closed points of the torus", _points_options),
+    "sum": ("one exact hyper-Kloosterman sum", _point_options, cmd_sum),
+    "local": ("local L-factor at one closed point", _point_options, cmd_local),
+    **{name: (f"run mode {mode}", _series_options, mode) for name, mode in
+       zip(("symk", "syminf", "unitroot", "verify", "compare"), MODES)},
+    "cache": ("inspect or repair a sum cache", _cache_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, but the options and defaults of command
+    alone, or of every command when None; a line of command parses the same."""
+    parser = argparse.ArgumentParser(
+        prog="klsym",
+        description="Symmetric power L-series of hyper-Kloosterman sums",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"klsym {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, *args) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_options(sp, *args)
     return parser
 
 
-def cmd_run(args) -> int:
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    report, code = run(config)
-    write_report(report, args.out)
-    if args.csv:
-        write_csv(report, args.csv)
-    return code
-
-
 def console_main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the first word naming a command, unless -h, --version or an error comes first
+    parser = build_parser(next((word for word in argv if word in COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line driver."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -348,6 +349,102 @@ def test_bad_arguments_exit_one(tmp_path):
         assert console_main(point + ["--workers", "7"]) == 1
         assert console_main(point + ["--csv", str(tmp_path / "s.csv")]) == 1
     assert not (tmp_path / "s.csv").exists()
+
+
+# one valid line per subcommand; the tests below derive the bad ones from it
+_VALID_LINES = {
+    "points": "-p 3 -D 1",
+    "sum": "-p 3 -d 1 --rep-int 1 -m 2",
+    "local": "-p 3 -d 1 --rep-int 1",
+    "symk": "-p 3 -k 1 -D 1",
+    "syminf": "-p 3 --kappa 1,2 -D 1",
+    "unitroot": "-p 3 -k 1 -D 1 -V 5",
+    "verify": "-p 3 -k 1 -D 1",
+    "compare": "-p 3 -k 1 -D 1 --workers 2",
+    "cache": "stat --cache c.txt --sample 3",
+}
+
+
+def _parsed(parser, argv):
+    """parse_args's namespace, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("case", ["help", "valid", "missing", "bad int", "k and kappa",
+                                  "trailing"])
+def test_a_command_parses_as_with_every_commands_options(monkeypatch, command, case):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    valid = _VALID_LINES[command]
+    tail = {"help": "-h", "valid": valid, "missing": "",
+            # the first " 3" is -p's value, or --sample's under cache
+            "bad int": valid.replace(" 3", " x", 1),
+            "k and kappa": valid + " -k 1 --kappa 1", "trailing": valid + " extra"}[case]
+    argv = [command] + tail.split()
+    own = _parsed(cli.build_parser(command), argv)
+    assert own == _parsed(cli.build_parser(None), argv)
+    assert isinstance(own[0], dict) == (case == "valid")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"], [], ["bogus"]])
+def test_top_level_parses_the_same_whichever_command_has_options(monkeypatch, argv):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    everything = _parsed(cli.build_parser(None), argv)
+    assert everything[0] == (2 if argv in ([], ["bogus"]) else 0)  # argparse.error exits 2
+    for command in [*cli.COMMANDS, "bogus"]:
+        assert _parsed(cli.build_parser(command), argv) == everything
+
+
+def _console(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# argparse reads the command after top-level options and "--", so console_main
+# builds the options of the first word that names a command
+@pytest.mark.parametrize("argv", [
+    "-h symk", "--vers", "-- symk -p x -D 1", "--bad symk -p 3 -k 1 -D 1",
+    "-- sum -p 3 -d 1 --rep-int x", "symk -p 3 -k 1 -D 1 sum", "bogus symk -h",
+])
+def test_console_main_parses_as_with_every_commands_options(monkeypatch, argv):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    own = _console(argv.split())
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: build(None))
+    assert own == _console(argv.split())
+
+
+def test_a_symk_run_builds_only_its_own_options(tmp_path, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert console_main(["symk", "-p", "3", "-k", "1", "-D", "1", "--cache",
+                         str(tmp_path / "c.txt"), "--out", str(tmp_path / "r.json")]) == 0
+    # -h of the top-level parser and of the nine subparsers, --version, and symk's
+    # -p -a -n -k -D --budget --cache --out --workers --csv; with every command's
+    # options a run made 88 calls
+    assert len(calls) == 10 + 1 + 10
+
+
+def test_the_console_script_parses_sys_argv(tmp_path, monkeypatch):
+    out = tmp_path / "points.json"
+    monkeypatch.setattr(sys, "argv", ["klsym", "points", "-p", "3", "-D", "1",
+                                      "--out", str(out)])
+    assert console_main() == 0
+    assert _read(out)["D"] == 1
 
 
 @pytest.mark.parametrize("argv", [
