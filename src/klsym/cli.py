@@ -257,7 +257,7 @@ def _series_json(name, gs, points, exponent):
         if gs.cert is None:
             row["value"] = c.as_integer()
         else:
-            row["coords"] = c.rep.coords
+            row["coords"] = c.coords
             row["precision"] = c.N
             row["vcert"] = c.vcert
         rows.append(row)

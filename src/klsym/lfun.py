@@ -327,7 +327,7 @@ def euler_product(base, members, D: int) -> GlobalSeries:
         if len(ls.coeffs) < D // pt.degree + 1:
             raise UsageError(f"local series at {pt.rep} too short for degree {D}")
         c = ls.coeffs[0]
-        if (c.rep.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
+        if (c.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
             raise UsageError(f"local series at {pt.rep} does not start with 1")
     N = min(c.N for _, _, ls in members for c in ls.coeffs)
     acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
@@ -342,8 +342,8 @@ def euler_product(base, members, D: int) -> GlobalSeries:
     cert = min([ls.cert for _, _, ls in members] + [c.vcert for c in acc])
     for r, c in enumerate(acc):
         for g in range(2, p):
-            diff = (c.galois(g) - c).rep.pi_val()
-            if diff is not None and diff < cert:
+            diff = (c.galois(g) - c).val_lb()
+            if diff < cert:
                 raise IntegralityFindingError(
                     f"coefficient of T^{r} moves under zeta -> zeta^{g} "
                     f"below the certificate {cert}",

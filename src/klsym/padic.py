@@ -1,17 +1,17 @@
 """Truncated arithmetic in Z_p[zeta_p] with explicit precision certificates.
 
-Elements carry coordinates mod p^N together with a certificate vcert: the
-difference between the stored representative and the intended exact value
+A ``PadicCyc`` is its coordinates, reduced mod p^N, together with a
+certificate vcert: the difference between them and the intended exact value
 has pi-adic valuation >= vcert, where pi = 1 - zeta_p and (p) = (pi)^(p-1).
 Every operation propagates the certificate pessimistically, so a final
-vcert is a sound claim, never a heuristic.  A ``PadicCyc`` has no inverse;
-an int or a ``CycInt`` operand is exact, so it embeds at the cap, and every
-product is certified by one rule: the least of N(p-1) and each factor's
-vcert plus the other's valuation.
+vcert is a sound claim, never a heuristic; ``val_lb`` is the one valuation
+its readers take.  A ``PadicCyc`` has no inverse; an int operand is exact,
+so it embeds at the cap, and every product is certified by one rule: the
+least of N(p-1) and each factor's vcert plus the other's valuation.
 
 Below ``PadicCyc`` lies one layer of bare coordinate tuples mod p^N, a ring
 map, where a certificate fixed in advance is set once, for the result
-(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``_mul_mod``, the
+(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``mul_coords``, the
 ``cyclo`` product kernel with a modulus, multiplies, folds zeta^(p-1) and
 reduces in one pass; ``_horner`` evaluates
 f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .cyclo import CycInt, mul_coords as _mul_mod, ord_p
+from .cyclo import CycInt, galois_coords, mul_coords, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
 
 
@@ -71,15 +71,15 @@ class PadicExponent:
 
 
 class PadicCyc:
-    """Element of Z_p[zeta_p] stored mod p^N with pi-adic certificate vcert."""
+    """Element of Z_p[zeta_p]: p - 1 coordinates mod p^N and a pi-adic certificate vcert."""
 
-    __slots__ = ("p", "N", "rep", "vcert", "_val_lb")
+    __slots__ = ("p", "N", "coords", "vcert", "_val_lb")
 
-    def __init__(self, p: int, N: int, rep: CycInt, vcert: int):
+    def __init__(self, p: int, N: int, coords, vcert: int):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
         self.p, self.N, mod = p, N, p ** N
-        self.rep = CycInt._new(p, tuple(c % mod for c in rep.coords))
+        self.coords = tuple([c % mod for c in coords])
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
@@ -89,19 +89,15 @@ class PadicCyc:
     def _new(cls, p: int, N: int, coords: tuple, vcert: int) -> "PadicCyc":
         """No checks: coords reduced mod p^N, 0 < vcert <= N(p-1)."""
         self = object.__new__(cls)
-        self.p, self.N, self.rep, self.vcert = p, N, CycInt._new(p, coords), vcert
-        self._val_lb = None
+        self.p, self.N, self.coords, self.vcert, self._val_lb = p, N, coords, vcert, None
         return self
 
     # -- constructors
 
     @classmethod
-    def embed(cls, x: CycInt, N: int) -> "PadicCyc":
-        return cls(x.p, N, x, N * (x.p - 1))
-
-    @classmethod
     def from_int(cls, p: int, N: int, v: int) -> "PadicCyc":
-        return cls.embed(CycInt.from_int(p, v), N)
+        """v at the cap: an int is exact."""
+        return cls(p, N, (v,) + (0,) * (p - 2), N * (p - 1))
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicCyc":
@@ -116,7 +112,7 @@ class PadicCyc:
     def val_lb(self) -> int:
         """Certified lower bound for the pi-valuation of the true value, kept once computed."""
         if self._val_lb is None:
-            v = self.rep.pi_val()
+            v = CycInt._new(self.p, self.coords).pi_val()
             self._val_lb = self.vcert if v is None else min(v, self.vcert)
         return self._val_lb
 
@@ -125,16 +121,14 @@ class PadicCyc:
     def with_precision(self, N: int) -> "PadicCyc":
         if N > self.N:
             raise PrecisionError(f"cannot raise precision {self.N} -> {N}")
-        return PadicCyc(self.p, N, self.rep, self.vcert)
+        return PadicCyc(self.p, N, self.coords, self.vcert)
 
     # -- ring operations
 
     def _coerce(self, other) -> "PadicCyc":
-        """The operand at this level: an int or a CycInt is exact, so it embeds at the cap."""
+        """The operand at this level: an int is exact, so it embeds at the cap."""
         if isinstance(other, int):
-            other = CycInt._new(self.p, (other,) + (0,) * (self.p - 2))
-        if isinstance(other, CycInt):
-            other = PadicCyc.embed(other, self.N)
+            return PadicCyc.from_int(self.p, self.N, other)
         if not isinstance(other, PadicCyc) or other.p != self.p:
             raise UsageError("mixed p-adic levels")
         return other
@@ -145,7 +139,7 @@ class PadicCyc:
         N = min(self.N, other.N)
         mod = self.p ** N
         return PadicCyc._new(self.p, N, tuple([op(a, b) % mod for a, b in zip(
-            self.rep.coords, other.rep.coords)]), min(self.vcert, other.vcert))
+            self.coords, other.coords)]), min(self.vcert, other.vcert))
 
     def __add__(self, other):
         return self._linear(other, add)
@@ -160,8 +154,7 @@ class PadicCyc:
         # val_lb() >= 0: a term whose factor is at the cap never binds
         vc = min([cap] + [a.vcert + b.val_lb() for a, b in ((self, other), (other, self))
                           if a.vcert < cap])
-        return PadicCyc._new(self.p, N, _mul_mod(self.rep.coords, other.rep.coords,
-                                                 self.p ** N), vc)
+        return PadicCyc._new(self.p, N, mul_coords(self.coords, other.coords, self.p ** N), vc)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -179,10 +172,10 @@ class PadicCyc:
         return PadicCyc.one(self.p, self.N) if out is None else out
 
     def galois(self, c: int) -> "PadicCyc":
-        return PadicCyc(self.p, self.N, self.rep.galois(c), self.vcert)
+        return PadicCyc(self.p, self.N, galois_coords(self.coords, c), self.vcert)
 
     def __repr__(self):
-        return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.rep.coords})"
+        return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.coords})"
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,7 @@ def _horner(f, z: tuple, mod: int) -> list:
     the quotient by X - z, high-first."""
     out = [tuple([c % mod for c in f[-1]])]
     for c in reversed(f[:-1]):
-        out.append(tuple([(s + t) % mod for s, t in zip(_mul_mod(out[-1], z, mod), c)]))
+        out.append(tuple([(s + t) % mod for s, t in zip(mul_coords(out[-1], z, mod), c)]))
     return out
 
 
@@ -231,9 +224,9 @@ def _lift_simple_nonzero_root(f, p: int, N: int) -> tuple:
         if not any(fx):
             break
         if i:
-            dy = _mul_mod(_horner(deriv, x, mod)[-1], y, mod)
-            y = _mul_mod(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
-        x = tuple([(s - t) % mod for s, t in zip(x, _mul_mod(fx, y, mod))])
+            dy = mul_coords(_horner(deriv, x, mod)[-1], y, mod)
+            y = mul_coords(y, (2 - dy[0], *[-c for c in dy[1:]]), mod)
+        x = tuple([(s - t) % mod for s, t in zip(x, mul_coords(fx, y, mod))])
         fx = _horner(f, x, mod)[-1]
     if any(fx):
         raise AssertionError("Newton iteration failed to converge")
@@ -288,7 +281,7 @@ def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
     M = N + ad * n * (n + 1) // 2 + 2
     f = [c.coords for c in reversed(coeffs)]  # E(X), low-first
     eigenvalues = [hensel_unit_root(coeffs, M)]
-    u = eigenvalues[0].rep.coords
+    u = eigenvalues[0].coords
     for j in range(1, n + 1):
         # the lift stopped once f(u) = 0 mod p^M, in this same pass: no remainder
         quot = _horner(f, u, p ** M)[:-1]
@@ -336,13 +329,13 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
         for l in range(1, L):
             fact_ord += ord_p(p, l)
             cert = min(cert, (p - 1) * max(0, kappa.ndigits - fact_ord) + l * v1)
-    mod, m, x = p ** N, math.isqrt(L - 1) + 1, um1.rep.coords
+    mod, m, x = p ** N, math.isqrt(L - 1) + 1, um1.coords
     # x^0..x^m and x^L only when some kappa - s is not a plain power
     if not kappa.is_exact or kappa.rep < wmax:
         pw = [(1,) + (0,) * (p - 2), x]
         while len(pw) <= m:
-            pw.append(_mul_mod(pw[-1], x, mod))
-        columns, x_L = list(zip(*pw[:m])), (um1 ** L).rep.coords
+            pw.append(mul_coords(pw[-1], x, mod))
+        columns, x_L = list(zip(*pw[:m])), (um1 ** L).coords
     out = []
     for s in range(wmax, -1, -1):
         r = kappa.minus_int(s).rep
@@ -351,14 +344,14 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
             continue
         if s < wmax and r:  # out[-1] is S(r - 1)
             c = math.comb(r - 1, L - 1) if r > 0 else (-1) ** (L - 1) * math.comb(L - r - 1, L - 1)
-            acc = [a - c * b for a, b in zip(_mul_mod(u.rep.coords, out[-1].rep.coords, mod), x_L)]
+            acc = [a - c * b for a, b in zip(mul_coords(u.coords, out[-1].coords, mod), x_L)]
         else:
             bs = [1]
             for l in range(1, L):
                 bs.append(bs[-1] * (r - l + 1) // l)
             acc = (0,) * (p - 1)
             for j in reversed(range(0, L, m)):  # Horner in x^m from the top block down
-                acc = _mul_mod(acc, pw[m], mod) if j + m < L else acc
+                acc = mul_coords(acc, pw[m], mod) if j + m < L else acc
                 acc = [a + sum(map(mul, bs[j:j + m], col)) for a, col in zip(acc, columns)]
-        out.append(PadicCyc(p, N, CycInt._new(p, tuple(acc)), cert))
+        out.append(PadicCyc(p, N, acc, cert))
     return out[::-1]

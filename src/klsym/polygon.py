@@ -112,26 +112,19 @@ class CoeffPoint:
 def newton_points(coeffs, a: int, cert: int | None = None):
     """CoeffPoints from exact CycInt or certified PadicCyc coefficients.
 
-    a is log_p(q); ord_q = pi_val / ((p-1) a).  For truncated coefficients
-    the measured valuation is exact only below the certificate.
+    a is log_p(q); ord_q = pi_val / ((p-1) a).  A truncated coefficient's
+    val_lb, capped by cert, is its measured valuation, and exact, only below
+    that cap; at the cap it is a bound.
     """
     out = []
     for r, c in enumerate(coeffs):
         if hasattr(c, "vcert"):
             limit = c.vcert if cert is None else min(cert, c.vcert)
-            v = c.rep.pi_val()
-            p = c.p
-            if v is not None and v < limit:
-                out.append(CoeffPoint(r, Fraction(v, (p - 1) * a), True))
-            else:
-                out.append(CoeffPoint(r, Fraction(limit, (p - 1) * a), False))
+            v = min(c.val_lb(), limit)
+            out.append(CoeffPoint(r, Fraction(v, (c.p - 1) * a), v < limit))
         else:
             v = c.pi_val()
-            p = c.p
-            if v is None:
-                out.append(CoeffPoint(r, None, True))
-            else:
-                out.append(CoeffPoint(r, Fraction(v, (p - 1) * a), True))
+            out.append(CoeffPoint(r, None if v is None else Fraction(v, (c.p - 1) * a), True))
     return out
 
 

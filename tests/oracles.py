@@ -61,7 +61,9 @@ algorithm, so a test can require the two to agree:
   reads a binomial table and stops dividing once a term cannot win.
 
 ``from_rational`` and ``times_int`` build p-adic exponents that only the
-tests need; ``residue_int`` reduces a p-adic value to F_p;
+tests need; ``embed_cyc`` puts an element of Z[zeta_p] at the cap and
+``cyc_of`` reads a p-adic value's coordinates back as one, since a
+``PadicCyc`` is only its coordinates; ``residue_int`` reduces it to F_p;
 ``agrees_with`` compares two certified p-adic values, and
 ``divide_exact_int`` divides one by an integer for ``sym_inf_local_hsum``.
 Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
@@ -114,9 +116,19 @@ from klsym.padic import (
 # p-adic exponents, and agreement to a certificate
 
 
+def embed_cyc(x: CycInt, N: int) -> PadicCyc:
+    """x mod p^N at the cap: an element of Z[zeta_p] is exact."""
+    return PadicCyc(x.p, N, x.coords, N * (x.p - 1))
+
+
+def cyc_of(x: PadicCyc) -> CycInt:
+    """The coordinates of x as an element of Z[zeta_p], for its exact operations."""
+    return CycInt(x.p, x.coords)
+
+
 def residue_int(x: PadicCyc) -> int:
     """Image of x in the residue field F_p (zeta maps to 1)."""
-    return sum(x.rep.coords) % x.p
+    return sum(x.coords) % x.p
 
 
 def from_rational(p: int, num: int, den: int, ndigits: int) -> PadicExponent:
@@ -150,7 +162,7 @@ def agrees_with(x: PadicCyc, y: PadicCyc, vmin: int | None = None) -> bool:
     """True when x - y vanishes to the joint certificate (capped at vmin)."""
     d = x - y
     target = d.vcert if vmin is None else min(vmin, d.vcert)
-    v = d.rep.pi_val()
+    v = cyc_of(d).pi_val()
     return v is None or v >= target
 
 
@@ -176,8 +188,7 @@ def times_p_power(x: PadicCyc, j: int) -> PadicCyc:
     """x * p^j; the certificate improves by j*(p-1)."""
     if j < 0:
         raise UsageError("use divide_exact_p_power for negative powers")
-    rep = CycInt(x.p, tuple(c * x.p ** j for c in x.rep.coords))
-    return PadicCyc(x.p, x.N + j, rep, x.vcert + j * (x.p - 1))
+    return PadicCyc(x.p, x.N + j, [c * x.p ** j for c in x.coords], x.vcert + j * (x.p - 1))
 
 
 def divide_exact_p_power(x: PadicCyc, j: int) -> PadicCyc:
@@ -185,10 +196,9 @@ def divide_exact_p_power(x: PadicCyc, j: int) -> PadicCyc:
     if j == 0:
         return x
     q = x.p ** j
-    if any(c % q for c in x.rep.coords):
+    if any(c % q for c in x.coords):
         raise PrecisionError(f"representative not divisible by p^{j}")
-    rep = CycInt(x.p, tuple(c // q for c in x.rep.coords))
-    return PadicCyc(x.p, x.N - j, rep, x.vcert - j * (x.p - 1))
+    return PadicCyc(x.p, x.N - j, [c // q for c in x.coords], x.vcert - j * (x.p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +257,7 @@ def per_element_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     for _ in range(steps):
         x = x - _peval(coeffs, x) * y
         y = y - y * (_peval(deriv, x) * y - 1)
-    v = _peval(coeffs, x).rep.pi_val()
+    v = cyc_of(_peval(coeffs, x)).pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")
     return x
@@ -280,7 +290,7 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
             acc = acc + term * b
         if s is not None:
             cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
-    return PadicCyc(p, acc.N, acc.rep, min(cert, acc.vcert))
+    return PadicCyc(p, acc.N, acc.coords, min(cert, acc.vcert))
 
 
 def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
@@ -304,11 +314,12 @@ def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
     ad = a * d
     n_work = N + ad * n * (n + 1) // 2 + 2
     # E(X) low-first, then run root-extract / deflate / rescale rounds
-    cur = [PadicCyc.embed(c, n_work) for c in reversed(coeffs)]
+    cur = [embed_cyc(c, n_work) for c in reversed(coeffs)]
     eigenvalues = []
     for j in range(n + 1):
-        u = PadicCyc.embed(CycInt(p, _lift_simple_nonzero_root(
-            [c.rep.coords for c in cur], p, cur[0].N)), cur[0].N)
+        n_cur = cur[0].N
+        u = PadicCyc(p, n_cur, _lift_simple_nonzero_root([c.coords for c in cur], p, n_cur),
+                     n_cur * (p - 1))
         if j == 0 and residue_int(u) != 1:
             raise DegenerateFactorError("unit eigenvalue is not a 1-unit")
         eigenvalues.append(times_p_power(u, ad * j))
@@ -320,7 +331,7 @@ def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
         for i in range(1, deg):
             quot.append(high[i] + u * quot[i - 1])
         rem = high[deg] + u * quot[deg - 1]
-        vr = rem.rep.pi_val()
+        vr = cyc_of(rem).pi_val()
         if not (vr is None or vr >= rem.vcert):
             raise AssertionError("deflation remainder not negligible")
         scaled = [divide_exact_p_power(q, ad * i) for i, q in enumerate(quot)]
@@ -346,10 +357,10 @@ def nested_unit_inverse(u: PadicCyc) -> PadicCyc:
     for _ in range(steps):
         y = y * (two - u * y)
     check = u * y - 1
-    v = check.rep.pi_val()
+    v = cyc_of(check).pi_val()
     if not (v is None or v >= min(u.vcert, u.N * (u.p - 1))):
         raise AssertionError("inverse iteration failed to converge")
-    return PadicCyc(u.p, u.N, y.rep, u.vcert)
+    return PadicCyc(u.p, u.N, y.coords, u.vcert)
 
 
 def nested_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
@@ -371,7 +382,7 @@ def nested_lift_simple_nonzero_root(coeffs, p: int, N: int) -> PadicCyc:
     steps = max(1, math.ceil(math.log2(N * (p - 1)))) + 1
     for _ in range(steps):
         x = x - _peval(coeffs, x) * nested_unit_inverse(_peval(deriv, x))
-    v = _peval(coeffs, x).rep.pi_val()
+    v = cyc_of(_peval(coeffs, x)).pi_val()
     if not (v is None or v >= min(c.vcert for c in coeffs)):
         raise AssertionError("Newton iteration failed to converge")
     return x

@@ -34,6 +34,8 @@ from klsym.polygon import (
 from oracles import (
     _hodge_coeffs_bruteforce,
     agrees_with,
+    cyc_of,
+    embed_cyc,
     kloosterman_table,
     sym_inf_local_hsum,
     sym_k_factor,
@@ -81,7 +83,7 @@ def test_criterion_1_local_factor_facts():
                 lead = lf.coeffs[-1].as_integer()
                 assert lead == (-1) ** (n + 1) * p ** (a * d * n * (n + 1) // 2)
                 root = hensel_unit_root(list(lf.coeffs), 4)  # 1-unit enforced
-                res = (root - PadicCyc.one(p, root.N)).rep.pi_val()
+                res = cyc_of(root - PadicCyc.one(p, root.N)).pi_val()
                 assert res is None or res >= 1
 
 
@@ -174,7 +176,7 @@ def test_criterion_6_integrality():
             assert gs.cert is not None and gs.cert > 0
             for c in gs.coeffs:
                 for g in range(2, 3):
-                    drift = (c.galois(g) - c).rep.pi_val()
+                    drift = cyc_of(c.galois(g) - c).pi_val()
                     assert drift is None or drift >= gs.cert
 
 
@@ -189,7 +191,7 @@ def test_criterion_7_padic_limit_of_truncations():
         for pt in points_up_to(base, 1):
             lf = local_factor(ev, 1, pt)
             pi0 = hensel_unit_root(list(lf.coeffs), 7)
-            v1 = (pi0 - PadicCyc.one(p, pi0.N)).rep.pi_val()
+            v1 = cyc_of(pi0 - PadicCyc.one(p, pi0.N)).pi_val()
             assert v1 is not None and v1 >= 1
             limit_coeffs = sym_inf_local(lf, kappa, 12, 2).coeffs
             for s, k_s in truncations:
@@ -198,7 +200,7 @@ def test_criterion_7_padic_limit_of_truncations():
                                       12, 2).coeffs
                 need = (p - 1) * s + v1
                 for r in range(1, 3):
-                    gap = (limit_coeffs[r] - trunc[r]).rep.pi_val()
+                    gap = cyc_of(limit_coeffs[r] - trunc[r]).pi_val()
                     assert gap is None or gap >= need, (pt.rep, s, r, gap)
 
 
@@ -237,7 +239,7 @@ def test_criterion_8_cross_route_equality():
                         rebuilt[r] = rebuilt[r] - lam * rebuilt[r - 1]
                 assert len(rebuilt) == len(exact)
                 for got, want in zip(rebuilt, exact):
-                    assert agrees_with(got, PadicCyc.embed(want, got.N))
+                    assert agrees_with(got, embed_cyc(want, got.N))
 
 
 def test_criterion_9_determinism_and_monotonicity():

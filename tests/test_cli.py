@@ -92,6 +92,12 @@ def _strip_timing(report):
      "347f12133168515b6d44898dac7a550278662ffaaa21d4fe81424f0c74c9f4a9"),
     ("syminf -p 3 -a 2 -n 2 -k 1 -D 1 -V 30", 0,
      "21993c28cacb66151672ae30c0ea42955860e9eea398f13baac437c8f21a2125"),
+    # pinned before PadicCyc held its coordinates itself: a p = 7 retry loop, verdict
+    # and Galois check over five conjugates, in verify and compare
+    ("verify -p 7 -n 1 -k 2 -D 4", 0,
+     "c79951e38516bf3f6aa023a2bf76c95b9737a598d4d968c3e9ee25ae67eb06c0"),
+    ("compare -p 7 -n 1 -k 1 -D 3", 0,
+     "ee5c6999d11672fb779c78b50a44834deb4433d04de0c633f1d2576c90df41dd"),
 ])
 def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -524,7 +530,7 @@ def test_sums_run_on_the_calling_thread(tmp_path, monkeypatch):
 
 def _series_key(gs):
     """The certificate, and each coefficient with its precision and vcert."""
-    return gs.cert, [(c.rep, c.N, c.vcert) if isinstance(c, PadicCyc) else c
+    return gs.cert, [(c.coords, c.N, c.vcert) if isinstance(c, PadicCyc) else c
                      for c in gs.coeffs]
 
 

@@ -33,8 +33,10 @@ from klsym.padic import PadicCyc, PadicExponent
 import oracles
 from oracles import (
     _factor_from_power_sums,
+    cyc_of,
     eigen_power_sums_cyc,
     elementary_from_power_sums_cyc,
+    embed_cyc,
     exact_euler_product,
     from_rational,
     inverse_factor_series,
@@ -404,10 +406,10 @@ def test_sym_inf_frozen_coefficient_kappa_two():
     base = make_field(3, 1)
     lf = local_factor(_ev(), 1, _pt(base, (1,)))
     ls = sym_inf_local(lf, PadicExponent.exact(3, 2), V=8, R=2)
-    c1 = ls.coeffs[1].rep
+    c1 = cyc_of(ls.coeffs[1])
     assert (c1 - CycInt.from_int(3, 7)).pi_val() >= 4  # 7 mod 9
     assert ls.cert >= 6
-    assert ls.coeffs[0].rep.as_integer() == 1
+    assert cyc_of(ls.coeffs[0]).as_integer() == 1
 
 
 def test_sym_inf_agrees_with_hsum_route():
@@ -422,7 +424,7 @@ def test_sym_inf_agrees_with_hsum_route():
             joint = min(a_route.cert, b_route.cert)
             assert joint >= 6
             for x, y in zip(a_route.coeffs, b_route.coeffs):
-                d = (x.rep - y.rep).pi_val()
+                d = (cyc_of(x) - cyc_of(y)).pi_val()
                 assert d is None or d >= joint
 
 
@@ -437,7 +439,7 @@ def test_sym_inf_at_integer_kappa_matches_finite_power():
             finite = inverse_factor_series(sym_k_factor(lf, k), 3)
             bound = min(ls.cert, 2 * (k + 1))
             for x, y in zip(ls.coeffs, finite):
-                d = (x.rep - PadicCyc.embed(y, x.N).rep).pi_val()
+                d = (cyc_of(x) - cyc_of(embed_cyc(y, x.N))).pi_val()
                 assert d is None or d >= bound
 
 
@@ -449,7 +451,7 @@ def test_sym_inf_on_degree_two_point():
     b_route = sym_inf_local_hsum(lf, from_rational(3, 1, 2, 5), V=9, R=2, a=1)
     joint = min(a_route.cert, b_route.cert)
     for x, y in zip(a_route.coeffs, b_route.coeffs):
-        d = (x.rep - y.rep).pi_val()
+        d = (cyc_of(x) - cyc_of(y)).pi_val()
         assert d is None or d >= joint
 
 
@@ -461,14 +463,14 @@ def test_unit_root_series_is_weight_zero_truncation():
     # with V <= a d (p-1) the infinite power keeps only the weight-0 tuple
     small = sym_inf_local(lf, kappa, V=2, R=3)
     for x, y in zip(unit.coeffs, small.coeffs):
-        d = (x.rep - y.rep).pi_val()
+        d = (cyc_of(x) - cyc_of(y)).pi_val()
         assert d is None or d >= small.cert
     # and c_1 is pi_0^kappa itself: square it against pi_0
     c1 = unit.coeffs[1]
     from klsym.padic import hensel_unit_root
 
     pi0 = hensel_unit_root(list(lf.coeffs), 5)
-    d = (c1 * c1 - pi0.with_precision(c1.N)).rep.pi_val()
+    d = cyc_of(c1 * c1 - pi0.with_precision(c1.N)).pi_val()
     assert d is None or d >= min(unit.cert, pi0.vcert)
 
 
@@ -548,7 +550,7 @@ def test_euler_product_coverage_errors():
     padic = [sym_inf_local(local_factor(ev, 1, pt), kappa, V=8, R=1)
              for pt in points_up_to(ev.base, 1)]
     one = padic[0].coeffs[0]
-    padic[0].coeffs[0] = PadicCyc(3, one.N, one.rep, 1)
+    padic[0].coeffs[0] = PadicCyc(3, one.N, one.coords, 1)
     with pytest.raises(UsageError, match="does not start with 1"):
         euler_product(ev.base, _members(padic), 1)
 
@@ -577,7 +579,7 @@ def test_euler_product_padic_mode_and_galois_check():
     # order of contributions must not matter
     gs2 = euler_product(base, list(reversed(_members(contribs))), 2)
     for x, y in zip(gs.coeffs, gs2.coeffs):
-        assert x.rep == y.rep and x.vcert == y.vcert
+        assert x.coords == y.coords and x.vcert == y.vcert
 
 
 def test_euler_product_padic_integrality_finding():
@@ -588,10 +590,13 @@ def test_euler_product_padic_integrality_finding():
     for pt in closed_points(base, 1):
         lf = local_factor(ev, 1, pt)
         contribs.append(sym_inf_local(lf, kappa, V=8, R=1))
-    z = PadicCyc.embed(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
+    z = embed_cyc(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
     contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
-    with pytest.raises(IntegralityFindingError):
+    with pytest.raises(IntegralityFindingError) as exc:
         euler_product(base, _members(contribs), 1)
+    assert str(exc.value) == ("coefficient of T^1 moves under zeta -> zeta^2 "
+                              "below the certificate 8")
+    assert exc.value.witness == {"r": 1, "galois": 2, "val": 1}
 
 
 def test_euler_product_rejects_mixed_modes():

@@ -29,7 +29,9 @@ from klsym.padic import (
 from oracles import (
     agrees_with,
     binom_with_cert,
+    cyc_of,
     divide_exact_p_power,
+    embed_cyc,
     from_rational,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
@@ -106,7 +108,7 @@ def _kernel_operands(draw):
 def test_mul_mod_is_the_reduced_ring_product(operands):
     p, mod, a, b = operands
     want = tuple(c % mod for c in (CycInt(p, a) * CycInt(p, b)).coords)
-    assert padic._mul_mod(a, b, mod) == want
+    assert padic.mul_coords(a, b, mod) == want
 
 
 def test_ring_ops_match_exact_reduction():
@@ -116,20 +118,20 @@ def test_ring_ops_match_exact_reduction():
     for _ in range(40):
         x = C(p, rng.randrange(-50, 50), rng.randrange(-50, 50))
         y = C(p, rng.randrange(-50, 50), rng.randrange(-50, 50))
-        X, Y = PadicCyc.embed(x, N), PadicCyc.embed(y, N)
+        X, Y = embed_cyc(x, N), embed_cyc(y, N)
         for exact, approx in [(x + y, X + Y), (x * y, X * Y), (x - y, X - Y)]:
-            diff = exact - approx.rep
+            diff = exact - cyc_of(approx)
             assert all(c % mod == 0 for c in diff.coords)
             assert approx.vcert == N * (p - 1)
 
 
 def test_val_lb_and_measured():
     p, N = 3, 4
-    x = PadicCyc.embed(C(p, 3, 0), N)  # pi-val 2
-    assert x.rep.pi_val() == 2
+    x = embed_cyc(C(p, 3, 0), N)  # pi-val 2
+    assert cyc_of(x).pi_val() == 2
     assert x.val_lb() == 2
-    z = PadicCyc.embed(C(p, 0, 0), N)
-    assert z.rep.pi_val() is None
+    z = embed_cyc(C(p, 0, 0), N)
+    assert cyc_of(z).pi_val() is None
     assert z.val_lb() == N * (p - 1)
 
 
@@ -140,14 +142,14 @@ def _built_every_way(p, N, seed):
     def elem():
         return C(p, *(rng.randrange(-p ** N, p ** N) for _ in range(p - 1)))
 
-    x = PadicCyc.embed(elem(), N)
-    y = PadicCyc(p, N, elem(), rng.randrange(1, N * (p - 1)))
+    x = embed_cyc(elem(), N)
+    y = PadicCyc(p, N, elem().coords, rng.randrange(1, N * (p - 1)))
     u = PadicCyc.from_int(p, N, 1 + p * rng.randrange(1, 50))
-    pi = PadicCyc.embed(C(p, 1, -1, *[0] * (p - 3)), N)
+    pi = embed_cyc(C(p, 1, -1, *[0] * (p - 3)), N)
     return [
         x, y, u, pi, PadicCyc.zero(p, N), PadicCyc.one(p, N),
         PadicCyc.from_int(p, N, p ** N), PadicCyc.from_int(p, N, -p),
-        x + y, x - y, y + 3, y - 5, x * y, y * elem(), x * pi * pi, x * p ** 2, y * 0,
+        x + y, x - y, y + 3, y - 5, x * y, y * embed_cyc(elem(), N), x * pi * pi, x * p ** 2, y * 0,
         nested_unit_inverse(u), y.galois(2), times_p_power(x, 2),
         divide_exact_p_power(times_p_power(x, 2), 1), y.with_precision(N - 1), u ** 3,
         *one_unit_power(u, PadicExponent.exact(p, -2), N * (p - 1)),
@@ -157,7 +159,7 @@ def _built_every_way(p, N, seed):
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
 def test_val_lb_is_pi_val_capped_by_the_certificate(p, N):
     for x in _built_every_way(p, N, 100 * p + N):
-        v = pi_val_reference(x.rep)
+        v = pi_val_reference(cyc_of(x))
         want = x.vcert if v is None else min(v, x.vcert)
         assert x.val_lb() == want, x
         assert x.val_lb() == want, x  # the kept value
@@ -172,7 +174,7 @@ def test_val_lb_reads_pi_val_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(CycInt, "pi_val", counting)
-    x = PadicCyc.embed(C(5, 10, 0, 5, 0), 4)
+    x = embed_cyc(C(5, 10, 0, 5, 0), 4)
     assert [x.val_lb() for _ in range(3)] == [4, 4, 4]
     assert len(calls) == 1
     x * x
@@ -181,7 +183,8 @@ def test_val_lb_reads_pi_val_once(monkeypatch):
 
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
 def test_int_product_equals_the_product_with_its_embedding(p, N):
-    # an int or CycInt operand of *, + and - is the same operand embedded at the cap
+    # an int operand of *, + and - is the same operand embedded at the cap; a CycInt
+    # operand is refused, since an exact value enters the p-adic level as an int alone
     rng = random.Random(p * N)
     bs = [0, 1, -1, 2, -7, p, -p ** 2 * 3, p ** N, -5 * p ** N, p ** (N + 2),
           3 * p ** (N + 1) + p ** (N - 1), *(rng.randrange(-10 ** 9, 10 ** 9) for _ in range(6))]
@@ -189,16 +192,23 @@ def test_int_product_equals_the_product_with_its_embedding(p, N):
           *(C(p, *(rng.randrange(-p ** (N + 2), p ** (N + 2)) for _ in range(p - 1)))
             for _ in range(4))]
     for x in _built_every_way(p, N, p + N):
-        for b in bs + cs:
-            e = PadicCyc.embed(b if isinstance(b, CycInt) else CycInt.from_int(p, b), x.N)
+        for b in bs:
+            e = embed_cyc(CycInt.from_int(p, b), x.N)
             for want, gots in ((x * e, (x * b, b * x)), (x + e, (x + b, b + x)), (x - e, (x - b,))):
                 for got in gots:
-                    assert (got.rep.coords, got.N, got.vcert) == \
-                        (want.rep.coords, want.N, want.vcert), (x, b)
+                    assert (got.coords, got.N, got.vcert) == \
+                        (want.coords, want.N, want.vcert), (x, b)
+        for c in cs:
+            for op in (x.__mul__, x.__rmul__, x.__add__, x.__radd__, x.__sub__):
+                with pytest.raises(UsageError, match="mixed p-adic levels"):
+                    op(c)
+            for op in (lambda: c * x, lambda: c + x):
+                with pytest.raises(UsageError, match="mixed p-adic levels"):
+                    op()
 
 
 def test_operands_of_another_level_and_negative_powers_are_refused():
-    x = PadicCyc.embed(C(5, 2, 6, 0, 1), 3)
+    x = embed_cyc(C(5, 2, 6, 0, 1), 3)
     for other in (PadicCyc.one(3, 3), C(3, 1, 1), 1.0):
         for op in (x.__mul__, x.__add__, x.__sub__):
             with pytest.raises(UsageError, match="mixed p-adic levels"):
@@ -209,7 +219,7 @@ def test_operands_of_another_level_and_negative_powers_are_refused():
 
 def test_p_power_shifts():
     p, N = 5, 4
-    x = PadicCyc.embed(C(p, 2, 0, 1, 0), N)
+    x = embed_cyc(C(p, 2, 0, 1, 0), N)
     up = times_p_power(x, 2)
     assert up.N == N + 2 and up.vcert == x.vcert + 2 * (p - 1)
     back = divide_exact_p_power(up, 2)
@@ -220,11 +230,11 @@ def test_p_power_shifts():
 
 def test_precision_exhaustion_guards():
     p = 3
-    x = PadicCyc.embed(C(p, 9, 0), 2)
+    x = embed_cyc(C(p, 9, 0), 2)
     with pytest.raises(PrecisionError):
         divide_exact_p_power(x, 2)  # N would hit 0
     with pytest.raises(PrecisionError):
-        PadicCyc(p, 3, C(p, 1, 0), 0)
+        PadicCyc(p, 3, (1, 0), 0)
     # a request so low that a round of the split would work mod p^0
     for split in (slope_split, per_element_slope_split):
         for coeffs, N in [(_pc(3, 1, -1, 3), -2), (_pc(3, 1, -25, 132, -108), -2),
@@ -246,16 +256,16 @@ def _pc(p, *ints):
 def test_unit_root_of_frozen_factor():
     # 1 - T + 3T^2: unit eigenvalue is 7 mod 9
     root = hensel_unit_root(_pc(3, 1, -1, 3), N=6)
-    assert (root.rep - CycInt.from_int(3, 7)).pi_val() >= 4  # mod 9 = 3^2
+    assert (cyc_of(root) - CycInt.from_int(3, 7)).pi_val() >= 4  # mod 9 = 3^2
     # and it satisfies the reversed polynomial exactly to precision
-    val = (root * root - root + 3).rep.pi_val()
+    val = cyc_of(root * root - root + 3).pi_val()
     assert val is None or val >= root.vcert
 
 
 def test_unit_root_second_frozen_factor():
     root = hensel_unit_root(_pc(3, 1, 2, 3), N=6)
-    assert root.rep.coords[0] % 27 == 4  # x^2+2x+3 has unit root 4 mod 27
-    assert root.rep.coords[1] % 27 == 0
+    assert root.coords[0] % 27 == 4  # x^2+2x+3 has unit root 4 mod 27
+    assert root.coords[1] % 27 == 0
 
 
 def test_unit_root_requires_one_unit():
@@ -281,7 +291,7 @@ def test_slope_split_frozen_quadratic():
     pis = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=4)
     assert len(pis) == 2
     p0, p1 = pis
-    assert p0.rep.coords[0] % 9 == 7 and p1.rep.coords[0] % 9 == 3
+    assert p0.coords[0] % 9 == 7 and p1.coords[0] % 9 == 3
     # product of eigenvalues = q = 3, sum = 1 (trace)
     assert agrees_with(p0 * p1, PadicCyc.from_int(3, p0.N, 3), vmin=4 * 2)
     assert agrees_with(p0 + p1, PadicCyc.from_int(3, p0.N, 1), vmin=4 * 2)
@@ -293,17 +303,17 @@ def test_slope_split_reconstructs_cubic():
     coeffs = _pc(3, 1, -25, 132, -108)
     pis = slope_split(coeffs, a=1, d=1, N=5)
     vals = [pi.val_lb() for pi in pis]
-    assert [pis[0].rep.pi_val(), None, None][0] == 0
-    assert pis[1].rep.pi_val() == 2  # ord 3^1
-    assert pis[2].rep.pi_val() == 4  # ord 3^2
+    assert [cyc_of(pis[0]).pi_val(), None, None][0] == 0
+    assert cyc_of(pis[1]).pi_val() == 2  # ord 3^1
+    assert cyc_of(pis[2]).pi_val() == 4  # ord 3^2
     # elementary symmetric functions reproduce the coefficients mod 3^5
     e1 = pis[0] + pis[1] + pis[2]
     e2 = pis[0] * pis[1] + pis[0] * pis[2] + pis[1] * pis[2]
     e3 = pis[0] * pis[1] * pis[2]
     m = 3 ** 5
-    assert (e1.rep - CycInt.from_int(3, 25)).coords[0] % m == 0
-    assert (e2.rep - CycInt.from_int(3, 132)).coords[0] % m == 0
-    assert (e3.rep - CycInt.from_int(3, 108)).coords[0] % m == 0
+    assert (cyc_of(e1) - CycInt.from_int(3, 25)).coords[0] % m == 0
+    assert (cyc_of(e2) - CycInt.from_int(3, 132)).coords[0] % m == 0
+    assert (cyc_of(e3) - CycInt.from_int(3, 108)).coords[0] % m == 0
     # recovered slope-j eigenvalue is 3^j times the expected unit
     assert residue_int(divide_exact_p_power(pis[1], 1)) == 2  # 6/3
     assert residue_int(divide_exact_p_power(pis[2], 2)) == 2  # 18/9
@@ -324,7 +334,7 @@ def test_slope_split_certificates_meet_request():
     # deeper request agrees with shallower one
     deep = slope_split(_pc(3, 1, -1, 3), a=1, d=1, N=9)
     for x, y in zip(pis, deep):
-        assert (x.rep - y.rep).pi_val() >= 7 * 2
+        assert (cyc_of(x) - cyc_of(y)).pi_val() >= 7 * 2
 
 
 # (p, a, n, D): every point of degree <= D; the sums of the cases left out (p = 5,
@@ -346,8 +356,8 @@ def test_slope_split_matches_the_per_element_split(p, a, n, D):
             N = -(-V // (p - 1)) + 1
             got = slope_split(coeffs, a, pt.degree, N)
             want = per_element_slope_split(coeffs, a, pt.degree, N)
-            assert [(x.rep.coords, x.N, x.vcert) for x in got] == \
-                [(x.rep.coords, x.N, x.vcert) for x in want], (pt.rep, V)
+            assert [(x.coords, x.N, x.vcert) for x in got] == \
+                [(x.coords, x.N, x.vcert) for x in want], (pt.rep, V)
 
 
 def test_slope_split_makes_no_padic_arithmetic(monkeypatch):
@@ -370,14 +380,14 @@ def test_slope_split_makes_no_padic_arithmetic(monkeypatch):
 
 
 def _same(x, y):
-    return (x.rep.coords, x.N, x.vcert) == (y.rep.coords, y.N, y.vcert)
+    return (x.coords, x.N, x.vcert) == (y.coords, y.N, y.vcert)
 
 
 def _on_coords(lift):
     """An oracle lift over PadicCyc coefficients at the cap, called as ``padic``'s
     lift is: coordinate tuples in, the root's coordinates out."""
     def coords_lift(f, p, N):
-        return lift([PadicCyc.embed(CycInt(p, c), N) for c in f], p, N).rep.coords
+        return lift([embed_cyc(CycInt(p, c), N) for c in f], p, N).coords
     return coords_lift
 
 
@@ -413,7 +423,7 @@ def _one_unit(p, N, rng, vcert=None):
     """1 + pi * (random element), certified to vcert (the cap by default)."""
     pi = C(p, 1, -1, *[0] * (p - 3))
     w = C(p, *(rng.randrange(-p ** N, p ** N) for _ in range(p - 1)))
-    return PadicCyc(p, N, CycInt.from_int(p, 1) + pi * w,
+    return PadicCyc(p, N, (CycInt.from_int(p, 1) + pi * w).coords,
                     N * (p - 1) if vcert is None else vcert)
 
 
@@ -427,12 +437,12 @@ def test_coordinate_lift_matches_per_element_lift_on_mixed_precision(p, N):
     for _ in range(20):
         a = _one_unit(p, N + 2, rng, rng.randrange(1, (N + 2) * (p - 1) + 1))
         coeffs = [a * -1, PadicCyc.from_int(p, N, 1),
-                  PadicCyc.embed(C(p, *(p * rng.randrange(50) for _ in range(p - 1))), N + 1)]
+                  embed_cyc(C(p, *(p * rng.randrange(50) for _ in range(p - 1))), N + 1)]
         for n_req in (N - 1, N, N + 3):
             ref = per_element_lift_simple_nonzero_root(coeffs, p, n_req)
             assert ref.N == min(n_req, N)
-            got = padic._lift_simple_nonzero_root([c.rep.coords for c in coeffs], p, ref.N)
-            assert got == ref.rep.coords
+            got = padic._lift_simple_nonzero_root([c.coords for c in coeffs], p, ref.N)
+            assert got == ref.coords
 
 
 @pytest.mark.parametrize("p,N", [(3, 3), (3, 8), (5, 4), (7, 3)])
@@ -443,7 +453,7 @@ def test_lift_below_the_cap_agrees_with_the_exact_root(p, N):
     rng = random.Random(31 * p + N)
     pi = C(p, 1, -1, *[0] * (p - 3))
     for _ in range(15):
-        a = _one_unit(p, N + 1, rng).rep * rng.randrange(1, p)
+        a = cyc_of(_one_unit(p, N + 1, rng)) * rng.randrange(1, p)
         s, t = (C(p, *(p * rng.randrange(-40, 40) for _ in range(p - 1))) for _ in "st")
         exact = [-a * t, t - a * s, s - a, CycInt.from_int(p, 1)]
         coeffs = []
@@ -452,8 +462,8 @@ def test_lift_below_the_cap_agrees_with_the_exact_root(p, N):
             move = C(p, *(rng.randrange(-9, 10) for _ in range(p - 1)))
             for _ in range(v):
                 move = move * pi
-            coeffs.append(PadicCyc(p, N, c + move, v))
-        root = padic._lift_simple_nonzero_root([c.rep.coords for c in coeffs], p, N)
+            coeffs.append(PadicCyc(p, N, (c + move).coords, v))
+        root = padic._lift_simple_nonzero_root([c.coords for c in coeffs], p, N)
         d = (CycInt(p, root) - a).pi_val()
         assert d is None or d >= min(c.vcert for c in coeffs)
 
@@ -480,7 +490,7 @@ def test_product_certificate_is_the_full_rule(p, N):
             assert got.vcert == _full_mul_rule(x, y), (x, y)
             assert got.N == min(x.N, y.N)
             mod = p ** got.N
-            assert got.rep.coords == tuple(c % mod for c in (x.rep * y.rep).coords)
+            assert got.coords == tuple(c % mod for c in (cyc_of(x) * cyc_of(y)).coords)
 
 
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 7), (5, 4), (7, 3)])
@@ -491,10 +501,10 @@ def test_sums_and_differences_are_the_checked_construction(p, N):
         for y in xs + [0, 1, -p, p ** N + 2]:
             z = y if isinstance(y, PadicCyc) else PadicCyc.from_int(p, x.N, y)
             n, vc = min(x.N, z.N), min(x.vcert, z.vcert)
-            for got, rep in [(x + y, x.rep + z.rep), (x - y, x.rep - z.rep)]:
-                want = PadicCyc(p, n, rep, vc)
-                assert (got.rep.coords, got.N, got.vcert) == \
-                    (want.rep.coords, want.N, want.vcert), (x, y)
+            for got, rep in [(x + y, cyc_of(x) + cyc_of(z)), (x - y, cyc_of(x) - cyc_of(z))]:
+                want = PadicCyc(p, n, rep.coords, vc)
+                assert (got.coords, got.N, got.vcert) == \
+                    (want.coords, want.N, want.vcert), (x, y)
 
 
 def _pow_every_square(x, e):
@@ -513,8 +523,8 @@ def test_power_skips_only_products_that_change_nothing(p, N):
     for x in _mixed(p, N, 13 * p + N):
         for e in (0, 1, 2, 3, 6, 25, 50):
             got, want = x ** e, _pow_every_square(x, e)
-            assert (got.rep.coords, got.N, got.vcert) == \
-                (want.rep.coords, want.N, want.vcert), (x, e)
+            assert (got.coords, got.N, got.vcert) == \
+                (want.coords, want.N, want.vcert), (x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +533,7 @@ def test_power_skips_only_products_that_change_nothing(p, N):
 
 def test_one_unit_power_matches_integer_powers():
     p, N = 3, 8
-    u = PadicCyc.embed(C(p, 4, 0), N)  # 1 + 3
+    u = embed_cyc(C(p, 4, 0), N)  # 1 + 3
     for k in (0, 1, 2, 5, 11):
         via_series, = one_unit_power(u, PadicExponent.exact(p, k), V=14)
         assert agrees_with(via_series, u ** k)
@@ -531,7 +541,7 @@ def test_one_unit_power_matches_integer_powers():
 
 def test_one_unit_power_negative_exponent():
     p, N = 3, 8
-    u = PadicCyc.embed(C(p, 1, 3), N)  # 1 + 3*zeta
+    u = embed_cyc(C(p, 1, 3), N)  # 1 + 3*zeta
     w, = one_unit_power(u, PadicExponent.exact(p, -1), V=12)
     assert agrees_with(w * u, PadicCyc.one(p, N), vmin=12)
     w2, = one_unit_power(u, PadicExponent.exact(p, -2), V=12)
@@ -540,7 +550,7 @@ def test_one_unit_power_negative_exponent():
 
 def test_one_unit_power_square_root():
     p, N = 3, 9
-    u = PadicCyc.embed(C(p, 7, 0), N)  # 1 + 6 = 1-unit
+    u = embed_cyc(C(p, 7, 0), N)  # 1 + 6 = 1-unit
     half = from_rational(p, 1, 2, 5)
     r, = one_unit_power(u, half, V=10)
     assert agrees_with(r * r, u, vmin=r.vcert)
@@ -551,11 +561,11 @@ def test_one_unit_power_truncated_certificate_is_honest():
     # truncating kappa to fewer digits must still agree within the
     # smaller claimed certificate
     p, N = 3, 10
-    u = PadicCyc.embed(C(p, 4, 3), N)
+    u = embed_cyc(C(p, 4, 3), N)
     full, = one_unit_power(u, from_rational(p, 1, 2, 6), V=12)
     for nd in (2, 3, 4):
         coarse, = one_unit_power(u, from_rational(p, 1, 2, nd), V=12)
-        d = (full.rep - coarse.rep).pi_val()
+        d = (cyc_of(full) - cyc_of(coarse)).pi_val()
         assert d is None or d >= coarse.vcert
 
 
@@ -575,7 +585,7 @@ def test_one_unit_power_shared_chain_equals_per_size_call(kappa):
         alone, = one_unit_power(u, kappa.minus_int(s), V)
         ref = per_element_one_unit_power(u, kappa.minus_int(s), V, chain)
         for got in (shared, alone):
-            assert (got.rep, got.N, got.vcert) == (ref.rep, ref.N, ref.vcert)
+            assert (got.coords, got.N, got.vcert) == (ref.coords, ref.N, ref.vcert)
     assert len(chain) == (V - 1) // (u - 1).val_lb()
 
 
@@ -594,7 +604,7 @@ def test_plain_one_unit_sizes_take_one_product_each(monkeypatch):
     monkeypatch.undo()
     for s, got in enumerate(powers):
         want = u ** (40 - s)
-        assert (got.rep.coords, got.N, got.vcert) == (want.rep.coords, want.N, want.vcert)
+        assert (got.coords, got.N, got.vcert) == (want.coords, want.N, want.vcert)
 
 
 def _exponent(p, k):
@@ -623,10 +633,10 @@ def test_one_unit_power_matches_per_element_sum(p, N, seed, at_cap, V, kappas):
         alone, = one_unit_power(u, kappa, V)
         for s, got in [(0, alone), *enumerate(one_unit_power(u, kappa, V, 3))]:
             want = per_element_one_unit_power(u, kappa.minus_int(s), V)
-            assert (got.rep.coords, got.N, got.vcert) == \
-                (want.rep.coords, want.N, want.vcert), (u, kappa, V, s)
+            assert (got.coords, got.N, got.vcert) == \
+                (want.coords, want.N, want.vcert), (u, kappa, V, s)
         ref = per_element_one_unit_power(u, kappa, V, ref_shared)
-        assert (ref.rep.coords, ref.vcert) == (alone.rep.coords, alone.vcert)
+        assert (ref.coords, ref.vcert) == (alone.coords, alone.vcert)
 
 
 @settings(max_examples=80, deadline=None)
@@ -649,19 +659,19 @@ def test_one_unit_power_pascal_steps_match_per_element_sums(p, N, seed, at_cap, 
     kappa = _exponent(p, k)
     for s, got in enumerate(one_unit_power(u, kappa, V, wmax)):
         want = per_element_one_unit_power(u, kappa.minus_int(s), V)
-        assert (got.rep.coords, got.N, got.vcert) == \
-            (want.rep.coords, want.N, want.vcert), (u, kappa, V, s)
+        assert (got.coords, got.N, got.vcert) == \
+            (want.coords, want.N, want.vcert), (u, kappa, V, s)
 
 
 def _counting_mul_mod(monkeypatch):
     calls = []
-    real = padic._mul_mod
+    real = padic.mul_coords
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(padic, "_mul_mod", counted)
+    monkeypatch.setattr(padic, "mul_coords", counted)
     return calls
 
 
@@ -672,15 +682,15 @@ def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
     rng = random.Random(p + N)
     calls = _counting_mul_mod(monkeypatch)
     for _ in range(10):
-        c = PadicCyc.embed(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
+        c = embed_cyc(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
         if residue_int(c) != 0:
-            f = [c.rep.coords, PadicCyc.one(p, N).rep.coords]
+            f = [c.coords, PadicCyc.one(p, N).coords]
             want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
             calls.clear()
             got = padic._lift_simple_nonzero_root(f, p, N)
             assert len(calls) == 3  # f(x0), f(x0) y, f(x1)
             assert got == want
-            assert got == (c * -1).rep.coords
+            assert got == (c * -1).coords
 
 
 @pytest.mark.parametrize("p,N", [(3, 5), (5, 4), (7, 3)])
@@ -688,19 +698,19 @@ def test_lift_of_an_exact_integer_root_takes_no_step(monkeypatch, p, N):
     # (X - a)(X^2 + p) has the one nonzero residue root a, simple, and f(a) = 0
     calls = _counting_mul_mod(monkeypatch)
     for a in range(1, p):
-        f = [PadicCyc.from_int(p, N, v).rep.coords for v in (-a * p, p, -a, 1)]
+        f = [PadicCyc.from_int(p, N, v).coords for v in (-a * p, p, -a, 1)]
         want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
         calls.clear()
         got = padic._lift_simple_nonzero_root(f, p, N)
         assert len(calls) == 3  # the one evaluation of f, degree 3
-        assert got == PadicCyc.from_int(p, N, a).rep.coords
+        assert got == PadicCyc.from_int(p, N, a).coords
         assert got == want
 
 
 def test_verify_run_makes_no_redundant_kernel_products(monkeypatch, capsys):
     # the padic-warm command: the 1-unit powers take one product per size from the
     # last (Pascal), the lift stops at the root and a factor at the cap reads no
-    # valuation; the parent made 4,766 _mul_mod and 801 pi_val calls
+    # valuation; the parent made 4,766 kernel products and 801 pi_val calls
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = _counting_mul_mod(monkeypatch)
     vals = []
@@ -772,8 +782,8 @@ def test_sym_inf_local_matches_the_per_size_route(p, n, D, V):
             got = sym_inf_local(lf, kappa, V, 2)
             want = sym_inf_local_per_size(lf, kappa, V, 2)
             assert got.cert == want.cert, (pt.rep, kappa)
-            assert [(c.rep.coords, c.N, c.vcert) for c in got.coeffs] == \
-                [(c.rep.coords, c.N, c.vcert) for c in want.coeffs], (pt.rep, kappa)
+            assert [(c.coords, c.N, c.vcert) for c in got.coeffs] == \
+                [(c.coords, c.N, c.vcert) for c in want.coeffs], (pt.rep, kappa)
 
 
 def test_one_unit_power_rejects_non_one_unit():
@@ -785,9 +795,9 @@ def test_one_unit_power_rejects_non_one_unit():
 def test_one_unit_spacing_invariant():
     # ord(u^k - u^j) >= (p-1) ord_p(k - j) + ord(u - 1)
     p, N = 3, 9
-    u = PadicCyc.embed(C(p, 4, 0), N)
+    u = embed_cyc(C(p, 4, 0), N)
     v1 = (u - 1).val_lb()
     for k, j in [(9, 0), (10, 1), (7, 4), (12, 3), (27, 0)]:
-        d = (u ** k - u ** j).rep.pi_val()
+        d = cyc_of(u ** k - u ** j).pi_val()
         need = (p - 1) * ord_p(p, k - j) + v1
         assert d is None or d >= need

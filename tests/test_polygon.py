@@ -17,7 +17,7 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
-from oracles import _hodge_coeffs_bruteforce
+from oracles import _hodge_coeffs_bruteforce, embed_cyc
 
 F = Fraction
 
@@ -97,7 +97,7 @@ def test_newton_points_exact_and_padic():
 
 def test_newton_points_padic_certificates():
     p, N = 3, 4
-    x = PadicCyc.embed(CycInt.from_int(p, 9), N)  # measured 4 < vcert 8
+    x = embed_cyc(CycInt.from_int(p, 9), N)  # measured 4 < vcert 8
     z = PadicCyc.zero(p, N)
     pts = newton_points([x, z], a=1)
     assert pts[0] == CoeffPoint(0, F(4, 2), True)
@@ -106,6 +106,18 @@ def test_newton_points_padic_certificates():
     assert capped[1] == CoeffPoint(1, F(6, 2), False)
     # measured at or above the cap degrades to a bound
     assert newton_points([x], a=1, cert=3)[0] == CoeffPoint(0, F(3, 2), False)
+    assert newton_points([x], a=1, cert=4)[0] == CoeffPoint(0, F(4, 2), False)
+    assert newton_points([x], a=1, cert=5)[0] == CoeffPoint(0, F(4, 2), True)
+    # measured above vcert, or at it: a bound at vcert, with or without cert
+    for vcert in (3, 4):
+        y = PadicCyc(p, N, x.coords, vcert)
+        assert newton_points([y], a=1)[0] == CoeffPoint(0, F(vcert, 2), False)
+        assert newton_points([y], a=1, cert=7)[0] == CoeffPoint(0, F(vcert, 2), False)
+    # a zero representative is a bound at the least of vcert and cert
+    low = PadicCyc(p, N, z.coords, 5)
+    assert newton_points([low], a=1)[0] == CoeffPoint(0, F(5, 2), False)
+    assert newton_points([low], a=1, cert=7)[0] == CoeffPoint(0, F(5, 2), False)
+    assert newton_points([low], a=1, cert=2)[0] == CoeffPoint(0, F(2, 2), False)
 
 
 def test_lower_hull_basic():
