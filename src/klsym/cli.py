@@ -270,7 +270,12 @@ def _newton_hull_json(points):
 
 
 def write_report(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:  # before the file opens, so a refused report leaves none
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError:  # an integer longer than Python's int-to-str limit
+        raise ResourceError(f"the report has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                            f"(-X int_max_str_digits raises it)") from None
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)

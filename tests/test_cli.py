@@ -34,6 +34,7 @@ from klsym.lfun import euler_product, local_factor, power_sum_series, sums_read,
     sym_inf_local, symk_local, unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
+import digests
 import oracles
 from oracles import series_per_point
 
@@ -43,80 +44,61 @@ def _read(path):
         return json.load(fh)
 
 
-def _strip_timing(report):
-    report = dict(report)
-    report.pop("timing")
-    return json.dumps(report, sort_keys=True)
+PADIC_MODES = ("syminf", "unitroot", "verify", "compare")
 
 
-# exit code and report digest of the p-adic modes that perfbench does not run, pinned
-# before the unit-root and Sym^(kappa,oo) series shared one routine; the digest is
-# perfbench's: SHA-256 of the canonical JSON report without its timing block
-@pytest.mark.parametrize("argv,code,digest", [
-    ("unitroot -p 3 -n 1 --kappa 1,1 -D 3", 0,
-     "63d4df6599f83b954b935b85e08562ae63253822bed7bdcc39f889dd18f5a936"),
-    ("unitroot -p 3 -n 1 -k -2 -D 3", 0,
-     "40e18a9130817b69edbd932f0386181b906be11691db8836c3b559ba277d24be"),
-    ("unitroot -p 3 -a 2 -n 1 --kappa 2,1 -D 1", 0,
-     "eb92210ba6a0f1365384f7dc7df32d5878505ec2ea24b5c86b407cb0fc396507"),
-    ("syminf -p 3 -n 1 --kappa 1,2,0 -D 3", 0,
-     "e6cfa1e1789840552afb017a6d5cc236c0dcbdfec27c1417993740fb617a67d0"),
-    ("syminf -p 3 -n 2 -k 1 -D 2", 0,
-     "5b27b757c37cdcf2458968bb57dca23244addd8c3825f7fa15ac614728718305"),
-    ("syminf -p 3 -a 2 -n 1 -k 1 -D 1", 0,
-     "f353bfd1c0f36c9f6f32f46df31f335cf3a3473cd736b37d8839341b8028a47a"),
-    ("syminf -p 7 -n 1 --kappa 3,1 -D 2", 0,
-     "0336788f701c9c8d9fb32f2b859a187c9e7972f2de311b99e91ffe4a0d1bc4da"),
-    ("compare -p 3 -a 2 -n 1 -k 1 -D 1", 0,
-     "0bf74df730660fc83e05babb0513fd6d70ac3e02fbcbb35f0f944b72e28daef8"),
-    ("verify -p 3 -n 2 -k 2 -D 2", 0,
-     "2914be2864166f9867228d0c0ba90976331f678e77004cf5c5bff3fac49d6b26"),
-    ("verify -p 3 -n 1 --kappa 1,0 -D 3", 0,
-     "1bc0606a6330b5a63b30bbc0ed6b118a853bc1e597f63e2f8eb4d13e7ef3fc51"),
-    # n = 3 ladders and truncated kappa at p = 5, pinned before the coordinate kernel
-    ("syminf -p 3 -n 3 -k 1 -D 2", 0,
-     "a9924ee2a1efed0545905d588a5df85d627e5f4f928b9b72459b1cb13eb98198"),
-    ("syminf -p 5 -n 2 --kappa 2,1 -D 2", 0,
-     "b3e007c85a195a34e74e4eb0606801f7ad734e396f4e8020bbe31d031c2b1854"),
-    # pinned before the Pascal steps of the 1-unit powers: a truncated kappa whose
-    # representative wraps every third size, and an exact kappa < 0, every size a series
-    ("syminf -p 3 -n 1 --kappa 1 -D 4", 0,
-     "497daca8abe6e6c41397523fc9df343e9dcb703e35d6903afc0caaab2d8ee90e"),
-    ("syminf -p 3 -n 1 -k -5 -D 5", 0,
-     "1107e96737d4fe788edefe0129b8ac9c17eb62d4c84ede2c36d63f805beab357"),
-    # pinned before the slope split ran on coordinates: deeper splits, n = 3 and
-    # n = 2 at V = 30 and 60, and a = 2, where every division is by p^2 or more
-    ("verify -p 3 -n 3 -k 1 -D 2 -V 30", 0,
-     "1ec769e7b48057470087e167d3037791fa43af90fd111e183bb3593bb7fbef76"),
-    ("verify -p 3 -n 2 -k 2 -D 3 -V 60", 0,
-     "347f12133168515b6d44898dac7a550278662ffaaa21d4fe81424f0c74c9f4a9"),
-    ("syminf -p 3 -a 2 -n 2 -k 1 -D 1 -V 30", 0,
-     "21993c28cacb66151672ae30c0ea42955860e9eea398f13baac437c8f21a2125"),
-    # pinned before PadicCyc held its coordinates itself: a p = 7 retry loop, verdict
-    # and Galois check over five conjugates, in verify and compare
-    ("verify -p 7 -n 1 -k 2 -D 4", 0,
-     "c79951e38516bf3f6aa023a2bf76c95b9737a598d4d968c3e9ee25ae67eb06c0"),
-    ("compare -p 7 -n 1 -k 1 -D 3", 0,
-     "ee5c6999d11672fb779c78b50a44834deb4433d04de0c633f1d2576c90df41dd"),
-])
-def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+def _fast_rows(keep, ids=None):
+    """(argv, exit code, digest) of the fast rows of tests/digests.txt whose
+    command ``keep`` accepts."""
+    return [pytest.param(row.argv, row.code, row.digest, id=ids and ids(row))
+            for row in digests.rows("fast") if keep(row.argv.split()[0])]
+
+
+def _assert_pinned(capsys, monkeypatch, argv, code, digest):
+    """A run without sum cache exits with ``code`` and prints a report with
+    ``digest`` ("-": no report)."""
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    assert console_main(argv.split()) == code
-    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
-            if key != "timing"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert console_main(argv.split()) == code, argv
+    out = capsys.readouterr().out
+    got = digests.digest(json.loads(out)) if out else "-"
+    assert got == digest, f"{argv}: digest {got}, pinned {digest}"
+
+
+# the fast rows of tests/digests.txt, in three tests by command, each with its ids
+# from before the table
+@pytest.mark.parametrize("argv,code,digest", _fast_rows(lambda cmd: cmd in PADIC_MODES))
+def test_padic_mode_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    _assert_pinned(capsys, monkeypatch, argv, code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", _fast_rows(
+    lambda cmd: cmd == "local", ids=lambda row: f"{row.argv}-{row.digest}"))
+def test_local_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    _assert_pinned(capsys, monkeypatch, argv, code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", _fast_rows(
+    lambda cmd: cmd not in PADIC_MODES + ("local",)))
+def test_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    _assert_pinned(capsys, monkeypatch, argv, code, digest)
+
+
+def test_every_table_row_parses():
+    # the reach rows run only in CI, so a mistyped option there fails here first
+    table = digests.rows()
+    assert {row.tier for row in table} == set(digests.TIERS)
+    for row in table:
+        words = row.argv.split()
+        assert words[0] in cli.COMMANDS, row.argv
+        cli.build_parser(words[0]).parse_args(words)
 
 
 # runs whose Kl(t, n+1) at the top degree is over the default budget, so only the
-# half route reaches them; the digests are those of the full route's reports at
-# --budget 1000000000.  timing.factors counts the routes and moves no digest.
+# half route reaches them; timing.factors counts the routes and moves no digest
 @pytest.mark.parametrize("argv,digest,factors", [
-    ("verify -p 3 -n 2 -k 2 -D 3",
-     "7ff563dffca195104e5c44eedc679b98285f9bf177a5fc135ff7b6c3474d3767",
+    ("verify -p 3 -n 2 -k 2 -D 3", digests.pinned("verify -p 3 -n 2 -k 2 -D 3"),
      {"full": 5, "half": 8}),
-    ("verify -p 5 -n 2 -k 1 -D 2",
-     "b5032ae480024ab48957630761773b8fb1a95828305b90e20712c3b34976321c",
+    ("verify -p 5 -n 2 -k 1 -D 2", digests.pinned("verify -p 5 -n 2 -k 1 -D 2"),
      {"full": 4, "half": 10}),
 ])
 def test_half_route_reaches_runs_the_full_route_refuses(capsys, monkeypatch, argv,
@@ -129,28 +111,7 @@ def test_half_route_reaches_runs_the_full_route_refuses(capsys, monkeypatch, arg
     assert console_main(argv.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["timing"]["factors"] == factors
-    body = {key: val for key, val in report.items() if key != "timing"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
-
-
-# report digests of the local factor at one point, and the bytes of the cache a
-# cold run writes, pinned before the two local-factor routes became one
-@pytest.mark.parametrize("argv,digest", [
-    ("local -p 3 -n 1 -d 1 --rep-int 2",
-     "e59d33e92065e6295f03d107f50366f8493dba4615689cadd97b2f7ce0769268"),
-    ("local -p 3 -n 3 -d 1 --rep-int 1",
-     "a722002ed8c3624b28ce8457a5c020981f20c0fc6d12b43fbc4bd5bf6e4f57fe"),
-    ("local -p 3 -a 2 -n 1 -d 2 --rep-int 20",
-     "0031ba215ecc7ba507ad10a09e2e6897ebfc61b4a9305f4928d65cd0a9b46b81"),
-])
-def test_local_report_bytes_are_pinned(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    assert console_main(argv.split()) == 0
-    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
-            if key != "timing"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert digests.digest(report) == digest
 
 
 def test_cold_cache_bytes_are_pinned(tmp_path):
@@ -199,7 +160,7 @@ def test_a_bad_sum_at_a_member_no_run_reads_moves_no_byte(tmp_path):
         out = tmp_path / "r.json"
         assert console_main(["symk", "-p", "5", "-n", "1", "-k", "1", "-D", "2",
                              "--out", str(out)] + extra) == 0
-        reports.append(_strip_timing(_read(out)))
+        reports.append(digests.canonical(_read(out)))
     assert reports[0] == reports[1]
 
 
@@ -496,7 +457,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
                              "-D", "3", "--workers", workers,
                              "--out", str(out)])
         assert code == 0
-        reports.append(_strip_timing(_read(out)))
+        reports.append(digests.canonical(_read(out)))
     assert reports[0] == reports[1]
 
 
@@ -508,7 +469,7 @@ def test_timing_counts_the_orbits_and_workers_move_no_byte(tmp_path):
                              "--workers", workers, "--out", str(out)]) == 0
         report = _read(out)
         assert report["timing"]["orbits"] == {"representatives": 28, "points": 54}
-        reports.append(_strip_timing(report))
+        reports.append(digests.canonical(report))
     assert reports[0] == reports[1]
 
 
@@ -573,7 +534,7 @@ def test_warm_cache_rerun_is_byte_identical(tmp_path):
                              "--out", str(out)])
         assert code == 0
         outs.append(_read(out))
-    assert _strip_timing(outs[0]) == _strip_timing(outs[1])
+    assert digests.canonical(outs[0]) == digests.canonical(outs[1])
     assert outs[0]["timing"]["cache"]["misses"] > 0
     assert outs[1]["timing"]["cache"]["misses"] == 0
     assert outs[1]["timing"]["cache"]["hits"] > 0
@@ -848,9 +809,9 @@ def test_a_warm_cache_serves_a_sum_at_budget_zero(tmp_path, capsys):
     cache = tmp_path / "warm.cache"
     argv = "sum -p 3 -n 1 -m 1 -d 1 --rep-int 1 --cache".split() + [str(cache)]
     assert console_main(argv) == 0
-    cold = _strip_timing(json.loads(capsys.readouterr().out))
+    cold = digests.canonical(json.loads(capsys.readouterr().out))
     assert console_main(argv + ["--budget", "0"]) == 0
-    assert _strip_timing(json.loads(capsys.readouterr().out)) == cold
+    assert digests.canonical(json.loads(capsys.readouterr().out)) == cold
 
 
 def test_torn_final_record_is_skipped_and_repaired(tmp_path):
@@ -859,7 +820,7 @@ def test_torn_final_record_is_skipped_and_repaired(tmp_path):
     argv = ["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "2",
             "--cache", str(cache), "--out", str(out)]
     assert console_main(argv) == 0
-    want = _strip_timing(_read(out))
+    want = digests.canonical(_read(out))
     full = cache.read_bytes()
     start = full.rstrip(b"\n").rfind(b"\n") + 1  # first byte of the last record
     for cut in range(start, len(full)):
@@ -867,7 +828,7 @@ def test_torn_final_record_is_skipped_and_repaired(tmp_path):
         assert console_main(argv) == 0, cut
         report = _read(out)
         assert report["timing"]["cache"]["torn"] == (1 if cut > start else 0)
-        assert _strip_timing(report) == want
+        assert digests.canonical(report) == want
         # the torn tail is cut off and the lost record appended again
         assert cache.read_bytes() == full
 
@@ -934,12 +895,9 @@ def test_the_product_budget_counts_only_the_products_that_run(capsys, monkeypatc
     # the report at --budget 3000000, pinned when products by the constant term 1
     # were still made and counted (29770 products)
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    assert console_main("symk -p 11 -n 1 -k 1 -D 4".split()) == 0
-    body = {key: val for key, val in json.loads(capsys.readouterr().out).items()
-            if key != "timing"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
-        "3fff16ce1a3a8066a60a53b4d5737ee19d154c1338cdf2080d85e0da33a7747a")
+    argv = "symk -p 11 -n 1 -k 1 -D 4"
+    assert console_main(argv.split()) == 0
+    assert digests.digest(json.loads(capsys.readouterr().out)) == digests.pinned(argv)
     # 100 points, each 3 Newton products and 1 Euler product of about 100^2 steps
     assert console_main("symk -p 101 -n 1 -k 1 -D 1".split()) == 1
     assert "take 400 products in Z[zeta_101], about 4000000 steps" in capsys.readouterr().err
@@ -974,6 +932,26 @@ def test_huge_precision_exits_one_without_traceback(capsys, mode, V):
     err = capsys.readouterr().err
     assert err.startswith(f"error: precision V = {V} needs T*V*N = ")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_a_report_over_the_digit_limit_exits_one_without_traceback(tmp_path, capsys,
+                                                                  monkeypatch):
+    # at a limit of 640 digits, c_1 has 635 digits at k = 1500 and 677 at k = 1600
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes = [console_main(f"symk -p 7 -n 1 -k {k} -D 1 --budget 3000000 "
+                              f"--out {tmp_path / str(k)}".split()) for k in (1500, 1600)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [0, 1]
+    assert (tmp_path / "1500").exists() and not (tmp_path / "1600").exists()
+    assert capsys.readouterr().err == ("error: the report has an integer of more than "
+                                       "640 digits, Python's limit (-X int_max_str_digits "
+                                       "raises it)\n")
 
 
 def test_retry_doubles_precision_then_reports():

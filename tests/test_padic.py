@@ -756,9 +756,11 @@ def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
     monkeypatch.setattr(PadicCyc, "__rmul__", counted_mul)
     assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
     capsys.readouterr()
-    assert counts["pi_val"] <= 1500
-    assert counts["init"] <= 8000
-    assert counts["mul"] <= 1500
+    # it makes 399, 582 and 934; each bound is that count plus 10%, so sending the
+    # 1,522 unchecked PadicCyc._new builds back through __init__ fails here
+    assert counts["pi_val"] <= 440
+    assert counts["init"] <= 640
+    assert counts["mul"] <= 1030
 
 
 def _kappas(p):
