@@ -10,9 +10,10 @@ weight-n sheaf gives the upper half of the coefficients from the lower
 half, checked against the sums wherever they are read; where the top
 sums would need too large a field, only m <= ceil((n+1)/2) is read, and
 the Weil bound checks the middle one.  The m-th power sum of Sym^k is
-h_k(pi^m): h_0..h_(n+1) from the base power sums p_(i m) by the h-p Newton
-relation, the rest by the recurrence of order n+1 that the n+1 eigenvalues
-pi^m give; the exact series is one recurrence over their sums at all points.
+h_k(pi^m), by the recurrence of order n+1 that the eigenvalues pi^m give:
+from h_0 on the factor itself at m = 1, above h_0..h_(n+1) from the base
+sums p_(i m) (h-p Newton) at m >= 2; the exact series is one recurrence
+over their sums at all points.
 The infinite symmetric power series takes the eigenvalues from a p-adic
 slope split; one call gives every 1-unit power of the unit one, and each
 power of another is one product from the last.  Its Euler product
@@ -178,22 +179,27 @@ class LocalSeries:
 def symk_local(lf: LocalFactor, k: int, R: int) -> list:
     """Coordinates of the power sums h_k(pi^m), m = 1..R, of the Sym^k eigenvalues
     pi^alpha, |alpha| = k, at one point, whatever binom(n+k, k) is (Macdonald I.2):
-    h_0..h_j, j = min(k, n+1), are e_0..e_j of the sums (-1)^(i-1) p_(i m), each
-    division checked exact; above n+1, h_s = -sum_(i <= n+1) a_i h_(s-i), with
-    a_i = (-1)^i e_i(pi^m) from the same sums, n+1 products a step.  Sym^0's are h_0 = 1.
+    h_s = -sum_(i <= min(s, n+1)) a_i h_(s-i) from h_0 = 1, a_i = (-1)^i e_i(pi^m),
+    so h_s takes min(s, n+1) products.  At m = 1 the a_i are the factor's own
+    coefficients and every h_s comes so, with no division; at m >= 2, h_0..h_j,
+    j = min(k, n+1), are e_0..e_j of the sums (-1)^(i-1) p_(i m), each division
+    checked exact, and the a_i come from the same sums.  Sym^0's are h_0 = 1.
     """
     if k < 0:
         raise UsageError("symmetric power must be nonnegative")
     p, j = lf.coeffs[0].p, min(k, lf.n + 1)
-    base = eigen_power_sums([c.coords for c in lf.coeffs], j * R)
+    base = eigen_power_sums([c.coords for c in lf.coeffs], j * R) if R > 1 else []
     out = []
     for m in range(1, R + 1):
-        sums = [base[i * m - 1] for i in range(1, j + 1)]
-        hs = elementary_from_power_sums(p, _signed(sums), j)
-        a = _signed(elementary_from_power_sums(p, sums, j)) if k > j else []
-        for s in range(j + 1, k + 1):
+        if m == 1:
+            hs, a = [lf.coeffs[0].coords], [c.coords for c in lf.coeffs]
+        else:
+            sums = [base[i * m - 1] for i in range(1, j + 1)]
+            hs = elementary_from_power_sums(p, _signed(sums), j)
+            a = _signed(elementary_from_power_sums(p, sums, j)) if k > j else []
+        for s in range(len(hs), k + 1):
             hs.append(tuple(-sum(col) for col in zip(
-                *(mul_coords(a[i], hs[s - i]) for i in range(1, j + 1)))))
+                *(mul_coords(a[i], hs[s - i]) for i in range(1, min(s, j) + 1)))))
         out.append(hs[k])
     return out
 

@@ -9,6 +9,16 @@ its readers take.  A ``PadicCyc`` has no inverse; an int operand is exact,
 so it embeds at the cap, and every product is certified by one rule: the
 least of N(p-1) and each factor's vcert plus the other's valuation.
 
+``val_lb`` is min(val, vcert), val the pi-valuation of the coordinates capped
+at N(p-1).  Reduced coordinates are nonzero just when it is below the cap, so
+val depends on the class mod p^N alone, and it is exact, not a bound.  pi is
+prime, so a product's val is the sum of its factors', capped (past the cap the
+product is 0 mod p^N); a sum's or difference's is the smaller capped val where
+the two differ (ultrametric), unknown on a tie; sigma_c sends pi to pi times a
+unit, so ``galois`` keeps it.  Ints, the unit root and the 1-unit series (0) and
+the slope split's pi_j (a d j (p-1)) are seeded; any other val is measured once,
+by ``CycInt.pi_val``, when ``val_lb`` first needs it.
+
 Below ``PadicCyc`` lies one layer of bare coordinate tuples mod p^N, a ring
 map, where a certificate fixed in advance is set once, for the result
 (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``mul_coords``, the
@@ -71,11 +81,12 @@ class PadicExponent:
 
 
 class PadicCyc:
-    """Element of Z_p[zeta_p]: p - 1 coordinates mod p^N and a pi-adic certificate vcert."""
+    """Element of Z_p[zeta_p]: p - 1 coordinates mod p^N, a pi-adic certificate vcert,
+    and val, their pi-valuation capped at N(p-1) (module docstring), None until known."""
 
-    __slots__ = ("p", "N", "coords", "vcert", "_val_lb")
+    __slots__ = ("p", "N", "coords", "vcert", "val")
 
-    def __init__(self, p: int, N: int, coords, vcert: int):
+    def __init__(self, p: int, N: int, coords, vcert: int, val: int | None = None):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
         self.p, self.N, mod = p, N, p ** N
@@ -83,21 +94,23 @@ class PadicCyc:
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
-        self._val_lb = None
+        self.val = val
 
     @classmethod
-    def _new(cls, p: int, N: int, coords: tuple, vcert: int) -> "PadicCyc":
-        """No checks: coords reduced mod p^N, 0 < vcert <= N(p-1)."""
+    def _new(cls, p: int, N: int, coords: tuple, vcert: int, val: int | None = None) -> "PadicCyc":
+        """No checks: coords reduced mod p^N, 0 < vcert <= N(p-1), val exact or None."""
         self = object.__new__(cls)
-        self.p, self.N, self.coords, self.vcert, self._val_lb = p, N, coords, vcert, None
+        self.p, self.N, self.coords, self.vcert, self.val = p, N, coords, vcert, val
         return self
 
     # -- constructors
 
     @classmethod
     def from_int(cls, p: int, N: int, v: int) -> "PadicCyc":
-        """v at the cap: an int is exact."""
-        return cls(p, N, (v,) + (0,) * (p - 2), N * (p - 1))
+        """v at the cap: an int is exact, and its val is (p-1) ord_p of v mod p^N."""
+        self = cls(p, N, (v,) + (0,) * (p - 2), N * (p - 1))
+        self.val = (p - 1) * ord_p(p, self.coords[0]) if self.coords[0] else self.vcert
+        return self
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicCyc":
@@ -110,18 +123,20 @@ class PadicCyc:
     # -- inspection
 
     def val_lb(self) -> int:
-        """Certified lower bound for the pi-valuation of the true value, kept once computed."""
-        if self._val_lb is None:
+        """Certified lower bound for the pi-valuation of the true value: val, measured
+        if not yet known, capped by vcert."""
+        if self.val is None:
             v = CycInt._new(self.p, self.coords).pi_val()
-            self._val_lb = self.vcert if v is None else min(v, self.vcert)
-        return self._val_lb
+            self.val = self.N * (self.p - 1) if v is None else v
+        return min(self.val, self.vcert)
 
     # -- normalisation helpers
 
     def with_precision(self, N: int) -> "PadicCyc":
         if N > self.N:
             raise PrecisionError(f"cannot raise precision {self.N} -> {N}")
-        return PadicCyc(self.p, N, self.coords, self.vcert)
+        return PadicCyc(self.p, N, self.coords, self.vcert,
+                        None if self.val is None else min(self.val, N * (self.p - 1)))
 
     # -- ring operations
 
@@ -137,9 +152,11 @@ class PadicCyc:
         """self op other, op add or sub; the least vcert is within both caps."""
         other = self._coerce(other)
         N = min(self.N, other.N)
-        mod = self.p ** N
+        mod, cap = self.p ** N, N * (self.p - 1)
+        va, vb = (None if x.val is None else min(x.val, cap) for x in (self, other))
         return PadicCyc._new(self.p, N, tuple([op(a, b) % mod for a, b in zip(
-            self.coords, other.coords)]), min(self.vcert, other.vcert))
+            self.coords, other.coords)]), min(self.vcert, other.vcert),
+            None if va is None or vb is None or va == vb else min(va, vb))
 
     def __add__(self, other):
         return self._linear(other, add)
@@ -152,9 +169,10 @@ class PadicCyc:
         N = min(self.N, other.N)
         cap = N * (self.p - 1)
         # val_lb() >= 0: a term whose factor is at the cap never binds
-        vc = min([cap] + [a.vcert + b.val_lb() for a, b in ((self, other), (other, self))
-                          if a.vcert < cap])
-        return PadicCyc._new(self.p, N, mul_coords(self.coords, other.coords, self.p ** N), vc)
+        vc = min(cap, self.vcert + other.val_lb() if self.vcert < cap else cap,
+                 other.vcert + self.val_lb() if other.vcert < cap else cap)
+        v = None if self.val is None or other.val is None else min(self.val + other.val, cap)
+        return PadicCyc._new(self.p, N, mul_coords(self.coords, other.coords, self.p ** N), vc, v)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -172,7 +190,7 @@ class PadicCyc:
         return PadicCyc.one(self.p, self.N) if out is None else out
 
     def galois(self, c: int) -> "PadicCyc":
-        return PadicCyc(self.p, self.N, galois_coords(self.coords, c), self.vcert)
+        return PadicCyc(self.p, self.N, galois_coords(self.coords, c), self.vcert, self.val)
 
     def __repr__(self):
         return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.coords})"
@@ -249,7 +267,7 @@ def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
     if sum(root) % p != 1:
         raise DegenerateFactorError(
             f"unit root has residue {sum(root) % p} != 1, not a 1-unit")
-    return PadicCyc._new(p, N, root, N * (p - 1))
+    return PadicCyc._new(p, N, root, N * (p - 1), 0)
 
 
 def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
@@ -293,7 +311,7 @@ def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
         M -= ad * (len(quot) - 1)
         u = _lift_simple_nonzero_root(f, p, M)
         eigenvalues.append(PadicCyc._new(p, M + ad * j, tuple([c * p ** (ad * j) for c in u]),
-                                         (M + ad * j) * (p - 1)))
+                                         (M + ad * j) * (p - 1), ad * j * (p - 1)))
     return eigenvalues
 
 
@@ -353,5 +371,5 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
             for j in reversed(range(0, L, m)):  # Horner in x^m from the top block down
                 acc = mul_coords(acc, pw[m], mod) if j + m < L else acc
                 acc = [a + sum(map(mul, bs[j:j + m], col)) for a, col in zip(acc, columns)]
-        out.append(PadicCyc(p, N, acc, cert))
+        out.append(PadicCyc(p, N, acc, cert, 0))
     return out[::-1]

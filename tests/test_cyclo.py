@@ -2,9 +2,9 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from klsym.cyclo import CycInt, check_odd_prime, ord_p, prime_factors
+from klsym.cyclo import CycInt, check_odd_prime, mul_coords, ord_p, prime_factors
 from klsym.errors import UsageError
 from oracles import divide_exact_cyc, pi_val_reference
 
@@ -69,6 +69,58 @@ def test_sum_of_nontrivial_zeta_powers_is_minus_one():
         for k in range(1, p):
             acc = acc + zeta(p, k)
         assert acc.as_integer() == -1
+
+
+def _product_by_long_division(p, a, b):
+    """a * b as polynomials in zeta, then the remainder by Phi_p = 1 + X + ... + X^(p-1)
+    by long division from the top degree down."""
+    c = [0] * (2 * p - 3)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for d in range(len(c) - 1, p - 2, -1):
+        t = c[d]
+        for e in range(d - p + 1, d + 1):
+            c[e] -= t
+    return tuple(c[: p - 1])
+
+
+@st.composite
+def _sparse_operands(draw):
+    """Operands of every sparsity the kernel meets: zero, rational, one nonzero
+    coordinate, mostly zeros, dense; with no modulus or a power of p."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    big = st.integers(-10 ** 30, 10 ** 30)
+
+    def operand(shape):
+        if shape == "zero":
+            return (0,) * (p - 1)
+        if shape == "rational":
+            return (draw(big),) + (0,) * (p - 2)
+        if shape == "single":
+            i = draw(st.integers(0, p - 2))
+            return (0,) * i + (draw(big),) + (0,) * (p - 2 - i)
+        coord = st.one_of(st.just(0), big) if shape == "sparse" else big
+        return tuple(draw(st.lists(coord, min_size=p - 1, max_size=p - 1)))
+
+    shapes = st.sampled_from(["zero", "rational", "single", "sparse", "dense"])
+    mod = draw(st.one_of(st.none(), st.integers(1, 40).map(lambda e: p ** e)))
+    return p, operand(draw(shapes)), operand(draw(shapes)), mod
+
+
+@settings(max_examples=400)
+@given(_sparse_operands())
+@example((3, (0, 0), (0, 0), None))
+@example((5, (0, 0, 0, 7), (0, 0, 0, -3), None))        # zeta^3 * zeta^3 = zeta
+@example((7, (2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 5), 7 ** 3))
+@example((11, (0,) * 9 + (1,), (1,) * 10, None))
+def test_mul_coords_matches_long_division(operands):
+    p, a, b, mod = operands
+    want = _product_by_long_division(p, a, b)
+    if mod is not None:
+        want = tuple(c % mod for c in want)
+    assert mul_coords(a, b, mod) == want
+    assert mul_coords(b, a, mod) == want
 
 
 def test_pi_val_baseline_values():

@@ -368,7 +368,10 @@ def test_symk_local_matches_berkowitz_above_k_3(p, a, n, k, D):
     # no more products than the k-step Newton route made (as many at k <= n+1)
     (1, 2, 10, 67), (2, 3, 2, 24), (3, 4, 1, 16), (1, 3, 4, 45), (2, 6, 2, 72),
     # linear in k: that route made 20,497 and 7,197 products here
-    (1, 200, 1, 1200), (1, 40, 8, 1920)])
+    (1, 200, 1, 1200), (1, 40, 8, 1920),
+    # at m = 1 the factor's own coefficients run the recurrence from h_1, with no
+    # power sums or Newton divisions: the route through them made 9, 24 and 16
+    (1, 3, 1, 5), (2, 6, 1, 15), (3, 4, 1, 10)])
 def test_symk_local_product_count(monkeypatch, n, k, R, most):
     lf = local_factor(_ev(), n, _pt(make_field(3, 1), (1,)))
     calls = []
