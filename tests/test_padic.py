@@ -244,9 +244,9 @@ def test_seeded_val_is_the_measured_valuation(p, n, D):
             assert [x.val for x in pis] == [pt.degree * j * (p - 1) for j in range(n + 1)]
             for x in pis + [hensel_unit_root(list(lf.coeffs), N)]:
                 _assert_val_is_measured(x)
-            u = _one_unit(p, N, rng, V)
-            u.val_lb()  # a plain power's val is then the product rule's
-            for u in (pis[0], u):
+            w = _one_unit(p, N, rng, V)
+            w.val_lb()  # a plain power's val is then the product rule's
+            for u in (pis[0], w):
                 for kappa in _kappas(p):
                     for x in one_unit_power(u, kappa, V, 3):
                         _assert_val_is_measured(x)
