@@ -12,15 +12,14 @@ whole report through ``_jsonable``.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import (
@@ -56,8 +55,7 @@ MAX_WORKERS = 32  # the ceiling of ThreadPoolExecutor's own default, min(32, cpu
 MODES = ("symk", "syminf", "unitroot", "verify-newton-hodge", "compare-slopes")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything the mathematical content of a run depends on.
 
     workers, budget and cache_path never change computed values, only
@@ -172,6 +170,7 @@ def _pmap(fn, items, workers: int):
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
 
@@ -285,6 +284,7 @@ def write_report(report: dict, out_path: str | None):
 
 def write_csv(report: dict, csv_path: str):
     """Flat coefficient table, one row per (series, power of T)."""
+    import csv
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series", "r", "exact", "ordq_num", "ordq_den",
@@ -582,7 +582,7 @@ def cmd_cache(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    config = RunConfig(**{name: getattr(args, name) for name in RunConfig._fields})
     report, code = run(config)
     write_report(report, args.out)
     if args.csv:
@@ -731,6 +731,9 @@ def console_main(argv=None) -> int:
         print(f"finding: {exc}", file=sys.stderr)
         return 2
 
+
+# the import's objects live as long as the process, so a run's collections skip them
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(console_main())

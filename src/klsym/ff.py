@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,8 +316,7 @@ def embed(src: Field, dst: Field, x):
 # closed points of the torus
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
+class ClosedPoint(NamedTuple):
     """Canonical representative of a Frobenius orbit of exact degree d."""
 
     base: Field

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import CycInt, galois_coords, mul_coords
 from .errors import (
@@ -77,8 +77,7 @@ def eigen_power_sums(coeffs, count):
 # local factors
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(NamedTuple):
     """P(T) = prod (1 - pi_j T) at one closed point; coeffs[0] == 1."""
 
     point: ClosedPoint
@@ -167,8 +166,7 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
 # local series
 
 
-@dataclass
-class LocalSeries:
+class LocalSeries(NamedTuple):
     """Inverse local factor expanded to the needed T-degree at one point."""
 
     point: ClosedPoint
@@ -265,8 +263,7 @@ def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Lo
 # Euler products
 
 
-@dataclass
-class GlobalSeries:
+class GlobalSeries(NamedTuple):
     coeffs: list  # exact CycInt or PadicCyc, index = power of T
     cert: int | None
 

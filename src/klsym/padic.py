@@ -35,8 +35,8 @@ coordinates are canonical, so no skipped work moves a byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .cyclo import CycInt, galois_coords, mul_coords, ord_p
 from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, UsageError
@@ -46,8 +46,7 @@ from .errors import DegenerateFactorError, PrecisionError, SlopeFindingError, Us
 # exponents: exact integers, or p-adic integers known to s base-p digits
 
 
-@dataclass(frozen=True)
-class PadicExponent:
+class PadicExponent(NamedTuple):
     """Exponent kappa for 1-unit powers: exact, or truncated mod p^s."""
 
     p: int

@@ -11,8 +11,8 @@ that would be needed to decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UsageError
 
@@ -39,8 +39,7 @@ def hodge_coeffs(n: int, count: int):
     return h
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(NamedTuple):
     """Lower-convex polygon as a vertex list of exact rational points."""
 
     vertices: tuple
@@ -95,8 +94,7 @@ def hodge_polygon(n: int, p: int, vertex_count: int) -> Polygon:
 # Newton data
 
 
-@dataclass(frozen=True)
-class CoeffPoint:
+class CoeffPoint(NamedTuple):
     """Valuation data for one series coefficient.
 
     ordq is the exact ord_q when exact=True, otherwise a certified lower
@@ -156,8 +154,7 @@ def lower_hull(points) -> Polygon:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "pass", "violation", "inconclusive", "agree", "disagree"
     witness: dict | None = None  # exact values: ints and Fractions
 

@@ -69,6 +69,8 @@ tests need; ``embed_cyc`` puts an element of Z[zeta_p] at the cap and
 Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
 ``divide_exact_cyc`` is the exact division by an integer in Z[zeta_p] of
 the ``CycInt`` loops, which production no longer makes.
+``syminf_meets_symk`` reads a ``syminf -k k`` report against the exact
+``symk -k k`` report, to the valuation the tuples they share guarantee.
 
 The h-from-p loops here are written out on purpose rather than shared
 with ``klsym.lfun``, so that the oracles stay independent of the code
@@ -164,6 +166,22 @@ def agrees_with(x: PadicCyc, y: PadicCyc, vmin: int | None = None) -> bool:
     target = d.vcert if vmin is None else min(vmin, d.vcert)
     v = cyc_of(d).pi_val()
     return v is None or v >= target
+
+
+def syminf_meets_symk(syminf: dict, symk: dict):
+    """(need, least) for the reports of ``syminf -k k`` and ``symk -k k`` with the
+    same p, a, n and D.  Sym^(k,oo) and Sym^k share every eigenvalue tuple of size
+    <= k; a tuple only Sym^(k,oo) has is of weight >= k+1, so of pi-valuation >=
+    (p-1) a (k+1).  So every coefficient's pi_val(syminf - symk) should be at least
+    need = min(cert, (p-1) a (k+1)); least is the smallest (None: all agree)."""
+    config = syminf["config"]
+    assert {**config, "mode": "symk", "V": None} == symk["config"], "not the same run"
+    (fin,), (inf,) = symk["series"], syminf["series"]
+    p, k = config["p"], config["exponent"]["value"]
+    need = min(inf["cert"], (p - 1) * config["a"] * (k + 1))
+    vals = [(CycInt(p, y["coords"]) - CycInt.from_int(p, x["value"])).pi_val()
+            for x, y in zip(fin["coefficients"], inf["coefficients"], strict=True)]
+    return need, min((v for v in vals if v is not None), default=None)
 
 
 def divide_exact_cyc(x: CycInt, m: int) -> CycInt:

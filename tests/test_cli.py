@@ -1,8 +1,8 @@
 """End-to-end checks of the command line driver."""
 
 import argparse
+import concurrent.futures
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -441,12 +441,51 @@ def test_workers_are_bounded_before_any_pool_exists(tmp_path, capsys, monkeypatc
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert console_main("symk -p 3 -n 1 -k 2 -D 10 --workers 100000".split()) == 1
     assert capsys.readouterr().err == "usage error: need 1 to 32 workers, not 100000\n"
     monkeypatch.undo()
     assert console_main(["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "1",
                          "--workers", "32", "--out", str(tmp_path / "r.json")]) == 0
+
+
+# after the import: the lazily imported modules that are loaded, whether the import's
+# objects are frozen, and whether a collection still frees a cycle made afterwards
+_IMPORT_PROBE = """
+import gc, json, sys, weakref
+import klsym.cli
+class Node:
+    pass
+node = Node()
+node.self, ref = node, weakref.ref(node)
+del node
+gc.collect()
+print(json.dumps({"loaded": [name for name in ("concurrent.futures", "csv", "dataclasses")
+                             if name in sys.modules],
+                  "frozen": gc.get_freeze_count(), "cycle_freed": ref() is None}))
+"""
+
+
+def test_a_fresh_import_loads_only_what_a_run_uses(tmp_path):
+    # in a fresh interpreter: pytest itself may have loaded these modules already
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    env.pop(cli.CACHE_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, timeout=20, env=env, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == []
+    assert probe["frozen"] > 0
+    assert probe["cycle_freed"]
+    # the pool and the CSV writer still load where a run asks for them
+    argv = "symk -p 5 -n 2 -k 4 -D 1 --workers 2"
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, klsym.cli; sys.exit(klsym.cli.console_main())",
+         *argv.split(), "--csv", str(table), "--out", str(report)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert digests.digest(_read(report)) == digests.pinned(argv)
+    assert table.read_text(encoding="ascii").count("\n") > 1
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
@@ -522,6 +561,24 @@ def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
             (euler_product,) + (lambda lf, R: unit_root_local(lf, kappa, V, R),) * 2):
         assert (_series_key(route(base, cli.series(orbits, D, local), D))
                 == _series_key(series_per_point(base, factors, D, per_point)))
+
+
+# (p, a, n, k, D), in pairs: k below the weight cut, the least weight the default V
+# drops at degree 1, (V-1) // (a (p-1)) + 1, where (p-1) a (k+1) binds, then k at or
+# above it, where the cert binds
+@pytest.mark.parametrize("p,a,n,k,D", [
+    (3, 1, 1, 2, 6), (3, 1, 1, 19, 6),
+    (5, 1, 1, 3, 4), (5, 1, 1, 13, 4),
+    (7, 1, 1, 2, 3), (7, 1, 1, 9, 3),
+    (3, 2, 1, 2, 3), (3, 2, 1, 7, 3),
+    (3, 1, 2, 2, 3), (3, 1, 2, 7, 3),
+    (5, 1, 2, 1, 2), (5, 1, 2, 6, 2),
+])
+def test_padic_series_agrees_with_the_exact_series_to_its_need(p, a, n, k, D):
+    config = RunConfig(p=p, a=a, n=n, mode="symk", k=k, D=D)
+    need, least = oracles.syminf_meets_symk(run(config._replace(mode="syminf"))[0],
+                                            run(config)[0])
+    assert least is None or least >= need, (need, least)
 
 
 def test_warm_cache_rerun_is_byte_identical(tmp_path):
@@ -1022,10 +1079,10 @@ def test_retries_stay_within_the_budget():
     assert report["derived"] == {"V_initial": 60, "V_used": 120, "attempts": 2}
     assert report["verdict"]["status"] == "inconclusive"
     # one step short of V = 120, the run stops at its first attempt
-    report, code = run(dataclasses.replace(config, budget=439_199))
+    report, code = run(config._replace(budget=439_199))
     assert (code, report["derived"]["V_used"]) == (3, 60)
     # from V = 15 every retry fits, and the retry count stops the run at 120
-    report, code = run(dataclasses.replace(config, V=15))
+    report, code = run(config._replace(V=15))
     assert report["derived"] == {"V_initial": 15, "V_used": 120, "attempts": 4}
 
 

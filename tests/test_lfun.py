@@ -608,7 +608,8 @@ def test_euler_product_rejects_mixed_modes():
     kappa = PadicExponent.exact(3, 1)
     lf = local_factor(ev, 1, exact[0].point)
     mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1)]
-    mixed[1].point = exact[1].point if len(exact) > 1 else mixed[1].point
+    mixed[1] = LocalSeries(exact[1].point if len(exact) > 1 else mixed[1].point,
+                           mixed[1].coeffs, mixed[1].cert)
     with pytest.raises(UsageError):
         euler_product(ev.base, _members(mixed), 1)
 
