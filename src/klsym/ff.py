@@ -6,23 +6,24 @@ order of the coefficient vector (c_0, ..., c_{k-1}); elements are
 coordinate tuples (c_0, ..., c_{k-1}) on the power basis of the class of
 X, enumerated and compared in the same lexicographic order.  Every choice
 is canonical so that independent runs build identical towers and cache
-keys never alias.
+keys never alias.  A field is the value (p, k, modulus), which
+``make_field`` checks, so equal fields are one dictionary key.
 
 Multiplication by y is an F_p-linear map; its k x k matrix (row i is
 X^i y) is the one route for every product, power and trace here, and
 for Rabin's irreducibility test.  The one multiplicative model of each
-field, a discrete-log and trace table over its least generator
-(``_mult_data``), steps blocks of about sqrt(|F|) powers by one matrix
-product.  Closed points, orbit representatives, the orbits of the
-twists t -> c^(n+1) t and subfield embeddings all read it, because
-Frobenius acts on discrete logs as multiplication by q.
+field, a discrete-log and trace table over its least generator, built
+once per field and process (``_mult_data``, a cache over ``_MultData``),
+steps blocks of about sqrt(|F|) powers by one matrix product.  Closed
+points, orbit representatives, the orbits of the twists t -> c^(n+1) t
+and subfield embeddings all read it, because Frobenius acts on discrete
+logs as multiplication by q.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -104,7 +105,7 @@ def mobius(n: int) -> int:
     return (-1) ** len(primes)
 
 
-@lru_cache(maxsize=None)
+@cache
 def canonical_modulus(p: int, k: int):
     """First monic irreducible of degree k in lex coefficient order."""
     # c_0 varies slowest, and c_0 = 0 is a root at 0 once k >= 2
@@ -120,29 +121,12 @@ def canonical_modulus(p: int, k: int):
 # ---------------------------------------------------------------------------
 
 
-class Field:
-    """F_{p^k} with arithmetic on coordinate tuples over F_p."""
+class Field(NamedTuple):
+    """F_{p^k} on coordinate tuples over F_p: the value (p, k, modulus) make_field checks."""
 
-    __slots__ = ("p", "k", "modulus")
-
-    def __init__(self, p: int, k: int, modulus=None):
-        if k < 1:
-            raise UsageError(f"extension degree must be >= 1, got {k}")
-        # the size first: a huge p or k must not reach trial division or p**k
-        if p ** min(k, 64) > MAX_FIELD_SIZE:
-            raise ResourceError(f"field size {p}^{k} exceeds the configured cap")
-        check_odd_prime(p)
-        if modulus is None:
-            modulus = canonical_modulus(p, k)
-        else:
-            modulus = _pnorm(tuple(c % p for c in modulus))
-            if len(modulus) - 1 != k or modulus[-1] != 1:
-                raise UsageError(f"modulus must be monic of degree {k}")
-            if not is_irreducible(modulus, p):
-                raise UsageError("modulus is reducible")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
+    p: int
+    k: int
+    modulus: tuple
 
     @property
     def size(self) -> int:
@@ -151,15 +135,6 @@ class Field:
     @property
     def one(self):
         return (1,) + (0,) * (self.k - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self):
         return f"Field({self.p}^{self.k})"
@@ -215,18 +190,27 @@ class Field:
         raise AssertionError("no generator found")
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, a: int, modulus=None) -> Field:
-    """Shared Field instances; modulus as a tuple when supplied."""
-    return Field(p, a, modulus)
+@cache
+def make_field(p: int, k: int, modulus=None) -> Field:
+    """F_(p^k) on the canonical modulus, or on the given one (a tuple), checked; shared."""
+    if k < 1:
+        raise UsageError(f"extension degree must be >= 1, got {k}")
+    # the size first: a huge p or k must not reach trial division or p**k
+    if p ** min(k, 64) > MAX_FIELD_SIZE:
+        raise ResourceError(f"field size {p}^{k} exceeds the configured cap")
+    check_odd_prime(p)
+    if modulus is None:
+        return Field(p, k, canonical_modulus(p, k))
+    modulus = _pnorm(tuple(c % p for c in modulus))
+    if len(modulus) - 1 != k or modulus[-1] != 1:
+        raise UsageError(f"modulus must be monic of degree {k}")
+    if not is_irreducible(modulus, p):
+        raise UsageError("modulus is reducible")
+    return Field(p, k, modulus)
 
 
 # ---------------------------------------------------------------------------
 # the multiplicative model: one discrete-log and trace table per field
-
-_mult_lock = threading.Lock()
-_mult_cache: dict = {}
-
 
 class _MultData:
     """Tables over the generator g: ``code[i]`` = to_int(g^i), ``dlog[code]`` = i
@@ -268,20 +252,14 @@ class _MultData:
         return self.field.from_int(int(self.code[e % self.S]))
 
 
-def _mult_data(field: Field) -> _MultData:
-    with _mult_lock:
-        data = _mult_cache.get(field)
-        if data is None:
-            data = _MultData(field)
-            _mult_cache[field] = data
-        return data
+_mult_data = cache(_MultData)
 
 
 # ---------------------------------------------------------------------------
 # subfield embeddings
 
 
-@lru_cache(maxsize=None)
+@cache
 def _root_powers(src: Field, dst: Field):
     """r^0..r^(f-1) as the rows of a read-only array, r the lex-least root of
     src.modulus in dst (X when src == dst).

@@ -62,7 +62,9 @@ class PadicExponent(NamedTuple):
         digits = tuple(int(d) for d in digits)
         if not digits or any(d < 0 or d >= p for d in digits):
             raise UsageError(f"digits must be base-{p} digits, got {digits}")
-        rep = sum(d * p ** i for i, d in enumerate(digits))
+        rep = 0
+        for d in reversed(digits):  # Horner's rule: one small product per digit
+            rep = rep * p + d
         return cls(p, rep, len(digits))
 
     @property

@@ -35,6 +35,11 @@ algorithm, so a test can require the two to agree:
 * ``trace_sums_route``: L(Sym^k) coefficients from Frobenius traces over
   extension fields, S_r summed over every t of F_(q^r)^*, bypassing closed
   points, orbits and local factors altogether;
+* ``trace_sums_by_transform``: the same S_r at table speed for n in {1, 2},
+  Kl_n at every element of F_(q^r) from one rounding-checked float
+  transform (``kloosterman_by_transform``), the other e_i from the
+  functional equation and h_k by the recurrence of order n+1 on object
+  arrays, against ``symk`` at reach sizes;
 * ``kloosterman_table``: Kl_n at every element of one field by the
   convolution recursion, against the direct enumeration in ``expsum``;
 * ``mult_tables_reference``: the discrete-log and trace tables of
@@ -920,4 +925,68 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
         for m in range(1, r + 1):
             acc = acc + S[m - 1] * out[r - m]
         out.append(divide_exact_cyc(acc, r))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the same trace sums at table speed: one transform per field, n in {1, 2}
+
+
+def kloosterman_by_transform(n: int, field: Field):
+    """Kl_n(g^j) = sum_c N[j, c] zeta^c for every j < S, as an (S, p) object array.
+
+    N is the (n+1)-fold cyclic convolution over Z/S x Z/p of the indicator
+    A[i, tr(g^i)] (the Mellin view of Katz 1988), taken as one float fft2
+    and rounded; a rounding error of 1/4 or more raises.
+    """
+    md = _mult_data(field)
+    A = np.zeros((md.S, field.p))
+    A[np.arange(md.S), md.tr] = 1
+    N = np.fft.ifft2(np.fft.fft2(A) ** (n + 1))
+    counts = np.rint(N.real)
+    err = max(np.abs(N.real - counts).max(), np.abs(N.imag).max())
+    if err >= 0.25:
+        raise ArithmeticError(f"transform rounding error {err} over {field!r}")
+    return counts.astype(np.int64).astype(object)
+
+
+def _ring_mul(x, y):
+    """Row by row products in Z[X]/(X^p - 1), which maps onto Z[zeta_p]."""
+    return sum(x[:, [c]] * np.roll(y, c, axis=1) for c in range(x.shape[1]))
+
+
+def trace_sums_by_transform(p: int, a: int, n: int, k: int, D: int) -> list:
+    """c_0..c_D of L(Sym^k) over F_(p^a) as ints, from the trace sums S_r over every
+    t in F_(q^r)^* as ``trace_sums_route`` sums them, for n in {1, 2}.
+
+    Kl_n over F_(q^r) comes from ``kloosterman_by_transform``, e_1 = (-1)^n Kl_n,
+    and the functional equation gives the rest: e_2 = q^r at n = 1, and
+    e_2 = q^r sigma_(-1)(e_1), e_3 = q^(3r) at n = 2.  Then h_s = sum_i (-1)^(i-1)
+    e_i h_(s-i) on object arrays, so no coordinate wraps; S_r, the sum of h_k over
+    the field, must be rational, and r c_r = sum_m S_m c_(r-m) must divide exactly.
+    """
+    if n not in (1, 2):
+        raise UsageError("the transform oracle covers n = 1 and n = 2")
+    sums = []
+    for r in range(1, D + 1):
+        field = make_field(p, a * r)
+        e1 = (-1) ** n * kloosterman_by_transform(n, field)
+        one = np.zeros_like(e1)
+        one[:, 0] = 1
+        es = [e1, field.size * one] if n == 1 else \
+            [e1, field.size * e1[:, (-np.arange(p)) % p], field.size**3 * one]
+        hs = [one]
+        for s in range(1, k + 1):
+            hs.append(sum((-1) ** i * _ring_mul(es[i], hs[s - 1 - i])
+                          for i in range(min(s, n + 1))))
+        total = hs[k].sum(axis=0)
+        if any(c != total[1] for c in total[2:]):
+            raise IntegralityFindingError(f"S_{r} = {total.tolist()} is not rational")
+        sums.append(int(total[0] - total[1]))
+    out = [1]
+    for r in range(1, D + 1):
+        acc = sum(sums[m - 1] * out[r - m] for m in range(1, r + 1))
+        if acc % r:
+            raise IntegralityFindingError(f"{r} does not divide r c_{r} = {acc}")
+        out.append(acc // r)
     return out

@@ -779,13 +779,18 @@ def test_non_ascii_cache_byte_is_a_corrupt_record(tmp_path, capsys, argv):
 BIG_LEVEL = "1000000000000000000000000000057"
 
 # console_main in a fresh process; the last line of stderr lists the sizes
-# of the fields whose discrete-log tables the run built
+# of the fields whose discrete-log tables the run built, one per table build
 _CHILD = """
 import sys
 import klsym.ff as ff
 from klsym.cli import console_main
+built, build = [], ff._MultData.__init__
+def record(self, field):
+    built.append(field.size)
+    build(self, field)
+ff._MultData.__init__ = record
 code = console_main(sys.argv[1:])
-print(sorted(f.size for f in ff._mult_cache), file=sys.stderr)
+print(sorted(built), file=sys.stderr)
 sys.exit(code)
 """
 

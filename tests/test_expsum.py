@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import klsym
-from klsym import expsum
+from klsym import expsum, ff
 from klsym.cli import console_main
 from klsym.cyclo import CycInt
 from klsym.errors import CacheError, ResourceError, UsageError
@@ -22,7 +22,7 @@ from klsym.expsum import (
     parse_record,
     record_line,
 )
-from klsym.ff import closed_points, embed, make_field, orbit_rep
+from klsym.ff import closed_points, embed, make_field, orbit_rep, points_up_to
 from oracles import direct_reference, kloosterman_table
 
 
@@ -113,6 +113,25 @@ def test_higher_degree_point_uses_embedded_representative():
     big = make_field(3, 2)
     for pt in pts:
         assert ev.kloosterman(1, pt, 1) == _direct_sum(1, big, embed(pt.field, big, pt.rep))
+
+
+def test_a_field_table_is_built_once_per_process(monkeypatch):
+    # ff and expsum read one cache, so the closed points and then the sums over
+    # the same fields build each field's discrete-log table once
+    assert expsum._mult_data is ff._mult_data
+    built, build = [], ff._MultData.__init__
+
+    def record(self, field):
+        built.append(field)
+        build(self, field)
+
+    monkeypatch.setattr(ff._MultData, "__init__", record)
+    ff._mult_data.cache_clear()  # earlier tests may have built these tables
+    base = make_field(5, 1)
+    ev = KloostermanEvaluator(base)
+    for pt in points_up_to(base, 2):
+        ev.kloosterman(1, pt, 1)
+    assert built == [base, make_field(5, 2)]
 
 
 # ---------------------------------------------------------------------------

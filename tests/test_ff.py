@@ -356,7 +356,7 @@ def test_degree_cap_enforced(monkeypatch):
     def no_table(field):
         raise AssertionError(f"built the table of {field!r}")
 
-    monkeypatch.setattr(ff, "_MultData", no_table)
+    monkeypatch.setattr(ff, "_mult_data", no_table)
     with pytest.raises(ResourceError):
         points_up_to(F3, 14)
 

@@ -1,12 +1,14 @@
 """Local factors, symmetric powers, Euler products: frozen values and
 independent-route cross checks."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from klsym import cli, lfun
-from klsym.cli import _ring_products, reach
+from klsym.cli import _ring_products, console_main, reach
 from klsym.cyclo import CycInt
 from klsym.errors import (
     FunctionalEquationFindingError,
@@ -44,6 +46,7 @@ from oracles import (
     sym_inf_local_hsum,
     sym_k_factor,
     sym_k_factor_berkowitz,
+    trace_sums_by_transform,
     trace_sums_route,
 )
 
@@ -661,6 +664,36 @@ def test_exact_series_matches_the_trace_sums_over_whole_fields(p, a, n, k, D):
     gs, _, _ = _exact_series(p, a, n, k, D)
     oracle = trace_sums_route(KloostermanEvaluator(make_field(p, a), budget=10 ** 9), n, k, D)
     assert [c.as_integer() for c in gs.coeffs] == [c.as_integer() for c in oracle]
+    if n <= 2:  # the same trace sums from one transform per field
+        assert trace_sums_by_transform(p, a, n, k, D) == [c.as_integer() for c in oracle]
+
+
+@pytest.fixture(scope="module")
+def reach_cache(tmp_path_factory):
+    """One sum cache for the reach rows: the k = 6 row reads the k = 2 row's sums."""
+    return tmp_path_factory.mktemp("reach") / "sums.cache"
+
+
+@pytest.mark.parametrize("argv,n,k,D", [
+    ("-n 1 -k 2 -D 10", 1, 2, 10),
+    ("-n 1 -k 6 -D 10", 1, 6, 10),
+    ("-n 2 -k 2 -D 4 --budget 1000000000", 2, 2, 4),
+], ids=["n1-k2-D10", "n1-k6-D10", "n2-k2-D4"])
+def test_symk_at_reach_matches_the_whole_field_transform(tmp_path, reach_cache, argv, n, k, D):
+    # every coefficient of symk at p = 3 against the trace sums over every t of
+    # F_(3^r)^*, r <= D, with no closed points, orbits, local factors or sum cache
+    out = tmp_path / "report.json"
+    argv = ["symk", "-p", "3", *argv.split(), "--cache", str(reach_cache), "--out", str(out)]
+    assert console_main(argv) == 0
+    coeffs = json.loads(out.read_text())["series"][0]["coefficients"]
+    assert [c["value"] for c in coeffs] == trace_sums_by_transform(3, 1, n, k, D)
+
+
+def test_the_transform_oracle_refuses_a_rounding_error(monkeypatch):
+    ifft2 = np.fft.ifft2
+    monkeypatch.setattr(np.fft, "ifft2", lambda x: ifft2(x) + 0.3)
+    with pytest.raises(ArithmeticError, match="rounding error"):
+        oracles.kloosterman_by_transform(1, make_field(3, 2))
 
 
 def _bumped(k, at, m, bump):

@@ -1,6 +1,7 @@
 """Certified truncated arithmetic, Hensel lifts, slope splits, 1-unit powers."""
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -59,6 +60,22 @@ def test_exponent_digits_of_one_half_at_p3():
     assert k.rep == 14
     assert k == PadicExponent.truncated(3, (2, 1, 1))
     assert (2 * k.rep) % 27 == 1
+
+
+def test_truncated_exponent_is_the_digits_base_p():
+    rng = random.Random(34)
+    for p in (3, 5, 7, 11):
+        for _ in range(40):
+            digits = [rng.randrange(p) for _ in range(rng.randrange(1, 12))]
+            kappa = PadicExponent.truncated(p, digits)
+            assert (kappa.rep, kappa.ndigits) == (sum(d * p**i for i, d in enumerate(digits)),
+                                                  len(digits))
+    # Horner's rule: a --kappa of 60,000 digits takes about 0.1 s; a fresh power
+    # p^i per digit took about 10 s
+    start = time.perf_counter()
+    kappa = PadicExponent.truncated(3, (2,) * 60000)
+    assert time.perf_counter() - start < 1
+    assert kappa.rep == 3**60000 - 1
 
 
 def test_exponent_arithmetic():
