@@ -4,7 +4,9 @@ Kl_n(t, m) sums zeta_p^(absolute trace of x_1 + ... + x_n + t/(x_1...x_n))
 over n-tuples of nonzero elements of the m-th extension of t's field, by
 direct enumeration in discrete-log coordinates: the last variable is
 closed by an index lookup of t/prod x, so inner loops touch only small
-integers.  Values are memoised in an append-only, versioned text cache
+integers.  The lookups are rows of a per-field window table, and one numpy
+pass counts the phases of a block of rows, one row per value of x_(n-1).
+Values are memoised in an append-only, versioned text cache
 keyed by every parameter that pins the tower, so distinct moduli never
 alias.
 """
@@ -17,6 +19,7 @@ import itertools
 import os
 import shutil
 import threading
+from functools import cache
 
 import numpy as np
 
@@ -27,19 +30,62 @@ from .ff import ClosedPoint, Field, _mult_data, embed, make_field
 DEFAULT_BUDGET = 2_000_000
 
 
+# elements per numpy pass: large enough that the per-pass overhead of n >= 2
+# sums vanishes, small enough that a pass stays in cache
+BLOCK = 1 << 15
+
+
+@cache
+def _windows(field: Field):
+    """The window table of a field: row r is tr[(S-1-r-i) mod S] over i < S.
+
+    Its S + 1 rows are contiguous int64 views into one reversed trace array
+    of length 2S, so a run of consecutive rows is one 2-D slice.  Built on a
+    field's first sum, once per process.
+    """
+    rev = _mult_data(field).tr[::-1]
+    flat = np.concatenate([rev, rev])
+    return np.ndarray((len(rev) + 1, len(rev)), flat.dtype, flat, strides=flat.strides * 2)
+
+
 def _direct_sum(n: int, field: Field, t) -> CycInt:
-    """Flat enumeration of the n-fold sum at a nonzero element t."""
+    """Flat enumeration of the n-fold sum at a nonzero element t.
+
+    With t = g^e and x_i = g^(a_i), the last variable x_n = g^i leaves
+    t/(x_1...x_n) = g^(e - a_1 - ... - a_(n-1) - i), whose traces over
+    i < S are row (a_1 + ... + a_(n-1) - e - 1) mod S of the window table.
+    Each pass takes the rows of a block of up to max(1, BLOCK // S) values
+    of x_(n-1), adds tr[i] along them and the prefix trace of each row as a
+    column, and counts the phases with one bincount; a block whose rows pass
+    S reads its last rows from the top of the table.  At n = 1 a pass is the
+    single row of t.  Memory stays within a few blocks, whatever S^n is.
+    """
     p = field.p
     md = _mult_data(field)
-    S, tr, trD = md.S, md.tr, md.trD
-    it = int(md.dlog[field.to_int(t)])
-    # per prefix x_1..x_(n-1), one vectorised pass over x_n and t/(x_1...x_n)
-    counts = np.zeros((n + 1) * p, dtype=np.int64)
-    for prefix in itertools.product(range(S), repeat=n - 1):
+    S, tr = md.S, md.tr
+    win = _windows(field)
+    e = int(md.dlog[field.to_int(t)])
+    size = (n + 1) * p
+    if n == 1:
+        counts = np.bincount(tr + win[(-1 - e) % S], minlength=size)
+        return CycInt.from_powers(p, enumerate(counts))
+    rows = max(1, BLOCK // S)
+    buf = np.empty((min(rows, S), S), dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    # per prefix x_1..x_(n-2), one pass per block x_(n-1) = g^a..g^(b-1)
+    for prefix in itertools.product(range(S), repeat=n - 2):
         c = sum(int(tr[j]) for j in prefix)
-        b = (it - sum(prefix)) % S + S
-        phases = c + tr + trD[b - S + 1 : b + 1][::-1]
-        counts += np.bincount(phases, minlength=(n + 1) * p)
+        r = (sum(prefix) - 1 - e) % S
+        for a in range(0, S, rows):
+            b = min(a + rows, S)
+            s = (r + a) % S
+            head = min(b - a, S - s)
+            phases = buf[: b - a]
+            np.add(win[s : s + head], tr, out=phases[:head])
+            if head < b - a:
+                np.add(win[: b - a - head], tr, out=phases[head:])
+            phases += (c + tr[a:b])[:, None]
+            counts += np.bincount(phases.ravel(), minlength=size)
     return CycInt.from_powers(p, enumerate(counts))
 
 

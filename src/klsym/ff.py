@@ -214,11 +214,10 @@ def make_field(p: int, k: int, modulus=None) -> Field:
 
 class _MultData:
     """Tables over the generator g: ``code[i]`` = to_int(g^i), ``dlog[code]`` = i
-    (-1 at zero), ``tr[i]`` = AbsTr(g^i), and ``trD`` = ``tr`` twice over so
-    that cyclic windows are plain slices.
+    (-1 at zero) and ``tr[i]`` = AbsTr(g^i).
     """
 
-    __slots__ = ("field", "S", "code", "dlog", "tr", "trD")
+    __slots__ = ("field", "S", "code", "dlog", "tr")
 
     def __init__(self, field: Field):
         p, k, S = field.p, field.k, field.size - 1
@@ -245,7 +244,6 @@ class _MultData:
         self.code = code
         self.dlog = dlog
         self.tr = tr
-        self.trD = np.concatenate([tr, tr])
 
     def power(self, e: int):
         """g^e as coordinates."""

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -80,7 +81,11 @@ def test_kl1_over_f5():
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 1), (3, 1, 2), (3, 1, 3),
                                    (3, 2, 1), (3, 2, 2), (5, 1, 1),
-                                   (5, 1, 2), (7, 1, 2)])
+                                   (5, 1, 2), (7, 1, 2),
+                                   (3, 3, 3), (5, 2, 3), (3, 2, 4),
+                                   # S = 242: blocks of 135 and 107 rows, one
+                                   # of which passes row S at nearly every t
+                                   (3, 5, 2)])
 def test_table_matches_direct_everywhere(p, k, n):
     field = make_field(p, k)
     table = kloosterman_table(n, field)
@@ -132,6 +137,45 @@ def test_a_field_table_is_built_once_per_process(monkeypatch):
     for pt in points_up_to(base, 2):
         ev.kloosterman(1, pt, 1)
     assert built == [base, make_field(5, 2)]
+
+
+def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
+    # the sums build one window table per field they run over, once; the closed
+    # points, and a verify run whose sums all come from the cache, build none
+    assert "trD" not in ff._MultData.__slots__
+    assert not hasattr(ff._MultData(make_field(3, 2)), "trD")
+    expsum._windows.cache_clear()
+    base = make_field(5, 1)
+    ev = KloostermanEvaluator(base)
+    for pt in points_up_to(base, 2):
+        for n in (1, 2):
+            for m in (1, 2):
+                ev.kloosterman(n, pt, m)
+    info = expsum._windows.cache_info()
+    assert info.misses == info.currsize == 3  # F_5, F_25 and F_625
+    expsum._windows.cache_clear()
+    assert console_main(["points", "-p", "5", "-D", "4",
+                         "--out", str(tmp_path / "points.json")]) == 0
+    assert expsum._windows.cache_info().currsize == 0
+    argv = ["verify", "-p", "5", "-n", "1", "-k", "2", "-D", "3", "-V", "100",
+            "--cache", str(tmp_path / "sums.txt"), "--out", str(tmp_path / "report.json")]
+    assert console_main(argv) == 0
+    assert expsum._windows.cache_info().currsize > 0
+    expsum._windows.cache_clear()
+    assert console_main(argv) == 0  # every sum a cache hit
+    assert expsum._windows.cache_info().currsize == 0
+
+
+def test_a_sum_peaks_at_a_few_blocks_whatever_s_to_the_n():
+    # S = 6,560: one pass over the whole grid of S^2 phases would hold 344 MB
+    field = make_field(3, 8)
+    tracemalloc.start()
+    try:
+        _direct_sum(2, field, field.from_int(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 # ---------------------------------------------------------------------------
