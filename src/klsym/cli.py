@@ -11,14 +11,15 @@ whole report through ``_jsonable``.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
@@ -246,22 +247,11 @@ def _exponent_json(config: RunConfig):
 
 
 def _series_json(name, gs, points, exponent):
-    rows = []
-    for cp, c in zip(points, gs.coeffs):
-        row = {
-            "r": cp.r,
-            "exact": cp.exact,
-            "ordq": cp.ordq,
-        }
-        if gs.cert is None:
-            row["value"] = c.as_integer()
-        else:
-            row["coords"] = c.coords
-            row["precision"] = c.N
-            row["vcert"] = c.vcert
-        rows.append(row)
-    return {"name": name, "exponent": exponent, "cert": gs.cert,
-            "coefficients": rows}
+    rows = [{"r": cp.r, "exact": cp.exact, "ordq": cp.ordq,
+             **({"value": c.as_integer()} if gs.cert is None else
+                {"coords": c.coords, "precision": c.N, "vcert": c.vcert})}
+            for cp, c in zip(points, gs.coeffs)]
+    return {"name": name, "exponent": exponent, "cert": gs.cert, "coefficients": rows}
 
 
 def _newton_hull_json(points):
@@ -291,15 +281,10 @@ def write_csv(report: dict, csv_path: str):
                          "precision", "vcert", "value"])
         for entry in report.get("series", []):
             for row in entry["coefficients"]:
-                ordq = row["ordq"]
-                num, den = ("", "") if ordq is None else ordq
-                if "value" in row:
-                    tail = ["", "", row["value"]]
-                else:
-                    tail = [row["precision"], row["vcert"],
-                            ":".join(str(c) for c in row["coords"])]
-                writer.writerow([entry["name"], row["r"], row["exact"],
-                                 num, den] + tail)
+                num, den = row["ordq"] or ("", "")
+                writer.writerow([entry["name"], row["r"], row["exact"], num, den,
+                                 row.get("precision", ""), row.get("vcert", ""), row["value"]
+                                 if "value" in row else ":".join(map(str, row["coords"]))])
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +523,20 @@ def cmd_local(args) -> int:
     return _point_report(args, body, t0, cache)
 
 
+def _record_holds(key, value, budget) -> bool:
+    """Whether a cache record's sum, recomputed from scratch, is its value."""
+    p, a, modulus, n, d, rep, m = key
+    try:
+        base = make_field(p, a, modulus)
+        field = point_field(base, d)
+        pt = orbit_rep(base, field, field.element(rep))
+    # a reducible modulus, or a rep that is zero or in a proper subfield
+    except (UsageError, ValueError):
+        return False
+    fresh = KloostermanEvaluator(base, None, budget)
+    return pt.rep == rep and fresh.kloosterman(n, pt, m) == value
+
+
 def cmd_cache(args) -> int:
     t0 = time.perf_counter()
     if args.sample < 0:
@@ -554,29 +553,10 @@ def cmd_cache(args) -> int:
         return _point_report(args, body, t0)
 
     # action == "verify": recompute a sample of records from scratch
-    checked = []
-    bad = []
-    for lineno, (p, a, modulus, n, d, rep, m), value in cache.records()[: args.sample]:
-        try:
-            base = make_field(p, a, modulus)
-            field = point_field(base, d)
-            pt = orbit_rep(base, field, field.element(rep))
-        # a reducible modulus, or a rep that is zero or in a proper subfield
-        except (UsageError, ValueError):
-            ok = False
-        else:
-            fresh = KloostermanEvaluator(base, None, args.budget)
-            ok = pt.rep == rep and fresh.kloosterman(n, pt, m) == value
-        checked.append(lineno)
-        if not ok:
-            bad.append(lineno)
-    body = {
-        "cache_verify": {
-            "path": args.cache_path,
-            "checked_lines": checked,
-            "bad_lines": bad,
-        }
-    }
+    sample = cache.records()[: args.sample]
+    bad = [lineno for lineno, key, value in sample if not _record_holds(key, value, args.budget)]
+    body = {"cache_verify": {"path": args.cache_path, "bad_lines": bad,
+                             "checked_lines": [lineno for lineno, _, _ in sample]}}
     code = _point_report(args, body, t0)
     return 2 if bad else code
 
@@ -591,131 +571,151 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one table of options, read in one pass over argv
 
 
-def _digit_list(text: str):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad digit list {text!r}") from None
-
-
-def _add_field_args(sp, with_n=True):
-    sp.add_argument("-p", type=int, required=True,
-                    help="odd residue characteristic")
-    sp.add_argument("-a", type=int, default=1,
-                    help="base field degree over the prime field")
-    if with_n:
-        sp.add_argument("-n", type=int, default=1,
-                        help="number of summation variables")
-
-
-def _add_run_args(sp):
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="refuse sums or Sym^k series needing more than "
-                         "this many steps")
-    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
-                    default=os.environ.get(CACHE_ENV),
-                    help=f"sum cache file (default ${CACHE_ENV})")
-    sp.add_argument("--out", help="write the JSON report here (default stdout)")
-
-
-def _add_exponent_args(sp, require_k=False):
-    if require_k:
-        sp.add_argument("-k", type=int, required=True,
-                        help="integer symmetric power exponent")
-        return
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("-k", type=int,
-                       help="integer symmetric power exponent")
-    group.add_argument("--kappa", type=_digit_list, dest="kappa_digits",
-                       metavar="D0,D1,...",
-                       help="truncated p-adic exponent digits, low first")
-
-
-def _points_options(sp):
-    _add_field_args(sp, with_n=False)
-    sp.add_argument("-D", type=int, required=True, help="maximal degree")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_points)
-
-
-def _point_options(sp, func):
-    """sum and local, at one closed point; only sum takes an extension level."""
-    _add_field_args(sp)
-    sp.add_argument("-d", type=int, required=True, help="point degree")
-    sp.add_argument("--rep-int", type=int, required=True, dest="rep_int",
-                    help="integer code of any orbit element")
-    if func is cmd_sum:
-        sp.add_argument("-m", type=int, default=1, help="extension level")
-    _add_run_args(sp)
-    sp.set_defaults(func=func)
-
-
-def _series_options(sp, mode):
-    _add_field_args(sp)
-    _add_exponent_args(sp, require_k=mode in ("symk", "compare-slopes"))
-    sp.add_argument("-D", type=int, required=True, help="Euler product degree cap")
-    if mode != "symk":
-        sp.add_argument("-V", type=int, default=None,
-                        help="pi-adic precision target (default derived)")
-    _add_run_args(sp)
-    sp.add_argument("--workers", type=int, default=1,
-                    help=f"threads for the orbits' local series, 1 to {MAX_WORKERS}")
-    sp.add_argument("--csv", help="also write a CSV coefficient table here")
-    # every RunConfig field, also where this mode has no option for it
-    sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
-
-
-def _cache_options(sp):
-    sp.add_argument("action", choices=("stat", "verify", "compact"))
-    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
-                    default=os.environ.get(CACHE_ENV),
-                    required=os.environ.get(CACHE_ENV) is None)
-    sp.add_argument("--sample", type=int, default=10,
-                    help="records to recompute under verify")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_cache)
-
-
-# each subcommand's help, and the builder of its options with the builder's arguments
+_RUN = "--budget --cache --out"
+_SERIES = {"symk": "-k! -D!", "syminf": "-k --kappa -D! -V", "unitroot": "-k --kappa -D! -V",
+           "verify": "-k --kappa -D! -V", "compare": "-k! -D! -V"}
+# each command's help, its options ("!": required) and the attributes it sets itself;
+# _admit refuses a series line with both or neither of -k and --kappa
 COMMANDS = {
-    "points": ("list closed points of the torus", _points_options),
-    "sum": ("one exact hyper-Kloosterman sum", _point_options, cmd_sum),
-    "local": ("local L-factor at one closed point", _point_options, cmd_local),
-    **{name: (f"run mode {mode}", _series_options, mode) for name, mode in
-       zip(("symk", "syminf", "unitroot", "verify", "compare"), MODES)},
-    "cache": ("inspect or repair a sum cache", _cache_options),
+    "points": ("list closed points of the torus", "-p! -a -D! --out", {"func": cmd_points}),
+    "sum": ("one exact hyper-Kloosterman sum", f"-p! -a -n -d! --rep-int! -m {_RUN}",
+            {"func": cmd_sum}),
+    "local": ("local L-factor at one closed point", f"-p! -a -n -d! --rep-int! {_RUN}",
+              {"func": cmd_local}),
+    **{name: (f"run mode {mode}", f"-p! -a -n {flags} {_RUN} --workers --csv",
+              {"func": cmd_run, "mode": mode, "V": None, "kappa_digits": None})
+       for (name, flags), mode in zip(_SERIES.items(), MODES)},
+    "cache": ("inspect or repair a sum cache", "action! --cache! --sample --budget --out",
+              {"func": cmd_cache}),
+}
+_TOP = ("Symmetric power L-series of hyper-Kloosterman sums", "--version command!", {})
+# flag, or a positional's name: attribute, type (None: it takes no word; a tuple: the
+# words it accepts), default (called at parse time when callable) and help
+OPTIONS = {
+    "-h": ("help", None, None, "show this help message and exit"),
+    "--version": ("version", None, None, "show the version and exit"),
+    "command": ("command", tuple(COMMANDS), None, "".join(
+        f"\n    {name:<10}{text}" for name, (text, *_) in COMMANDS.items())),
+    "-p": ("p", int, None, "odd residue characteristic"),
+    "-a": ("a", int, 1, "base field degree over the prime field"),
+    "-n": ("n", int, 1, "number of summation variables"),
+    "-k": ("k", int, None, "integer symmetric power exponent"),
+    "--kappa": ("kappa_digits", lambda text: tuple(int(part) for part in text.split(",")),
+                None, "p-adic exponent digits d0,d1,..., low first"),
+    "-D": ("D", int, None, "degree cap of the points or of the Euler product"),
+    "-V": ("V", int, None, "pi-adic precision target (default derived)"),
+    "-d": ("d", int, None, "point degree"),
+    "--rep-int": ("rep_int", int, None, "integer code of any orbit element"),
+    "-m": ("m", int, 1, "extension level"),
+    "action": ("action", ("stat", "verify", "compact"), None, "what to do with the cache"),
+    "--sample": ("sample", int, 10, "records to recompute under verify"),
+    "--budget": ("budget", int, DEFAULT_BUDGET, "refuse work of more than this many steps"),
+    "--cache": ("cache_path", str, lambda: os.environ.get(CACHE_ENV),
+                f"sum cache file (default ${CACHE_ENV})"),
+    "--out": ("out", str, None, "write the JSON report here (default stdout)"),
+    "--workers": ("workers", int, 1, f"threads for the local series, 1 to {MAX_WORKERS}"),
+    "--csv": ("csv", str, None, "also write a CSV coefficient table here"),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand with its help, but the options and defaults of command
-    alone, or of every command when None; a line of command parses the same."""
-    parser = argparse.ArgumentParser(
-        prog="klsym",
-        description="Symmetric power L-series of hyper-Kloosterman sums",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"klsym {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, *args) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_options(sp, *args)
-    return parser
+def _spelling(flag):
+    kind = OPTIONS[flag][1]
+    if flag[0] != "-":
+        return "{" + ",".join(kind) + "}"
+    return flag if kind is None else f"{flag} {flag.lstrip('-').upper().replace('-', '_')}"
+
+
+def _flag(word, flags):
+    """(flag, its attached word or None) for a word naming one of flags (README's
+    grammar), None for a value, (None, None) for any other option word."""
+    name, eq, value = word.partition("=")
+    if word in flags:
+        return word, None
+    if word.startswith("--") and word != "--":
+        hits = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif word[:2] in flags:
+        return word[:2], word[3:] if word[2] == "=" else word[2:]
+    if word[:1] != "-" or word == "-" or re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+        return None
+    return None, None
+
+
+def _scan(prog, command, words, extras):
+    """The attributes of command's options from words, read left to right: -h exits
+    0 with the help, the first bad word exits 1 with its error, and words that no
+    option or positional takes go to extras.  The command a top-level line names
+    reads the rest of the words; then the line fails if it left extras."""
+    options = [(flag.rstrip("!"), flag[-1] == "!") for flag in f"-h {command[1]}".split()]
+    flags = ["--help", *(flag for flag, _ in options if flag[0] == "-")]
+    slots = [flag for flag, _ in options if flag[0] != "-"]
+    values = {OPTIONS[flag][0]: OPTIONS[flag][2] for flag, _ in options[1:]}
+    values.update((dest, default()) for dest, default in values.items() if callable(default))
+    usage = " ".join(["usage:", prog, *(
+        _spelling(flag) if required else f"[{_spelling(flag)}]" for flag, required in options)])
+    i = 0
+    try:
+        while i < len(words):
+            word, i = words[i], i + 1
+            hit = _flag(word, flags)
+            if hit is None and slots:
+                flag = slots.pop(0)
+            elif hit is None or hit[0] is None:
+                extras.append(word)
+                continue
+            else:
+                flag, word = hit
+                flag = "-h" if flag == "--help" else flag
+                if OPTIONS[flag][1] is None:  # -h and --version
+                    if word is not None:
+                        raise ValueError(f"argument {flag}: ignored explicit argument {word!r}")
+                    print(f"klsym {__version__}" if flag == "--version" else "\n".join([
+                        usage, "", command[0], "", "options:",
+                        *(f"  {_spelling(f):<18} {OPTIONS[f][3]}" for f, _ in options)]))
+                    raise SystemExit(0)
+                if word is None:
+                    if i == len(words) or _flag(words[i], flags) is not None:
+                        raise ValueError(f"argument {flag}: expected one argument")
+                    word, i = words[i], i + 1
+            kind = OPTIONS[flag][1]
+            try:  # a tuple's index raises ValueError for a word it does not hold
+                word = kind(word) if callable(kind) else kind[kind.index(word)]
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid value {word!r}") from None
+            values[OPTIONS[flag][0]] = word
+            if flag == "command":
+                values = {"command": word, **COMMANDS[word][2],
+                          **_scan(f"{prog} {word}", COMMANDS[word], words[i:], extras)}
+                if extras:
+                    raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+                return values
+        missing = [flag for flag, required in options
+                   if required and values[OPTIONS[flag][0]] is None]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    except ValueError as exc:
+        print(f"{usage}\n{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+    return values
+
+
+def parse(argv):
+    """A command line's attributes, as README's grammar reads it; SystemExit(0) after
+    the help or the version, SystemExit(1) after a usage error."""
+    return SimpleNamespace(**_scan("klsym", _TOP, argv, []))
 
 
 def console_main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # argparse runs the first word naming a command, unless -h, --version or an error comes first
-    parser = build_parser(next((word for word in argv if word in COMMANDS), None))
     try:
-        args = parser.parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return 0 if not exc.code else 1
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -4,13 +4,14 @@ A report's digest is the SHA-256 of its canonical body: the JSON report
 without ``timing``, keys sorted, compact separators.  This is the rule of
 ``perfbench/run.py``'s ``report_digest``.
 
-As a script, with the ``klsym`` entry point installed::
+As a script, with the ``klsym`` package importable::
 
     python tests/digests.py reach               # run every reach row
     python tests/digests.py check REPORT ARGV   # check one report file
 
-``reach`` runs each reach row through ``klsym`` with a 60 s timeout and
-prints its argv, digest and wall seconds before it checks the row.
+``reach`` runs each reach row as ``python -m klsym.cli`` with a 60 s timeout,
+so no entry point need be installed, and prints its argv, digest and wall
+seconds before it checks the row.
 ``check`` compares a report that the caller produced with the row of that
 argv.  Both exit 1 when a row fails.
 """
@@ -85,8 +86,8 @@ def run_reach() -> bool:
             out = Path(tmp) / f"report-{i}.json"
             t0 = time.perf_counter()
             try:
-                code = subprocess.run(["klsym", *row.argv.split(), "--out", str(out)],
-                                      timeout=REACH_TIMEOUT_S).returncode
+                code = subprocess.run([sys.executable, "-m", "klsym.cli", *row.argv.split(),
+                                       "--out", str(out)], timeout=REACH_TIMEOUT_S).returncode
             except subprocess.TimeoutExpired:
                 code = f"none (killed after {REACH_TIMEOUT_S} s)"
             got = _report_digest(out)

@@ -49,6 +49,12 @@ algorithm, so a test can require the two to agree:
 * ``direct_reference``: one Kloosterman sum by brute force with the same
   schoolbook arithmetic, no discrete-log table;
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration;
+* ``symk_degree``: the degree of the exact Sym^k L-function where a theorem
+  gives it (n = 1, 1 <= k < p: Fu-Wan), against the coefficients ``symk``
+  prints, which must end at it;
+* ``build_parser``: the argparse parser of every command, as ``cli`` built it
+  before one option table and one pass over argv (``cli.parse``) replaced it,
+  against ``cli.parse`` over a corpus of command lines;
 * ``nested_lift_simple_nonzero_root``: the Hensel lift with a complete
   Newton inversion of f'(x) (``nested_unit_inverse``) inside every step,
   against the one coupled Newton loop of ``padic``;
@@ -82,13 +88,18 @@ with ``klsym.lfun``, so that the oracles stay independent of the code
 they check.
 """
 
+import argparse
 import itertools
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 import sympy
 
+from klsym import __version__
+from klsym.cli import CACHE_ENV, MAX_WORKERS, MODES, cmd_cache, cmd_local, cmd_points, \
+    cmd_run, cmd_sum
 from klsym.cyclo import CycInt
 from klsym.errors import (
     DegenerateFactorError,
@@ -990,3 +1001,134 @@ def trace_sums_by_transform(p: int, a: int, n: int, k: int, D: int) -> list:
             raise IntegralityFindingError(f"{r} does not divide r c_{r} = {acc}")
         out.append(acc // r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the degree of the exact Sym^k L-function
+
+
+def symk_degree(p: int, n: int, k: int):
+    """The degree of the polynomial L(G_m, Sym^k Kl_n, T) over F_p where a theorem
+    gives it, else None: floor((k+1)/2) for n = 1 and 1 <= k < p (Fu-Wan,
+    "L-functions for symmetric products of Kloosterman sums", J. reine angew.
+    Math. 589, 2005, with Robba for the degree).  Sym^0 is the trivial sheaf,
+    whose L-function (1 - T)/(1 - pT) is no polynomial, so k = 0 is outside."""
+    return (k + 1) // 2 if n == 1 and 1 <= k < p else None
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser cli built before its option table, unchanged
+
+
+def _digit_list(text: str):
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad digit list {text!r}") from None
+
+
+def _add_field_args(sp, with_n=True):
+    sp.add_argument("-p", type=int, required=True,
+                    help="odd residue characteristic")
+    sp.add_argument("-a", type=int, default=1,
+                    help="base field degree over the prime field")
+    if with_n:
+        sp.add_argument("-n", type=int, default=1,
+                        help="number of summation variables")
+
+
+def _add_run_args(sp):
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="refuse sums or Sym^k series needing more than "
+                         "this many steps")
+    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
+                    default=os.environ.get(CACHE_ENV),
+                    help=f"sum cache file (default ${CACHE_ENV})")
+    sp.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
+def _add_exponent_args(sp, require_k=False):
+    if require_k:
+        sp.add_argument("-k", type=int, required=True,
+                        help="integer symmetric power exponent")
+        return
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("-k", type=int,
+                       help="integer symmetric power exponent")
+    group.add_argument("--kappa", type=_digit_list, dest="kappa_digits",
+                       metavar="D0,D1,...",
+                       help="truncated p-adic exponent digits, low first")
+
+
+def _points_options(sp):
+    _add_field_args(sp, with_n=False)
+    sp.add_argument("-D", type=int, required=True, help="maximal degree")
+    sp.add_argument("--out")
+    sp.set_defaults(func=cmd_points)
+
+
+def _point_options(sp, func):
+    """sum and local, at one closed point; only sum takes an extension level."""
+    _add_field_args(sp)
+    sp.add_argument("-d", type=int, required=True, help="point degree")
+    sp.add_argument("--rep-int", type=int, required=True, dest="rep_int",
+                    help="integer code of any orbit element")
+    if func is cmd_sum:
+        sp.add_argument("-m", type=int, default=1, help="extension level")
+    _add_run_args(sp)
+    sp.set_defaults(func=func)
+
+
+def _series_options(sp, mode):
+    _add_field_args(sp)
+    _add_exponent_args(sp, require_k=mode in ("symk", "compare-slopes"))
+    sp.add_argument("-D", type=int, required=True, help="Euler product degree cap")
+    if mode != "symk":
+        sp.add_argument("-V", type=int, default=None,
+                        help="pi-adic precision target (default derived)")
+    _add_run_args(sp)
+    sp.add_argument("--workers", type=int, default=1,
+                    help=f"threads for the orbits' local series, 1 to {MAX_WORKERS}")
+    sp.add_argument("--csv", help="also write a CSV coefficient table here")
+    # every RunConfig field, also where this mode has no option for it
+    sp.set_defaults(func=cmd_run, mode=mode, V=None, kappa_digits=None)
+
+
+def _cache_options(sp):
+    sp.add_argument("action", choices=("stat", "verify", "compact"))
+    sp.add_argument("--cache", dest="cache_path", metavar="CACHE",
+                    default=os.environ.get(CACHE_ENV),
+                    required=os.environ.get(CACHE_ENV) is None)
+    sp.add_argument("--sample", type=int, default=10,
+                    help="records to recompute under verify")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--out")
+    sp.set_defaults(func=cmd_cache)
+
+
+# each subcommand's help, and the builder of its options with the builder's arguments
+COMMANDS = {
+    "points": ("list closed points of the torus", _points_options),
+    "sum": ("one exact hyper-Kloosterman sum", _point_options, cmd_sum),
+    "local": ("local L-factor at one closed point", _point_options, cmd_local),
+    **{name: (f"run mode {mode}", _series_options, mode) for name, mode in
+       zip(("symk", "syminf", "unitroot", "verify", "compare"), MODES)},
+    "cache": ("inspect or repair a sum cache", _cache_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, but the options and defaults of command
+    alone, or of every command when None; a line of command parses the same."""
+    parser = argparse.ArgumentParser(
+        prog="klsym",
+        description="Symmetric power L-series of hyper-Kloosterman sums",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"klsym {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, *args) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_options(sp, *args)
+    return parser

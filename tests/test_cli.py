@@ -1,16 +1,19 @@
 """End-to-end checks of the command line driver."""
 
-import argparse
+import ast
 import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -83,14 +86,42 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     _assert_pinned(capsys, monkeypatch, argv, code, digest)
 
 
-def test_every_table_row_parses():
+def test_every_table_row_parses(monkeypatch):
     # the reach rows run only in CI, so a mistyped option there fails here first
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     table = digests.rows()
     assert {row.tier for row in table} == set(digests.TIERS)
     for row in table:
         words = row.argv.split()
         assert words[0] in cli.COMMANDS, row.argv
-        cli.build_parser(words[0]).parse_args(words)
+        assert vars(cli.parse(words)) == vars(oracles.build_parser(words[0]).parse_args(words))
+
+
+def _degree_rows():
+    """(argv, delta) of each fast row that prints an exact Sym^k series whose degree
+    delta oracles.symk_degree gives (a = 1)."""
+    for row in digests.rows("fast"):
+        try:
+            args = cli.parse(row.argv.split())
+        except SystemExit:  # test_every_table_row_parses fails on the row
+            continue
+        if (row.digest != "-" and args.func is cli.cmd_run and args.k is not None
+                and args.mode not in ("syminf", "unitroot") and args.a == 1
+                and oracles.symk_degree(args.p, args.n, args.k) is not None):
+            yield pytest.param(row.argv, oracles.symk_degree(args.p, args.n, args.k),
+                               id=row.argv)
+
+
+@pytest.mark.parametrize("argv,delta", list(_degree_rows()))
+def test_the_exact_series_ends_at_its_degree(capsys, monkeypatch, argv, delta):
+    # L(G_m, Sym^k Kl_1, T) is a polynomial of degree delta = floor((k+1)/2) for p > k
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    console_main(argv.split())
+    (series,) = [entry for entry in json.loads(capsys.readouterr().out)["series"]
+                 if entry["name"] == "symk"]
+    coeffs = [row["value"] for row in series["coefficients"]]
+    assert coeffs[delta + 1:] == [0] * len(coeffs[delta + 1:]), coeffs
+    assert delta >= len(coeffs) or coeffs[delta] != 0, coeffs
 
 
 # runs whose Kl(t, n+1) at the top degree is over the default budget, so only the
@@ -301,7 +332,7 @@ def test_bad_arguments_exit_one(tmp_path):
     assert console_main(["verify", "-p", "3", "-D", "2"]) == 1  # no exponent
     assert console_main(["nonsense"]) == 1
     assert console_main(["syminf", "-p", "3", "-k", "1", "--kappa", "1",
-                         "-D", "1"]) == 1  # mutually exclusive
+                         "-D", "1"]) == 1  # both exponents, which _admit refuses
     assert console_main(["points", "-p", "3", "-D", "-1"]) == 1
     cache = tmp_path / "c.txt"
     cache.write_text("# klsym sum cache v1\nv1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]\n")
@@ -332,15 +363,44 @@ _VALID_LINES = {
 }
 
 
-def _parsed(parser, argv):
-    """parse_args's namespace, or its exit code, with what it printed."""
+def _parsed(parse, argv):
+    """parse(argv)'s attributes, or its exit code, with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def _console(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parses_as_reference(argv):
+    """(reference, cli.parse) results of argv, cli.parse's checked against the
+    argparse reference (oracles.build_parser): the same attributes where it parses,
+    exit 0 with text on stdout where it exits 0, and exit 1 with a usage line and an
+    error line on stderr where it exits 2, but for a line of both or neither of -k
+    and --kappa, which its exclusive group refused and _admit refuses (exit 1)."""
+    want, _, _ = _parsed(oracles.build_parser(None).parse_args, argv)
+    got, out, err = _parsed(cli.parse, argv)
+    if isinstance(want, dict) or want == 0:
+        assert (got, bool(out), err) == (want, want == 0, ""), argv
+    elif isinstance(got, dict):
+        assert want == 2 and (got["k"] is None) == (got["kappa_digits"] is None), argv
+        code, _, err = _console(argv)
+        assert (code, err.split(":")[0]) == (1, "usage error"), argv
+    else:
+        assert (want, got, out) == (2, 1, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: klsym "), argv
+        assert re.match(r"klsym( \w+)?: error: ", error), argv
+    return want, got
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -353,57 +413,117 @@ def test_a_command_parses_as_with_every_commands_options(monkeypatch, command, c
             # the first " 3" is -p's value, or --sample's under cache
             "bad int": valid.replace(" 3", " x", 1),
             "k and kappa": valid + " -k 1 --kappa 1", "trailing": valid + " extra"}[case]
-    argv = [command] + tail.split()
-    own = _parsed(cli.build_parser(command), argv)
-    assert own == _parsed(cli.build_parser(None), argv)
-    assert isinstance(own[0], dict) == (case == "valid")
+    want, _ = _parses_as_reference([command] + tail.split())
+    assert isinstance(want, dict) == (case == "valid")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--version"], [], ["bogus"]])
 def test_top_level_parses_the_same_whichever_command_has_options(monkeypatch, argv):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    everything = _parsed(cli.build_parser(None), argv)
-    assert everything[0] == (2 if argv in ([], ["bogus"]) else 0)  # argparse.error exits 2
-    for command in [*cli.COMMANDS, "bogus"]:
-        assert _parsed(cli.build_parser(command), argv) == everything
+    want, _ = _parses_as_reference(argv)
+    assert want == (2 if argv in ([], ["bogus"]) else 0)  # argparse.error exits 2
+    if argv == ["-h"]:  # the top-level help names every command with its help
+        out = _parsed(cli.parse, argv)[1]
+        assert all(re.search(f"{name} +{help_text}", out) for name, (help_text, *_) in
+                   cli.COMMANDS.items())
 
 
-def _console(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = console_main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-# argparse reads the command after top-level options and "--", so console_main
-# builds the options of the first word that names a command
+# the top level reads -h, --version and unknown options up to the first other word,
+# the command, which reads the rest; unknown words of either level fail last
 @pytest.mark.parametrize("argv", [
     "-h symk", "--vers", "-- symk -p x -D 1", "--bad symk -p 3 -k 1 -D 1",
     "-- sum -p 3 -d 1 --rep-int x", "symk -p 3 -k 1 -D 1 sum", "bogus symk -h",
+    "--bad symk -h", "symk -p 3 -k 1 -D 1 --out -x",
 ])
 def test_console_main_parses_as_with_every_commands_options(monkeypatch, argv):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    own = _console(argv.split())
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: build(None))
-    assert own == _console(argv.split())
+    want, got = _parses_as_reference(argv.split())
+    assert _console(argv.split()) == (got,) + _parsed(cli.parse, argv.split())[1:]
+    assert got == {0: 0, 2: 1}[want]
 
 
-def test_a_symk_run_builds_only_its_own_options(tmp_path, monkeypatch):
-    calls = []
-    add_argument = argparse.ArgumentParser.add_argument
+def _literal_argvs():
+    """Every literal command line of this file: a string whose first word names a
+    command, or a list whose first item does (any other item reads as "x")."""
+    argvs = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = node.value.split()
+        elif isinstance(node, ast.List) and node.elts:
+            words = [item.value if isinstance(item, ast.Constant)
+                     and isinstance(item.value, str) else "x" for item in node.elts]
+        else:
+            continue
+        if words[:1] and words[0] in cli.COMMANDS:
+            argvs.append(words)
+    return argvs
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return add_argument(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
-    assert console_main(["symk", "-p", "3", "-k", "1", "-D", "1", "--cache",
-                         str(tmp_path / "c.txt"), "--out", str(tmp_path / "r.json")]) == 0
-    # -h of the top-level parser and of the nine subparsers, --version, and symk's
-    # -p -a -n -k -D --budget --cache --out --workers --csv; with every command's
-    # options a run made 88 calls
-    assert len(calls) == 10 + 1 + 10
+def _doc_argvs():
+    """The klsym lines of README.md and of the CI workflow, in shell words: a word
+    with a shell expansion reads as "x", and "$args" as each word of the for loop
+    before it."""
+    root = Path(__file__).resolve().parent.parent
+    argvs = [shlex.split(line, comments=True)[1:] for line in
+             (root / "README.md").read_text(encoding="utf-8").splitlines()
+             if line.startswith("klsym ")]
+    workflow = (root / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    loop = []
+    for line in workflow.replace("\\\n", " ").splitlines():
+        if line.strip().startswith("#"):
+            continue
+        loop = next((shlex.split(words) for words in re.findall(r"\bfor args in (.*?); do",
+                                                                 line)), loop)
+        for text in re.findall(r"\bklsym ([^>|;&]*)", line):
+            words = ["x" if "$" in word and word != "$args" else word
+                     for word in shlex.split(text)]
+            at = words.index("$args") if "$args" in words else None
+            argvs += [words] if at is None else [
+                words[:at] + item.split() + words[at + 1:] for item in loop]
+    return argvs
+
+
+# the option forms, prefixes and errors of README's grammar, a repeated option, a
+# negative value, -h before and after a bad value, and "--" at the top level
+_EDGE_LINES = [
+    "symk -p3 -k1 -D1", "symk -D=2 -p 3 -k 1", "symk --budget=5 -p 3 -k 1 -D 1",
+    "symk -p 3 -k 1 -D 1 --work 2", "symk -p 3 -k 1 -D 1 --c x", "symk -p 3 -p 5 -k 1 -D 1",
+    "symk -p 3 -k 1 -D -1", "symk -p", "symk -h -p x", "symk -p x -h",
+    "-- symk -p 3 -k 1 -D 1", "cache --cache c stat", "cache stat", "--version symk",
+    "-h symk", "bogus symk -h",
+]
+
+
+@pytest.mark.parametrize("source", ["digests", "test_cli", "docs", "edges"])
+def test_the_option_table_parses_as_argparse(monkeypatch, source):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    argvs = {"digests": lambda: [row.argv.split() for row in digests.rows()],
+             "test_cli": _literal_argvs, "docs": _doc_argvs,
+             "edges": lambda: [line.split() for line in _EDGE_LINES]}[source]()
+    assert len(argvs) >= 16
+    for argv in argvs:
+        _parses_as_reference(argv)
+
+
+def test_cache_stat_reads_the_cache_from_the_environment(monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, "sums.txt")
+    assert _parses_as_reference(["cache", "stat"])[1]["cache_path"] == "sums.txt"
+    monkeypatch.delenv(cli.CACHE_ENV)
+    assert _parses_as_reference(["cache", "stat"]) == (2, 1)
+
+
+def test_a_run_loads_no_argparse_gettext_or_locale(tmp_path):
+    # argparse imports gettext, whose first message lookup imports locale, a fixed
+    # cost of every short run; numpy, json, fractions, fcntl and shutil load none
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
+    env.pop(cli.CACHE_ENV, None)
+    probe = ("import sys, klsym.cli; code = klsym.cli.console_main(); print(sorted(set(sys."
+             "modules) & {'argparse', 'gettext', 'locale'})); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, "symk", "-p", "3", "-k", "1", "-D",
+                           "1", "--out", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert _read(tmp_path / "r.json")["config"]["D"] == 1
 
 
 def test_the_console_script_parses_sys_argv(tmp_path, monkeypatch):
