@@ -81,6 +81,19 @@ def galois_coords(a: tuple, c: int) -> tuple:
     return tuple([x - top for x in bucket])
 
 
+def format_int_list(values) -> str:
+    """The text "[v0,v1,...]" of integers, as cache records and values spell them."""
+    return "[%s]" % ",".join(str(v) for v in values)
+
+
+def parse_int_list(text: str) -> tuple:
+    """The integers of a text "[v0,v1,...]" ("[]": none); ValueError if malformed."""
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"malformed integer list: {text!r}")
+    inner = text[1:-1]
+    return tuple(int(s) for s in inner.split(",")) if inner else ()
+
+
 @functools.cache
 def _binomial_rows(p: int):
     """Row j holds C(i, j) for i = j, ..., p - 2: b_j is row j dotted with a[j:]."""
@@ -110,10 +123,6 @@ class CycInt:
     @classmethod
     def from_int(cls, p: int, n: int) -> "CycInt":
         return cls(p, (n,) + (0,) * (p - 2))
-
-    @classmethod
-    def zero(cls, p: int) -> "CycInt":
-        return cls.from_int(p, 0)
 
     @classmethod
     def from_powers(cls, p: int, pairs) -> "CycInt":
@@ -200,18 +209,15 @@ class CycInt:
         return self.coords[0]
 
     def serialize(self) -> str:
-        return "%d:[%s]" % (self.p, ",".join(str(c) for c in self.coords))
+        return f"{self.p}:{format_int_list(self.coords)}"
 
     @classmethod
     def deserialize(cls, text: str) -> "CycInt":
         head, _, body = text.partition(":")
-        if not head.isdigit() or not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"malformed cyclotomic value: {text!r}")
-        p = int(head)
-        inner = body[1:-1]
-        parts = inner.split(",") if inner else []
-        try:
-            coords = [int(s) for s in parts]
+        try:  # the text alone: the constructor's checks keep their own messages
+            if not head.isdigit():
+                raise ValueError(head)
+            coords = parse_int_list(body)
         except ValueError:
             raise ValueError(f"malformed cyclotomic value: {text!r}") from None
-        return cls(p, coords)
+        return cls(int(head), coords)

@@ -6,9 +6,9 @@ direct enumeration in discrete-log coordinates: the last variable is
 closed by an index lookup of t/prod x, so inner loops touch only small
 integers.  The lookups are rows of a per-field window table, and one numpy
 pass counts the phases of a block of rows, one row per value of x_(n-1).
-Values are memoised in an append-only, versioned text cache
-keyed by every parameter that pins the tower, so distinct moduli never
-alias.
+Values are memoised in an append-only, versioned text cache keyed by every
+parameter that pins the tower, so distinct moduli never alias; a record
+spells its lists and its value in ``cyclo``'s one integer-list text.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .cyclo import CycInt
+from .cyclo import CycInt, format_int_list, parse_int_list
 from .errors import CacheError, ResourceError, UsageError
 from .ff import ClosedPoint, Field, _mult_data, embed, make_field
 
@@ -95,21 +95,10 @@ def _direct_sum(n: int, field: Field, t) -> CycInt:
 CACHE_HEADER = "# klsym sum cache v1"
 
 
-def _fmt_ints(values) -> str:
-    return "[%s]" % ",".join(str(v) for v in values)
-
-
-def _parse_ints(text: str):
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"malformed integer list: {text!r}")
-    inner = text[1:-1]
-    return tuple(int(s) for s in inner.split(",")) if inner else ()
-
-
 def key_text(key) -> str:
     """The text of a key (p, a, modulus, n, d, rep, m), as its record spells it."""
     p, a, modulus, n, d, rep, m = key
-    return "%d,%d,%s|%d|%d|%s|%d" % (p, a, _fmt_ints(modulus), n, d, _fmt_ints(rep), m)
+    return "%d,%d,%s|%d|%d|%s|%d" % (p, a, format_int_list(modulus), n, d, format_int_list(rep), m)
 
 
 def record_line(key, value: CycInt) -> str:
@@ -128,8 +117,8 @@ def parse_record(line: str):
         fields = head.split(",", 2)
         if len(fields) != 3:
             raise ValueError("field descriptor needs p,a,[modulus]")
-        p, a, modulus = int(fields[0]), int(fields[1]), _parse_ints(fields[2])
-        n, d, rep, m = int(n), int(d), _parse_ints(rep), int(m)
+        p, a, modulus = int(fields[0]), int(fields[1]), parse_int_list(fields[2])
+        n, d, rep, m = int(n), int(d), parse_int_list(rep), int(m)
         value = CycInt.deserialize(value)
     except (ValueError, UsageError) as exc:
         raise CacheError(f"corrupt record {line!r}: {exc}") from exc

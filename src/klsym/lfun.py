@@ -13,12 +13,12 @@ the Weil bound checks the middle one.  The m-th power sum of Sym^k is
 h_k(pi^m), by the recurrence of order n+1 that the eigenvalues pi^m give:
 from h_0 on the factor itself at m = 1, above h_0..h_(n+1) from the base
 sums p_(i m) (h-p Newton) at m >= 2; the exact series is one recurrence
-over their sums at all points.
+over their sums at all points, sigma_c of those at the orbit representative.
 The infinite symmetric power series takes the eigenvalues from a p-adic
 slope split; one call gives every 1-unit power of the unit one, and each
-power of another is one product from the last.  Its Euler product
-multiplies inverse local factors over all closed points to a degree cap
-and verifies Galois descent of every global coefficient.
+power of another is one product from the last.  Its Euler product of inverse
+local factors to a degree cap verifies Galois descent of every coefficient.
+A local or a global series is one ``Series``: coefficients and a certificate.
 """
 
 from __future__ import annotations
@@ -166,11 +166,11 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
 # local series
 
 
-class LocalSeries(NamedTuple):
-    """Inverse local factor expanded to the needed T-degree at one point."""
+class Series(NamedTuple):
+    """A series in T: an inverse local factor, whose index r is the coefficient of
+    T^(r * degree) at its point, or an L-series, whose index is the power of T."""
 
-    point: ClosedPoint
-    coeffs: list  # index r is the coefficient of T^(r * degree)
+    coeffs: list  # exact CycInt or PadicCyc
     cert: int | None = None  # uniform pi-adic certificate; None when exact
 
 
@@ -219,20 +219,20 @@ def sym_inf_weights(n: int, wmax: int):
             if sum(j * i for j, i in enumerate(tup, start=1)) <= wmax]
 
 
-def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int) -> LocalSeries:
+def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int) -> Series:
     """prod over lams of (1 - lam T^d)^(-1) to r = R at precision N; the
     certificate is V capped by the vcert of every lam and every coefficient."""
     p = lf.coeffs[0].p
-    out = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * R
+    out = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * R
     cert = V
     for lam in lams:
         cert = min(cert, lam.vcert)
         for r in range(1, R + 1):  # lam * out[0], out[0] = 1 at the cap, is lam
             out[r] = out[r] + (lam * out[r - 1] if r > 1 else lam)
-    return LocalSeries(lf.point, out, min([cert] + [c.vcert for c in out]))
+    return Series(out, min([cert] + [c.vcert for c in out]))
 
 
-def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
+def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Series:
     """Series of the infinite symmetric power Euler factor at one point.
 
     Eigenvalues are pi_0^(kappa - |i|) prod pi_j^(i_j) over integer tuples
@@ -252,7 +252,7 @@ def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Loca
     return _inverse_series(lf, lams, pis[0].N, V, R)
 
 
-def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> LocalSeries:
+def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Series:
     """Series of (1 - pi_0^kappa T^d)^(-1): the weight-zero term of sym_inf_local."""
     N, _ = precision_plan(lf.coeffs[0].p, lf.point.base.k, lf.point.degree, V)
     u, = one_unit_power(hensel_unit_root(list(lf.coeffs), N), kappa, V)
@@ -261,11 +261,6 @@ def unit_root_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Lo
 
 # ---------------------------------------------------------------------------
 # Euler products
-
-
-class GlobalSeries(NamedTuple):
-    coeffs: list  # exact CycInt or PadicCyc, index = power of T
-    cert: int | None
 
 
 def check_coverage(base, points, D: int) -> None:
@@ -281,7 +276,7 @@ def check_coverage(base, points, D: int) -> None:
                              f"{got} closed points, not {want}")
 
 
-def power_sum_series(base, members, D: int) -> GlobalSeries:
+def power_sum_series(base, members, D: int) -> Series:
     """The exact L-series to T^D from (point, c, P_1..P_R at the point it is sigma_c
     of) at every closed point of degree <= D: L(T) = exp(sum S_r T^r / r), S_r the
     sum over d m = r of d T(d, m), where T(d, m), the sum of P_m over the points of
@@ -290,18 +285,17 @@ def power_sum_series(base, members, D: int) -> GlobalSeries:
     """
     check_coverage(base, [pt for pt, _, _ in members], D)
     p, traces = base.p, {}
-    for pt, c, sums in members:  # sigma_c(P_m) into a bucket by the power of zeta
+    for pt, c, sums in members:  # sigma_c(P_m), summed per (r, d)
         for m, x in enumerate(sums, start=1):
-            bucket = traces.setdefault((pt.degree * m, pt.degree), [0] * p)
-            for i, v in enumerate(x):
-                bucket[i * c % p] += v
+            t = traces.setdefault((pt.degree * m, pt.degree), [0] * (p - 1))
+            t[:] = map(operator.add, t, galois_coords(x, c))
     S = [0] * (D + 1)
-    for (r, d), (*low, top) in sorted(traces.items()):
-        if low[1:] != [top] * (p - 2):
+    for (r, d), t in sorted(traces.items()):
+        if any(t[1:]):
             raise IntegralityFindingError(
                 f"the sum of the trace of T^{r} over the points of degree {d} is not "
                 f"a rational integer", witness={"r": r, "degree": d})
-        S[r] += d * (low[0] - top)
+        S[r] += d * t[0]
     coeffs = [1]
     for r in range(1, D + 1):
         rc = sum(S[i] * coeffs[r - i] for i in range(1, r + 1))
@@ -309,11 +303,11 @@ def power_sum_series(base, members, D: int) -> GlobalSeries:
             raise IntegralityFindingError(
                 f"coefficient of T^{r} is not an integer: {rc}/{r}", witness={"r": r})
         coeffs.append(rc // r)
-    return GlobalSeries([CycInt.from_int(p, c) for c in coeffs], None)
+    return Series([CycInt.from_int(p, c) for c in coeffs])
 
 
-def euler_product(base, members, D: int) -> GlobalSeries:
-    """The p-adic L-series to T^D from (point, c, LocalSeries at the point it is
+def euler_product(base, members, D: int) -> Series:
+    """The p-adic L-series to T^D from (point, c, local Series at the point it is
     sigma_c of) at every closed point of degree <= D, merged in canonical point order.
 
     Each series starts with exactly 1, so only its terms j >= 1 multiply, each
@@ -333,7 +327,7 @@ def euler_product(base, members, D: int) -> GlobalSeries:
         if (c.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
             raise UsageError(f"local series at {pt.rep} does not start with 1")
     N = min(c.N for _, _, ls in members for c in ls.coeffs)
-    acc = [PadicCyc.one(p, N)] + [PadicCyc.zero(p, N)] * D
+    acc = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * D
     for pt, g, ls in members:
         # times the local series in T^d; going down in r, acc[r - j d] still
         # holds its value from before this point
@@ -351,4 +345,4 @@ def euler_product(base, members, D: int) -> GlobalSeries:
                     f"coefficient of T^{r} moves under zeta -> zeta^{g} "
                     f"below the certificate {cert}",
                     witness={"r": r, "galois": g, "val": diff})
-    return GlobalSeries(acc, cert)
+    return Series(acc, cert)

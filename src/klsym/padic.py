@@ -113,14 +113,6 @@ class PadicCyc:
         self.val = (p - 1) * ord_p(p, self.coords[0]) if self.coords[0] else self.vcert
         return self
 
-    @classmethod
-    def one(cls, p: int, N: int) -> "PadicCyc":
-        return cls.from_int(p, N, 1)
-
-    @classmethod
-    def zero(cls, p: int, N: int) -> "PadicCyc":
-        return cls.from_int(p, N, 0)
-
     # -- inspection
 
     def val_lb(self) -> int:
@@ -188,7 +180,7 @@ class PadicCyc:
                 out = base if out is None else out * base
             e >>= 1
             base = base * base if e else base
-        return PadicCyc.one(self.p, self.N) if out is None else out
+        return PadicCyc.from_int(self.p, self.N, 1) if out is None else out
 
     def galois(self, c: int) -> "PadicCyc":
         return PadicCyc(self.p, self.N, galois_coords(self.coords, c), self.vcert, self.val)

@@ -46,9 +46,8 @@ class Polygon(NamedTuple):
 
     def value_at(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        if len(self.vertices) == 1 and x == self.vertices[0][0]:
-            return Fraction(self.vertices[0][1])
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
+        # a lone vertex is the segment from itself to itself
+        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:] or self.vertices):
             if x0 <= x <= x1:
                 if x1 == x0:
                     return Fraction(y0)

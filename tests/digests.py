@@ -11,7 +11,8 @@ As a script, with the ``klsym`` package importable::
 
 ``reach`` runs each reach row as ``python -m klsym.cli`` with a 60 s timeout,
 so no entry point need be installed, and prints its argv, digest and wall
-seconds before it checks the row.
+seconds before it checks the row; a last line gives the rows run, the failures
+and the total wall seconds.
 ``check`` compares a report that the caller produced with the row of that
 argv.  Both exit 1 when a row fails.
 """
@@ -80,9 +81,10 @@ def _report_digest(path) -> str:
 
 
 def run_reach() -> bool:
-    ok = True
+    failures, total = 0, 0.0
+    reach = rows("reach")
     with tempfile.TemporaryDirectory() as tmp:
-        for i, row in enumerate(rows("reach")):
+        for i, row in enumerate(reach):
             out = Path(tmp) / f"report-{i}.json"
             t0 = time.perf_counter()
             try:
@@ -91,12 +93,15 @@ def run_reach() -> bool:
             except subprocess.TimeoutExpired:
                 code = f"none (killed after {REACH_TIMEOUT_S} s)"
             got = _report_digest(out)
-            print(f"{row.argv}  {got}  {time.perf_counter() - t0:.2f} s", flush=True)
+            seconds = time.perf_counter() - t0
+            total += seconds
+            print(f"{row.argv}  {got}  {seconds:.2f} s", flush=True)
             if (code, got) != (row.code, row.digest):
                 print(f"FAIL {row.argv}: exit {code}, digest {got}; pinned exit "
                       f"{row.code}, digest {row.digest}", file=sys.stderr)
-                ok = False
-    return ok
+                failures += 1
+    print(f"reach: {len(reach)} rows, {failures} failed, {total:.2f} s", flush=True)
+    return not failures
 
 
 def check(report, argv) -> bool:

@@ -112,9 +112,8 @@ from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
 from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
-    GlobalSeries,
     LocalFactor,
-    LocalSeries,
+    Series,
     _inverse_series,
     check_coverage,
     euler_product,
@@ -259,7 +258,7 @@ def pi_val_reference(x: CycInt):
 
 
 def _peval(coeffs, x: PadicCyc) -> PadicCyc:
-    acc = PadicCyc.zero(x.p, x.N)
+    acc = PadicCyc.from_int(x.p, x.N, 0)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -310,11 +309,11 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
     if chain is None:
         chain = []
     if not chain:
-        term = PadicCyc.one(p, u.N)
+        term = PadicCyc.from_int(p, u.N, 1)
         while (len(chain) + 1) * v1 < V:
             term = term * um1
             chain.append(term)
-    acc = PadicCyc.one(p, u.N)
+    acc = PadicCyc.from_int(p, u.N, 1)
     cert = min(V, u.vcert, u.N * (p - 1))
     fact_ord = 0
     for l, term in enumerate(chain, start=1):
@@ -569,7 +568,7 @@ def _companion(coeffs):
     """
     p = coeffs[0].p
     deg = len(coeffs) - 1
-    zero = CycInt.zero(p)
+    zero = CycInt.from_int(p, 0)
     one = CycInt.from_int(p, 1)
     # E low-first: e[i] = a_{deg-i}
     e = list(reversed(coeffs))
@@ -587,7 +586,7 @@ def _sym_power_matrix(M, k):
     dim = len(M)
     basis = sorted(_exponent_tuples(dim, k), reverse=True)
     index = {b: i for i, b in enumerate(basis)}
-    zero = CycInt.zero(p)
+    zero = CycInt.from_int(p, 0)
     cols = []
     lin_forms = [[M[i][j] for i in range(dim)] for j in range(dim)]  # image of x_j
     for alpha in basis:
@@ -632,7 +631,7 @@ def _berkowitz_charpoly(M):
     """Division-free characteristic polynomial, highest degree first."""
     p = M[0][0].p
     one = CycInt.from_int(p, 1)
-    zero = CycInt.zero(p)
+    zero = CycInt.from_int(p, 0)
     D = len(M)
     V = [one, -M[0][0]]
     for r in range(1, D):
@@ -665,7 +664,7 @@ def elementary_from_power_sums_cyc(p, power_sums, count):
     time: the loop ``lfun.elementary_from_power_sums`` runs on coordinate tuples."""
     es = [CycInt.from_int(p, 1)]
     for m in range(1, count + 1):
-        acc = CycInt.zero(p)
+        acc = CycInt.from_int(p, 0)
         for i in range(1, m + 1):
             term = es[m - i] * power_sums[i - 1]
             acc = acc + term if i % 2 else acc - term
@@ -679,7 +678,7 @@ def eigen_power_sums_cyc(coeffs, count):
     deg = len(coeffs) - 1
     ps = []
     for m in range(1, count + 1):
-        acc = CycInt.zero(p)
+        acc = CycInt.from_int(p, 0)
         for i in range(1, min(m - 1, deg) + 1):
             acc = acc + coeffs[i] * ps[m - i - 1]
         if m <= deg:
@@ -735,7 +734,7 @@ def inverse_factor_series(coeffs, R):
     deg = len(coeffs) - 1
     out = [CycInt.from_int(p, 1)]
     for r in range(1, R + 1):
-        acc = CycInt.zero(p)
+        acc = CycInt.from_int(p, 0)
         for i in range(1, min(r, deg) + 1):
             acc = acc + coeffs[i] * out[r - i]
         out.append(-acc)
@@ -746,7 +745,7 @@ def inverse_factor_series(coeffs, R):
 # Euler products point by point
 
 
-def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
+def symk_local(lf: LocalFactor, k: int, R: int) -> Series:
     """Series of 1 / prod over |alpha| = k of (1 - pi^alpha T^d), to r = R, at
     one point: the power sums h_k(pi^m) by k-step Newton runs, as in
     ``sym_k_factor``, then their h_r by the same Newton recurrence, on CycInt."""
@@ -757,27 +756,27 @@ def symk_local(lf: LocalFactor, k: int, R: int) -> LocalSeries:
     sym = [elementary_from_power_sums_cyc(
         p, [base[i * m - 1] * (-1) ** (i - 1) for i in range(1, k + 1)], k)[-1]
         for m in range(1, R + 1)]
-    return LocalSeries(lf.point, elementary_from_power_sums_cyc(
+    return Series(elementary_from_power_sums_cyc(
         p, [s * (-1) ** (m - 1) for m, s in enumerate(sym, start=1)], R))
 
 
-def exact_euler_product(base, contributions, D: int) -> GlobalSeries:
-    """The product of exact local series over every closed point of degree <= D,
-    in place, with only the terms j >= 1 of each series multiplying; every
-    coefficient must be a rational integer."""
-    contributions = sorted(contributions, key=lambda ls: ls.point.sort_key())
-    check_coverage(base, [ls.point for ls in contributions], D)
+def exact_euler_product(base, contributions, D: int) -> Series:
+    """The product of exact local series, (point, series) pairs, over every closed
+    point of degree <= D, in place, with only the terms j >= 1 of each series
+    multiplying; every coefficient must be a rational integer."""
+    contributions = sorted(contributions, key=lambda c: c[0].sort_key())
+    check_coverage(base, [pt for pt, _ in contributions], D)
     p = base.p
     one = CycInt.from_int(p, 1)
-    for ls in contributions:
-        if len(ls.coeffs) < D // ls.point.degree + 1:
-            raise UsageError(f"local series at {ls.point.rep} too short for degree {D}")
+    for pt, ls in contributions:
+        if len(ls.coeffs) < D // pt.degree + 1:
+            raise UsageError(f"local series at {pt.rep} too short for degree {D}")
         if ls.coeffs[0] != one:
-            raise UsageError(f"local series at {ls.point.rep} does not start with 1")
-    acc = [one] + [CycInt.zero(p)] * D
-    for ls in contributions:
+            raise UsageError(f"local series at {pt.rep} does not start with 1")
+    acc = [one] + [CycInt.from_int(p, 0)] * D
+    for pt, ls in contributions:
         # going down in r, acc[r - j d] still holds its value from before this point
-        d = ls.point.degree
+        d = pt.degree
         for r in range(D, d - 1, -1):
             for j in range(1, r // d + 1):
                 acc[r] = acc[r] + acc[r - j * d] * ls.coeffs[j]
@@ -788,17 +787,17 @@ def exact_euler_product(base, contributions, D: int) -> GlobalSeries:
             raise IntegralityFindingError(
                 f"coefficient of T^{r} is not a rational integer: {c!r}",
                 witness={"r": r}) from None
-    return GlobalSeries(acc, None)
+    return Series(acc)
 
 
 def series_per_point(base, factors, D: int, local):
     """The Euler product of local(lf, R) at every point of the factors, with
     no use of the Galois orbits: ``exact_euler_product`` for exact series,
     ``lfun.euler_product`` for p-adic ones."""
-    contributions = [local(lf, D // lf.point.degree) for lf in factors]
-    if all(ls.cert is None for ls in contributions):
+    contributions = [(lf.point, local(lf, D // lf.point.degree)) for lf in factors]
+    if all(ls.cert is None for _, ls in contributions):
         return exact_euler_product(base, contributions, D)
-    return euler_product(base, [(ls.point, 1, ls) for ls in contributions], D)
+    return euler_product(base, [(pt, 1, ls) for pt, ls in contributions], D)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +805,7 @@ def series_per_point(base, factors, D: int, local):
 
 
 def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
-                       a: int) -> LocalSeries:
+                       a: int) -> Series:
     """Independent route to the same series through eigenvalue power sums.
 
     Uses p~_m = pi_0^(kappa m) prod_j (1 - (pi_j/pi_0)^m)^(-1) and the
@@ -824,21 +823,21 @@ def sym_inf_local_hsum(lf: LocalFactor, kappa: PadicExponent, V: int, R: int,
     for m in range(1, R + 1):
         val, = one_unit_power(pi0, times_int(kappa, m), V)
         for rho in ratios:
-            one = PadicCyc.one(p, val.N)
+            one = PadicCyc.from_int(p, val.N, 1)
             val = val * nested_unit_inverse(one - rho ** m)
         ptil.append(val)
-    out = [PadicCyc.one(p, pi0.N)]
+    out = [PadicCyc.from_int(p, pi0.N, 1)]
     for r in range(1, R + 1):
         acc = ptil[r - 1] * out[0]
         for m in range(1, r):
             acc = acc + ptil[m - 1] * out[r - m]
         out.append(divide_exact_int(acc, r))
     cert = min([V] + [c.vcert for c in out])
-    return LocalSeries(lf.point, out, cert)
+    return Series(out, cert)
 
 
 def sym_inf_local_per_size(lf: LocalFactor, kappa: PadicExponent, V: int,
-                           R: int) -> LocalSeries:
+                           R: int) -> Series:
     """``lfun.sym_inf_local`` with one certified 1-unit series per size s over a
     shared PadicCyc chain, and each eigenvalue power pi_j^i by binary powering."""
     p, a, d = lf.coeffs[0].p, lf.point.base.k, lf.point.degree
@@ -900,7 +899,7 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
         big_k = base.k * m
         big = make_field(p, big_k)
         table_cache = {}
-        total = CycInt.zero(p)
+        total = CycInt.from_int(p, 0)
         sgn = -1 if n % 2 else 1
         for t_int in range(1, big.size):
             t = big.from_int(t_int)
@@ -924,7 +923,7 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
                 # complete homogeneous h_k from power sums, exact divisions
                 hs = [CycInt.from_int(p, 1)]
                 for j in range(1, k + 1):
-                    acc = CycInt.zero(p)
+                    acc = CycInt.from_int(p, 0)
                     for i in range(1, j + 1):
                         acc = acc + ps[i - 1] * hs[j - i]
                     hs.append(divide_exact_cyc(acc, j))
@@ -932,7 +931,7 @@ def trace_sums_route(ev: KloostermanEvaluator, n: int, k: int, D: int):
         S.append(total)
     out = [CycInt.from_int(p, 1)]
     for r in range(1, D + 1):
-        acc = CycInt.zero(p)
+        acc = CycInt.from_int(p, 0)
         for m in range(1, r + 1):
             acc = acc + S[m - 1] * out[r - m]
         out.append(divide_exact_cyc(acc, r))

@@ -83,7 +83,7 @@ def test_criterion_1_local_factor_facts():
                 lead = lf.coeffs[-1].as_integer()
                 assert lead == (-1) ** (n + 1) * p ** (a * d * n * (n + 1) // 2)
                 root = hensel_unit_root(list(lf.coeffs), 4)  # 1-unit enforced
-                res = cyc_of(root - PadicCyc.one(p, root.N)).pi_val()
+                res = cyc_of(root - PadicCyc.from_int(p, root.N, 1)).pi_val()
                 assert res is None or res >= 1
 
 
@@ -191,7 +191,7 @@ def test_criterion_7_padic_limit_of_truncations():
         for pt in points_up_to(base, 1):
             lf = local_factor(ev, 1, pt)
             pi0 = hensel_unit_root(list(lf.coeffs), 7)
-            v1 = cyc_of(pi0 - PadicCyc.one(p, pi0.N)).pi_val()
+            v1 = cyc_of(pi0 - PadicCyc.from_int(p, pi0.N, 1)).pi_val()
             assert v1 is not None and v1 >= 1
             limit_coeffs = sym_inf_local(lf, kappa, 12, 2).coeffs
             for s, k_s in truncations:
@@ -228,10 +228,10 @@ def test_criterion_8_cross_route_equality():
                 lf = local_factor(ev, n, pt)
                 exact = sym_k_factor(lf, k)
                 eigen = slope_split(list(lf.coeffs), a, pt.degree, 6)
-                rebuilt = [PadicCyc.one(p, eigen[0].N)]
+                rebuilt = [PadicCyc.from_int(p, eigen[0].N, 1)]
                 for combo in itertools.combinations_with_replacement(
                         range(n + 1), k):
-                    lam = PadicCyc.one(p, eigen[0].N)
+                    lam = PadicCyc.from_int(p, eigen[0].N, 1)
                     for j in combo:
                         lam = lam * eigen[j]
                     rebuilt = [c for c in rebuilt] + [lam * 0]

@@ -214,7 +214,7 @@ def test_full_field_sum_is_a_rational_integer(p, n):
     # t -> c^(n+1) t permutes F_p*, so the summed value is Galois-fixed
     base = make_field(p, 1)
     ev = KloostermanEvaluator(base)
-    total = CycInt.zero(p)
+    total = CycInt.from_int(p, 0)
     for t_int in range(1, p):
         total = total + ev.kloosterman(n, _point(base, (t_int,), 1), 1)
     total.as_integer()
@@ -505,6 +505,25 @@ def test_record_format_shape():
         parse_record("v2|" + text + "|3:[1,0]")
     with pytest.raises(CacheError):
         parse_record(f"v1|{text}|5:[1,0,0,0]")  # wrong level for p=3
+    # the integer-list reader's texts, and the value checks' own texts after it
+    for line, why in [
+            (f"v1|{text}|3:[1,x]", "malformed cyclotomic value: '3:[1,x]'"),
+            (f"v1|{text}|3:1,2", "malformed cyclotomic value: '3:1,2'"),
+            (f"v1|{text}|spam", "malformed cyclotomic value: 'spam'"),
+            (f"v1|{text}|3:[1,2", "malformed cyclotomic value: '3:[1,2'"),
+            (f"v1|{text}|4:[1,2,3]", "level must be an odd prime, got 4"),
+            (f"v1|{text}|3:[1,0,0]", "expected 2 coordinates, got 3"),
+            ("v1|3,2,[1,0,1|2|3|[1,2,0,1,1,2]|4|3:[1,0]",
+             "malformed integer list: '[1,0,1'"),
+            ("v1|3,2,[1,x,1]|2|3|[1,2,0,1,1,2]|4|3:[1,0]",
+             "invalid literal for int() with base 10: 'x'"),
+            ("v1|3,2,[1,0,1]|2|3|1,2,0,1,1,2]|4|3:[1,0]",
+             "malformed integer list: '1,2,0,1,1,2]'"),
+            ("v1|3,2,[1,0,1]|2|3|[1,,0,1,1,2]|4|3:[1,0]",
+             "invalid literal for int() with base 10: ''")]:
+        with pytest.raises(CacheError) as exc:
+            parse_record(line)
+        assert str(exc.value) == f"corrupt record {line!r}: {why}"
 
 
 def test_base_degree_zero_is_a_corrupt_record(tmp_path):

@@ -19,8 +19,7 @@ from klsym.errors import (
 from klsym.expsum import KloostermanEvaluator
 from klsym.ff import MAX_FIELD_SIZE, closed_points, make_field, points_up_to
 from klsym.lfun import (
-    GlobalSeries,
-    LocalSeries,
+    Series,
     elementary_from_power_sums,
     eigen_power_sums,
     euler_product,
@@ -348,7 +347,7 @@ def test_symk_local_matches_inverse_of_whole_factor(p, a, n, k, D):
         whole = sym_k_factor(lf, k)
         assert symk_local(lf, k, R) == [c.coords for c in eigen_power_sums_cyc(whole, R)]
         ls = oracles.symk_local(lf, k, R)
-        assert ls.point == pt and ls.cert is None
+        assert lf.point == pt and ls.cert is None
         assert ls.coeffs == inverse_factor_series(whole, R)
 
 
@@ -490,13 +489,14 @@ def _exact_contribs(ev, n, k, D):
     for pt in points_up_to(base, D):
         lf = local_factor(ev, n, pt)
         R = D // pt.degree
-        out.append(LocalSeries(pt, inverse_factor_series(sym_k_factor(lf, k), R)))
+        out.append((pt, Series(inverse_factor_series(sym_k_factor(lf, k), R))))
     return out
 
 
 def _members(contribs):
-    """euler_product's (point, c, series) triples: each point its own representative."""
-    return [(ls.point, 1, ls) for ls in contribs]
+    """euler_product's (point, c, series) triples from (point, series) pairs: each
+    point its own representative."""
+    return [(pt, 1, ls) for pt, ls in contribs]
 
 
 def test_euler_product_sym1_frozen_c1():
@@ -528,11 +528,11 @@ def test_euler_product_runs_only_the_products_the_budget_counts(monkeypatch):
     monkeypatch.setattr(CycInt, "__mul__", counting)
     exact_euler_product(ev.base, contribs, D)
     monkeypatch.undo()
-    runs = sum(r // ls.point.degree for ls in contribs for r in range(D + 1))
+    runs = sum(r // pt.degree for pt, _ in contribs for r in range(D + 1))
     assert len(calls) == runs == 66
     max_degree = reach(n, D)
     newton = sum(M * (M + 1) // 2
-                 for M in (sums_read(n, ls.point.degree, max_degree) for ls in contribs))
+                 for M in (sums_read(n, pt.degree, max_degree) for pt, _ in contribs))
     assert _ring_products(3, n, D, max_degree) == runs + newton
 
 
@@ -547,16 +547,16 @@ def test_euler_product_coverage_errors():
     with pytest.raises(UsageError, match="at degree 3: 8 closed points, not 0"):
         exact_euler_product(ev.base, _exact_contribs(ev, 1, 1, 3), 2)
     # the product runs on the terms j >= 1 alone, so a constant term other than 1 is refused
-    bad = [LocalSeries(ls.point, list(ls.coeffs)) for ls in contribs]
-    bad[0].coeffs[0] = CycInt.from_int(3, 2)
+    bad = [(pt, Series(list(ls.coeffs))) for pt, ls in contribs]
+    bad[0][1].coeffs[0] = CycInt.from_int(3, 2)
     with pytest.raises(UsageError, match="does not start with 1"):
         exact_euler_product(ev.base, bad, 2)
     # a p-adic constant term known to be 1 only up to O(pi) is refused too
     kappa = PadicExponent.exact(3, 2)
-    padic = [sym_inf_local(local_factor(ev, 1, pt), kappa, V=8, R=1)
+    padic = [(pt, sym_inf_local(local_factor(ev, 1, pt), kappa, V=8, R=1))
              for pt in points_up_to(ev.base, 1)]
-    one = padic[0].coeffs[0]
-    padic[0].coeffs[0] = PadicCyc(3, one.N, one.coords, 1)
+    one = padic[0][1].coeffs[0]
+    padic[0][1].coeffs[0] = PadicCyc(3, one.N, one.coords, 1)
     with pytest.raises(UsageError, match="does not start with 1"):
         euler_product(ev.base, _members(padic), 1)
 
@@ -565,8 +565,8 @@ def test_euler_product_integrality_finding():
     ev = _ev()
     contribs = _exact_contribs(ev, 1, 1, 2)
     z = CycInt.from_powers(3, [(1, 1)])
-    bad = [LocalSeries(ls.point, [c * 1 for c in ls.coeffs]) for ls in contribs]
-    bad[0].coeffs[1] = bad[0].coeffs[1] + z  # breaks Galois descent
+    bad = [(pt, Series([c * 1 for c in ls.coeffs])) for pt, ls in contribs]
+    bad[0][1].coeffs[1] = bad[0][1].coeffs[1] + z  # breaks Galois descent
     with pytest.raises(IntegralityFindingError):
         exact_euler_product(ev.base, bad, 2)
 
@@ -578,7 +578,7 @@ def test_euler_product_padic_mode_and_galois_check():
     contribs = []
     for pt in points_up_to(base, 2):
         lf = local_factor(ev, 1, pt)
-        contribs.append(sym_inf_local(lf, kappa, V=10, R=2 // pt.degree))
+        contribs.append((pt, sym_inf_local(lf, kappa, V=10, R=2 // pt.degree)))
     gs = euler_product(base, _members(contribs), 2)
     assert gs.cert is not None and gs.cert >= 6
     assert all(isinstance(c, PadicCyc) for c in gs.coeffs)
@@ -595,9 +595,9 @@ def test_euler_product_padic_integrality_finding():
     contribs = []
     for pt in closed_points(base, 1):
         lf = local_factor(ev, 1, pt)
-        contribs.append(sym_inf_local(lf, kappa, V=8, R=1))
-    z = embed_cyc(CycInt.from_powers(3, [(1, 1)]), contribs[0].coeffs[1].N)
-    contribs[0].coeffs[1] = contribs[0].coeffs[1] + z
+        contribs.append((pt, sym_inf_local(lf, kappa, V=8, R=1)))
+    z = embed_cyc(CycInt.from_powers(3, [(1, 1)]), contribs[0][1].coeffs[1].N)
+    contribs[0][1].coeffs[1] = contribs[0][1].coeffs[1] + z
     with pytest.raises(IntegralityFindingError) as exc:
         euler_product(base, _members(contribs), 1)
     assert str(exc.value) == ("coefficient of T^1 moves under zeta -> zeta^2 "
@@ -609,10 +609,9 @@ def test_euler_product_rejects_mixed_modes():
     ev = _ev()
     exact = _exact_contribs(ev, 1, 1, 1)
     kappa = PadicExponent.exact(3, 1)
-    lf = local_factor(ev, 1, exact[0].point)
-    mixed = [exact[0], sym_inf_local(lf, kappa, V=6, R=1)]
-    mixed[1] = LocalSeries(exact[1].point if len(exact) > 1 else mixed[1].point,
-                           mixed[1].coeffs, mixed[1].cert)
+    lf = local_factor(ev, 1, exact[0][0])
+    mixed = [exact[0], (lf.point, sym_inf_local(lf, kappa, V=6, R=1))]
+    mixed[1] = (exact[1][0] if len(exact) > 1 else mixed[1][0], mixed[1][1])
     with pytest.raises(UsageError):
         euler_product(ev.base, _members(mixed), 1)
 

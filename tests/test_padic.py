@@ -164,7 +164,7 @@ def _built_every_way(p, N, seed):
     u = PadicCyc.from_int(p, N, 1 + p * rng.randrange(1, 50))
     pi = embed_cyc(C(p, 1, -1, *[0] * (p - 3)), N)
     return [
-        x, y, u, pi, PadicCyc.zero(p, N), PadicCyc.one(p, N),
+        x, y, u, pi, PadicCyc.from_int(p, N, 0), PadicCyc.from_int(p, N, 1),
         PadicCyc.from_int(p, N, p ** N), PadicCyc.from_int(p, N, -p),
         x + y, x - y, y + 3, y - 5, x * y, y * embed_cyc(elem(), N), x * pi * pi, x * p ** 2, y * 0,
         nested_unit_inverse(u), y.galois(2), times_p_power(x, 2),
@@ -212,7 +212,7 @@ def test_val_set_by_a_rule_is_the_measured_valuation(p, N):
     rng = random.Random(300 * p + N)
     cap = N * (p - 1)
     zeta = embed_cyc(C(p, 0, 1, *[0] * (p - 3)), N)
-    pi = PadicCyc.one(p, N) - zeta
+    pi = PadicCyc.from_int(p, N, 1) - zeta
     ints = [PadicCyc.from_int(p, M, b) for M in (N, N - 1)
             for b in (0, 1, -1, p, -2 * p, p ** (M - 1), p ** M, 5 * p ** (M + 1),
                       rng.randrange(-p ** M, p ** M))]
@@ -224,7 +224,7 @@ def test_val_set_by_a_rule_is_the_measured_valuation(p, N):
     for x in measured:
         x.val_lb()
     # pi^i crosses the cap at i = N(p-1) and is 0 mod p^N from there on
-    chain = [PadicCyc.one(p, N)]
+    chain = [PadicCyc.from_int(p, N, 1)]
     for _ in range(cap + 2):
         chain.append(chain[-1] * pi)
     assert [x.val for x in chain] == [min(i, cap) for i in range(cap + 3)]
@@ -301,7 +301,7 @@ def test_int_product_equals_the_product_with_its_embedding(p, N):
 
 def test_operands_of_another_level_and_negative_powers_are_refused():
     x = embed_cyc(C(5, 2, 6, 0, 1), 3)
-    for other in (PadicCyc.one(3, 3), C(3, 1, 1), 1.0):
+    for other in (PadicCyc.from_int(3, 3, 1), C(3, 1, 1), 1.0):
         for op in (x.__mul__, x.__add__, x.__sub__):
             with pytest.raises(UsageError, match="mixed p-adic levels"):
                 op(other)
@@ -600,7 +600,7 @@ def test_sums_and_differences_are_the_checked_construction(p, N):
 
 
 def _pow_every_square(x, e):
-    out, base = PadicCyc.one(x.p, x.N), x
+    out, base = PadicCyc.from_int(x.p, x.N, 1), x
     while e:
         if e & 1:
             out = out * base
@@ -635,9 +635,9 @@ def test_one_unit_power_negative_exponent():
     p, N = 3, 8
     u = embed_cyc(C(p, 1, 3), N)  # 1 + 3*zeta
     w, = one_unit_power(u, PadicExponent.exact(p, -1), V=12)
-    assert agrees_with(w * u, PadicCyc.one(p, N), vmin=12)
+    assert agrees_with(w * u, PadicCyc.from_int(p, N, 1), vmin=12)
     w2, = one_unit_power(u, PadicExponent.exact(p, -2), V=12)
-    assert agrees_with(w2 * u * u, PadicCyc.one(p, N), vmin=12)
+    assert agrees_with(w2 * u * u, PadicCyc.from_int(p, N, 1), vmin=12)
 
 
 def test_one_unit_power_square_root():
@@ -776,7 +776,7 @@ def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
     for _ in range(10):
         c = embed_cyc(C(p, *(rng.randrange(p ** N) for _ in range(p - 1))), N)
         if residue_int(c) != 0:
-            f = [c.coords, PadicCyc.one(p, N).coords]
+            f = [c.coords, PadicCyc.from_int(p, N, 1).coords]
             want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
             calls.clear()
             got = padic._lift_simple_nonzero_root(f, p, N)

@@ -81,6 +81,11 @@ def test_polygon_value_and_slopes():
     assert poly.slopes() == [(F(0), F(2)), (F(3, 2), F(2))]
     with pytest.raises(UsageError):
         poly.value_at(F(5))
+    # a lone vertex: its own abscissa alone is in range
+    lone = Polygon(((F(2), F(1)),))
+    assert lone.value_at(2) == 1
+    with pytest.raises(UsageError):
+        lone.value_at(3)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def test_polygon_value_and_slopes():
 
 def test_newton_points_exact_and_padic():
     pts = newton_points([CycInt.from_int(3, 1), CycInt.from_int(3, 6),
-                         CycInt.zero(3)], a=1)
+                         CycInt.from_int(3, 0)], a=1)
     assert pts[0] == CoeffPoint(0, F(0), True)
     assert pts[1] == CoeffPoint(1, F(1), True)  # pi_val(6) = 2, ord_q = 1
     assert pts[2].ordq is None and pts[2].exact
@@ -98,7 +103,7 @@ def test_newton_points_exact_and_padic():
 def test_newton_points_padic_certificates():
     p, N = 3, 4
     x = embed_cyc(CycInt.from_int(p, 9), N)  # measured 4 < vcert 8
-    z = PadicCyc.zero(p, N)
+    z = PadicCyc.from_int(p, N, 0)
     pts = newton_points([x, z], a=1)
     assert pts[0] == CoeffPoint(0, F(4, 2), True)
     assert pts[1] == CoeffPoint(1, F(8, 2), False)  # only a bound
