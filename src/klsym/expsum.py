@@ -1,11 +1,12 @@
 """Hyper-Kloosterman sums Kl_n(t, m), exact in Z[zeta_p].
 
 Kl_n(t, m) sums zeta_p^(absolute trace of x_1 + ... + x_n + t/(x_1...x_n))
-over n-tuples of nonzero elements of the m-th extension of t's field, by
-direct enumeration in discrete-log coordinates: the last variable is
-closed by an index lookup of t/prod x, so inner loops touch only small
-integers.  The lookups are rows of a per-field window table, and one numpy
-pass counts the phases of a block of rows, one row per value of x_(n-1).
+over n-tuples of nonzero elements of the m-th extension of t's field.  At
+t = g^e it is row e of K_n, where row e of K_m counts the (m+1)-tuples of
+nonzero elements with product g^e by the trace of their sum.  K_m is K_(m-1)
+read along every row (the Mellin view of Katz 1988), so a sum reads a
+per-field table of K_(n-1) in about p S steps, S = |F^*|.  K_0, the trace
+indicator, is never stored: a sum at n = 1 is one bincount of a window row.
 Values are memoised in an append-only, versioned text cache keyed by every
 parameter that pins the tower, so distinct moduli never alias; a record
 spells its lists and its value in ``cyclo``'s one integer-list text.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import itertools
 import os
 import shutil
 import threading
@@ -30,63 +30,61 @@ from .ff import ClosedPoint, Field, _mult_data, embed, make_field
 DEFAULT_BUDGET = 2_000_000
 
 
-# elements per numpy pass: large enough that the per-pass overhead of n >= 2
-# sums vanishes, small enough that a pass stays in cache
+# elements per numpy pass while a table is built, few enough to stay in cache
 BLOCK = 1 << 15
 
 
 @cache
 def _windows(field: Field):
-    """The window table of a field: row r is tr[(S-1-r-i) mod S] over i < S.
-
-    Its S + 1 rows are contiguous int64 views into one reversed trace array
-    of length 2S, so a run of consecutive rows is one 2-D slice.  Built on a
-    field's first sum, once per process.
-    """
+    """K_0's window table: row r is tr[(S-1-r-i) mod S] over i < S, a view."""
     rev = _mult_data(field).tr[::-1]
     flat = np.concatenate([rev, rev])
     return np.ndarray((len(rev) + 1, len(rev)), flat.dtype, flat, strides=flat.strides * 2)
 
 
-def _direct_sum(n: int, field: Field, t) -> CycInt:
-    """Flat enumeration of the n-fold sum at a nonzero element t.
+@cache
+def _level(field: Field, m: int):
+    """K_m's window table (m >= 1): row r is rows (S-1-r-i) mod S of K_m over
+    i < S, a view; K_m is built in passes of up to BLOCK elements."""
+    S, p = field.size - 1, field.p
+    rev = np.empty((S, p), dtype=np.int64)  # row r is row S-1-r of K_m
+    rows = max(1, BLOCK // (S * p))
+    for a in range(0, S, rows):
+        b = min(a + rows, S)
+        rev[a:b] = _rows(field, m, slice(a, b)).reshape(b - a, -1, p).sum(axis=1)
+    flat = np.concatenate([rev, rev]).ravel()
+    step = flat.strides[0]
+    return np.ndarray((S + 1, S * p), flat.dtype, flat, strides=(step * p, step))
 
-    With t = g^e and x_i = g^(a_i), the last variable x_n = g^i leaves
-    t/(x_1...x_n) = g^(e - a_1 - ... - a_(n-1) - i), whose traces over
-    i < S are row (a_1 + ... + a_(n-1) - e - 1) mod S of the window table.
-    Each pass takes the rows of a block of up to max(1, BLOCK // S) values
-    of x_(n-1), adds tr[i] along them and the prefix trace of each row as a
-    column, and counts the phases with one bincount; a block whose rows pass
-    S reads its last rows from the top of the table.  At n = 1 a pass is the
-    single row of t.  Memory stays within a few blocks, whatever S^n is.
-    """
-    p = field.p
+
+@cache
+def _gather(field: Field):
+    """Entry (c, i) is the place of phase c - tr[i] mod p in row i of a K_m window."""
     md = _mult_data(field)
-    S, tr = md.S, md.tr
-    win = _windows(field)
-    e = int(md.dlog[field.to_int(t)])
-    size = (n + 1) * p
-    if n == 1:
-        counts = np.bincount(tr + win[(-1 - e) % S], minlength=size)
-        return CycInt.from_powers(p, enumerate(counts))
-    rows = max(1, BLOCK // S)
-    buf = np.empty((min(rows, S), S), dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    # per prefix x_1..x_(n-2), one pass per block x_(n-1) = g^a..g^(b-1)
-    for prefix in itertools.product(range(S), repeat=n - 2):
-        c = sum(int(tr[j]) for j in prefix)
-        r = (sum(prefix) - 1 - e) % S
-        for a in range(0, S, rows):
-            b = min(a + rows, S)
-            s = (r + a) % S
-            head = min(b - a, S - s)
-            phases = buf[: b - a]
-            np.add(win[s : s + head], tr, out=phases[:head])
-            if head < b - a:
-                np.add(win[: b - a - head], tr, out=phases[head:])
-            phases += (c + tr[a:b])[:, None]
-            counts += np.bincount(phases.ravel(), minlength=size)
-    return CycInt.from_powers(p, enumerate(counts))
+    return np.arange(md.S) * field.p + (np.arange(field.p)[:, None] - md.tr) % field.p
+
+
+def _rows(field: Field, m: int, r):
+    """Rows S-1-r of K_m (r an int or a slice) as phase counts, p a row, or 2p
+    and flat from K_0.  Row e reads x_(m+1) = g^i and row e-i of K_(m-1) over
+    i < S, which is window row S-1-e: K_0's by one bincount of tr[i] + tr[e-i],
+    a block's rows 2p apart, a stored level shifted by tr[i] through _gather."""
+    md = _mult_data(field)
+    p = field.p
+    if m == 1:
+        phases = _windows(field)[r] + md.tr
+        h = phases.size // md.S
+        if h > 1:
+            phases += np.arange(0, h * 2 * p, 2 * p)[:, None]
+        return np.bincount(phases.ravel(), minlength=h * 2 * p)
+    return np.take(_level(field, m - 1)[r], _gather(field), axis=-1).sum(axis=-1)
+
+
+def _direct_sum(n: int, field: Field, t) -> CycInt:
+    """Kl_n at a nonzero element t = g^e of the field: row e of K_n."""
+    md = _mult_data(field)
+    r = md.S - 1 - int(md.dlog[field.to_int(t)])
+    return CycInt.from_powers(field.p, enumerate(_rows(field, n, r).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +289,9 @@ class KloostermanEvaluator:
         # S >= 2, so S^n > budget once n reaches the budget's bit length
         if n >= self.budget.bit_length() or S**n > self.budget:
             raise ResourceError(
-                f"sum over (F_{big.size})^{n} needs {S}^{n} steps, budget {self.budget}"
-            )
+                f"sum over (F_{big.size})^{n} needs {S}^{n} steps, budget {self.budget}")
+        if S**n >> 63:  # a row of K_n counts S^n tuples: int64 holds them below 2^63
+            raise ResourceError(f"sum over (F_{big.size})^{n} counts {S}^{n} tuples, past int64")
         value = _direct_sum(n, big, embed(point.field, big, point.rep))
         if self.cache is not None:
             self.cache.put(key, value)

@@ -40,8 +40,14 @@ algorithm, so a test can require the two to agree:
   transform (``kloosterman_by_transform``), the other e_i from the
   functional equation and h_k by the recurrence of order n+1 on object
   arrays, against ``symk`` at reach sizes;
+* ``kloosterman_by_enumeration``: one Kl_n sum by flat enumeration of the
+  S^n phases in blocked window passes, one pass per block of x_(n-1) for
+  each prefix x_1..x_(n-2) (``expsum``'s route before its tables), against
+  the row of K_n that ``expsum`` reads from its per-field table of K_(n-1);
 * ``kloosterman_table``: Kl_n at every element of one field by the
-  convolution recursion, against the direct enumeration in ``expsum``;
+  convolution recursion on whole-table rolls, the rule of ``expsum``'s
+  tables written independently; ``kloosterman_by_transform`` (below) is
+  the float check of both;
 * ``mult_tables_reference``: the discrete-log and trace tables of
   ``ff._MultData`` by one schoolbook product per element, with traces
   from Newton's identities on the modulus, against the block products of
@@ -108,7 +114,7 @@ from klsym.errors import (
     SlopeFindingError,
     UsageError,
 )
-from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
+from klsym.expsum import BLOCK, DEFAULT_BUDGET, KloostermanEvaluator, _windows
 from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
@@ -855,11 +861,53 @@ def sym_inf_local_per_size(lf: LocalFactor, kappa: PadicExponent, V: int,
 # Kloosterman sums over a whole field by convolution
 
 
+def kloosterman_by_enumeration(n: int, field: Field, t) -> CycInt:
+    """Flat enumeration of the n-fold sum at a nonzero element t.
+
+    With t = g^e and x_i = g^(a_i), the last variable x_n = g^i leaves
+    t/(x_1...x_n) = g^(e - a_1 - ... - a_(n-1) - i), whose traces over
+    i < S are row (a_1 + ... + a_(n-1) - e - 1) mod S of the window table.
+    Each pass takes the rows of a block of up to max(1, BLOCK // S) values
+    of x_(n-1), adds tr[i] along them and the prefix trace of each row as a
+    column, and counts the phases with one bincount; a block whose rows pass
+    S reads its last rows from the top of the table.  At n = 1 a pass is the
+    single row of t.  Memory stays within a few blocks, whatever S^n is.
+    """
+    p = field.p
+    md = _mult_data(field)
+    S, tr = md.S, md.tr
+    win = _windows(field)
+    e = int(md.dlog[field.to_int(t)])
+    size = (n + 1) * p
+    if n == 1:
+        counts = np.bincount(tr + win[(-1 - e) % S], minlength=size)
+        return CycInt.from_powers(p, enumerate(counts))
+    rows = max(1, BLOCK // S)
+    buf = np.empty((min(rows, S), S), dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    # per prefix x_1..x_(n-2), one pass per block x_(n-1) = g^a..g^(b-1)
+    for prefix in itertools.product(range(S), repeat=n - 2):
+        c = sum(int(tr[j]) for j in prefix)
+        r = (sum(prefix) - 1 - e) % S
+        for a in range(0, S, rows):
+            b = min(a + rows, S)
+            s = (r + a) % S
+            head = min(b - a, S - s)
+            phases = buf[: b - a]
+            np.add(win[s : s + head], tr, out=phases[:head])
+            if head < b - a:
+                np.add(win[: b - a - head], tr, out=phases[head:])
+            phases += (c + tr[a:b])[:, None]
+            counts += np.bincount(phases.ravel(), minlength=size)
+    return CycInt.from_powers(p, enumerate(counts))
+
+
 def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
     """Kl_n(t) for every t in field^*, by the convolution recursion.
 
     Returns a dict from element coordinates to CycInt.  O(n |F|^2)
-    character operations, independent of the direct route.
+    character operations, by whole-table rolls rather than ``expsum``'s
+    row reads.
     """
     if n < 1:
         raise UsageError("dimension must be >= 1")

@@ -24,7 +24,12 @@ from klsym.expsum import (
     record_line,
 )
 from klsym.ff import closed_points, embed, make_field, orbit_rep, points_up_to
-from oracles import direct_reference, kloosterman_table
+from oracles import (
+    direct_reference,
+    kloosterman_by_enumeration,
+    kloosterman_by_transform,
+    kloosterman_table,
+)
 
 
 def _point(base, rep_coords, d):
@@ -87,11 +92,28 @@ def test_kl1_over_f5():
                                    # of which passes row S at nearly every t
                                    (3, 5, 2)])
 def test_table_matches_direct_everywhere(p, k, n):
+    # each sum, a row of K_n read from the field's table of K_(n-1), against two
+    # routes that build no such table: the flat enumeration of its S^n phases and
+    # the float transform of the whole field
     field = make_field(p, k)
-    table = kloosterman_table(n, field)
-    assert len(table) == field.size - 1
-    for t, via_table in table.items():
-        assert via_table == _direct_sum(n, field, t)
+    md = ff._mult_data(field)
+    counts = kloosterman_by_transform(n, field)
+    for j in range(md.S):
+        t = md.power(j)
+        via_table = _direct_sum(n, field, t)
+        assert via_table == kloosterman_by_enumeration(n, field, t)
+        assert via_table == CycInt.from_powers(p, enumerate(counts[j]))
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 8, 2), (3, 8, 3)])
+def test_every_row_at_reach_size_matches_the_transform(p, k, n):
+    # S = 6,560, where the enumeration takes S^2 and S^3 steps a sum: every row of
+    # K_2 and K_3, one sum at a time, against the transform
+    field = make_field(p, k)
+    md = ff._mult_data(field)
+    counts = kloosterman_by_transform(n, field)
+    for j in range(md.S):
+        assert _direct_sum(n, field, md.power(j)) == CycInt.from_powers(p, enumerate(counts[j]))
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 2, 1), (3, 2, 2), (5, 1, 3)])
@@ -140,11 +162,13 @@ def test_a_field_table_is_built_once_per_process(monkeypatch):
 
 
 def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
-    # the sums build one window table per field they run over, once; the closed
-    # points, and a verify run whose sums all come from the cache, build none
+    # the sums build one window table per field they run over, once, and K_1 where
+    # they run at n = 2; the closed points, and a verify run whose sums all come
+    # from the cache, build none, and sums at n = 1 build no K table
     assert "trD" not in ff._MultData.__slots__
     assert not hasattr(ff._MultData(make_field(3, 2)), "trD")
     expsum._windows.cache_clear()
+    expsum._level.cache_clear()
     base = make_field(5, 1)
     ev = KloostermanEvaluator(base)
     for pt in points_up_to(base, 2):
@@ -153,7 +177,9 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
                 ev.kloosterman(n, pt, m)
     info = expsum._windows.cache_info()
     assert info.misses == info.currsize == 3  # F_5, F_25 and F_625
+    assert expsum._level.cache_info().currsize == 3  # K_1 of each
     expsum._windows.cache_clear()
+    expsum._level.cache_clear()
     assert console_main(["points", "-p", "5", "-D", "4",
                          "--out", str(tmp_path / "points.json")]) == 0
     assert expsum._windows.cache_info().currsize == 0
@@ -161,21 +187,27 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
             "--cache", str(tmp_path / "sums.txt"), "--out", str(tmp_path / "report.json")]
     assert console_main(argv) == 0
     assert expsum._windows.cache_info().currsize > 0
+    assert expsum._level.cache_info().currsize == 0
     expsum._windows.cache_clear()
     assert console_main(argv) == 0  # every sum a cache hit
     assert expsum._windows.cache_info().currsize == 0
 
 
 def test_a_sum_peaks_at_a_few_blocks_whatever_s_to_the_n():
-    # S = 6,560: one pass over the whole grid of S^2 phases would hold 344 MB
+    # S = 6,560: one pass over the whole grid of S^2 phases would hold 344 MB; the
+    # first sum at n = 2 and at n = 3 builds K_1 and K_2, each 2 S p entries, in
+    # passes of a few blocks
     field = make_field(3, 8)
-    tracemalloc.start()
-    try:
-        _direct_sum(2, field, field.from_int(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 << 20
+    for n in (2, 3):
+        expsum._level.cache_clear()
+        expsum._gather.cache_clear()
+        tracemalloc.start()
+        try:
+            _direct_sum(n, field, field.from_int(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, n
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +261,17 @@ def test_budget_refusal():
     ev = KloostermanEvaluator(base, budget=100)
     with pytest.raises(ResourceError):
         ev.kloosterman(2, _point(base, (1,), 1), 3)  # (27-1)^2 steps > 100
+
+
+def test_a_sum_past_int64_is_refused_at_any_budget(capsys):
+    # a row of K_n counts S^n tuples: 242^8 > 2^63 would wrap int64, so the sum is
+    # refused before any table, whatever the budget admits
+    expsum._windows.cache_clear()
+    expsum._level.cache_clear()
+    argv = "sum -p 3 -d 5 --rep-int 5 -n 8 --budget 100000000000000000000".split()
+    assert console_main(argv) == 1
+    assert capsys.readouterr().err == "error: sum over (F_243)^8 counts 242^8 tuples, past int64\n"
+    assert expsum._windows.cache_info().currsize == expsum._level.cache_info().currsize == 0
 
 
 def test_rejects_foreign_point_and_bad_args():
