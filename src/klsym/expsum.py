@@ -5,8 +5,9 @@ over n-tuples of nonzero elements of the m-th extension of t's field.  At
 t = g^e it is row e of K_n, where row e of K_m counts the (m+1)-tuples of
 nonzero elements with product g^e by the trace of their sum.  K_m is K_(m-1)
 read along every row (the Mellin view of Katz 1988), so a sum reads a
-per-field table of K_(n-1) in about p S steps, S = |F^*|.  K_0, the trace
-indicator, is never stored: a sum at n = 1 is one bincount of a window row.
+per-field table of K_(n-1) in about p S steps, S = |F^*|.  A level is
+stored, 16 S p bytes, only where its rows' p counts are fewer than their
+S^m phases: K_0, and K_1 over a prime field, are read as phases by bincount.
 Values are memoised in an append-only, versioned text cache keyed by every
 parameter that pins the tower, so distinct moduli never alias; a record
 spells its lists and its value in ``cyclo``'s one integer-list text.
@@ -33,6 +34,10 @@ DEFAULT_BUDGET = 2_000_000
 # elements per numpy pass while a table is built, few enough to stay in cache
 BLOCK = 1 << 15
 
+# bytes the stored levels of one sum may hold; its gather table and a read
+# hold 16 S p more, so a sum peaks within twice this
+TABLE_BYTES = 1 << 27
+
 
 @cache
 def _windows(field: Field):
@@ -44,15 +49,22 @@ def _windows(field: Field):
 
 @cache
 def _level(field: Field, m: int):
-    """K_m's window table (m >= 1): row r is rows (S-1-r-i) mod S of K_m over
-    i < S, a view; K_m is built in passes of up to BLOCK elements."""
+    """A stored K_m's window table: row r is rows (S-1-r-i) mod S of K_m over
+    i < S, a view; K_m is built in passes of up to BLOCK elements.  A sum at
+    n first asks for K_(n-1), so one whose stored levels would pass
+    TABLE_BYTES is refused here, before any table."""
     S, p = field.size - 1, field.p
-    rev = np.empty((S, p), dtype=np.int64)  # row r is row S-1-r of K_m
-    rows = max(1, BLOCK // (S * p))
+    tables = 16 * S * p * sum(S**j > p for j in range(1, m + 1))
+    if tables > TABLE_BYTES:
+        raise ResourceError(f"sum over (F_{field.size})^{m + 1} needs {tables >> 20} MiB of"
+                            f" tables, past {TABLE_BYTES >> 20} MiB")
+    rev = np.empty((2 * S, p), dtype=np.int64)  # rows r and S+r are row S-1-r of K_m
+    rows = max(1, BLOCK // (S if m == 1 else S * p))  # a row is S phases, or p S reads
     for a in range(0, S, rows):
         b = min(a + rows, S)
         rev[a:b] = _rows(field, m, slice(a, b)).reshape(b - a, -1, p).sum(axis=1)
-    flat = np.concatenate([rev, rev]).ravel()
+    rev[S:] = rev[:S]
+    flat = rev.ravel()
     step = flat.strides[0]
     return np.ndarray((S + 1, S * p), flat.dtype, flat, strides=(step * p, step))
 
@@ -68,16 +80,32 @@ def _rows(field: Field, m: int, r):
     """Rows S-1-r of K_m (r an int or a slice) as phase counts, p a row, or 2p
     and flat from K_0.  Row e reads x_(m+1) = g^i and row e-i of K_(m-1) over
     i < S, which is window row S-1-e: K_0's by one bincount of tr[i] + tr[e-i],
-    a block's rows 2p apart, a stored level shifted by tr[i] through _gather."""
+    a block's rows 2p apart, a stored level shifted by tr[i] through _gather,
+    K_1 over a prime field (3p a row) by a bincount of K_1's rows e-i, window
+    rows S-1-e+i, shifted by tr[i], per block of i."""
     md = _mult_data(field)
-    p = field.p
+    S, p = md.S, field.p
     if m == 1:
         phases = _windows(field)[r] + md.tr
-        h = phases.size // md.S
+        h = phases.size // S
         if h > 1:
             phases += np.arange(0, h * 2 * p, 2 * p)[:, None]
         return np.bincount(phases.ravel(), minlength=h * 2 * p)
-    return np.take(_level(field, m - 1)[r], _gather(field), axis=-1).sum(axis=-1)
+    if S ** (m - 1) > p:
+        return np.take(_level(field, m - 1)[r], _gather(field), axis=-1).sum(axis=-1)
+    w = np.arange(S)[r]
+    if w.ndim:  # a block of rows of a stored K_2, one at a time
+        return np.concatenate([_rows(field, m, e) for e in w.tolist()])
+    win, shift = _windows(field), np.roll(md.tr, w)  # window row w+i, shifted by tr[i]
+    counts = np.zeros(3 * p, dtype=np.int64)
+    rows = max(1, BLOCK // S)
+    buf = np.empty((min(rows, S), S), dtype=np.int64)
+    for a in range(0, S, rows):
+        b = min(a + rows, S)
+        phases = np.add(win[a:b], md.tr, out=buf[: b - a])
+        phases += shift[a:b, None]
+        counts += np.bincount(phases.ravel(), minlength=3 * p)
+    return counts
 
 
 def _direct_sum(n: int, field: Field, t) -> CycInt:

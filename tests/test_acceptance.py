@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from klsym.cli import RunConfig, galois_orbits, run, series
+from klsym.cyclo import CycInt
 from klsym.expsum import KloostermanEvaluator, _direct_sum
 from klsym.ff import make_field, points_up_to
 from klsym.lfun import euler_product, local_factor, power_sum_series, sym_inf_local, \
@@ -36,6 +37,7 @@ from oracles import (
     agrees_with,
     cyc_of,
     embed_cyc,
+    kloosterman_by_transform,
     kloosterman_table,
     sym_inf_local_hsum,
     sym_k_factor,
@@ -143,8 +145,12 @@ def test_criterion_4_dual_route_equality():
                 field = make_field(p, c)
                 table = kloosterman_table(n, field)
                 assert len(table) == field.size - 1
-                for t, via_table in table.items():
-                    assert via_table == _direct_sum(n, field, t), (p, c, n, t)
+                # the table is keyed g^0, g^1, ..., as the transform's rows are
+                counts = kloosterman_by_transform(n, field)
+                for j, (t, via_table) in enumerate(table.items()):
+                    via_sum = _direct_sum(n, field, t)
+                    assert via_table == via_sum, (p, c, n, t)
+                    assert via_sum == CycInt.from_powers(p, enumerate(counts[j])), (p, c, n, t)
                     instances += 1
         assert instances == 2 * (2 + 8 + 26 + 80 + 242 + 728
                                  + 4 + 24 + 124 + 624)

@@ -92,8 +92,8 @@ def test_kl1_over_f5():
                                    # of which passes row S at nearly every t
                                    (3, 5, 2)])
 def test_table_matches_direct_everywhere(p, k, n):
-    # each sum, a row of K_n read from the field's table of K_(n-1), against two
-    # routes that build no such table: the flat enumeration of its S^n phases and
+    # each sum, a row of K_n read from the field's table of K_(n-1) (or, over a
+    # prime field, from K_1's phases), against two routes that build no table: the flat enumeration of its S^n phases and
     # the float transform of the whole field
     field = make_field(p, k)
     md = ff._mult_data(field)
@@ -105,10 +105,11 @@ def test_table_matches_direct_everywhere(p, k, n):
         assert via_table == CycInt.from_powers(p, enumerate(counts[j]))
 
 
-@pytest.mark.parametrize("p,k,n", [(3, 8, 2), (3, 8, 3)])
+@pytest.mark.parametrize("p,k,n", [(3, 8, 2), (3, 8, 3), (251, 1, 2), (251, 1, 3)])
 def test_every_row_at_reach_size_matches_the_transform(p, k, n):
     # S = 6,560, where the enumeration takes S^2 and S^3 steps a sum: every row of
-    # K_2 and K_3, one sum at a time, against the transform
+    # K_2 and K_3, one sum at a time, against the transform; over F_251, K_1 is
+    # read as phases in passes of 130 window rows, and K_2 is built from them
     field = make_field(p, k)
     md = ff._mult_data(field)
     counts = kloosterman_by_transform(n, field)
@@ -163,8 +164,9 @@ def test_a_field_table_is_built_once_per_process(monkeypatch):
 
 def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
     # the sums build one window table per field they run over, once, and K_1 where
-    # they run at n = 2; the closed points, and a verify run whose sums all come
-    # from the cache, build none, and sums at n = 1 build no K table
+    # they run at n = 2 over a field that is not prime (F_5's K_1 is read as
+    # phases); the closed points, and a verify run whose sums all come from the
+    # cache, build none, and sums at n = 1 build no K table
     assert "trD" not in ff._MultData.__slots__
     assert not hasattr(ff._MultData(make_field(3, 2)), "trD")
     expsum._windows.cache_clear()
@@ -177,7 +179,7 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
                 ev.kloosterman(n, pt, m)
     info = expsum._windows.cache_info()
     assert info.misses == info.currsize == 3  # F_5, F_25 and F_625
-    assert expsum._level.cache_info().currsize == 3  # K_1 of each
+    assert expsum._level.cache_info().currsize == 2  # K_1 of F_25 and of F_625
     expsum._windows.cache_clear()
     expsum._level.cache_clear()
     assert console_main(["points", "-p", "5", "-D", "4",
@@ -195,19 +197,25 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
 
 def test_a_sum_peaks_at_a_few_blocks_whatever_s_to_the_n():
     # S = 6,560: one pass over the whole grid of S^2 phases would hold 344 MB; the
-    # first sum at n = 2 and at n = 3 builds K_1 and K_2, each 2 S p entries, in
-    # passes of a few blocks
-    field = make_field(3, 8)
-    for n in (2, 3):
-        expsum._level.cache_clear()
-        expsum._gather.cache_clear()
-        tracemalloc.start()
-        try:
-            _direct_sum(n, field, field.from_int(2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 << 20, n
+    # first sum at n = 2 and at n = 3 builds K_1 and K_2, each 16 S p bytes, in
+    # passes of a few blocks.  Over the prime field F_251, p = S + 1, K_1 is read
+    # as phases and only K_2 is stored: the peak stays within twice the bytes of
+    # the stored levels, as kloosterman's TABLE_BYTES guard counts them, and a
+    # few blocks
+    for field in (make_field(3, 8), make_field(251, 1)):
+        S, p = field.size - 1, field.p
+        for n in (2, 3):
+            stored = sum(S**j > p for j in range(1, n))
+            expsum._level.cache_clear()
+            expsum._gather.cache_clear()
+            tracemalloc.start()
+            try:
+                _direct_sum(n, field, field.from_int(2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20, (field, n)
+            assert peak <= 2 * 16 * S * p * stored + 16 * expsum.BLOCK, (field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +280,40 @@ def test_a_sum_past_int64_is_refused_at_any_budget(capsys):
     assert console_main(argv) == 1
     assert capsys.readouterr().err == "error: sum over (F_243)^8 counts 242^8 tuples, past int64\n"
     assert expsum._windows.cache_info().currsize == expsum._level.cache_info().currsize == 0
+
+
+def test_a_sum_whose_tables_pass_the_bound_is_refused(capsys):
+    # over F_10007 at n = 3, K_2 would hold 16 S p bytes, about 1.5 GB, and over
+    # F_(307^2) at n = 2, K_1 about 0.4 GB: each is refused before any table,
+    # though the budget admits its S^n steps
+    for argv, err in [
+            ("sum -p 10007 -d 1 --rep-int 2 -n 3 --budget 10000000000000",
+             "error: sum over (F_10007)^3 needs 1527 MiB of tables, past 128 MiB\n"),
+            ("sum -p 307 -d 2 --rep-int 2 -n 2 --budget 10000000000",
+             "error: sum over (F_94249)^2 needs 441 MiB of tables, past 128 MiB\n")]:
+        expsum._windows.cache_clear()
+        expsum._level.cache_clear()
+        assert console_main(argv.split()) == 1
+        assert capsys.readouterr().err == err
+        assert expsum._windows.cache_info().currsize == expsum._level.cache_info().currsize == 0
+
+
+def test_a_prime_field_sum_at_n_2_stores_no_table(tmp_path):
+    # over F_10007, p = S + 1: a stored K_1 would hold 16 S p bytes, about 1.5 GB,
+    # and its gather table and a read as much again; read as phases, the sum's
+    # S^2 = 10^8 phases pass in blocks and the run's peak stays at a few of them
+    expsum._level.cache_clear()
+    expsum._gather.cache_clear()
+    argv = ["sum", "-p", "10007", "-d", "1", "--rep-int", "2", "-n", "2", "--budget", "200000000",
+            "--cache", str(tmp_path / "sums.txt"), "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        assert console_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    assert expsum._level.cache_info().currsize == expsum._gather.cache_info().currsize == 0
 
 
 def test_rejects_foreign_point_and_bad_args():
