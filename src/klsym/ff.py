@@ -10,14 +10,15 @@ keys never alias.  A field is the value (p, k, modulus), which
 ``make_field`` checks, so equal fields are one dictionary key.
 
 Multiplication by y is an F_p-linear map; its k x k matrix (row i is
-X^i y) is the one route for every product, power and trace here, and
-for Rabin's irreducibility test.  The one multiplicative model of each
-field, a discrete-log and trace table over its least generator, built
-once per field and process (``_mult_data``, a cache over ``_MultData``),
-steps blocks of about sqrt(|F|) powers by one matrix product.  Closed
-points, orbit representatives, the orbits of the twists t -> c^(n+1) t
-and subfield embeddings all read it, because Frobenius acts on discrete
-logs as multiplication by q.
+X^i y) is the route of Rabin's irreducibility test, which picks the
+modulus, and of the one multiplicative model of each field: a discrete-log
+and trace table over its least generator, built once per field and
+process (``_mult_data``, a cache over ``_MultData``), which steps blocks of
+about sqrt(|F|) powers by one matrix product.  Every power, discrete log
+and trace after that is a table read: closed points, orbit
+representatives, the orbits of the twists t -> c^(n+1) t and subfield
+embeddings all read it, because Frobenius acts on discrete logs as
+multiplication by q.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ class Field(NamedTuple):
     def size(self) -> int:
         return self.p**self.k
 
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
     def __repr__(self):
         return f"Field({self.p}^{self.k})"
 
@@ -162,32 +159,6 @@ class Field(NamedTuple):
         for c in x:
             v = v * self.p + c
         return v
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def pow(self, x, e: int):
-        if e < 0:
-            raise ValueError("negative powers need an inverse")
-        return tuple(_mat_pow(_mul_matrix(x, self.modulus, self.p), e, self.p)[0].tolist())
-
-    # -- traces ---------------------------------------------------------------
-
-    def _trace_vector(self):
-        """Tr(X^i) for i < k: the trace of the matrix of X^i."""
-        p, k, f = self.p, self.k, self.modulus
-        return tuple(int(np.trace(_mul_matrix((0,) * i + (1,), f, p))) % p for i in range(k))
-
-    # -- multiplicative structure ----------------------------------------------
-
-    def generator(self):
-        """Smallest multiplicative generator in element order."""
-        order = self.size - 1
-        primes = prime_factors(order)
-        for v in range(2, self.size):
-            g = self.from_int(v)
-            if all(self.pow(g, order // r) != self.one for r in primes):
-                return g
-        raise AssertionError("no generator found")
 
 
 @cache
@@ -217,18 +188,29 @@ class _MultData:
     (-1 at zero) and ``tr[i]`` = AbsTr(g^i).
     """
 
-    __slots__ = ("field", "S", "code", "dlog", "tr")
+    __slots__ = ("S", "code", "dlog", "tr")
 
     def __init__(self, field: Field):
         p, k, S = field.p, field.k, field.size - 1
-        step = _mul_matrix(field.generator(), field.modulus, p)
+        # g is the least v >= 2 in element order with g^(S/r) != 1 for every prime r | S
+        one = np.eye(1, k, dtype=np.int64)[0]
+        primes = prime_factors(S)
+        for v in range(2, field.size):
+            step = _mul_matrix(field.from_int(v), field.modulus, p)
+            if all((_mat_pow(step, S // r, p)[0] != one).any() for r in primes):
+                break
+        else:
+            raise AssertionError("no generator found")
         # the head rows g^0..g^(B-1), doubled until B^2 >= S; step is then M_g^B
         rows = np.eye(1, k, dtype=np.int64)
         while len(rows) ** 2 < S:
             rows = np.concatenate([rows, rows @ step % p])
             step = step @ step % p
-        # code and (unreduced) trace of a row are its products with these columns
-        cols = np.array([p ** np.arange(k - 1, -1, -1), field._trace_vector()]).T
+        # code and (unreduced) trace of a row are its products with these columns;
+        # Tr(X^i) is the trace of the matrix of X^i
+        trace_vector = [int(np.trace(_mul_matrix((0,) * i + (1,), field.modulus, p))) % p
+                        for i in range(k)]
+        cols = np.array([p ** np.arange(k - 1, -1, -1), trace_vector]).T
         code, tr = np.empty((2, S), dtype=np.int64)
         for i in range(0, S, len(rows)):
             # rows holds g^i..g^(i+B-1), and one product by M_g^B gives the next block
@@ -239,15 +221,10 @@ class _MultData:
         dlog[code] = np.arange(S)
         if (dlog[1:] < 0).any():  # S distinct nonzero codes: g has order S
             raise AssertionError("generator order mismatch")
-        self.field = field
         self.S = S
         self.code = code
         self.dlog = dlog
         self.tr = tr
-
-    def power(self, e: int):
-        """g^e as coordinates."""
-        return self.field.from_int(int(self.code[e % self.S]))
 
 
 _mult_data = cache(_MultData)
@@ -273,7 +250,7 @@ def _root_powers(src: Field, dst: Field):
         # the nonzero elements of the subfield of size p^f, in lex order
         sub = np.arange(0, md.S, md.S // (src.size - 1))
         for e in sub[np.argsort(md.code[sub])].tolist():
-            pows = np.array([md.power(e * i) for i in range(f + 1)])
+            pows = np.array([dst.from_int(int(md.code[e * i % md.S])) for i in range(f + 1)])
             if not (np.array(src.modulus) @ pows % src.p).any():
                 break
         else:

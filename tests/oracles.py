@@ -42,8 +42,10 @@ algorithm, so a test can require the two to agree:
   arrays, against ``symk`` at reach sizes;
 * ``kloosterman_by_enumeration``: one Kl_n sum by flat enumeration of the
   S^n phases in blocked window passes, one pass per block of x_(n-1) for
-  each prefix x_1..x_(n-2) (``expsum``'s route before its tables), against
-  the row of K_n that ``expsum`` reads from its per-field table of K_(n-1);
+  each prefix x_1..x_(n-2) (``expsum``'s route before its tables), on its
+  own window table of the traces that ``mult_tables_reference`` checks,
+  against the row of K_n that ``expsum`` reads from its per-field table of
+  K_(n-1);
 * ``kloosterman_table``: Kl_n at every element of one field by the
   convolution recursion on whole-table rolls, the rule of ``expsum``'s
   tables written independently; ``kloosterman_by_transform`` (below) is
@@ -114,7 +116,7 @@ from klsym.errors import (
     SlopeFindingError,
     UsageError,
 )
-from klsym.expsum import BLOCK, DEFAULT_BUDGET, KloostermanEvaluator, _windows
+from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
 from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
@@ -460,9 +462,14 @@ def schoolbook_mul(field: Field, x, y):
     return red + (0,) * (k - len(red))
 
 
+def schoolbook_one(field: Field):
+    """The unit of the field: the constant polynomial 1."""
+    return (1,) + (0,) * (field.k - 1)
+
+
 def schoolbook_pow(field: Field, x, e: int):
     """x^e, e >= 0, by square and multiply on schoolbook_mul."""
-    result = field.one
+    result = schoolbook_one(field)
     while e:
         if e & 1:
             result = schoolbook_mul(field, result, x)
@@ -495,7 +502,7 @@ def schoolbook_generator(field: Field):
     primes = sympy.primefactors(order)
     for v in range(2, field.size):
         g = field.from_int(v)
-        if all(schoolbook_pow(field, g, order // r) != field.one for r in primes):
+        if all(schoolbook_pow(field, g, order // r) != schoolbook_one(field) for r in primes):
             return g
     raise AssertionError("no generator found")
 
@@ -506,14 +513,14 @@ def mult_tables_reference(field: Field):
     S = field.size - 1
     code = np.empty(S, dtype=np.int64)
     tr = np.empty(S, dtype=np.int64)
-    x = field.one
+    x = schoolbook_one(field)
     for i in range(S):
         code[i] = field.to_int(x)
         tr[i] = newton_trace(field, x)
         x = schoolbook_mul(field, x, g)
     dlog = np.full(field.size, -1, dtype=np.int64)
     dlog[code] = np.arange(S)
-    if x != field.one or (dlog[1:] < 0).any():
+    if x != schoolbook_one(field) or (dlog[1:] < 0).any():
         raise AssertionError("generator order mismatch")
     return g, code, tr, dlog
 
@@ -552,7 +559,7 @@ def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
     acc = {}
     units = [field.from_int(v) for v in range(1, field.size)]
     for xs in itertools.product(units, repeat=n):
-        prod = field.one
+        prod = schoolbook_one(field)
         for x in xs:
             prod = schoolbook_mul(field, prod, x)
         inv = schoolbook_pow(field, prod, field.size - 2)
@@ -860,6 +867,9 @@ def sym_inf_local_per_size(lf: LocalFactor, kappa: PadicExponent, V: int,
 # ---------------------------------------------------------------------------
 # Kloosterman sums over a whole field by convolution
 
+# phases per pass of kloosterman_by_enumeration
+ENUM_BLOCK = 1 << 15
+
 
 def kloosterman_by_enumeration(n: int, field: Field, t) -> CycInt:
     """Flat enumeration of the n-fold sum at a nonzero element t.
@@ -867,7 +877,7 @@ def kloosterman_by_enumeration(n: int, field: Field, t) -> CycInt:
     With t = g^e and x_i = g^(a_i), the last variable x_n = g^i leaves
     t/(x_1...x_n) = g^(e - a_1 - ... - a_(n-1) - i), whose traces over
     i < S are row (a_1 + ... + a_(n-1) - e - 1) mod S of the window table.
-    Each pass takes the rows of a block of up to max(1, BLOCK // S) values
+    Each pass takes the rows of a block of up to max(1, ENUM_BLOCK // S) values
     of x_(n-1), adds tr[i] along them and the prefix trace of each row as a
     column, and counts the phases with one bincount; a block whose rows pass
     S reads its last rows from the top of the table.  At n = 1 a pass is the
@@ -876,13 +886,14 @@ def kloosterman_by_enumeration(n: int, field: Field, t) -> CycInt:
     p = field.p
     md = _mult_data(field)
     S, tr = md.S, md.tr
-    win = _windows(field)
+    # row r of the window table is tr[(S-1-r-i) mod S] over i < S
+    win = np.lib.stride_tricks.sliding_window_view(np.tile(tr[::-1], 2), S)
     e = int(md.dlog[field.to_int(t)])
     size = (n + 1) * p
     if n == 1:
         counts = np.bincount(tr + win[(-1 - e) % S], minlength=size)
         return CycInt.from_powers(p, enumerate(counts))
-    rows = max(1, BLOCK // S)
+    rows = max(1, ENUM_BLOCK // S)
     buf = np.empty((min(rows, S), S), dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     # per prefix x_1..x_(n-2), one pass per block x_(n-1) = g^a..g^(b-1)
@@ -925,7 +936,8 @@ def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
         for u in range(S):
             H[:, perms[int(tr[u]) % p]] += np.roll(G, u, axis=0)
         G = H
-    return {md.power(i): CycInt.from_powers(p, enumerate(G[i])) for i in range(S)}
+    return {field.from_int(int(md.code[i])): CycInt.from_powers(p, enumerate(G[i]))
+            for i in range(S)}
 
 
 # ---------------------------------------------------------------------------

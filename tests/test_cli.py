@@ -31,7 +31,7 @@ from klsym.cli import (
 )
 from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
-from klsym.expsum import KloostermanEvaluator, SumCache, record_line
+from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, record_line
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
 from klsym.lfun import euler_product, local_factor, power_sum_series, sums_read, \
     sym_inf_local, symk_local, unit_root_local
@@ -683,19 +683,25 @@ def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
                 == _series_key(series_per_point(base, factors, D, per_point)))
 
 
-# (p, a, n, k, D), in pairs: k below the weight cut, the least weight the default V
-# drops at degree 1, (V-1) // (a (p-1)) + 1, where (p-1) a (k+1) binds, then k at or
-# above it, where the cert binds
-@pytest.mark.parametrize("p,a,n,k,D", [
-    (3, 1, 1, 2, 6), (3, 1, 1, 19, 6),
-    (5, 1, 1, 3, 4), (5, 1, 1, 13, 4),
-    (7, 1, 1, 2, 3), (7, 1, 1, 9, 3),
-    (3, 2, 1, 2, 3), (3, 2, 1, 7, 3),
-    (3, 1, 2, 2, 3), (3, 1, 2, 7, 3),
-    (5, 1, 2, 1, 2), (5, 1, 2, 6, 2),
-])
-def test_padic_series_agrees_with_the_exact_series_to_its_need(p, a, n, k, D):
-    config = RunConfig(p=p, a=a, n=n, mode="symk", k=k, D=D)
+# (p, a, n, k, D, budget), in pairs: k below the weight cut, the least weight the
+# default V drops at degree 1, (V-1) // (a (p-1)) + 1, where (p-1) a (k+1) binds, then
+# k at or above it, where the cert binds; then the symk/syminf rows of tests/digests.txt
+# at n = 3 to 5, each at the budget of its row; an id omits the budget
+PADIC_PAIRS = [
+    (3, 1, 1, 2, 6, DEFAULT_BUDGET), (3, 1, 1, 19, 6, DEFAULT_BUDGET),
+    (5, 1, 1, 3, 4, DEFAULT_BUDGET), (5, 1, 1, 13, 4, DEFAULT_BUDGET),
+    (7, 1, 1, 2, 3, DEFAULT_BUDGET), (7, 1, 1, 9, 3, DEFAULT_BUDGET),
+    (3, 2, 1, 2, 3, DEFAULT_BUDGET), (3, 2, 1, 7, 3, DEFAULT_BUDGET),
+    (3, 1, 2, 2, 3, DEFAULT_BUDGET), (3, 1, 2, 7, 3, DEFAULT_BUDGET),
+    (5, 1, 2, 1, 2, DEFAULT_BUDGET), (5, 1, 2, 6, 2, DEFAULT_BUDGET),
+    (3, 1, 3, 1, 2, DEFAULT_BUDGET), (3, 1, 4, 1, 1, 10**11), (3, 1, 5, 1, 1, 10**15),
+]
+
+
+@pytest.mark.parametrize("p,a,n,k,D,budget", PADIC_PAIRS,
+                         ids=["-".join(map(str, pair[:5])) for pair in PADIC_PAIRS])
+def test_padic_series_agrees_with_the_exact_series_to_its_need(p, a, n, k, D, budget):
+    config = RunConfig(p=p, a=a, n=n, mode="symk", k=k, D=D, budget=budget)
     need, least = oracles.syminf_meets_symk(run(config._replace(mode="syminf"))[0],
                                             run(config)[0])
     assert least is None or least >= need, (need, least)

@@ -29,6 +29,7 @@ from oracles import (
     kloosterman_by_enumeration,
     kloosterman_by_transform,
     kloosterman_table,
+    schoolbook_pow,
 )
 
 
@@ -99,22 +100,26 @@ def test_table_matches_direct_everywhere(p, k, n):
     md = ff._mult_data(field)
     counts = kloosterman_by_transform(n, field)
     for j in range(md.S):
-        t = md.power(j)
+        t = field.from_int(int(md.code[j]))
         via_table = _direct_sum(n, field, t)
         assert via_table == kloosterman_by_enumeration(n, field, t)
         assert via_table == CycInt.from_powers(p, enumerate(counts[j]))
 
 
-@pytest.mark.parametrize("p,k,n", [(3, 8, 2), (3, 8, 3), (251, 1, 2), (251, 1, 3)])
+@pytest.mark.parametrize("p,k,n", [(3, 8, 2), (3, 8, 3), (251, 1, 2), (251, 1, 3),
+                                   (3, 5, 4), (3, 6, 4), (3, 6, 5)])
 def test_every_row_at_reach_size_matches_the_transform(p, k, n):
     # S = 6,560, where the enumeration takes S^2 and S^3 steps a sum: every row of
     # K_2 and K_3, one sum at a time, against the transform; over F_251, K_1 is
-    # read as phases in passes of 130 window rows, and K_2 is built from them
+    # read as phases in passes of 130 window rows, and K_2 is built from them;
+    # K_4 over F_(3^5) and F_(3^6), and K_5 over F_(3^6), are the tables the n = 4
+    # and n = 5 rows of tests/digests.txt read
     field = make_field(p, k)
     md = ff._mult_data(field)
     counts = kloosterman_by_transform(n, field)
     for j in range(md.S):
-        assert _direct_sum(n, field, md.power(j)) == CycInt.from_powers(p, enumerate(counts[j]))
+        t = field.from_int(int(md.code[j]))
+        assert _direct_sum(n, field, t) == CycInt.from_powers(p, enumerate(counts[j]))
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 2, 1), (3, 2, 2), (5, 1, 3)])
@@ -131,7 +136,7 @@ def test_value_constant_on_frobenius_orbits():
     big = make_field(3, 2)
     for t_int in range(1, big.size):
         t = big.from_int(t_int)
-        assert _direct_sum(2, big, t) == _direct_sum(2, big, big.pow(t, 3))
+        assert _direct_sum(2, big, t) == _direct_sum(2, big, schoolbook_pow(big, t, 3))
 
 
 def test_higher_degree_point_uses_embedded_representative():
