@@ -39,6 +39,7 @@ from .lfun import (
     local_factor,
     power_sum_series,
     precision_plan,
+    reach,
     sums_read,
     sym_inf_local,
     symk_local,
@@ -174,12 +175,6 @@ def _pmap(fn, items, workers: int):
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
-
-
-def reach(n: int, D: int) -> int:
-    """The largest field degree over the base whose sums a run to degree D >= 1 reads:
-    Kl(t, 1..h) at the points of degree D, or Kl(t, n+1) at degree 1."""
-    return max(D * ((n + 2) // 2), n + 1)
 
 
 def galois_orbits(ev: KloostermanEvaluator, n: int, D: int, max_degree: int | None = None):

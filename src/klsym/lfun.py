@@ -7,9 +7,9 @@ identities m e_m = sum_i (-1)^(i-1) e_(m-i) p_i, dividing exactly by m at
 each step on coordinate tuples (the ``cyclo`` kernel), so no p-adic
 inversions touch the exact layer.  The functional equation of the pure
 weight-n sheaf gives the upper half of the coefficients from the lower
-half, checked against the sums wherever they are read; where the top
-sums would need too large a field, only m <= ceil((n+1)/2) is read, and
-the Weil bound checks the middle one.  The m-th power sum of Sym^k is
+half, checked against every sum Kl_n(t, m) whose field is in the run's
+reach, and at least m <= ceil((n+1)/2); short of all n+1, the Weil
+bound checks the middle one.  The m-th power sum of Sym^k is
 h_k(pi^m), by the recurrence of order n+1 that the eigenvalues pi^m give:
 from h_0 on the factor itself at m = 1, above h_0..h_(n+1) from the base
 sums p_(i m) (h-p Newton) at m >= 2; the exact series is one recurrence
@@ -109,11 +109,17 @@ def _both_ways(n, point, power_sums):
     return es[:h] + top, bad
 
 
+def reach(n: int, D: int) -> int:
+    """The largest field degree over the base whose sums a run to degree D >= 1 reads:
+    Kl(t, 1..h) at the points of degree D, or Kl(t, n+1) at degree 1."""
+    return max(D * ((n + 2) // 2), n + 1)
+
+
 def sums_read(n: int, degree: int, max_degree: int | None) -> int:
     """M, how many sums Kl_n(t, 1..M) local_factor reads at a point of this
-    degree: n+1 where Kl_n(t, n+1) lives in a field of degree <= max_degree
-    over the base (None: at every point), ceil((n+1)/2) elsewhere."""
-    return n + 1 if max_degree is None or degree * (n + 1) <= max_degree else (n + 2) // 2
+    degree: every m <= n+1 whose Kl_n(t, m) lives in a field of degree <= max_degree
+    over the base (None: all n+1), and never fewer than h = ceil((n+1)/2)."""
+    return n + 1 if max_degree is None else min(n + 1, max((n + 2) // 2, max_degree // degree))
 
 
 def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
@@ -125,12 +131,12 @@ def local_factor(ev: KloostermanEvaluator, n: int, point: ClosedPoint,
     sends the eigenvalues to q_t^n over themselves:
     e_(n+1-i) = q_t^(n(n+1)/2 - n i) sigma_(-1)(e_i).  The sums m = 1..M
     give e_1..e_M by the Newton identities, and the identity gives
-    e_h..e_(n+1), h = ceil((n+1)/2); M is sums_read(n, degree, max_degree).
-    Every e_j with h <= j <= M must agree both ways; at M = n+1 that
-    covers the leading coefficient and its sign.  A mismatch that the sums
+    e_h..e_(n+1), h = ceil((n+1)/2); M is sums_read(n, degree, max_degree),
+    h <= M <= n+1.  Every e_j with h <= j <= M must agree both ways; at M = n+1
+    that covers the leading coefficient and its sign.  A mismatch that the sums
     without the (-1)^n normalisation would not have is a
     SignConventionFindingError, any other a functional equation finding.
-    At M < n+1, where odd n checks only e_h = sigma_(-1)(e_h), e_h (C(n+1, h)
+    At M < n+1, which at M = h and odd n checks only e_h = sigma_(-1)(e_h), e_h (C(n+1, h)
     products of h eigenvalues of absolute value q_t^(n/2)) must meet the Weil
     bound, exactly: 0 <= Tr(e_h sigma_(-1)(e_h)) <= (p-1) C(n+1, h)^2 q_t^(n h),
     where Tr(x sigma_(-1)(x)) = p sum x_i^2 - (sum x_i)^2, as Tr(zeta^j) = -1, j != 0.

@@ -33,7 +33,7 @@ from klsym.cyclo import CycInt
 from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, record_line
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
-from klsym.lfun import euler_product, local_factor, power_sum_series, sums_read, \
+from klsym.lfun import euler_product, local_factor, power_sum_series, reach, sums_read, \
     sym_inf_local, symk_local, unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
@@ -156,6 +156,18 @@ def test_cold_cache_bytes_are_pinned(tmp_path):
         "af369181b3e75627f7d27fb240f62b568a3025b4adc9febc5ac58f487872ac7c")
 
 
+def test_cold_cache_bytes_are_pinned_at_n3(tmp_path):
+    # every sum in reach(3, 3) = 6: Kl(t, 1..4) at the 2 points of degree 1, Kl(t, 1..3)
+    # at the 3 of degree 2 and Kl(t, 1..2) at the 8 of degree 3, each orbit one point
+    cache = tmp_path / "c.txt"
+    assert console_main(["symk", "-p", "3", "-n", "3", "-k", "1", "-D", "3",
+                         "--budget", "1000000000", "--cache", str(cache),
+                         "--out", str(tmp_path / "r.json")]) == 0
+    assert len(SumCache(str(cache))) == 33
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "5e6c4920efe2c7773d100f5641c3b21a53e51ee46f3a85a511a43f0b40d99fc2")
+
+
 def _built_points(base, n, D):
     """The points galois_orbits builds a factor at: every orbit representative
     and the first other point of each degree."""
@@ -169,7 +181,7 @@ def _built_points(base, n, D):
 
 def test_a_cold_run_sums_at_the_representatives_and_witnesses_only(tmp_path):
     base = make_field(5, 1)
-    reads = sum(sums_read(1, pt.degree, cli.reach(1, 4)) for pt in _built_points(base, 1, 4))
+    reads = sum(sums_read(1, pt.degree, reach(1, 4)) for pt in _built_points(base, 1, 4))
     cache = tmp_path / "c.txt"
     assert console_main(["symk", "-p", "5", "-n", "1", "-k", "3", "-D", "4",
                          "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
@@ -269,7 +281,7 @@ def test_local_reaches_every_factor_a_run_builds(capsys, monkeypatch):
     printed = json.loads(capsys.readouterr().out)["coefficients"]
     base = make_field(3, 1)
     pt = orbit_rep(base, point_field(base, 2), (0, 1))
-    lf, c = cli.galois_orbits(KloostermanEvaluator(base), 3, 2, max_degree=cli.reach(3, 2))[pt]
+    lf, c = cli.galois_orbits(KloostermanEvaluator(base), 3, 2, max_degree=reach(3, 2))[pt]
     assert printed == [x.galois(c).serialize() for x in lf.coeffs]
 
 
@@ -664,7 +676,7 @@ def _series_key(gs):
 ])
 def test_orbit_series_matches_the_per_point_route(p, n, D, max_degree):
     base = make_field(p, 1)
-    max_degree = max_degree or cli.reach(n, D)
+    max_degree = max_degree or reach(n, D)
     ev = KloostermanEvaluator(base)
     factors = [local_factor(ev, n, pt, max_degree=max_degree) for pt in points_up_to(base, D)]
     orbits = cli.galois_orbits(ev, n, D, max_degree=max_degree)

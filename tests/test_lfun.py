@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from klsym import cli, lfun
-from klsym.cli import _ring_products, console_main, reach
+from klsym.cli import _ring_products, console_main
 from klsym.cyclo import CycInt
 from klsym.errors import (
     FunctionalEquationFindingError,
@@ -25,6 +25,7 @@ from klsym.lfun import (
     euler_product,
     local_factor,
     power_sum_series,
+    reach,
     sums_read,
     sym_inf_local,
     symk_local,
@@ -199,7 +200,8 @@ class _Memo(KloostermanEvaluator):
     (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2), (7, 2, 1),
 ])
 def test_half_route_equals_full_route(p, a, n):
-    # both reaches against the Newton identities on all n+1 signed sums
+    # both reaches against the Newton identities on all n+1 signed sums; max_degree
+    # h = ceil((n+1)/2) reads Kl(t, 1..h) alone at every point
     base = make_field(p, a)
     ev = _Memo(base, budget=10 ** 9)
     pts = [pt for pt in points_up_to(base, 2)
@@ -210,7 +212,7 @@ def test_half_route_equals_full_route(p, a, n):
         want = _factor_from_power_sums(
             [ev.kloosterman(n, pt, m) * (-1) ** n for m in range(1, n + 2)])
         full = local_factor(ev, n, pt)
-        half = local_factor(ev, n, pt, max_degree=n)
+        half = local_factor(ev, n, pt, max_degree=(n + 2) // 2)
         assert (full.route, half.route) == ("full", "half")
         assert list(full.coeffs) == list(half.coeffs) == want
         q_t = base.size ** pt.degree
@@ -248,9 +250,26 @@ def test_half_route_finding_surfaces(n, bump):
     base = make_field(3, 1)
     h = (n + 2) // 2
     pt = _pt(base, (1,))
-    local_factor(KloostermanEvaluator(base), n, pt, max_degree=n)
+    local_factor(KloostermanEvaluator(base), n, pt, max_degree=h)
     with pytest.raises(FunctionalEquationFindingError, match=f"e_{h} at"):
-        local_factor(_corrupt(base, h, bump), n, pt, max_degree=n)
+        local_factor(_corrupt(base, h, bump), n, pt, max_degree=h)
+
+
+def test_a_real_error_where_a_sum_in_reach_checks_it_is_a_finding(monkeypatch):
+    # Kl_3(t, 2) + 2 at the three degree-2 points of symk -p 3 -n 3 -k 1 -D 3: e_2
+    # moves by 1, which sigma_(-1) fixes and the Weil bound allows; but Kl(t, 3) lives
+    # in F_(3^6), within reach(3, 3) = 6, so those points read it and e_3 disagrees
+    real = KloostermanEvaluator.kloosterman
+
+    def bumped(self, n, point, m):
+        value = real(self, n, point, m)
+        return value + CycInt.from_int(3, 2) if (point.degree, m) == (2, 2) else value
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(KloostermanEvaluator, "kloosterman", bumped)
+    with pytest.raises(FunctionalEquationFindingError,
+                       match=r"e_3 at \(0, 1\) differs from its image"):
+        cli.run(cli.RunConfig(p=3, n=3, mode="symk", k=1, D=3, budget=10 ** 9))
 
 
 def test_half_route_non_exact_newton_division_surfaces():
@@ -635,8 +654,9 @@ def _exact_series(p, a, n, k, D, max_degree=None):
 
 # (p, a, n, k, D, max_degree): every k in {0, 1, 2, 3, 6}; at p = 5, n = 1 and
 # p = 7, n = 2 each orbit has a nontrivial stabiliser (c^(n+1) = 1 for c = -1, resp.
-# c^3 = 1), at p = 5, n = 3 every orbit is one point; max_degree = n reads Kl(t, 1..h)
-# alone at every point, and max_degree 2 at n = 3 does so at p = 11
+# c^3 = 1), at p = 5, n = 3 every orbit is one point; every max_degree given is below
+# n+1, so every factor is a half-route one: Kl(t, 1..h) alone where max_degree // d <= h,
+# and Kl(t, 1..3) at the degree-1 points of the p = 3, n = 3 row (max_degree 3)
 @pytest.mark.parametrize("p,a,n,k,D,max_degree", [
     (3, 1, 1, 0, 4, None), (3, 1, 1, 1, 4, None), (3, 1, 1, 2, 4, None),
     (3, 1, 1, 3, 4, 1), (3, 1, 1, 6, 3, None), (3, 1, 2, 2, 3, 2), (3, 1, 2, 6, 2, None),
@@ -649,7 +669,7 @@ def test_exact_series_matches_the_per_point_euler_product(p, a, n, k, D, max_deg
     gs, per_point, routes = _exact_series(p, a, n, k, D, max_degree)
     assert gs.cert is None and len(gs.coeffs) == D + 1
     assert gs.coeffs == per_point.coeffs
-    if max_degree == n:
+    if max_degree is not None:
         assert routes == {"half"}
 
 
@@ -790,10 +810,10 @@ def test_a_real_error_breaking_the_weil_bound_is_a_finding(n, bump):
     base = make_field(3, 1)
     h = (n + 2) // 2
     pt = _pt(base, (1,))
-    local_factor(KloostermanEvaluator(base), n, pt, max_degree=n)
+    local_factor(KloostermanEvaluator(base), n, pt, max_degree=h)
     with pytest.raises(FunctionalEquationFindingError,
                        match=f"e_{h} at .* breaks the Weil bound") as info:
-        local_factor(_corrupt(base, h, CycInt.from_int(3, bump)), n, pt, max_degree=n)
+        local_factor(_corrupt(base, h, CycInt.from_int(3, bump)), n, pt, max_degree=h)
     assert info.value.witness == {"point": pt.rep, "index": h}
 
 
@@ -808,7 +828,7 @@ def test_the_weil_trace_is_within_its_bound_at_half_route_points():
         ev = KloostermanEvaluator(base)
         h = (n + 2) // 2
         for pt in points_up_to(base, 2 if p == 3 else 1):
-            lf = local_factor(ev, n, pt, max_degree=n)
+            lf = local_factor(ev, n, pt, max_degree=h)
             e = tuple(-c for c in lf.coeffs[h].coords) if h % 2 else lf.coeffs[h].coords
             x = mul_coords(e, galois_coords(e, -1))
             trace = p * x[0] - sum(x)
