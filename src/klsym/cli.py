@@ -42,6 +42,7 @@ from .lfun import (
     reach,
     sums_read,
     sym_inf_local,
+    symk_degree,
     symk_local,
     unit_root_local,
 )
@@ -118,8 +119,8 @@ def _precisions(config: RunConfig, V0: int):
 def _admit(config: RunConfig):
     """Every refusal a run makes before any table, sum or cache file; only the
     per-sum bound (expsum) stays lazy, so a warm cache serves what the budget
-    would refuse cold.  Returns (base, max_degree, kappa, ladder), ladder None
-    in symk mode and else the (precisions, refusal) of _precisions."""
+    would refuse cold.  Returns (base, kappa, ladder), ladder None in symk mode
+    and else the (precisions, refusal) of _precisions."""
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
     if config.D < 1:
@@ -158,9 +159,9 @@ def _admit(config: RunConfig):
     kappa = (PadicExponent.exact(config.p, config.k) if config.kappa_digits is None
              else PadicExponent.truncated(config.p, config.kappa_digits))
     if config.mode == "symk":
-        return base, max_degree, kappa, None
+        return base, kappa, None
     V0 = config.V if config.V is not None else default_precision(config)
-    return base, max_degree, kappa, _precisions(config, V0)
+    return base, kappa, _precisions(config, V0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def _envelope(body: dict, t0: float, cache, **timing):
 def run(config: RunConfig):
     """Execute one run and return (report, exit_code)."""
     t0 = time.perf_counter()
-    base, max_degree, kappa, ladder = _admit(config)
+    base, kappa, ladder = _admit(config)
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -364,12 +365,20 @@ def run(config: RunConfig):
         body["series"].append(_series_json(name, gs, pts, exponent))
         body["polygons"]["newton_" + name] = _newton_hull_json(pts)
 
-    verdicts = []
-    derived = {}
-    orbits = galois_orbits(ev, n, D, max_degree)
+    verdicts, derived = [], {}
+    # the exact series reads to D_read = min(D, delta + 1), delta its degree by a theorem
+    delta = symk_degree(base, n, config.k) if _builds_symk(config) else None
+    D_read = D if delta is None else min(D, delta + 1)
+    read = D_read if mode == "symk" else D
+    orbits = galois_orbits(ev, n, read, reach(n, read))
     if _builds_symk(config):
         gs_fin = power_sum_series(base, series(
-            orbits, D, lambda lf, R: symk_local(lf, config.k, R), config.workers), D)
+            {pt: o for pt, o in orbits.items() if pt.degree <= D_read}, D_read,
+            lambda lf, R: symk_local(lf, config.k, R), config.workers), D_read)
+        if delta is not None and D > delta and (top := gs_fin.coeffs[-1].as_integer()):
+            raise FindingError(f"coefficient of T^{D_read} is {top}, not 0, yet L(Sym^"
+                               f"{config.k}) has degree {delta}", witness={"r": D_read})
+        gs_fin = gs_fin._replace(coeffs=gs_fin.coeffs + [gs_fin.coeffs[-1]] * (D - D_read))
         pts_fin = newton_points(gs_fin.coeffs, a)
         add("symk", gs_fin, pts_fin)
         if mode == "verify-newton-hodge":

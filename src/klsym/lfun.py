@@ -282,6 +282,12 @@ def check_coverage(base, points, D: int) -> None:
                              f"{got} closed points, not {want}")
 
 
+def symk_degree(base, n: int, k: int) -> int | None:
+    """deg L(G_m, Sym^k Kl_n, T) where a theorem gives it, else None: floor((k+1)/2) at n = 1
+    over F_p, 1 <= k < p (Fu-Wan, Crelle 589, 2005), by its hypotheses, not by a size."""
+    return (k + 1) // 2 if n == 1 and base.k == 1 and 1 <= k < base.p else None
+
+
 def power_sum_series(base, members, D: int) -> Series:
     """The exact L-series to T^D from (point, c, P_1..P_R at the point it is sigma_c
     of) at every closed point of degree <= D: L(T) = exp(sum S_r T^r / r), S_r the

@@ -57,9 +57,6 @@ algorithm, so a test can require the two to agree:
 * ``direct_reference``: one Kloosterman sum by brute force with the same
   schoolbook arithmetic, no discrete-log table;
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration;
-* ``symk_degree``: the degree of the exact Sym^k L-function where a theorem
-  gives it (n = 1, 1 <= k < p: Fu-Wan), against the coefficients ``symk``
-  prints, which must end at it;
 * ``build_parser``: the argparse parser of every command, as ``cli`` built it
   before one option table and one pass over argv (``cli.parse``) replaced it,
   against ``cli.parse`` over a corpus of command lines;
@@ -1060,19 +1057,6 @@ def trace_sums_by_transform(p: int, a: int, n: int, k: int, D: int) -> list:
             raise IntegralityFindingError(f"{r} does not divide r c_{r} = {acc}")
         out.append(acc // r)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the degree of the exact Sym^k L-function
-
-
-def symk_degree(p: int, n: int, k: int):
-    """The degree of the polynomial L(G_m, Sym^k Kl_n, T) over F_p where a theorem
-    gives it, else None: floor((k+1)/2) for n = 1 and 1 <= k < p (Fu-Wan,
-    "L-functions for symmetric products of Kloosterman sums", J. reine angew.
-    Math. 589, 2005, with Robba for the degree).  Sym^0 is the trivial sheaf,
-    whose L-function (1 - T)/(1 - pT) is no polynomial, so k = 0 is outside."""
-    return (k + 1) // 2 if n == 1 and 1 <= k < p else None
 
 
 # ---------------------------------------------------------------------------

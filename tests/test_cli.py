@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import klsym
-from klsym import cli, ff
+from klsym import cli, ff, lfun
 from klsym.cli import (
     MAX_RETRIES,
     RunConfig,
@@ -34,7 +35,7 @@ from klsym.errors import PrecisionError, ResourceError
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator, SumCache, record_line
 from klsym.ff import closed_points, make_field, orbit_rep, point_field, points_up_to
 from klsym.lfun import euler_product, local_factor, power_sum_series, reach, sums_read, \
-    sym_inf_local, symk_local, unit_root_local
+    sym_inf_local, symk_degree, symk_local, unit_root_local
 from klsym.padic import PadicCyc, PadicExponent
 from klsym.polygon import Verdict
 import digests
@@ -99,29 +100,99 @@ def test_every_table_row_parses(monkeypatch):
 
 def _degree_rows():
     """(argv, delta) of each fast row that prints an exact Sym^k series whose degree
-    delta oracles.symk_degree gives (a = 1)."""
+    delta lfun.symk_degree gives."""
     for row in digests.rows("fast"):
         try:
             args = cli.parse(row.argv.split())
         except SystemExit:  # test_every_table_row_parses fails on the row
             continue
-        if (row.digest != "-" and args.func is cli.cmd_run and args.k is not None
-                and args.mode not in ("syminf", "unitroot") and args.a == 1
-                and oracles.symk_degree(args.p, args.n, args.k) is not None):
-            yield pytest.param(row.argv, oracles.symk_degree(args.p, args.n, args.k),
-                               id=row.argv)
+        if row.digest != "-" and args.func is cli.cmd_run and args.k is not None \
+                and args.mode not in ("syminf", "unitroot"):
+            delta = symk_degree(make_field(args.p, args.a), args.n, args.k)
+            if delta is not None:
+                yield pytest.param(row.argv, delta, id=row.argv)
 
 
 @pytest.mark.parametrize("argv,delta", list(_degree_rows()))
 def test_the_exact_series_ends_at_its_degree(capsys, monkeypatch, argv, delta):
-    # L(G_m, Sym^k Kl_1, T) is a polynomial of degree delta = floor((k+1)/2) for p > k
+    # L(G_m, Sym^k Kl_1, T) over F_p is a polynomial of degree delta = floor((k+1)/2) for
+    # p > k (Fu-Wan): the whole-field oracle, which reads no closed point, ends there, and
+    # the run, which reads the points to degree delta + 1 alone, prints its coefficients
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    args = cli.parse(argv.split())
+    want = oracles.trace_sums_by_transform(args.p, 1, 1, args.k, args.D)
+    assert want[delta + 1:] == [0] * len(want[delta + 1:]), want
+    assert delta > args.D or want[delta] != 0, want
     console_main(argv.split())
     (series,) = [entry for entry in json.loads(capsys.readouterr().out)["series"]
                  if entry["name"] == "symk"]
-    coeffs = [row["value"] for row in series["coefficients"]]
-    assert coeffs[delta + 1:] == [0] * len(coeffs[delta + 1:]), coeffs
-    assert delta >= len(coeffs) or coeffs[delta] != 0, coeffs
+    assert [row["value"] for row in series["coefficients"]] == want
+
+
+# the theorem's sweep: p in {3, 5, 7, 11}, 1 <= k < p and D to delta + 3, as far as
+# p^D <= SWEEP_FIELD, so p = 7 stops at D = 5 and p = 11 at D = 4
+SWEEP_FIELD = 20_000
+
+
+def _sweep():
+    for p in (3, 5, 7, 11):
+        top = max(D for D in range(1, 12) if p ** D <= SWEEP_FIELD)
+        for k in range(1, p):
+            yield pytest.param(p, k, min(top, (k + 1) // 2 + 3), id=f"p{p}-k{k}")
+
+
+@functools.cache
+def _all_points_series(p, k, D):
+    """c_0..c_D of L(Sym^k Kl_1) over F_p by power_sum_series over every closed point
+    of degree <= D, with no cut."""
+    base = make_field(p, 1)
+    orbits = cli.galois_orbits(KloostermanEvaluator(base), 1, D, reach(1, D))
+    gs = power_sum_series(base, cli.series(orbits, D, lambda lf, R: symk_local(lf, k, R)), D)
+    return tuple(c.as_integer() for c in gs.coeffs)
+
+
+@pytest.mark.parametrize("p,k,D", list(_sweep()))
+def test_the_series_over_every_point_ends_at_its_degree(p, k, D):
+    # Fu-Wan's degree, against power_sum_series over every closed point to D
+    delta = symk_degree(make_field(p, 1), 1, k)
+    assert delta == (k + 1) // 2
+    coeffs = _all_points_series(p, k, D)
+    assert coeffs[delta + 1:] == (0,) * len(coeffs[delta + 1:]), coeffs
+    assert delta > D or coeffs[delta] != 0, coeffs
+
+
+@pytest.mark.parametrize("p,k,D", list(_sweep()))
+def test_the_cut_matches_the_series_over_every_point(capsys, monkeypatch, p, k, D):
+    # each symk run to d <= D reads the points of degree <= min(d, delta + 1) alone
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    want, delta = _all_points_series(p, k, D), (k + 1) // 2
+    for d in range(1, D + 1):
+        assert console_main(f"symk -p {p} -n 1 -k {k} -D {d}".split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert tuple(row["value"] for row in report["series"][0]["coefficients"]) == want[:d + 1]
+        assert report["timing"]["orbits"]["points"] == sum(
+            ff.degree_count(p, e) for e in range(1, min(d, delta + 1) + 1))
+
+
+def test_a_degree_one_short_is_a_finding(capsys, monkeypatch):
+    # symk_degree one below the theorem's delta = 2: the run reads the points to degree 2,
+    # and c_2 = -25 is not the zero the mutant degree claims
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    real = lfun.symk_degree
+    monkeypatch.setattr(cli, "symk_degree", lambda base, n, k: real(base, n, k) - 1)
+    assert console_main("symk -p 5 -n 1 -k 3 -D 4".split()) == 2
+    assert capsys.readouterr().err == (
+        "finding: coefficient of T^2 is -25, not 0, yet L(Sym^3) has degree 1\n")
+
+
+def test_the_cut_moves_no_refusal(tmp_path, capsys):
+    # the cut would read only to degree 2, but _admit refuses F_(3^14), the reach of
+    # D = 14, before any table, sum or cache file
+    cache = tmp_path / "c.txt"
+    assert console_main(["symk", "-p", "3", "-n", "1", "-k", "2", "-D", "14",
+                         "--cache", str(cache)]) == 1
+    assert capsys.readouterr().err == "error: field size 3^14 exceeds the configured cap\n"
+    assert not cache.exists()
 
 
 # runs whose Kl(t, n+1) at the top degree is over the default budget, so only the
@@ -180,12 +251,16 @@ def _built_points(base, n, D):
 
 
 def test_a_cold_run_sums_at_the_representatives_and_witnesses_only(tmp_path):
+    # k = p is outside the degree theorem, so the run reads every point to D = 4, and
+    # no sum depends on k; the theorem's k = 3 (delta = 2) reads the points to degree 3
     base = make_field(5, 1)
-    reads = sum(sums_read(1, pt.degree, reach(1, 4)) for pt in _built_points(base, 1, 4))
-    cache = tmp_path / "c.txt"
-    assert console_main(["symk", "-p", "5", "-n", "1", "-k", "3", "-D", "4",
-                         "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
-    assert len(SumCache(str(cache))) == reads == 120  # summing at all 204 points: 218
+    for k, D_read, records in ((5, 4, 120), (3, 3, 34)):  # all 204 points to D = 4: 218
+        reads = sum(sums_read(1, pt.degree, reach(1, D_read))
+                    for pt in _built_points(base, 1, D_read))
+        cache = tmp_path / f"c{k}.txt"
+        assert console_main(["symk", "-p", "5", "-n", "1", "-k", str(k), "-D", "4",
+                             "--cache", str(cache), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(SumCache(str(cache))) == reads == records
 
 
 def test_a_bad_sum_at_a_member_no_run_reads_moves_no_byte(tmp_path):
@@ -256,7 +331,8 @@ def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
 
 def test_a_non_real_trace_sum_is_a_finding(capsys, monkeypatch):
     # P_2 + zeta at every degree-2 point: at p = 3, n = 1 each orbit is one point, so
-    # T(2, 2) moves by 3 zeta, and the run names r = 2 * 2
+    # T(2, 2) moves by 3 zeta, and the run names r = 2 * 2; k = p is outside the degree
+    # theorem, so the run reads every point to D = 4
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     real = cli.symk_local
 
@@ -267,7 +343,7 @@ def test_a_non_real_trace_sum_is_a_finding(capsys, monkeypatch):
         return sums
 
     monkeypatch.setattr(cli, "symk_local", bumped)
-    assert console_main("symk -p 3 -n 1 -k 2 -D 4".split()) == 2
+    assert console_main("symk -p 3 -n 1 -k 3 -D 4".split()) == 2
     assert capsys.readouterr().err == (
         "finding: the sum of the trace of T^4 over the points of degree 2 is not a "
         "rational integer\n")

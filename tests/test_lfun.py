@@ -689,7 +689,8 @@ def test_exact_series_matches_the_trace_sums_over_whole_fields(p, a, n, k, D):
 
 @pytest.fixture(scope="module")
 def reach_cache(tmp_path_factory):
-    """One sum cache for the reach rows: the k = 6 row reads the k = 2 row's sums."""
+    """One sum cache for the reach rows: the k = 6 row, outside the degree theorem, reads
+    every point to D = 10, the k = 2 row's sums at degree <= 2 among them."""
     return tmp_path_factory.mktemp("reach") / "sums.cache"
 
 
