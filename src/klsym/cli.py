@@ -262,8 +262,8 @@ def write_report(report: dict, out_path: str | None):
                             f"{sys.get_int_max_str_digits()} digits, Python's limit "
                             f"(-X int_max_str_digits raises it)") from None
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode("ascii"))
     else:
         sys.stdout.write(text)
 
@@ -370,7 +370,8 @@ def run(config: RunConfig):
     delta = symk_degree(base, n, config.k) if _builds_symk(config) else None
     D_read = D if delta is None else min(D, delta + 1)
     read = D_read if mode == "symk" else D
-    orbits = galois_orbits(ev, n, read, reach(n, read))
+    with ev:
+        orbits = galois_orbits(ev, n, read, reach(n, read))
     if _builds_symk(config):
         gs_fin = power_sum_series(base, series(
             {pt: o for pt, o in orbits.items() if pt.degree <= D_read}, D_read,
@@ -495,7 +496,8 @@ def cmd_sum(args) -> int:
     if args.n < 1 or args.m < 1:  # refused before the cache opens
         raise UsageError("need n >= 1 and m >= 1")
     ev, cache, pt = _point_evaluator(args)
-    value = ev.kloosterman(args.n, pt, args.m)
+    with ev:
+        value = ev.kloosterman(args.n, pt, args.m)
     try:
         as_int = value.as_integer()
     except ValueError:
@@ -515,7 +517,8 @@ def cmd_local(args) -> int:
     if args.n < 1:  # refused before the cache opens
         raise UsageError("need n >= 1")
     ev, cache, pt = _point_evaluator(args)
-    lf = local_factor(ev, args.n, pt, max_degree=reach(args.n, args.d))
+    with ev:
+        lf = local_factor(ev, args.n, pt, max_degree=reach(args.n, args.d))
     slopes = lower_hull(newton_points(lf.coeffs, args.a * pt.degree)).slopes()
     body = {
         "point": {"degree": pt.degree, "rep": pt.rep},

@@ -158,15 +158,14 @@ def parse_record(line: str):
 
 
 class SumCache:
-    """Append-only line cache of computed sums; safe for concurrent use."""
+    """Append-only line cache of sums, safe for concurrent use: flush appends what hold keeps."""
 
     def __init__(self, path):
         self.path = str(path)
         self._mem: dict[tuple, CycInt] = {}
+        self._held: list[str] = []
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.torn = 0
+        self.hits = self.misses = self.torn = 0
         self._load()
 
     def _lines(self):
@@ -177,9 +176,8 @@ class SumCache:
         the next append.  A non-ASCII byte reads as one lone surrogate, so
         offsets stay byte offsets and parse_record rejects its line.
         """
-        with open(self.path, "r", encoding="ascii", errors="surrogateescape",
-                  newline="") as fh:
-            text = fh.read()
+        with open(self.path, "rb") as fh:
+            text = fh.read().decode("ascii", "surrogateescape")
         end = text.rfind("\n") + 1
         return [(lineno, line)
                 for lineno, line in enumerate(text[:end].splitlines(), start=1)
@@ -236,7 +234,7 @@ class SumCache:
                 self.hits += 1
             return value
 
-    def put(self, key: tuple, value: CycInt):
+    def hold(self, key: tuple, value: CycInt):
         with self._lock:
             old = self._mem.get(key)
             if old is not None:
@@ -244,7 +242,13 @@ class SumCache:
                     raise CacheError(f"conflicting value for cached key {key_text(key)}")
                 return
             self._mem[key] = value
-            line = record_line(key, value).encode("ascii")
+            self._held.append(record_line(key, value))
+
+    def flush(self):
+        with self._lock:
+            if not self._held:
+                return
+            line, self._held = "".join(self._held).encode("ascii"), []
             with self._locked() as fd:
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
@@ -256,6 +260,10 @@ class SumCache:
                 line = line if size else (CACHE_HEADER + "\n").encode("ascii") + line
                 if os.write(fd, line) != len(line):
                     raise OSError(f"{self.path}: short write appending a record")
+
+    def put(self, key: tuple, value: CycInt):
+        self.hold(key, value)
+        self.flush()
 
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""
@@ -293,13 +301,21 @@ class SumCache:
 
 
 class KloostermanEvaluator:
-    """Evaluates Kl_n over a fixed base field with caching and budgets."""
+    """Evaluates Kl_n over a fixed base field with caching and budgets; the cache
+    holds the sums it computes until a ``with`` block on it ends, then appends them."""
 
     def __init__(self, base: Field, cache: SumCache | None = None,
                  budget: int = DEFAULT_BUDGET):
         self.base = base
         self.cache = cache
         self.budget = budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.cache is not None:
+            self.cache.flush()
 
     def kloosterman(self, n: int, point: ClosedPoint, m: int) -> CycInt:
         """Exact Kl_n(t, m) at a closed point t of the base torus."""
@@ -322,6 +338,6 @@ class KloostermanEvaluator:
             raise ResourceError(f"sum over (F_{big.size})^{n} counts {S}^{n} tuples, past int64")
         value = _direct_sum(n, big, embed(point.field, big, point.rep))
         if self.cache is not None:
-            self.cache.put(key, value)
+            self.cache.hold(key, value)
         return value
 

@@ -9,16 +9,15 @@ is canonical so that independent runs build identical towers and cache
 keys never alias.  A field is the value (p, k, modulus), which
 ``make_field`` checks, so equal fields are one dictionary key.
 
-Multiplication by y is an F_p-linear map; its k x k matrix (row i is
-X^i y) is the route of Rabin's irreducibility test, which picks the
-modulus, and of the one multiplicative model of each field: a discrete-log
-and trace table over its least generator, built once per field and
-process (``_mult_data``, a cache over ``_MultData``), which steps blocks of
-about sqrt(|F|) powers by one matrix product.  Every power, discrete log
-and trace after that is a table read: closed points, orbit
-representatives, the orbits of the twists t -> c^(n+1) t and subfield
-embeddings all read it, because Frobenius acts on discrete logs as
-multiplication by q.
+Rabin's irreducibility test, which picks the modulus, and the generator
+search run on coefficient lists mod the modulus.  The one multiplicative
+model of each field is a discrete-log and trace table over its least
+generator g, built once per field and process (``_mult_data``, a cache over
+``_MultData``) by blocks of about sqrt(|F|) powers of g, one product with
+a k x k multiplication matrix a block.  Every power, discrete log and trace
+after that is a table read: closed points, orbit representatives, the
+orbits of the twists t -> c^(n+1) t and subfield embeddings all read it,
+because Frobenius acts on discrete logs as multiplication by q.
 """
 
 from __future__ import annotations
@@ -47,15 +46,14 @@ def _pnorm(f):
 
 
 def _mul_matrix(y, modulus, p):
-    """The k x k matrix of multiplication by y in F_p[X]/(modulus): row i is X^i y.
+    """The k x k matrix of multiplication by y in F_p[X]/(modulus), modulus monic: row i is X^i y.
 
     A product x y is the row vector x times this matrix.  int64 is exact:
     every entry of a product of two reduced matrices is below
     k (p-1)^2 < 2^63 under MAX_FIELD_SIZE.
     """
     k = len(modulus) - 1
-    lead = pow(modulus[-1], p - 2, p)
-    top = np.array([-c * lead % p for c in modulus[:k]], dtype=np.int64)  # X^k mod the modulus
+    top = np.array([-c % p for c in modulus[:k]], dtype=np.int64)  # X^k mod the monic modulus
     out = np.zeros((k, k), dtype=np.int64)
     out[0, : len(y)] = y
     for i in range(1, k):
@@ -64,14 +62,29 @@ def _mul_matrix(y, modulus, p):
     return out
 
 
-def _mat_pow(m, e, p):
-    """m^e mod p by square and multiply."""
-    out = np.eye(len(m), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ m % p
-        m = m @ m % p
-        e >>= 1
+def _mulmod(x, y, f, p):
+    """x y mod the monic f over F_p, on coefficient lists lowest degree first."""
+    k = len(f) - 1
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    for i in range(2 * k - 2, k - 1, -1):  # X^i = X^(i-k) (X^k - f)
+        c = prod[i] % p
+        if c:
+            for j in range(k):
+                prod[i - k + j] -= c * f[j]
+    return [c % p for c in prod[:k]]
+
+
+def _powmod(x, e, f, p):
+    """x^e mod the monic f over F_p, e >= 1, by left-to-right square and multiply."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(x, out, f, p)
     return out
 
 
@@ -80,22 +93,19 @@ def is_irreducible(f, p) -> bool:
 
     Once f | X^(p^k) - X, F_p[X]/(f) is a product of fields whose degrees
     divide k, so h is a unit, i.e. gcd(h, f) = 1, exactly when h^(p^k - 1) = 1.
+    X^(p^j) is the p-th power of X^(p^(j-1)); all on coefficient lists mod f.
     """
     f = _pnorm(f)
     k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    x = _mul_matrix((0, 1), f, p)
-    if (_mat_pow(x, p**k, p)[0] != x[0]).any():
-        return False
-    one = np.eye(1, k, dtype=np.int64)[0]
-    for r in prime_factors(k):
-        h = (_mat_pow(x, p ** (k // r), p)[0] - x[0]) % p
-        if (_mat_pow(_mul_matrix(h, f, p), p**k - 1, p)[0] != one).any():
-            return False
-    return True
+    if k <= 1:
+        return k == 1
+    f, one = [c * pow(f[-1], p - 2, p) % p for c in f], [1] + [0] * (k - 1)  # f made monic
+    frob = [[0, 1] + [0] * (k - 2)]  # X^(p^j) for j <= k
+    for _ in range(k):
+        frob.append(_powmod(frob[-1], p, f, p))
+    return frob[k] == frob[0] and all(
+        _powmod([(a - b) % p for a, b in zip(frob[k // r], frob[0])], p**k - 1, f, p) == one
+        for r in prime_factors(k))
 
 
 def mobius(n: int) -> int:
@@ -193,24 +203,25 @@ class _MultData:
     def __init__(self, field: Field):
         p, k, S = field.p, field.k, field.size - 1
         # g is the least v >= 2 in element order with g^(S/r) != 1 for every prime r | S
-        one = np.eye(1, k, dtype=np.int64)[0]
-        primes = prime_factors(S)
+        one, primes = [1] + [0] * (k - 1), prime_factors(S)
         for v in range(2, field.size):
-            step = _mul_matrix(field.from_int(v), field.modulus, p)
-            if all((_mat_pow(step, S // r, p)[0] != one).any() for r in primes):
+            g = list(field.from_int(v))
+            if all(_powmod(g, S // r, field.modulus, p) != one for r in primes):
                 break
         else:
             raise AssertionError("no generator found")
+        step = _mul_matrix(g, field.modulus, p)
         # the head rows g^0..g^(B-1), doubled until B^2 >= S; step is then M_g^B
         rows = np.eye(1, k, dtype=np.int64)
         while len(rows) ** 2 < S:
             rows = np.concatenate([rows, rows @ step % p])
             step = step @ step % p
-        # code and (unreduced) trace of a row are its products with these columns;
-        # Tr(X^i) is the trace of the matrix of X^i
-        trace_vector = [int(np.trace(_mul_matrix((0,) * i + (1,), field.modulus, p))) % p
-                        for i in range(k)]
-        cols = np.array([p ** np.arange(k - 1, -1, -1), trace_vector]).T
+        # tv[i] = Tr(X^i) by Newton's identities on the modulus X^k + a_1 X^(k-1) + ... + a_k
+        a, tv = field.modulus[::-1], [k % p]
+        for i in range(1, k):
+            tv.append(-(i * a[i] + sum(a[j] * tv[i - j] for j in range(1, i))) % p)
+        # code and (unreduced) trace of a row are its products with these columns
+        cols = np.array([p ** np.arange(k - 1, -1, -1), tv]).T
         code, tr = np.empty((2, S), dtype=np.int64)
         for i in range(0, S, len(rows)):
             # rows holds g^i..g^(i+B-1), and one product by M_g^B gives the next block

@@ -52,7 +52,7 @@ algorithm, so a test can require the two to agree:
   the float check of both;
 * ``mult_tables_reference``: the discrete-log and trace tables of
   ``ff._MultData`` by one schoolbook product per element, with traces
-  from Newton's identities on the modulus, against the block products of
+  from the traces of multiplication matrices, against the block products of
   the multiplication matrix in ``ff``;
 * ``direct_reference``: one Kloosterman sum by brute force with the same
   schoolbook arithmetic, no discrete-log table;
@@ -114,7 +114,7 @@ from klsym.errors import (
     UsageError,
 )
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
-from klsym.ff import Field, _mult_data, embed, make_field
+from klsym.ff import Field, _mul_matrix, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
     LocalFactor,
@@ -475,22 +475,75 @@ def schoolbook_pow(field: Field, x, e: int):
     return result
 
 
+def matrix_trace(field: Field, x) -> int:
+    """AbsTr(x) on the power basis, Tr(X^i) from matrix_trace_vector."""
+    return sum(c * t for c, t in zip(x, matrix_trace_vector(field))) % field.p
+
+
+# ---------------------------------------------------------------------------
+# the matrix routes of ff before coefficient lists: Rabin's test, the generator
+# search and the trace vector on powers of k x k multiplication matrices
+
+
+def _mat_pow(m, e, p):
+    """m^e mod p by square and multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m = m @ m % p
+        e >>= 1
+    return out
+
+
+def matrix_is_irreducible(f, p) -> bool:
+    """Rabin test on the monic f: X^(p^k) = X mod f, and h^(p^k - 1) = 1 for
+    h = X^(p^(k/r)) - X, r | k prime, on powers of the matrix of X."""
+    f = tuple(f)
+    while f and f[-1] == 0:
+        f = f[:-1]
+    k = len(f) - 1
+    if k < 1:
+        return False
+    if k == 1:
+        return True
+    x = _mul_matrix((0, 1), f, p)
+    if (_mat_pow(x, p**k, p)[0] != x[0]).any():
+        return False
+    one = np.eye(1, k, dtype=np.int64)[0]
+    for r in sympy.primefactors(k):
+        h = (_mat_pow(x, p ** (k // r), p)[0] - x[0]) % p
+        if (_mat_pow(_mul_matrix(h, f, p), p**k - 1, p)[0] != one).any():
+            return False
+    return True
+
+
+def matrix_canonical_modulus(p: int, k: int):
+    """The first monic irreducible of degree k in lex order of (c_0, ..., c_(k-1)),
+    c_0 slowest, by matrix_is_irreducible alone."""
+    for tail in itertools.product(range(p), repeat=k):
+        if matrix_is_irreducible(tail + (1,), p):
+            return tail + (1,)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def matrix_generator(field: Field):
+    """The least v >= 2 in element order with v^(S/r) != 1 for every prime r | S,
+    on powers of its multiplication matrix."""
+    S, one = field.size - 1, np.eye(1, field.k, dtype=np.int64)[0]
+    for v in range(2, field.size):
+        step = _mul_matrix(field.from_int(v), field.modulus, field.p)
+        if all((_mat_pow(step, S // r, field.p)[0] != one).any()
+               for r in sympy.primefactors(S)):
+            return field.from_int(v)
+    raise AssertionError("no generator found")
+
+
 @lru_cache(maxsize=None)
-def newton_trace_vector(field: Field):
-    """Tr(X^i) for i < k: the power sums of the roots of the modulus.
-
-    Newton's identities for X^k + a_1 X^(k-1) + ... + a_k, a_j =
-    modulus[k - j]: Tr(X^i) = -(i a_i + sum_(j<i) a_j Tr(X^(i-j))).
-    """
-    p, k, a = field.p, field.k, field.modulus[::-1]
-    tv = [k % p]
-    for i in range(1, k):
-        tv.append(-(i * a[i] + sum(a[j] * tv[i - j] for j in range(1, i))) % p)
-    return tuple(tv)
-
-
-def newton_trace(field: Field, x) -> int:
-    return sum(c * t for c, t in zip(x, newton_trace_vector(field))) % field.p
+def matrix_trace_vector(field: Field):
+    """Tr(X^i) for i < k: the trace of the matrix of multiplication by X^i."""
+    return tuple(int(np.trace(_mul_matrix((0,) * i + (1,), field.modulus, field.p))) % field.p
+                 for i in range(field.k))
 
 
 def schoolbook_generator(field: Field):
@@ -513,7 +566,7 @@ def mult_tables_reference(field: Field):
     x = schoolbook_one(field)
     for i in range(S):
         code[i] = field.to_int(x)
-        tr[i] = newton_trace(field, x)
+        tr[i] = matrix_trace(field, x)
         x = schoolbook_mul(field, x, g)
     dlog = np.full(field.size, -1, dtype=np.int64)
     dlog[code] = np.arange(S)
@@ -561,7 +614,7 @@ def direct_reference(p: int, n: int, k: int, t_int: int) -> str:
             prod = schoolbook_mul(field, prod, x)
         inv = schoolbook_pow(field, prod, field.size - 2)
         # the trace is F_p-linear: Tr(x_1 + ... + x_n + t/prod) term by term
-        e = sum(newton_trace(field, y) for y in xs + (schoolbook_mul(field, t, inv),)) % p
+        e = sum(matrix_trace(field, y) for y in xs + (schoolbook_mul(field, t, inv),)) % p
         acc[e] = acc.get(e, 0) + 1
     return CycInt.from_powers(p, acc.items()).serialize()
 

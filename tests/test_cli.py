@@ -227,6 +227,46 @@ def test_cold_cache_bytes_are_pinned(tmp_path):
         "af369181b3e75627f7d27fb240f62b568a3025b4adc9febc5ac58f487872ac7c")
 
 
+@pytest.mark.parametrize("argv,records,pin", [
+    # the tables-cold benchmark command
+    ("symk -p 5 -n 1 -k 3 -D 4", 34,
+     "37562ba9758f3703d6c821c14f3c575b4cdd90da641a7128753e0528918e2cad"),
+    # the command test_cold_cache_bytes_are_pinned pins
+    ("verify -p 5 -n 2 -k 1 -D 2", 14,
+     "af369181b3e75627f7d27fb240f62b568a3025b4adc9febc5ac58f487872ac7c"),
+], ids=["tables-cold", "verify"])
+def test_a_cold_run_writes_its_cache_in_one_append(tmp_path, monkeypatch, argv, records,
+                                                   pin):
+    # the header and every record the run computes in one os.write; the pins are the
+    # bytes of one append per record, so holding the records moves no byte
+    cache = tmp_path / "c.txt"
+    writes, real_write = [], os.write
+
+    def write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    assert console_main(argv.split() + ["--cache", str(cache),
+                                        "--out", str(tmp_path / "r.json")]) == 0
+    assert writes == [cache.read_bytes()]
+    assert len(SumCache(str(cache))) == records
+    assert hashlib.sha256(writes[0]).hexdigest() == pin
+
+
+def test_a_refused_run_writes_the_sums_it_computed_first(tmp_path, capsys):
+    # 26 sums over F_3^1..F_3^7, then the budget refuses the first sum over F_(3^8):
+    # the refusal still appends the 26 records, the bytes of one append per record
+    cache = tmp_path / "c.txt"
+    assert console_main(["symk", "-p", "3", "-n", "2", "-k", "1", "-D", "4",
+                         "--cache", str(cache)]) == 1
+    assert capsys.readouterr().err == \
+        "error: sum over (F_6561)^2 needs 6560^2 steps, budget 2000000\n"
+    assert len(SumCache(str(cache))) == 26
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "db3561d01f5415e51c37d81079e9324874ac6c696bc69bf63c7cb8339e4aabb6")
+
+
 def test_cold_cache_bytes_are_pinned_at_n3(tmp_path):
     # every sum in reach(3, 3) = 6: Kl(t, 1..4) at the 2 points of degree 1, Kl(t, 1..3)
     # at the 3 of degree 2 and Kl(t, 1..2) at the 8 of degree 3, each orbit one point
@@ -327,6 +367,10 @@ def test_a_factor_off_its_orbit_is_a_finding(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"finding: the factor at {pt.rep} is not sigma_{c} of the factor at its "
         f"orbit representative {rep.rep}\n")
+    # the finding still appends the sums computed before it, after the injected
+    # record: the bytes of one append per record
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "9a2cae5a3ede1a054c493cc435ed4559aa5927f48d8d9096775079ba227f468a")
 
 
 def test_a_non_real_trace_sum_is_a_finding(capsys, monkeypatch):
@@ -820,6 +864,11 @@ def test_cache_env_var_sets_default(tmp_path, monkeypatch):
     assert code == 0
     assert cache.exists()
     assert "v1|" in cache.read_text()
+    assert len(SumCache(str(cache))) == 1
+    # local reads Kl(t, 1) from the cache and appends the Kl(t, 2) it computes
+    assert console_main(["local", "-p", "3", "-n", "1", "-d", "1", "--rep-int", "1",
+                         "--out", str(tmp_path / "l.json")]) == 0
+    assert [key[-1] for _, key, _ in SumCache(str(cache)).records()] == [1, 2]
 
 
 def test_report_goes_to_stdout_by_default(capsys):
@@ -942,6 +991,7 @@ def test_cache_verify_non_canonical_base_degree_one(tmp_path):
     ev = KloostermanEvaluator(base, SumCache(cache))
     for pt in closed_points(base, 1):
         ev.kloosterman(1, pt, 1)
+    ev.cache.flush()  # the evaluator holds its sums until a flush
     out = tmp_path / "verify.json"
     assert console_main(["cache", "verify", "--cache", str(cache),
                          "--sample", "8", "--out", str(out)]) == 0

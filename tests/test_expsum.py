@@ -350,6 +350,7 @@ def test_cache_roundtrip_and_hit_counters(tmp_path):
     assert cache.misses == 1 and cache.hits == 0
     assert ev.kloosterman(2, pt, 1) == v1
     assert cache.hits == 1
+    cache.flush()  # the evaluator holds its sums until a flush
 
     reloaded = SumCache(path)
     assert len(reloaded) == 1
@@ -364,6 +365,7 @@ def test_cache_detects_corruption_with_line_number(tmp_path):
     base = make_field(3, 1)
     ev = KloostermanEvaluator(base, cache=cache)
     ev.kloosterman(1, _point(base, (1,), 1), 1)
+    cache.flush()  # the evaluator holds its sums until a flush
     with open(path, "a") as fh:
         fh.write("v1|3,1,[0,1]|1|1|[2]|one|3:[2,0]\n")
     with pytest.raises(CacheError, match=":3:"):
@@ -376,6 +378,7 @@ def test_cache_rejects_conflicting_duplicate(tmp_path):
     base = make_field(3, 1)
     ev = KloostermanEvaluator(base, cache=cache)
     ev.kloosterman(1, _point(base, (1,), 1), 1)
+    cache.flush()  # the evaluator holds its sums until a flush
     key = (3, 1, (0, 1), 1, 1, (1,), 1)
     with open(path, "a") as fh:
         fh.write(record_line(key, CycInt(3, (7, 7))))
@@ -566,6 +569,7 @@ def test_cache_compact_failing_part_way_leaves_the_file(tmp_path, monkeypatch):
     ev = KloostermanEvaluator(make_field(3, 1), cache=SumCache(path))
     for m in (1, 2, 3):
         ev.kloosterman(1, _point(ev.base, (2,), 1), m)
+    ev.cache.flush()  # the evaluator holds its sums until a flush
     before = path.read_bytes()
     original, calls = CycInt.serialize, []
 

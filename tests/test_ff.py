@@ -22,9 +22,12 @@ from klsym.ff import (
     points_up_to,
 )
 from oracles import (
+    matrix_canonical_modulus,
+    matrix_generator,
+    matrix_is_irreducible,
+    matrix_trace,
+    matrix_trace_vector,
     mult_tables_reference,
-    newton_trace,
-    newton_trace_vector,
     schoolbook_generator,
     schoolbook_one,
     schoolbook_pow,
@@ -88,6 +91,36 @@ def test_irreducibility_test_matches_sympy():
         k = rng.randint(1, 4)
         f = tuple(rng.randrange(p) for _ in range(k)) + (1,)
         assert is_irreducible(f, p) == sympy_irreducible(f, p)
+
+
+@pytest.mark.parametrize("p,top", [(3, 4), (5, 4), (7, 4), (11, 3)])
+def test_irreducibility_test_matches_sympy_and_the_matrix_route_everywhere(p, top):
+    # every monic polynomial of degree 1..top: Rabin's test on coefficient lists
+    # against sympy and against the same test on powers of multiplication matrices
+    for k in range(1, top + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            f = tail + (1,)
+            assert is_irreducible(f, p) == sympy_irreducible(f, p) == \
+                matrix_is_irreducible(f, p), f
+
+
+# every (p, k) with p^k <= 2^14
+SMALL_FIELDS = [(p, k) for p in sympy.primerange(3, 1 << 14)
+                for k in range(1, 14) if p**k <= 1 << 14]
+
+
+def test_moduli_generators_and_trace_vectors_match_the_matrix_routes():
+    # the modulus by Rabin's test alone over every monic polynomial in lex order, the
+    # generator by powers of its multiplication matrix and Tr(X^i) as the trace of
+    # the matrix of X^i, against the tables' own reads of g and Tr(X^i)
+    assert len(SMALL_FIELDS) == 1947  # 1,899 prime fields, 48 of degree 2 to 8
+    for p, k in SMALL_FIELDS:
+        field = make_field(p, k)
+        assert field.modulus == matrix_canonical_modulus(p, k), (p, k)
+        md = ff._MultData(field)  # not cached: 1,947 tables
+        assert field.from_int(int(md.code[1])) == matrix_generator(field), (p, k)
+        powers = [field.to_int(tuple(int(j == i) for j in range(k))) for i in range(k)]
+        assert tuple(md.tr[md.dlog[powers]].tolist()) == matrix_trace_vector(field), (p, k)
 
 
 def test_make_field_validation():
@@ -181,7 +214,7 @@ def test_trace_vector_from_modulus_matches_frobenius(p, k):
                 s = _add(field, s, y)
                 y = schoolbook_pow(field, y, p)
             assert s == (trace_vector[i],) + (0,) * (k - 1)
-        assert tuple(trace_vector) == newton_trace_vector(field)
+        assert tuple(trace_vector) == matrix_trace_vector(field)
 
 
 def test_trace_additive():
@@ -303,7 +336,7 @@ def test_mult_tables_sampled_on_the_largest_fields():
     for i in [0, 1, md.S - 1] + [rng.randrange(md.S) for _ in range(60)]:
         x = schoolbook_pow(field, g, i)
         assert md.code[i] == field.to_int(x)
-        assert md.tr[i] == newton_trace(field, x)
+        assert md.tr[i] == matrix_trace(field, x)
         assert md.dlog[md.code[i]] == i
     # F_2097143, the largest prime field under the cap, against builtin pow
     P = sympy.prevprime(ff.MAX_FIELD_SIZE)
