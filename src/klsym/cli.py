@@ -119,8 +119,12 @@ def _precisions(config: RunConfig, V0: int):
 def _admit(config: RunConfig):
     """Every refusal a run makes before any table, sum or cache file; only the
     per-sum bound (expsum) stays lazy, so a warm cache serves what the budget
-    would refuse cold.  Returns (base, kappa, ladder), ladder None in symk mode
-    and else the (precisions, refusal) of _precisions."""
+    would refuse cold.  Returns (base, kappa, ladder, delta, D_read, read,
+    max_degree): ladder is None in symk mode, else the (precisions, refusal) of
+    _precisions; the exact Sym^k series, of degree delta where a theorem gives it
+    (else None), is built to D_read = min(D, delta + 1); the run reads the points to
+    degree read (D_read in symk mode, else D), from fields of degree <= max_degree =
+    reach(n, read), and the budgets and the field cap price that read."""
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
     if config.D < 1:
@@ -143,25 +147,27 @@ def _admit(config: RunConfig):
     if config.V is not None and config.V < 1:
         raise UsageError("precision target V must be positive")
     base = make_field(config.p, config.a)
-    max_degree = reach(config.n, config.D)
+    delta = symk_degree(base, config.n, config.k) if _builds_symk(config) else None
+    D_read = config.D if delta is None else min(config.D, delta + 1)
+    read = D_read if config.mode == "symk" else config.D
+    max_degree = reach(config.n, read)
     point_field(base, max_degree)
-    # at a point of degree d the Sym^k power sums take about (D/d) k min(k, n+1) products
-    if _builds_symk(config) and config.D * config.k ** 2 > config.budget:
+    # at a point of degree d the Sym^k power sums take about (D_read/d) k min(k, n+1) products
+    if _builds_symk(config) and D_read * config.k ** 2 > config.budget:
         raise ResourceError(
-            f"Sym^{config.k} series to degree {config.D} needs "
-            f"D*k^2 = {config.D * config.k ** 2} products, budget {config.budget}")
-    products = _ring_products(base.size, config.n, config.D, max_degree)
+            f"Sym^{config.k} series to degree {D_read} needs "
+            f"D*k^2 = {D_read * config.k ** 2} products, budget {config.budget}")
+    products = _ring_products(base.size, config.n, read, max_degree)
     if products * (config.p - 1) ** 2 > config.budget:
         raise ResourceError(
-            f"the local factors and the Euler product to degree {config.D} take "
+            f"the local factors and the Euler product to degree {read} take "
             f"{products} products in Z[zeta_{config.p}], about "
             f"{products * (config.p - 1) ** 2} steps, budget {config.budget}")
     kappa = (PadicExponent.exact(config.p, config.k) if config.kappa_digits is None
              else PadicExponent.truncated(config.p, config.kappa_digits))
-    if config.mode == "symk":
-        return base, kappa, None
-    V0 = config.V if config.V is not None else default_precision(config)
-    return base, kappa, _precisions(config, V0)
+    ladder = None if config.mode == "symk" else _precisions(
+        config, config.V if config.V is not None else default_precision(config))
+    return base, kappa, ladder, delta, D_read, read, max_degree
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +343,7 @@ def _envelope(body: dict, t0: float, cache, **timing):
 def run(config: RunConfig):
     """Execute one run and return (report, exit_code)."""
     t0 = time.perf_counter()
-    base, kappa, ladder = _admit(config)
+    base, kappa, ladder, delta, D_read, read, max_degree = _admit(config)
     cache = SumCache(config.cache_path) if config.cache_path else None
     ev = KloostermanEvaluator(base, cache, config.budget)
     a, n, D, mode = config.a, config.n, config.D, config.mode
@@ -366,12 +372,8 @@ def run(config: RunConfig):
         body["polygons"]["newton_" + name] = _newton_hull_json(pts)
 
     verdicts, derived = [], {}
-    # the exact series reads to D_read = min(D, delta + 1), delta its degree by a theorem
-    delta = symk_degree(base, n, config.k) if _builds_symk(config) else None
-    D_read = D if delta is None else min(D, delta + 1)
-    read = D_read if mode == "symk" else D
     with ev:
-        orbits = galois_orbits(ev, n, read, reach(n, read))
+        orbits = galois_orbits(ev, n, read, max_degree)
     if _builds_symk(config):
         gs_fin = power_sum_series(base, series(
             {pt: o for pt, o in orbits.items() if pt.degree <= D_read}, D_read,
@@ -537,8 +539,10 @@ def _record_holds(key, value, budget) -> bool:
         base = make_field(p, a, modulus)
         field = point_field(base, d)
         pt = orbit_rep(base, field, field.element(rep))
-    # a reducible modulus, or a rep that is zero or in a proper subfield
-    except (UsageError, ValueError):
+        point_field(base, d * m)  # the field of the sum
+    # a reducible modulus, a rep that is zero or in a proper subfield, or a field,
+    # the point's or the sum's, past the cap
+    except (UsageError, ValueError, ResourceError):
         return False
     fresh = KloostermanEvaluator(base, None, budget)
     return pt.rep == rep and fresh.kloosterman(n, pt, m) == value

@@ -9,12 +9,13 @@ is canonical so that independent runs build identical towers and cache
 keys never alias.  A field is the value (p, k, modulus), which
 ``make_field`` checks, so equal fields are one dictionary key.
 
-Rabin's irreducibility test, which picks the modulus, and the generator
-search run on coefficient lists mod the modulus.  The one multiplicative
-model of each field is a discrete-log and trace table over its least
-generator g, built once per field and process (``_mult_data``, a cache over
-``_MultData``) by blocks of about sqrt(|F|) powers of g, one product with
-a k x k multiplication matrix a block.  Every power, discrete log and trace
+Rabin's irreducibility test, which picks the modulus, the generator search
+and the rows X^i g of the k x k matrix of multiplication by g run on one
+product of coefficient lists mod the modulus, ``_mulmod``.  The one
+multiplicative model of each field is a discrete-log and trace table over
+its least generator g, built once per field and process (``_mult_data``, a
+cache over ``_MultData``) by blocks of about sqrt(|F|) powers of g, one
+product with that matrix a block.  Every power, discrete log and trace
 after that is a table read: closed points, orbit representatives, the
 orbits of the twists t -> c^(n+1) t and subfield embeddings all read it,
 because Frobenius acts on discrete logs as multiplication by q.
@@ -35,7 +36,7 @@ MAX_FIELD_SIZE = 1 << 21
 
 
 # ---------------------------------------------------------------------------
-# F_p[X]/(f): coefficient tuples, lowest degree first, and multiplication matrices
+# F_p[X]/(f): coefficient lists, lowest degree first
 
 
 def _pnorm(f):
@@ -43,23 +44,6 @@ def _pnorm(f):
     while i > 0 and f[i - 1] == 0:
         i -= 1
     return tuple(f[:i])
-
-
-def _mul_matrix(y, modulus, p):
-    """The k x k matrix of multiplication by y in F_p[X]/(modulus), modulus monic: row i is X^i y.
-
-    A product x y is the row vector x times this matrix.  int64 is exact:
-    every entry of a product of two reduced matrices is below
-    k (p-1)^2 < 2^63 under MAX_FIELD_SIZE.
-    """
-    k = len(modulus) - 1
-    top = np.array([-c % p for c in modulus[:k]], dtype=np.int64)  # X^k mod the monic modulus
-    out = np.zeros((k, k), dtype=np.int64)
-    out[0, : len(y)] = y
-    for i in range(1, k):
-        out[i, 1:] = out[i - 1, :-1]
-        out[i] = (out[i] + out[i - 1, -1] * top) % p
-    return out
 
 
 def _mulmod(x, y, f, p):
@@ -210,10 +194,14 @@ class _MultData:
                 break
         else:
             raise AssertionError("no generator found")
-        step = _mul_matrix(g, field.modulus, p)
+        # M_g, the matrix of multiplication by g: row i is X^i g, and x g is x M_g
+        step = np.array([_mulmod([0] * i + [1], g, field.modulus, p) for i in range(k)],
+                        dtype=np.int64)
         # the head rows g^0..g^(B-1), doubled until B^2 >= S; step is then M_g^B
         rows = np.eye(1, k, dtype=np.int64)
         while len(rows) ** 2 < S:
+            # int64 is exact: an entry of a product of reduced matrices is below
+            # k (p-1)^2 < 2^63 under MAX_FIELD_SIZE
             rows = np.concatenate([rows, rows @ step % p])
             step = step @ step % p
         # tv[i] = Tr(X^i) by Newton's identities on the modulus X^k + a_1 X^(k-1) + ... + a_k

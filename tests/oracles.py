@@ -114,7 +114,7 @@ from klsym.errors import (
     UsageError,
 )
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
-from klsym.ff import Field, _mul_matrix, _mult_data, embed, make_field
+from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
 from klsym.lfun import (
     LocalFactor,
@@ -483,6 +483,23 @@ def matrix_trace(field: Field, x) -> int:
 # ---------------------------------------------------------------------------
 # the matrix routes of ff before coefficient lists: Rabin's test, the generator
 # search and the trace vector on powers of k x k multiplication matrices
+
+
+def _mul_matrix(y, modulus, p):
+    """The k x k matrix of multiplication by y in F_p[X]/(modulus), modulus monic: row i is X^i y.
+
+    A product x y is the row vector x times this matrix.  int64 is exact:
+    every entry of a product of two reduced matrices is below
+    k (p-1)^2 < 2^63 under ff.MAX_FIELD_SIZE.
+    """
+    k = len(modulus) - 1
+    top = np.array([-c % p for c in modulus[:k]], dtype=np.int64)  # X^k mod the monic modulus
+    out = np.zeros((k, k), dtype=np.int64)
+    out[0, : len(y)] = y
+    for i in range(1, k):
+        out[i, 1:] = out[i - 1, :-1]
+        out[i] = (out[i] + out[i - 1, -1] * top) % p
+    return out
 
 
 def _mat_pow(m, e, p):
@@ -988,6 +1005,43 @@ def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
         G = H
     return {field.from_int(int(md.code[i])): CycInt.from_powers(p, enumerate(G[i]))
             for i in range(S)}
+
+
+def check_table_identities(field: Field, m: int, K) -> None:
+    """Four exact identities of K, the S x p count table of K_m over field: K[e][c]
+    counts the (m+1)-tuples of nonzero elements with product g^e whose sum has
+    trace c.  An AssertionError names the first that fails.
+
+    - Sum_e K[e] = G(1)^(m+1) and Sum_e (-1)^e K[e] = G(eta)^(m+1), eta the
+      quadratic character, G(chi)[c] = Sum_e chi(g^e) [tr(g^e) = c] and powers
+      cyclic convolutions over Z/p: summing over the product first frees the
+      m+1 factors, and chi(prod x_i) = prod chi(x_i) for chi = 1 and eta.
+    - Row e is row p e mod S, as Tr(x^p) = Tr(x).
+    - Row e + (m+1) log c is row e with phase j moved to c j, for c in F_p^*:
+      x_i -> c x_i multiplies the product by c^(m+1) and the trace by c.
+
+    Necessary conditions, each O(S p): they check a table where the
+    enumeration, at S^(m+1), cannot, but they do not prove it.
+    """
+    md = _mult_data(field)
+    S, p = md.S, field.p
+    K = np.asarray(K)
+    assert K.shape == (S, p), K.shape
+    even, odd = (np.bincount(md.tr[i::2], minlength=p).tolist() for i in (0, 1))
+    for name, G, got in (("trivial", [a + b for a, b in zip(even, odd)], K.sum(axis=0)),
+                         ("quadratic", [a - b for a, b in zip(even, odd)],
+                          K[0::2].sum(axis=0) - K[1::2].sum(axis=0))):
+        want = [1] + [0] * (p - 1)
+        for _ in range(m + 1):
+            want = [sum(want[i] * G[(c - i) % p] for i in range(p)) for c in range(p)]
+        assert got.tolist() == want, f"{name} moment of K_{m} over {field!r}"
+    e = np.arange(S)
+    assert (K[e * p % S] == K).all(), f"Frobenius rows of K_{m} over {field!r}"
+    for c in range(1, p):
+        moved = np.empty_like(K)
+        moved[:, c * np.arange(p) % p] = K
+        shift = (m + 1) * int(md.dlog[c * p ** (field.k - 1)])  # c is (c, 0, ..., 0)
+        assert (K[(e + shift) % S] == moved).all(), f"sigma_{c} rows of K_{m} over {field!r}"
 
 
 # ---------------------------------------------------------------------------

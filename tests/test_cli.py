@@ -185,14 +185,36 @@ def test_a_degree_one_short_is_a_finding(capsys, monkeypatch):
         "finding: coefficient of T^2 is -25, not 0, yet L(Sym^3) has degree 1\n")
 
 
-def test_the_cut_moves_no_refusal(tmp_path, capsys):
-    # the cut would read only to degree 2, but _admit refuses F_(3^14), the reach of
-    # D = 14, before any table, sum or cache file
+def test_the_cut_prices_and_caps_what_it_reads(tmp_path, capsys, monkeypatch):
+    # the cut reads only the points of degree <= delta + 1 = 2, from fields of degree
+    # <= reach(1, 2) = 2, so _admit prices and caps that read, not D = 14: the run
+    # prints c_0..c_2 of the whole-field oracle, then the zeros of the degree theorem
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    want = oracles.trace_sums_by_transform(3, 1, 1, 2, 5)
+    assert want[3:] == [0] * 3, want
+    assert console_main("symk -p 3 -n 1 -k 2 -D 14".split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [row["value"] for row in report["series"][0]["coefficients"]] == \
+        want[:3] + [0] * 12
+    # k = p lies outside the theorem, so the run reads to D = 14 and _admit refuses
+    # F_(3^14), the reach of D = 14, before any table, sum or cache file
     cache = tmp_path / "c.txt"
-    assert console_main(["symk", "-p", "3", "-n", "1", "-k", "2", "-D", "14",
+    assert console_main(["symk", "-p", "3", "-n", "1", "-k", "3", "-D", "14",
                          "--cache", str(cache)]) == 1
     assert capsys.readouterr().err == "error: field size 3^14 exceeds the configured cap\n"
     assert not cache.exists()
+
+
+def test_the_tables_cold_run_builds_only_the_moduli_it_reads(tmp_path, monkeypatch):
+    # symk -p 5 -k 3 -D 4 reads the points to degree delta + 1 = 3, so it builds the
+    # canonical moduli of F_5, F_(5^2) and F_(5^3), and not that of F_(5^4)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    built, real = [], ff.canonical_modulus.__wrapped__
+    monkeypatch.setattr(ff, "canonical_modulus", lambda p, k: built.append(k) or real(p, k))
+    ff.make_field.cache_clear()  # fields an earlier test made would hide their moduli
+    assert console_main("symk -p 5 -n 1 -k 3 -D 4 --out".split() +
+                        [str(tmp_path / "r.json")]) == 0
+    assert sorted(built) == [1, 2, 3]
 
 
 # runs whose Kl(t, n+1) at the top degree is over the default budget, so only the
@@ -1006,7 +1028,11 @@ def test_cache_verify_non_canonical_base_degree_one(tmp_path):
     (["v1|3,1,[0,1]|1|2|[0,0]|1|3:[-1,0]"], [2]),
     # (X + 1)^2 builds no field; the good record after it is still checked
     (["v1|3,2,[1,2,1]|1|1|[1,0]|1|3:[-1,0]", "v1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]"], [2, 3]),
-], ids=["subfield", "zero", "reducible"])
+    # a sum in F_(3^14), and a base F_(3^30), are past the field cap: no run wrote them
+    (["v1|3,1,[0,1]|1|1|[1]|14|3:[1,0]", "v1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]"], [2, 3]),
+    ([f"v1|3,30,[1{',0' * 29},1]|1|1|[1{',0' * 29}]|1|3:[-1,0]",
+      "v1|3,1,[0,1]|1|1|[1]|1|3:[-1,0]"], [2, 3]),
+], ids=["subfield", "zero", "reducible", "sum-past-cap", "base-past-cap"])
 def test_cache_verify_counts_a_record_off_its_degree_as_bad(tmp_path, capsys, records,
                                                            checked):
     cache = tmp_path / "c.txt"
@@ -1201,9 +1227,10 @@ def test_run_derives_the_closed_points_once(monkeypatch):
 @pytest.mark.parametrize("mode", ["symk", "verify-newton-hodge",
                                   "compare-slopes"])
 def test_symk_work_is_bounded_by_the_budget(mode):
-    # D k^2 = 3 * 2^2 products against a budget of 11
-    with pytest.raises(ResourceError, match=r"D\*k\^2 = 12 products, budget 11"):
-        run(RunConfig(p=3, mode=mode, k=2, D=3, budget=11))
+    # D k^2 = 3 * 3^2 products against a budget of 26; k = p = 3 lies outside the degree
+    # theorem, so the exact series is built to D in every mode
+    with pytest.raises(ResourceError, match=r"D\*k\^2 = 27 products, budget 26"):
+        run(RunConfig(p=3, mode=mode, k=3, D=3, budget=26))
 
 
 def test_ring_products_are_bounded_by_the_budget(capsys, monkeypatch):

@@ -5,13 +5,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import klsym
 from klsym import expsum, ff
-from klsym.cli import console_main
+from klsym.cli import CACHE_ENV, console_main, parse
 from klsym.cyclo import CycInt
 from klsym.errors import CacheError, ResourceError, UsageError
 from klsym.expsum import (
@@ -24,6 +26,8 @@ from klsym.expsum import (
     record_line,
 )
 from klsym.ff import closed_points, embed, make_field, orbit_rep, points_up_to
+import digests
+import oracles
 from oracles import (
     direct_reference,
     kloosterman_by_enumeration,
@@ -198,6 +202,65 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
     expsum._windows.cache_clear()
     assert console_main(argv) == 0  # every sum a cache hit
     assert expsum._windows.cache_info().currsize == 0
+
+
+def _table(field, m):
+    """K_m's S x p count table from its stored window table, whose row 0 holds
+    the rows S-1, ..., 0 of K_m."""
+    return np.asarray(expsum._level(field, m)[0]).reshape(field.size - 1, field.p)[::-1]
+
+
+def test_every_level_the_fast_rows_store_meets_the_table_identities(capsys, monkeypatch):
+    # every K_m that the n >= 2 fast rows of tests/digests.txt store, built afresh so
+    # that no level an earlier test stored hides the ones below it
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    real, stored = expsum._level, set()
+    real.cache_clear()
+    monkeypatch.setattr(expsum, "_level",
+                        lambda field, m: stored.add((field, m)) or real(field, m))
+    for row in digests.rows("fast"):
+        words = row.argv.split()
+        if getattr(parse(words), "n", 1) >= 2:
+            assert console_main(words) == row.code, row.argv
+    capsys.readouterr()
+    assert sorted((field.p, field.k, m) for field, m in stored) == [
+        *((3, 1, m) for m in (2, 3, 4)),
+        *((3, k, m) for k in range(2, 7) for m in range(1, 5)),
+        (3, 8, 1), (3, 8, 2), (5, 2, 1), (5, 3, 1), (5, 4, 1)]
+    for field, m in stored:
+        oracles.check_table_identities(field, m, _table(field, m))
+
+
+@pytest.mark.parametrize("mutant", ["count-moved", "phases-rotated"])
+def test_the_table_identities_catch_a_changed_row(mutant):
+    field = make_field(3, 4)
+    K = _table(field, 2).copy()
+    oracles.check_table_identities(field, 2, K)
+    if mutant == "count-moved":  # one count from phase 0 to phase 1 of row 0
+        assert K[0, 0] > 0
+        K[0, :2] += [-1, 1]
+    else:  # row 5's phases rotated by one
+        assert len(set(K[5].tolist())) > 1
+        K[5] = np.roll(K[5], 1)
+    with pytest.raises(AssertionError):
+        oracles.check_table_identities(field, 2, K)
+
+
+def test_the_table_identities_catch_a_level_built_from_a_wrong_trace(monkeypatch):
+    # K_2 over F_(3^4) from a trace table with tr(g) one off; the uncached builders
+    # keep the wrong levels out of the caches
+    field = make_field(3, 4)
+    md = ff._mult_data(field)
+    tr = md.tr.copy()
+    tr[1] = (tr[1] + 1) % field.p
+    monkeypatch.setattr(expsum, "_mult_data",
+                        lambda f: SimpleNamespace(S=md.S, code=md.code, dlog=md.dlog, tr=tr))
+    for name in ("_windows", "_gather", "_level"):
+        monkeypatch.setattr(expsum, name, getattr(expsum, name).__wrapped__)
+    K = _table(field, 2)
+    monkeypatch.undo()
+    with pytest.raises(AssertionError):
+        oracles.check_table_identities(field, 2, K)
 
 
 def test_a_sum_peaks_at_a_few_blocks_whatever_s_to_the_n():

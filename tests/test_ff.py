@@ -22,6 +22,7 @@ from klsym.ff import (
     points_up_to,
 )
 from oracles import (
+    _mul_matrix,
     matrix_canonical_modulus,
     matrix_generator,
     matrix_is_irreducible,
@@ -51,8 +52,8 @@ def _add(field, x, y):
 
 
 def _mul(field, x, y):
-    """x y as x times the multiplication matrix of y, the one product route of ff."""
-    return tuple((np.array(x) @ ff._mul_matrix(y, field.modulus, field.p) % field.p).tolist())
+    """x y as x times the multiplication matrix of y, an independent product route."""
+    return tuple((np.array(x) @ _mul_matrix(y, field.modulus, field.p) % field.p).tolist())
 
 
 def _trace(field, x):
