@@ -261,10 +261,6 @@ class SumCache:
                 if os.write(fd, line) != len(line):
                     raise OSError(f"{self.path}: short write appending a record")
 
-    def put(self, key: tuple, value: CycInt):
-        self.hold(key, value)
-        self.flush()
-
     def records(self):
         """(line number, key, value) triples in file order, revalidating."""
         return [(lineno, *parse_record(line)) for lineno, line in self._lines()[0]]

@@ -85,6 +85,8 @@ tests need; ``embed_cyc`` puts an element of Z[zeta_p] at the cap and
 Both divide by units through ``nested_unit_inverse``: ``padic`` has no inverse.
 ``divide_exact_cyc`` is the exact division by an integer in Z[zeta_p] of
 the ``CycInt`` loops, which production no longer makes.
+``stored_table`` and ``read_table`` give the S x p count table of a level
+``expsum`` stores and of a K_n its sums read, for ``check_table_identities``.
 ``syminf_meets_symk`` reads a ``syminf -k k`` report against the exact
 ``symk -k k`` report, to the valuation the tuples they share guarantee.
 
@@ -113,6 +115,7 @@ from klsym.errors import (
     SlopeFindingError,
     UsageError,
 )
+from klsym import expsum
 from klsym.expsum import DEFAULT_BUDGET, KloostermanEvaluator
 from klsym.ff import Field, _mult_data, embed, make_field
 from klsym.errors import IntegralityFindingError
@@ -1007,6 +1010,25 @@ def kloosterman_table(n: int, field: Field, budget: int = DEFAULT_BUDGET):
             for i in range(S)}
 
 
+def stored_table(field: Field, m: int):
+    """K_m's S x p count table from expsum's stored window table, whose row 0 holds
+    the rows S-1, ..., 0 of K_m."""
+    return np.asarray(expsum._level(field, m)[0]).reshape(field.size - 1, field.p)[::-1]
+
+
+def read_table(field: Field, n: int):
+    """K_n's S x p count table, read whole through expsum._rows in blocks as its
+    sums read rows, each row folded mod p: a read of K_0 gives 2p counts a row,
+    and of K_1 over a prime field 3p."""
+    S, p = field.size - 1, field.p
+    K = np.empty((S, p), dtype=np.int64)  # row r is row S-1-r of K_n
+    rows = max(1, expsum.BLOCK // (S if n == 1 else S * p))
+    for a in range(0, S, rows):
+        b = min(a + rows, S)
+        K[a:b] = expsum._rows(field, n, slice(a, b)).reshape(b - a, -1, p).sum(axis=1)
+    return K[::-1]
+
+
 def check_table_identities(field: Field, m: int, K) -> None:
     """Four exact identities of K, the S x p count table of K_m over field: K[e][c]
     counts the (m+1)-tuples of nonzero elements with product g^e whose sum has
@@ -1028,9 +1050,11 @@ def check_table_identities(field: Field, m: int, K) -> None:
     K = np.asarray(K)
     assert K.shape == (S, p), K.shape
     even, odd = (np.bincount(md.tr[i::2], minlength=p).tolist() for i in (0, 1))
-    for name, G, got in (("trivial", [a + b for a, b in zip(even, odd)], K.sum(axis=0)),
+    # the moments count S^(m+1) tuples, past int64 for K_4 over F_(3^9): Python ints
+    for name, G, got in (("trivial", [a + b for a, b in zip(even, odd)],
+                          K.sum(axis=0, dtype=object)),
                          ("quadratic", [a - b for a, b in zip(even, odd)],
-                          K[0::2].sum(axis=0) - K[1::2].sum(axis=0))):
+                          K[0::2].sum(axis=0, dtype=object) - K[1::2].sum(axis=0, dtype=object))):
         want = [1] + [0] * (p - 1)
         for _ in range(m + 1):
             want = [sum(want[i] * G[(c - i) % p] for i in range(p)) for c in range(p)]

@@ -204,12 +204,6 @@ def test_a_window_table_is_built_only_where_a_sum_runs(tmp_path):
     assert expsum._windows.cache_info().currsize == 0
 
 
-def _table(field, m):
-    """K_m's S x p count table from its stored window table, whose row 0 holds
-    the rows S-1, ..., 0 of K_m."""
-    return np.asarray(expsum._level(field, m)[0]).reshape(field.size - 1, field.p)[::-1]
-
-
 def test_every_level_the_fast_rows_store_meets_the_table_identities(capsys, monkeypatch):
     # every K_m that the n >= 2 fast rows of tests/digests.txt store, built afresh so
     # that no level an earlier test stored hides the ones below it
@@ -228,13 +222,32 @@ def test_every_level_the_fast_rows_store_meets_the_table_identities(capsys, monk
         *((3, k, m) for k in range(2, 7) for m in range(1, 5)),
         (3, 8, 1), (3, 8, 2), (5, 2, 1), (5, 3, 1), (5, 4, 1)]
     for field, m in stored:
-        oracles.check_table_identities(field, m, _table(field, m))
+        oracles.check_table_identities(field, m, oracles.stored_table(field, m))
+
+
+def test_every_table_the_fast_rows_sums_read_meets_the_table_identities(capsys, monkeypatch):
+    # every K_n whose rows a sum of a fast row of tests/digests.txt reads, built
+    # whole through _rows; with no cache every sum the rows need runs
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    real, read = expsum._direct_sum, set()
+    monkeypatch.setattr(expsum, "_direct_sum",
+                        lambda n, field, t: read.add((field, n)) or real(n, field, t))
+    for row in digests.rows("fast"):
+        assert console_main(row.argv.split()) == row.code, row.argv
+    capsys.readouterr()
+    assert sorted((field.p, field.k, n) for field, n in read) == [
+        *((3, k, n) for k in range(1, 5) for n in range(1, 6)),
+        (3, 5, 1), (3, 5, 4), (3, 5, 5), *((3, 6, n) for n in range(2, 6)), (3, 8, 3),
+        (5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 2, 2), (5, 3, 1), (5, 3, 2), (5, 4, 2),
+        *((7, k, 1) for k in range(1, 5)), *((11, k, 1) for k in range(1, 5))]
+    for field, n in read:
+        oracles.check_table_identities(field, n, oracles.read_table(field, n))
 
 
 @pytest.mark.parametrize("mutant", ["count-moved", "phases-rotated"])
 def test_the_table_identities_catch_a_changed_row(mutant):
     field = make_field(3, 4)
-    K = _table(field, 2).copy()
+    K = oracles.stored_table(field, 2).copy()
     oracles.check_table_identities(field, 2, K)
     if mutant == "count-moved":  # one count from phase 0 to phase 1 of row 0
         assert K[0, 0] > 0
@@ -257,7 +270,7 @@ def test_the_table_identities_catch_a_level_built_from_a_wrong_trace(monkeypatch
                         lambda f: SimpleNamespace(S=md.S, code=md.code, dlog=md.dlog, tr=tr))
     for name in ("_windows", "_gather", "_level"):
         monkeypatch.setattr(expsum, name, getattr(expsum, name).__wrapped__)
-    K = _table(field, 2)
+    K = oracles.stored_table(field, 2)
     monkeypatch.undo()
     with pytest.raises(AssertionError):
         oracles.check_table_identities(field, 2, K)
@@ -448,7 +461,7 @@ def test_cache_rejects_conflicting_duplicate(tmp_path):
     with pytest.raises(CacheError, match="conflicting"):
         SumCache(path)
     with pytest.raises(CacheError):
-        cache.put(key, CycInt(3, (7, 7)))
+        cache.hold(key, CycInt(3, (7, 7)))
 
 
 def test_cache_compact_dedupes(tmp_path):
@@ -494,27 +507,6 @@ def _record(m):
     return (3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m))
 
 
-def test_cache_put_appends_each_record_in_one_write(tmp_path, monkeypatch):
-    path = tmp_path / "sums.cache"
-    cache = SumCache(path)
-    assert not path.exists()  # the first append creates the file
-    writes, real_write = [], os.write
-
-    def write(fd, data):
-        writes.append(bytes(data))
-        return real_write(fd, data)
-
-    monkeypatch.setattr(os, "write", write)
-    lines = []
-    for m in (1, 2, 3):
-        key, value = _record(m)
-        cache.put(key, value)
-        lines.append(f"v1|3,1,[0,1]|1|1|[1]|{m}|{value.serialize()}\n".encode("ascii"))
-    header = (CACHE_HEADER + "\n").encode("ascii")
-    assert writes == [header + lines[0]] + lines[1:]  # the header rides on the first record
-    assert path.read_bytes() == header + b"".join(lines)
-
-
 def test_cache_bytes_do_not_depend_on_workers(tmp_path):
     # a short switch interval interleaves the worker threads more often;
     # the records still land in point order
@@ -533,6 +525,8 @@ def test_cache_bytes_do_not_depend_on_workers(tmp_path):
     assert files[1] == files[0] and files[2] == files[0]
 
 
+# a writer holds its records and appends them in batches of 5, one flush each: the
+# shape of a command, which flushes all it held when its sums are done
 _WRITER = """
 import sys, time
 from klsym.cyclo import CycInt
@@ -541,7 +535,10 @@ path, first, count, start = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), flo
 cache = SumCache(path)
 time.sleep(max(0.0, start - time.time()))  # both writers begin together
 for m in range(first, first + count):
-    cache.put((3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m)))
+    cache.hold((3, 1, (0, 1), 1, 1, (1,), m), CycInt(3, (10 ** 3000 + m, -m)))
+    if (m - first) % 5 == 4:
+        cache.flush()
+cache.flush()
 """
 
 
@@ -570,7 +567,8 @@ def test_append_after_another_writers_torn_record_heals(tmp_path):
     key, value = _record(1)
     with open(path, "ab") as fh:  # another writer dies mid-record
         fh.write(record_line(key, value).encode("ascii")[:40])
-    cache.put(*_record(2))
+    cache.hold(*_record(2))
+    cache.flush()
     reloaded = SumCache(path)  # raises CacheError if the record joined the torn text
     assert reloaded.torn == 0
     assert [key for _, key, _ in reloaded.records()] == [_record(2)[0]]
@@ -583,8 +581,10 @@ def test_two_caches_loaded_over_one_torn_tail_keep_both_records(tmp_path):
         fh.write(b"v1|3,1,[0,1]|1|1|[1]|1|3:[5,")
     first, second = SumCache(path), SumCache(path)
     assert first.torn == second.torn == 1
-    first.put(*_record(1))
-    second.put(*_record(2))  # must not cut first's record at the offset it loaded
+    first.hold(*_record(1))
+    first.flush()
+    second.hold(*_record(2))
+    second.flush()  # must not cut first's record at the offset it loaded
     assert sorted(key for _, key, _ in SumCache(path).records()) == \
         sorted(_record(m)[0] for m in (1, 2))
 
@@ -610,7 +610,9 @@ def test_process_appending_while_another_compacts_loses_no_record(tmp_path):
 
 def test_second_creator_keeps_the_first_creators_records(tmp_path, monkeypatch):
     path = tmp_path / "sums.cache"
-    SumCache(path).put(*_record(1))
+    first = SumCache(path)
+    first.hold(*_record(1))
+    first.flush()
     # a second process found the file missing just before the first created it
     real_open, missed = open, []
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from klsym import cli, lfun
 from klsym.cli import _ring_products, console_main
@@ -17,7 +18,7 @@ from klsym.errors import (
     UsageError,
 )
 from klsym.expsum import KloostermanEvaluator
-from klsym.ff import MAX_FIELD_SIZE, closed_points, make_field, points_up_to
+from klsym.ff import MAX_FIELD_SIZE, _mult_data, closed_points, make_field, points_up_to
 from klsym.lfun import (
     Series,
     elementary_from_power_sums,
@@ -622,6 +623,52 @@ def test_euler_product_padic_integrality_finding():
     assert str(exc.value) == ("coefficient of T^1 moves under zeta -> zeta^2 "
                               "below the certificate 8")
     assert exc.value.witness == {"r": 1, "galois": 2, "val": 1}
+
+
+def test_euler_product_checks_galois_descent_under_the_generator():
+    # at p = 7 the coefficient moves by the Gaussian period zeta + zeta^2 + zeta^4,
+    # which sigma_2 (of order 3) fixes: sigma_3 = sigma_g moves it by sqrt(-7),
+    # pi-valuation 3
+    ev = _ev(7)
+    base = ev.base
+    kappa = PadicExponent.exact(7, 2)
+    contribs = []
+    for pt in closed_points(base, 1):
+        lf = local_factor(ev, 1, pt)
+        contribs.append((pt, sym_inf_local(lf, kappa, V=12, R=1)))
+    period = CycInt.from_powers(7, [(1, 1), (2, 1), (4, 1)])
+    assert period.galois(2) == period
+    z = embed_cyc(period, contribs[0][1].coeffs[1].N)
+    contribs[0][1].coeffs[1] = contribs[0][1].coeffs[1] + z
+    with pytest.raises(IntegralityFindingError) as exc:
+        euler_product(base, _members(contribs), 1)
+    assert str(exc.value) == ("coefficient of T^1 moves under zeta -> zeta^3 "
+                              "below the certificate 12")
+    assert exc.value.witness == {"r": 1, "galois": 3, "val": 3}
+
+
+@st.composite
+def _galois_operands(draw):
+    """(p, g, x): g the generator of F_p^* that euler_product checks under, and x a
+    PadicCyc whose coordinates carry powers of p, some fixed by a subgroup of
+    sigmas, so that sigma_c(x) - x takes many pi-valuations."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    N = draw(st.integers(1, 5))
+    g = int(_mult_data(make_field(p, 1)).code[1])
+    coord = st.builds(lambda e, u: p ** e * u, st.integers(0, N), st.integers(0, p ** N - 1))
+    x = PadicCyc(p, N, draw(st.lists(coord, min_size=p - 1, max_size=p - 1)),
+                 draw(st.integers(1, N * (p - 1))))
+    d = draw(st.sampled_from([d for d in range(1, p) if (p - 1) % d == 0]))
+    # the trace of x to the field fixed by the subgroup of the sigma_(g^(d j))
+    orbit = [x.galois(pow(g, d * j, p)) for j in range((p - 1) // d)]
+    return p, g, sum(orbit[1:], orbit[0])
+
+
+@given(_galois_operands())
+def test_sigma_g_moves_an_element_no_less_than_any_sigma(operands):
+    p, g, x = operands
+    vals = [(x.galois(c) - x).val_lb() for c in range(2, p)]
+    assert (x.galois(g) - x).val_lb() == min(vals)
 
 
 def test_euler_product_rejects_mixed_modes():
