@@ -124,7 +124,11 @@ def _admit(config: RunConfig):
     _precisions; the exact Sym^k series, of degree delta where a theorem gives it
     (else None), is built to D_read = min(D, delta + 1); the run reads the points to
     degree read (D_read in symk mode, else D), from fields of degree <= max_degree =
-    reach(n, read), and the budgets and the field cap price that read."""
+    reach(n, read), and the budgets and the field cap price that read.  A report
+    past its read (D > read, in symk mode) pads the series to D + 1 coefficients
+    and builds hodge_coeffs(n, 2D + 2), 3(D + 1) in all, at about 20 steps each:
+    on a 2-core host, symk -p 3 -n 1 -k 1 -D 100000 took 2.8 s and 253 MiB, 9 us a
+    coefficient, where a product in Z[zeta_3], 4 steps, takes 2 us."""
     if config.a < 1 or config.n < 1:
         raise UsageError("need a >= 1 and n >= 1")
     if config.D < 1:
@@ -167,6 +171,10 @@ def _admit(config: RunConfig):
              else PadicExponent.truncated(config.p, config.kappa_digits))
     ladder = None if config.mode == "symk" else _precisions(
         config, config.V if config.V is not None else default_precision(config))
+    coeffs = 3 * (config.D + 1)
+    if config.D > read and 20 * coeffs > config.budget:
+        raise ResourceError(f"a report to degree D = {config.D} builds {coeffs} coefficients, "
+                            f"about {20 * coeffs} steps, budget {config.budget}")
     return base, kappa, ladder, delta, D_read, read, max_degree
 
 

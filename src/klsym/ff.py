@@ -24,6 +24,7 @@ because Frobenius acts on discrete logs as multiplication by q.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache
 from typing import NamedTuple
 
@@ -344,9 +345,12 @@ def twist_orbits(points, n: int) -> dict:
 
     Multiplication by c^(n+1) commutes with Frobenius, so it permutes the
     closed points of each degree; the representative is the first point of
-    its orbit in sort_key order.  With c = g^(j S/(p-1)) it adds
-    (n+1) j S/(p-1) to a discrete log mod S, so the p-1 shifts of every
-    point's log, each canonicalised by _least_codes, give its whole orbit.
+    its orbit in sort_key order.  With c = gamma^j, gamma = g^(S/(p-1)) of
+    order p-1, it adds (n+1) j S/(p-1) to a discrete log mod S.  gamma^(j(n+1))
+    is 1 exactly when P = (p-1)/gcd(n+1, p-1) divides j, so the shifts repeat
+    with period P: the P shifts j < P of every point's log, each canonicalised
+    by _least_codes, give its whole orbit, and the least j reaching its least
+    code lies below P.
     """
     out = {}
     for d in sorted({pt.degree for pt in points}):
@@ -358,7 +362,7 @@ def twist_orbits(points, n: int) -> dict:
         logs = md.dlog[[pt.rep_int for pt in group]]
         # shifted[j, i] is the code of the point [gamma^(j (n+1)) t_i]
         shifted = np.array([_least_codes(md, q, d, (logs + (n + 1) * j * step) % md.S)[0]
-                            for j in range(p - 1)])
+                            for j in range((p - 1) // math.gcd(n + 1, p - 1))])
         # the least j reaching the representative; t_i is then gamma^(-j (n+1)) rep
         for pt, code, j in zip(group, shifted.min(axis=0).tolist(),
                                shifted.argmin(axis=0).tolist()):

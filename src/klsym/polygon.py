@@ -60,10 +60,8 @@ class Polygon(NamedTuple):
 
     def slopes(self):
         """(slope, horizontal length) pairs, in increasing slope order."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
-        return out
+        return [(Fraction(y1 - y0, x1 - x0), x1 - x0)
+                for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])]
 
 
 def hodge_polygon(n: int, p: int, vertex_count: int) -> Polygon:
@@ -217,14 +215,10 @@ def compare_slope_range(points_a, points_b, slope_max: Fraction) -> Verdict:
     lo_b, hi_b = hulls(points_b)
 
     def range_end(poly):
-        # largest abscissa while the slope stays <= slope_max
-        end = Fraction(0)
-        for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:]):
-            if Fraction(y1 - y0, x1 - x0) <= slope_max:
-                end = x1
-            else:
-                break
-        return end
+        # a hull's slopes increase from r = 0, where c_0 = 1 is exact, so its
+        # segments of slope <= slope_max lead, and their lengths sum to their end
+        return sum((length for slope, length in poly.slopes() if slope <= slope_max),
+                   Fraction(0))
 
     end = min(range_end(lo_a), range_end(lo_b))
     if end == 0:

@@ -1124,9 +1124,17 @@ def test_oversize_input_exits_one_before_any_work(tmp_path, argv, tables):
      "error: precision V = 100000 needs T*V*N = 5000100000 steps, budget 2000000"),
     (["syminf", "-p", "3", "-n", "1", "--kappa", "3", "-D", "2"],
      "usage error: digits must be base-3 digits, got (3,)"),
-], ids=["verify-V", "unitroot-V", "syminf-kappa"])
+    (["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "1000000000"],
+     "error: a report to degree D = 1000000000 builds 3000000003 coefficients, "
+     "about 60000000060 steps, budget 2000000"),
+    (["symk", "-p", "3", "-n", "1", "-k", "1", "-D", "9" * 23],
+     f"error: a report to degree D = {'9' * 23} builds {3 * 10 ** 23} coefficients, "
+     f"about {60 * 10 ** 23} steps, budget 2000000"),
+], ids=["verify-V", "unitroot-V", "syminf-kappa", "symk-report-D", "symk-report-D23"])
 def test_a_refused_run_leaves_no_trace(tmp_path, argv, err):
-    # every refusal is made before a discrete-log table, a sum or the cache file
+    # every refusal is made before a discrete-log table, a sum or the cache file; a
+    # symk run reads only to degree delta + 1 = 2 here, so its report to D is priced
+    # apart from its read
     cache = tmp_path / "new.cache"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klsym.__file__)))
     env.pop(cli.CACHE_ENV, None)

@@ -434,7 +434,7 @@ def test_closed_points_are_the_orbit_reps(p, a, modulus, d):
 @pytest.mark.parametrize("p,a,n,D", [
     (3, 1, 1, 3), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 1, 3), (5, 1, 2, 2), (5, 1, 3, 1),
     (7, 1, 1, 2), (7, 1, 2, 1), (7, 1, 3, 1), (11, 1, 1, 2), (11, 1, 2, 1), (11, 1, 3, 1),
-    (3, 2, 2, 2), (5, 2, 1, 1),
+    (3, 2, 2, 2), (5, 2, 1, 1), (7, 1, 5, 1), (13, 1, 3, 1),
 ])
 def test_twist_orbits_agree_with_orbit_rep(p, a, n, D):
     base = make_field(p, a)
@@ -450,6 +450,22 @@ def test_twist_orbits_agree_with_orbit_rep(p, a, n, D):
         rep, c = twists[pt]
         assert rep == min((twist(b, pt) for b in range(1, p)), key=ClosedPoint.sort_key)
         assert twist(c, rep) == pt
+
+
+@pytest.mark.parametrize("p,n,period", [(3, 1, 1), (5, 1, 2), (7, 2, 2), (7, 5, 1), (13, 3, 3)])
+def test_twist_orbits_shift_over_one_period(monkeypatch, p, n, period):
+    # gamma^(j (n+1)) = 1 exactly when (p-1)/gcd(n+1, p-1) divides j, so each degree
+    # canonicalises that many shifts of its logs
+    points = points_up_to(make_field(p, 1), 2)
+    passes, least_codes = Counter(), ff._least_codes
+
+    def counted(md, q, d, e):
+        passes[d] += 1
+        return least_codes(md, q, d, e)
+
+    monkeypatch.setattr(ff, "_least_codes", counted)
+    ff.twist_orbits(points, n)
+    assert passes == {1: period, 2: period}
 
 
 def test_generator_has_full_order():
