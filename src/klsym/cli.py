@@ -265,7 +265,7 @@ def _series_json(name, gs, points, exponent):
 
 
 def _newton_hull_json(points):
-    return lower_hull([pt for pt in points if pt.exact and pt.ordq is not None]).vertices
+    return lower_hull([pt for pt in points if pt.exact]).vertices
 
 
 def write_report(report: dict, out_path: str | None):

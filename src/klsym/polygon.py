@@ -74,17 +74,13 @@ def hodge_polygon(n: int, p: int, vertex_count: int) -> Polygon:
     h = hodge_coeffs(n, 2 * vertex_count + 2)
     unit = Fraction(1) - Fraction(1, p - 1)
     verts = [(Fraction(0), Fraction(0))]
-    x = Fraction(0)
-    y = Fraction(0)
     for i, mult in enumerate(h):
-        if mult == 0:
-            continue
-        x += mult
-        y += mult * i * unit
-        verts.append((x, y))
         if len(verts) > vertex_count:
             break
-    return Polygon(tuple(verts[: vertex_count + 1]))
+        if mult:
+            x, y = verts[-1]
+            verts.append((x + mult, y + mult * i * unit))
+    return Polygon(tuple(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +121,13 @@ def newton_points(coeffs, a: int, cert: int | None = None):
 
 def lower_hull(points) -> Polygon:
     """Lower convex hull of finite (r, ordq) pairs, monotone chain."""
-    best = {}
-    for pt in points:
-        if pt.ordq is None:
-            continue
-        x = Fraction(pt.r)
-        y = Fraction(pt.ordq)
-        if x not in best or y < best[x]:
-            best[x] = y
-    if not best:
+    pts = sorted((Fraction(pt.r), Fraction(pt.ordq)) for pt in points if pt.ordq is not None)
+    if not pts:
         raise UsageError("no finite points to hull")
     hull = []
-    for x, y in sorted(best.items()):
+    for x, y in pts:
+        if hull and hull[-1][0] == x:
+            continue  # the least ordq at this r sorted first
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             if (y1 - y0) * (x - x1) >= (y - y1) * (x1 - x0):
@@ -157,7 +148,7 @@ class Verdict(NamedTuple):
 
     @property
     def decided(self):
-        return self.status in ("pass", "violation", "agree", "disagree")
+        return self.status != "inconclusive"
 
 
 def verify_above(points, hodge: Polygon) -> Verdict:
@@ -165,33 +156,21 @@ def verify_above(points, hodge: Polygon) -> Verdict:
 
     Exact points below the polygon give a violation with the leftmost
     witness.  Inexact points below give an inconclusive verdict carrying
-    the pi-adic precision that would settle the worst offender (assuming
+    the pi-adic precision that would settle the leftmost of them (assuming
     the comparison is at the given a via the caller's newton_points call).
     """
-    violations = []
-    unsettled = []
-    for pt in points:
-        if pt.ordq is None:
-            continue  # exactly zero: infinitely high, always above
-        x = Fraction(pt.r)
-        if x > hodge.width:
-            continue
-        bound = hodge.value_at(x)
+    unsettled = None
+    for pt in sorted(points, key=lambda pt: pt.r):  # stable: the first at an r wins
+        if pt.ordq is None or pt.r > hodge.width:
+            continue  # exactly zero (infinitely high), or past the polygon
+        bound = hodge.value_at(pt.r)
         if pt.ordq >= bound:
             continue
         if pt.exact:
-            violations.append(pt)
-        else:
-            unsettled.append((pt, bound))
-    if violations:
-        w = min(violations, key=lambda pt: pt.r)
-        return Verdict("violation", {
-            "r": w.r, "ordq": w.ordq, "hodge": hodge.value_at(w.r)})
-    if unsettled:
-        w, need = min(unsettled, key=lambda t: t[0].r)
-        return Verdict("inconclusive", {
-            "r": w.r, "have_ordq": w.ordq, "need_ordq": need})
-    return Verdict("pass", None)
+            return Verdict("violation", {"r": pt.r, "ordq": pt.ordq, "hodge": bound})
+        if unsettled is None:
+            unsettled = {"r": pt.r, "have_ordq": pt.ordq, "need_ordq": bound}
+    return Verdict("pass", None) if unsettled is None else Verdict("inconclusive", unsettled)
 
 
 def compare_slope_range(points_a, points_b, slope_max: Fraction) -> Verdict:
@@ -204,15 +183,10 @@ def compare_slope_range(points_a, points_b, slope_max: Fraction) -> Verdict:
     verdict is inconclusive and names the first undecided abscissa.
     """
     slope_max = Fraction(slope_max)
-
-    def hulls(points):
-        lo = lower_hull(points)
+    sides = []  # (lo, hi) per side: the hulls of all points and of the exact ones
+    for points in (points_a, points_b):
         exact = [pt for pt in points if pt.exact]
-        hi = lower_hull(exact) if exact else None
-        return lo, hi
-
-    lo_a, hi_a = hulls(points_a)
-    lo_b, hi_b = hulls(points_b)
+        sides.append((lower_hull(points), lower_hull(exact) if exact else None))
 
     def range_end(poly):
         # a hull's slopes increase from r = 0, where c_0 = 1 is exact, so its
@@ -220,31 +194,27 @@ def compare_slope_range(points_a, points_b, slope_max: Fraction) -> Verdict:
         return sum((length for slope, length in poly.slopes() if slope <= slope_max),
                    Fraction(0))
 
-    end = min(range_end(lo_a), range_end(lo_b))
+    def pinched(lo, hi, x):
+        # the side's value at x where its two hulls meet there, else None
+        y = lo.value_at(x)
+        return y if hi is not None and x <= hi.width and hi.value_at(x) == y else None
+
+    end = min(range_end(lo) for lo, _ in sides)
     if end == 0:
         return Verdict("inconclusive", {"reason": "no slopes at or below the cap"})
     # a disagreement is only certified where the exact-point hulls also
     # still run at capped slope, else a bound artifact could be blamed
-    sure_end = end
-    for hi in (hi_a, hi_b):
-        if hi is not None:
-            sure_end = min(sure_end, range_end(hi))
-    polys = [lo_a, lo_b] + [h for h in (hi_a, hi_b) if h is not None]
-    xs = sorted({v[0] for poly in polys for v in poly.vertices
-                 if 0 <= v[0] <= end}
+    sure_end = min([end] + [range_end(hi) for _, hi in sides if hi is not None])
+    xs = sorted({v[0] for side in sides for poly in side if poly is not None
+                 for v in poly.vertices if 0 <= v[0] <= end}
                 | {Fraction(0), end})
     for x in xs:
-        la, lb = lo_a.value_at(x), lo_b.value_at(x)
-        ha = hi_a.value_at(x) if hi_a and x <= hi_a.width else None
-        hb = hi_b.value_at(x) if hi_b and x <= hi_b.width else None
-        pinched_a = ha is not None and la == ha
-        pinched_b = hb is not None and lb == hb
-        if pinched_a and pinched_b:
-            if la != lb:
-                if x <= sure_end:
-                    return Verdict("disagree", {"x": x, "a": la, "b": lb})
-                return Verdict("inconclusive", {
-                    "x": x, "reason": "difference beyond certified slope range"})
-            continue
-        return Verdict("inconclusive", {"x": x})
+        ya, yb = (pinched(lo, hi, x) for lo, hi in sides)
+        if ya is None or yb is None:
+            return Verdict("inconclusive", {"x": x})
+        if ya != yb:
+            if x <= sure_end:
+                return Verdict("disagree", {"x": x, "a": ya, "b": yb})
+            return Verdict("inconclusive", {
+                "x": x, "reason": "difference beyond certified slope range"})
     return Verdict("agree", {"through_x": end})

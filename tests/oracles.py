@@ -57,6 +57,16 @@ algorithm, so a test can require the two to agree:
 * ``direct_reference``: one Kloosterman sum by brute force with the same
   schoolbook arithmetic, no discrete-log table;
 * ``_hodge_coeffs_bruteforce``: Hodge numbers by direct enumeration;
+* ``hodge_polygon_reference``, ``lower_hull_reference``,
+  ``verify_above_reference`` and ``compare_slope_range_reference``: the
+  polygon routines as ``polygon`` wrote them before each took one pass:
+  parallel x/y accumulators and a closing slice, a dict of the least ordq
+  per r, violations and unsettled points in two lists with a ``min`` of
+  each, and the pinch written out once per side, against ``polygon``'s,
+  compared by ``repr`` so that witness types count;
+* ``symk_degree_seen``: the degree delta(p, k) of L(Sym^k Kl_1) over F_p
+  by its formula for every k, past the k < p of ``lfun.symk_degree``,
+  beside the last nonzero coefficient of ``trace_sums_by_transform``;
 * ``build_parser``: the argparse parser of every command, as ``cli`` built it
   before one option table and one pass over argv (``cli.parse``) replaced it,
   against ``cli.parse`` over a corpus of command lines;
@@ -99,6 +109,7 @@ import argparse
 import itertools
 import math
 import os
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -135,6 +146,7 @@ from klsym.padic import (
     ord_p,
     slope_split,
 )
+from klsym.polygon import Polygon, Verdict, hodge_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +623,148 @@ def _hodge_coeffs_bruteforce(n: int, count: int):
         if w < count:
             h[w] += 1
     return h
+
+
+# ---------------------------------------------------------------------------
+# the polygon routines as polygon wrote them, with two passes or one per side;
+# unchanged but for the _reference names
+
+
+def hodge_polygon_reference(n: int, p: int, vertex_count: int) -> Polygon:
+    """First vertex_count+1 vertices of the expected lower bound polygon.
+
+    Segment i has horizontal length h_i and slope i (1 - 1/(p-1)), both in
+    ord_q units per unit of T-degree.
+    """
+    # parts {2..n+1} leave gaps of at most one index between nonzero h_i
+    h = hodge_coeffs(n, 2 * vertex_count + 2)
+    unit = Fraction(1) - Fraction(1, p - 1)
+    verts = [(Fraction(0), Fraction(0))]
+    x = Fraction(0)
+    y = Fraction(0)
+    for i, mult in enumerate(h):
+        if mult == 0:
+            continue
+        x += mult
+        y += mult * i * unit
+        verts.append((x, y))
+        if len(verts) > vertex_count:
+            break
+    return Polygon(tuple(verts[: vertex_count + 1]))
+
+
+def lower_hull_reference(points) -> Polygon:
+    """Lower convex hull of finite (r, ordq) pairs, monotone chain."""
+    best = {}
+    for pt in points:
+        if pt.ordq is None:
+            continue
+        x = Fraction(pt.r)
+        y = Fraction(pt.ordq)
+        if x not in best or y < best[x]:
+            best[x] = y
+    if not best:
+        raise UsageError("no finite points to hull")
+    hull = []
+    for x, y in sorted(best.items()):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (x - x1) >= (y - y1) * (x1 - x0):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return Polygon(tuple(hull))
+
+
+def verify_above_reference(points, hodge: Polygon) -> Verdict:
+    """Check every coefficient point lies on or above the Hodge polygon.
+
+    Exact points below the polygon give a violation with the leftmost
+    witness.  Inexact points below give an inconclusive verdict carrying
+    the pi-adic precision that would settle the worst offender (assuming
+    the comparison is at the given a via the caller's newton_points call).
+    """
+    violations = []
+    unsettled = []
+    for pt in points:
+        if pt.ordq is None:
+            continue  # exactly zero: infinitely high, always above
+        x = Fraction(pt.r)
+        if x > hodge.width:
+            continue
+        bound = hodge.value_at(x)
+        if pt.ordq >= bound:
+            continue
+        if pt.exact:
+            violations.append(pt)
+        else:
+            unsettled.append((pt, bound))
+    if violations:
+        w = min(violations, key=lambda pt: pt.r)
+        return Verdict("violation", {
+            "r": w.r, "ordq": w.ordq, "hodge": hodge.value_at(w.r)})
+    if unsettled:
+        w, need = min(unsettled, key=lambda t: t[0].r)
+        return Verdict("inconclusive", {
+            "r": w.r, "have_ordq": w.ordq, "need_ordq": need})
+    return Verdict("pass", None)
+
+
+def compare_slope_range_reference(points_a, points_b, slope_max: Fraction) -> Verdict:
+    """Certified comparison of the two Newton polygons up to a slope cap.
+
+    The true hull of each side is pinched between the hull of all points
+    (bounds included, a lower estimate) and the hull of exact points only
+    (an upper estimate).  Agreement or disagreement is only declared where
+    the pinch closes on the whole slope <= slope_max range; otherwise the
+    verdict is inconclusive and names the first undecided abscissa.
+    """
+    slope_max = Fraction(slope_max)
+
+    def hulls(points):
+        lo = lower_hull_reference(points)
+        exact = [pt for pt in points if pt.exact]
+        hi = lower_hull_reference(exact) if exact else None
+        return lo, hi
+
+    lo_a, hi_a = hulls(points_a)
+    lo_b, hi_b = hulls(points_b)
+
+    def range_end(poly):
+        # a hull's slopes increase from r = 0, where c_0 = 1 is exact, so its
+        # segments of slope <= slope_max lead, and their lengths sum to their end
+        return sum((length for slope, length in poly.slopes() if slope <= slope_max),
+                   Fraction(0))
+
+    end = min(range_end(lo_a), range_end(lo_b))
+    if end == 0:
+        return Verdict("inconclusive", {"reason": "no slopes at or below the cap"})
+    # a disagreement is only certified where the exact-point hulls also
+    # still run at capped slope, else a bound artifact could be blamed
+    sure_end = end
+    for hi in (hi_a, hi_b):
+        if hi is not None:
+            sure_end = min(sure_end, range_end(hi))
+    polys = [lo_a, lo_b] + [h for h in (hi_a, hi_b) if h is not None]
+    xs = sorted({v[0] for poly in polys for v in poly.vertices
+                 if 0 <= v[0] <= end}
+                | {Fraction(0), end})
+    for x in xs:
+        la, lb = lo_a.value_at(x), lo_b.value_at(x)
+        ha = hi_a.value_at(x) if hi_a and x <= hi_a.width else None
+        hb = hi_b.value_at(x) if hi_b and x <= hi_b.width else None
+        pinched_a = ha is not None and la == ha
+        pinched_b = hb is not None and lb == hb
+        if pinched_a and pinched_b:
+            if la != lb:
+                if x <= sure_end:
+                    return Verdict("disagree", {"x": x, "a": la, "b": lb})
+                return Verdict("inconclusive", {
+                    "x": x, "reason": "difference beyond certified slope range"})
+            continue
+        return Verdict("inconclusive", {"x": x})
+    return Verdict("agree", {"through_x": end})
 
 
 @lru_cache(maxsize=None)
@@ -1188,6 +1342,20 @@ def trace_sums_by_transform(p: int, a: int, n: int, k: int, D: int) -> list:
             raise IntegralityFindingError(f"{r} does not divide r c_{r} = {acc}")
         out.append(acc // r)
     return out
+
+
+def symk_degree_seen(p: int, k: int, D: int):
+    """(delta, last): the degree of L(G_m, Sym^k Kl_1, T) over F_p by the formula
+    delta = (k+1)/2 - floor((k+p)/(2p)) for odd k and k/2 - floor(k/(2p)) for even k,
+    which is floor((k+1)/2) for k < p, and the index of the last nonzero coefficient
+    of ``trace_sums_by_transform(p, 1, 1, k, D)``, which reads no closed point.
+    The two agree wherever delta < D."""
+    if k % 2:
+        delta = (k + 1) // 2 - (k + p) // (2 * p)
+    else:
+        delta = k // 2 - k // (2 * p)
+    coeffs = trace_sums_by_transform(p, 1, 1, k, D)
+    return delta, max(r for r, c in enumerate(coeffs) if c)
 
 
 # ---------------------------------------------------------------------------

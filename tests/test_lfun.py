@@ -756,6 +756,19 @@ def test_symk_at_reach_matches_the_whole_field_transform(tmp_path, reach_cache, 
     assert [c["value"] for c in coeffs] == trace_sums_by_transform(3, 1, n, k, D)
 
 
+
+@pytest.mark.parametrize("p,D,k", [(3, 6, k) for k in range(1, 10)]
+                         + [(5, 5, k) for k in range(1, 11)]
+                         + [(7, 4, k) for k in range(1, 8)])
+def test_the_whole_field_series_ends_at_the_degree_formula(p, D, k):
+    # delta(p, k) past k < p, where lfun.symk_degree gives no degree: the whole-field
+    # oracle, which reads no closed point, ends at delta, below D; CI runs the
+    # measured table, D = 11, 7 and 5 and k to 12, 13 and 9
+    delta, last = oracles.symk_degree_seen(p, k, D)
+    assert last == delta < D
+    if k < p:
+        assert delta == lfun.symk_degree(make_field(p, 1), 1, k)
+
 def test_the_transform_oracle_refuses_a_rounding_error(monkeypatch):
     ifft2 = np.fft.ifft2
     monkeypatch.setattr(np.fft, "ifft2", lambda x: ifft2(x) + 0.3)

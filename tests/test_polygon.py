@@ -1,8 +1,10 @@
 """Polygon combinatorics and certified comparisons."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klsym.cyclo import CycInt
 from klsym.errors import UsageError
@@ -17,7 +19,14 @@ from klsym.polygon import (
     newton_points,
     verify_above,
 )
-from oracles import _hodge_coeffs_bruteforce, embed_cyc
+from oracles import (
+    _hodge_coeffs_bruteforce,
+    compare_slope_range_reference,
+    embed_cyc,
+    hodge_polygon_reference,
+    lower_hull_reference,
+    verify_above_reference,
+)
 
 F = Fraction
 
@@ -182,6 +191,30 @@ def test_verify_above_zero_coefficient_is_fine():
     assert verify_above(pts, _hodge13()).status == "pass"
 
 
+def test_verify_above_an_exact_point_below_outranks_an_inexact_one_left_of_it():
+    pts = [CoeffPoint(0, F(0), True), CoeffPoint(2, F(1, 2), False),
+           CoeffPoint(3, F(1), True)]
+    assert verify_above(pts, _hodge13()) == ("violation", {"r": 3, "ordq": F(1), "hodge": F(3)})
+
+
+def test_verify_above_names_the_leftmost_unsettled_point():
+    # the witness is r = 2 with its own bound 1, not r = 3's bound 3
+    pts = [CoeffPoint(0, F(0), True), CoeffPoint(3, F(2), False),
+           CoeffPoint(2, F(1, 2), False)]
+    assert verify_above(pts, _hodge13()) == (
+        "inconclusive", {"r": 2, "have_ordq": F(1, 2), "need_ordq": F(1)})
+
+
+def test_verify_above_does_not_depend_on_the_order_of_the_points():
+    for pts in ([CoeffPoint(0, F(0), True), CoeffPoint(2, F(1, 2), False),
+                 CoeffPoint(3, F(1), True), CoeffPoint(5, F(0), True)],
+                [CoeffPoint(0, F(0), True), CoeffPoint(3, F(2), False),
+                 CoeffPoint(2, F(1, 2), False), CoeffPoint(1, None, True)]):
+        want = verify_above(pts, _hodge13())
+        for order in itertools.permutations(pts):
+            assert verify_above(list(order), _hodge13()) == want
+
+
 # ---------------------------------------------------------------------------
 # compare_slope_range
 
@@ -222,8 +255,90 @@ def test_compare_restricts_to_slope_cap():
     assert compare_slope_range(a, b, F(3)).status == "disagree"
 
 
+def test_compare_a_side_with_no_exact_point_is_open_from_zero():
+    a = _exact([0, 0, 1, 3])
+    b = [CoeffPoint(r, F(v), False) for r, v in enumerate([0, 0, 1, 3])]
+    assert compare_slope_range(a, b, F(1)) == ("inconclusive", {"x": F(0)})
+    assert compare_slope_range(b, a, F(1)) == ("inconclusive", {"x": F(0)})
+    # a side with no slope at or below the cap: the verdict gives that reason first
+    steep = [CoeffPoint(r, F(v), False) for r, v in enumerate([0, 5, 10])]
+    assert compare_slope_range(a, steep, F(1)) == (
+        "inconclusive", {"reason": "no slopes at or below the cap"})
+
+
 def test_compare_mixed_exact_and_bounds_still_agrees():
     # bound points sitting above the exact hull do not disturb the verdict
     a = _exact([0, 0, 1]) + [CoeffPoint(3, F(3), False)]
     b = _exact([0, 0, 1]) + [CoeffPoint(3, F(4), False)]
     assert compare_slope_range(a, b, F(1)).status == "agree"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass routines against the references in tests/oracles.py, by repr, so
+# that the types of vertices and witnesses count as well as their values
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except UsageError as exc:  # no finite point to hull, or an abscissa off a hull
+        return repr(exc)
+
+
+_mostly = st.integers(0, 3).map(lambda i: i < 3)  # True three times in four
+_ordq = st.fractions(0, 4, max_denominator=3)
+
+
+@st.composite
+def _coeff_points(draw, exact=_mostly, c0_exact=True):
+    """CoeffPoints for r = 0..D (c_0 = 1 mostly there) and a few repeated r, in any
+    order, with zeros and bounds."""
+    ordq = _ordq | st.none()
+    D = draw(st.integers(1, 7))
+    pts = [CoeffPoint(0, F(0), c0_exact)] if draw(_mostly) else []
+    pts += [CoeffPoint(r, draw(ordq), draw(exact)) for r in range(1, D + 1)]
+    pts += draw(st.lists(st.builds(CoeffPoint, st.integers(0, D), ordq, exact), max_size=3))
+    return draw(st.permutations(pts))
+
+
+_sides = _coeff_points() | _coeff_points(st.just(False), False)  # no exact point
+_hodge = st.builds(hodge_polygon, st.integers(1, 3), st.sampled_from([3, 5, 7]),
+                   st.integers(0, 6))  # width 0 to 6: r runs past it
+
+
+@st.composite
+def _side_pairs(draw):
+    """Two sides, the second often the first's points again, reordered, with more."""
+    a = draw(_sides)
+    b = draw(_sides | st.builds(lambda pts, more: pts + more, st.permutations(a),
+                                st.lists(st.builds(CoeffPoint, st.integers(0, 7), _ordq,
+                                                   _mostly), max_size=2)))
+    return a, b
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.sampled_from([3, 5, 7, 11]), st.integers(0, 39))
+def test_hodge_polygon_matches_the_reference(n, p, vertex_count):
+    assert repr(hodge_polygon(n, p, vertex_count)) == \
+        repr(hodge_polygon_reference(n, p, vertex_count))
+
+
+@settings(max_examples=200)
+@given(_sides)
+def test_lower_hull_matches_the_reference(points):
+    assert _outcome(lower_hull, points) == _outcome(lower_hull_reference, points)
+
+
+@settings(max_examples=250)
+@given(_sides, _hodge)
+def test_verify_above_matches_the_reference(points, hodge):
+    assert _outcome(verify_above, points, hodge) == \
+        _outcome(verify_above_reference, points, hodge)
+
+
+@settings(max_examples=300)
+@given(_side_pairs(), st.sampled_from([F(1), F(0), F(1, 2), F(2), F(5)]))
+def test_compare_slope_range_matches_the_reference(sides, slope_max):
+    points_a, points_b = sides
+    assert _outcome(compare_slope_range, points_a, points_b, slope_max) == \
+        _outcome(compare_slope_range_reference, points_a, points_b, slope_max)
