@@ -353,7 +353,7 @@ def run(config: RunConfig):
     t0 = time.perf_counter()
     base, kappa, ladder, delta, D_read, read, max_degree = _admit(config)
     cache = SumCache(config.cache_path) if config.cache_path else None
-    ev = KloostermanEvaluator(base, cache, config.budget)
+    ev = KloostermanEvaluator(base, cache, config.budget, max_degree)
     a, n, D, mode = config.a, config.n, config.D, config.mode
     exponent = _exponent_json(config)
     hodge = hodge_polygon(n, config.p, D)

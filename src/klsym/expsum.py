@@ -298,13 +298,17 @@ class SumCache:
 
 class KloostermanEvaluator:
     """Evaluates Kl_n over a fixed base field with caching and budgets; the cache
-    holds the sums it computes until a ``with`` block on it ends, then appends them."""
+    holds the sums it computes until a ``with`` block on it ends, then appends them.
+    A sum over the budget is refused when it is reached, so a warm cache serves it;
+    max_degree, the degree over the base of the largest field a run reads, lets the
+    refusal name that run's largest sum too."""
 
     def __init__(self, base: Field, cache: SumCache | None = None,
-                 budget: int = DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET, max_degree: int | None = None):
         self.base = base
         self.cache = cache
         self.budget = budget
+        self.max_degree = max_degree
 
     def __enter__(self):
         return self
@@ -328,8 +332,12 @@ class KloostermanEvaluator:
         S = big.size - 1
         # S >= 2, so S^n > budget once n reaches the budget's bit length
         if n >= self.budget.bit_length() or S**n > self.budget:
-            raise ResourceError(
-                f"sum over (F_{big.size})^{n} needs {S}^{n} steps, budget {self.budget}")
+            largest = ""
+            if self.max_degree is not None and self.max_degree * self.base.k > big.k:
+                top = self.base.size ** self.max_degree
+                largest = f"; the run's largest sum, over (F_{top})^{n}, needs {top - 1}^{n} steps"
+            raise ResourceError(f"sum over (F_{big.size})^{n} needs {S}^{n} steps, "
+                                f"budget {self.budget}{largest}")
         if S**n >> 63:  # a row of K_n counts S^n tuples: int64 holds them below 2^63
             raise ResourceError(f"sum over (F_{big.size})^{n} counts {S}^{n} tuples, past int64")
         value = _direct_sum(n, big, embed(point.field, big, point.rep))

@@ -226,16 +226,20 @@ def sym_inf_weights(n: int, wmax: int):
 
 
 def _inverse_series(lf: LocalFactor, lams, N: int, V: int, R: int) -> Series:
-    """prod over lams of (1 - lam T^d)^(-1) to r = R at precision N; the
-    certificate is V capped by the vcert of every lam and every coefficient."""
-    p = lf.coeffs[0].p
-    out = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * R
-    cert = V
-    for lam in lams:
-        cert = min(cert, lam.vcert)
-        for r in range(1, R + 1):  # lam * out[0], out[0] = 1 at the cap, is lam
-            out[r] = out[r] + (lam * out[r - 1] if r > 1 else lam)
-    return Series(out, min([cert] + [c.vcert for c in out]))
+    """prod over lams of (1 - lam T^d)^(-1) to r = R, each lam at precision N or below:
+    coefficient r is h_r(lams), the sum over i of lam_i h_(r-1)(lam_1..lam_i), so each row
+    starts from its first term.  A row the next one reads keeps its partial sums; the
+    top row is one many-term sum.  The certificate is V capped by the vcert of every
+    lam and every coefficient."""
+    p, lams = lf.coeffs[0].p, list(lams)
+    out, terms = [PadicCyc.from_int(p, N, 1)], lams  # row 1's terms: lam_i h_0, h_0 = 1
+    for _ in range(R - 1):
+        partial = list(itertools.accumulate(terms))
+        out.append(partial[-1])
+        terms = [lam * h for lam, h in zip(lams, partial)]
+    if R:
+        out.append(PadicCyc.sum_of(terms))
+    return Series(out, min([V] + [lam.vcert for lam in lams] + [c.vcert for c in out]))
 
 
 def sym_inf_local(lf: LocalFactor, kappa: PadicExponent, V: int, R: int) -> Series:
@@ -323,7 +327,8 @@ def euler_product(base, members, D: int) -> Series:
     sigma_c of) at every closed point of degree <= D, merged in canonical point order.
 
     Each series starts with exactly 1, so only its terms j >= 1 multiply, each
-    sigma_c of the given one cut to the least precision.  Every coefficient must
+    sigma_c of the given one cut to the least precision in one reduction, and the
+    product's own leading 1 multiplies none of them.  Every coefficient must
     be Galois-invariant to the uniform certificate, or IntegralityFindingError
     names the first that is not.  Only sigma_g is checked, g the generator of F_p^* in ``ff``:
     it generates the group, and each sigma is a ring automorphism keeping pi-valuations, so
@@ -344,12 +349,12 @@ def euler_product(base, members, D: int) -> Series:
     acc = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * D
     for pt, g, ls in members:
         # times the local series in T^d; going down in r, acc[r - j d] still
-        # holds its value from before this point
+        # holds its value from before this point, and acc[0] is 1 at the cap
         d = pt.degree
-        local = [c.galois(g).with_precision(N) for c in ls.coeffs[: D // d + 1]]
+        local = [c.galois(g, N) for c in ls.coeffs[1: D // d + 1]]  # local[j - 1]: T^(j d)
         for r in range(D, d - 1, -1):
             for j in range(1, r // d + 1):
-                acc[r] = acc[r] + acc[r - j * d] * local[j]
+                acc[r] = acc[r] + (local[j - 1] if j * d == r else acc[r - j * d] * local[j - 1])
     cert = min([ls.cert for _, _, ls in members] + [c.vcert for c in acc])
     g = int(_mult_data(make_field(p, 1)).code[1])
     for r, c in enumerate(acc):

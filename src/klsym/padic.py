@@ -7,15 +7,19 @@ Every operation propagates the certificate pessimistically, so a final
 vcert is a sound claim, never a heuristic; ``val_lb`` is the one valuation
 its readers take.  A ``PadicCyc`` has no inverse; an int operand is exact,
 so it embeds at the cap, and every product is certified by one rule: the
-least of N(p-1) and each factor's vcert plus the other's valuation.
+least of N(p-1) and each factor's vcert plus the other's valuation.  It holds
+its modulus p^N, so a sum or product of two values at one p is built at the
+lower one's N and modulus with no power taken.
 
 ``val_lb`` is min(val, vcert), val the pi-valuation of the coordinates capped
 at N(p-1).  Reduced coordinates are nonzero just when it is below the cap, so
 val depends on the class mod p^N alone, and it is exact, not a bound.  pi is
 prime, so a product's val is the sum of its factors', capped (past the cap the
 product is 0 mod p^N); a sum's or difference's is the smaller capped val where
-the two differ (ultrametric), unknown on a tie; sigma_c sends pi to pi times a
-unit, so ``galois`` keeps it.  Ints, the unit root and the 1-unit series (0) and
+the two differ (ultrametric), unknown on a tie, and by the same rule a many-term
+sum (``sum_of``: one pass over the coordinates, reduced once) takes the least
+capped val where one term alone has it; sigma_c sends pi to pi times a unit, so
+``galois`` keeps it, and cuts to a lower N in the same reduction.  Ints, the unit root and the 1-unit series (0) and
 the slope split's pi_j (a d j (p-1)) are seeded; any other val is measured once,
 by ``CycInt.pi_val``, when ``val_lb`` first needs it.
 
@@ -24,11 +28,13 @@ map, where a certificate fixed in advance is set once, for the result
 (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): ``mul_coords``, the
 ``cyclo`` product kernel with a modulus, multiplies, folds zeta^(p-1) and
 reduces in one pass; ``_horner`` evaluates
-f at z and divides it by X - z; ``_lift_simple_nonzero_root`` lifts a simple
+f at z and divides it by X - z, adding z where a partial sum is 1, as the leading
+one of a monic f is; ``_lift_simple_nonzero_root`` lifts a simple
 root x of f with y ~ 1/f'(x), x <- x - f(x) y, then y <- y - y (f'(x) y - 1),
 until f(x) = 0 mod p^N; ``hensel_unit_root`` adds the one 1-unit test and gives
 every p-adic mode its unit root, the first eigenvalue of ``slope_split``;
-``one_unit_power`` steps each size from the last by Pascal's rule.  These
+``one_unit_power`` steps each size from the last by Pascal's rule, with x^L from
+the table of x^i, i <= m, that Paterson-Stockmeyer reads.  These
 coordinates are canonical, so no skipped work moves a byte.
 """
 
@@ -82,26 +88,28 @@ class PadicExponent(NamedTuple):
 
 
 class PadicCyc:
-    """Element of Z_p[zeta_p]: p - 1 coordinates mod p^N, a pi-adic certificate vcert,
-    and val, their pi-valuation capped at N(p-1) (module docstring), None until known."""
+    """Element of Z_p[zeta_p]: p - 1 coordinates mod p^N, held as mod, a pi-adic
+    certificate vcert, and val, their pi-valuation capped at N(p-1) (module
+    docstring), None until known."""
 
-    __slots__ = ("p", "N", "coords", "vcert", "val")
+    __slots__ = ("p", "N", "mod", "coords", "vcert", "val")
 
     def __init__(self, p: int, N: int, coords, vcert: int, val: int | None = None):
         if N < 1:
             raise PrecisionError("working precision exhausted (N < 1)")
-        self.p, self.N, mod = p, N, p ** N
-        self.coords = tuple([c % mod for c in coords])
+        self.p, self.N, self.mod = p, N, p ** N
+        self.coords = tuple([c % self.mod for c in coords])
         self.vcert = min(vcert, N * (p - 1))
         if self.vcert <= 0:
             raise PrecisionError("certificate exhausted (vcert <= 0)")
         self.val = val
 
     @classmethod
-    def _new(cls, p: int, N: int, coords: tuple, vcert: int, val: int | None = None) -> "PadicCyc":
-        """No checks: coords reduced mod p^N, 0 < vcert <= N(p-1), val exact or None."""
+    def _new(cls, p: int, N: int, mod: int, coords: tuple, vcert: int,
+             val: int | None = None) -> "PadicCyc":
+        """No checks: mod = p^N, coords reduced mod it, 0 < vcert <= N(p-1), val exact or None."""
         self = object.__new__(cls)
-        self.p, self.N, self.coords, self.vcert, self.val = p, N, coords, vcert, val
+        self.p, self.N, self.mod, self.coords, self.vcert, self.val = p, N, mod, coords, vcert, val
         return self
 
     # -- constructors
@@ -112,6 +120,21 @@ class PadicCyc:
         self = cls(p, N, (v,) + (0,) * (p - 2), N * (p - 1))
         self.val = (p - 1) * ord_p(p, self.coords[0]) if self.coords[0] else self.vcert
         return self
+
+    @staticmethod
+    def sum_of(terms) -> "PadicCyc":
+        """A nonempty list's sum in one pass over the coordinates, reduced once at the
+        least N: vcert the least, val the least capped val where one term alone has it."""
+        first = terms[0]
+        if any(t.__class__ is not PadicCyc or t.p != first.p for t in terms):
+            raise UsageError("mixed p-adic levels")
+        lo = min(terms, key=lambda t: t.N)
+        cap = lo.N * (first.p - 1)
+        vals = [None if t.val is None else min(t.val, cap) for t in terms]
+        least = None if None in vals else min(vals)
+        return PadicCyc._new(first.p, lo.N, lo.mod, tuple([sum(col) % lo.mod for col in zip(
+            *[t.coords for t in terms])]), min([t.vcert for t in terms]),
+            least if vals.count(least) == 1 else None)
 
     # -- inspection
 
@@ -126,9 +149,16 @@ class PadicCyc:
     # -- normalisation helpers
 
     def with_precision(self, N: int) -> "PadicCyc":
-        if N > self.N:
+        return self.galois(1, N)
+
+    def galois(self, c: int, N: int | None = None) -> "PadicCyc":
+        """sigma_c, zeta -> zeta^c, cut to N <= self.N (self.N when None) in the one
+        reduction; sigma_c keeps val, as it sends pi to pi times a unit."""
+        if N is None:
+            N = self.N
+        elif N > self.N:
             raise PrecisionError(f"cannot raise precision {self.N} -> {N}")
-        return PadicCyc(self.p, N, self.coords, self.vcert,
+        return PadicCyc(self.p, N, galois_coords(self.coords, c), self.vcert,
                         None if self.val is None else min(self.val, N * (self.p - 1)))
 
     # -- ring operations
@@ -142,14 +172,15 @@ class PadicCyc:
         return other
 
     def _linear(self, other, op) -> "PadicCyc":
-        """self op other, op add or sub; the least vcert is within both caps."""
-        other = self._coerce(other)
-        N = min(self.N, other.N)
-        mod, cap = self.p ** N, N * (self.p - 1)
-        va, vb = (None if x.val is None else min(x.val, cap) for x in (self, other))
-        return PadicCyc._new(self.p, N, tuple([op(a, b) % mod for a, b in zip(
+        """self op other, op add or sub, at the lower precision of the two; the least
+        vcert is within both caps."""
+        if other.__class__ is not PadicCyc or other.p != self.p:
+            other = self._coerce(other)
+        lo = other if other.N < self.N else self
+        mod, cap, va, vb = lo.mod, lo.N * (self.p - 1), self.val, other.val
+        return PadicCyc._new(self.p, lo.N, mod, tuple([op(a, b) % mod for a, b in zip(
             self.coords, other.coords)]), min(self.vcert, other.vcert),
-            None if va is None or vb is None or va == vb else min(va, vb))
+            None if va is None or vb is None or min(va, cap) == min(vb, cap) else min(va, vb, cap))
 
     def __add__(self, other):
         return self._linear(other, add)
@@ -158,14 +189,16 @@ class PadicCyc:
         return self._linear(other, sub)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        N = min(self.N, other.N)
-        cap = N * (self.p - 1)
+        if other.__class__ is not PadicCyc or other.p != self.p:
+            other = self._coerce(other)
+        lo = other if other.N < self.N else self
+        cap = lo.N * (self.p - 1)
         # val_lb() >= 0: a term whose factor is at the cap never binds
         vc = min(cap, self.vcert + other.val_lb() if self.vcert < cap else cap,
                  other.vcert + self.val_lb() if other.vcert < cap else cap)
         v = None if self.val is None or other.val is None else min(self.val + other.val, cap)
-        return PadicCyc._new(self.p, N, mul_coords(self.coords, other.coords, self.p ** N), vc, v)
+        return PadicCyc._new(self.p, lo.N, lo.mod, mul_coords(self.coords, other.coords, lo.mod),
+                             vc, v)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -182,9 +215,6 @@ class PadicCyc:
             base = base * base if e else base
         return PadicCyc.from_int(self.p, self.N, 1) if out is None else out
 
-    def galois(self, c: int) -> "PadicCyc":
-        return PadicCyc(self.p, self.N, galois_coords(self.coords, c), self.vcert, self.val)
-
     def __repr__(self):
         return f"PadicCyc(p={self.p}, N={self.N}, vcert={self.vcert}, {self.coords})"
 
@@ -195,10 +225,13 @@ class PadicCyc:
 
 def _horner(f, z: tuple, mod: int) -> list:
     """Horner's partial sums of f at z, each mod `mod`: the last is f(z), the others
-    the quotient by X - z, high-first."""
+    the quotient by X - z, high-first.  A partial sum of 1, the leading one of every
+    monic f, adds z with no product."""
+    one = (1,) + (0,) * (len(z) - 1)
     out = [tuple([c % mod for c in f[-1]])]
     for c in reversed(f[:-1]):
-        out.append(tuple([(s + t) % mod for s, t in zip(mul_coords(out[-1], z, mod), c)]))
+        t = z if out[-1] == one else mul_coords(out[-1], z, mod)
+        out.append(tuple([(s + u) % mod for s, u in zip(t, c)]))
     return out
 
 
@@ -260,7 +293,7 @@ def hensel_unit_root(factor_coeffs, N: int) -> PadicCyc:
     if sum(root) % p != 1:
         raise DegenerateFactorError(
             f"unit root has residue {sum(root) % p} != 1, not a 1-unit")
-    return PadicCyc._new(p, N, root, N * (p - 1), 0)
+    return PadicCyc._new(p, N, p ** N, root, N * (p - 1), 0)
 
 
 def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
@@ -303,8 +336,8 @@ def slope_split(factor_coeffs, a: int, d: int, N: int) -> list:
         f = [tuple([x // p ** (ad * i) for x in c]) for i, c in enumerate(quot)][::-1]
         M -= ad * (len(quot) - 1)
         u = _lift_simple_nonzero_root(f, p, M)
-        eigenvalues.append(PadicCyc._new(p, M + ad * j, tuple([c * p ** (ad * j) for c in u]),
-                                         (M + ad * j) * (p - 1), ad * j * (p - 1)))
+        eigenvalues.append(PadicCyc._new(p, M + ad * j, p ** (M + ad * j), tuple(
+            [c * p ** (ad * j) for c in u]), (M + ad * j) * (p - 1), ad * j * (p - 1)))
     return eigenvalues
 
 
@@ -340,13 +373,17 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
         for l in range(1, L):
             fact_ord += ord_p(p, l)
             cert = min(cert, (p - 1) * max(0, kappa.ndigits - fact_ord) + l * v1)
-    mod, m, x = p ** N, math.isqrt(L - 1) + 1, um1.coords
-    # x^0..x^m and x^L only when some kappa - s is not a plain power
+    mod, m, x = u.mod, math.isqrt(L - 1) + 1, um1.coords
+    # x^0..x^m only when some kappa - s is not a plain power, and x^L = (x^m)^q x^(L - q m),
+    # q = L // m >= 1, only when a Pascal step follows
     if not kappa.is_exact or kappa.rep < wmax:
         pw = [(1,) + (0,) * (p - 2), x]
         while len(pw) <= m:
             pw.append(mul_coords(pw[-1], x, mod))
-        columns, x_L = list(zip(*pw[:m])), (um1 ** L).coords
+        columns = list(zip(*pw[:m]))
+        if wmax:
+            x_L = _power_coords(pw[m], L // m, mod)
+            x_L = mul_coords(x_L, pw[L % m], mod) if L % m else x_L
     out = []
     for s in range(wmax, -1, -1):
         r = kappa.minus_int(s).rep
@@ -364,5 +401,14 @@ def one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> 
             for j in reversed(range(0, L, m)):  # Horner in x^m from the top block down
                 acc = mul_coords(acc, pw[m], mod) if j + m < L else acc
                 acc = [a + sum(map(mul, bs[j:j + m], col)) for a, col in zip(acc, columns)]
-        out.append(PadicCyc(p, N, acc, cert, 0))
+        out.append(PadicCyc._new(p, N, mod, tuple([a % mod for a in acc]), cert, 0))
     return out[::-1]
+
+
+def _power_coords(x: tuple, e: int, mod: int) -> tuple:
+    """x^e mod `mod` for e >= 1, by binary powering from the top bit: no product by 1."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = mul_coords(out, out, mod)
+        out = mul_coords(out, x, mod) if bit == "1" else out
+    return out

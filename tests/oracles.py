@@ -82,6 +82,14 @@ algorithm, so a test can require the two to agree:
   at every deflation step and p-power shifts by ``times_p_power`` and
   ``divide_exact_p_power``, against ``padic.slope_split``, which deflates
   and divides on coordinates mod p^N;
+* ``horner_reference``, ``one_unit_power_reference``, ``inverse_series_reference``
+  and ``euler_product_reference``: the p-adic value layer as it was before
+  it held its modulus and summed in one pass: Horner's rule with a product
+  by the leading 1 of a monic f, x^L as a binary power of u - 1 on
+  ``PadicCyc``, each lam added to every coefficient from ``from_int(0)``, and
+  sigma_g of each local coefficient at its own N, then cut to the least N,
+  with every product by the leading 1 made; against ``padic._horner``,
+  ``padic.one_unit_power``, ``lfun._inverse_series`` and ``lfun.euler_product``;
 * ``pi_val_reference``: the closed-form pi-valuation with a fresh
   binomial and a full ord_p per term, against ``CycInt.pi_val``, which
   reads a binomial table and stops dividing once a term cannot win.
@@ -118,7 +126,7 @@ import sympy
 from klsym import __version__
 from klsym.cli import CACHE_ENV, MAX_WORKERS, MODES, cmd_cache, cmd_local, cmd_points, \
     cmd_run, cmd_sum
-from klsym.cyclo import CycInt
+from klsym.cyclo import CycInt, galois_coords, mul_coords
 from klsym.errors import (
     DegenerateFactorError,
     PrecisionError,
@@ -344,6 +352,114 @@ def per_element_one_unit_power(u: PadicCyc, kappa: PadicExponent, V: int,
         if s is not None:
             cert = min(cert, (p - 1) * max(0, s - fact_ord) + l * v1)
     return PadicCyc(p, acc.N, acc.coords, min(cert, acc.vcert))
+
+
+def horner_reference(f, z: tuple, mod: int) -> list:
+    """``padic._horner`` with one product at every step, by a leading 1 too."""
+    out = [tuple([c % mod for c in f[-1]])]
+    for c in reversed(f[:-1]):
+        out.append(tuple([(s + t) % mod for s, t in zip(mul_coords(out[-1], z, mod), c)]))
+    return out
+
+
+def one_unit_power_reference(u: PadicCyc, kappa: PadicExponent, V: int, wmax: int = 0) -> list:
+    """``padic.one_unit_power`` with x^L the binary power (u - 1) ** L on PadicCyc, a
+    second chain beside the table x^0..x^m, made whatever wmax is."""
+    p, N = u.p, u.N
+    if kappa.p != p:
+        raise UsageError("exponent and base have different p")
+    um1 = u - 1
+    v1 = um1.val_lb()
+    if v1 < 1:
+        raise DegenerateFactorError("base of one_unit_power must be a 1-unit")
+    L, cert = max(1, -(-V // v1)), min(V, u.vcert, N * (p - 1))
+    if not kappa.is_exact:
+        fact_ord = 0
+        for l in range(1, L):
+            fact_ord += ord_p(p, l)
+            cert = min(cert, (p - 1) * max(0, kappa.ndigits - fact_ord) + l * v1)
+    mod, m, x = p ** N, math.isqrt(L - 1) + 1, um1.coords
+    if not kappa.is_exact or kappa.rep < wmax:
+        pw = [(1,) + (0,) * (p - 2), x]
+        while len(pw) <= m:
+            pw.append(mul_coords(pw[-1], x, mod))
+        columns, x_L = list(zip(*pw[:m])), (um1 ** L).coords
+    out = []
+    for s in range(wmax, -1, -1):
+        r = kappa.minus_int(s).rep
+        if kappa.is_exact and r >= 0:
+            out.append(out[-1] * u if r > 1 and s < wmax else u ** r)
+            continue
+        if s < wmax and r:
+            c = math.comb(r - 1, L - 1) if r > 0 else (-1) ** (L - 1) * math.comb(L - r - 1, L - 1)
+            acc = [a - c * b for a, b in zip(mul_coords(u.coords, out[-1].coords, mod), x_L)]
+        else:
+            bs = [1]
+            for l in range(1, L):
+                bs.append(bs[-1] * (r - l + 1) // l)
+            acc = (0,) * (p - 1)
+            for j in reversed(range(0, L, m)):
+                acc = mul_coords(acc, pw[m], mod) if j + m < L else acc
+                acc = [a + sum(b * w for b, w in zip(bs[j:j + m], col))
+                       for a, col in zip(acc, columns)]
+        out.append(PadicCyc(p, N, acc, cert, 0))
+    return out[::-1]
+
+
+def inverse_series_reference(lf: LocalFactor, lams, N: int, V: int, R: int) -> Series:
+    """``lfun._inverse_series`` adding each lam to every coefficient r >= 1, which
+    all start from from_int(0): out[r] += lam out[r-1], going up in r."""
+    p = lf.coeffs[0].p
+    out = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * R
+    cert = V
+    for lam in lams:
+        cert = min(cert, lam.vcert)
+        for r in range(1, R + 1):
+            out[r] = out[r] + (lam * out[r - 1] if r > 1 else lam)
+    return Series(out, min([cert] + [c.vcert for c in out]))
+
+
+def _galois_then_cut(c: PadicCyc, g: int, N: int) -> PadicCyc:
+    """sigma_g(c) at c's own N, then a second reduction to N <= c.N."""
+    conj = PadicCyc(c.p, c.N, galois_coords(c.coords, g), c.vcert, c.val)
+    if N > conj.N:
+        raise PrecisionError(f"cannot raise precision {conj.N} -> {N}")
+    return PadicCyc(c.p, N, conj.coords, conj.vcert,
+                    None if conj.val is None else min(conj.val, N * (c.p - 1)))
+
+
+def euler_product_reference(base, members, D: int) -> Series:
+    """``lfun.euler_product`` with sigma_g and the cut to N as two reductions and a
+    product by the leading 1 of acc at every r = j d."""
+    members = sorted(members, key=lambda m: m[0].sort_key())
+    check_coverage(base, [pt for pt, _, _ in members], D)
+    p = base.p
+    if any(ls.cert is None for _, _, ls in members):
+        raise UsageError("exact local series take power_sum_series, not euler_product")
+    for pt, _, ls in members:
+        if len(ls.coeffs) < D // pt.degree + 1:
+            raise UsageError(f"local series at {pt.rep} too short for degree {D}")
+        c = ls.coeffs[0]
+        if (c.coords, c.vcert) != ((1,) + (0,) * (p - 2), c.N * (p - 1)):
+            raise UsageError(f"local series at {pt.rep} does not start with 1")
+    N = min(c.N for _, _, ls in members for c in ls.coeffs)
+    acc = [PadicCyc.from_int(p, N, 1)] + [PadicCyc.from_int(p, N, 0)] * D
+    for pt, g, ls in members:
+        d = pt.degree
+        local = [_galois_then_cut(c, g, N) for c in ls.coeffs[: D // d + 1]]
+        for r in range(D, d - 1, -1):
+            for j in range(1, r // d + 1):
+                acc[r] = acc[r] + acc[r - j * d] * local[j]
+    cert = min([ls.cert for _, _, ls in members] + [c.vcert for c in acc])
+    g = int(_mult_data(make_field(p, 1)).code[1])
+    for r, c in enumerate(acc):
+        diff = (_galois_then_cut(c, g, c.N) - c).val_lb()
+        if diff < cert:
+            raise IntegralityFindingError(
+                f"coefficient of T^{r} moves under zeta -> zeta^{g} "
+                f"below the certificate {cert}",
+                witness={"r": r, "galois": g, "val": diff})
+    return Series(acc, cert)
 
 
 def per_element_slope_split(factor_coeffs, a: int, d: int, N: int) -> list:

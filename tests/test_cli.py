@@ -289,6 +289,16 @@ def test_a_refused_run_writes_the_sums_it_computed_first(tmp_path, capsys):
         "db3561d01f5415e51c37d81079e9324874ac6c696bc69bf63c7cb8339e4aabb6")
 
 
+def test_a_refused_sum_names_the_largest_sum_of_the_run(capsys, monkeypatch):
+    # the first sum over the budget is over F_(3^8); a budget raised to it would reach
+    # the sums over F_(3^9) at the degree-3 points, so the one error line names those too
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert console_main("verify -p 3 -n 4 -k 1 -D 3 --budget 1000000000000000".split()) == 1
+    assert capsys.readouterr().err == (
+        "error: sum over (F_6561)^4 needs 6560^4 steps, budget 1000000000000000; "
+        "the run's largest sum, over (F_19683)^4, needs 19682^4 steps\n")
+
+
 def test_cold_cache_bytes_are_pinned_at_n3(tmp_path):
     # every sum in reach(3, 3) = 6: Kl(t, 1..4) at the 2 points of degree 1, Kl(t, 1..3)
     # at the 3 of degree 2 and Kl(t, 1..2) at the 8 of degree 3, each orbit one point

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klsym import cli, lfun
 from klsym.cli import _ring_products, console_main
@@ -20,7 +20,9 @@ from klsym.errors import (
 from klsym.expsum import KloostermanEvaluator
 from klsym.ff import MAX_FIELD_SIZE, _mult_data, closed_points, make_field, points_up_to
 from klsym.lfun import (
+    LocalFactor,
     Series,
+    _inverse_series,
     elementary_from_power_sums,
     eigen_power_sums,
     euler_product,
@@ -40,9 +42,11 @@ from oracles import (
     eigen_power_sums_cyc,
     elementary_from_power_sums_cyc,
     embed_cyc,
+    euler_product_reference,
     exact_euler_product,
     from_rational,
     inverse_factor_series,
+    inverse_series_reference,
     series_per_point,
     sym_inf_local_hsum,
     sym_k_factor,
@@ -669,6 +673,88 @@ def test_sigma_g_moves_an_element_no_less_than_any_sigma(operands):
     p, g, x = operands
     vals = [(x.galois(c) - x).val_lb() for c in range(2, p)]
     assert (x.galois(g) - x).val_lb() == min(vals)
+
+
+def _padic_value(draw, p, N, rational=None):
+    """A PadicCyc at a level M of N - 2..N (at least 1): coordinates with powers of p,
+    zeros among them, and its val known (measured, so exact) or not; any vcert, but a
+    value that ``rational`` says is not rational is at the cap."""
+    M = draw(st.integers(max(1, N - 2), N))
+    coord = st.builds(lambda e, u: p ** e * u, st.integers(0, M), st.integers(0, p ** M - 1))
+    coords = draw(st.lists(coord, min_size=p - 1, max_size=p - 1))
+    if rational:
+        coords = coords[:1] + [0] * (p - 2)
+    x = PadicCyc(p, M, coords, M * (p - 1) if rational is False
+                 else draw(st.integers(1, M * (p - 1))))
+    if draw(st.booleans()):
+        x.val_lb()
+    return x
+
+
+@st.composite
+def _eigenvalue_lists(draw):
+    """(p, N, lams, R), each lam at N or below: vcerts mixed, vals known or not,
+    values whose vals tie (a conjugate), that cancel (a negative), and 0 mod p^N."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(1, 6))
+    lams = [_padic_value(draw, p, N) for _ in range(draw(st.integers(1, 5)))]
+    for kind in draw(st.lists(st.sampled_from(["conjugate", "negative", "zero"]), max_size=3)):
+        x = draw(st.sampled_from(lams))
+        lams.append(x.galois(p - 1) if kind == "conjugate" else x * -1 if kind == "negative"
+                    else PadicCyc.from_int(p, x.N, p ** x.N))
+    return p, N, draw(st.permutations(lams)), draw(st.integers(0, 3))
+
+
+def _padic_series(gs):
+    return [(c.coords, c.N, c.vcert, c.val_lb()) for c in gs.coeffs], gs.cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eigenvalue_lists(), st.integers(1, 40))
+def test_inverse_series_matches_the_reference(operands, V):
+    """Rows from their first terms, the top row one many-term sum, against each lam
+    added to every coefficient from from_int(0): coords, N, vcert, val_lb and cert."""
+    p, N, lams, R = operands
+    lf = LocalFactor(None, 1, (CycInt.from_int(p, 1),), "full")
+    assert _padic_series(_inverse_series(lf, lams, N, V, R)) == \
+        _padic_series(inverse_series_reference(lf, lams, N, V, R))
+
+
+def _euler_outcome(product, base, members, D):
+    try:
+        return _padic_series(product(base, members, D))
+    except IntegralityFindingError as exc:
+        return str(exc), exc.witness
+
+
+@st.composite
+def _euler_members(draw):
+    """(base, members, D) at p = 3 to D = 3 or p = 5 to D = 2: every closed point's
+    series, 1 at the cap and terms at mixed N, each sigma_c of itself for a random c;
+    rational terms, so Galois-invariant, at any vcert, or terms and certificates at the
+    cap, which the Galois check mostly refuses."""
+    p, D = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]))
+    base = make_field(p, 1)
+    N = draw(st.integers(2, 6))
+    rational = draw(st.integers(0, 3)) > 0
+    members = []
+    for pt in points_up_to(base, D):
+        terms = [_padic_value(draw, p, N, rational) for _ in range(D // pt.degree)]
+        members.append((pt, draw(st.integers(1, p - 1)), Series(
+            [PadicCyc.from_int(p, draw(st.integers(N, N + 1)), 1)] + terms,
+            draw(st.integers(1, N * (p - 1))) if rational else N * (p - 1))))
+    return base, draw(st.permutations(members)), D
+
+
+@settings(max_examples=150, deadline=None)
+@given(_euler_members())
+def test_euler_product_matches_the_reference(operands):
+    """sigma_g cut to N in one reduction and no product by the leading 1, against
+    galois() then with_precision() and every product made: each coefficient's coords,
+    N, vcert and val_lb and the cert, or the same Galois finding."""
+    base, members, D = operands
+    assert _euler_outcome(euler_product, base, members, D) == \
+        _euler_outcome(euler_product_reference, base, members, D)
 
 
 def test_euler_product_rejects_mixed_modes():

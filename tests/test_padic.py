@@ -34,8 +34,10 @@ from oracles import (
     divide_exact_p_power,
     embed_cyc,
     from_rational,
+    horner_reference,
     nested_lift_simple_nonzero_root,
     nested_unit_inverse,
+    one_unit_power_reference,
     per_element_lift_simple_nonzero_root,
     per_element_one_unit_power,
     per_element_slope_split,
@@ -307,6 +309,21 @@ def test_operands_of_another_level_and_negative_powers_are_refused():
                 op(other)
     with pytest.raises(ValueError, match="negative powers"):
         x ** -1
+
+
+@pytest.mark.parametrize("other", [PadicCyc.from_int(3, 3, 1), PadicCyc.from_int(7, 2, 1),
+                                   C(5, 1, 1, 0, 0), C(3, 1, 1), 1.0, 2.5],
+                         ids=["p3", "p7", "cycint-p5", "cycint-p3", "float-1", "float-2.5"])
+def test_every_mixed_level_operand_is_refused_with_one_message(other):
+    # on either side of a sum, difference or product, and in a many-term sum
+    x = embed_cyc(C(5, 2, 6, 0, 1), 3)
+    ops = [x.__mul__, x.__rmul__, x.__add__, x.__radd__, x.__sub__,
+           lambda o: o * x, lambda o: o + x, lambda o: x - o,
+           lambda o: PadicCyc.sum_of([x, o]), lambda o: PadicCyc.sum_of([o, x, x])]
+    for op in ops:
+        with pytest.raises(UsageError) as exc:
+            op(other)
+        assert str(exc.value) == "mixed p-adic levels"
 
 
 def test_p_power_shifts():
@@ -755,6 +772,53 @@ def test_one_unit_power_pascal_steps_match_per_element_sums(p, N, seed, at_cap, 
             (want.coords, want.N, want.vcert), (u, kappa, V, s)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 7), st.integers(0, 2 ** 32), st.booleans(),
+       st.sampled_from([1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 48, 49, 50]),
+       st.integers(0, 8),
+       st.one_of(st.integers(-10 ** 6, 14).map(lambda k: (k,)),
+                 st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)))
+@example(3, 6, 5, True, 16, 9, (2, 0))      # L a square: x^L = (x^4)^4, no factor x^0
+@example(5, 4, 8, False, 24, 3, (-3,))      # just below: (x^5)^4 x^4
+@example(7, 3, 9, True, 26, 5, (1, 2))      # just above: (x^6)^4 x^2
+@example(3, 5, 1, False, 1, 4, (-1,))       # L = 1: x^L = x
+def test_one_unit_power_matches_the_power_chain_reference(p, N, seed, at_cap, L, wmax, k):
+    """x^L from the table, (x^m)^(L // m) x^(L mod m), against (u - 1) ** L on PadicCyc:
+    L at, just below and just above a perfect square, every size of one call; wmax = 0
+    makes no x^L at all."""
+    rng = random.Random(seed)
+    u = _one_unit(p, N, rng, None if at_cap else rng.randrange(1, N * (p - 1) + 1))
+    v1 = (u - 1).val_lb()
+    V = rng.randrange((L - 1) * v1 + 1, L * v1 + 1)  # the least L with L v1 >= V
+    kappa = _exponent(p, k)
+    got = one_unit_power(u, kappa, V, wmax)
+    want = one_unit_power_reference(u, kappa, V, wmax)
+    assert [(x.coords, x.N, x.vcert, x.val_lb()) for x in got] == \
+        [(x.coords, x.N, x.vcert, x.val_lb()) for x in want], (u, kappa, V)
+
+
+@st.composite
+def _horner_operands(draw):
+    """f (low-first coordinate tuples, leading 1 or not, unreduced coordinates), z, mod."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    mod = p ** draw(st.integers(1, 12))
+    one = (1,) + (0,) * (p - 2)
+    tup = st.lists(st.one_of(st.just(0), st.just(1), st.integers(-2 * mod, 2 * mod)),
+                   min_size=p - 1, max_size=p - 1).map(tuple)
+    f = draw(st.lists(tup, min_size=0, max_size=4))
+    f.append(draw(st.one_of(st.just(one), st.just((1 + mod,) + one[1:]), tup)))
+    return f, draw(st.one_of(st.just(one), tup)), mod
+
+
+@settings(max_examples=300, deadline=None)
+@given(_horner_operands())
+@example(([(0, 0), (0, 0), (1, 0)], (1, 0), 27))   # every partial sum is 1
+@example(([(5, 1), (1, 0)], (2, 2), 9))            # monic linear: f(z) = z + c
+def test_horner_matches_the_reference(operands):
+    f, z, mod = operands
+    assert padic._horner(f, z, mod) == horner_reference(f, z, mod)
+
+
 def _counting_mul_mod(monkeypatch):
     calls = []
     real = padic.mul_coords
@@ -780,7 +844,7 @@ def test_lift_of_a_monic_linear_input_takes_one_step(monkeypatch, p, N):
             want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
             calls.clear()
             got = padic._lift_simple_nonzero_root(f, p, N)
-            assert len(calls) == 3  # f(x0), f(x0) y, f(x1)
+            assert len(calls) == 1  # f(x0) y: f(x) = x + c is a sum, with no product
             assert got == want
             assert got == (c * -1).coords
 
@@ -794,7 +858,7 @@ def test_lift_of_an_exact_integer_root_takes_no_step(monkeypatch, p, N):
         want = _on_coords(per_element_lift_simple_nonzero_root)(f, p, N)
         calls.clear()
         got = padic._lift_simple_nonzero_root(f, p, N)
-        assert len(calls) == 3  # the one evaluation of f, degree 3
+        assert len(calls) == 2  # the one evaluation of f, degree 3, monic
         assert got == PadicCyc.from_int(p, N, a).coords
         assert got == want
 
@@ -802,7 +866,10 @@ def test_lift_of_an_exact_integer_root_takes_no_step(monkeypatch, p, N):
 def test_verify_run_makes_no_redundant_kernel_products(monkeypatch, capsys):
     # the padic-warm command: the 1-unit powers take one product per size from the
     # last (Pascal), the lift stops at the root and a factor at the cap reads no
-    # valuation; the parent made 4,766 kernel products and 801 pi_val calls
+    # valuation; the parent made 4,766 kernel products and 801 pi_val calls.  It
+    # makes 2,128 (2,548 with a product by a monic f's leading 1, x^L as a second
+    # chain and every product by the Euler product's leading 1); the bound is that
+    # count plus 10%
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = _counting_mul_mod(monkeypatch)
     vals = []
@@ -815,7 +882,7 @@ def test_verify_run_makes_no_redundant_kernel_products(monkeypatch, capsys):
     monkeypatch.setattr(CycInt, "pi_val", counted_pi_val)
     assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
     capsys.readouterr()
-    assert len(calls) <= 3300
+    assert len(calls) <= 2340
     assert len(vals) <= 600
 
 
@@ -848,12 +915,15 @@ def test_verify_run_certifies_without_per_step_valuations(monkeypatch, capsys):
     monkeypatch.setattr(PadicCyc, "__rmul__", counted_mul)
     assert console_main("verify -p 5 -n 1 -k 2 -D 3 -V 100".split()) == 0
     capsys.readouterr()
-    # it makes 108, 582 and 934; each bound is that count plus 10%, so sending the
-    # 1,522 unchecked PadicCyc._new builds back through __init__ fails here, and so
-    # does measuring a product's factor whose val the rules already know (399 calls)
-    assert counts["pi_val"] <= 119
-    assert counts["init"] <= 640
-    assert counts["mul"] <= 1030
+    # it makes 100, 152 and 682 (100, 574 and 934 when each sum started from
+    # from_int(0), sigma_g and the cut to N were two builds, and x^L and the Euler
+    # product's products by its leading 1 were PadicCyc products); each bound is that
+    # count plus 10%, so sending the unchecked PadicCyc._new builds back through
+    # __init__ fails here, and so does measuring a product's factor whose val the
+    # rules already know (399 calls)
+    assert counts["pi_val"] <= 110
+    assert counts["init"] <= 167
+    assert counts["mul"] <= 750
 
 
 def _kappas(p):
